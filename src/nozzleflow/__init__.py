@@ -61,7 +61,7 @@ from .solver import (
     FluidField,
     Grid,
     InitialData,
-    make_context,
+    SolverContext,
     prepare_initial_data,
     run,
     step,

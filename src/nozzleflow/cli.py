@@ -16,6 +16,11 @@ from .schedule import certify
 from .thermo import GasLaw
 
 
+def _check_lines(report) -> list[str]:
+    return [f"  check {key}: {'pass' if val else 'FAIL'}"
+            for key, val in sorted(report.checks.items())]
+
+
 def _cmd_run(args) -> int:
     cfg = RunConfig.from_file(args.config)
     out = Path(cfg.output_dir)
@@ -26,15 +31,12 @@ def _cmd_run(args) -> int:
     write_snapshot_csv(out / "final.csv", result.field, g, profile,
                        result.eps, cfg.bc, cfg.cfl)
     result.report.to_csv(out / "report.csv")
-    ok = result.report.all_checks_pass()
-    lines = [f"run finished at t={result.field.t:g} "
-             f"(eps={result.eps:g}, delta={result.delta:g})"]
-    for key, val in sorted(result.report.checks.items()):
-        lines.append(f"  check {key}: {'pass' if val else 'FAIL'}")
-    text = "\n".join(lines)
+    text = "\n".join([f"run finished at t={result.field.t:g} "
+                      f"(eps={result.eps:g}, delta={result.delta:g})"]
+                     + _check_lines(result.report))
     (out / "summary.txt").write_text(text + "\n")
     print(text)
-    return 0 if ok else 1
+    return 0 if result.report.all_checks_pass() else 1
 
 
 def _cmd_sweep(args) -> int:
@@ -43,24 +45,19 @@ def _cmd_sweep(args) -> int:
     out = write_sweep_outputs(result, cfg)
     print(result.summary())
     print(f"outputs in {out}")
-    checks_ok = all(r.report.all_checks_pass() for r in result.runs)
-    ok = result.converging and result.certificate.passed and checks_ok \
-        and not result.failures
+    ok = result.converging and result.certificate.passed \
+        and result.checks_pass and not result.failures
     return 0 if ok else 1
 
 
 def _cmd_check(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    sched = cfg.build_schedule()
-    profile = cfg.build_profile()
-    kappa = cfg.kappa if cfg.kappa is not None else -1.0
-    cert = certify(sched, profile, GasLaw(cfg.gamma, kappa))
+    cert = certify(cfg.build_schedule(), cfg.build_profile(), cfg.build_gas())
     print(cert.summary())
     ok = cert.passed
     if args.with_run:
         result = single_run(cfg, label="check", collect_snapshots=False)
-        for key, val in sorted(result.report.checks.items()):
-            print(f"  check {key}: {'pass' if val else 'FAIL'}")
+        print("\n".join(_check_lines(result.report)))
         ok = ok and result.report.all_checks_pass()
     return 0 if ok else 1
 

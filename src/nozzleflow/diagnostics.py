@@ -22,7 +22,7 @@ from .entropy import (EntropyGenerator, ReferenceState, gen_convex_spline,
                       relative_energy_density)
 from .errors import CavitationError, ConfigError
 from .geometry import NozzleProfile, ProfileKind
-from .solver import FluidField
+from .solver import FluidField, SolverContext, hyperbolic_interface_data
 from .thermo import GasLaw
 
 # ---------------------------------------------------------------------------
@@ -59,35 +59,35 @@ class SnapshotSet:
 # ---------------------------------------------------------------------------
 
 
+# (report attribute, CSV column) of every monitored time series, in CSV order
+SERIES = (
+    ("t", "t"), ("energy", "E"), ("dissipation", "D"),
+    ("diss_rate_hessian", "diss_rate_hessian"),
+    ("diss_rate_geometric", "diss_rate_geometric"),
+    ("llf_rate", "llf_rate"), ("llf_cumulative", "llf_cumulative"),
+    ("max_w", "max_w"), ("min_z", "min_z"), ("correction", "correction"),
+    ("vacuum_phi", "vacuum_phi"), ("min_rho", "min_rho"), ("quartic", "quartic"),
+)
+
+
 @dataclass
 class DiagnosticsReport:
-    """Time series of the monitored quantities plus the check verdicts."""
+    """Time series of the monitored quantities plus the check verdicts.
 
-    t: np.ndarray = dc_field(default_factory=lambda: np.array([]))
-    energy: np.ndarray = dc_field(default_factory=lambda: np.array([]))
-    dissipation: np.ndarray = dc_field(default_factory=lambda: np.array([]))
-    diss_rate_hessian: np.ndarray = dc_field(default_factory=lambda: np.array([]))
-    diss_rate_geometric: np.ndarray = dc_field(default_factory=lambda: np.array([]))
-    llf_rate: np.ndarray = dc_field(default_factory=lambda: np.array([]))
-    llf_cumulative: np.ndarray = dc_field(default_factory=lambda: np.array([]))
-    max_w: np.ndarray = dc_field(default_factory=lambda: np.array([]))
-    min_z: np.ndarray = dc_field(default_factory=lambda: np.array([]))
-    correction: np.ndarray = dc_field(default_factory=lambda: np.array([]))
-    vacuum_phi: np.ndarray = dc_field(default_factory=lambda: np.array([]))
-    min_rho: np.ndarray = dc_field(default_factory=lambda: np.array([]))
-    quartic: np.ndarray = dc_field(default_factory=lambda: np.array([]))
+    ``series`` maps the names in SERIES to arrays; each name also reads as
+    an attribute, empty when the run did not record it.
+    """
+
+    series: dict = dc_field(default_factory=dict)
     undershoots: int = 0
     checks: dict = dc_field(default_factory=dict)
     notes: list = dc_field(default_factory=list)
     snapshots: Optional[SnapshotSet] = None
     label: str = ""
 
-    @classmethod
-    def empty(cls) -> "DiagnosticsReport":
-        return cls()
-
     @property
     def corrected_max_w(self) -> np.ndarray:
+        """max_x w minus the accumulated correction: the monotone claimant."""
         return self.max_w - self.correction
 
     @property
@@ -99,7 +99,7 @@ class DiagnosticsReport:
 
     def merge(self, other: "DiagnosticsReport") -> "DiagnosticsReport":
         """Associative aggregation of reports from independent runs."""
-        out = DiagnosticsReport.empty()
+        out = DiagnosticsReport()
         out.label = f"{self.label}+{other.label}"
         out.undershoots = self.undershoots + other.undershoots
         out.notes = self.notes + other.notes
@@ -109,17 +109,8 @@ class DiagnosticsReport:
         return out
 
     def to_csv(self, path) -> None:
-        series = [
-            ("t", self.t), ("E", self.energy), ("D", self.dissipation),
-            ("diss_rate_hessian", self.diss_rate_hessian),
-            ("diss_rate_geometric", self.diss_rate_geometric),
-            ("llf_rate", self.llf_rate), ("llf_cumulative", self.llf_cumulative),
-            ("max_w", self.max_w), ("min_z", self.min_z),
-            ("correction", self.correction),
-            ("vacuum_phi", self.vacuum_phi), ("min_rho", self.min_rho),
-            ("quartic", self.quartic),
-        ]
-        present = [(name, arr) for name, arr in series if len(arr)]
+        present = [(col, self.series[name]) for name, col in SERIES
+                   if len(self.series.get(name, ()))]
         with open(path, "w", newline="") as fh:
             fh.write(f"# diagnostics report label={self.label}\n")
             fh.write(f"# undershoots={self.undershoots}\n")
@@ -128,9 +119,14 @@ class DiagnosticsReport:
             for note in self.notes:
                 fh.write(f"# note: {note}\n")
             writer = csv.writer(fh)
-            writer.writerow([name for name, _ in present])
+            writer.writerow([col for col, _ in present])
             for row in zip(*[arr for _, arr in present]):
                 writer.writerow([f"{v:.12g}" for v in row])
+
+
+for _name, _ in SERIES:
+    setattr(DiagnosticsReport, _name, property(
+        lambda self, name=_name: self.series.get(name, np.array([]))))
 
 
 # ---------------------------------------------------------------------------
@@ -146,20 +142,13 @@ def _trap_weights(x: np.ndarray) -> np.ndarray:
 
 
 def energy_budget(field: FluidField, g: GasLaw, profile: NozzleProfile,
-                  ref: ReferenceState, eps: float,
-                  gronwall_M: Optional[float] = None,
-                  E0: Optional[float] = None, D_accumulated: float = 0.0,
-                  sharp: bool = False, tol: float = 1e-3) -> tuple[float, dict]:
+                  ref: ReferenceState, eps: float) -> tuple[float, dict]:
     """Relative energy E and the instantaneous dissipation-rate components.
 
     E integrates the relative energy density against A(x) dx (trapezoid).
     The dissipation rate integrates eps*(h''(rho) rho_x^2 + rho u_x^2 + geo)
     with centered differences; the geometric piece is (n-1) rho u^2 / x^2 in
     the spherical geometry and |(A'/A)' rho u (u - u_bar)| otherwise.
-
-    With ``gronwall_M`` (and the run's E0 plus the dissipation accumulated so
-    far) the components also carry the bound verdict E + D <= M (E0 + 1), or
-    the sharp form E + D <= E0 (1 + tol) when ``sharp`` is set.
     """
     x = field.grid.x
     w = _trap_weights(x)
@@ -180,19 +169,11 @@ def energy_budget(field: FluidField, g: GasLaw, profile: NozzleProfile,
         geo = np.abs(profile.dlog_prime(x) * field.rho * u * (u - ub))
     rate_h = eps * float(np.sum(hess * A * w))
     rate_g = eps * float(np.sum(geo * A * w))
-    comp = {"rate_hessian": rate_h, "rate_geometric": rate_g,
-            "rate_total": rate_h + rate_g}
-    if gronwall_M is not None or sharp:
-        base = E if E0 is None else E0
-        bound = base * (1.0 + tol) + 1e-14 if sharp \
-            else float(gronwall_M) * (base + 1.0)
-        comp["energy_bound"] = bound
-        comp["gronwall_ok"] = bool(E + D_accumulated <= bound)
-    return E, comp
+    return E, {"rate_hessian": rate_h, "rate_geometric": rate_g,
+               "rate_total": rate_h + rate_g}
 
 
-def llf_dissipation_rate(field: FluidField, g: GasLaw, profile: NozzleProfile,
-                         eps: float, bc, ref: ReferenceState,
+def llf_dissipation_rate(ctx: SolverContext, field: FluidField,
                          limiter_theta: float = 1.5) -> float:
     """Energy drain of the interface dissipation (scheme-internal estimate).
 
@@ -200,13 +181,10 @@ def llf_dissipation_rate(field: FluidField, g: GasLaw, profile: NozzleProfile,
     interfaces; nonnegative by convexity.  Heuristic in the sense that it
     describes the scheme, not the equations.
     """
-    from .solver import hyperbolic_interface_data, make_context
-
-    ctx = make_context(field.grid, g, profile, eps, bc)
     data = hyperbolic_interface_data(ctx, field.rho, field.m, field.t,
                                      limiter_theta)
-    gl_r, gl_m = modified_energy_gradient(g, data["rho_L"], data["m_L"])
-    gr_r, gr_m = modified_energy_gradient(g, data["rho_R"], data["m_R"])
+    gl_r, gl_m = modified_energy_gradient(ctx.g, data["rho_L"], data["m_L"])
+    gr_r, gr_m = modified_energy_gradient(ctx.g, data["rho_R"], data["m_R"])
     # reference part of grad eta_bar cancels in the jump
     jump = ((gr_r - gl_r) * (data["rho_R"] - data["rho_L"])
             + (gr_m - gl_m) * (data["m_R"] - data["m_L"]))
@@ -222,13 +200,6 @@ class RiemannHistory:
     min_z: list = dc_field(default_factory=list)
     integrand: list = dc_field(default_factory=list)
     correction: list = dc_field(default_factory=list)
-
-    def corrected_max_w(self) -> np.ndarray:
-        """max_x w minus the accumulated correction: the monotone claimant."""
-        return np.array(self.max_w) - np.array(self.correction)
-
-    def corrected_min_z(self) -> np.ndarray:
-        return np.array(self.min_z) + np.array(self.correction)
 
 
 def riemann_monitor(field: FluidField, g: GasLaw, profile: NozzleProfile,
@@ -534,85 +505,80 @@ class Recorder:
         self.opt = options or RecorderOptions()
         self.label = label
         self.sample_times = np.linspace(0.0, t_end, self.opt.sample_count)
-        self._t: list[float] = []
-        self._E: list[float] = []
-        self._rate_h: list[float] = []
-        self._rate_g: list[float] = []
-        self._D: list[float] = []
-        self._llf: list[float] = []
-        self._llf_cum: list[float] = []
+        self._series: dict[str, list] = {name: [] for name, _ in SERIES}
+        self._last_rate: dict[str, float] = {}
         self._riemann = RiemannHistory()
-        self._phi: list[float] = []
-        self._minrho: list[float] = []
-        self._quartic: list[float] = []
+        self._ctx: Optional[SolverContext] = None
         self._snap_rho: list[np.ndarray] = []
         self._snap_m: list[np.ndarray] = []
         self._snap_x: Optional[np.ndarray] = None
         self._rho_tilde: Optional[float] = self.opt.rho_tilde
 
+    def _context(self, field: FluidField) -> SolverContext:
+        if self._ctx is None or self._ctx.grid != field.grid:
+            self._ctx = SolverContext(field.grid, self.g, self.profile,
+                                      self.eps, self.bc)
+        return self._ctx
+
+    def _running_integral(self, name: str, t: float, rate: float) -> float:
+        """Trapezoid integral in time of a rate given at every sample."""
+        prev = self._last_rate.get(name)
+        self._last_rate[name] = rate
+        if prev is None:
+            return 0.0
+        return self._series[name][-1] \
+            + 0.5 * (t - self._series["t"][-1]) * (prev + rate)
+
     # -- sampling ------------------------------------------------------------
     def sample(self, field: FluidField) -> None:
         opt = self.opt
         t = field.t
-        self._t.append(t)
+        row = {"t": t}
         if opt.energy and self.ref is not None:
             E, comp = energy_budget(field, self.g, self.profile, self.ref,
                                     self.eps)
-            rate = comp["rate_total"]
-            if self._E:
-                dt = t - self._t[-2]
-                self._D.append(self._D[-1] + 0.5 * dt
-                               * (self._rate_h[-1] + self._rate_g[-1] + rate))
-            else:
-                self._D.append(0.0)
-            self._E.append(E)
-            self._rate_h.append(comp["rate_hessian"])
-            self._rate_g.append(comp["rate_geometric"])
-        if opt.llf and self.ref is not None:
-            rate = llf_dissipation_rate(field, self.g, self.profile, self.eps,
-                                        self.bc, self.ref)
-            if self._llf:
-                dt = t - self._t[-2]
-                self._llf_cum.append(self._llf_cum[-1]
-                                     + 0.5 * dt * (self._llf[-1] + rate))
-            else:
-                self._llf_cum.append(0.0)
-            self._llf.append(rate)
+            row.update(energy=E, diss_rate_hessian=comp["rate_hessian"],
+                       diss_rate_geometric=comp["rate_geometric"],
+                       dissipation=self._running_integral(
+                           "dissipation", t, comp["rate_total"]))
+        if opt.llf:
+            rate = llf_dissipation_rate(self._context(field), field)
+            row.update(llf_rate=rate, llf_cumulative=self._running_integral(
+                "llf_cumulative", t, rate))
         if opt.riemann:
-            riemann_monitor(field, self.g, self.profile, self.eps, self._riemann)
+            hist = riemann_monitor(field, self.g, self.profile, self.eps,
+                                   self._riemann)
+            row.update(max_w=hist.max_w[-1], min_z=hist.min_z[-1],
+                       correction=hist.correction[-1])
         if opt.vacuum:
             if self._rho_tilde is None:
                 self._rho_tilde = float(np.min(field.rho))
-            self._phi.append(vacuum_functional(field, self._rho_tilde))
-            self._minrho.append(float(np.min(field.rho)))
+            row.update(vacuum_phi=vacuum_functional(field, self._rho_tilde),
+                       min_rho=float(np.min(field.rho)))
         if opt.quartic:
             x = field.grid.x
             A = self.profile.area(x)
             vals = quartic_entropy(self.g, field.rho, field.m)
-            self._quartic.append(float(np.sum(vals * A * _trap_weights(x))))
+            row["quartic"] = float(np.sum(vals * A * _trap_weights(x)))
+        for name, val in row.items():
+            self._series[name].append(val)
         if opt.collect_snapshots:
             if self._snap_x is None:
                 x = field.grid.x
-                if opt.snapshot_window is not None:
-                    lo, hi = opt.snapshot_window
-                    self._snap_mask = (x >= lo) & (x <= hi)
-                else:
-                    self._snap_mask = np.ones_like(x, dtype=bool)
+                lo, hi = opt.snapshot_window or (-np.inf, np.inf)
+                self._snap_mask = (x >= lo) & (x <= hi)
                 self._snap_x = x[self._snap_mask]
             self._snap_rho.append(field.rho[self._snap_mask].copy())
             self._snap_m.append(field.m[self._snap_mask].copy())
 
     # -- wrap-up ---------------------------------------------------------------
     def finalize(self) -> DiagnosticsReport:
-        rep = DiagnosticsReport.empty()
-        rep.label = self.label
-        rep.t = np.array(self._t)
+        rep = DiagnosticsReport(
+            series={name: np.array(vals) for name, vals in self._series.items()
+                    if vals},
+            label=self.label)
         opt = self.opt
-        if self._E:
-            rep.energy = np.array(self._E)
-            rep.dissipation = np.array(self._D)
-            rep.diss_rate_hessian = np.array(self._rate_h)
-            rep.diss_rate_geometric = np.array(self._rate_g)
+        if "energy" in rep.series:
             scale = rep.energy[0] + 1.0  # rounding floor even for E0 = 0 runs
             rep.checks["energy_nonnegative"] = bool(
                 np.all(rep.energy >= -1e-12 * scale))
@@ -625,16 +591,11 @@ class Recorder:
             else:
                 bound = opt.gronwall_M * (rep.energy[0] + 1.0)
                 rep.checks["energy_inequality"] = bool(np.all(total <= bound))
-        if self._llf:
-            rep.llf_rate = np.array(self._llf)
-            rep.llf_cumulative = np.array(self._llf_cum)
+        if "llf_rate" in rep.series:
             rep.notes.append("llf series estimates the scheme's interface "
                              "dissipation; heuristic, not an estimate of the "
                              "equations")
-        if opt.riemann and self._riemann.t:
-            rep.max_w = np.array(self._riemann.max_w)
-            rep.min_z = np.array(self._riemann.min_z)
-            rep.correction = np.array(self._riemann.correction)
+        if "max_w" in rep.series:
             wt = rep.corrected_max_w
             zt = rep.corrected_min_z
             osc = max(rep.max_w[0] - rep.min_z[0], 1e-300)
@@ -644,19 +605,16 @@ class Recorder:
                 np.all(np.diff(wt) <= slack))
             rep.checks["min_z_corrected_nondecreasing"] = bool(
                 np.all(np.diff(zt) >= -slack))
-        if self._phi:
-            rep.vacuum_phi = np.array(self._phi)
-            rep.min_rho = np.array(self._minrho)
+        if "vacuum_phi" in rep.series:
             rep.checks["vacuum_functional_finite"] = bool(
                 np.all(np.isfinite(rep.vacuum_phi)))
-        if self._quartic:
-            rep.quartic = np.array(self._quartic)
-            q0 = self._quartic[0]
+        if "quartic" in rep.series:
+            q0 = rep.quartic[0]
             rep.checks["quartic_energy_nonincreasing"] = bool(
                 np.all(np.diff(rep.quartic) <= 1e-3 * abs(q0) + 1e-14))
         if opt.collect_snapshots and self._snap_rho:
             rep.snapshots = SnapshotSet(
-                t=np.array(self._t), x=self._snap_x.copy(),
+                t=rep.t.copy(), x=self._snap_x.copy(),
                 rho=np.vstack(self._snap_rho), m=np.vstack(self._snap_m),
                 meta={"label": self.label, "eps": self.eps,
                       "gamma": self.g.gamma, "delta": self.g.delta})

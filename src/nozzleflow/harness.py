@@ -9,11 +9,12 @@ verdict is Cauchy-style: successive distances should shrink.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -22,10 +23,10 @@ from .diagnostics import (DiagnosticsReport, Recorder, RecorderOptions,
                           default_generator_family, default_test_functions,
                           integrability_window, weak_residual)
 from .entropy import ReferenceState
-from .errors import ConfigError, SolverError, SweepError
+from .errors import ConfigError, NozzleflowError, SweepError
 from .geometry import NozzleProfile, make_profile
 from .schedule import CertificateReport, ViscositySchedule, certify
-from .solver import (BoundarySpec, FluidField, Grid, InitialData,
+from .solver import (BCMode, BoundarySpec, FluidField, Grid, InitialData,
                      prepare_initial_data, run)
 from .thermo import GasLaw
 
@@ -94,7 +95,6 @@ class RunConfig:
     snapshots: int = 32
     snapshot_margin: float = 0.5
     workers: int = 1                       # 0: one per processor
-    seed: int = 0
     force: bool = False
     # diagnostics
     check_energy: bool = True
@@ -106,21 +106,21 @@ class RunConfig:
     weak_residuals: bool = False
     output_dir: str = "out"
 
+    def __post_init__(self):
+        self.validate()
+
     # -- parsing --------------------------------------------------------------
     @classmethod
     def from_mapping(cls, data: dict) -> "RunConfig":
-        cfg = cls()
-        fields = {f: type_ for f, type_ in cls.__annotations__.items()}
+        """Build a config from key -> value; strings parse by the field type."""
+        hints = get_type_hints(cls)
+        values = {}
         for key, raw in data.items():
-            if key not in fields:
+            if key not in hints:
                 raise ConfigError(f"unknown config key {key!r}")
-            cur = getattr(cfg, key)
-            if isinstance(raw, str):
-                val = _coerce(key, raw, cur)
-            else:
-                val = raw
-            setattr(cfg, key, val)
-        return cfg
+            values[key] = _parse(key, raw, hints[key]) if isinstance(raw, str) \
+                else raw
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -136,52 +136,86 @@ class RunConfig:
                 data[key] = val
         return cls.from_mapping(data)
 
+    def validate(self) -> None:
+        """Raise ConfigError for the first value outside its range."""
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ConfigError(f"{f.name} must be finite, got {val}")
+        for name in ("dx", "eps", "eps0"):
+            val = getattr(self, name)
+            if not val > 0.0:
+                raise ConfigError(f"{name} must be positive, got {val}")
+        # Heun is SSP with coefficient 1; the MUSCL/central stencil allows 1/2
+        # (Kurganov-Tadmor 2000)
+        if not 0.0 < self.cfl <= 0.5:
+            raise ConfigError(f"cfl must lie in (0, 0.5], got {self.cfl}")
+        # a time-series check on too few samples would pass without evidence
+        need = 4 if (self.check_energy or self.check_riemann or self.quartic_check
+                     or self.weak_residuals) else 1
+        if self.snapshots < need:
+            raise ConfigError(f"snapshots must be at least {need} with these "
+                              f"checks on, got {self.snapshots}")
+        gam = self.gamma
+        if self.p_rho >= gam + 1.0:
+            raise ConfigError(f"p must stay below gamma + 1 = {gam + 1}")
+        if self.q_mom >= 3.0 * (gam + 1.0) / (gam + 3.0):
+            raise ConfigError("q must stay below 3(gamma+1)/(gamma+3) "
+                              f"= {3.0 * (gam + 1.0) / (gam + 3.0):.4g}")
+
+    @property
+    def spherical(self) -> bool:
+        return self.bc in ("dirichlet_spherical", "neumann_spherical")
+
+    @property
+    def quartic_check(self) -> bool:
+        """The axis-end mode always monitors the quartic energy."""
+        return self.check_quartic or self.bc == "neumann_spherical"
+
+    @property
+    def delta_q(self) -> float:
+        """Exponent q of the ladder rule delta = eps^q."""
+        return self.delta_exponent if self.delta_exponent is not None \
+            else 1.0 + self.beta_max
+
+    def far_density(self, eps: float) -> float:
+        """Spherical far density: rho_bar, else the ladder rule eps^(n/gamma)."""
+        if self.rho_bar is not None:
+            return self.rho_bar
+        return self.build_schedule().rho_bar_of(eps)
+
     # -- object builders --------------------------------------------------------
     def build_profile(self) -> NozzleProfile:
-        kind = self.profile
-        if kind == "constant":
-            return make_profile(kind, value=self.profile_area)
-        if kind == "gaussian_bump":
-            return make_profile(kind, base=self.profile_base,
-                                amp=self.profile_amp, rate=self.profile_rate)
-        if kind == "power_law_closing":
-            return make_profile(kind, alpha=self.profile_alpha)
-        if kind == "exponential":
-            return make_profile(kind, rate=self.profile_rate)
-        if kind == "spherical":
-            omega = self.profile_omega if self.profile_omega else 0.0
-            return make_profile(kind, n_dim=self.profile_n, omega_n=omega)
-        if kind == "tabulated":
-            return make_profile(kind, file=self.profile_file)
-        raise ConfigError(f"unknown profile kind {self.profile!r}")
+        params = {
+            "constant": dict(value=self.profile_area),
+            "gaussian_bump": dict(base=self.profile_base, amp=self.profile_amp,
+                                  rate=self.profile_rate),
+            "power_law_closing": dict(alpha=self.profile_alpha),
+            "exponential": dict(rate=self.profile_rate),
+            "spherical": dict(n_dim=self.profile_n,
+                              omega_n=self.profile_omega or 0.0),
+            "tabulated": dict(file=self.profile_file),
+        }
+        return make_profile(self.profile, **params.get(self.profile, {}))
 
     def build_schedule(self) -> ViscositySchedule:
-        spherical = self.bc in ("dirichlet_spherical", "neumann_spherical")
-        q = self.delta_exponent if self.delta_exponent is not None \
-            else 1.0 + self.beta_max
         eps = tuple(self.eps0 * 0.5 ** k for k in range(self.n_eps))
         return ViscositySchedule(
-            eps, q=q, beta_max=self.beta_max, M_budget=self.M_budget,
-            L0=self.L0, spherical=spherical, n_dim=self.profile_n,
-            gamma=self.gamma)
+            eps, q=self.delta_q, beta_max=self.beta_max,
+            M_budget=self.M_budget, L0=self.L0, spherical=self.spherical,
+            n_dim=self.profile_n, gamma=self.gamma)
 
     def build_gas(self, eps: Optional[float] = None) -> GasLaw:
         if self.delta is not None:
             delta = self.delta
         else:
-            q = self.delta_exponent if self.delta_exponent is not None \
-                else 1.0 + self.beta_max
-            delta = (self.eps if eps is None else eps) ** q
+            delta = (self.eps if eps is None else eps) ** self.delta_q
         kappa = self.kappa if self.kappa is not None else -1.0
         return GasLaw(self.gamma, kappa, delta)
 
-    def build_reference(self) -> ReferenceState:
-        if self.bc in ("dirichlet_spherical", "neumann_spherical"):
-            rb = self.rho_bar
-            if rb is None:
-                sched = self.build_schedule()
-                rb = sched.rho_bar_of(self.eps)
-            return ReferenceState.constant(rb, 0.0, self.L0)
+    def build_reference(self, eps: float) -> ReferenceState:
+        if self.spherical:
+            return ReferenceState.constant(self.far_density(eps), 0.0, self.L0)
         return ReferenceState(self.rho_minus, self.u_minus,
                               self.rho_plus, self.u_plus, self.L0)
 
@@ -196,17 +230,14 @@ class RunConfig:
             return BoundarySpec.dirichlet_nozzle(
                 self.rho_minus, self.rho_minus * self.u_minus,
                 self.rho_plus, self.rho_plus * self.u_plus)
-        rb = self.rho_bar
-        if rb is None:
-            rb = self.build_schedule().rho_bar_of(eps)
         if self.bc == "dirichlet_spherical":
-            return BoundarySpec.dirichlet_spherical(rb)
+            return BoundarySpec.dirichlet_spherical(self.far_density(eps))
         if self.bc == "neumann_spherical":
-            return BoundarySpec.neumann_spherical(rb)
+            return BoundarySpec.neumann_spherical(self.far_density(eps))
         raise ConfigError(f"unknown bc mode {self.bc!r}")
 
     def build_initial(self, eps: float) -> InitialData:
-        ref = self.build_reference()
+        ref = self.build_reference(eps)
         if self.init == "riemann":
             def rho0(x):
                 return np.where(x < self.init_center, self.rho_minus, self.rho_plus)
@@ -216,13 +247,12 @@ class RunConfig:
                                 self.rho_minus * self.u_minus,
                                 self.rho_plus * self.u_plus)
         elif self.init == "bump":
-            rb = self.rho_bar
-            if rb is None and self.bc != "dirichlet_nozzle":
-                rb = self.build_schedule().rho_bar_of(eps)
+            # a duct run with rho_bar set bumps that flat state at rest
+            flat = None if self.spherical else self.rho_bar
             amp, x0, wdt = self.init_amp, self.init_center, self.init_width
 
             def rho0(x):
-                base = ref.rho_bar(x) if rb is None else rb
+                base = ref.rho_bar(x) if flat is None else flat
                 s = (x - x0) / wdt
                 bump = np.where(np.abs(s) < 1.0,
                                 np.exp(1.0 - 1.0 / np.maximum(1.0 - s * s, 1e-12)),
@@ -230,7 +260,7 @@ class RunConfig:
                 return base + amp * bump
 
             def m0(x):
-                return np.asarray(ref.m_bar(x)) if rb is None \
+                return np.asarray(ref.m_bar(x)) if flat is None \
                     else np.zeros_like(np.asarray(x, dtype=float))
         elif self.init == "constant":
             def rho0(x):
@@ -243,22 +273,22 @@ class RunConfig:
         return InitialData(rho0, m0, self.mollify_width, self.blend_width)
 
 
-def _coerce(key: str, raw: str, current):
+def _parse(key: str, raw: str, hint):
+    """Parse one config string as its field's declared type."""
     raw = raw.strip()
-    if raw == "" or raw.lower() == "none":
+    args = get_args(hint)
+    if type(None) in args and raw.lower() in ("", "none"):
         return None
-    if isinstance(current, bool):
+    kind = next((k for k in args if k is not type(None)), hint)
+    if kind is bool:
         if raw.lower() not in _BOOL:
             raise ConfigError(f"{key}: cannot parse boolean from {raw!r}")
         return _BOOL[raw.lower()]
-    if isinstance(current, int) and not isinstance(current, bool):
-        return int(raw)
-    if isinstance(current, float) or current is None:
-        try:
-            return float(raw)
-        except ValueError:
-            return raw
-    return raw
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(
+            f"{key}: cannot parse {kind.__name__} from {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +317,6 @@ def single_run(cfg: RunConfig, eps: Optional[float] = None,
     bc = cfg.build_bc(eps)
     raw = cfg.build_initial(eps)
     field = prepare_initial_data(raw, bc, g, profile, grid)
-    ref = cfg.build_reference()
-    if cfg.bc in ("dirichlet_spherical", "neumann_spherical"):
-        rb = bc.right_values(0.0)[0]
-        ref = ReferenceState.constant(rb, 0.0, cfg.L0)
     margin = cfg.snapshot_margin
     window = (cfg.window_lo - margin, cfg.window_hi + margin)
     window = (max(window[0], a), min(window[1], b))
@@ -300,14 +326,14 @@ def single_run(cfg: RunConfig, eps: Optional[float] = None,
         snapshot_window=window,
         energy=cfg.check_energy,
         riemann=cfg.check_riemann,
-        quartic=cfg.check_quartic or cfg.bc == "neumann_spherical",
+        quartic=cfg.quartic_check,
         gronwall_M=cfg.gronwall_M,
-        sharp_energy=cfg.bc == "dirichlet_spherical",
+        sharp_energy=bc.mode is BCMode.DIRICHLET_SPHERICAL,
         energy_tol=cfg.energy_tol,
         riemann_tol=cfg.riemann_tol,
     )
-    rec = Recorder(g, profile, eps, bc, cfg.t_end, ref=ref, options=opts,
-                   label=label)
+    rec = Recorder(g, profile, eps, bc, cfg.t_end,
+                   ref=cfg.build_reference(eps), options=opts, label=label)
     field, report = run(field, g, profile, eps, bc, cfg.t_end, hooks=rec,
                         cfl=cfg.cfl, limiter_theta=cfg.limiter_theta)
     return RunOutput(eps=eps, delta=g.delta, field=field, report=report,
@@ -367,6 +393,10 @@ class SweepResult:
     def converging(self) -> bool:
         return self.converging_rho and self.converging_m
 
+    @property
+    def checks_pass(self) -> bool:
+        return all(r.report.all_checks_pass() for r in self.runs)
+
     def summary(self) -> str:
         lines = [f"sweep over eps = {tuple(round(e, 6) for e in self.eps_list)}"]
         lines.append(self.certificate.summary())
@@ -379,8 +409,8 @@ class SweepResult:
                          + ", ".join(f"{d:.5g}" for d in self.d_m))
         lines.append(f"  verdict: rho {'converging' if self.converging_rho else 'NOT converging'}, "
                      f"m {'converging' if self.converging_m else 'NOT converging'}")
-        checks_ok = all(r.report.all_checks_pass() for r in self.runs)
-        lines.append(f"  per-run inequality checks: {'pass' if checks_ok else 'FAIL'}")
+        lines.append("  per-run inequality checks: "
+                     + ("pass" if self.checks_pass else "FAIL"))
         return "\n".join(lines)
 
 
@@ -394,46 +424,47 @@ def _verdict(distances: np.ndarray) -> bool:
     return int(np.sum(ratios >= 0.9)) <= 1
 
 
-def _sweep_worker(args) -> RunOutput:
+def _sweep_worker(args):
+    """One rung: its RunOutput, or the text of the package error it raised."""
     cfg, eps, label = args
-    return single_run(cfg, eps=eps, label=label)
+    try:
+        return single_run(cfg, eps=eps, label=label)
+    except NozzleflowError as err:
+        return f"{type(err).__name__}: {err}"
 
 
 def sweep(cfg: RunConfig) -> SweepResult:
-    """Run the ladder, measure pairwise distances, and aggregate verdicts."""
-    gam = cfg.gamma
-    if cfg.p_rho >= gam + 1.0:
-        raise ConfigError(f"p must stay below gamma + 1 = {gam + 1}")
-    if cfg.q_mom >= 3.0 * (gam + 1.0) / (gam + 3.0):
-        raise ConfigError("q must stay below 3(gamma+1)/(gamma+3) "
-                          f"= {3.0 * (gam + 1.0) / (gam + 3.0):.4g}")
+    """Run the ladder, measure pairwise distances, and aggregate verdicts.
+
+    A rung that raises a package error is recorded as failed with its
+    message; the sweep needs two successful rungs to compare.
+    """
     sched = cfg.build_schedule()
+    for eps in sched.eps_list:
+        a, b = cfg.domain_of(eps)
+        if not a <= cfg.window_lo < cfg.window_hi <= b:
+            raise ConfigError(
+                f"comparison window [{cfg.window_lo:g}, {cfg.window_hi:g}] "
+                f"leaves the eps={eps:g} domain [{a:g}, {b:g}]")
     profile = cfg.build_profile()
-    cert = certify(sched, profile, GasLaw(cfg.gamma,
-                                          cfg.kappa if cfg.kappa is not None else -1.0))
+    cert = certify(sched, profile, cfg.build_gas())
     if not cert.passed and not cfg.force:
         raise ConfigError("schedule failed its certificate "
                           f"({cert.failing()}); pass force=true to override")
     jobs = [(cfg, eps, f"eps={eps:g}") for eps in sched.eps_list]
-    runs: list[RunOutput] = []
-    failures: list[tuple[float, str]] = []
     workers = cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_sweep_worker, job) for job in jobs]
-            for job, fut in zip(jobs, futures):
-                try:
-                    runs.append(fut.result())
-                except (SolverError, ConfigError) as err:
-                    failures.append((job[1], str(err)))
+            outcomes = list(pool.map(_sweep_worker, jobs))
     else:
-        for job in jobs:
-            try:
-                runs.append(_sweep_worker(job))
-            except (SolverError, ConfigError) as err:
-                failures.append((job[1], str(err)))
+        outcomes = [_sweep_worker(job) for job in jobs]
+    runs = [out for out in outcomes if isinstance(out, RunOutput)]
+    failures = [(job[1], out) for job, out in zip(jobs, outcomes)
+                if isinstance(out, str)]
     if len(runs) < 2:
-        raise SweepError(f"only {len(runs)} of {len(jobs)} runs succeeded")
+        raise SweepError(f"only {len(runs)} of {len(jobs)} runs succeeded: "
+                         + "; ".join(f"eps={eps:g}: {msg}"
+                                     for eps, msg in failures))
 
     K = (cfg.window_lo, cfg.window_hi)
     d_rho = np.array([lp_distance(runs[k].snapshots, runs[k + 1].snapshots,

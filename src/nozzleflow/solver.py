@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import (CavitationError, ConfigError, DomainError, NonFiniteError,
                      SolverError, StabilityError)
@@ -152,7 +152,11 @@ class InitialData:
 
 
 class SolverContext:
-    """Grid-bound coefficient arrays shared by all steps of one run."""
+    """The solver's inputs for one run, with the coefficient arrays they fix.
+
+    A context owns the grid, gas law, profile, viscosity and boundary spec;
+    ``step`` and ``run`` take all five from it.
+    """
 
     def __init__(self, grid: Grid, g: GasLaw, profile: NozzleProfile,
                  eps: float, bc: BoundarySpec):
@@ -174,28 +178,44 @@ class SolverContext:
         self.Ah = Ah
         self.Ah_full = np.concatenate([[Ah[0]], Ah, [Ah[-1]]])
         self.undershoots = 0
-        # static implicit-coefficient pieces (scaled by eps*dt each step)
+        # diffusion operators per unit eps*dt in LAPACK band rows
+        # (super, diagonal, sub): row 0 holds L[j-1, j] at column j, row 2
+        # holds L[j+1, j]
         n = grid.n_nodes
-        self._mass_sub = np.zeros(n)
-        self._mass_sup = np.zeros(n)
-        self._mass_sub[1:] = self.Ah_full[1:-1] / (self.A[1:] * dx * dx)
-        self._mass_sup[:-1] = self.Ah_full[1:-1] / (self.A[:-1] * dx * dx)
+        self.mass_bands = np.zeros((3, n))
+        self.mass_bands[0, 1:] = Ah / (self.A[:-1] * dx * dx)
+        self.mass_bands[2, :-1] = Ah / (self.A[1:] * dx * dx)
         if bc.mode is BCMode.NEUMANN_SPHERICAL:
-            self._mass_sup[0] = 2.0 * Ah[0] / (self.A[0] * dx * dx)
-        self._mom_sub = np.zeros(n)
-        self._mom_sup = np.zeros(n)
-        self._mom_sub[1:] = 1.0 / (dx * dx) - self.G[:-1] / (2.0 * dx)
-        self._mom_sup[:-1] = 1.0 / (dx * dx) + self.G[1:] / (2.0 * dx)
+            self.mass_bands[0, 1] = 2.0 * Ah[0] / (self.A[0] * dx * dx)
+        self.mass_bands[1] = -(np.concatenate([[0.0], self.mass_bands[2, :-1]])
+                               + np.concatenate([self.mass_bands[0, 1:], [0.0]]))
+        self.mom_bands = np.zeros((3, n))
+        self.mom_bands[0, 1:] = 1.0 / (dx * dx) + self.G[1:] / (2.0 * dx)
+        self.mom_bands[1] = -2.0 / (dx * dx)
+        self.mom_bands[2, :-1] = 1.0 / (dx * dx) - self.G[:-1] / (2.0 * dx)
 
     def max_wave_speed(self, rho: np.ndarray, m: np.ndarray) -> float:
         u = self.g.velocity(rho, m)
         c = self.g.sound_speed(np.maximum(rho, 0.0))
         return float(np.max(np.abs(u) + c)) + 1e-300
 
+    def require(self, grid: Grid, g: GasLaw, profile: NozzleProfile,
+                eps: float, bc: BoundarySpec) -> None:
+        """Raise ConfigError unless this context was built for these inputs."""
+        for what, mine, given in (("grid", self.grid, grid),
+                                  ("gas law", self.g, g),
+                                  ("profile", self.profile, profile),
+                                  ("eps", self.eps, eps),
+                                  ("boundary spec", self.bc, bc)):
+            if mine is not given and not _equal(mine, given):
+                raise ConfigError(f"solver context was built for another {what}")
 
-def make_context(grid: Grid, g: GasLaw, profile: NozzleProfile, eps: float,
-                 bc: BoundarySpec) -> SolverContext:
-    return SolverContext(grid, g, profile, eps, bc)
+
+def _equal(a, b) -> bool:
+    try:
+        return bool(a == b)
+    except ValueError:  # array-valued fields (tabulated profiles)
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -287,40 +307,29 @@ def _hyperbolic_rhs(ctx: SolverContext, rho, m, t, limiter_theta):
 # ---------------------------------------------------------------------------
 
 
-def _solve_mass(ctx: SolverContext, rhs: np.ndarray, coef: float,
-                rho_left: Optional[float], rho_right: float) -> np.ndarray:
-    n = rhs.size
-    sub = -coef * ctx._mass_sub
-    sup = -coef * ctx._mass_sup
-    diag = 1.0 - (sub + sup)
-    rhs = rhs.copy()
-    if ctx.bc.mode is BCMode.NEUMANN_SPHERICAL:
-        diag[0] = 1.0 - sup[0]
-    else:
-        assert rho_left is not None
-        diag[0], sup[0], rhs[0] = 1.0, 0.0, rho_left
-    diag[-1], sub[-1], rhs[-1] = 1.0, 0.0, rho_right
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[:-1]
-    ab[1] = diag
-    ab[2, :-1] = sub[1:]
-    return solve_banded((1, 1), ab, rhs)
+def _implicit_system(bands: np.ndarray, coef: float, rhs: np.ndarray,
+                     left: Optional[float], right: float):
+    """Bands (dl, d, du) and right side of (I - coef L) u = rhs.
+
+    The end rows pin u to the Dirichlet values; ``left=None`` keeps the
+    assembled first row (the mirrored axis end).
+    """
+    ab = -coef * bands
+    ab[1] += 1.0
+    dl, d, du = ab[2, :-1], ab[1], ab[0, 1:]
+    b = rhs.copy()
+    if left is not None:
+        d[0], du[0], b[0] = 1.0, 0.0, left
+    d[-1], dl[-1], b[-1] = 1.0, 0.0, right
+    return dl, d, du, b
 
 
-def _solve_momentum(ctx: SolverContext, rhs: np.ndarray, coef: float,
-                    m_left: float, m_right: float) -> np.ndarray:
-    n = rhs.size
-    sub = -coef * ctx._mom_sub
-    sup = -coef * ctx._mom_sup
-    diag = np.full(n, 1.0 + 2.0 * coef / (ctx.dx * ctx.dx))
-    rhs = rhs.copy()
-    diag[0], sup[0], rhs[0] = 1.0, 0.0, m_left
-    diag[-1], sub[-1], rhs[-1] = 1.0, 0.0, m_right
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[:-1]
-    ab[1] = diag
-    ab[2, :-1] = sub[1:]
-    return solve_banded((1, 1), ab, rhs)
+def _tridiag_solve(dl, d, du, b) -> np.ndarray:
+    """LAPACK gtsv: Gaussian elimination with partial pivoting."""
+    *_, x, info = dgtsv(dl, d, du, b)
+    if info != 0:
+        raise SolverError(f"singular implicit system (gtsv info={info})")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +345,13 @@ def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
 
     dt must respect the advective bound cfl * dx / max(|u| + c); the implicit
     diffusion imposes no restriction.  ``forcing(x, t)`` may return extra
-    (mass, momentum) source arrays (manufactured-solution studies).
+    (mass, momentum) source arrays (manufactured-solution studies).  A given
+    ``ctx`` must have been built for this grid, g, profile, eps and bc.
     """
     if ctx is None:
-        ctx = make_context(field.grid, g, profile, eps, bc)
+        ctx = SolverContext(field.grid, g, profile, eps, bc)
+    else:
+        ctx.require(field.grid, g, profile, eps, bc)
     if dt <= 0.0:
         raise StabilityError("dt must be positive")
     lam = ctx.max_wave_speed(field.rho, field.m)
@@ -352,44 +364,44 @@ def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
     # feeds energy into the resolved waves at O(dt) and visibly pollutes the
     # discrete energy identity; averaging the stage fluxes removes that while
     # keeping one tridiagonal solve per equation below
+    floor = ctx.g.rho_floor
     t0 = field.t
     c1_rho, c1_m = _hyperbolic_rhs(ctx, field.rho, field.m, t0, limiter_theta)
-    rho_1 = np.maximum(field.rho + dt * c1_rho, g.rho_floor)
+    rho_1 = np.maximum(field.rho + dt * c1_rho, floor)
     m_1 = field.m + dt * c1_m
     if forcing is not None:
-        f1_rho, f1_m = forcing(ctx.x, t0)
-        rho_1 = np.maximum(rho_1 + dt * np.asarray(f1_rho, dtype=float),
-                           g.rho_floor)
-        m_1 = m_1 + dt * np.asarray(f1_m, dtype=float)
+        f1_rho, f1_m = (np.asarray(v, dtype=float) for v in forcing(ctx.x, t0))
+        rho_1 = np.maximum(rho_1 + dt * f1_rho, floor)
+        m_1 = m_1 + dt * f1_m
     c2_rho, c2_m = _hyperbolic_rhs(ctx, rho_1, m_1, t0 + dt, limiter_theta)
     rho_s = field.rho + 0.5 * dt * (c1_rho + c2_rho)
     m_s = field.m + 0.5 * dt * (c1_m + c2_m)
     if forcing is not None:
-        f2_rho, f2_m = forcing(ctx.x, t0 + dt)
-        rho_s = rho_s + 0.5 * dt * (np.asarray(f1_rho, dtype=float)
-                                    + np.asarray(f2_rho, dtype=float))
-        m_s = m_s + 0.5 * dt * (np.asarray(f1_m, dtype=float)
-                                + np.asarray(f2_m, dtype=float))
+        f2_rho, f2_m = (np.asarray(v, dtype=float)
+                        for v in forcing(ctx.x, t0 + dt))
+        rho_s = rho_s + 0.5 * dt * (f1_rho + f2_rho)
+        m_s = m_s + 0.5 * dt * (f1_m + f2_m)
 
     if not (np.all(np.isfinite(rho_s)) and np.all(np.isfinite(m_s))):
         raise NonFiniteError("non-finite values after the explicit stage")
     # transient undershoots are counted, not clamped: the implicit diffusion
     # usually lifts an isolated dip, and a persistent one must surface as a
     # cavitation fault below rather than be masked
-    ctx.undershoots += int(np.sum(rho_s[1:-1] < g.rho_floor))
+    ctx.undershoots += int(np.sum(rho_s[1:-1] < floor))
 
     t1 = t0 + dt
     rho_l, m_l = ctx.bc.left_values(t1)
     rho_r, m_r = ctx.bc.right_values(t1)
-    coef = eps * dt
-    rho_n = _solve_mass(ctx, rho_s, coef, rho_l, rho_r)
-    m_n = _solve_momentum(ctx, m_s, coef, m_l, m_r)
+    coef = ctx.eps * dt
+    rho_n = _tridiag_solve(*_implicit_system(ctx.mass_bands, coef, rho_s,
+                                             rho_l, rho_r))
+    m_n = _tridiag_solve(*_implicit_system(ctx.mom_bands, coef, m_s, m_l, m_r))
 
     if not (np.all(np.isfinite(rho_n)) and np.all(np.isfinite(m_n))):
         raise NonFiniteError("non-finite values after the implicit stage")
-    if np.min(rho_n) < g.rho_floor:
+    if np.min(rho_n) < floor:
         raise CavitationError(
-            f"density fell to {np.min(rho_n):.3e} (< floor {g.rho_floor:.0e})")
+            f"density fell to {np.min(rho_n):.3e} (< floor {floor:.0e})")
     return FluidField(field.grid, rho_n, m_n, t1)
 
 
@@ -409,8 +421,8 @@ def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
         raise ConfigError("t_end lies before the field's current time")
     if t_end <= field.t + 1e-15 * max(1.0, abs(t_end)):
         return field, (hooks.finalize() if hooks is not None else
-                       DiagnosticsReport.empty())
-    ctx = make_context(field.grid, g, profile, eps, bc)
+                       DiagnosticsReport())
+    ctx = SolverContext(field.grid, g, profile, eps, bc)
     targets = []
     if hooks is not None:
         targets = [ts for ts in np.sort(np.asarray(hooks.sample_times, dtype=float))
@@ -441,14 +453,12 @@ def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
                 hooks.sample(field)
                 targets = targets[1:]
         k += 1
-    if hooks is not None:
-        for _ in list(targets):
-            # sample times at/after t_end collapse onto the final state
-            hooks.sample(field)
-            targets.pop(0)
-        report = hooks.finalize()
+    if hooks is None:
+        report = DiagnosticsReport()
     else:
-        report = DiagnosticsReport.empty()
+        for _ in targets:  # sample times at/after t_end collapse onto the end
+            hooks.sample(field)
+        report = hooks.finalize()
     report.undershoots = ctx.undershoots
     return field, report
 

@@ -19,7 +19,7 @@ from nozzleflow.geometry import (ConstantProfile, ExponentialProfile,
                                  SphericalProfile)
 from nozzleflow.harness import RunConfig, single_run, sweep
 from nozzleflow.schedule import certify, make_default
-from nozzleflow.solver import (BoundarySpec, FluidField, Grid, make_context,
+from nozzleflow.solver import (BoundarySpec, FluidField, Grid, SolverContext,
                                step)
 from nozzleflow.thermo import GasLaw
 
@@ -128,7 +128,7 @@ def test_03_steady_state_exactness():
               else BoundarySpec.dirichlet_spherical(rho_bar))
         f = FluidField(grid, np.full(grid.n_nodes, rho_bar),
                        np.zeros(grid.n_nodes))
-        ctx = make_context(grid, g, prof, eps, bc)
+        ctx = SolverContext(grid, g, prof, eps, bc)
         dt = 0.4 * grid.dx / ctx.max_wave_speed(f.rho, f.m)
         for _ in range(10_000):
             f = step(f, g, prof, eps, bc, dt, ctx=ctx)
@@ -177,7 +177,7 @@ def test_06_nozzle_spherical_consistency():
     for bc in (BoundarySpec.dirichlet_nozzle(rho_bar, 0.0, rho_bar, 0.0),
                BoundarySpec.dirichlet_spherical(rho_bar)):
         f = FluidField(grid, rho0.copy(), np.zeros_like(x))
-        ctx = make_context(grid, g, prof, eps, bc)
+        ctx = SolverContext(grid, g, prof, eps, bc)
         dt = 0.3 * grid.dx / 1.2
         states = []
         for _ in range(1000):

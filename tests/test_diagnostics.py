@@ -269,17 +269,36 @@ def test_recorder_full_run_checks():
 
 
 def test_energy_budget_gronwall_verdict():
+    # the Recorder's E + D <= M (E0 + 1) check on a fixed bump field: a
+    # generous budget passes, a budget below the bump's own energy fails
     g = GasLaw(2.0, delta=0.0)
     ref = ReferenceState.constant(1.0, 0.0)
     grid = Grid(-2.0, 2.0, 64)
+    bc = BoundarySpec.dirichlet_nozzle(1.0, 0.0, 1.0, 0.0)
     f = _constant_field(grid, 1.0)
     f.rho[20] = 2.0
-    E, comp = energy_budget(f, g, ConstantProfile(), ref, 0.05,
-                            gronwall_M=10.0)
-    assert E > 0.0 and comp["gronwall_ok"]
-    _, comp = energy_budget(f, g, ConstantProfile(), ref, 0.05,
-                            sharp=True, E0=1e-9, D_accumulated=0.0)
-    assert not comp["gronwall_ok"]  # a real bump cannot fit a near-zero budget
+    verdicts = {}
+    for M in (10.0, 1e-3):
+        opts = RecorderOptions(gronwall_M=M, riemann=False, vacuum=False,
+                               llf=False, collect_snapshots=False)
+        rec = Recorder(g, ConstantProfile(), 0.05, bc, 0.1, ref=ref,
+                       options=opts)
+        for t in (0.0, 0.05, 0.1):
+            f.t = t
+            rec.sample(f)
+        rep = rec.finalize()
+        assert rep.energy[0] > 0.0
+        verdicts[M] = rep.checks["energy_inequality"]
+    assert verdicts == {10.0: True, 1e-3: False}
+    # sharp form E + D <= E0 (1 + tol): a real bump cannot fit the near-zero
+    # budget of a run that started at the reference state
+    opts = RecorderOptions(sharp_energy=True, riemann=False, vacuum=False,
+                           llf=False, collect_snapshots=False)
+    rec = Recorder(g, ConstantProfile(), 0.05, bc, 0.1, ref=ref, options=opts)
+    rec.sample(_constant_field(grid, 1.0))
+    f.t = 0.1
+    rec.sample(f)
+    assert not rec.finalize().checks["energy_inequality_sharp"]
 
 
 def test_quartic_energy_nonincreasing_neumann_collapse():

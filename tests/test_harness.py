@@ -77,7 +77,7 @@ def test_config_builders():
     assert cfg.build_gas(0.1).delta == pytest.approx(0.1 ** 5)
     prof = cfg.build_profile()
     assert prof.area(0.3) == 1.0
-    ref = cfg.build_reference()
+    ref = cfg.build_reference(0.1)
     assert ref.rho_bar(-5.0) == 1.0 and ref.rho_bar(5.0) == 0.125
 
 
@@ -297,3 +297,99 @@ def test_cli_config_error_returns_2(tmp_path):
     cfg_path = tmp_path / "broken.cfg"
     cfg_path.write_text("gamma = 2.0\nwhat = ever\n")
     assert cli_main(["run", str(cfg_path)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# validation and failure reporting
+# ---------------------------------------------------------------------------
+
+
+def test_config_parses_by_declared_type():
+    cfg = RunConfig.from_mapping({"profile_n": "4", "kappa": "none",
+                                  "a": "-12", "force": "yes", "eps": "0.1",
+                                  "profile_file": "table.csv"})
+    assert cfg.profile_n == 4 and isinstance(cfg.profile_n, int)
+    assert cfg.kappa is None
+    assert cfg.a == -12.0 and isinstance(cfg.a, float)
+    assert cfg.force is True
+    assert cfg.profile_file == "table.csv"
+
+
+_RUN_CFG = dict(gamma="2.0", profile="constant", bc="dirichlet_nozzle",
+                rho_minus="1.0", rho_plus="0.125", init="riemann",
+                t_end="0.1", dx="0.03125", eps="0.05", snapshots="5")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("profile_n", "3.0"), ("eps", "abc"), ("eps", "nan"), ("dx", "-1"),
+    ("cfl", "5"), ("snapshots", "1")])
+def test_cli_bad_input_is_error_exit_2(tmp_path, capsys, key, value):
+    values = dict(_RUN_CFG, output_dir=str(tmp_path / "out"), **{key: value})
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert cli_main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
+def test_sweep_window_must_fit_every_rung(monkeypatch):
+    import nozzleflow.harness as harness
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a rung ran before the window was checked")
+
+    monkeypatch.setattr(harness, "single_run", no_run)
+    with pytest.raises(ConfigError, match="window"):
+        sweep(_tiny_sweep_config(a=-0.5))   # window_lo = -1 leaves [a, b]
+
+
+def test_sweep_error_lists_every_failed_rung():
+    from nozzleflow.errors import SweepError
+    with pytest.raises(SweepError) as info:
+        sweep(_tiny_sweep_config(blend_width=25.0))
+    msg = str(info.value)
+    for eps in ("0.1", "0.05", "0.025"):
+        assert f"eps={eps}: ConfigError: blend width" in msg
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_records_domain_error_of_one_rung(workers):
+    # a negative bump at x = 30 lies only inside the eps = 0.025 domain
+    cfg = _tiny_sweep_config(init="bump", init_center=30.0, init_amp=-1.0,
+                             workers=workers)
+    res = sweep(cfg)
+    assert [r.eps for r in res.runs] == [0.1, 0.05]
+    assert len(res.failures) == 1
+    eps, msg = res.failures[0]
+    assert eps == pytest.approx(0.025)
+    assert msg.startswith("DomainError:")
+
+
+def test_sweep_records_quadrature_error_of_one_rung(monkeypatch):
+    import nozzleflow.harness as harness
+    from nozzleflow.errors import QuadratureError
+    real = harness.single_run
+
+    def flaky(cfg, eps=None, **kwargs):
+        if eps < 0.03:
+            raise QuadratureError("node doubling did not settle")
+        return real(cfg, eps=eps, **kwargs)
+
+    monkeypatch.setattr(harness, "single_run", flaky)
+    res = sweep(_tiny_sweep_config())
+    assert len(res.runs) == 2
+    assert res.failures == [(0.025, "QuadratureError: node doubling did not "
+                                    "settle")]
+
+
+def test_spherical_far_state_follows_the_rung():
+    # the initial and boundary far densities both follow rho_bar(eps) of the
+    # rung being built, not of the config's own eps
+    cfg = RunConfig.from_mapping(dict(
+        eps=0.05, init="constant", bc="dirichlet_spherical",
+        profile="spherical", window_lo=0.5, window_hi=4.0))
+    rho_bc = cfg.build_bc(0.1).right_values(0.0)[0]
+    assert rho_bc == pytest.approx(0.031623, rel=1e-5)
+    x = np.linspace(0.1, 10.0, 7)
+    assert np.array_equal(cfg.build_initial(0.1).rho0(x), np.full(7, rho_bc))
+    assert cfg.build_reference(0.1).rho_bar(1.0) == rho_bc

@@ -9,7 +9,7 @@ from nozzleflow.geometry import (ConstantProfile, ExponentialProfile,
                                  SphericalProfile)
 from nozzleflow.solver import (BoundarySpec, FluidField, Grid,
                                InitialData, hyperbolic_interface_data,
-                               make_context, prepare_initial_data, run, step)
+                               SolverContext, prepare_initial_data, run, step)
 from nozzleflow.thermo import GasLaw
 
 
@@ -45,7 +45,7 @@ def test_constant_state_is_exact_steady_state():
         grid = Grid(-4.0, 4.0, 48)
         bc = BoundarySpec.dirichlet_nozzle(0.7, 0.0, 0.7, 0.0)
         f = _constant_field(grid, 0.7)
-        ctx = make_context(grid, g, prof, 0.05, bc)
+        ctx = SolverContext(grid, g, prof, 0.05, bc)
         for _ in range(200):
             dt = 0.4 * grid.dx / ctx.max_wave_speed(f.rho, f.m)
             f = step(f, g, prof, 0.05, bc, dt, ctx=ctx)
@@ -60,7 +60,7 @@ def test_constant_state_spherical_modes():
     for bc in (BoundarySpec.dirichlet_spherical(0.4),
                BoundarySpec.neumann_spherical(0.4)):
         f = _constant_field(grid, 0.4)
-        ctx = make_context(grid, g, prof, 0.05, bc)
+        ctx = SolverContext(grid, g, prof, 0.05, bc)
         for _ in range(200):
             dt = 0.4 * grid.dx / ctx.max_wave_speed(f.rho, f.m)
             f = step(f, g, prof, 0.05, bc, dt, ctx=ctx)
@@ -79,7 +79,7 @@ def test_single_step_mass_ledger():
     rho0 = np.where(x < 0.0, 1.0, 0.125)
     m0 = np.zeros_like(x)
     bc = BoundarySpec.dirichlet_nozzle(1.0, 0.0, 0.125, 0.0)
-    ctx = make_context(grid, g, prof, eps, bc)
+    ctx = SolverContext(grid, g, prof, eps, bc)
     f0 = FluidField(grid, rho0, m0)
     dt = 0.4 * grid.dx / ctx.max_wave_speed(rho0, m0)
     f1 = step(f0, g, prof, eps, bc, dt, ctx=ctx)
@@ -110,7 +110,7 @@ def test_step_guards():
     grid = Grid(-1.0, 1.0, 32)
     bc = BoundarySpec.dirichlet_nozzle(1.0, 0.0, 1.0, 0.0)
     f = _constant_field(grid, 1.0)
-    ctx = make_context(grid, g, prof, 0.05, bc)
+    ctx = SolverContext(grid, g, prof, 0.05, bc)
     bound = 0.4 * grid.dx / ctx.max_wave_speed(f.rho, f.m)
     with pytest.raises(StabilityError):
         step(f, g, prof, 0.05, bc, 2.0 * bound, ctx=ctx)
@@ -289,3 +289,71 @@ def test_neumann_axis_reflection_consistency():
         interior = np.max(np.abs(np.diff(out.rho))) / grid.dx
         assert slopes[n] <= 0.15 * interior + 1e-8
     assert slopes[256] <= 0.6 * slopes[128]
+
+
+# ---------------------------------------------------------------------------
+# implicit solves and context ownership
+# ---------------------------------------------------------------------------
+
+
+def _contexts_for_every_mode(n_nodes):
+    g = GasLaw(2.0, delta=1e-3)
+    duct = Grid(-3.0, 3.0, n_nodes - 1)
+    sphere = Grid(0.5, 6.0, n_nodes - 1)
+    return [
+        SolverContext(duct, g, GaussianBumpProfile(), 0.05,
+                      BoundarySpec.dirichlet_nozzle(1.0, 0.2, 0.5, 0.0)),
+        SolverContext(sphere, g, SphericalProfile(n_dim=3), 0.05,
+                      BoundarySpec.dirichlet_spherical(0.4)),
+        SolverContext(sphere, g, SphericalProfile(n_dim=3), 0.05,
+                      BoundarySpec.neumann_spherical(0.4)),
+    ]
+
+
+@pytest.mark.parametrize("n_nodes", [9, 49, 1025])
+def test_tridiag_solve_matches_solve_banded(n_nodes):
+    # the LAPACK gtsv path against scipy's checked banded solver, on the
+    # bands the step assembles for each boundary mode
+    from scipy.linalg import solve_banded
+    from nozzleflow.solver import _implicit_system, _tridiag_solve
+    rng = np.random.default_rng(n_nodes)
+    for ctx in _contexts_for_every_mode(n_nodes):
+        rho_l, m_l = ctx.bc.left_values(0.0)
+        rho_r, m_r = ctx.bc.right_values(0.0)
+        for bands, left, right in ((ctx.mass_bands, rho_l, rho_r),
+                                   (ctx.mom_bands, m_l, m_r)):
+            for coef in (0.05 * 0.4 * ctx.dx, 0.05):
+                rhs = 0.5 + rng.random(n_nodes)
+                dl, d, du, b = _implicit_system(bands, coef, rhs, left, right)
+                ab = np.zeros((3, n_nodes))
+                ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+                plain = solve_banded((1, 1), ab, b)
+                fast = _tridiag_solve(dl, d, du, b)
+                assert np.max(np.abs(fast - plain)) \
+                    <= 1e-14 * np.max(np.abs(plain))
+
+
+def test_tridiag_solve_singular_raises():
+    from nozzleflow.solver import _tridiag_solve
+    with pytest.raises(SolverError):
+        _tridiag_solve(np.zeros(3), np.zeros(4), np.zeros(3), np.ones(4))
+
+
+def test_step_rejects_context_built_for_other_inputs():
+    g = GasLaw(2.0, delta=1e-3)
+    prof = ConstantProfile()
+    grid = Grid(-1.0, 1.0, 32)
+    bc = BoundarySpec.dirichlet_nozzle(1.0, 0.0, 1.0, 0.0)
+    f = _constant_field(grid, 1.0)
+    ctx = SolverContext(grid, g, prof, 0.05, bc)
+    dt = 0.2 * grid.dx / ctx.max_wave_speed(f.rho, f.m)
+    for other in (dict(eps=0.1), dict(g=GasLaw(2.0, delta=2e-3)),
+                  dict(bc=BoundarySpec.dirichlet_nozzle(1.0, 0.0, 0.9, 0.0))):
+        args = {**dict(g=g, profile=prof, eps=0.05, bc=bc), **other}
+        with pytest.raises(ConfigError):
+            step(f, args["g"], args["profile"], args["eps"], args["bc"], dt,
+                 ctx=ctx)
+    # equal inputs built separately are the same inputs
+    out = step(f, GasLaw(2.0, delta=1e-3), ConstantProfile(), 0.05,
+               BoundarySpec.dirichlet_nozzle(1.0, 0.0, 1.0, 0.0), dt, ctx=ctx)
+    assert np.max(np.abs(out.rho - 1.0)) < 1e-13
