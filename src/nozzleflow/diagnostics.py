@@ -22,7 +22,8 @@ from .entropy import (EntropyGenerator, ReferenceState, gen_convex_spline,
                       relative_energy_density)
 from .errors import CavitationError, ConfigError
 from .geometry import NozzleProfile, ProfileKind
-from .solver import FluidField, SolverContext, hyperbolic_interface_data
+from .solver import (BCMode, FluidField, SolverContext,
+                     hyperbolic_interface_data)
 from .thermo import GasLaw
 
 # ---------------------------------------------------------------------------
@@ -85,28 +86,8 @@ class DiagnosticsReport:
     snapshots: Optional[SnapshotSet] = None
     label: str = ""
 
-    @property
-    def corrected_max_w(self) -> np.ndarray:
-        """max_x w minus the accumulated correction: the monotone claimant."""
-        return self.max_w - self.correction
-
-    @property
-    def corrected_min_z(self) -> np.ndarray:
-        return self.min_z + self.correction
-
     def all_checks_pass(self) -> bool:
         return all(bool(v) for v in self.checks.values())
-
-    def merge(self, other: "DiagnosticsReport") -> "DiagnosticsReport":
-        """Associative aggregation of reports from independent runs."""
-        out = DiagnosticsReport()
-        out.label = f"{self.label}+{other.label}"
-        out.undershoots = self.undershoots + other.undershoots
-        out.notes = self.notes + other.notes
-        keys = set(self.checks) | set(other.checks)
-        out.checks = {k: self.checks.get(k, True) and other.checks.get(k, True)
-                      for k in keys}
-        return out
 
     def to_csv(self, path) -> None:
         present = [(col, self.series[name]) for name, col in SERIES
@@ -134,13 +115,6 @@ for _name, _ in SERIES:
 # ---------------------------------------------------------------------------
 
 
-def _trap_weights(x: np.ndarray) -> np.ndarray:
-    w = np.full_like(x, x[1] - x[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
 def energy_budget(field: FluidField, g: GasLaw, profile: NozzleProfile,
                   ref: ReferenceState, eps: float) -> tuple[float, dict]:
     """Relative energy E and the instantaneous dissipation-rate components.
@@ -151,10 +125,9 @@ def energy_budget(field: FluidField, g: GasLaw, profile: NozzleProfile,
     the spherical geometry and |(A'/A)' rho u (u - u_bar)| otherwise.
     """
     x = field.grid.x
-    w = _trap_weights(x)
     A = profile.area(x)
     dens = relative_energy_density(g, ref, x, field.rho, field.m)
-    E = float(np.sum(dens * A * w))
+    E = float(np.trapezoid(dens * A, x))
 
     u = field.velocity(g)
     dx = field.grid.dx
@@ -167,22 +140,20 @@ def energy_budget(field: FluidField, g: GasLaw, profile: NozzleProfile,
     else:
         ub = ref.u_bar(x)
         geo = np.abs(profile.dlog_prime(x) * field.rho * u * (u - ub))
-    rate_h = eps * float(np.sum(hess * A * w))
-    rate_g = eps * float(np.sum(geo * A * w))
+    rate_h = eps * float(np.trapezoid(hess * A, x))
+    rate_g = eps * float(np.trapezoid(geo * A, x))
     return E, {"rate_hessian": rate_h, "rate_geometric": rate_g,
                "rate_total": rate_h + rate_g}
 
 
-def llf_dissipation_rate(ctx: SolverContext, field: FluidField,
-                         limiter_theta: float = 1.5) -> float:
+def llf_dissipation_rate(ctx: SolverContext, field: FluidField) -> float:
     """Energy drain of the interface dissipation (scheme-internal estimate).
 
     Sums alpha/2 * A * (jump of grad eta_bar) . (jump of state) over the
     interfaces; nonnegative by convexity.  Heuristic in the sense that it
     describes the scheme, not the equations.
     """
-    data = hyperbolic_interface_data(ctx, field.rho, field.m, field.t,
-                                     limiter_theta)
+    data = hyperbolic_interface_data(ctx, field.rho, field.m, field.t)
     gl_r, gl_m = modified_energy_gradient(ctx.g, data["rho_L"], data["m_L"])
     gr_r, gr_m = modified_energy_gradient(ctx.g, data["rho_R"], data["m_R"])
     # reference part of grad eta_bar cancels in the jump
@@ -191,47 +162,23 @@ def llf_dissipation_rate(ctx: SolverContext, field: FluidField,
     return float(np.sum(0.5 * data["alpha"] * ctx.Ah_full * jump))
 
 
-@dataclass
-class RiemannHistory:
-    """Running record for the corrected invariant extremes."""
-
-    t: list = dc_field(default_factory=list)
-    max_w: list = dc_field(default_factory=list)
-    min_z: list = dc_field(default_factory=list)
-    integrand: list = dc_field(default_factory=list)
-    correction: list = dc_field(default_factory=list)
-
-
 def riemann_monitor(field: FluidField, g: GasLaw, profile: NozzleProfile,
-                    eps: float, history: Optional[RiemannHistory] = None
-                    ) -> RiemannHistory:
-    """Append (max w, min z, correction integral) for the current field.
+                    eps: float) -> tuple[float, float, float]:
+    """(max w, min z, correction rate) for the current field.
 
-    The correction accumulates the sup-norm of u sqrt(p') A'/A - eps (A'/A)' u
-    in time; subtracting it from max w is what should be non-increasing.
+    The rate is the sup-norm of u sqrt(p') A'/A - eps (A'/A)' u; its time
+    integral is the correction, and max w minus the correction is what
+    should be non-increasing (min z plus it non-decreasing).
     """
-    if history is None:
-        history = RiemannHistory()
     if np.min(field.rho) < g.rho_floor:
         raise CavitationError("invariants undefined: density at the vacuum floor")
     x = field.grid.x
     u = field.m / field.rho
     w, z = g.riemann_invariants(field.rho, u)
     c = g.sound_speed(field.rho)
-    integrand = float(np.max(np.abs(
+    rate = float(np.max(np.abs(
         u * c * profile.dlog(x) - eps * profile.dlog_prime(x) * u)))
-    if history.t:
-        dt = field.t - history.t[-1]
-        corr = history.correction[-1] \
-            + 0.5 * dt * (history.integrand[-1] + integrand)
-    else:
-        corr = 0.0
-    history.t.append(field.t)
-    history.max_w.append(float(np.max(w)))
-    history.min_z.append(float(np.min(z)))
-    history.integrand.append(integrand)
-    history.correction.append(corr)
-    return history
+    return float(np.max(w)), float(np.min(z)), rate
 
 
 def vacuum_functional(field: FluidField, rho_tilde: float) -> float:
@@ -391,21 +338,10 @@ class WeakResidualRecord:
     norms: np.ndarray               # (n_phi,) W^{1,1} norms of the tests
 
     @property
-    def mass_normalized(self) -> np.ndarray:
-        return self.mass / self.norms
-
-    @property
-    def momentum_normalized(self) -> np.ndarray:
-        return self.momentum / self.norms
-
-    @property
-    def entropy_normalized(self) -> np.ndarray:
-        return self.entropy / self.norms[None, :]
-
-    @property
     def max_entropy_violation(self) -> float:
         """Largest positive normalized entropy-inequality residual."""
-        return float(np.max(np.maximum(self.entropy_normalized, 0.0)))
+        return float(np.max(np.maximum(self.entropy / self.norms[None, :],
+                                       0.0)))
 
 
 def weak_residual(history: SnapshotSet, g: GasLaw, profile: NozzleProfile,
@@ -484,15 +420,17 @@ class RecorderOptions:
     vacuum: bool = True
     llf: bool = True
     quartic: bool = False
-    gronwall_M: float = 10.0
-    sharp_energy: bool = False     # spherical Dirichlet form E + D <= E0 (1 + tol)
-    energy_tol: float = 1e-3
+    gronwall_M: float = 10.0       # Gronwall bound E + D <= M (E0 + 1)
+    energy_tol: float = 1e-3       # sharp form E + D <= E0 (1 + tol)
     riemann_tol: float = 1e-3      # slack per unit time, relative to osc(w_0)
-    rho_tilde: Optional[float] = None
 
 
 class Recorder:
-    """Samples a run at fixed times and accumulates the report."""
+    """Samples a run at fixed times and accumulates the report.
+
+    The boundary spec picks the energy check: the sharp form for spherical
+    Dirichlet runs, the Gronwall bound otherwise.
+    """
 
     def __init__(self, g: GasLaw, profile: NozzleProfile, eps: float,
                  bc, t_end: float, ref: Optional[ReferenceState] = None,
@@ -507,12 +445,11 @@ class Recorder:
         self.sample_times = np.linspace(0.0, t_end, self.opt.sample_count)
         self._series: dict[str, list] = {name: [] for name, _ in SERIES}
         self._last_rate: dict[str, float] = {}
-        self._riemann = RiemannHistory()
         self._ctx: Optional[SolverContext] = None
         self._snap_rho: list[np.ndarray] = []
         self._snap_m: list[np.ndarray] = []
         self._snap_x: Optional[np.ndarray] = None
-        self._rho_tilde: Optional[float] = self.opt.rho_tilde
+        self._rho_tilde: Optional[float] = None
 
     def _context(self, field: FluidField) -> SolverContext:
         if self._ctx is None or self._ctx.grid != field.grid:
@@ -546,10 +483,10 @@ class Recorder:
             row.update(llf_rate=rate, llf_cumulative=self._running_integral(
                 "llf_cumulative", t, rate))
         if opt.riemann:
-            hist = riemann_monitor(field, self.g, self.profile, self.eps,
-                                   self._riemann)
-            row.update(max_w=hist.max_w[-1], min_z=hist.min_z[-1],
-                       correction=hist.correction[-1])
+            max_w, min_z, rate = riemann_monitor(field, self.g, self.profile,
+                                                 self.eps)
+            row.update(max_w=max_w, min_z=min_z,
+                       correction=self._running_integral("correction", t, rate))
         if opt.vacuum:
             if self._rho_tilde is None:
                 self._rho_tilde = float(np.min(field.rho))
@@ -557,9 +494,8 @@ class Recorder:
                        min_rho=float(np.min(field.rho)))
         if opt.quartic:
             x = field.grid.x
-            A = self.profile.area(x)
             vals = quartic_entropy(self.g, field.rho, field.m)
-            row["quartic"] = float(np.sum(vals * A * _trap_weights(x)))
+            row["quartic"] = float(np.trapezoid(vals * self.profile.area(x), x))
         for name, val in row.items():
             self._series[name].append(val)
         if opt.collect_snapshots:
@@ -585,7 +521,7 @@ class Recorder:
             rep.checks["dissipation_monotone"] = bool(
                 np.all(np.diff(rep.dissipation) >= -1e-12 * scale))
             total = rep.energy + rep.dissipation
-            if opt.sharp_energy:
+            if self.bc.mode is BCMode.DIRICHLET_SPHERICAL:
                 bound = rep.energy[0] * (1.0 + opt.energy_tol) + 1e-14
                 rep.checks["energy_inequality_sharp"] = bool(np.all(total <= bound))
             else:
@@ -596,15 +532,13 @@ class Recorder:
                              "dissipation; heuristic, not an estimate of the "
                              "equations")
         if "max_w" in rep.series:
-            wt = rep.corrected_max_w
-            zt = rep.corrected_min_z
             osc = max(rep.max_w[0] - rep.min_z[0], 1e-300)
             dts = np.diff(rep.t)
             slack = opt.riemann_tol * osc * dts + 1e-12 * osc
             rep.checks["max_w_corrected_nonincreasing"] = bool(
-                np.all(np.diff(wt) <= slack))
+                np.all(np.diff(rep.max_w - rep.correction) <= slack))
             rep.checks["min_z_corrected_nondecreasing"] = bool(
-                np.all(np.diff(zt) >= -slack))
+                np.all(np.diff(rep.min_z + rep.correction) >= -slack))
         if "vacuum_phi" in rep.series:
             rep.checks["vacuum_functional_finite"] = bool(
                 np.all(np.isfinite(rep.vacuum_phi)))

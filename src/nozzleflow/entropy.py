@@ -12,9 +12,10 @@ eigenvalue method, which stays accurate for lam in (-1/2, 0) where the
 weight blows up at s = +-1 (gamma > 3).  lam = 0 degenerates to plain
 Gauss-Legendre.
 
-Generators whose curvature jumps (the shifted half-signed square) are
-integrated piecewise with one-sided Jacobi rules split at the jump, so the
-node-doubling certification retains spectral accuracy.
+Generators whose curvature jumps are integrated piecewise between the
+breakpoints [-1, kinks inside (-1, 1)..., 1], each piece with a Jacobi rule
+for its ends at +-1, so the node-doubling certification retains spectral
+accuracy.
 """
 
 from __future__ import annotations
@@ -265,7 +266,7 @@ def _shaped(shape, *arrs):
 
 
 class EntropyKernel:
-    """Quadrature engine for one gas law; rules are cached per node count."""
+    """Quadrature engine for one gas law; rules are cached per (a, b, n)."""
 
     def __init__(self, g: GasLaw, n_nodes: int = 64):
         if g.lambda_exp <= -0.5:
@@ -274,52 +275,47 @@ class EntropyKernel:
         self.lam = g.lambda_exp
         self.theta = g.theta
         self.n_default = int(n_nodes)
-        self._rules: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._rules: dict[tuple[float, float, int], tuple] = {}
 
-    def _rule(self, kind: str, n: int) -> tuple[np.ndarray, np.ndarray]:
-        key = (kind, n)
+    def _rule(self, a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+        key = (a, b, n)
         if key not in self._rules:
-            lam = self.lam
-            ab = {"full": (lam, lam), "left": (0.0, lam),
-                  "right": (lam, 0.0), "interior": (0.0, 0.0)}[kind]
-            self._rules[key] = gauss_jacobi(n, *ab)
+            self._rules[key] = gauss_jacobi(n, a, b)
         return self._rules[key]
 
-    # -- piece maps: return (S, W) with all weight factors folded into W ----
-    def _piece_full(self, npts: int, n: int):
-        s, w = self._rule("full", n)
-        return (np.broadcast_to(s, (npts, n)), np.broadcast_to(w, (npts, n)))
+    def _pieces(self, ks: np.ndarray, n: int):
+        """(S, W) for each piece between the breakpoints [-1, ks..., 1].
 
-    def _piece_left(self, hi: np.ndarray, n: int):
-        t, w = self._rule("left", n)
-        half = 0.5 * (1.0 + hi)[:, None]
-        S = -1.0 + half * (1.0 + t)[None, :]
-        W = half ** (self.lam + 1.0) * w[None, :] * (1.0 - S) ** self.lam
-        return S, W
-
-    def _piece_right(self, lo: np.ndarray, n: int):
-        t, w = self._rule("right", n)
-        half = 0.5 * (1.0 - lo)[:, None]
-        S = 1.0 - half * (1.0 - t)[None, :]
-        W = half ** (self.lam + 1.0) * w[None, :] * (1.0 + S) ** self.lam
-        return S, W
-
-    def _piece_interior(self, lo: np.ndarray, hi: np.ndarray, n: int):
-        t, w = self._rule("interior", n)
-        mid = 0.5 * (lo + hi)[:, None]
-        half = 0.5 * (hi - lo)[:, None]
-        S = mid + half * t[None, :]
-        W = half * w[None, :] * (1.0 - S * S) ** self.lam
-        return S, W
-
-    def _accumulate(self, gen, u, rt, pieces, max_order, out, idx):
-        for S, W in pieces:
-            V = u[:, None] + rt[:, None] * S
-            for j in range(max_order + 1):
-                PW = (gen.psi, gen.dpsi, gen.d2psi)[j](V) * W
-                out[(j, 0)][idx] += PW.sum(axis=1)
-                out[(j, 1)][idx] += (PW * S).sum(axis=1)
-                out[(j, 2)][idx] += (PW * S * S).sum(axis=1)
+        ``ks`` (npts, k) holds each state's sorted interior kinks.  An end at
+        +-1 keeps its factor (1 -+ s)^lam in the Jacobi rule, a kink end
+        multiplies it into W.  Without kink ends S and W stay (npts, n)
+        broadcast views: unbroadcast (n,) arrays slowed the sums 10-35 %.
+        """
+        npts, k = ks.shape
+        lam = self.lam
+        for j in range(k + 1):
+            lo_kink, hi_kink = j > 0, j < k
+            a = 0.0 if hi_kink else lam
+            b = 0.0 if lo_kink else lam
+            t, w = self._rule(a, b, n)
+            lo = ks[:, j - 1:j] if lo_kink else -1.0
+            hi = ks[:, j:j + 1] if hi_kink else 1.0
+            half = 0.5 * (hi - lo)
+            # a piece with one end at +-1 maps from that end: with a kink
+            # near +-1, mid + half t rounded the moments 4-11x worse
+            if lo_kink == hi_kink:
+                S = 0.5 * (hi + lo) + half * t
+            elif hi_kink:
+                S = lo + half * (1.0 + t)
+            else:
+                S = hi - half * (1.0 - t)
+            S = np.broadcast_to(S, (npts, n))
+            W = half ** (1.0 + a + b) * w
+            if lo_kink:
+                W = W * (1.0 + S) ** lam
+            if hi_kink:
+                W = W * (1.0 - S) ** lam
+            yield S, np.broadcast_to(W, (npts, n))
 
     def moments(self, gen: EntropyGenerator, rho_f: np.ndarray, m_f: np.ndarray,
                 max_order: int = 0,
@@ -342,10 +338,6 @@ class EntropyKernel:
         rt = r ** self.theta
         kv = np.asarray(gen.kinks, dtype=float)
         pos_idx = np.flatnonzero(pos)
-        if kv.size == 0:
-            self._accumulate(gen, u, rt, [self._piece_full(r.size, n)],
-                             max_order, out, pos_idx)
-            return out
         # group states by which kinks land strictly inside (-1, 1)
         S_k = (kv[None, :] - u[:, None]) / rt[:, None]
         inside = (S_k > -1.0 + _EDGE) & (S_k < 1.0 - _EDGE)
@@ -353,18 +345,16 @@ class EntropyKernel:
         for code in np.unique(codes):
             sel = codes == code
             sub = np.flatnonzero(sel)
-            uu, rr = u[sel], rt[sel]
+            uu, rr, idx = u[sel], rt[sel], pos_idx[sel]
             pattern = inside[sub[0]]
             ks = np.sort(S_k[sel][:, pattern], axis=1)
-            n_in = ks.shape[1]
-            if n_in == 0:
-                pieces = [self._piece_full(uu.size, n)]
-            else:
-                pieces = [self._piece_left(ks[:, 0], n),
-                          self._piece_right(ks[:, -1], n)]
-                for j in range(n_in - 1):
-                    pieces.append(self._piece_interior(ks[:, j], ks[:, j + 1], n))
-            self._accumulate(gen, uu, rr, pieces, max_order, out, pos_idx[sel])
+            for S, W in self._pieces(ks, n):
+                V = uu[:, None] + rr[:, None] * S
+                for j in range(max_order + 1):
+                    PW = (gen.psi, gen.dpsi, gen.d2psi)[j](V) * W
+                    out[(j, 0)][idx] += PW.sum(axis=1)
+                    out[(j, 1)][idx] += (PW * S).sum(axis=1)
+                    out[(j, 2)][idx] += (PW * S * S).sum(axis=1)
         return out
 
     # -- assembled quantities -------------------------------------------------

@@ -26,7 +26,7 @@ from .entropy import ReferenceState
 from .errors import ConfigError, NozzleflowError, SweepError
 from .geometry import NozzleProfile, make_profile
 from .schedule import CertificateReport, ViscositySchedule, certify
-from .solver import (BCMode, BoundarySpec, FluidField, Grid, InitialData,
+from .solver import (BoundarySpec, FluidField, Grid, InitialData,
                      prepare_initial_data, run)
 from .thermo import GasLaw
 
@@ -81,7 +81,6 @@ class RunConfig:
     dx: float = 1.0 / 128.0
     a: Optional[float] = None              # None: ladder rule a(eps)
     b: Optional[float] = None
-    limiter_theta: float = 1.5
     # ladder / sweep
     eps0: float = 0.1
     n_eps: int = 4
@@ -312,8 +311,7 @@ def single_run(cfg: RunConfig, eps: Optional[float] = None,
     g = cfg.build_gas(eps)
     profile = cfg.build_profile()
     a, b = cfg.domain_of(eps)
-    n_cells = max(8, int(round((b - a) / cfg.dx)))
-    grid = Grid(a, b, n_cells)
+    grid = Grid(a, b, int(round((b - a) / cfg.dx)))
     bc = cfg.build_bc(eps)
     raw = cfg.build_initial(eps)
     field = prepare_initial_data(raw, bc, g, profile, grid)
@@ -328,14 +326,13 @@ def single_run(cfg: RunConfig, eps: Optional[float] = None,
         riemann=cfg.check_riemann,
         quartic=cfg.quartic_check,
         gronwall_M=cfg.gronwall_M,
-        sharp_energy=bc.mode is BCMode.DIRICHLET_SPHERICAL,
         energy_tol=cfg.energy_tol,
         riemann_tol=cfg.riemann_tol,
     )
     rec = Recorder(g, profile, eps, bc, cfg.t_end,
                    ref=cfg.build_reference(eps), options=opts, label=label)
     field, report = run(field, g, profile, eps, bc, cfg.t_end, hooks=rec,
-                        cfl=cfg.cfl, limiter_theta=cfg.limiter_theta)
+                        cfl=cfg.cfl)
     return RunOutput(eps=eps, delta=g.delta, field=field, report=report,
                      snapshots=report.snapshots, label=label)
 

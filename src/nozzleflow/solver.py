@@ -3,9 +3,9 @@
 One step is an IMEX split:
 
 * convection and geometric sources advance explicitly with MUSCL-limited
-  central interface states and local Lax-Friedrichs dissipation on the
-  reconstructed jumps (raw-jump dissipation would cap accuracy at first
-  order);
+  central interface states (generalized minmod, theta = LIMITER_THETA) and
+  local Lax-Friedrichs dissipation on the reconstructed jumps (raw-jump
+  dissipation would cap accuracy at first order);
 * the O(eps) diffusion advances implicitly, one tridiagonal solve per
   equation, so the step is limited only by the advective CFL condition.
 
@@ -222,6 +222,10 @@ def _equal(a, b) -> bool:
 # Explicit stage
 # ---------------------------------------------------------------------------
 
+# generalized minmod parameter; minmod is TVD for theta in [1, 2], and the
+# diagnostics' interface dissipation must see the limiter the run stepped with
+LIMITER_THETA = 1.5
+
 
 def _minmod3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     pos = np.minimum(np.minimum(a, b), c)
@@ -251,22 +255,20 @@ def _extend(rho, m, ctx: SolverContext, t: float):
     return re, me
 
 
-def _slopes(ve: np.ndarray, theta_lim: float, neumann_left: bool,
-            odd: bool) -> np.ndarray:
+def _slopes(ve: np.ndarray, neumann_left: bool, odd: bool) -> np.ndarray:
     """Limited undivided slopes on the extended array (zero at ghosts except
     the mirrored left ghost in the axis case)."""
     d = np.diff(ve)
     s = np.zeros_like(ve)
-    s[1:-1] = _minmod3(theta_lim * d[:-1], 0.5 * (d[:-1] + d[1:]),
-                       theta_lim * d[1:])
+    s[1:-1] = _minmod3(LIMITER_THETA * d[:-1], 0.5 * (d[:-1] + d[1:]),
+                       LIMITER_THETA * d[1:])
     if neumann_left:
         s[0] = s[2] if odd else -s[2]
     return s
 
 
 def hyperbolic_interface_data(ctx: SolverContext, rho: np.ndarray,
-                              m: np.ndarray, t: float = 0.0,
-                              limiter_theta: float = 1.5) -> dict:
+                              m: np.ndarray, t: float = 0.0) -> dict:
     """Interface states/fluxes of the explicit stage (also used by diagnostics).
 
     Returns arrays over the n_cells+2 interfaces I_{-1}..I_{n_cells} of the
@@ -275,8 +277,8 @@ def hyperbolic_interface_data(ctx: SolverContext, rho: np.ndarray,
     g = ctx.g
     neum = ctx.bc.mode is BCMode.NEUMANN_SPHERICAL
     re, me = _extend(rho, m, ctx, t)
-    sr = _slopes(re, limiter_theta, neum, odd=False)
-    sm = _slopes(me, limiter_theta, neum, odd=True)
+    sr = _slopes(re, neum, odd=False)
+    sm = _slopes(me, neum, odd=True)
     rl = np.maximum(re[:-1] + 0.5 * sr[:-1], g.rho_floor)
     rr = np.maximum(re[1:] - 0.5 * sr[1:], g.rho_floor)
     ml = me[:-1] + 0.5 * sm[:-1]
@@ -292,8 +294,8 @@ def hyperbolic_interface_data(ctx: SolverContext, rho: np.ndarray,
             "alpha": alpha, "phi": phi, "psi": psi, "rho_ext": re, "m_ext": me}
 
 
-def _hyperbolic_rhs(ctx: SolverContext, rho, m, t, limiter_theta):
-    data = hyperbolic_interface_data(ctx, rho, m, t, limiter_theta)
+def _hyperbolic_rhs(ctx: SolverContext, rho, m, t):
+    data = hyperbolic_interface_data(ctx, rho, m, t)
     phi, psi = data["phi"], data["psi"]
     p = ctx.g.pressure(np.maximum(data["rho_ext"], 0.0))
     inv = 1.0 / (ctx.A * ctx.dx)
@@ -339,8 +341,7 @@ def _tridiag_solve(dl, d, du, b) -> np.ndarray:
 
 def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
          bc: BoundarySpec, dt: float, *, ctx: Optional[SolverContext] = None,
-         cfl: float = 0.4, limiter_theta: float = 1.5,
-         forcing: Optional[Callable] = None) -> FluidField:
+         cfl: float = 0.4, forcing: Optional[Callable] = None) -> FluidField:
     """Advance one IMEX step of size dt.
 
     dt must respect the advective bound cfl * dx / max(|u| + c); the implicit
@@ -366,14 +367,14 @@ def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
     # keeping one tridiagonal solve per equation below
     floor = ctx.g.rho_floor
     t0 = field.t
-    c1_rho, c1_m = _hyperbolic_rhs(ctx, field.rho, field.m, t0, limiter_theta)
+    c1_rho, c1_m = _hyperbolic_rhs(ctx, field.rho, field.m, t0)
     rho_1 = np.maximum(field.rho + dt * c1_rho, floor)
     m_1 = field.m + dt * c1_m
     if forcing is not None:
         f1_rho, f1_m = (np.asarray(v, dtype=float) for v in forcing(ctx.x, t0))
         rho_1 = np.maximum(rho_1 + dt * f1_rho, floor)
         m_1 = m_1 + dt * f1_m
-    c2_rho, c2_m = _hyperbolic_rhs(ctx, rho_1, m_1, t0 + dt, limiter_theta)
+    c2_rho, c2_m = _hyperbolic_rhs(ctx, rho_1, m_1, t0 + dt)
     rho_s = field.rho + 0.5 * dt * (c1_rho + c2_rho)
     m_s = field.m + 0.5 * dt * (c1_m + c2_m)
     if forcing is not None:
@@ -407,7 +408,7 @@ def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
 
 def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
         bc: BoundarySpec, t_end: float, hooks=None, *, cfl: float = 0.4,
-        limiter_theta: float = 1.5, forcing: Optional[Callable] = None,
+        forcing: Optional[Callable] = None,
         dt_fixed: Optional[float] = None, max_steps: int = 10_000_000):
     """March to t_end; returns (final field, diagnostics report).
 
@@ -444,7 +445,7 @@ def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
             snap = True
         try:
             field = step(field, g, profile, eps, bc, dt, ctx=ctx, cfl=cfl,
-                         limiter_theta=limiter_theta, forcing=forcing)
+                         forcing=forcing)
         except SolverError as err:
             raise type(err)(f"{err} [at t={field.t:.8g}]") from err
         if snap:

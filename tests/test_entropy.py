@@ -229,21 +229,51 @@ def test_hessian_domination_by_mechanical_energy():
 # ---------------------------------------------------------------------------
 
 
+def _kernel_quad(f, lam, kinks):
+    """int_{-1}^{1} f(s) (1 - s^2)^lam ds by adaptive quadrature split at the
+    kinks; an end at +-1 hands its factor to QUADPACK's algebraic weight."""
+    pts = [-1.0] + sorted(kinks) + [1.0]
+    total = 0.0
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        at_lo, at_hi = lo == -1.0, hi == 1.0
+
+        def piece(s):
+            return (f(s) * (1.0 if at_lo else (1.0 + s) ** lam)
+                    * (1.0 if at_hi else (1.0 - s) ** lam))
+        total += quad(piece, lo, hi, weight="alg",
+                      wvar=(lam if at_lo else 0.0, lam if at_hi else 0.0),
+                      epsabs=1e-14, limit=300)[0]
+    return total
+
+
 def test_kinked_generator_against_adaptive_quadrature():
-    g = GasLaw(1.4)
-    kern = get_kernel(g)
-    lam, th = g.lambda_exp, g.theta
+    # every piece shape of the kernel quadrature: the full interval (no kink
+    # inside), the left and right pieces (one kink) and an interior piece
+    # (two kinks) against an independent adaptive oracle
     um = 0.35
-    gen = gen_half_signed_square(um)
-    for rho, u in [(1.3, 0.2), (0.5, 0.35), (2.0, -1.0), (0.05, 0.3)]:
-        m = rho * u
-        kink = (um - u) / rho ** th
-        pts = [kink] if -1 < kink < 1 else None
-        f = lambda s: (0.5 * (u + rho ** th * s - um)
-                       * abs(u + rho ** th * s - um) * (1 - s * s) ** lam)
-        oracle = rho * quad(f, -1, 1, points=pts, epsabs=1e-13, limit=300)[0]
-        eta, _ = kern.pair_certified(gen, rho, m)
-        assert eta == pytest.approx(oracle, abs=1e-11 * (1.0 + abs(oracle)))
+    spline_states = {1.4: [(0.05, 0.3), (0.5, 0.8), (3.0, 0.1)],
+                     5.0: [(0.5, 0.3), (0.5, 0.8), (1.3, 0.1)]}  # singular weight
+    for gamma, states in spline_states.items():
+        g = GasLaw(gamma)
+        kern = get_kernel(g)
+        lam, th = g.lambda_exp, g.theta
+        cases = [(gen_half_signed_square(um), st)
+                 for st in [(1.3, 0.2), (0.5, 0.35), (2.0, -1.0), (0.05, 0.3)]]
+        cases += [(gen_convex_spline(0.0, 1.0), st) for st in states]
+        inside_counts = []
+        for gen, (rho, u) in cases:
+            m = rho * u
+            rt = rho ** th
+            kinks = [s for s in ((k - u) / rt for k in gen.kinks) if -1 < s < 1]
+            if gen.name.startswith("convex_spline"):
+                inside_counts.append(len(kinks))
+            oracle = rho * _kernel_quad(lambda s: gen.psi(u + rt * s), lam, kinks)
+            oracle_q = rho * _kernel_quad(
+                lambda s: (u + th * rt * s) * gen.psi(u + rt * s), lam, kinks)
+            eta, q = kern.pair_certified(gen, rho, m)
+            assert eta == pytest.approx(oracle, abs=1e-11 * (1.0 + abs(oracle)))
+            assert q == pytest.approx(oracle_q, abs=1e-11 * (1.0 + abs(oracle_q)))
+        assert inside_counts == [0, 1, 2]
 
 
 def test_convex_spline_kink_split_certifies():

@@ -322,7 +322,7 @@ _RUN_CFG = dict(gamma="2.0", profile="constant", bc="dirichlet_nozzle",
 
 @pytest.mark.parametrize("key,value", [
     ("profile_n", "3.0"), ("eps", "abc"), ("eps", "nan"), ("dx", "-1"),
-    ("cfl", "5"), ("snapshots", "1")])
+    ("dx", "10"), ("cfl", "5"), ("snapshots", "1")])
 def test_cli_bad_input_is_error_exit_2(tmp_path, capsys, key, value):
     values = dict(_RUN_CFG, output_dir=str(tmp_path / "out"), **{key: value})
     cfg_path = tmp_path / "bad.cfg"
