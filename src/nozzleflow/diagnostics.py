@@ -81,6 +81,7 @@ class DiagnosticsReport:
 
     series: dict = dc_field(default_factory=dict)
     undershoots: int = 0
+    cells_advanced: int = 0        # node updates summed over the run's steps
     checks: dict = dc_field(default_factory=dict)
     notes: list = dc_field(default_factory=list)
     snapshots: Optional[SnapshotSet] = None
@@ -95,6 +96,7 @@ class DiagnosticsReport:
         with open(path, "w", newline="") as fh:
             fh.write(f"# diagnostics report label={self.label}\n")
             fh.write(f"# undershoots={self.undershoots}\n")
+            fh.write(f"# cells_advanced={self.cells_advanced}\n")
             for key, val in sorted(self.checks.items()):
                 fh.write(f"# check {key} = {'pass' if val else 'FAIL'}\n")
             for note in self.notes:

@@ -397,6 +397,10 @@ class SweepResult:
     def summary(self) -> str:
         lines = [f"sweep over eps = {tuple(round(e, 6) for e in self.eps_list)}"]
         lines.append(self.certificate.summary())
+        for r in self.runs:
+            lines.append(f"  run {r.label}: cells_advanced="
+                         f"{r.report.cells_advanced} on {r.field.grid.n_nodes} "
+                         "nodes")
         for eps, msg in self.failures:
             lines.append(f"  run eps={eps:g} FAILED: {msg}")
         if len(self.d_rho):

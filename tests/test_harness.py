@@ -218,6 +218,17 @@ def test_sweep_outputs_written(tmp_path):
     assert header[2] == "x,rho,m,u,A"
 
 
+def test_sweep_summary_reports_cells_advanced_per_rung():
+    res = sweep(_tiny_sweep_config())
+    lines = res.summary().splitlines()
+    for r in res.runs:
+        n = r.field.grid.n_nodes
+        assert 0 < r.report.cells_advanced
+        assert (f"  run {r.label}: cells_advanced={r.report.cells_advanced} "
+                f"on {n} nodes") in lines
+    assert any(line.startswith("  verdict:") for line in lines)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
