@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .entropy import GENERATOR_FACTORIES, get_kernel
-from .errors import NozzleflowError
+from .errors import ConfigError, NozzleflowError
 from .harness import (RunConfig, single_run, sweep, write_snapshot_csv,
                       write_sweep_outputs)
 from .schedule import certify
@@ -63,12 +64,16 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_entropy_table(args) -> int:
+    if not (args.n >= 1 and 0.0 < args.rho_max < math.inf
+            and 0.0 <= args.u_max < math.inf):
+        raise ConfigError("entropy-table needs --n >= 1, a finite --rho-max > 0 "
+                          f"and a finite --u-max >= 0, got --n {args.n}, "
+                          f"--rho-max {args.rho_max}, --u-max {args.u_max}")
     g = GasLaw(args.gamma)
     factory = GENERATOR_FACTORIES.get(args.generator)
     if factory is None:
-        print(f"unknown generator {args.generator!r}; choose from "
-              f"{sorted(GENERATOR_FACTORIES)}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"unknown generator {args.generator!r}; choose from "
+                          f"{sorted(GENERATOR_FACTORIES)}")
     gen = factory()
     kern = get_kernel(g)
     rho = np.linspace(args.rho_max / args.n, args.rho_max, args.n)

@@ -6,6 +6,10 @@ monotonicity is the testable form of the parabolic maximum principle, the
 windowed higher-integrability integrals, the vacuum functional, and the
 weak-form residuals of the limit system (mass/momentum forms and the
 entropy inequality for convex generators).
+
+The per-sample monitors read the grid, gas law, eps and fixed geometry
+(A, A'/A, (A'/A)') from the SolverContext that ``run`` steps with and hands
+to ``Recorder.sample``; none of them evaluates the profile.
 """
 
 from __future__ import annotations
@@ -117,8 +121,8 @@ for _name, _ in SERIES:
 # ---------------------------------------------------------------------------
 
 
-def energy_budget(field: FluidField, g: GasLaw, profile: NozzleProfile,
-                  ref: ReferenceState, eps: float) -> tuple[float, dict]:
+def energy_budget(ctx: SolverContext, field: FluidField,
+                  ref: ReferenceState) -> tuple[float, dict]:
     """Relative energy E and the instantaneous dissipation-rate components.
 
     E integrates the relative energy density against A(x) dx (trapezoid).
@@ -126,24 +130,22 @@ def energy_budget(field: FluidField, g: GasLaw, profile: NozzleProfile,
     with centered differences; the geometric piece is (n-1) rho u^2 / x^2 in
     the spherical geometry and |(A'/A)' rho u (u - u_bar)| otherwise.
     """
-    x = field.grid.x
-    A = profile.area(x)
+    g, profile, x, A = ctx.g, ctx.profile, ctx.x, ctx.A
     dens = relative_energy_density(g, ref, x, field.rho, field.m)
     E = float(np.trapezoid(dens * A, x))
 
     u = field.velocity(g)
-    dx = field.grid.dx
-    rho_x = np.gradient(field.rho, dx)
-    u_x = np.gradient(u, dx)
+    rho_x = np.gradient(field.rho, ctx.dx)
+    u_x = np.gradient(u, ctx.dx)
     hess = g.h_delta_second(np.maximum(field.rho, g.rho_floor)) * rho_x ** 2 \
         + field.rho * u_x ** 2
     if profile.kind is ProfileKind.SPHERICAL:
         geo = (profile.n_dim - 1) * field.rho * u * u / (x * x)
     else:
         ub = ref.u_bar(x)
-        geo = np.abs(profile.dlog_prime(x) * field.rho * u * (u - ub))
-    rate_h = eps * float(np.trapezoid(hess * A, x))
-    rate_g = eps * float(np.trapezoid(geo * A, x))
+        geo = np.abs(ctx.dG * field.rho * u * (u - ub))
+    rate_h = ctx.eps * float(np.trapezoid(hess * A, x))
+    rate_g = ctx.eps * float(np.trapezoid(geo * A, x))
     return E, {"rate_hessian": rate_h, "rate_geometric": rate_g,
                "rate_total": rate_h + rate_g}
 
@@ -164,22 +166,21 @@ def llf_dissipation_rate(ctx: SolverContext, field: FluidField) -> float:
     return float(np.sum(0.5 * data["alpha"] * ctx.Ah_full * jump))
 
 
-def riemann_monitor(field: FluidField, g: GasLaw, profile: NozzleProfile,
-                    eps: float) -> tuple[float, float, float]:
+def riemann_monitor(ctx: SolverContext,
+                    field: FluidField) -> tuple[float, float, float]:
     """(max w, min z, correction rate) for the current field.
 
     The rate is the sup-norm of u sqrt(p') A'/A - eps (A'/A)' u; its time
     integral is the correction, and max w minus the correction is what
     should be non-increasing (min z plus it non-decreasing).
     """
+    g = ctx.g
     if np.min(field.rho) < g.rho_floor:
         raise CavitationError("invariants undefined: density at the vacuum floor")
-    x = field.grid.x
     u = field.m / field.rho
     w, z = g.riemann_invariants(field.rho, u)
     c = g.sound_speed(field.rho)
-    rate = float(np.max(np.abs(
-        u * c * profile.dlog(x) - eps * profile.dlog_prime(x) * u)))
+    rate = float(np.max(np.abs(u * c * ctx.G - ctx.eps * ctx.dG * u)))
     return float(np.max(w)), float(np.min(z)), rate
 
 
@@ -417,10 +418,7 @@ class RecorderOptions:
     sample_count: int = 32
     collect_snapshots: bool = True
     snapshot_window: Optional[tuple[float, float]] = None
-    energy: bool = True
     riemann: bool = True
-    vacuum: bool = True
-    llf: bool = True
     quartic: bool = False
     gronwall_M: float = 10.0       # Gronwall bound E + D <= M (E0 + 1)
     energy_tol: float = 1e-3       # sharp form E + D <= E0 (1 + tol)
@@ -430,17 +428,15 @@ class RecorderOptions:
 class Recorder:
     """Samples a run at fixed times and accumulates the report.
 
-    The boundary spec picks the energy check: the sharp form for spherical
-    Dirichlet runs, the Gronwall bound otherwise.
+    Every sample reads the grid, gas law, profile, eps and boundary spec from
+    the run's SolverContext; the first sample fixes it.  The llf and vacuum
+    series are always recorded, the energy budget when a reference state is
+    given.  The boundary mode picks the energy check: the sharp form for
+    spherical Dirichlet runs, the Gronwall bound otherwise.
     """
 
-    def __init__(self, g: GasLaw, profile: NozzleProfile, eps: float,
-                 bc, t_end: float, ref: Optional[ReferenceState] = None,
+    def __init__(self, t_end: float, ref: Optional[ReferenceState] = None,
                  options: Optional[RecorderOptions] = None, label: str = ""):
-        self.g = g
-        self.profile = profile
-        self.eps = eps
-        self.bc = bc
         self.ref = ref
         self.opt = options or RecorderOptions()
         self.label = label
@@ -450,14 +446,6 @@ class Recorder:
         self._ctx: Optional[SolverContext] = None
         self._snap_rho: list[np.ndarray] = []
         self._snap_m: list[np.ndarray] = []
-        self._snap_x: Optional[np.ndarray] = None
-        self._rho_tilde: Optional[float] = None
-
-    def _context(self, field: FluidField) -> SolverContext:
-        if self._ctx is None or self._ctx.grid != field.grid:
-            self._ctx = SolverContext(field.grid, self.g, self.profile,
-                                      self.eps, self.bc)
-        return self._ctx
 
     def _running_integral(self, name: str, t: float, rate: float) -> float:
         """Trapezoid integral in time of a rate given at every sample."""
@@ -469,43 +457,40 @@ class Recorder:
             + 0.5 * (t - self._series["t"][-1]) * (prev + rate)
 
     # -- sampling ------------------------------------------------------------
-    def sample(self, field: FluidField) -> None:
+    def sample(self, field: FluidField, ctx: SolverContext) -> None:
         opt = self.opt
+        if field.grid != ctx.grid:
+            raise ConfigError("field grid differs from the context's grid")
+        if self._ctx is None:
+            self._ctx = ctx
+            lo, hi = opt.snapshot_window or (-np.inf, np.inf)
+            self._snap_mask = (ctx.x >= lo) & (ctx.x <= hi)
+            self._rho_tilde = float(np.min(field.rho))
+        elif ctx is not self._ctx:
+            raise ConfigError("recorder sampled with another run's context")
         t = field.t
         row = {"t": t}
-        if opt.energy and self.ref is not None:
-            E, comp = energy_budget(field, self.g, self.profile, self.ref,
-                                    self.eps)
+        if self.ref is not None:
+            E, comp = energy_budget(ctx, field, self.ref)
             row.update(energy=E, diss_rate_hessian=comp["rate_hessian"],
                        diss_rate_geometric=comp["rate_geometric"],
                        dissipation=self._running_integral(
                            "dissipation", t, comp["rate_total"]))
-        if opt.llf:
-            rate = llf_dissipation_rate(self._context(field), field)
-            row.update(llf_rate=rate, llf_cumulative=self._running_integral(
-                "llf_cumulative", t, rate))
+        rate = llf_dissipation_rate(ctx, field)
+        row.update(llf_rate=rate, llf_cumulative=self._running_integral(
+            "llf_cumulative", t, rate))
         if opt.riemann:
-            max_w, min_z, rate = riemann_monitor(field, self.g, self.profile,
-                                                 self.eps)
+            max_w, min_z, rate = riemann_monitor(ctx, field)
             row.update(max_w=max_w, min_z=min_z,
                        correction=self._running_integral("correction", t, rate))
-        if opt.vacuum:
-            if self._rho_tilde is None:
-                self._rho_tilde = float(np.min(field.rho))
-            row.update(vacuum_phi=vacuum_functional(field, self._rho_tilde),
-                       min_rho=float(np.min(field.rho)))
+        row.update(vacuum_phi=vacuum_functional(field, self._rho_tilde),
+                   min_rho=float(np.min(field.rho)))
         if opt.quartic:
-            x = field.grid.x
-            vals = quartic_entropy(self.g, field.rho, field.m)
-            row["quartic"] = float(np.trapezoid(vals * self.profile.area(x), x))
+            vals = quartic_entropy(ctx.g, field.rho, field.m)
+            row["quartic"] = float(np.trapezoid(vals * ctx.A, ctx.x))
         for name, val in row.items():
             self._series[name].append(val)
         if opt.collect_snapshots:
-            if self._snap_x is None:
-                x = field.grid.x
-                lo, hi = opt.snapshot_window or (-np.inf, np.inf)
-                self._snap_mask = (x >= lo) & (x <= hi)
-                self._snap_x = x[self._snap_mask]
             self._snap_rho.append(field.rho[self._snap_mask].copy())
             self._snap_m.append(field.m[self._snap_mask].copy())
 
@@ -523,7 +508,7 @@ class Recorder:
             rep.checks["dissipation_monotone"] = bool(
                 np.all(np.diff(rep.dissipation) >= -1e-12 * scale))
             total = rep.energy + rep.dissipation
-            if self.bc.mode is BCMode.DIRICHLET_SPHERICAL:
+            if self._ctx.bc.mode is BCMode.DIRICHLET_SPHERICAL:
                 bound = rep.energy[0] * (1.0 + opt.energy_tol) + 1e-14
                 rep.checks["energy_inequality_sharp"] = bool(np.all(total <= bound))
             else:
@@ -550,8 +535,8 @@ class Recorder:
                 np.all(np.diff(rep.quartic) <= 1e-3 * abs(q0) + 1e-14))
         if opt.collect_snapshots and self._snap_rho:
             rep.snapshots = SnapshotSet(
-                t=rep.t.copy(), x=self._snap_x.copy(),
+                t=rep.t.copy(), x=self._ctx.x[self._snap_mask],
                 rho=np.vstack(self._snap_rho), m=np.vstack(self._snap_m),
-                meta={"label": self.label, "eps": self.eps,
-                      "gamma": self.g.gamma, "delta": self.g.delta})
+                meta={"label": self.label, "eps": self._ctx.eps,
+                      "gamma": self._ctx.g.gamma, "delta": self._ctx.g.delta})
         return rep

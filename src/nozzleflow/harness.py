@@ -322,15 +322,14 @@ def single_run(cfg: RunConfig, eps: Optional[float] = None,
         sample_count=cfg.snapshots,
         collect_snapshots=collect_snapshots,
         snapshot_window=window,
-        energy=cfg.check_energy,
         riemann=cfg.check_riemann,
         quartic=cfg.quartic_check,
         gronwall_M=cfg.gronwall_M,
         energy_tol=cfg.energy_tol,
         riemann_tol=cfg.riemann_tol,
     )
-    rec = Recorder(g, profile, eps, bc, cfg.t_end,
-                   ref=cfg.build_reference(eps), options=opts, label=label)
+    ref = cfg.build_reference(eps) if cfg.check_energy else None
+    rec = Recorder(cfg.t_end, ref=ref, options=opts, label=label)
     field, report = run(field, g, profile, eps, bc, cfg.t_end, hooks=rec,
                         cfl=cfg.cfl)
     return RunOutput(eps=eps, delta=g.delta, field=field, report=report,
@@ -511,8 +510,8 @@ def write_snapshot_csv(path, field: FluidField, g: GasLaw,
         fh.write(f"# a={field.grid.a:.10g} b={field.grid.b:.10g} "
                  f"n_cells={field.grid.n_cells} cfl={cfl:g} bc={bc_mode}\n")
         fh.write("x,rho,m,u,A\n")
-        for vals in zip(x, field.rho, field.m, u, A):
-            fh.write(",".join(f"{v:.12g}" for v in vals) + "\n")
+        np.savetxt(fh, np.column_stack((x, field.rho, field.m, u, A)),
+                   fmt="%.12g", delimiter=",")
 
 
 def write_sweep_outputs(result: SweepResult, cfg: RunConfig) -> Path:

@@ -209,6 +209,11 @@ class SolverContext:
         self.inv_Adx = 1.0 / (self.A * dx)
         self.cells_advanced = 0
 
+    @cached_property
+    def dG(self) -> np.ndarray:
+        """(A'/A)' at the nodes; only the monitors read it."""
+        return np.asarray(self.profile.dlog_prime(self.x), dtype=float)
+
     def max_wave_speed(self, rho: np.ndarray, m: np.ndarray) -> float:
         u = self.g.velocity(rho, m)
         c = self.g.sound_speed(np.maximum(rho, 0.0))
@@ -570,9 +575,10 @@ def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
         dt_fixed: Optional[float] = None, max_steps: int = 10_000_000):
     """March to t_end; returns (final field, diagnostics report).
 
-    ``hooks`` (any object with sample_times, sample(field), finalize()) is
-    sampled at its requested times; the step size is clipped so those times
-    are hit exactly.  With hooks=None an empty report is returned.
+    ``hooks`` (any object with sample_times, sample(field, ctx), finalize())
+    is sampled at its requested times with the run's SolverContext; the step
+    size is clipped so those times are hit exactly.  With hooks=None an
+    empty report is returned.
     """
     from .diagnostics import DiagnosticsReport  # local import to avoid a cycle
 
@@ -587,7 +593,7 @@ def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
         targets = [ts for ts in np.sort(np.asarray(hooks.sample_times, dtype=float))
                    if field.t - 1e-12 <= ts <= t_end + 1e-12]
         if targets and abs(targets[0] - field.t) <= 1e-12:
-            hooks.sample(field)
+            hooks.sample(field, ctx)
             targets = targets[1:]
     k = 0
     n = field.grid.n_nodes
@@ -613,14 +619,14 @@ def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
         if snap:
             field.t = t_next
             if targets and abs(t_next - targets[0]) <= 1e-12:
-                hooks.sample(field)
+                hooks.sample(field, ctx)
                 targets = targets[1:]
         k += 1
     if hooks is None:
         report = DiagnosticsReport()
     else:
         for _ in targets:  # sample times at/after t_end collapse onto the end
-            hooks.sample(field)
+            hooks.sample(field, ctx)
         report = hooks.finalize()
     report.undershoots = ctx.undershoots
     report.cells_advanced = ctx.cells_advanced
@@ -701,13 +707,14 @@ def prepare_initial_data(raw: InitialData, bc: BoundarySpec, g: GasLaw,
     ub_l = m_l / rho_l
     ub_r = m_r / rho_r
     ub = ub_l + (ub_r - ub_l) * blend
+    A = profile.area(x)
 
     def _rel_energy(rr, mm):
         pos = rr > g.rho_floor
         u = np.where(pos, mm / np.maximum(rr, g.rho_floor), 0.0)
         dens = (np.where(pos, 0.5 * rr * (u - ub) ** 2, 0.0)
                 + g.h_delta(rr) - g.h_delta(rb) - g.h_delta_prime(rb) * (rr - rb))
-        return float(np.trapezoid(dens * profile.area(x), x))
+        return float(np.trapezoid(dens * A, x))
 
     e_raw = _rel_energy(np.maximum(rho, lift), m)
     e_out = _rel_energy(rho_s, m_s)

@@ -45,14 +45,14 @@ class GasLaw:
     rho_floor: float = RHO_FLOOR
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise DomainError(f"gamma must exceed 1, got {self.gamma}")
+        if not 1.0 < self.gamma < np.inf:
+            raise DomainError(f"gamma must be finite and > 1, got {self.gamma}")
         if self.kappa < 0.0:
             object.__setattr__(self, "kappa", default_kappa(self.gamma))
-        if self.kappa <= 0.0:
-            raise DomainError("kappa must be positive")
-        if self.delta < 0.0:
-            raise DomainError("delta must be nonnegative")
+        if not 0.0 < self.kappa < np.inf:
+            raise DomainError(f"kappa must be finite and > 0, got {self.kappa}")
+        if not 0.0 <= self.delta < np.inf:
+            raise DomainError(f"delta must be finite and >= 0, got {self.delta}")
 
     # -- derived exponents ---------------------------------------------------
     @property

@@ -12,8 +12,11 @@ from nozzleflow.entropy import (ReferenceState, gen_half_square, gen_linear,
 from nozzleflow.errors import CavitationError, ConfigError
 from nozzleflow.geometry import ConstantProfile, GaussianBumpProfile
 from nozzleflow.solver import (BoundarySpec, FluidField, Grid, InitialData,
-                               prepare_initial_data, run)
+                               SolverContext, prepare_initial_data, run)
 from nozzleflow.thermo import GasLaw
+
+
+_AT_REST = BoundarySpec.dirichlet_nozzle(1.0, 0.0, 1.0, 0.0)
 
 
 def _constant_field(grid, rho_bar, m_bar=0.0):
@@ -36,8 +39,8 @@ def test_energy_budget_vanishes_at_reference():
     g = GasLaw(2.0, delta=0.0)
     ref = ReferenceState.constant(1.0, 0.0)
     grid = Grid(-2.0, 2.0, 64)
-    E, comp = energy_budget(_constant_field(grid, 1.0), g, ConstantProfile(),
-                            ref, eps=0.05)
+    ctx = SolverContext(grid, g, ConstantProfile(), 0.05, _AT_REST)
+    E, comp = energy_budget(ctx, _constant_field(grid, 1.0), ref)
     assert E == pytest.approx(0.0, abs=1e-14)
     assert comp["rate_total"] == pytest.approx(0.0, abs=1e-14)
 
@@ -49,7 +52,8 @@ def test_energy_budget_single_node_contribution():
     grid = Grid(-2.0, 2.0, 64)
     f = _constant_field(grid, 1.0)
     f.rho[30] = 2.0
-    E, _ = energy_budget(f, g, ConstantProfile(), ref, eps=0.05)
+    ctx = SolverContext(grid, g, ConstantProfile(), 0.05, _AT_REST)
+    E, _ = energy_budget(ctx, f, ref)
     assert E == pytest.approx(0.125 * grid.dx, rel=1e-12)
 
 
@@ -71,28 +75,28 @@ def test_vacuum_functional_values():
 def test_riemann_monitor_constant_state():
     g = GasLaw(2.0, delta=1e-3)
     grid = Grid(-2.0, 2.0, 32)
-    bc = BoundarySpec.dirichlet_nozzle(1.0, 0.0, 1.0, 0.0)
-    opts = RecorderOptions(energy=False, vacuum=False, llf=False,
-                           collect_snapshots=False)
-    rec = Recorder(g, ConstantProfile(), 0.05, bc, 0.2, options=opts)
+    ctx = SolverContext(grid, g, ConstantProfile(), 0.05, _AT_REST)
+    opts = RecorderOptions(collect_snapshots=False)
+    rec = Recorder(0.2, options=opts)
     for t in (0.0, 0.1, 0.2):
         f = _constant_field(grid, 1.0)
         f.t = t
-        rec.sample(f)
+        rec.sample(f, ctx)
     rep = rec.finalize()
     assert np.ptp(rep.max_w) < 1e-12
     assert rep.correction[-1] == 0.0  # A'/A = 0 kills the integrand
     f = _constant_field(grid, 1.0)
     f.rho[3] = 0.0
     with pytest.raises(CavitationError):
-        riemann_monitor(f, g, ConstantProfile(), 0.05)
+        riemann_monitor(ctx, f)
 
 
 def test_riemann_monitor_correction_positive_on_bump():
     g = GasLaw(2.0, delta=1e-3)
     grid = Grid(-2.0, 2.0, 32)
     f = _constant_field(grid, 1.0, m_bar=0.5)
-    _, _, rate = riemann_monitor(f, g, GaussianBumpProfile(), 0.05)
+    ctx = SolverContext(grid, g, GaussianBumpProfile(), 0.05, _AT_REST)
+    _, _, rate = riemann_monitor(ctx, f)
     assert rate > 0.0
 
 
@@ -180,8 +184,8 @@ def _shock_snapshots():
                       mollify_width=0.02, blend_width=0.5)
     field = prepare_initial_data(raw, bc, g, prof, grid)
     opts = RecorderOptions(sample_count=65, snapshot_window=(-2.0, 2.0),
-                           energy=False, riemann=False, vacuum=False, llf=False)
-    rec = Recorder(g, prof, 0.025, bc, 0.5, options=opts)
+                           riemann=False)
+    rec = Recorder(0.5, options=opts)
     _, rep = run(field, g, prof, 0.025, bc, 0.5, hooks=rec)
     return rep.snapshots, g
 
@@ -233,9 +237,8 @@ def test_mass_residual_refinement_order():
                           mollify_width=0.02, blend_width=0.5)
         field = prepare_initial_data(raw, bc, g, prof, grid)
         opts = RecorderOptions(sample_count=97, snapshot_window=(-2.0, 2.0),
-                               energy=False, riemann=False, vacuum=False,
-                               llf=False)
-        rec = Recorder(g, prof, eps, bc, 0.5, options=opts)
+                               riemann=False)
+        rec = Recorder(0.5, options=opts)
         _, rep = run(field, g, prof, eps, bc, 0.5, hooks=rec)
         wk = weak_residual(rep.snapshots, g, prof, [phi], [gen_half_square()])
         vals.append(abs(float(wk.mass[0])))
@@ -259,8 +262,8 @@ def test_recorder_full_run_checks():
                       lambda x: np.where(x < 0, rm * um, rp * up),
                       mollify_width=0.0, blend_width=0.5)
     field = prepare_initial_data(raw, bc, g, prof, grid)
-    rec = Recorder(g, prof, 0.05, bc, 0.4, ref=ref,
-                   options=RecorderOptions(sample_count=17), label="shock")
+    rec = Recorder(0.4, ref=ref, options=RecorderOptions(sample_count=17),
+                   label="shock")
     _, rep = run(field, g, prof, 0.05, bc, 0.4, hooks=rec)
     assert len(rep.t) == 17
     assert rep.checks["energy_nonnegative"]
@@ -278,18 +281,17 @@ def test_energy_budget_gronwall_verdict():
     g = GasLaw(2.0, delta=0.0)
     ref = ReferenceState.constant(1.0, 0.0)
     grid = Grid(-2.0, 2.0, 64)
-    bc = BoundarySpec.dirichlet_nozzle(1.0, 0.0, 1.0, 0.0)
+    ctx = SolverContext(grid, g, ConstantProfile(), 0.05, _AT_REST)
     f = _constant_field(grid, 1.0)
     f.rho[20] = 2.0
     verdicts = {}
     for M in (10.0, 1e-3):
-        opts = RecorderOptions(gronwall_M=M, riemann=False, vacuum=False,
-                               llf=False, collect_snapshots=False)
-        rec = Recorder(g, ConstantProfile(), 0.05, bc, 0.1, ref=ref,
-                       options=opts)
+        opts = RecorderOptions(gronwall_M=M, riemann=False,
+                               collect_snapshots=False)
+        rec = Recorder(0.1, ref=ref, options=opts)
         for t in (0.0, 0.05, 0.1):
             f.t = t
-            rec.sample(f)
+            rec.sample(f, ctx)
         rep = rec.finalize()
         assert rep.energy[0] > 0.0
         assert "energy_inequality_sharp" not in rep.checks
@@ -298,14 +300,13 @@ def test_energy_budget_gronwall_verdict():
     # a spherical Dirichlet run checks the sharp form E + D <= E0 (1 + tol):
     # a real bump cannot fit the near-zero budget of a run that started at
     # the reference state
-    opts = RecorderOptions(riemann=False, vacuum=False, llf=False,
-                           collect_snapshots=False)
-    rec = Recorder(g, ConstantProfile(), 0.05,
-                   BoundarySpec.dirichlet_spherical(1.0), 0.1, ref=ref,
-                   options=opts)
-    rec.sample(_constant_field(grid, 1.0))
+    opts = RecorderOptions(riemann=False, collect_snapshots=False)
+    ctx = SolverContext(grid, g, ConstantProfile(), 0.05,
+                        BoundarySpec.dirichlet_spherical(1.0))
+    rec = Recorder(0.1, ref=ref, options=opts)
+    rec.sample(_constant_field(grid, 1.0), ctx)
     f.t = 0.1
-    rec.sample(f)
+    rec.sample(f, ctx)
     assert not rec.finalize().checks["energy_inequality_sharp"]
 
 
@@ -323,11 +324,9 @@ def test_quartic_energy_nonincreasing_neumann_collapse():
                                 np.exp(1.0 - 1.0 / np.maximum(1 - s * s, 1e-12)),
                                 0.0)
     f = FluidField(grid, rho, np.zeros_like(x))
-    ref = ReferenceState.constant(0.05)
-    opts = RecorderOptions(sample_count=17, quartic=True, energy=False,
-                           riemann=False, vacuum=False, llf=False,
+    opts = RecorderOptions(sample_count=17, quartic=True, riemann=False,
                            collect_snapshots=False)
-    rec = Recorder(g, prof, 0.05, bc, 0.5, ref=ref, options=opts)
+    rec = Recorder(0.5, options=opts)
     _, rep = run(f, g, prof, 0.05, bc, 0.5, hooks=rec)
     assert rep.checks["quartic_energy_nonincreasing"]
     assert np.all(np.diff(rep.quartic) <= 1e-3 * rep.quartic[0] + 1e-14)
@@ -340,8 +339,8 @@ def test_report_csv(tmp_path):
     grid = Grid(-2.0, 2.0, 64)
     ref = ReferenceState.constant(1.0)
     f = _constant_field(grid, 1.0)
-    rec = Recorder(g, prof, 0.05, bc, 0.2, ref=ref,
-                   options=RecorderOptions(sample_count=5), label="a")
+    rec = Recorder(0.2, ref=ref, options=RecorderOptions(sample_count=5),
+                   label="a")
     _, rep = run(f, g, prof, 0.05, bc, 0.2, hooks=rec)
     assert rep.all_checks_pass()
     path = tmp_path / "report.csv"
@@ -349,3 +348,44 @@ def test_report_csv(tmp_path):
     text = path.read_text()
     assert "# check energy_nonnegative = pass" in text
     assert text.count("\n") > 5
+
+
+def test_recorder_rejects_a_second_context_or_a_foreign_grid():
+    g = GasLaw(2.0, delta=1e-4)
+    grid, other = Grid(-2.0, 2.0, 16), Grid(-2.0, 2.0, 32)
+    ctx = SolverContext(grid, g, ConstantProfile(), 0.05, _AT_REST)
+    rec = Recorder(0.2)
+    rec.sample(_constant_field(grid, 1.0), ctx)
+    with pytest.raises(ConfigError):
+        rec.sample(_constant_field(other, 1.0),
+                   SolverContext(other, g, ConstantProfile(), 0.05, _AT_REST))
+    with pytest.raises(ConfigError):
+        rec.sample(_constant_field(other, 1.0), ctx)
+
+
+def test_recorded_run_evaluates_the_profile_once(monkeypatch):
+    # every monitor reads the run's context, so denser sampling evaluates
+    # the profile on no more nodes
+    from nozzleflow.geometry import NozzleProfile
+    g = GasLaw(2.0, delta=1e-4)
+    prof = GaussianBumpProfile()
+    bc = BoundarySpec.dirichlet_nozzle(1.0, 0.3, 1.0, 0.3)
+    grid = Grid(-4.0, 4.0, 128)
+    field = FluidField(grid, 1.0 + 0.2 * np.exp(-grid.x ** 2),
+                       np.full(grid.n_nodes, 0.3))
+    nodes = [0]
+    for name in ("area", "d_area", "dlog", "dlog_prime"):
+        def counted(self, x, _orig=getattr(NozzleProfile, name)):
+            nodes[0] += np.size(x)
+            return _orig(self, x)
+        monkeypatch.setattr(NozzleProfile, name, counted)
+    totals = []
+    for count in (5, 33):
+        nodes[0] = 0
+        rec = Recorder(0.2, ref=ReferenceState.constant(1.0, 0.3),
+                       options=RecorderOptions(sample_count=count,
+                                               quartic=True))
+        _, rep = run(field, g, prof, 0.05, bc, 0.2, hooks=rec)
+        assert len(rep.energy) == count
+        totals.append(nodes[0])
+    assert totals[0] == totals[1] > 0

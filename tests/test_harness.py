@@ -4,8 +4,9 @@ import pytest
 from nozzleflow.cli import main as cli_main
 from nozzleflow.diagnostics import SnapshotSet
 from nozzleflow.errors import ConfigError
-from nozzleflow.harness import (RunConfig, lp_distance, sweep,
+from nozzleflow.harness import (RunConfig, lp_distance, single_run, sweep,
                                 write_sweep_outputs)
+from nozzleflow.solver import SolverContext
 
 
 def _snap(rng, nt=7, nx=41, K=(-2.0, 2.0), T=1.0, shift=0.0):
@@ -341,6 +342,33 @@ def test_cli_bad_input_is_error_exit_2(tmp_path, capsys, key, value):
     assert cli_main(["run", str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "out" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--n", "0"), ("--n", "-3"), ("--rho-max", "nan"), ("--u-max", "inf"),
+    ("--gamma", "inf")])
+def test_cli_entropy_table_bad_number_is_error_exit_2(tmp_path, capsys, flag,
+                                                      value):
+    out = tmp_path / "table.csv"
+    # argparse keeps the last of a repeated flag
+    assert cli_main(["entropy-table", "--gamma", "2.0", "--out", str(out),
+                     flag, value]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_single_run_builds_one_context(monkeypatch):
+    builds = []
+    init = SolverContext.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(SolverContext, "__init__", counted)
+    cfg = RunConfig.from_mapping(dict(_RUN_CFG, check_quartic="true"))
+    out = single_run(cfg)
+    assert "energy" in out.report.series and "quartic" in out.report.series
+    assert len(builds) == 1
 
 
 def test_sweep_window_must_fit_every_rung(monkeypatch):

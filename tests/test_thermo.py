@@ -36,6 +36,14 @@ def test_gas_law_validation():
         GasLaw(2.0, delta=-0.1)
 
 
+@pytest.mark.parametrize("fields", [
+    dict(gamma=np.inf), dict(gamma=2.0, kappa=np.nan),
+    dict(gamma=2.0, kappa=np.inf), dict(gamma=2.0, delta=np.nan)])
+def test_gas_law_rejects_non_finite_fields(fields):
+    with pytest.raises(DomainError):
+        GasLaw(**fields)
+
+
 def test_h_delta_closed_form_and_quadrature():
     g = GasLaw(2.0)
     assert g.h_delta(1.0) == pytest.approx(0.125)
