@@ -80,17 +80,11 @@ def _cmd_entropy_table(args) -> int:
     u = np.linspace(-args.u_max, args.u_max, args.n)
     rr, uu = np.meshgrid(rho, u, indexing="ij")
     eta, q = kern.pair(gen, rr, rr * uu)
-    dest = open(args.out, "w") if args.out else sys.stdout
-    try:
-        dest.write(f"# gamma={args.gamma:g} generator={args.generator}\n")
-        dest.write("rho,u,eta,q\n")
-        for i in range(args.n):
-            for j in range(args.n):
-                dest.write(f"{rr[i, j]:.10g},{uu[i, j]:.10g},"
-                           f"{eta[i, j]:.12g},{q[i, j]:.12g}\n")
-    finally:
-        if args.out:
-            dest.close()
+    np.savetxt(args.out or sys.stdout,
+               np.column_stack([a.ravel() for a in (rr, uu, eta, q)]),
+               fmt=["%.10g", "%.10g", "%.12g", "%.12g"], delimiter=",",
+               header=f"# gamma={args.gamma:g} generator={args.generator}\n"
+                      "rho,u,eta,q", comments="")
     return 0
 
 

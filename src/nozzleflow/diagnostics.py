@@ -9,7 +9,9 @@ entropy inequality for convex generators).
 
 The per-sample monitors read the grid, gas law, eps and fixed geometry
 (A, A'/A, (A'/A)') from the SolverContext that ``run`` steps with and hands
-to ``Recorder.sample``; none of them evaluates the profile.
+to ``Recorder.sample``; none of them evaluates the profile.  The weak
+residuals contract the tensor-product test functions with small matrix
+products and evaluate the entropy kernel once per state they see.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .entropy import (EntropyGenerator, ReferenceState, gen_convex_spline,
                       gen_half_square, gen_smoothed_abs, get_kernel,
                       modified_energy_gradient, quartic_entropy,
-                      relative_energy_density)
+                      relative_energy_density, smooth_bump)
 from .errors import CavitationError, ConfigError
 from .geometry import NozzleProfile, ProfileKind
 from .solver import (BCMode, FluidField, SolverContext,
@@ -51,12 +53,6 @@ class SnapshotSet:
             raise ConfigError(f"window [{lo}, {hi}] holds fewer than 2 nodes")
         return SnapshotSet(self.t.copy(), self.x[mask], self.rho[:, mask],
                            self.m[:, mask], dict(self.meta))
-
-    def interp_x(self, xq: np.ndarray) -> "SnapshotSet":
-        xq = np.asarray(xq, dtype=float)
-        rho = np.vstack([np.interp(xq, self.x, r) for r in self.rho])
-        m = np.vstack([np.interp(xq, self.x, v) for v in self.m])
-        return SnapshotSet(self.t.copy(), xq, rho, m, dict(self.meta))
 
 
 # ---------------------------------------------------------------------------
@@ -275,30 +271,11 @@ class SpaceTimeBump:
     x0: float
     rx: float
 
-    @staticmethod
-    def _b(s):
-        inside = np.abs(s) < 1.0
-        ss = np.where(inside, s, 0.0)
-        return np.where(inside, np.exp(-1.0 / (1.0 - ss * ss)), 0.0)
-
-    @staticmethod
-    def _db(s):
-        inside = np.abs(s) < 1.0
-        ss = np.where(inside, s, 0.0)
-        val = np.where(inside, np.exp(-1.0 / (1.0 - ss * ss)), 0.0)
-        return val * (-2.0 * ss / np.maximum((1.0 - ss * ss) ** 2, 1e-300))
-
-    def phi(self, t, x):
-        return self._b((t - self.t0) / self.rt)[:, None] \
-            * self._b((x - self.x0) / self.rx)[None, :]
-
-    def phi_t(self, t, x):
-        return (self._db((t - self.t0) / self.rt) / self.rt)[:, None] \
-            * self._b((x - self.x0) / self.rx)[None, :]
-
-    def phi_x(self, t, x):
-        return self._b((t - self.t0) / self.rt)[:, None] \
-            * (self._db((x - self.x0) / self.rx) / self.rx)[None, :]
+    def factors(self, t, x):
+        """(b_t, b_t', b_x, b_x') on the axes: phi = b_t(t) b_x(x)."""
+        bt, dbt = smooth_bump((t - self.t0) / self.rt)
+        bx, dbx = smooth_bump((x - self.x0) / self.rx)
+        return bt, dbt / self.rt, bx, dbx / self.rx
 
 
 def default_test_functions(t1: float, t2: float, K, nt: int = 4, nx: int = 8,
@@ -359,51 +336,61 @@ def weak_residual(history: SnapshotSet, g: GasLaw, profile: NozzleProfile,
                which must be <= 0 for convex generators as the viscosity
                vanishes.  The gamma-law pressure (no quadratic term) is used:
                these are the target system's forms, not the regularized one's.
+
+    Each test is a product b_t(t) b_x(x); with the trapezoid weights in the
+    rows of B_t (tests x times) and B_x (tests x nodes), int F phi_t for all
+    tests is ((B_t' @ F) * B_x).sum(1).  The kernel runs once per generator,
+    one order-1 moment pass for eta, q and the gradient, on the unique
+    (rho, m) states inside the union of the test supports.
     """
     for gen in gen_set:
         if not gen.convex:
             raise ConfigError(f"generator {gen.name!r} is not convex")
     t, x = history.t, history.x
-    if len(t) < 4:
-        raise ConfigError("need at least 4 snapshot times for weak residuals")
-    rho, m = history.rho, history.m
-    A = np.asarray(profile.area(x), dtype=float)[None, :]
-    dA = np.asarray(profile.d_area(x), dtype=float)[None, :]
-    pos = rho > g.rho_floor
-    u = np.where(pos, m / np.maximum(rho, g.rho_floor), 0.0)
-    p = g.pressure_gamma(rho)
-    mom_flux = m * u + p
-
-    kern = get_kernel(g, n_nodes)
-    fields = []
-    for gen in gen_set:
-        eta, q = kern.pair(gen, rho, m)
-        eta_r, eta_m = kern.grad(gen, rho, m)
-        fields.append((eta, q, eta_r, eta_m))
-
-    def _integrate(vals):
-        per_t = np.trapezoid(vals, x, axis=1)
-        return float(np.trapezoid(per_t, t))
-
-    n_phi = len(test_set)
-    mass = np.zeros(n_phi)
-    momentum = np.zeros(n_phi)
-    entropy = np.zeros((len(gen_set), n_phi))
-    norms = np.zeros(n_phi)
-    for j, tf in enumerate(test_set):
+    if len(t) < 4 or not test_set:
+        raise ConfigError("weak residuals need at least 4 snapshot times "
+                          "and one test function")
+    for tf in test_set:
         if not (t[0] <= tf.t0 - tf.rt and tf.t0 + tf.rt <= t[-1]
                 and x[0] <= tf.x0 - tf.rx and tf.x0 + tf.rx <= x[-1]):
             raise ConfigError("test function support leaves the snapshot window")
-        phi = tf.phi(t, x)
-        phi_t = tf.phi_t(t, x)
-        phi_x = tf.phi_x(t, x)
-        norms[j] = _integrate((np.abs(phi) + np.abs(phi_t) + np.abs(phi_x)) * A)
-        mass[j] = _integrate((rho * phi_t + m * phi_x) * A)
-        momentum[j] = _integrate((m * phi_t + mom_flux * phi_x) * A
-                                 + p * dA * phi)
-        for i, (eta, q, eta_r, eta_m) in enumerate(fields):
-            src = dA * (m * eta_r + m * u * eta_m - q)
-            entropy[i, j] = _integrate(-eta * A * phi_t - q * A * phi_x + src * phi)
+    # trapezoid weights w, with w @ y the integral of y
+    wt, wx = (np.convolve(np.diff(a), [0.5, 0.5]) for a in (t, x))
+    fac = [tf.factors(t, x) for tf in test_set]
+    Bt, dBt, Bx, dBx = (np.array([f[i] for f in fac]) * w
+                        for i, w in enumerate((wt, wt, wx, wx)))
+
+    def contract(f_t, f_x, f=None):
+        """int (f_t phi_t + f_x phi_x + f phi) dx dt for every test."""
+        out = ((dBt @ f_t) * Bx).sum(1) + ((Bt @ f_x) * dBx).sum(1)
+        return out if f is None else out + ((Bt @ f) * Bx).sum(1)
+
+    rho, m = history.rho, history.m
+    A, dA = (np.asarray(f(x), dtype=float) for f in (profile.area, profile.d_area))
+    u = g.velocity(rho, m)
+    p = g.pressure_gamma(rho)
+    mass = contract(rho * A, m * A)
+    momentum = contract(m * A, (m * u + p) * A, p * dA)
+    # B_t, B_x >= 0: bumps times positive weights
+    norms = (Bt.sum(1) + np.abs(dBt).sum(1)) * (Bx @ A) \
+        + Bt.sum(1) * (np.abs(dBx) @ A)
+
+    # the kernel on each state a test function sees, once
+    support = np.flatnonzero((Bt.T @ Bx).ravel())
+    states, inverse = np.unique(
+        np.column_stack((rho.ravel()[support], m.ravel()[support])),
+        axis=0, return_inverse=True)
+    r_s, m_s = states.T
+    u_s = g.velocity(r_s, m_s)
+    kern = get_kernel(g, n_nodes)
+    entropy = np.zeros((len(gen_set), len(test_set)))
+    for i, gen in enumerate(gen_set):
+        eta, q, eta_r, eta_m = kern.pair_grad(gen, r_s, m_s)
+        src = m_s * eta_r + m_s * u_s * eta_m - q
+        full = np.zeros((3, rho.size))
+        full[:, support] = np.stack((eta, q, src))[:, inverse.ravel()]
+        eta_f, q_f, src_f = full.reshape(3, *rho.shape)
+        entropy[i] = contract(-eta_f * A, -q_f * A, dA * src_f)
     return WeakResidualRecord(list(test_set), list(gen_set), mass, momentum,
                               entropy, norms)
 
@@ -463,8 +450,11 @@ class Recorder:
             raise ConfigError("field grid differs from the context's grid")
         if self._ctx is None:
             self._ctx = ctx
+            # the fewest nodes covering the window, to the consumers' 1e-12
             lo, hi = opt.snapshot_window or (-np.inf, np.inf)
-            self._snap_mask = (ctx.x >= lo) & (ctx.x <= hi)
+            i0 = np.searchsorted(ctx.x, lo + 1e-12) - 1
+            i1 = np.searchsorted(ctx.x, hi - 1e-12, side="right") + 1
+            self._snap = slice(max(i0, 0), i1)
             self._rho_tilde = float(np.min(field.rho))
         elif ctx is not self._ctx:
             raise ConfigError("recorder sampled with another run's context")
@@ -491,8 +481,8 @@ class Recorder:
         for name, val in row.items():
             self._series[name].append(val)
         if opt.collect_snapshots:
-            self._snap_rho.append(field.rho[self._snap_mask].copy())
-            self._snap_m.append(field.m[self._snap_mask].copy())
+            self._snap_rho.append(field.rho[self._snap].copy())
+            self._snap_m.append(field.m[self._snap].copy())
 
     # -- wrap-up ---------------------------------------------------------------
     def finalize(self) -> DiagnosticsReport:
@@ -535,7 +525,7 @@ class Recorder:
                 np.all(np.diff(rep.quartic) <= 1e-3 * abs(q0) + 1e-14))
         if opt.collect_snapshots and self._snap_rho:
             rep.snapshots = SnapshotSet(
-                t=rep.t.copy(), x=self._ctx.x[self._snap_mask],
+                t=rep.t.copy(), x=self._ctx.x[self._snap],
                 rho=np.vstack(self._snap_rho), m=np.vstack(self._snap_m),
                 meta={"label": self.label, "eps": self._ctx.eps,
                       "gamma": self._ctx.g.gamma, "delta": self._ctx.g.delta})

@@ -15,14 +15,16 @@ Gauss-Legendre.
 Generators whose curvature jumps are integrated piecewise between the
 breakpoints [-1, kinks inside (-1, 1)..., 1], each piece with a Jacobi rule
 for its ends at +-1, so the node-doubling certification retains spectral
-accuracy.
+accuracy.  A polynomial generator (``one``, ``linear``, ``half_square``,
+``quartic``) needs no nodes: psi(u + rho^theta s) expands in powers of s,
+and its moments are exact sums of ``weight_moment`` terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -85,7 +87,9 @@ class EntropyGenerator:
     """Scalar generator psi with analytic first and second derivatives.
 
     ``kinks`` lists the velocity-space locations where psi'' jumps; the
-    kernel quadrature splits its integration there.
+    kernel quadrature splits its integration there.  ``poly`` holds psi's
+    ascending coefficients in v when psi is a polynomial; the kernel then
+    takes its moments in closed form, with no nodes.
     """
 
     name: str
@@ -94,47 +98,40 @@ class EntropyGenerator:
     d2psi: Callable[[np.ndarray], np.ndarray]
     convex: bool = False
     kinks: tuple[float, ...] = ()
+    poly: tuple[float, ...] = ()
+
+
+def _derivatives(coeffs) -> list[list[float]]:
+    """Descending (np.polyval) coefficients of a polynomial and its derivatives."""
+    c, out = [float(a) for a in coeffs], []
+    while c:
+        out.append(c[::-1])
+        c = [i * a for i, a in enumerate(c)][1:]
+    return out
+
+
+def _polynomial(name: str, *coeffs: float) -> EntropyGenerator:
+    """Convex polynomial generator from its ascending coefficients in v."""
+    d = _derivatives(coeffs) + [[0.0]] * 2
+    return EntropyGenerator(name, *(partial(np.polyval, d[j]) for j in range(3)),
+                            convex=True, poly=tuple(map(float, coeffs)))
 
 
 def gen_one() -> EntropyGenerator:
-    return EntropyGenerator(
-        "one",
-        lambda v: np.ones_like(v),
-        lambda v: np.zeros_like(v),
-        lambda v: np.zeros_like(v),
-        convex=True,
-    )
+    return _polynomial("one", 1.0)
 
 
 def gen_linear() -> EntropyGenerator:
-    return EntropyGenerator(
-        "linear",
-        lambda v: v,
-        lambda v: np.ones_like(v),
-        lambda v: np.zeros_like(v),
-        convex=True,
-    )
+    return _polynomial("linear", 0.0, 1.0)
 
 
 def gen_half_square() -> EntropyGenerator:
     """psi = v^2/2; its entropy is the mechanical energy up to the factor c_lam."""
-    return EntropyGenerator(
-        "half_square",
-        lambda v: 0.5 * v * v,
-        lambda v: v,
-        lambda v: np.ones_like(v),
-        convex=True,
-    )
+    return _polynomial("half_square", 0.0, 0.0, 0.5)
 
 
 def gen_quartic() -> EntropyGenerator:
-    return EntropyGenerator(
-        "quartic",
-        lambda v: v ** 4,
-        lambda v: 4.0 * v ** 3,
-        lambda v: 12.0 * v * v,
-        convex=True,
-    )
+    return _polynomial("quartic", 0.0, 0.0, 0.0, 0.0, 1.0)
 
 
 def gen_half_signed_square(u_minus: float) -> EntropyGenerator:
@@ -174,15 +171,18 @@ def gen_convex_spline(center: float = 0.0, width: float = 1.0) -> EntropyGenerat
     c, w = float(center), float(width)
     slope = 8.0 / 15.0  # psi'(c + w)/w
 
+    # the core polynomials in nested (Horner) form on t^2
     def psi(v):
         t = np.clip((v - c) / w, -1.0, 1.0)
-        core = w * w * (t * t / 2.0 - t ** 4 / 6.0 + t ** 6 / 30.0)
+        t2 = t * t
+        core = w * w * t2 * (0.5 + t2 * (-1.0 / 6.0 + t2 / 30.0))
         outer = np.maximum(np.abs(v - c) - w, 0.0)
         return core + slope * w * outer
 
     def dpsi(v):
         t = np.clip((v - c) / w, -1.0, 1.0)
-        return w * (t - 2.0 * t ** 3 / 3.0 + t ** 5 / 5.0) \
+        t2 = t * t
+        return w * t * (1.0 + t2 * (-2.0 / 3.0 + t2 / 5.0)) \
             + slope * w * (np.sign(v - c) * (np.abs(v - c) > w))
 
     def d2psi(v):
@@ -195,33 +195,30 @@ def gen_convex_spline(center: float = 0.0, width: float = 1.0) -> EntropyGenerat
     )
 
 
+def smooth_bump(s):
+    """(b, b') for the C-infinity bump b = exp(-1/(1-s^2)) on |s| < 1."""
+    inside = np.abs(s) < 1.0
+    ss = np.where(inside, s, 0.0)
+    val = np.where(inside, np.exp(-1.0 / (1.0 - ss * ss)), 0.0)
+    return val, val * (-2.0 * ss / np.maximum((1.0 - ss * ss) ** 2, 1e-300))
+
+
 def gen_bump(center: float = 0.0, width: float = 1.0) -> EntropyGenerator:
     """Compactly supported C-infinity bump exp(-1/(1-t^2)); not convex."""
     c, w = float(center), float(width)
 
-    def _core(v):
+    def d2psi(v):
         t = (v - c) / w
         inside = np.abs(t) < 1.0
         t = np.where(inside, t, 0.0)
-        val = np.where(inside, np.exp(-1.0 / (1.0 - t * t)), 0.0)
-        return t, inside, val
-
-    def psi(v):
-        return _core(v)[2]
-
-    def dpsi(v):
-        t, inside, val = _core(v)
-        g = -2.0 * t / (1.0 - t * t) ** 2
-        return np.where(inside, val * g / w, 0.0)
-
-    def d2psi(v):
-        t, inside, val = _core(v)
         om = 1.0 - t * t
         g = -2.0 * t / om ** 2
         gp = -2.0 / om ** 2 - 8.0 * t * t / om ** 3
-        return np.where(inside, val * (g * g + gp) / (w * w), 0.0)
+        return np.where(inside, smooth_bump(t)[0] * (g * g + gp) / (w * w), 0.0)
 
-    return EntropyGenerator(f"bump[{c:g},{w:g}]", psi, dpsi, d2psi, convex=False)
+    return EntropyGenerator(f"bump[{c:g},{w:g}]",
+                            lambda v: smooth_bump((v - c) / w)[0],
+                            lambda v: smooth_bump((v - c) / w)[1] / w, d2psi)
 
 
 def gen_custom(name, psi, dpsi, d2psi, convex=False, kinks=()) -> EntropyGenerator:
@@ -322,22 +319,34 @@ class EntropyKernel:
                 n: Optional[int] = None) -> dict[tuple[int, int], np.ndarray]:
         """M[(j, k)] = int s^k psi^(j)(u + rho^theta s) (1-s^2)^lam ds per state.
 
-        Takes flat state arrays; vacuum states (rho <= floor) contribute zero
-        to every moment.
+        Takes flat state arrays and returns the moments the assembled
+        quantities read: j <= max_order, k <= max(1, j).  Vacuum states
+        (rho <= floor) contribute zero to every moment.  A polynomial
+        generator's moments are exact sums of ``weight_moment`` terms.
         """
         n = n or self.n_default
+        if not (np.isfinite(rho_f).all() and np.isfinite(m_f).all()):
+            raise DomainError("states must be finite")
         if np.any(rho_f < 0.0):
             raise DomainError("density must be nonnegative")
         out = {(j, k): np.zeros(rho_f.size)
-               for j in range(max_order + 1) for k in range(3)}
+               for j in range(max_order + 1) for k in range(max(1, j) + 1)}
         pos = rho_f > self.g.rho_floor
         if not pos.any():
             return out
         r = rho_f[pos]
         u = m_f[pos] / r
         rt = r ** self.theta
-        kv = np.asarray(gen.kinks, dtype=float)
         pos_idx = np.flatnonzero(pos)
+        if gen.poly:
+            # psi^(j)(u + rt s) = sum_l psi^(j+l)(u) (rt s)^l / l!
+            D = [np.polyval(d, u) for d in _derivatives(gen.poly)]
+            for j, k in out:
+                out[(j, k)][pos_idx] = sum(
+                    D[j + l] * (weight_moment(self.lam, l + k) / math.factorial(l))
+                    * rt ** l for l in range(len(D) - j) if (l + k) % 2 == 0)
+            return out
+        kv = np.asarray(gen.kinks, dtype=float)
         # group states by which kinks land strictly inside (-1, 1)
         S_k = (kv[None, :] - u[:, None]) / rt[:, None]
         inside = (S_k > -1.0 + _EDGE) & (S_k < 1.0 - _EDGE)
@@ -352,45 +361,48 @@ class EntropyKernel:
                 V = uu[:, None] + rr[:, None] * S
                 for j in range(max_order + 1):
                     PW = (gen.psi, gen.dpsi, gen.d2psi)[j](V) * W
-                    out[(j, 0)][idx] += PW.sum(axis=1)
-                    out[(j, 1)][idx] += (PW * S).sum(axis=1)
-                    out[(j, 2)][idx] += (PW * S * S).sum(axis=1)
+                    for k in range(max(1, j) + 1):
+                        if k:
+                            PW = PW * S
+                        out[(j, k)][idx] += PW.sum(axis=1)
         return out
 
     # -- assembled quantities -------------------------------------------------
+    def _assembled(self, gen, rho, m, max_order, n):
+        """(eta, q), then (eta_rho, eta_m) and (eta_rr, eta_rm, eta_mm) up to
+        max_order, by differentiating under the integral of one pass."""
+        rf, mf, shape = _flat_states(rho, m)
+        if max_order == 2 and np.any(rf <= self.g.rho_floor):
+            raise DomainError("entropy Hessian needs rho above the vacuum floor")
+        M = self.moments(gen, rf, mf, max_order, n)
+        th = self.theta
+        out = [rf * M[(0, 0)], mf * M[(0, 0)] + th * rf ** (1.0 + th) * M[(0, 1)]]
+        if max_order:
+            u = np.where(rf > self.g.rho_floor, mf / np.maximum(rf, 1e-300), 0.0)
+            rt = rf ** th
+            out += [M[(0, 0)] - u * M[(1, 0)] + th * rt * M[(1, 1)], M[(1, 0)]]
+        if max_order == 2:
+            out += [th * (1.0 + th) * rf ** (th - 1.0) * M[(1, 1)]
+                    + (th * th * rt * rt * M[(2, 2)] - 2.0 * u * th * rt * M[(2, 1)]
+                       + u * u * M[(2, 0)]) / rf,
+                    (th * rt * M[(2, 1)] - u * M[(2, 0)]) / rf, M[(2, 0)] / rf]
+        return _shaped(shape, *out)
+
     def pair(self, gen, rho, m, n: Optional[int] = None):
         """(eta, q) for one generator, vectorized over states of any shape."""
-        rf, mf, shape = _flat_states(rho, m)
-        M = self.moments(gen, rf, mf, 0, n)
-        eta = rf * M[(0, 0)]
-        q = mf * M[(0, 0)] + self.theta * rf ** (1.0 + self.theta) * M[(0, 1)]
-        return _shaped(shape, eta, q)
+        return self._assembled(gen, rho, m, 0, n)
+
+    def pair_grad(self, gen, rho, m, n: Optional[int] = None):
+        """(eta, q, eta_rho, eta_m) from one order-1 moment pass."""
+        return self._assembled(gen, rho, m, 1, n)
 
     def grad(self, gen, rho, m, n: Optional[int] = None):
         """(eta_rho, eta_m) by differentiating under the integral."""
-        rf, mf, shape = _flat_states(rho, m)
-        M = self.moments(gen, rf, mf, 1, n)
-        u = np.where(rf > self.g.rho_floor, mf / np.maximum(rf, 1e-300), 0.0)
-        rt = rf ** self.theta
-        eta_rho = M[(0, 0)] - u * M[(1, 0)] + self.theta * rt * M[(1, 1)]
-        eta_m = M[(1, 0)]
-        return _shaped(shape, eta_rho, eta_m)
+        return self.pair_grad(gen, rho, m, n)[2:]
 
     def hessian(self, gen, rho, m, n: Optional[int] = None):
         """(eta_rr, eta_rm, eta_mm); states must be away from vacuum."""
-        rf, mf, shape = _flat_states(rho, m)
-        if np.any(rf <= self.g.rho_floor):
-            raise DomainError("entropy Hessian needs rho above the vacuum floor")
-        M = self.moments(gen, rf, mf, 2, n)
-        u = mf / rf
-        rt = rf ** self.theta
-        th = self.theta
-        eta_mm = M[(2, 0)] / rf
-        eta_rm = (th * rt * M[(2, 1)] - u * M[(2, 0)]) / rf
-        eta_rr = (th * (1.0 + th) * rf ** (th - 1.0) * M[(1, 1)]
-                  + (th * th * rt * rt * M[(2, 2)]
-                     - 2.0 * u * th * rt * M[(2, 1)] + u * u * M[(2, 0)]) / rf)
-        return _shaped(shape, eta_rr, eta_rm, eta_mm)
+        return self._assembled(gen, rho, m, 2, n)[4:]
 
     def pair_certified(self, gen, rho, m, rtol: float = 1e-10,
                        max_nodes: int = 4096):

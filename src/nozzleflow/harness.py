@@ -92,7 +92,6 @@ class RunConfig:
     p_rho: float = 1.0
     q_mom: float = 1.0
     snapshots: int = 32
-    snapshot_margin: float = 0.5
     workers: int = 1                       # 0: one per processor
     force: bool = False
     # diagnostics
@@ -315,9 +314,7 @@ def single_run(cfg: RunConfig, eps: Optional[float] = None,
     bc = cfg.build_bc(eps)
     raw = cfg.build_initial(eps)
     field = prepare_initial_data(raw, bc, g, profile, grid)
-    margin = cfg.snapshot_margin
-    window = (cfg.window_lo - margin, cfg.window_hi + margin)
-    window = (max(window[0], a), min(window[1], b))
+    window = (max(cfg.window_lo, a), min(cfg.window_hi, b))
     opts = RecorderOptions(
         sample_count=cfg.snapshots,
         collect_snapshots=collect_snapshots,
@@ -358,8 +355,8 @@ def lp_distance(snap_a: SnapshotSet, snap_b: SnapshotSet, K, p: float = 1.0,
     wa = snap_a.window(lo, hi)
     wb = snap_b.window(lo, hi)
     xq = wa.x if wa.x.size >= wb.x.size else wb.x
-    fa = getattr(wa.interp_x(xq), which)
-    fb = getattr(wb.interp_x(xq), which)
+    fa, fb = (np.vstack([np.interp(xq, w.x, row) for row in getattr(w, which)])
+              for w in (wa, wb))
     diff = np.abs(fa - fb) ** p
     per_t = np.trapezoid(diff, xq, axis=1)
     return float(np.trapezoid(per_t, snap_a.t) ** (1.0 / p))

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from helpers import manufactured_error
+from nozzleflow.diagnostics import (default_generator_family,
+                                    default_test_functions, weak_residual)
 from nozzleflow.entropy import (ReferenceState, gen_bump, gen_half_square,
                                 gen_linear, gen_one, gen_quartic,
                                 gen_smoothed_abs, get_kernel,
@@ -22,6 +24,7 @@ from nozzleflow.schedule import certify, make_default
 from nozzleflow.solver import (BoundarySpec, FluidField, Grid, SolverContext,
                                step)
 from nozzleflow.thermo import GasLaw
+from plain_weak_residual import plain_weak_residual
 
 
 def _verdict(number: int, name: str, ok: bool) -> None:
@@ -249,6 +252,24 @@ def test_10_entropy_inequality_residuals(sweep_gamma2, sweep_gamma5):
         details.append(f"{label}: violations {np.round(violations, 4)}")
     _verdict(10, "entropy residuals small and shrinking; " + "; ".join(details),
              ok)
+
+
+def test_weak_residual_matches_plain_evaluation(sweep_gamma2, sweep_gamma5):
+    # the contracted, unique-state evaluation against the direct one on the
+    # coarsest and the finest rung, with the sweep's tests and generators
+    for res, gamma in ((sweep_gamma2, 2.0), (sweep_gamma5, 5.0)):
+        cfg = _sweep_config(gamma)
+        K = (cfg.window_lo, cfg.window_hi)
+        tests = default_test_functions(0.02 * cfg.t_end, 0.98 * cfg.t_end, K)
+        gens = default_generator_family((-1.0, 0.0, 1.0))
+        for rung in (res.runs[0], res.runs[-1]):
+            args = (rung.snapshots, cfg.build_gas(rung.eps),
+                    cfg.build_profile(), tests, gens)
+            fast, plain = weak_residual(*args), plain_weak_residual(*args)
+            for name in ("mass", "momentum", "entropy", "norms"):
+                a, b = getattr(fast, name), getattr(plain, name)
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), \
+                    (gamma, rung.eps, name)
 
 
 def test_11_special_pair_sign():

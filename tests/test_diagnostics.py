@@ -131,6 +131,40 @@ def test_integrability_window_validation():
         integrability_window(snap, g, (-3.0, 1.0))
 
 
+def test_snapshots_cover_a_window_between_nodes():
+    # the fewest nodes that cover K: one node past each end that is no node
+    g = GasLaw(2.0)
+    grid = Grid(-3.0, 3.0, 60)
+    opts = RecorderOptions(sample_count=4, snapshot_window=(-0.75, 0.25),
+                           riemann=False)
+    rec = Recorder(0.1, options=opts)
+    field = FluidField(grid, np.ones(61), np.zeros(61))
+    _, rep = run(field, g, ConstantProfile(), 0.1, _AT_REST, 0.1, hooks=rec)
+    np.testing.assert_allclose(rep.snapshots.x[[0, -1]], [-0.8, 0.3])
+    integrability_window(rep.snapshots, g, (-0.75, 0.25))
+
+
+def test_snapshots_keep_window_end_nodes_that_round_past_it():
+    # on this grid the node at 0.3 is 0.30000000000000027: the stored range
+    # must allow the 1e-12 its consumers allow, or K loses its end node
+    g = GasLaw(2.0)
+    prof = ConstantProfile()
+    grid = Grid(-3.0, 3.0, 60)
+    K = (-0.7, 0.3)
+    assert grid.x[33] > K[1]
+    opts = RecorderOptions(sample_count=9, snapshot_window=K, riemann=False)
+    rec = Recorder(0.2, options=opts)
+    field = FluidField(grid, 1.0 + 0.1 * np.exp(-grid.x ** 2), np.zeros(61))
+    _, rep = run(field, g, prof, 0.1, _AT_REST, 0.2, hooks=rec)
+    x = rep.snapshots.x
+    assert abs(x[0] - K[0]) < 1e-12 and abs(x[-1] - K[1]) < 1e-12
+    assert x.size == 11
+    integrability_window(rep.snapshots, g, K)
+    tests = default_test_functions(0.02, 0.18, K, nt=2, nx=2)
+    weak = weak_residual(rep.snapshots, g, prof, tests, [gen_half_square()])
+    assert np.all(np.isfinite(weak.entropy))
+
+
 # ---------------------------------------------------------------------------
 # weak residuals
 # ---------------------------------------------------------------------------
@@ -212,8 +246,8 @@ def test_half_square_pairing_matches_scaled_mechanical_form():
     eta_s, q_s = mechanical_energy(g, snap.rho, snap.m)
     t, x = snap.t, snap.x
     for j, tf in enumerate(tests):
-        phi_t = tf.phi_t(t, x)
-        phi_x = tf.phi_x(t, x)
+        bt, dbt, bx, dbx = tf.factors(t, x)
+        phi_t, phi_x = np.outer(dbt, bx), np.outer(bt, dbx)
         direct = -np.trapezoid(np.trapezoid(eta_s * phi_t + q_s * phi_x,
                                             x, axis=1), t)
         assert rec.entropy[0][j] == pytest.approx(c * direct,

@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
-from nozzleflow.entropy import (ReferenceState, gauss_jacobi,
+from nozzleflow.entropy import (EntropyKernel, ReferenceState, gauss_jacobi,
                                 gen_bump, gen_convex_spline, gen_custom,
                                 gen_half_signed_square, gen_half_square,
                                 gen_linear, gen_one, gen_quartic,
@@ -79,6 +81,60 @@ def test_vacuum_and_domain():
     assert weak_entropy_pair(g, gen_quartic(), 0.0, 0.0) == (0.0, 0.0)
     with pytest.raises(DomainError):
         weak_entropy_pair(g, gen_one(), -0.1, 0.0)
+
+
+@pytest.mark.parametrize("rho,m", [(np.nan, 0.0), (1.0, np.inf),
+                                   (-np.inf, 0.0), (1.0, np.nan)])
+def test_non_finite_state_is_domain_error(rho, m):
+    g = GasLaw(2.0)
+    with pytest.raises(DomainError):
+        get_kernel(g).pair(gen_convex_spline(), np.array([1.0, rho]),
+                           np.array([0.0, m]))
+    with pytest.raises(DomainError):
+        weak_entropy_pair(g, gen_smoothed_abs(), rho, m)
+
+
+POLYNOMIAL_GENERATORS = (gen_one(), gen_linear(), gen_half_square(),
+                         gen_quartic())
+
+
+@settings(max_examples=40, deadline=None)
+@given(gamma=st.sampled_from((1.4, 2.0, 3.0, 5.0)),
+       states=st.lists(st.tuples(st.floats(-12.0, 1.0), st.floats(-10.0, 10.0)),
+                       min_size=1, max_size=12))
+def test_exact_polynomial_moments_match_quadrature(gamma, states):
+    # closed-form moments of the polynomial generators against the 64-node
+    # kernel quadrature they replace; log10(rho) from -12 reaches the floor
+    g = GasLaw(gamma)
+    kern = EntropyKernel(g, 64)
+    rho = np.array([g.rho_floor] + [10.0 ** a for a, _ in states])
+    m = rho * np.array([0.0] + [u for _, u in states])
+    for gen in POLYNOMIAL_GENERATORS:
+        assert gen.poly
+        quadrature = dataclasses.replace(gen, poly=())
+        for order in range(3):
+            exact = kern.moments(gen, rho, m, order)
+            plain = kern.moments(quadrature, rho, m, order)
+            assert sorted(exact) == sorted(plain) == sorted(
+                (j, k) for j in range(order + 1) for k in range(max(1, j) + 1))
+            scale = np.max(np.abs(np.array(list(plain.values()))), axis=0)
+            for key in plain:
+                assert np.all(np.abs(exact[key] - plain[key]) <= 1e-13 * scale), \
+                    (gen.name, order, key)
+
+
+def test_convex_spline_horner_matches_monomial_form():
+    for c, w in ((0.0, 1.0), (0.35, 0.5), (-1.0, 2.0)):
+        gen = gen_convex_spline(c, w)
+        v = np.linspace(c - 1.5 * w, c + 1.5 * w, 2001)
+        t = np.clip((v - c) / w, -1.0, 1.0)
+        outer = np.maximum(np.abs(v - c) - w, 0.0)
+        psi = w * w * (t * t / 2.0 - t ** 4 / 6.0 + t ** 6 / 30.0) \
+            + 8.0 / 15.0 * w * outer
+        dpsi = w * (t - 2.0 * t ** 3 / 3.0 + t ** 5 / 5.0) \
+            + 8.0 / 15.0 * w * np.sign(v - c) * (np.abs(v - c) > w)
+        assert np.max(np.abs(gen.psi(v) - psi)) <= 1e-14 * np.max(np.abs(psi))
+        assert np.max(np.abs(gen.dpsi(v) - dpsi)) <= 1e-14 * np.max(np.abs(dpsi))
 
 
 def test_pair_linearity_in_generator():

@@ -64,6 +64,16 @@ def test_config_rejects_unknown_key(tmp_path):
         RunConfig.from_file(path)
 
 
+def test_snapshot_margin_is_an_unknown_key(tmp_path, capsys):
+    # snapshots are stored on the comparison window itself
+    values = dict(_RUN_CFG, output_dir=str(tmp_path / "out"),
+                  snapshot_margin="0.5")
+    cfg_path = tmp_path / "margin.cfg"
+    cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert cli_main(["run", str(cfg_path)]) == 2
+    assert "unknown config key 'snapshot_margin'" in capsys.readouterr().err
+
+
 def test_config_rejects_malformed_line(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("gamma 2.0\n")
