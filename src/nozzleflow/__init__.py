@@ -39,7 +39,6 @@ from .entropy import (
     gauss_jacobi,
     gen_bump,
     gen_convex_spline,
-    gen_custom,
     gen_half_signed_square,
     gen_half_square,
     gen_linear,

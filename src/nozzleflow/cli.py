@@ -27,13 +27,11 @@ def _cmd_run(args) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = single_run(cfg, label="run")
-    g = cfg.build_gas(result.eps)
-    profile = cfg.build_profile()
-    write_snapshot_csv(out / "final.csv", result.field, g, profile,
-                       result.eps, cfg.bc, cfg.cfl)
+    write_snapshot_csv(out / "final.csv", result.field, result.g,
+                       cfg.build_profile(), result.eps, cfg.bc, cfg.cfl)
     result.report.to_csv(out / "report.csv")
     text = "\n".join([f"run finished at t={result.field.t:g} "
-                      f"(eps={result.eps:g}, delta={result.delta:g})"]
+                      f"(eps={result.eps:g}, delta={result.g.delta:g})"]
                      + _check_lines(result.report))
     (out / "summary.txt").write_text(text + "\n")
     print(text)

@@ -45,14 +45,15 @@ class SnapshotSet:
     x: np.ndarray          # (nx,)
     rho: np.ndarray        # (nt, nx)
     m: np.ndarray          # (nt, nx)
-    meta: dict = dc_field(default_factory=dict)
 
     def window(self, lo: float, hi: float) -> "SnapshotSet":
-        mask = (self.x >= lo - 1e-12) & (self.x <= hi + 1e-12)
-        if mask.sum() < 2:
+        """Views of the nodes inside [lo, hi], a node within 1e-12 of an end
+        included; the rows stay contiguous."""
+        win = slice(np.searchsorted(self.x, lo - 1e-12),
+                    np.searchsorted(self.x, hi + 1e-12, side="right"))
+        if win.stop - win.start < 2:
             raise ConfigError(f"window [{lo}, {hi}] holds fewer than 2 nodes")
-        return SnapshotSet(self.t.copy(), self.x[mask], self.rho[:, mask],
-                           self.m[:, mask], dict(self.meta))
+        return SnapshotSet(self.t, self.x[win], self.rho[:, win], self.m[:, win])
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +205,7 @@ class IntegrabilityRecord:
     delta_rho_cubed: float         # integral of delta rho^3
     rho_u_cubed: float             # integral of rho |u|^3
     rho_gamma_theta: float         # integral of rho^(gamma+theta)
-    eps_rho_cubed_area: float      # eps * integral of rho^3 A (if available)
+    eps_rho_cubed_area: float      # eps * integral of rho^3 A
 
     @property
     def density_total(self) -> float:
@@ -215,46 +216,35 @@ class IntegrabilityRecord:
         return self.rho_u_cubed + self.rho_gamma_theta
 
 
-def _spacetime_integral(history: SnapshotSet, values: np.ndarray,
-                        tmask: np.ndarray, xmask: np.ndarray) -> float:
-    tt = history.t[tmask]
-    xx = history.x[xmask]
-    per_t = np.trapezoid(values[np.ix_(tmask, xmask)], xx, axis=1)
-    return float(np.trapezoid(per_t, tt))
+def integrability_window(history: SnapshotSet, g: GasLaw, K,
+                         profile: NozzleProfile,
+                         eps: float) -> IntegrabilityRecord:
+    """Space-time integrals of the higher-integrability densities over K.
 
-
-def integrability_window(history: SnapshotSet, g: GasLaw, K, t_span=None,
-                         profile: Optional[NozzleProfile] = None,
-                         eps: Optional[float] = None) -> IntegrabilityRecord:
-    """Space-time integrals of the higher-integrability densities over K."""
+    The integrals run over every stored time and over ``history.window(K)``
+    (trapezoid in both); ``eps_rho_cubed_area`` weighs rho^3 with the
+    profile's A(x).
+    """
     lo, hi = float(K[0]), float(K[1])
     if not (history.x[0] - 1e-12 < lo < hi < history.x[-1] + 1e-12):
         raise ConfigError(f"window [{lo}, {hi}] is not inside the stored grid")
-    if t_span is None:
-        t_span = (float(history.t[0]), float(history.t[-1]))
-    t1, t2 = map(float, t_span)
-    tmask = (history.t >= t1 - 1e-12) & (history.t <= t2 + 1e-12)
-    xmask = (history.x >= lo - 1e-12) & (history.x <= hi + 1e-12)
-    if tmask.sum() < 2 or xmask.sum() < 2:
-        raise ConfigError("integrability window needs at least 2 samples per axis")
-    rho = history.rho
-    u = g.velocity(rho, history.m)
-    rec = {}
-    rec["rho_gamma_plus_one"] = _spacetime_integral(
-        history, rho ** (g.gamma + 1.0), tmask, xmask)
-    rec["delta_rho_cubed"] = _spacetime_integral(
-        history, g.delta * rho ** 3, tmask, xmask)
-    rec["rho_u_cubed"] = _spacetime_integral(
-        history, rho * np.abs(u) ** 3, tmask, xmask)
-    rec["rho_gamma_theta"] = _spacetime_integral(
-        history, rho ** (g.gamma + g.theta), tmask, xmask)
-    if profile is not None and eps is not None:
-        A = np.asarray(profile.area(history.x), dtype=float)
-        rec["eps_rho_cubed_area"] = eps * _spacetime_integral(
-            history, rho ** 3 * A[None, :], tmask, xmask)
-    else:
-        rec["eps_rho_cubed_area"] = float("nan")
-    return IntegrabilityRecord(window=(lo, hi), t_span=(t1, t2), **rec)
+    if len(history.t) < 2:
+        raise ConfigError("integrability window needs at least 2 snapshot times")
+    w = history.window(lo, hi)
+    rho = w.rho
+    u = g.velocity(rho, w.m)
+    A = np.asarray(profile.area(w.x), dtype=float)
+
+    def integral(values):
+        return float(np.trapezoid(np.trapezoid(values, w.x, axis=1), w.t))
+
+    return IntegrabilityRecord(
+        window=(lo, hi), t_span=(float(w.t[0]), float(w.t[-1])),
+        rho_gamma_plus_one=integral(rho ** (g.gamma + 1.0)),
+        delta_rho_cubed=integral(g.delta * rho ** 3),
+        rho_u_cubed=integral(rho * np.abs(u) ** 3),
+        rho_gamma_theta=integral(rho ** (g.gamma + g.theta)),
+        eps_rho_cubed_area=eps * integral(rho ** 3 * A[None, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +268,21 @@ class SpaceTimeBump:
         return bt, dbt / self.rt, bx, dbx / self.rx
 
 
-def default_test_functions(t1: float, t2: float, K, nt: int = 4, nx: int = 8,
-                           fill: float = 3.5) -> list[SpaceTimeBump]:
-    """nt x nx lattice of bumps supported strictly inside (t1, t2) x K.
+# a default test bump's radius in lattice half-spacings: the bumps overlap,
+# which keeps their supports well resolved by the snapshot cadence
+TEST_FILL = 3.5
+# w of the default family's smoothed |v - c| generators sqrt((v - c)^2 + w^2)
+GENERATOR_WIDTH = 0.5
 
-    ``fill`` widens each bump relative to the lattice spacing (overlap is
-    fine and keeps the supports well resolved by the snapshot cadence).
-    """
+
+def default_test_functions(t1: float, t2: float, K, nt: int = 4,
+                           nx: int = 8) -> list[SpaceTimeBump]:
+    """nt x nx lattice of bumps supported strictly inside (t1, t2) x K."""
     lo, hi = float(K[0]), float(K[1])
     tc = t1 + (np.arange(nt) + 0.5) * (t2 - t1) / nt
     xc = lo + (np.arange(nx) + 0.5) * (hi - lo) / nx
-    rt = min(fill * (t2 - t1) / (2 * nt), 0.499 * (t2 - t1))
-    rx = min(fill * (hi - lo) / (2 * nx), 0.499 * (hi - lo))
+    rt = min(TEST_FILL * (t2 - t1) / (2 * nt), 0.499 * (t2 - t1))
+    rx = min(TEST_FILL * (hi - lo) / (2 * nx), 0.499 * (hi - lo))
     out = []
     for t0 in tc:
         rt0 = min(rt, (t0 - t1) * 0.999, (t2 - t0) * 0.999)
@@ -299,11 +292,11 @@ def default_test_functions(t1: float, t2: float, K, nt: int = 4, nx: int = 8,
     return out
 
 
-def default_generator_family(u_centers: Sequence[float] = (-1.0, 0.0, 1.0),
-                             width: float = 0.5) -> list[EntropyGenerator]:
+def default_generator_family(u_centers: Sequence[float] = (-1.0, 0.0, 1.0)
+                             ) -> list[EntropyGenerator]:
     """Convex generators with sub-quadratic growth for the entropy inequality."""
     gens = [gen_half_square()]
-    gens += [gen_smoothed_abs(c, width) for c in u_centers]
+    gens += [gen_smoothed_abs(c, GENERATOR_WIDTH) for c in u_centers]
     gens.append(gen_convex_spline(0.0, 1.0))
     return gens
 
@@ -326,8 +319,7 @@ class WeakResidualRecord:
 
 def weak_residual(history: SnapshotSet, g: GasLaw, profile: NozzleProfile,
                   test_set: Sequence[SpaceTimeBump],
-                  gen_set: Sequence[EntropyGenerator],
-                  n_nodes: int = 64) -> WeakResidualRecord:
+                  gen_set: Sequence[EntropyGenerator]) -> WeakResidualRecord:
     """Residuals of the limit-system weak forms over stored snapshots.
 
     Mass:      int (rho phi_t + m phi_x) A
@@ -341,7 +333,8 @@ def weak_residual(history: SnapshotSet, g: GasLaw, profile: NozzleProfile,
     rows of B_t (tests x times) and B_x (tests x nodes), int F phi_t for all
     tests is ((B_t' @ F) * B_x).sum(1).  The kernel runs once per generator,
     one order-1 moment pass for eta, q and the gradient, on the unique
-    (rho, m) states inside the union of the test supports.
+    (rho, m) states inside the union of the test supports, with the
+    kernel's default 64-node rules for generators that need nodes.
     """
     for gen in gen_set:
         if not gen.convex:
@@ -382,7 +375,7 @@ def weak_residual(history: SnapshotSet, g: GasLaw, profile: NozzleProfile,
         axis=0, return_inverse=True)
     r_s, m_s = states.T
     u_s = g.velocity(r_s, m_s)
-    kern = get_kernel(g, n_nodes)
+    kern = get_kernel(g)
     entropy = np.zeros((len(gen_set), len(test_set)))
     for i, gen in enumerate(gen_set):
         eta, q, eta_r, eta_m = kern.pair_grad(gen, r_s, m_s)
@@ -526,7 +519,5 @@ class Recorder:
         if opt.collect_snapshots and self._snap_rho:
             rep.snapshots = SnapshotSet(
                 t=rep.t.copy(), x=self._ctx.x[self._snap],
-                rho=np.vstack(self._snap_rho), m=np.vstack(self._snap_m),
-                meta={"label": self.label, "eps": self._ctx.eps,
-                      "gamma": self._ctx.g.gamma, "delta": self._ctx.g.delta})
+                rho=np.vstack(self._snap_rho), m=np.vstack(self._snap_m))
         return rep

@@ -221,16 +221,13 @@ def gen_bump(center: float = 0.0, width: float = 1.0) -> EntropyGenerator:
                             lambda v: smooth_bump((v - c) / w)[1] / w, d2psi)
 
 
-def gen_custom(name, psi, dpsi, d2psi, convex=False, kinks=()) -> EntropyGenerator:
-    return EntropyGenerator(name, psi, dpsi, d2psi, convex=convex, kinks=tuple(kinks))
-
-
+# every factory builds with no arguments
 GENERATOR_FACTORIES = {
     "one": gen_one,
     "linear": gen_linear,
     "half_square": gen_half_square,
     "quartic": gen_quartic,
-    "half_signed_square": gen_half_signed_square,
+    "half_signed_square": partial(gen_half_signed_square, 0.0),
     "smoothed_abs": gen_smoothed_abs,
     "convex_spline": gen_convex_spline,
     "bump": gen_bump,
@@ -242,6 +239,8 @@ GENERATOR_FACTORIES = {
 # ---------------------------------------------------------------------------
 
 _EDGE = 1e-10  # kinks this close to s = +-1 are treated as outside
+# node-doubling tolerance of pair_certified (relative, with a scale floor)
+CERTIFY_RTOL = 1e-10
 
 
 def _flat_states(rho, m):
@@ -392,26 +391,25 @@ class EntropyKernel:
         """(eta, q) for one generator, vectorized over states of any shape."""
         return self._assembled(gen, rho, m, 0, n)
 
-    def pair_grad(self, gen, rho, m, n: Optional[int] = None):
+    def pair_grad(self, gen, rho, m):
         """(eta, q, eta_rho, eta_m) from one order-1 moment pass."""
-        return self._assembled(gen, rho, m, 1, n)
+        return self._assembled(gen, rho, m, 1, None)
 
-    def grad(self, gen, rho, m, n: Optional[int] = None):
-        """(eta_rho, eta_m) by differentiating under the integral."""
-        return self.pair_grad(gen, rho, m, n)[2:]
-
-    def hessian(self, gen, rho, m, n: Optional[int] = None):
+    def hessian(self, gen, rho, m):
         """(eta_rr, eta_rm, eta_mm); states must be away from vacuum."""
-        return self._assembled(gen, rho, m, 2, n)[4:]
+        return self._assembled(gen, rho, m, 2, None)[4:]
 
-    def pair_certified(self, gen, rho, m, rtol: float = 1e-10,
-                       max_nodes: int = 4096):
+    def pair_certified(self, gen, rho, m, max_nodes: int = 4096):
         """(eta, q) with a node-doubling certificate.
 
         Starts from the default node count, doubles until consecutive rules
-        agree to ``rtol`` (relative, with a scale floor so symmetric zeros do
-        not trip it), and returns the finer evaluation.
+        agree to CERTIFY_RTOL (relative, with a scale floor so symmetric
+        zeros do not trip it), and returns the finer evaluation.  A
+        polynomial generator's moments are exact and use no nodes, so it is
+        evaluated once.
         """
+        if gen.poly:
+            return self.pair(gen, rho, m)
         rf, mf, shape = _flat_states(rho, m)
         u = np.where(rf > self.g.rho_floor, mf / np.maximum(rf, 1e-300), 0.0)
         scale = rf * (1.0 + u * u + rf ** (2.0 * self.theta)) + 1e-300
@@ -419,8 +417,8 @@ class EntropyKernel:
         eta_c, q_c = self.pair(gen, rf, mf, n)
         while True:
             eta_f, q_f = self.pair(gen, rf, mf, 2 * n)
-            tol_eta = rtol * (np.abs(eta_f) + 1e-3 * scale)
-            tol_q = rtol * (np.abs(q_f) + 1e-3 * scale)
+            tol_eta = CERTIFY_RTOL * (np.abs(eta_f) + 1e-3 * scale)
+            tol_q = CERTIFY_RTOL * (np.abs(q_f) + 1e-3 * scale)
             if (np.all(np.abs(eta_f - eta_c) <= tol_eta)
                     and np.all(np.abs(q_f - q_c) <= tol_q)):
                 return _shaped(shape, eta_f, q_f)
@@ -438,13 +436,9 @@ def get_kernel(g: GasLaw, n_nodes: int = 64) -> EntropyKernel:
 
 
 def weak_entropy_pair(g: GasLaw, gen: EntropyGenerator, rho, m,
-                      n_nodes: int = 64, certify: bool = True,
-                      rtol: float = 1e-10, max_nodes: int = 4096):
-    """Kernel entropy pair (eta, q); certified against node doubling by default."""
-    kern = get_kernel(g, n_nodes)
-    if certify:
-        return kern.pair_certified(gen, rho, m, rtol=rtol, max_nodes=max_nodes)
-    return kern.pair(gen, rho, m)
+                      max_nodes: int = 4096):
+    """Kernel entropy pair (eta, q), certified against node doubling."""
+    return get_kernel(g).pair_certified(gen, rho, m, max_nodes=max_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +525,9 @@ def relative_energy_density(g: GasLaw, ref: ReferenceState, x, rho, m):
     return float(out) if scalar else np.asarray(out)
 
 
-def quartic_entropy(g: GasLaw, rho, m, n_nodes: int = 64):
-    """eta for psi = s^4; controls rho u^4 + rho^(2 gamma - 1)."""
-    eta, _ = get_kernel(g, n_nodes).pair(gen_quartic(), rho, m)
+def quartic_entropy(g: GasLaw, rho, m):
+    """eta for psi = s^4 (exact moments); controls rho u^4 + rho^(2 gamma - 1)."""
+    eta, _ = get_kernel(g).pair(gen_quartic(), rho, m)
     return eta
 
 
@@ -552,32 +546,44 @@ class SpecialPairReport:
     n_points: int
 
 
-def special_pair_fields(g: GasLaw, ref: ReferenceState, rho, m,
-                        n_nodes: int = 256):
-    """(eta_check, q_check, eta_tilde, q_tilde) for the shifted generator.
+# Gauss-Jacobi nodes of the shifted pair's kernel (its generator has a kink)
+SPECIAL_PAIR_NODES = 256
 
-    The pair is built for the pure gamma-law pressure (the quadratic
-    stiffener plays no role here); the linearization is taken at the left
-    far state (rho_minus, rho_minus * u_minus).
+
+def _special_pair(g: GasLaw, ref: ReferenceState, rho_a, m_a):
+    """Shifted-pair fields on flat states from two order-1 kernel passes.
+
+    Returns (eta_check, q_check, eta_tilde, q_tilde, eta_check_rho,
+    eta_check_m) on the states, then eta_check_m and q_tilde at the left far
+    state (rho_minus, rho_minus * u_minus), where the linearization is
+    taken.  The pair is built for the pure gamma-law pressure (the quadratic
+    stiffener plays no role here).
     """
-    g0 = GasLaw(g.gamma, g.kappa, 0.0, rho_floor=g.rho_floor)
-    kern = get_kernel(g0, n_nodes)
+    g0 = GasLaw(g.gamma, g.kappa, 0.0)
+    kern = get_kernel(g0, SPECIAL_PAIR_NODES)
     gen = gen_half_signed_square(ref.u_minus)
-    rho_a, m_a, _ = _flat_states(rho, m)
-    eta_c, q_c = kern.pair(gen, rho_a, m_a)
     rm = ref.rho_minus
     mm = rm * ref.u_minus
-    gr, gm = kern.grad(gen, rm, mm)
-    eta_t = eta_c - gr * (rho_a - rm) - gm * (m_a - mm)
-    rs = np.maximum(rho_a, g.rho_floor)
-    flux_m = np.where(rho_a > g.rho_floor, m_a * m_a / rs, 0.0) + g0.pressure(rho_a)
-    q_t = q_c - gr * m_a - gm * flux_m
-    return eta_c, q_c, eta_t, q_t
+    eta_c, q_c, etc_r, etc_m = kern.pair_grad(gen, rho_a, m_a)
+    _, q_ref, gr, gm = kern.pair_grad(gen, rm, mm)
+
+    def tilde(rho, m, eta, q):
+        rs = np.maximum(rho, g0.rho_floor)
+        flux_m = np.where(rho > g0.rho_floor, m * m / rs, 0.0) + g0.pressure(rho)
+        return eta - gr * (rho - rm) - gm * (m - mm), q - gr * m - gm * flux_m
+
+    eta_t, q_t = tilde(rho_a, m_a, eta_c, q_c)
+    q_t_ref = float(tilde(rm, mm, 0.0, q_ref)[1])
+    return eta_c, q_c, eta_t, q_t, etc_r, etc_m, gm, q_t_ref
+
+
+def special_pair_fields(g: GasLaw, ref: ReferenceState, rho, m):
+    """(eta_check, q_check, eta_tilde, q_tilde) for the shifted generator."""
+    return _special_pair(g, ref, *_flat_states(rho, m)[:2])[:4]
 
 
 def special_pair_check(g: GasLaw, ref: ReferenceState, rho, m,
-                       M: Optional[float] = None,
-                       n_nodes: int = 256) -> SpecialPairReport:
+                       M: Optional[float] = None) -> SpecialPairReport:
     """Fit/verify the growth and domination inequalities of the shifted pair.
 
     For each inequality the minimal constant that makes it hold on the given
@@ -587,15 +593,9 @@ def special_pair_check(g: GasLaw, ref: ReferenceState, rho, m,
     rho_a, m_a, _ = _flat_states(rho, m)
     if np.any(rho_a < 0.0):
         raise DomainError("density must be nonnegative")
-    g0 = GasLaw(g.gamma, g.kappa, 0.0, rho_floor=g.rho_floor)
-    kern = get_kernel(g0, n_nodes)
-    gen = gen_half_signed_square(ref.u_minus)
-
-    eta_c, q_c, eta_t, q_t = special_pair_fields(g, ref, rho_a, m_a, n_nodes)
-    etc_r, etc_m = kern.grad(gen, rho_a, m_a)
+    eta_c, q_c, eta_t, q_t, etc_r, etc_m, gm_ref, q_t_ref = _special_pair(
+        g, ref, rho_a, m_a)
     rm, um = ref.rho_minus, ref.u_minus
-    _, gm_ref = kern.grad(gen, rm, rm * um)
-    q_t_ref = float(special_pair_fields(g, ref, rm, rm * um, n_nodes)[3][0])
 
     th = g.theta
     pos = rho_a > g.rho_floor

@@ -32,9 +32,14 @@ def unit_sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def sample_interval(a: float, b: float, n: int) -> np.ndarray:
-    """Uniform samples of [a, b] plus geometric refinement toward both ends."""
-    base = np.linspace(a, b, n)
+# uniform samples per interval for the admissibility checks and certificates
+N_SAMPLES = 10_000
+
+
+def sample_interval(a: float, b: float) -> np.ndarray:
+    """N_SAMPLES uniform samples of [a, b] plus geometric refinement toward
+    both ends."""
+    base = np.linspace(a, b, N_SAMPLES)
     span = b - a
     tails = span * np.geomspace(1e-12, 1e-1, 23)
     pts = np.concatenate([base, a + tails, b - tails])
@@ -119,13 +124,14 @@ class NozzleProfile:
         """Whether |A'/A| is globally bounded with A' in L^1 on each half-line."""
         raise NotImplementedError
 
-    def validate_conditions(self, interval, n_samples: int = 10_000) -> ConditionReport:
+    def validate_conditions(self, interval) -> ConditionReport:
+        """Admissibility data of A on ``sample_interval`` of the interval."""
         a, b = float(interval[0]), float(interval[1])
         if not (a < b):
             raise DomainError(f"invalid interval [{a}, {b}]")
         if a <= self.xmin or b >= self.xmax:
             raise DomainError(f"interval [{a}, {b}] leaves the profile domain")
-        xs = sample_interval(a, b, n_samples)
+        xs = sample_interval(a, b)
         area = self._area(xs)
         dA = self._d_area(xs)
         ddA = self._dd_area(xs)

@@ -140,10 +140,16 @@ class RunConfig:
             val = getattr(self, f.name)
             if isinstance(val, float) and not math.isfinite(val):
                 raise ConfigError(f"{f.name} must be finite, got {val}")
-        for name in ("dx", "eps", "eps0"):
+        # kappa = None selects the normalized default; GasLaw would read a
+        # negative kappa as that default too, so it is rejected here
+        for name in ("dx", "eps", "eps0", "t_end", "kappa"):
             val = getattr(self, name)
-            if not val > 0.0:
+            if val is not None and not val > 0.0:
                 raise ConfigError(f"{name} must be positive, got {val}")
+        for name in ("mollify_width", "blend_width", "workers"):
+            val = getattr(self, name)
+            if val < 0:
+                raise ConfigError(f"{name} must be nonnegative, got {val}")
         # Heun is SSP with coefficient 1; the MUSCL/central stencil allows 1/2
         # (Kurganov-Tadmor 2000)
         if not 0.0 < self.cfl <= 0.5:
@@ -297,7 +303,7 @@ def _parse(key: str, raw: str, hint):
 @dataclass
 class RunOutput:
     eps: float
-    delta: float
+    g: GasLaw                      # the run's gas law (delta from eps)
     field: FluidField
     report: DiagnosticsReport
     snapshots: Optional[SnapshotSet]
@@ -329,7 +335,7 @@ def single_run(cfg: RunConfig, eps: Optional[float] = None,
     rec = Recorder(cfg.t_end, ref=ref, options=opts, label=label)
     field, report = run(field, g, profile, eps, bc, cfg.t_end, hooks=rec,
                         cfl=cfg.cfl)
-    return RunOutput(eps=eps, delta=g.delta, field=field, report=report,
+    return RunOutput(eps=eps, g=g, field=field, report=report,
                      snapshots=report.snapshots, label=label)
 
 
@@ -470,8 +476,8 @@ def sweep(cfg: RunConfig) -> SweepResult:
     d_m = np.array([lp_distance(runs[k].snapshots, runs[k + 1].snapshots,
                                 K, cfg.q_mom, "m")
                     for k in range(len(runs) - 1)])
-    integ = [integrability_window(r.snapshots, cfg.build_gas(r.eps), K,
-                                  profile=profile, eps=r.eps) for r in runs]
+    integ = [integrability_window(r.snapshots, r.g, K, profile, r.eps)
+             for r in runs]
     weak: list[WeakResidualRecord] = []
     if cfg.weak_residuals:
         t1, t2 = 0.02 * cfg.t_end, 0.98 * cfg.t_end
@@ -479,8 +485,7 @@ def sweep(cfg: RunConfig) -> SweepResult:
         u_span = max(abs(cfg.u_minus), abs(cfg.u_plus), 1.0)
         gens = default_generator_family((-u_span, 0.0, u_span))
         for r in runs:
-            weak.append(weak_residual(r.snapshots, cfg.build_gas(r.eps),
-                                      profile, tests, gens))
+            weak.append(weak_residual(r.snapshots, r.g, profile, tests, gens))
     return SweepResult(
         eps_list=sched.eps_list, certificate=cert, runs=runs,
         failures=failures, d_rho=d_rho, d_m=d_m,
@@ -516,9 +521,8 @@ def write_sweep_outputs(result: SweepResult, cfg: RunConfig) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     profile = cfg.build_profile()
     for r in result.runs:
-        g = cfg.build_gas(r.eps)
         write_snapshot_csv(out / f"final_{r.label.replace('=', '_')}.csv",
-                           r.field, g, profile, r.eps, cfg.bc, cfg.cfl)
+                           r.field, r.g, profile, r.eps, cfg.bc, cfg.cfl)
         r.report.to_csv(out / f"report_{r.label.replace('=', '_')}.csv")
     (out / "summary.txt").write_text(result.summary() + "\n")
     return out

@@ -14,12 +14,11 @@ the axis and do not apply there).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
 
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import NozzleProfile, ProfileKind, make_profile, sample_interval
+from .geometry import NozzleProfile, ProfileKind, sample_interval
 from .thermo import GasLaw
 
 
@@ -40,12 +39,12 @@ class ViscositySchedule:
     spherical: bool = False
     n_dim: int = 3
     gamma: float = 2.0
-    rho_bar_exponent: float = -1.0   # spherical only; default n_dim / gamma
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_list)
-        if len(eps) == 0:
-            raise ConfigError("eps ladder is empty")
+        if len(eps) < 2:
+            raise ConfigError(f"an eps ladder needs at least two rungs to "
+                              f"compare, got {len(eps)}")
         if any(e <= 0 for e in eps) or any(np.diff(eps) >= 0):
             raise ConfigError("eps ladder must be positive and strictly decreasing")
         object.__setattr__(self, "eps_list", eps)
@@ -53,8 +52,6 @@ class ViscositySchedule:
             raise ConfigError("delta exponent q must be positive")
         if not self.beta_max > 2.0:
             raise ConfigError("beta must exceed 2")
-        if self.rho_bar_exponent < 0.0:
-            object.__setattr__(self, "rho_bar_exponent", self.n_dim / self.gamma)
         if not self.spherical:
             for e in eps:
                 if abs(self.a_of(e)) <= self.L0 or self.b_of(e) <= self.L0:
@@ -74,7 +71,7 @@ class ViscositySchedule:
     def rho_bar_of(self, eps: float) -> float:
         if not self.spherical:
             raise ConfigError("rho_bar rule applies to spherical ladders only")
-        return eps ** self.rho_bar_exponent
+        return eps ** (self.n_dim / self.gamma)
 
 
 @dataclass(frozen=True)
@@ -118,9 +115,11 @@ def _sup(values: np.ndarray) -> float:
     return float(np.max(np.abs(values)))
 
 
-def certify(sched: ViscositySchedule, profile: NozzleProfile, g: GasLaw,
-            n_samples: int = 10_000) -> CertificateReport:
+def certify(sched: ViscositySchedule, profile: NozzleProfile,
+            g: GasLaw) -> CertificateReport:
     """Evaluate the per-rung constraint quantities by sampling on [a, b].
+
+    The samples are ``geometry.sample_interval(a, b)``.
 
     Duct mode checks, per rung: eps|b-a|; eps sup|(A'/A)'| sup A |b-a|;
     eps sup|A''|; (delta/eps) sup A |a|^beta sup A^((gamma-3)/(gamma-1));
@@ -142,7 +141,7 @@ def certify(sched: ViscositySchedule, profile: NozzleProfile, g: GasLaw,
             quant["rho_bar_pressure_volume"] = rb ** g.gamma * b ** n
             quant["delta_volume"] = delta / eps * b ** n
         else:
-            xs = sample_interval(a, b, n_samples)
+            xs = sample_interval(a, b)
             A = np.asarray(profile.area(xs), dtype=float)
             supA = _sup(A)
             sup_glp = _sup(profile.dlog_prime(xs))
@@ -169,35 +168,27 @@ def certify(sched: ViscositySchedule, profile: NozzleProfile, g: GasLaw,
                              spherical=mode_spherical)
 
 
-def make_default(profile: Union[NozzleProfile, str], gamma: float,
-                 n_eps: int = 4, eps0: float = 0.1, beta_max: float = 4.0,
-                 M_budget: float = 10.0, L0: float = 2.0,
-                 n_dim: Optional[int] = None,
-                 g: Optional[GasLaw] = None) -> ViscositySchedule:
-    """Geometric ladder eps_k = eps0 / 2^k with q chosen so certify passes.
+def make_default(profile: NozzleProfile, gamma: float,
+                 n_eps: int = 4) -> ViscositySchedule:
+    """Geometric ladder eps_k = 0.1 / 2^k with q chosen so certify passes.
 
-    Starts from the aggressive default q = 1 + beta_max and raises q until
-    the certificate clears the budget; a profile that cannot be certified
-    with any q <= 12 is rejected.
+    The schedule keeps its default beta_max, M_budget and L0, and the
+    profile's own dimension (3 for a duct).  The search starts from the
+    aggressive q = 1 + beta_max and raises q until the certificate clears
+    the budget; a profile that cannot be certified with any q <= 12 is
+    rejected.
     """
-    if n_eps < 2:
-        raise ConfigError("need at least two rungs to compare")
-    if isinstance(profile, str):
-        profile = make_profile(profile)
-    eps = tuple(eps0 * 0.5 ** k for k in range(n_eps))
+    eps = tuple(0.1 * 0.5 ** k for k in range(n_eps))
     spherical = profile.kind is ProfileKind.SPHERICAL
-    if n_dim is None:
-        n_dim = getattr(profile, "n_dim", 3)
-    gas = g or GasLaw(gamma)
-    q = 1.0 + beta_max
+    n_dim = getattr(profile, "n_dim", 3)
+    gas = GasLaw(gamma)
+    q = 1.0 + ViscositySchedule.beta_max
     while q <= 12.0:
-        sched = ViscositySchedule(eps, q=q, beta_max=beta_max,
-                                  M_budget=M_budget, L0=L0,
-                                  spherical=spherical, n_dim=n_dim,
+        sched = ViscositySchedule(eps, q=q, spherical=spherical, n_dim=n_dim,
                                   gamma=gamma)
         if certify(sched, profile, gas).passed:
             return sched
         q += 1.0
     raise ConfigError(
         f"no delta exponent q <= 12 certifies the {profile.kind.value} "
-        f"profile against budget M = {M_budget}")
+        f"profile against budget M = {ViscositySchedule.M_budget}")

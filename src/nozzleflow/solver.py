@@ -569,10 +569,14 @@ def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
     return FluidField(field.grid, rho_out, m_out, t1)
 
 
+# a run that needs more steps than this to reach t_end is stuck
+MAX_STEPS = 10_000_000
+
+
 def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
         bc: BoundarySpec, t_end: float, hooks=None, *, cfl: float = 0.4,
         forcing: Optional[Callable] = None,
-        dt_fixed: Optional[float] = None, max_steps: int = 10_000_000):
+        dt_fixed: Optional[float] = None):
     """March to t_end; returns (final field, diagnostics report).
 
     ``hooks`` (any object with sample_times, sample(field, ctx), finalize())
@@ -598,8 +602,8 @@ def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
     k = 0
     n = field.grid.n_nodes
     while field.t < t_end - 1e-13 * max(1.0, t_end):
-        if k >= max_steps:
-            raise SolverError(f"exceeded {max_steps} steps before t_end")
+        if k >= MAX_STEPS:
+            raise SolverError(f"exceeded {MAX_STEPS} steps before t_end")
         dt = dt_fixed
         if dt is None:
             lo, hi = (0, n) if forcing is not None else \

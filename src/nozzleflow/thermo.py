@@ -35,14 +35,15 @@ class GasLaw:
     """gamma-law gas with optional quadratic pressure modification.
 
     kappa defaults to the normalization that makes R(rho) = rho^theta exact
-    when delta = 0; override it for physical units at the cost of those
-    closed forms.
+    when delta = 0 (any negative kappa selects it); override it for physical
+    units at the cost of those closed forms.  Densities at or below the
+    vacuum floor ``rho_floor`` count as vacuum.
     """
 
     gamma: float
     kappa: float = -1.0
     delta: float = 0.0
-    rho_floor: float = RHO_FLOOR
+    rho_floor = RHO_FLOOR     # class constant, not a field
 
     def __post_init__(self):
         if not 1.0 < self.gamma < np.inf:

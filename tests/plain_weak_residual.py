@@ -3,8 +3,8 @@
 ``weak_residual`` in the package contracts tensor-product test functions
 and evaluates the kernel once per unique in-support state.  This copy does
 neither: it forms every test function on the whole snapshot array, calls
-``pair`` and ``grad`` on every stored state, and integrates each product
-with nested trapezoid sums.
+``pair`` and ``pair_grad`` on every stored state, and integrates each
+product with nested trapezoid sums.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ from nozzleflow.diagnostics import WeakResidualRecord
 from nozzleflow.entropy import get_kernel
 
 
-def plain_weak_residual(history, g, profile, test_set, gen_set, n_nodes=64):
+def plain_weak_residual(history, g, profile, test_set, gen_set):
     t, x = history.t, history.x
     rho, m = history.rho, history.m
     A = np.asarray(profile.area(x), dtype=float)[None, :]
@@ -23,11 +23,11 @@ def plain_weak_residual(history, g, profile, test_set, gen_set, n_nodes=64):
     p = g.pressure_gamma(rho)
     mom_flux = m * u + p
 
-    kern = get_kernel(g, n_nodes)
+    kern = get_kernel(g)
     fields = []
     for gen in gen_set:
         eta, q = kern.pair(gen, rho, m)
-        eta_r, eta_m = kern.grad(gen, rho, m)
+        eta_r, eta_m = kern.pair_grad(gen, rho, m)[2:]
         fields.append((eta, q, eta_r, eta_m))
 
     def _integrate(vals):

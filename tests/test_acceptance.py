@@ -292,7 +292,7 @@ def test_12_schedule_certificates():
     ok = True
     worst_36 = 0.0
     for prof in profiles:
-        sched = make_default(prof, gamma=2.0, M_budget=10.0)
+        sched = make_default(prof, gamma=2.0)
         rep = certify(sched, prof, GasLaw(2.0))
         ok = ok and rep.passed
         if "eq_3_6_combined" in rep.max_per_quantity:

@@ -109,7 +109,7 @@ def test_integrability_constant_state():
     g = GasLaw(2.0, delta=0.2)
     rho_bar = 0.8
     snap = _constant_snapshots(rho_bar, 0.0, T=1.0)
-    rec = integrability_window(snap, g, (-1.0, 1.0))
+    rec = integrability_window(snap, g, (-1.0, 1.0), ConstantProfile(), 0.1)
     assert rec.rho_gamma_plus_one == pytest.approx(2.0 * rho_bar ** 3.0, rel=1e-12)
     assert rec.delta_rho_cubed == pytest.approx(2.0 * 0.2 * rho_bar ** 3, rel=1e-12)
     assert rec.rho_u_cubed == pytest.approx(0.0, abs=1e-15)
@@ -119,7 +119,7 @@ def test_integrability_constant_state():
 def test_integrability_vacuum_adjacent():
     g = GasLaw(2.0)
     snap = _constant_snapshots(1e-12, 0.0)
-    rec = integrability_window(snap, g, (-1.0, 1.0))
+    rec = integrability_window(snap, g, (-1.0, 1.0), ConstantProfile(), 0.1)
     assert rec.density_total < 1e-23
     assert rec.velocity_total < 1e-17
 
@@ -128,7 +128,7 @@ def test_integrability_window_validation():
     g = GasLaw(2.0)
     snap = _constant_snapshots(1.0, 0.0, K=(-1.0, 1.0))
     with pytest.raises(ConfigError):
-        integrability_window(snap, g, (-3.0, 1.0))
+        integrability_window(snap, g, (-3.0, 1.0), ConstantProfile(), 0.1)
 
 
 def test_snapshots_cover_a_window_between_nodes():
@@ -141,7 +141,8 @@ def test_snapshots_cover_a_window_between_nodes():
     field = FluidField(grid, np.ones(61), np.zeros(61))
     _, rep = run(field, g, ConstantProfile(), 0.1, _AT_REST, 0.1, hooks=rec)
     np.testing.assert_allclose(rep.snapshots.x[[0, -1]], [-0.8, 0.3])
-    integrability_window(rep.snapshots, g, (-0.75, 0.25))
+    integrability_window(rep.snapshots, g, (-0.75, 0.25), ConstantProfile(),
+                         0.1)
 
 
 def test_snapshots_keep_window_end_nodes_that_round_past_it():
@@ -159,7 +160,7 @@ def test_snapshots_keep_window_end_nodes_that_round_past_it():
     x = rep.snapshots.x
     assert abs(x[0] - K[0]) < 1e-12 and abs(x[-1] - K[1]) < 1e-12
     assert x.size == 11
-    integrability_window(rep.snapshots, g, K)
+    integrability_window(rep.snapshots, g, K, prof, 0.1)
     tests = default_test_functions(0.02, 0.18, K, nt=2, nx=2)
     weak = weak_residual(rep.snapshots, g, prof, tests, [gen_half_square()])
     assert np.all(np.isfinite(weak.entropy))

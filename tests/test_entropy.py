@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
-from nozzleflow.entropy import (EntropyKernel, ReferenceState, gauss_jacobi,
-                                gen_bump, gen_convex_spline, gen_custom,
-                                gen_half_signed_square, gen_half_square,
-                                gen_linear, gen_one, gen_quartic,
-                                gen_smoothed_abs, get_kernel,
+from nozzleflow.entropy import (EntropyGenerator, EntropyKernel,
+                                ReferenceState, gauss_jacobi, gen_bump,
+                                gen_convex_spline, gen_half_signed_square,
+                                gen_half_square, gen_linear, gen_one,
+                                gen_quartic, gen_smoothed_abs, get_kernel,
                                 kernel_total_mass, mechanical_energy,
                                 quartic_entropy, relative_energy_density,
                                 special_pair_check, special_pair_fields,
@@ -144,8 +144,9 @@ def test_pair_linearity_in_generator():
     rho, m = _states(rng, 30)
     e1, q1 = kern.pair(gen_linear(), rho, m)
     e2, q2 = kern.pair(gen_half_square(), rho, m)
-    combo = gen_custom("combo", lambda v: 2.0 * v + 3.0 * 0.5 * v * v,
-                       lambda v: 2.0 + 3.0 * v, lambda v: 3.0 * np.ones_like(v))
+    combo = EntropyGenerator("combo", lambda v: 2.0 * v + 3.0 * 0.5 * v * v,
+                             lambda v: 2.0 + 3.0 * v,
+                             lambda v: 3.0 * np.ones_like(v))
     e3, q3 = kern.pair(combo, rho, m)
     assert np.max(np.abs(e3 - (2 * e1 + 3 * e2))) < 1e-12 * np.max(np.abs(e3))
     assert np.max(np.abs(q3 - (2 * q1 + 3 * q2))) < 1e-12 * np.max(np.abs(q3))
@@ -195,7 +196,7 @@ def test_gradient_matches_finite_differences():
     rho, m = _states(rng, 40)
     h = 1e-6
     for gen in (gen_half_square(), gen_smoothed_abs(0.3, 0.4)):
-        er, em = kern.grad(gen, rho, m)
+        er, em = kern.pair_grad(gen, rho, m)[2:]
         e_p, _ = kern.pair(gen, rho + h, m)
         e_m, _ = kern.pair(gen, rho - h, m)
         fd_r = (e_p - e_m) / (2.0 * h)
@@ -220,8 +221,8 @@ def test_hessian_matches_finite_differences():
     em_, _ = kern.pair(gen_half_square(), rho - h, m)
     fd_rr = (ep - 2 * e0 + em_) / h ** 2
     assert np.max(np.abs(err - fd_rr) / np.maximum(np.abs(fd_rr), 1.0)) < 1e-5
-    gp, _ = kern.grad(gen_half_square(), rho, m + h)
-    gm, _ = kern.grad(gen_half_square(), rho, m - h)
+    gp = kern.pair_grad(gen_half_square(), rho, m + h)[2]
+    gm = kern.pair_grad(gen_half_square(), rho, m - h)[2]
     fd_rm = (gp - gm) / (2 * h)
     assert np.max(np.abs(erm - fd_rm) / np.maximum(np.abs(fd_rm), 1.0)) < 1e-6
     # half_square entropy equals c_lam * mechanical energy: check eta_mm
@@ -338,14 +339,15 @@ def test_convex_spline_kink_split_certifies():
     gen = gen_convex_spline(0.0, 1.0)
     rho = np.linspace(0.05, 3.0, 40)
     m = 0.4 * rho
-    eta, q = kern.pair_certified(gen, rho, m, rtol=1e-10)
+    eta, q = kern.pair_certified(gen, rho, m)
     assert np.all(np.isfinite(eta)) and np.all(np.isfinite(q))
 
 
 def test_certification_rejects_undeclared_discontinuity():
     g = GasLaw(2.0)
-    nasty = gen_custom("step", lambda v: np.sign(v), lambda v: np.zeros_like(v),
-                       lambda v: np.zeros_like(v))
+    nasty = EntropyGenerator("step", lambda v: np.sign(v),
+                             lambda v: np.zeros_like(v),
+                             lambda v: np.zeros_like(v))
     with pytest.raises(QuadratureError):
         weak_entropy_pair(g, nasty, 1.3, 0.4, max_nodes=256)
 
@@ -394,6 +396,39 @@ def test_relative_energy_density():
 # ---------------------------------------------------------------------------
 # the shifted (flux-dominating) pair
 # ---------------------------------------------------------------------------
+
+
+def _count_moments(monkeypatch):
+    calls = []
+    real = EntropyKernel.moments
+
+    def counted(self, gen, rho_f, m_f, max_order=0, n=None):
+        calls.append((rho_f.size, max_order))
+        return real(self, gen, rho_f, m_f, max_order, n)
+    monkeypatch.setattr(EntropyKernel, "moments", counted)
+    return calls
+
+
+def test_special_pair_check_takes_two_order_one_passes(monkeypatch):
+    # one on the states, one at the far state, whatever fields it reports
+    calls = _count_moments(monkeypatch)
+    rng = np.random.default_rng(8)
+    rho = rng.uniform(0.01, 3.0, 200)
+    m = rho * rng.uniform(-2.0, 2.0, 200)
+    rep = special_pair_check(GasLaw(2.0), ReferenceState(1.0, 0.5, 0.5, 0.0),
+                             rho, m, M=50.0)
+    assert rep.margins is not None and rep.n_points == 200
+    assert sorted(calls) == [(1, 1), (200, 1)]
+
+
+def test_pair_certified_evaluates_polynomial_generator_once(monkeypatch):
+    calls = _count_moments(monkeypatch)
+    rho, m = _states(np.random.default_rng(9), 30)
+    weak_entropy_pair(GasLaw(2.0), gen_quartic(), rho, m)
+    assert calls == [(30, 0)]
+    # a generator on quadrature nodes still doubles them
+    weak_entropy_pair(GasLaw(2.0), gen_smoothed_abs(), rho, m)
+    assert len(calls) >= 3
 
 
 def test_special_pair_vanishes_at_reference_velocity():

@@ -255,6 +255,16 @@ def test_cli_entropy_table(tmp_path):
     assert len(lines) == 2 + 64
 
 
+def test_cli_entropy_table_builds_every_generator(tmp_path):
+    from nozzleflow.entropy import GENERATOR_FACTORIES
+    for name in GENERATOR_FACTORIES:
+        out = tmp_path / f"{name}.csv"
+        assert cli_main(["entropy-table", "--gamma", "2.0", "--generator",
+                         name, "--n", "3", "--out", str(out)]) == 0, name
+        rows = np.loadtxt(out, delimiter=",", skiprows=2, ndmin=2)
+        assert rows.shape == (9, 4) and np.all(np.isfinite(rows)), name
+
+
 def test_cli_entropy_table_unknown_generator(tmp_path):
     rc = cli_main(["entropy-table", "--gamma", "2.0", "--generator", "nope"])
     assert rc == 2
@@ -344,12 +354,23 @@ _RUN_CFG = dict(gamma="2.0", profile="constant", bc="dirichlet_nozzle",
 
 @pytest.mark.parametrize("key,value", [
     ("profile_n", "3.0"), ("eps", "abc"), ("eps", "nan"), ("dx", "-1"),
-    ("dx", "10"), ("cfl", "5"), ("snapshots", "1")])
-def test_cli_bad_input_is_error_exit_2(tmp_path, capsys, key, value):
+    ("dx", "10"), ("cfl", "5"), ("snapshots", "1"), ("t_end", "0"),
+    ("kappa", "-2"), ("mollify_width", "-0.01"), ("blend_width", "-1"),
+    ("workers", "-1"), ("n_eps", "1")])
+def test_cli_bad_input_is_error_exit_2(tmp_path, capsys, monkeypatch, key,
+                                       value):
+    import nozzleflow.harness as harness
+
+    def no_rung(*args, **kwargs):
+        raise AssertionError("a sweep rung ran before the config was rejected")
+
+    monkeypatch.setattr(harness, "single_run", no_rung)
     values = dict(_RUN_CFG, output_dir=str(tmp_path / "out"), **{key: value})
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
-    assert cli_main(["run", str(cfg_path)]) == 2
+    # a sweep must reject a one-rung ladder before any rung runs
+    command = "sweep" if key == "n_eps" else "run"
+    assert cli_main([command, str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "out" / "report.csv").exists()
 
@@ -379,6 +400,26 @@ def test_single_run_builds_one_context(monkeypatch):
     out = single_run(cfg)
     assert "energy" in out.report.series and "quartic" in out.report.series
     assert len(builds) == 1
+
+
+def test_sweep_builds_the_gas_law_once_per_rung(monkeypatch, tmp_path):
+    # one per rung inside single_run plus one for the certificate; the
+    # integrability, weak-residual and CSV steps reuse each rung's gas law
+    builds = []
+    real = RunConfig.build_gas
+
+    def counted(self, eps=None):
+        builds.append(eps)
+        return real(self, eps)
+    monkeypatch.setattr(RunConfig, "build_gas", counted)
+    cfg = _tiny_sweep_config(weak_residuals=True,
+                             output_dir=str(tmp_path / "out"))
+    res = sweep(cfg)
+    write_sweep_outputs(res, cfg)
+    assert len(res.runs) == 3 and len(res.weak) == 3
+    assert len(builds) == 3 + 1
+    assert [r.g.delta for r in res.runs] == [real(cfg, e).delta
+                                             for e in res.eps_list]
 
 
 def test_sweep_window_must_fit_every_rung(monkeypatch):

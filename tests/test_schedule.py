@@ -56,7 +56,7 @@ def test_certify_passes_builtin_profiles():
                         (SphericalProfile(n_dim=3), 2.0),
                         (SphericalProfile(n_dim=4), 2.0),
                         (ConstantProfile(), 5.0), (GaussianBumpProfile(), 5.0)]:
-        s = make_default(prof, gamma=gamma, M_budget=10.0)
+        s = make_default(prof, gamma=gamma)
         rep = certify(s, prof, GasLaw(gamma))
         assert rep.passed, rep.summary()
 
