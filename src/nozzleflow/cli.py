@@ -5,13 +5,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from .entropy import GENERATOR_FACTORIES, get_kernel
 from .errors import ConfigError, NozzleflowError
-from .harness import (RunConfig, single_run, sweep, write_snapshot_csv,
+from .harness import (RunConfig, single_run, sweep, write_outputs,
                       write_sweep_outputs)
 from .schedule import certify
 from .thermo import GasLaw
@@ -24,16 +23,11 @@ def _check_lines(report) -> list[str]:
 
 def _cmd_run(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     result = single_run(cfg, label="run")
-    write_snapshot_csv(out / "final.csv", result.field, result.g,
-                       cfg.build_profile(), result.eps, cfg.bc, cfg.cfl)
-    result.report.to_csv(out / "report.csv")
     text = "\n".join([f"run finished at t={result.field.t:g} "
                       f"(eps={result.eps:g}, delta={result.g.delta:g})"]
                      + _check_lines(result.report))
-    (out / "summary.txt").write_text(text + "\n")
+    write_outputs(cfg, {"": result}, text)
     print(text)
     return 0 if result.report.all_checks_pass() else 1
 
@@ -44,9 +38,7 @@ def _cmd_sweep(args) -> int:
     out = write_sweep_outputs(result, cfg)
     print(result.summary())
     print(f"outputs in {out}")
-    ok = result.converging and result.certificate.passed \
-        and result.checks_pass and not result.failures
-    return 0 if ok else 1
+    return 0 if result.passed else 1
 
 
 def _cmd_check(args) -> int:

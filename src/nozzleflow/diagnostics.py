@@ -37,6 +37,10 @@ from .thermo import GasLaw
 # ---------------------------------------------------------------------------
 
 
+# a node within WINDOW_TOL of a window end counts as inside the window
+WINDOW_TOL = 1e-12
+
+
 @dataclass
 class SnapshotSet:
     """Fields sampled on a fixed grid at a set of times."""
@@ -47,10 +51,10 @@ class SnapshotSet:
     m: np.ndarray          # (nt, nx)
 
     def window(self, lo: float, hi: float) -> "SnapshotSet":
-        """Views of the nodes inside [lo, hi], a node within 1e-12 of an end
-        included; the rows stay contiguous."""
-        win = slice(np.searchsorted(self.x, lo - 1e-12),
-                    np.searchsorted(self.x, hi + 1e-12, side="right"))
+        """Views of the nodes inside [lo, hi], a node within WINDOW_TOL of an
+        end included; the rows stay contiguous."""
+        win = slice(np.searchsorted(self.x, lo - WINDOW_TOL),
+                    np.searchsorted(self.x, hi + WINDOW_TOL, side="right"))
         if win.stop - win.start < 2:
             raise ConfigError(f"window [{lo}, {hi}] holds fewer than 2 nodes")
         return SnapshotSet(self.t, self.x[win], self.rho[:, win], self.m[:, win])
@@ -226,7 +230,7 @@ def integrability_window(history: SnapshotSet, g: GasLaw, K,
     profile's A(x).
     """
     lo, hi = float(K[0]), float(K[1])
-    if not (history.x[0] - 1e-12 < lo < hi < history.x[-1] + 1e-12):
+    if not (history.x[0] - WINDOW_TOL < lo < hi < history.x[-1] + WINDOW_TOL):
         raise ConfigError(f"window [{lo}, {hi}] is not inside the stored grid")
     if len(history.t) < 2:
         raise ConfigError("integrability window needs at least 2 snapshot times")
@@ -443,10 +447,10 @@ class Recorder:
             raise ConfigError("field grid differs from the context's grid")
         if self._ctx is None:
             self._ctx = ctx
-            # the fewest nodes covering the window, to the consumers' 1e-12
+            # the fewest nodes covering the window, to the consumers' WINDOW_TOL
             lo, hi = opt.snapshot_window or (-np.inf, np.inf)
-            i0 = np.searchsorted(ctx.x, lo + 1e-12) - 1
-            i1 = np.searchsorted(ctx.x, hi - 1e-12, side="right") + 1
+            i0 = np.searchsorted(ctx.x, lo + WINDOW_TOL) - 1
+            i1 = np.searchsorted(ctx.x, hi - WINDOW_TOL, side="right") + 1
             self._snap = slice(max(i0, 0), i1)
             self._rho_tilde = float(np.min(field.rho))
         elif ctx is not self._ctx:

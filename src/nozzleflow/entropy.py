@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError, QuadratureError
-from .thermo import GasLaw
+from .thermo import GasLaw, _match
 
 # ---------------------------------------------------------------------------
 # Gauss-Jacobi rules (Golub-Welsch)
@@ -203,6 +203,12 @@ def smooth_bump(s):
     return val, val * (-2.0 * ss / np.maximum((1.0 - ss * ss) ** 2, 1e-300))
 
 
+def smoothstep(t):
+    """The C^2 ramp 10t^3 - 15t^4 + 6t^5 of t clipped to [0, 1]."""
+    t = np.clip(t, 0.0, 1.0)
+    return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
+
+
 def gen_bump(center: float = 0.0, width: float = 1.0) -> EntropyGenerator:
     """Compactly supported C-infinity bump exp(-1/(1-t^2)); not convex."""
     c, w = float(center), float(width)
@@ -271,13 +277,7 @@ class EntropyKernel:
         self.lam = g.lambda_exp
         self.theta = g.theta
         self.n_default = int(n_nodes)
-        self._rules: dict[tuple[float, float, int], tuple] = {}
-
-    def _rule(self, a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-        key = (a, b, n)
-        if key not in self._rules:
-            self._rules[key] = gauss_jacobi(n, a, b)
-        return self._rules[key]
+        self._rule = cache(gauss_jacobi)  # (n, a, b) -> (nodes, weights)
 
     def _pieces(self, ks: np.ndarray, n: int):
         """(S, W) for each piece between the breakpoints [-1, ks..., 1].
@@ -293,7 +293,7 @@ class EntropyKernel:
             lo_kink, hi_kink = j > 0, j < k
             a = 0.0 if hi_kink else lam
             b = 0.0 if lo_kink else lam
-            t, w = self._rule(a, b, n)
+            t, w = self._rule(n, a, b)
             lo = ks[:, j - 1:j] if lo_kink else -1.0
             hi = ks[:, j:j + 1] if hi_kink else 1.0
             half = 0.5 * (hi - lo)
@@ -377,7 +377,7 @@ class EntropyKernel:
         th = self.theta
         out = [rf * M[(0, 0)], mf * M[(0, 0)] + th * rf ** (1.0 + th) * M[(0, 1)]]
         if max_order:
-            u = np.where(rf > self.g.rho_floor, mf / np.maximum(rf, 1e-300), 0.0)
+            u = self.g.velocity(rf, mf)
             rt = rf ** th
             out += [M[(0, 0)] - u * M[(1, 0)] + th * rt * M[(1, 1)], M[(1, 0)]]
         if max_order == 2:
@@ -411,7 +411,7 @@ class EntropyKernel:
         if gen.poly:
             return self.pair(gen, rho, m)
         rf, mf, shape = _flat_states(rho, m)
-        u = np.where(rf > self.g.rho_floor, mf / np.maximum(rf, 1e-300), 0.0)
+        u = self.g.velocity(rf, mf)
         scale = rf * (1.0 + u * u + rf ** (2.0 * self.theta)) + 1e-300
         n = self.n_default
         eta_c, q_c = self.pair(gen, rf, mf, n)
@@ -493,34 +493,23 @@ class ReferenceState:
         return cls(rho_bar, u_bar, rho_bar, u_bar, L0)
 
     def _blend(self, x):
-        t = np.clip((np.asarray(x, dtype=float) + self.L0) / (2.0 * self.L0), 0.0, 1.0)
-        return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
+        return smoothstep((np.asarray(x, dtype=float) + self.L0) / (2.0 * self.L0))
 
     def rho_bar(self, x):
-        out = self.rho_minus + (self.rho_plus - self.rho_minus) * self._blend(x)
-        return out if np.ndim(x) else float(out)
+        return _match(x, self.rho_minus
+                      + (self.rho_plus - self.rho_minus) * self._blend(x))
 
     def u_bar(self, x):
-        out = self.u_minus + (self.u_plus - self.u_minus) * self._blend(x)
-        return out if np.ndim(x) else float(out)
+        return _match(x, self.u_minus + (self.u_plus - self.u_minus) * self._blend(x))
 
     def m_bar(self, x):
-        out = np.asarray(self.rho_bar(x)) * np.asarray(self.u_bar(x))
-        return out if np.ndim(x) else float(out)
+        return _match(x, np.asarray(self.rho_bar(x)) * np.asarray(self.u_bar(x)))
 
 
 def relative_energy_density(g: GasLaw, ref: ReferenceState, x, rho, m):
-    """rho|u - u_bar|^2/2 + h(rho) - h(rho_bar) - h'(rho_bar)(rho - rho_bar) >= 0."""
-    r = np.asarray(rho, dtype=float)
-    if np.any(r < 0.0):
-        raise DomainError("density must be nonnegative")
-    ma = np.asarray(m, dtype=float)
-    rb = np.asarray(ref.rho_bar(x), dtype=float)
-    ub = np.asarray(ref.u_bar(x), dtype=float)
-    pos = r > g.rho_floor
-    u = np.where(pos, ma / np.maximum(r, 1e-300), 0.0)
-    kinetic = np.where(pos, 0.5 * r * (u - ub) ** 2, 0.0)
-    out = kinetic + g.h_delta(r) - g.h_delta(rb) - g.h_delta_prime(rb) * (r - rb)
+    """The relative energy density (``GasLaw.relative_energy``) against the
+    reference state at x."""
+    out = g.relative_energy(rho, m, ref.rho_bar(x), ref.u_bar(x))
     scalar = not (np.ndim(x) or np.ndim(rho) or np.ndim(m))
     return float(out) if scalar else np.asarray(out)
 
@@ -600,7 +589,7 @@ def special_pair_check(g: GasLaw, ref: ReferenceState, rho, m,
     th = g.theta
     pos = rho_a > g.rho_floor
     rs = np.maximum(rho_a, 1e-300)
-    u = np.where(pos, m_a / rs, 0.0)
+    u = g.velocity(rho_a, m_a)
     du = np.abs(u - um)
     drt = np.abs(rho_a ** th - rm ** th)
     G1 = rho_a * du ** 2 + rho_a * drt ** 2

@@ -79,6 +79,14 @@ class NozzleProfile:
     def _dd_area(self, x):
         raise NotImplementedError
 
+    def _dlog(self, x):
+        return self._d_area(x) / self._area(x)
+
+    def _dlog_prime(self, x):
+        a = self._area(x)
+        g = self._d_area(x) / a
+        return self._dd_area(x) / a - g * g
+
     # -- public evaluations -------------------------------------------------
     def _check_domain(self, x) -> np.ndarray:
         xa = np.asarray(x, dtype=float)
@@ -90,34 +98,27 @@ class NozzleProfile:
                 f"({self.xmin}, {self.xmax})")
         return xa
 
-    def area(self, x):
-        xa = self._check_domain(x)
-        out = self._area(xa)
+    def _eval(self, fn, x):
+        """fn on the domain-checked nodes: a float for a scalar x."""
+        out = fn(self._check_domain(x))
         return out if np.ndim(x) else float(out)
+
+    def area(self, x):
+        return self._eval(self._area, x)
 
     def d_area(self, x):
-        xa = self._check_domain(x)
-        out = self._d_area(xa)
-        return out if np.ndim(x) else float(out)
+        return self._eval(self._d_area, x)
 
     def dd_area(self, x):
-        xa = self._check_domain(x)
-        out = self._dd_area(xa)
-        return out if np.ndim(x) else float(out)
+        return self._eval(self._dd_area, x)
 
     def dlog(self, x):
         """A'(x)/A(x)."""
-        xa = self._check_domain(x)
-        out = self._d_area(xa) / self._area(xa)
-        return out if np.ndim(x) else float(out)
+        return self._eval(self._dlog, x)
 
     def dlog_prime(self, x):
         """(A'/A)'(x) = A''/A - (A'/A)^2."""
-        xa = self._check_domain(x)
-        a = self._area(xa)
-        g = self._d_area(xa) / a
-        out = self._dd_area(xa) / a - g * g
-        return out if np.ndim(x) else float(out)
+        return self._eval(self._dlog_prime, x)
 
     # -- admissibility -------------------------------------------------------
     def _half_line_integrability(self) -> tuple[bool, bool]:
@@ -284,15 +285,11 @@ class SphericalProfile(NozzleProfile):
         n = self.n_dim
         return self.omega_n * (n - 1) * (n - 2) * x ** (n - 3)
 
-    def dlog(self, x):
-        xa = self._check_domain(x)
-        out = (self.n_dim - 1) / xa
-        return out if np.ndim(x) else float(out)
+    def _dlog(self, x):
+        return (self.n_dim - 1) / x
 
-    def dlog_prime(self, x):
-        xa = self._check_domain(x)
-        out = -(self.n_dim - 1) / (xa * xa)
-        return out if np.ndim(x) else float(out)
+    def _dlog_prime(self, x):
+        return -(self.n_dim - 1) / (x * x)
 
     def _half_line_integrability(self):
         # A'/A = (n-1)/x is unbounded toward the origin.

@@ -304,6 +304,7 @@ def _parse(key: str, raw: str, hint):
 class RunOutput:
     eps: float
     g: GasLaw                      # the run's gas law (delta from eps)
+    profile: NozzleProfile         # the profile the run stepped with
     field: FluidField
     report: DiagnosticsReport
     snapshots: Optional[SnapshotSet]
@@ -335,7 +336,7 @@ def single_run(cfg: RunConfig, eps: Optional[float] = None,
     rec = Recorder(cfg.t_end, ref=ref, options=opts, label=label)
     field, report = run(field, g, profile, eps, bc, cfg.t_end, hooks=rec,
                         cfl=cfg.cfl)
-    return RunOutput(eps=eps, g=g, field=field, report=report,
+    return RunOutput(eps=eps, g=g, profile=profile, field=field, report=report,
                      snapshots=report.snapshots, label=label)
 
 
@@ -396,6 +397,13 @@ class SweepResult:
     def checks_pass(self) -> bool:
         return all(r.report.all_checks_pass() for r in self.runs)
 
+    @property
+    def passed(self) -> bool:
+        """The sweep's verdict: converging, certified, every run's checks
+        pass and no rung failed (``nozzleflow sweep`` exits 0 exactly then)."""
+        return (self.converging and self.certificate.passed
+                and self.checks_pass and not self.failures)
+
     def summary(self) -> str:
         lines = [f"sweep over eps = {tuple(round(e, 6) for e in self.eps_list)}"]
         lines.append(self.certificate.summary())
@@ -417,14 +425,18 @@ class SweepResult:
         return "\n".join(lines)
 
 
+def _ratios(distances: np.ndarray) -> np.ndarray:
+    """Successive distance ratios d_{k+1} / d_k."""
+    return distances[1:] / np.maximum(distances[:-1], 1e-300)
+
+
 def _verdict(distances: np.ndarray) -> bool:
     """Cauchy verdict: successive ratios below 0.9, one violation allowed."""
     if len(distances) < 2:
         return True
     if np.max(distances) <= 1e-14:
         return True
-    ratios = distances[1:] / np.maximum(distances[:-1], 1e-300)
-    return int(np.sum(ratios >= 0.9)) <= 1
+    return int(np.sum(_ratios(distances) >= 0.9)) <= 1
 
 
 def _sweep_worker(args):
@@ -470,12 +482,9 @@ def sweep(cfg: RunConfig) -> SweepResult:
                                      for eps, msg in failures))
 
     K = (cfg.window_lo, cfg.window_hi)
-    d_rho = np.array([lp_distance(runs[k].snapshots, runs[k + 1].snapshots,
-                                  K, cfg.p_rho, "rho")
-                      for k in range(len(runs) - 1)])
-    d_m = np.array([lp_distance(runs[k].snapshots, runs[k + 1].snapshots,
-                                K, cfg.q_mom, "m")
-                    for k in range(len(runs) - 1)])
+    d_rho, d_m = (np.array([lp_distance(a.snapshots, b.snapshots, K, p, which)
+                            for a, b in zip(runs, runs[1:])])
+                  for p, which in ((cfg.p_rho, "rho"), (cfg.q_mom, "m")))
     integ = [integrability_window(r.snapshots, r.g, K, profile, r.eps)
              for r in runs]
     weak: list[WeakResidualRecord] = []
@@ -489,8 +498,7 @@ def sweep(cfg: RunConfig) -> SweepResult:
     return SweepResult(
         eps_list=sched.eps_list, certificate=cert, runs=runs,
         failures=failures, d_rho=d_rho, d_m=d_m,
-        ratios_rho=d_rho[1:] / np.maximum(d_rho[:-1], 1e-300),
-        ratios_m=d_m[1:] / np.maximum(d_m[:-1], 1e-300),
+        ratios_rho=_ratios(d_rho), ratios_m=_ratios(d_m),
         converging_rho=_verdict(d_rho), converging_m=_verdict(d_m),
         integrability=integ, weak=weak)
 
@@ -516,13 +524,21 @@ def write_snapshot_csv(path, field: FluidField, g: GasLaw,
                    fmt="%.12g", delimiter=",")
 
 
-def write_sweep_outputs(result: SweepResult, cfg: RunConfig) -> Path:
+def write_outputs(cfg: RunConfig, runs: dict, summary: str) -> Path:
+    """Write each run's final{suffix}.csv and report{suffix}.csv, for
+    ``runs`` mapping suffix -> RunOutput, then summary.txt, all under
+    ``cfg.output_dir``, which is created here."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    profile = cfg.build_profile()
-    for r in result.runs:
-        write_snapshot_csv(out / f"final_{r.label.replace('=', '_')}.csv",
-                           r.field, r.g, profile, r.eps, cfg.bc, cfg.cfl)
-        r.report.to_csv(out / f"report_{r.label.replace('=', '_')}.csv")
-    (out / "summary.txt").write_text(result.summary() + "\n")
+    for suffix, r in runs.items():
+        write_snapshot_csv(out / f"final{suffix}.csv", r.field, r.g,
+                           r.profile, r.eps, cfg.bc, cfg.cfl)
+        r.report.to_csv(out / f"report{suffix}.csv")
+    (out / "summary.txt").write_text(summary + "\n")
     return out
+
+
+def write_sweep_outputs(result: SweepResult, cfg: RunConfig) -> Path:
+    return write_outputs(
+        cfg, {f"_{r.label.replace('=', '_')}": r for r in result.runs},
+        result.summary())

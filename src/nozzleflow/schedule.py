@@ -80,7 +80,7 @@ class CertificateRow:
     quantities: dict
 
     def worst(self) -> float:
-        return max(self.quantities.values())
+        return float(np.max(list(self.quantities.values())))
 
 
 @dataclass(frozen=True)
@@ -93,18 +93,20 @@ class CertificateReport:
 
     @property
     def passed(self) -> bool:
-        return all(v <= self.M_budget for v in self.max_per_quantity.values())
+        return not self.failing()
 
     def failing(self) -> dict:
+        """The quantities above the budget; a NaN quantity is one of them."""
         return {k: v for k, v in self.max_per_quantity.items()
-                if v > self.M_budget}
+                if not v <= self.M_budget}
 
     def summary(self) -> str:
+        failing = self.failing()
         lines = [f"schedule certificate ({'spherical' if self.spherical else 'duct'} "
                  f"mode, budget M = {self.M_budget:g}): "
-                 f"{'PASS' if self.passed else 'FAIL'}"]
+                 f"{'FAIL' if failing else 'PASS'}"]
         for key, val in sorted(self.max_per_quantity.items()):
-            mark = "ok " if val <= self.M_budget else "HIGH"
+            mark = "HIGH" if key in failing else "ok "
             lines.append(f"  [{mark}] sup_k {key} = {val:.6g}")
         for key in self.skipped:
             lines.append(f"  [skip] {key}")
@@ -129,8 +131,8 @@ def certify(sched: ViscositySchedule, profile: NozzleProfile,
     Spherical mode checks eps|b-a|, rho_bar^gamma b^n and (delta/eps) b^n.
     """
     rows = []
-    skipped: list[str] = []
     mode_spherical = sched.spherical or profile.kind is ProfileKind.SPHERICAL
+    singular = not mode_spherical and abs(g.gamma - 2.0) <= 1e-12
     for eps in sched.eps_list:
         a, b = sched.a_of(eps), sched.b_of(eps)
         delta = sched.delta_of(eps)
@@ -152,19 +154,19 @@ def certify(sched: ViscositySchedule, profile: NozzleProfile,
             quant["delta_inv_eps_area_abeta"] = (
                 delta / eps * supA * abs(a) ** sched.beta_max * _sup(A ** exp1))
             quant["delta_inv_eps_area_a"] = delta / eps * supA * abs(a)
-            if abs(g.gamma - 2.0) > 1e-12:
+            if not singular:
                 exp2 = -4.0 / (2.0 * g.gamma - 4.0)
                 quant["delta_area_a2_negexp"] = (
                     delta * supA * abs(a) ** 2 * _sup(A ** exp2))
             quant["eq_3_6_combined"] = eps * (1.0 + sup_glp) * abs(b - a)
         rows.append(CertificateRow(eps=eps, quantities=quant))
-    if not mode_spherical and abs(g.gamma - 2.0) <= 1e-12:
-        skipped.append("delta_area_a2_negexp (exponent -4/(2 gamma - 4) "
-                       "singular at gamma = 2)")
+    skipped = ("delta_area_a2_negexp (exponent -4/(2 gamma - 4) singular at "
+               "gamma = 2)",) if singular else ()
     keys = rows[0].quantities.keys()
-    max_per = {k: max(r.quantities[k] for r in rows) for k in keys}
+    # np.max keeps a NaN of any rung, which then fails the certificate
+    max_per = {k: float(np.max([r.quantities[k] for r in rows])) for k in keys}
     return CertificateReport(rows=tuple(rows), max_per_quantity=max_per,
-                             M_budget=sched.M_budget, skipped=tuple(skipped),
+                             M_budget=sched.M_budget, skipped=skipped,
                              spherical=mode_spherical)
 
 

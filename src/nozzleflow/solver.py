@@ -41,6 +41,7 @@ from scipy.linalg.lapack import dgtsv
 
 from .errors import (CavitationError, ConfigError, DomainError, NonFiniteError,
                      SolverError, StabilityError)
+from .entropy import smooth_bump, smoothstep
 from .geometry import NozzleProfile
 from .thermo import GasLaw
 
@@ -119,24 +120,18 @@ class BoundarySpec:
     @classmethod
     def dirichlet_nozzle(cls, rho_minus: BCValue, m_minus: BCValue,
                          rho_plus: BCValue, m_plus: BCValue) -> "BoundarySpec":
-        spec = cls(BCMode.DIRICHLET_NOZZLE, rho_minus, m_minus, rho_plus, m_plus)
-        spec._validate_positive()
-        return spec
+        return cls(BCMode.DIRICHLET_NOZZLE, rho_minus, m_minus, rho_plus, m_plus)
 
     @classmethod
     def dirichlet_spherical(cls, rho_bar: BCValue) -> "BoundarySpec":
-        spec = cls(BCMode.DIRICHLET_SPHERICAL, rho_bar, 0.0, rho_bar, 0.0)
-        spec._validate_positive()
-        return spec
+        return cls(BCMode.DIRICHLET_SPHERICAL, rho_bar, 0.0, rho_bar, 0.0)
 
     @classmethod
     def neumann_spherical(cls, rho_bar: BCValue) -> "BoundarySpec":
         # left end: rho_x = 0 (mirror), m = 0; right end: Dirichlet (rho_bar, 0)
-        spec = cls(BCMode.NEUMANN_SPHERICAL, None, 0.0, rho_bar, 0.0)
-        spec._validate_positive()
-        return spec
+        return cls(BCMode.NEUMANN_SPHERICAL, None, 0.0, rho_bar, 0.0)
 
-    def _validate_positive(self):
+    def __post_init__(self):
         for v in (self.rho_left, self.rho_right):
             if v is not None and not callable(v) and v <= 0.0:
                 raise ConfigError("Dirichlet boundary densities must be positive")
@@ -302,6 +297,13 @@ class SolverContext:
         """max(|u| + c) over the window and the far states outside it."""
         lam = self.max_wave_speed(rho[lo:hi], m[lo:hi])
         return lam if hi - lo == rho.size else max(lam, self.far_speed)
+
+    def stable_window(self, rho: np.ndarray, m: np.ndarray, dt: float,
+                      cfl: float, forced: bool) -> tuple[int, int, float]:
+        """(lo, hi, bound): the window a step of size dt advances (the whole
+        grid when forced) and the advective bound cfl dx / max(|u| + c)."""
+        lo, hi = (0, rho.size) if forced else self.active_window(rho, m, dt)
+        return lo, hi, cfl * self.dx / self.wave_speed(rho, m, lo, hi)
 
     def require(self, grid: Grid, g: GasLaw, profile: NozzleProfile,
                 eps: float, bc: BoundarySpec) -> None:
@@ -508,9 +510,8 @@ def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
         raise StabilityError("dt must be positive")
     rho, m = field.rho, field.m
     n = rho.size
-    lo, hi = (0, n) if forcing is not None else ctx.active_window(rho, m, dt)
+    lo, hi, bound = ctx.stable_window(rho, m, dt, cfl, forcing is not None)
     win = slice(lo, hi)
-    bound = cfl * ctx.dx / ctx.wave_speed(rho, m, lo, hi)
     if dt > bound * (1.0 + 1e-9):
         raise StabilityError(
             f"dt={dt:.3e} exceeds the advective bound {bound:.3e}")
@@ -600,15 +601,13 @@ def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
             hooks.sample(field, ctx)
             targets = targets[1:]
     k = 0
-    n = field.grid.n_nodes
     while field.t < t_end - 1e-13 * max(1.0, t_end):
         if k >= MAX_STEPS:
             raise SolverError(f"exceeded {MAX_STEPS} steps before t_end")
         dt = dt_fixed
         if dt is None:
-            lo, hi = (0, n) if forcing is not None else \
-                ctx.active_window(field.rho, field.m, 0.0)
-            dt = cfl * ctx.dx / ctx.wave_speed(field.rho, field.m, lo, hi)
+            dt = ctx.stable_window(field.rho, field.m, 0.0, cfl,
+                                   forcing is not None)[2]
         t_next = targets[0] if targets else t_end
         t_next = min(t_next, t_end)
         snap = False
@@ -646,8 +645,7 @@ def _mollify(values: np.ndarray, width: float, dx: float) -> np.ndarray:
     if width <= dx:
         return values.copy()
     half = int(np.ceil(width / dx))
-    s = np.linspace(-1.0, 1.0, 2 * half + 1)
-    kern = np.where(np.abs(s) < 1.0, np.exp(-1.0 / np.maximum(1.0 - s * s, 1e-12)), 0.0)
+    kern = smooth_bump(np.linspace(-1.0, 1.0, 2 * half + 1))[0]
     kern /= kern.sum()
     padded = np.concatenate([np.full(half, values[0]), values,
                              np.full(half, values[-1])])
@@ -684,29 +682,24 @@ def prepare_initial_data(raw: InitialData, bc: BoundarySpec, g: GasLaw,
     lift = max(g.rho_floor, 1e-4 * min(rho_l, rho_r))
     rho_s = np.maximum(rho_s, lift)
 
-    if raw.blend_width > 0.0:
-        for end, (rv, mv) in (("left", (rho_l, m_l)), ("right", (rho_r, m_r))):
-            d = (x - grid.a) if end == "left" else (grid.b - x)
-            tt = np.clip((d - 0.5 * raw.blend_width) / (0.5 * raw.blend_width),
-                         0.0, 1.0)
-            w = 1.0 - tt * tt * tt * (tt * (6.0 * tt - 15.0) + 10.0)
-            if end == "left" and bc.mode is BCMode.NEUMANN_SPHERICAL:
-                m_s = (1.0 - w) * m_s + w * mv  # momentum only at the axis end
-            else:
-                rho_s = (1.0 - w) * rho_s + w * rv
-                m_s = (1.0 - w) * m_s + w * mv
-    else:
-        if bc.mode is not BCMode.NEUMANN_SPHERICAL:
-            rho_s[0], m_s[0] = rho_l, m_l
+    # weight w of the boundary values: 1 within blend_width/2 of the end (at
+    # the end node alone for a zero width), smoothly down to 0 at blend_width
+    half = 0.5 * raw.blend_width
+    axis = bc.mode is BCMode.NEUMANN_SPHERICAL
+    for d, rv, mv, pin_rho in ((x - grid.a, rho_l, m_l, not axis),
+                               (grid.b - x, rho_r, m_r, True)):
+        if half > 0.0:
+            w = 1.0 - smoothstep((d - half) / half)
         else:
-            m_s[0] = m_l
-        rho_s[-1], m_s[-1] = rho_r, m_r
+            w = (d <= 0.0).astype(float)
+        m_s = (1.0 - w) * m_s + w * mv
+        if pin_rho:  # the axis end pins only the momentum
+            rho_s = (1.0 - w) * rho_s + w * rv
 
     # relative-energy distortion gate, measured against a bc-implied reference
     mid = 0.5 * (grid.a + grid.b)
     halo = max(span / 8.0, 2.0 * grid.dx)
-    tt = np.clip((x - (mid - halo)) / (2.0 * halo), 0.0, 1.0)
-    blend = tt * tt * tt * (tt * (6.0 * tt - 15.0) + 10.0)
+    blend = smoothstep((x - (mid - halo)) / (2.0 * halo))
     rb = rho_l + (rho_r - rho_l) * blend
     ub_l = m_l / rho_l
     ub_r = m_r / rho_r
@@ -714,11 +707,7 @@ def prepare_initial_data(raw: InitialData, bc: BoundarySpec, g: GasLaw,
     A = profile.area(x)
 
     def _rel_energy(rr, mm):
-        pos = rr > g.rho_floor
-        u = np.where(pos, mm / np.maximum(rr, g.rho_floor), 0.0)
-        dens = (np.where(pos, 0.5 * rr * (u - ub) ** 2, 0.0)
-                + g.h_delta(rr) - g.h_delta(rb) - g.h_delta_prime(rb) * (rr - rb))
-        return float(np.trapezoid(dens * A, x))
+        return float(np.trapezoid(g.relative_energy(rr, mm, rb, ub) * A, x))
 
     e_raw = _rel_energy(np.maximum(rho, lift), m)
     e_out = _rel_energy(rho_s, m_s)

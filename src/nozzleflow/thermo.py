@@ -81,15 +81,14 @@ class GasLaw:
         r = self._rho(rho)
         return _match(rho, self.kappa * r ** self.gamma)
 
+    def _p_prime(self, r):
+        return self.kappa * self.gamma * r ** (self.gamma - 1.0) + 2.0 * self.delta * r
+
     def pressure_prime(self, rho):
-        r = self._rho(rho)
-        return _match(rho, self.kappa * self.gamma * r ** (self.gamma - 1.0)
-                      + 2.0 * self.delta * r)
+        return _match(rho, self._p_prime(self._rho(rho)))
 
     def sound_speed(self, rho):
-        r = self._rho(rho)
-        return _match(rho, np.sqrt(self.kappa * self.gamma * r ** (self.gamma - 1.0)
-                                   + 2.0 * self.delta * r))
+        return _match(rho, np.sqrt(self._p_prime(self._rho(rho))))
 
     # -- internal energy -----------------------------------------------------
     def h_delta(self, rho):
@@ -117,9 +116,7 @@ class GasLaw:
 
     # -- wave variable R and invariants ---------------------------------------
     def _r_integrand_log(self, y: float) -> float:
-        s = np.exp(y)
-        return np.sqrt(self.kappa * self.gamma * s ** (self.gamma - 1.0)
-                       + 2.0 * self.delta * s)
+        return np.sqrt(self._p_prime(np.exp(y)))
 
     def _riemann_quad(self, rho: float) -> float:
         if rho <= 0.0:
@@ -147,6 +144,10 @@ class GasLaw:
             seg, _ = quad(self._r_integrand_log, y[k - 1], y[k],
                           epsabs=1e-13, epsrel=1e-12, limit=200)
             vals[k] = vals[k - 1] + seg
+        if not np.all(np.isfinite(vals)):
+            raise QuadratureError(
+                f"wave-variable table overflows for gamma = {self.gamma:g}: "
+                f"R(rho) is not finite on [{nodes[0]:g}, {nodes[-1]:g}]")
         table = PchipInterpolator(y, np.log(vals), extrapolate=False)
         probe = np.geomspace(3e-9, 3e3, 13)
         for r in probe:
@@ -208,3 +209,12 @@ class GasLaw:
         ma = np.asarray(m, dtype=float)
         out = np.where(r > self.rho_floor, ma / np.maximum(r, self.rho_floor), 0.0)
         return out if (np.ndim(rho) or np.ndim(m)) else float(out)
+
+    def relative_energy(self, rho, m, rho_bar, u_bar):
+        """rho|u - u_bar|^2/2 + h(rho) - h(rho_bar) - h'(rho_bar)(rho - rho_bar) >= 0,
+        the relative mechanical energy density against (rho_bar, u_bar)."""
+        r = self._rho(rho)
+        kinetic = np.where(r > self.rho_floor,
+                           0.5 * r * (self.velocity(r, m) - u_bar) ** 2, 0.0)
+        return (kinetic + self.h_delta(r) - self.h_delta(rho_bar)
+                - self.h_delta_prime(rho_bar) * (r - rho_bar))

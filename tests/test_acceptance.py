@@ -236,7 +236,7 @@ def test_09_cauchy_convergence(sweep_gamma2, sweep_gamma5):
     ok = True
     details = []
     for label, res in (("gamma=2", sweep_gamma2), ("gamma=5", sweep_gamma5)):
-        ok = ok and res.converging_rho and res.converging_m and not res.failures
+        ok = ok and res.passed  # also the exit status of nozzleflow sweep
         details.append(f"{label}: rho ratios {np.round(res.ratios_rho, 3)}, "
                        f"m ratios {np.round(res.ratios_m, 3)}")
     _verdict(9, "L1 distances Cauchy; " + "; ".join(details), ok)

@@ -17,16 +17,22 @@ def _snap(rng, nt=7, nx=41, K=(-2.0, 2.0), T=1.0, shift=0.0):
     return SnapshotSet(t, x, rho, m)
 
 
+_TINY_SWEEP = dict(
+    gamma=2.0, profile="constant", bc="dirichlet_nozzle",
+    rho_minus=1.0, rho_plus=0.125, u_minus=0.0, u_plus=0.0,
+    init="riemann", blend_width=1.0,
+    t_end=0.2, dx=1.0 / 32.0, eps0=0.1, n_eps=3, snapshots=9,
+    window_lo=-1.0, window_hi=1.0, workers=1,
+)
+
+
 def _tiny_sweep_config(**over):
-    base = dict(
-        gamma=2.0, profile="constant", bc="dirichlet_nozzle",
-        rho_minus=1.0, rho_plus=0.125, u_minus=0.0, u_plus=0.0,
-        init="riemann", blend_width=1.0,
-        t_end=0.2, dx=1.0 / 32.0, eps0=0.1, n_eps=3, snapshots=9,
-        window_lo=-1.0, window_hi=1.0, workers=1,
-    )
-    base.update(over)
-    return RunConfig.from_mapping(base)
+    return RunConfig.from_mapping(dict(_TINY_SWEEP, **over))
+
+
+def _write_cfg(path, values):
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -483,3 +489,72 @@ def test_spherical_far_state_follows_the_rung():
     x = np.linspace(0.1, 10.0, 7)
     assert np.array_equal(cfg.build_initial(0.1).rho0(x), np.full(7, rho_bc))
     assert cfg.build_reference(0.1).rho_bar(1.0) == rho_bc
+
+
+# ---------------------------------------------------------------------------
+# verdicts and run files, each with one owner
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("over,passed", [
+    ({}, True),
+    # eps |b - a| = 2 exceeds the budget; force runs the ladder anyway
+    (dict(M_budget=0.5, force=True), False)])
+def test_sweep_passed_is_the_cli_exit_status(tmp_path, monkeypatch, over,
+                                             passed):
+    import nozzleflow.cli as cli
+    results = []
+    real = cli.sweep
+
+    def captured(cfg):
+        results.append(real(cfg))
+        return results[-1]
+    monkeypatch.setattr(cli, "sweep", captured)
+    cfg_path = _write_cfg(tmp_path / "sweep.cfg", dict(
+        _TINY_SWEEP, output_dir=tmp_path / "out", **over))
+    rc = cli_main(["sweep", str(cfg_path)])
+    res, = results
+    assert res.passed is passed
+    assert res.certificate.passed is passed and res.converging
+    assert rc == (0 if res.passed else 1)
+
+
+def test_cli_rejected_run_leaves_no_output_dir(tmp_path, capsys):
+    # fewer than 8 cells: single_run rejects the grid
+    cfg_path = _write_cfg(tmp_path / "bad.cfg", dict(
+        _RUN_CFG, dx="10", output_dir=tmp_path / "out"))
+    assert cli_main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_gamma_beyond_the_wave_table_is_error_exit_2(tmp_path, capsys):
+    # the Riemann check is on by default and delta comes from the ladder rule
+    cfg_path = _write_cfg(tmp_path / "g100.cfg", dict(
+        gamma="100", output_dir=tmp_path / "out"))
+    with np.errstate(over="ignore"):
+        assert cli_main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "gamma = 100" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_files_use_the_run_profile(tmp_path, monkeypatch):
+    # the writer reads RunOutput.profile: one profile build per run
+    builds = []
+    real = RunConfig.build_profile
+
+    def counted(self):
+        builds.append(1)
+        return real(self)
+    monkeypatch.setattr(RunConfig, "build_profile", counted)
+    cfg_path = _write_cfg(tmp_path / "run.cfg", dict(
+        _RUN_CFG, profile="gaussian_bump", output_dir=tmp_path / "out"))
+    assert cli_main(["run", str(cfg_path)]) == 0
+    assert len(builds) == 1
+    final = np.loadtxt(tmp_path / "out" / "final.csv", delimiter=",",
+                       skiprows=3)
+    profile = real(RunConfig.from_file(cfg_path))
+    assert np.allclose(final[:, 4], profile.area(final[:, 0]), rtol=1e-11)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "final.csv", "report.csv", "summary.txt"]

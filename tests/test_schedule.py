@@ -1,9 +1,14 @@
+import math
+
+import numpy as np
 import pytest
 
 from nozzleflow.errors import ConfigError
 from nozzleflow.geometry import (ConstantProfile, ExponentialProfile,
-                                 GaussianBumpProfile, SphericalProfile)
-from nozzleflow.schedule import ViscositySchedule, certify, make_default
+                                 GaussianBumpProfile, PowerLawClosingProfile,
+                                 SphericalProfile)
+from nozzleflow.schedule import (CertificateReport, ViscositySchedule, certify,
+                                 make_default)
 from nozzleflow.thermo import GasLaw
 
 
@@ -99,3 +104,24 @@ def test_spherical_certificate_quantities():
                                          "delta_volume"}
     # default rho_bar rule makes rho_bar^gamma b^n identically one
     assert rep.max_per_quantity["rho_bar_pressure_volume"] == pytest.approx(1.0)
+
+
+def test_certificate_nan_quantity_fails_and_is_named():
+    rep = CertificateReport(rows=(), max_per_quantity={
+        "finite_ok": 1.0, "undefined": math.nan, "large": 20.0},
+        M_budget=10.0, skipped=(), spherical=False)
+    assert not rep.passed
+    assert set(rep.failing()) == {"undefined", "large"}
+    assert "[HIGH] sup_k undefined = nan" in rep.summary()
+
+
+def test_certificate_keeps_a_nan_of_a_later_rung():
+    # A = (1 + x^2)^-60 underflows to 0 on the eps = 0.001 rung's domain, so
+    # (A'/A)' is NaN there; the eps = 0.01 rung is finite
+    with np.errstate(all="ignore"):
+        rep = certify(ViscositySchedule((0.01, 0.001), q=5.0),
+                      PowerLawClosingProfile(60.0), GasLaw(2.0))
+    assert math.isfinite(rep.rows[0].quantities["eq_3_6_combined"])
+    assert math.isnan(rep.rows[1].quantities["eq_3_6_combined"])
+    assert math.isnan(rep.failing()["eq_3_6_combined"])
+    assert math.isnan(rep.rows[1].worst())

@@ -208,6 +208,30 @@ def test_prepare_initial_data_energy_ratio():
     assert 0.95 <= ratio <= 1.05
 
 
+def test_prepare_zero_blend_pins_only_the_end_nodes():
+    # blend_width = 0: each end node takes the boundary values, every other
+    # node keeps the mollified data; the axis end pins only the momentum
+    from nozzleflow.solver import _mollify
+    g = GasLaw(2.0, delta=1e-4)
+    grid = Grid(0.1, 4.0, 64)
+    x = grid.x
+    rho_s = _mollify(1.0 + 0.1 * np.sin(x), 0.1, grid.dx)
+    m_s = _mollify(0.05 * np.cos(x), 0.1, grid.dx)
+    for bc, prof in ((BoundarySpec.dirichlet_nozzle(0.9, 0.02, 1.2, -0.03),
+                      ConstantProfile()),
+                     (BoundarySpec.neumann_spherical(1.1), SphericalProfile(3))):
+        raw = InitialData(lambda x: 1.0 + 0.1 * np.sin(x),
+                          lambda x: 0.05 * np.cos(x),
+                          mollify_width=0.1, blend_width=0.0)
+        f = prepare_initial_data(raw, bc, g, prof, grid)
+        rho_l, m_l = bc.left_values(0.0)
+        rho_r, m_r = bc.right_values(0.0)
+        assert f.rho[0] == (rho_s[0] if rho_l is None else rho_l)
+        assert (f.m[0], f.rho[-1], f.m[-1]) == (m_l, rho_r, m_r)
+        assert np.array_equal(f.rho[1:-1], rho_s[1:-1])
+        assert np.array_equal(f.m[1:-1], m_s[1:-1])
+
+
 def test_prepare_blend_width_gate():
     g = GasLaw(2.0)
     prof = ConstantProfile()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nozzleflow.errors import DomainError
+from nozzleflow.errors import DomainError, QuadratureError
 from nozzleflow.thermo import GasLaw, default_kappa
 
 
@@ -91,6 +91,14 @@ def test_riemann_R_table_matches_direct():
     tab = g.riemann_R_table(pts)
     direct = np.array([g.riemann_R(float(p)) for p in pts])
     assert np.max(np.abs(tab - direct) / (1.0 + direct)) < 1e-7
+
+
+def test_riemann_table_overflow_is_a_quadrature_error():
+    # rho^(gamma-1) leaves the float range inside the table's rho <= 1e4
+    g = GasLaw(100.0, delta=1e-4)
+    with np.errstate(over="ignore"), \
+            pytest.raises(QuadratureError, match="gamma = 100"):
+        g.riemann_invariants(np.array([0.5, 1.0]), np.zeros(2))
 
 
 def test_riemann_R_derivative_identity():
