@@ -9,9 +9,12 @@ entropy inequality for convex generators).
 
 The per-sample monitors read the grid, gas law, eps and fixed geometry
 (A, A'/A, (A'/A)') from the SolverContext that ``run`` steps with and hands
-to ``Recorder.sample``; none of them evaluates the profile.  The weak
-residuals contract the tensor-product test functions with small matrix
-products and evaluate the entropy kernel once per state they see.
+to ``Recorder.sample``; none of them evaluates the profile.  A sample
+evaluates only the context's hull (the nodes a step has moved) plus the
+monitors' stencil; the frozen exterior's terms come from a per-run table
+filled by the first, whole-grid sample.  The weak residuals contract the
+tensor-product test functions with small matrix products and evaluate the
+entropy kernel once per state they see.
 """
 
 from __future__ import annotations
@@ -87,6 +90,7 @@ class DiagnosticsReport:
     series: dict = dc_field(default_factory=dict)
     undershoots: int = 0
     cells_advanced: int = 0        # node updates summed over the run's steps
+    hull: tuple = (0, 0)           # nodes [lo, hi) some step advanced
     checks: dict = dc_field(default_factory=dict)
     notes: list = dc_field(default_factory=list)
     snapshots: Optional[SnapshotSet] = None
@@ -102,6 +106,7 @@ class DiagnosticsReport:
             fh.write(f"# diagnostics report label={self.label}\n")
             fh.write(f"# undershoots={self.undershoots}\n")
             fh.write(f"# cells_advanced={self.cells_advanced}\n")
+            fh.write(f"# hull={self.hull[0]},{self.hull[1]}\n")
             for key, val in sorted(self.checks.items()):
                 fh.write(f"# check {key} = {'pass' if val else 'FAIL'}\n")
             for note in self.notes:
@@ -122,53 +127,84 @@ for _name, _ in SERIES:
 # ---------------------------------------------------------------------------
 
 
-def energy_budget(ctx: SolverContext, field: FluidField,
-                  ref: ReferenceState) -> tuple[float, dict]:
+# Each monitor evaluates the items (trapezoid intervals, llf interfaces or
+# nodes) of a node range [lo, hi), by default the whole grid.  Given ``out``,
+# a row per result over all the grid's items, it writes the range's terms
+# into it and reduces whole rows: the Recorder's frozen exterior.
+Nodes = Optional[tuple[int, int]]
+
+
+def _place(terms: np.ndarray, start: int, out: Optional[np.ndarray]):
+    """``out`` with ``terms`` written from item ``start`` on, else ``terms``."""
+    if out is None:
+        return terms
+    out[..., start:start + terms.shape[-1]] = terms
+    return out
+
+
+def _integral(y: np.ndarray, x: np.ndarray, start: int, out=None) -> float:
+    """np.trapezoid(y, x) on the nodes from ``start`` on, as a sum of its
+    interval terms: those of the whole ``out`` row once they are in it."""
+    return float(np.sum(_place(np.diff(x) * (y[1:] + y[:-1]) / 2.0, start,
+                               out)))
+
+
+def energy_budget(ctx: SolverContext, field: FluidField, ref: ReferenceState,
+                  nodes: Nodes = None, out=None) -> tuple[float, dict]:
     """Relative energy E and the instantaneous dissipation-rate components.
 
     E integrates the relative energy density against A(x) dx (trapezoid).
     The dissipation rate integrates eps*(h''(rho) rho_x^2 + rho u_x^2 + geo)
     with centered differences; the geometric piece is (n-1) rho u^2 / x^2 in
     the spherical geometry and |(A'/A)' rho u (u - u_bar)| otherwise.
+    ``out`` has a row for each of the three.
     """
-    g, profile, x, A = ctx.g, ctx.profile, ctx.x, ctx.A
-    dens = relative_energy_density(g, ref, x, field.rho, field.m)
-    E = float(np.trapezoid(dens * A, x))
-
-    u = field.velocity(g)
-    rho_x = np.gradient(field.rho, ctx.dx)
+    g, profile, n = ctx.g, ctx.profile, ctx.grid.n_nodes
+    lo, hi = nodes or (0, n)
+    ext = slice(max(lo - 1, 0), min(hi + 1, n))  # the gradients read +-1
+    core = slice(lo - ext.start, hi - ext.start)
+    x, A, rho, m = ctx.x[ext], ctx.A[ext], field.rho[ext], field.m[ext]
+    dens = relative_energy_density(g, ref, x, rho, m)
+    u = g.velocity(rho, m)
+    rho_x = np.gradient(rho, ctx.dx)
     u_x = np.gradient(u, ctx.dx)
-    hess = g.h_delta_second(np.maximum(field.rho, g.rho_floor)) * rho_x ** 2 \
-        + field.rho * u_x ** 2
+    hess = g.h_delta_second(np.maximum(rho, g.rho_floor)) * rho_x ** 2 \
+        + rho * u_x ** 2
     if profile.kind is ProfileKind.SPHERICAL:
-        geo = (profile.n_dim - 1) * field.rho * u * u / (x * x)
+        geo = (profile.n_dim - 1) * rho * u * u / (x * x)
     else:
-        ub = ref.u_bar(x)
-        geo = np.abs(ctx.dG * field.rho * u * (u - ub))
-    rate_h = ctx.eps * float(np.trapezoid(hess * A, x))
-    rate_g = ctx.eps * float(np.trapezoid(geo * A, x))
+        geo = np.abs(ctx.dG[ext] * rho * u * (u - ref.u_bar(x)))
+    rows = [None] * 3 if out is None else out
+    E, rate_h, rate_g = (_integral(f[core] * A[core], x[core], lo, row)
+                         for f, row in zip((dens, hess, geo), rows))
+    rate_h, rate_g = ctx.eps * rate_h, ctx.eps * rate_g
     return E, {"rate_hessian": rate_h, "rate_geometric": rate_g,
                "rate_total": rate_h + rate_g}
 
 
-def llf_dissipation_rate(ctx: SolverContext, field: FluidField) -> float:
+def llf_dissipation_rate(ctx: SolverContext, field: FluidField,
+                         nodes: Nodes = None, out=None) -> float:
     """Energy drain of the interface dissipation (scheme-internal estimate).
 
     Sums alpha/2 * A * (jump of grad eta_bar) . (jump of state) over the
-    interfaces; nonnegative by convexity.  Heuristic in the sense that it
-    describes the scheme, not the equations.
+    interfaces around the nodes, ghost faces included; nonnegative by
+    convexity.  Heuristic in the sense that it describes the scheme, not the
+    equations.
     """
-    data = hyperbolic_interface_data(ctx, field.rho, field.m, field.t)
+    lo, hi = nodes or (0, ctx.grid.n_nodes)
+    data = hyperbolic_interface_data(ctx, field.rho, field.m, field.t,
+                                     (lo, hi))
     gl_r, gl_m = modified_energy_gradient(ctx.g, data["rho_L"], data["m_L"])
     gr_r, gr_m = modified_energy_gradient(ctx.g, data["rho_R"], data["m_R"])
     # reference part of grad eta_bar cancels in the jump
     jump = ((gr_r - gl_r) * (data["rho_R"] - data["rho_L"])
             + (gr_m - gl_m) * (data["m_R"] - data["m_L"]))
-    return float(np.sum(0.5 * data["alpha"] * ctx.Ah_full * jump))
+    terms = 0.5 * data["alpha"] * ctx.Ah_full[lo:hi + 1] * jump
+    return float(np.sum(_place(terms, lo, out)))
 
 
-def riemann_monitor(ctx: SolverContext,
-                    field: FluidField) -> tuple[float, float, float]:
+def riemann_monitor(ctx: SolverContext, field: FluidField, nodes: Nodes = None,
+                    out=None) -> tuple[float, float, float]:
     """(max w, min z, correction rate) for the current field.
 
     The rate is the sup-norm of u sqrt(p') A'/A - eps (A'/A)' u; its time
@@ -176,24 +212,30 @@ def riemann_monitor(ctx: SolverContext,
     should be non-increasing (min z plus it non-decreasing).
     """
     g = ctx.g
-    if np.min(field.rho) < g.rho_floor:
+    win = slice(*(nodes or (0, ctx.grid.n_nodes)))
+    rho = field.rho[win]
+    if np.min(rho) < g.rho_floor:
         raise CavitationError("invariants undefined: density at the vacuum floor")
-    u = field.m / field.rho
-    w, z = g.riemann_invariants(field.rho, u)
-    c = g.sound_speed(field.rho)
-    rate = float(np.max(np.abs(u * c * ctx.G - ctx.eps * ctx.dG * u)))
-    return float(np.max(w)), float(np.min(z)), rate
+    u = field.m[win] / rho
+    w, z = g.riemann_invariants(rho, u)
+    c = g.sound_speed(rho)
+    rate = np.abs(u * c * ctx.G[win] - ctx.eps * ctx.dG[win] * u)
+    w, z, rate = _place(np.stack((w, z, rate)), win.start, out)
+    return float(np.max(w)), float(np.min(z)), float(np.max(rate))
 
 
-def vacuum_functional(field: FluidField, rho_tilde: float) -> float:
+def vacuum_functional(field: FluidField, rho_tilde: float, nodes: Nodes = None,
+                      out=None) -> float:
     """Trapezoid integral of 1/rho - 1/rho_t + (rho - rho_t)/rho_t^2 on {rho < rho_t}."""
     if rho_tilde <= 0.0:
         raise ConfigError("rho_tilde must be positive")
-    r = np.maximum(field.rho, 1e-300)
-    phi = np.where(field.rho < rho_tilde,
-                   1.0 / r - 1.0 / rho_tilde + (field.rho - rho_tilde) / rho_tilde ** 2,
+    win = slice(*(nodes or (0, field.grid.n_nodes)))
+    rho = field.rho[win]
+    r = np.maximum(rho, 1e-300)
+    phi = np.where(rho < rho_tilde,
+                   1.0 / r - 1.0 / rho_tilde + (rho - rho_tilde) / rho_tilde ** 2,
                    0.0)
-    return float(np.trapezoid(phi, field.grid.x))
+    return _integral(phi, field.grid.x[win], win.start, out)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +451,11 @@ class RecorderOptions:
     riemann_tol: float = 1e-3      # slack per unit time, relative to osc(w_0)
 
 
+# a moved node changes monitored items up to HULL_PAD nodes away: an
+# energy-rate interval reads the centered gradients at both its end nodes
+HULL_PAD = 2
+
+
 class Recorder:
     """Samples a run at fixed times and accumulates the report.
 
@@ -416,7 +463,9 @@ class Recorder:
     the run's SolverContext; the first sample fixes it.  The llf and vacuum
     series are always recorded, the energy budget when a reference state is
     given.  The boundary mode picks the energy check: the sharp form for
-    spherical Dirichlet runs, the Gronwall bound otherwise.
+    spherical Dirichlet runs, the Gronwall bound otherwise.  The monitors
+    evaluate ``ctx.hull`` padded by HULL_PAD and take the frozen exterior's
+    terms from a per-run table, so the series equal whole-grid evaluation.
     """
 
     def __init__(self, t_end: float, ref: Optional[ReferenceState] = None,
@@ -428,8 +477,8 @@ class Recorder:
         self._series: dict[str, list] = {name: [] for name, _ in SERIES}
         self._last_rate: dict[str, float] = {}
         self._ctx: Optional[SolverContext] = None
-        self._snap_rho: list[np.ndarray] = []
-        self._snap_m: list[np.ndarray] = []
+        self._table: dict = {}
+        self._snaps: Optional[np.ndarray] = None
 
     def _running_integral(self, name: str, t: float, rate: float) -> float:
         """Trapezoid integral in time of a rate given at every sample."""
@@ -440,11 +489,38 @@ class Recorder:
         return self._series[name][-1] \
             + 0.5 * (t - self._series["t"][-1]) * (prev + rate)
 
+    def _new_table(self, n: int) -> dict:
+        """Row views of one stacked array: the field of the last whole-grid
+        sample (NaN until there is one), then each monitor's ``out``; the rows
+        of monitors the run does not record are never touched."""
+        stack, table, i = np.empty((13, n + 1)), {}, 0
+        stack[:2] = np.nan
+        for name, k, width in (("field", 2, n), ("energy", 3, n - 1),
+                               ("llf", 1, n + 1), ("riemann", 3, n),
+                               ("vacuum", 1, n - 1), ("quartic", 1, n - 1)):
+            table[name], i = stack[i:i + k, :width].squeeze(), i + k
+        return table
+
+    def _nodes(self, field: FluidField, ctx: SolverContext) -> tuple[int, int]:
+        """``ctx.hull`` padded by HULL_PAD while every node outside the hull
+        holds its value of the last whole-grid sample; else the whole grid,
+        whose sample this becomes."""
+        n, (lo, hi), frozen = ctx.grid.n_nodes, ctx.hull, self._table["field"]
+        if lo < hi and all(np.array_equal(now[part], then[part])
+                           for now, then in zip((field.rho, field.m), frozen)
+                           for part in (slice(0, lo), slice(hi, n))):
+            return max(lo - HULL_PAD, 0), min(hi + HULL_PAD, n)
+        frozen[:] = field.rho, field.m
+        return 0, n
+
     # -- sampling ------------------------------------------------------------
     def sample(self, field: FluidField, ctx: SolverContext) -> None:
         opt = self.opt
         if field.grid != ctx.grid:
             raise ConfigError("field grid differs from the context's grid")
+        k = len(self._series["t"])  # samples taken so far
+        if opt.collect_snapshots and k == opt.sample_count:
+            raise ConfigError("recorder already holds sample_count snapshots")
         if self._ctx is None:
             self._ctx = ctx
             # the fewest nodes covering the window, to the consumers' WINDOW_TOL
@@ -452,37 +528,45 @@ class Recorder:
             i0 = np.searchsorted(ctx.x, lo + WINDOW_TOL) - 1
             i1 = np.searchsorted(ctx.x, hi - WINDOW_TOL, side="right") + 1
             self._snap = slice(max(i0, 0), i1)
+            if opt.collect_snapshots:  # (rho, m) rows of each sample in turn
+                self._snaps = np.empty((2, opt.sample_count, ctx.x[self._snap].size))
             self._rho_tilde = float(np.min(field.rho))
+            self._table = self._new_table(ctx.grid.n_nodes)
         elif ctx is not self._ctx:
             raise ConfigError("recorder sampled with another run's context")
+        nodes, tab = self._nodes(field, ctx), self._table
         t = field.t
         row = {"t": t}
         if self.ref is not None:
-            E, comp = energy_budget(ctx, field, self.ref)
+            E, comp = energy_budget(ctx, field, self.ref, nodes, tab["energy"])
             row.update(energy=E, diss_rate_hessian=comp["rate_hessian"],
                        diss_rate_geometric=comp["rate_geometric"],
                        dissipation=self._running_integral(
                            "dissipation", t, comp["rate_total"]))
-        rate = llf_dissipation_rate(ctx, field)
+        rate = llf_dissipation_rate(ctx, field, nodes, tab["llf"])
         row.update(llf_rate=rate, llf_cumulative=self._running_integral(
             "llf_cumulative", t, rate))
         if opt.riemann:
-            max_w, min_z, rate = riemann_monitor(ctx, field)
+            max_w, min_z, rate = riemann_monitor(ctx, field, nodes,
+                                                 tab["riemann"])
             row.update(max_w=max_w, min_z=min_z,
                        correction=self._running_integral("correction", t, rate))
-        row.update(vacuum_phi=vacuum_functional(field, self._rho_tilde),
+        row.update(vacuum_phi=vacuum_functional(field, self._rho_tilde, nodes,
+                                                tab["vacuum"]),
                    min_rho=float(np.min(field.rho)))
         if opt.quartic:
-            vals = quartic_entropy(ctx.g, field.rho, field.m)
-            row["quartic"] = float(np.trapezoid(vals * ctx.A, ctx.x))
+            win = slice(*nodes)
+            vals = quartic_entropy(ctx.g, field.rho[win], field.m[win])
+            row["quartic"] = _integral(vals * ctx.A[win], ctx.x[win],
+                                       win.start, tab["quartic"])
         for name, val in row.items():
             self._series[name].append(val)
         if opt.collect_snapshots:
-            self._snap_rho.append(field.rho[self._snap].copy())
-            self._snap_m.append(field.m[self._snap].copy())
+            self._snaps[:, k] = field.rho[self._snap], field.m[self._snap]
 
     # -- wrap-up ---------------------------------------------------------------
     def finalize(self) -> DiagnosticsReport:
+        self._table = {}
         rep = DiagnosticsReport(
             series={name: np.array(vals) for name, vals in self._series.items()
                     if vals},
@@ -520,8 +604,8 @@ class Recorder:
             q0 = rep.quartic[0]
             rep.checks["quartic_energy_nonincreasing"] = bool(
                 np.all(np.diff(rep.quartic) <= 1e-3 * abs(q0) + 1e-14))
-        if opt.collect_snapshots and self._snap_rho:
-            rep.snapshots = SnapshotSet(
-                t=rep.t.copy(), x=self._ctx.x[self._snap],
-                rho=np.vstack(self._snap_rho), m=np.vstack(self._snap_m))
+        if self._snaps is not None:
+            rho, m = self._snaps[:, :rep.t.size]
+            rep.snapshots = SnapshotSet(t=rep.t.copy(), x=self._ctx.x[self._snap],
+                                        rho=rho, m=m)
         return rep

@@ -230,6 +230,13 @@ class PowerLawClosingProfile(NozzleProfile):
         return (-2.0 * self.alpha * (1.0 + x * x) ** (-self.alpha - 2.0)
                 * (1.0 - (2.0 * self.alpha + 1.0) * x * x))
 
+    # closed forms: A'/A from the raw area fails where A underflows
+    def _dlog(self, x):
+        return -2.0 * self.alpha * x / (1.0 + x * x)
+
+    def _dlog_prime(self, x):
+        return -2.0 * self.alpha * (1.0 - x * x) / (1.0 + x * x) ** 2
+
     def _half_line_integrability(self):
         # |A'/A| = 2 a |x| / (1+x^2) peaks at alpha; A' integrates to A(0) on
         # each half-line.
@@ -251,6 +258,12 @@ class ExponentialProfile(NozzleProfile):
 
     def _dd_area(self, x):
         return self.rate ** 2 * np.exp(self.rate * x)
+
+    def _dlog(self, x):
+        return np.full_like(x, self.rate, dtype=float)
+
+    def _dlog_prime(self, x):
+        return np.zeros_like(x, dtype=float)
 
     def _half_line_integrability(self):
         if self.rate > 0:

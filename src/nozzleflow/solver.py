@@ -203,6 +203,9 @@ class SolverContext:
         self.mom_bands[2, :-1] = 1.0 / (dx * dx) - self.G[:-1] / (2.0 * dx)
         self.inv_Adx = 1.0 / (self.A * dx)
         self.cells_advanced = 0
+        # [lo, hi): union of every window ``step`` advanced, empty at first;
+        # each node outside it holds its value from before the first step
+        self.hull = (n, 0)
 
     @cached_property
     def dG(self) -> np.ndarray:
@@ -547,6 +550,7 @@ def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
     # cavitation fault below rather than be masked
     ctx.undershoots += int(np.sum(rho_s[1:-1] < floor))
     ctx.cells_advanced += hi - lo
+    ctx.hull = (min(ctx.hull[0], lo), max(ctx.hull[1], hi))
 
     # the window's end rows are pinned: to the boundary values at a domain
     # end (the axis end keeps its mirrored row), else to the frozen values
@@ -633,6 +637,7 @@ def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
         report = hooks.finalize()
     report.undershoots = ctx.undershoots
     report.cells_advanced = ctx.cells_advanced
+    report.hull = ctx.hull
     return field, report
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from nozzleflow import BoundarySpec, FluidField, Grid, run
+from nozzleflow import BoundarySpec, FluidField, Grid, diagnostics, run
 from nozzleflow.geometry import GaussianBumpProfile
 from nozzleflow.thermo import GasLaw
 
@@ -74,3 +74,26 @@ def single_shock_states(gamma: float = 2.0):
     dp = g.pressure_gamma(rho_minus) - g.pressure_gamma(rho_plus)
     m_minus = np.sqrt(dp * rho_minus * (rho_minus - rho_plus) / rho_plus)
     return rho_minus, float(m_minus / rho_minus), rho_plus, 0.0
+
+
+def whole_field_monitors(mp):
+    """Force the monitors' node range to the whole grid: the plain path."""
+    mp.setattr(diagnostics, "HULL_PAD", 10 ** 9)
+
+
+def assert_same_series(a, b):
+    """Hull-path and whole-field reports record the same series and checks.
+
+    Sum series may differ by summation order (1e-12 relative); extremes
+    and checks must be identical.  The per-run table gives bit-equal sums
+    too, which the assertion does not demand.
+    """
+    assert a.checks == b.checks
+    assert a.series.keys() == b.series.keys()
+    for name, va in a.series.items():
+        vb = b.series[name]
+        if name in ("t", "max_w", "min_z", "min_rho"):
+            np.testing.assert_array_equal(va, vb, err_msg=name)
+        else:
+            scale = np.max(np.abs(vb))
+            assert np.max(np.abs(va - vb)) <= 1e-12 * scale, name

@@ -8,7 +8,8 @@ everything else is self-contained.
 import numpy as np
 import pytest
 
-from helpers import manufactured_error
+from helpers import (assert_same_series, manufactured_error,
+                     whole_field_monitors)
 from nozzleflow.diagnostics import (default_generator_family,
                                     default_test_functions, weak_residual)
 from nozzleflow.entropy import (ReferenceState, gen_bump, gen_half_square,
@@ -270,6 +271,21 @@ def test_weak_residual_matches_plain_evaluation(sweep_gamma2, sweep_gamma5):
                 a, b = getattr(fast, name), getattr(plain, name)
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), \
                     (gamma, rung.eps, name)
+
+
+def test_hull_monitors_match_whole_field_on_every_rung(sweep_gamma2,
+                                                     sweep_gamma5):
+    # each rung again with the monitors' node range forced to the whole
+    # grid: the same series, checks and therefore verdicts
+    for res, gamma in ((sweep_gamma2, 2.0), (sweep_gamma5, 5.0)):
+        cfg = _sweep_config(gamma)
+        with pytest.MonkeyPatch.context() as mp:
+            whole_field_monitors(mp)
+            for rung in res.runs:
+                whole = single_run(cfg, eps=rung.eps, collect_snapshots=False)
+                lo, hi = rung.report.hull
+                assert hi - lo < rung.field.grid.n_nodes
+                assert_same_series(rung.report, whole.report)
 
 
 def test_11_special_pair_sign():

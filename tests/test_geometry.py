@@ -75,6 +75,26 @@ def test_dlog_prime_matches_difference():
         assert np.max(np.abs(prof.dlog_prime(x) - fd) / scale) < 1e-6
 
 
+def test_closing_dlog_stays_exact_where_the_area_underflows():
+    # A = (1 + x^2)^-60 is 5.7e-313 at x = 400 and 0 at x = 500; A'/A and
+    # (A'/A)' have closed forms there
+    prof = PowerLawClosingProfile(alpha=60.0)
+    exact_prime = -120.0 * (1.0 - 400.0 ** 2) / (1.0 + 400.0 ** 2) ** 2
+    assert exact_prime == pytest.approx(7.49986e-4, rel=1e-6)
+    assert prof.dlog_prime(400.0) == pytest.approx(exact_prime, rel=1e-12)
+    assert prof.dlog(500.0) == pytest.approx(-120.0 * 500.0 / 250001.0,
+                                             rel=1e-12)
+    assert np.all(np.isfinite(prof.dlog(np.linspace(-1e4, 1e4, 101))))
+
+
+def test_exponential_dlog_is_the_rate():
+    prof = ExponentialProfile(rate=0.4)
+    x = np.linspace(-800.0, 800.0, 9)  # A overflows at the right end
+    np.testing.assert_array_equal(prof.dlog(x), np.full(9, 0.4))
+    np.testing.assert_array_equal(prof.dlog_prime(x), np.zeros(9))
+    assert prof.dlog(1.0) == 0.4 and isinstance(prof.dlog(1.0), float)
+
+
 def test_validate_conditions_constant():
     rep = ConstantProfile().validate_conditions((-10.0, 10.0))
     assert rep.sup_dlog == 0.0

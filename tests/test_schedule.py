@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from nozzleflow.errors import ConfigError
+from nozzleflow.harness import RunConfig
 from nozzleflow.geometry import (ConstantProfile, ExponentialProfile,
-                                 GaussianBumpProfile, PowerLawClosingProfile,
-                                 SphericalProfile)
+                                 GaussianBumpProfile, NozzleProfile,
+                                 PowerLawClosingProfile, SphericalProfile)
 from nozzleflow.schedule import (CertificateReport, ViscositySchedule, certify,
                                  make_default)
 from nozzleflow.thermo import GasLaw
@@ -115,12 +116,32 @@ def test_certificate_nan_quantity_fails_and_is_named():
     assert "[HIGH] sup_k undefined = nan" in rep.summary()
 
 
+def test_closing_profile_certificate_is_finite_where_the_area_underflows():
+    # profile_alpha = 60, eps0 = 0.001: A underflows far out on every rung,
+    # yet the closed-form (A'/A)' keeps both quantities that read it finite
+    cfg = RunConfig.from_mapping(dict(profile="power_law_closing",
+                                      profile_alpha=60.0, eps0=0.001))
+    with np.errstate(all="ignore"):
+        rep = certify(cfg.build_schedule(), cfg.build_profile(),
+                      GasLaw(cfg.gamma))
+    for row in rep.rows:
+        for name in ("eps_dlog_prime_area_domain", "eq_3_6_combined"):
+            assert math.isfinite(row.quantities[name]), (row.eps, name)
+
+
+class _RatioFormClosing(PowerLawClosingProfile):
+    """A = (1 + x^2)^-alpha with A'/A and (A'/A)' taken from the raw area."""
+
+    _dlog = NozzleProfile._dlog
+    _dlog_prime = NozzleProfile._dlog_prime
+
+
 def test_certificate_keeps_a_nan_of_a_later_rung():
     # A = (1 + x^2)^-60 underflows to 0 on the eps = 0.001 rung's domain, so
-    # (A'/A)' is NaN there; the eps = 0.01 rung is finite
+    # the ratio form of (A'/A)' is NaN there; the eps = 0.01 rung is finite
     with np.errstate(all="ignore"):
         rep = certify(ViscositySchedule((0.01, 0.001), q=5.0),
-                      PowerLawClosingProfile(60.0), GasLaw(2.0))
+                      _RatioFormClosing(60.0), GasLaw(2.0))
     assert math.isfinite(rep.rows[0].quantities["eq_3_6_combined"])
     assert math.isnan(rep.rows[1].quantities["eq_3_6_combined"])
     assert math.isnan(rep.failing()["eq_3_6_combined"])

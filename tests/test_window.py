@@ -3,15 +3,23 @@
 A step advances only the nodes off their end's far state plus a stencil and
 a diffusive margin.  Each case runs twice: as the solver runs it, and with
 the window finder replaced by one that returns the whole grid (the plain
-path).  Both must give the same run within roundoff.
+path).  Both must give the same run within roundoff.  The monitors evaluate
+only the hull of those windows; each recorded case also runs with the
+monitors' node range forced to the whole grid, and both must record the
+same series.
 """
 
 import numpy as np
 import pytest
 
-from helpers import manufactured_forcing, manufactured_state
-from nozzleflow import solver
-from nozzleflow.diagnostics import integrability_window
+from helpers import (assert_same_series, manufactured_forcing,
+                     manufactured_state, whole_field_monitors)
+from nozzleflow import harness, solver
+from nozzleflow.diagnostics import (Recorder, RecorderOptions,
+                                    energy_budget, integrability_window,
+                                    llf_dissipation_rate, riemann_monitor,
+                                    vacuum_functional)
+from nozzleflow.entropy import ReferenceState, quartic_entropy
 from nozzleflow.geometry import GaussianBumpProfile
 from nozzleflow.harness import RunConfig, single_run
 from nozzleflow.solver import (BoundarySpec, FluidField, Grid, SolverContext,
@@ -51,12 +59,19 @@ def _sphere_config() -> RunConfig:
 
 
 class _Trace:
-    """Step count and the union of the stepped windows of one run."""
+    """Step count, the union of the stepped windows and the prepared
+    starting field (of a ``single_run``) of one run."""
 
     def __init__(self, mp, whole: bool):
         self.steps = 0
         self.lo, self.hi = np.inf, -np.inf
+        self.start = None
         step, find = solver.step, SolverContext.active_window
+        prepare = harness.prepare_initial_data
+
+        def prepared(*args):
+            self.start = prepare(*args)
+            return self.start
 
         def counted(*args, **kwargs):
             self.steps += 1
@@ -70,6 +85,7 @@ class _Trace:
 
         mp.setattr(solver, "step", counted)
         mp.setattr(SolverContext, "active_window", window)
+        mp.setattr(harness, "prepare_initial_data", prepared)
 
 
 def _traced(go, whole: bool):
@@ -227,3 +243,123 @@ def test_report_counts_cells_advanced(tmp_path, ladder_rung):
     out.report.to_csv(path)
     assert f"# cells_advanced={out.report.cells_advanced}\n" in \
         path.read_text()
+
+
+# ---------------------------------------------------------------------------
+# The hull: nodes outside it never moved, and the monitors skip them
+# ---------------------------------------------------------------------------
+
+
+def _assert_frozen_outside_hull(window_run):
+    out, trace = window_run
+    lo, hi = out.report.hull
+    # the hull is the union of the windows the steps advanced, short of
+    # the whole grid
+    assert (lo, hi) == (trace.lo, trace.hi)
+    assert hi - lo < out.field.grid.n_nodes
+    for now, then in ((out.field.rho, trace.start.rho),
+                      (out.field.m, trace.start.m)):
+        assert np.array_equal(now[:lo], then[:lo])
+        assert np.array_equal(now[hi:], then[hi:])
+    return lo, hi
+
+
+def test_nodes_outside_the_hull_keep_their_start_values(ladder_rung):
+    _, (window, _) = ladder_rung
+    lo, hi = _assert_frozen_outside_hull(window)
+    assert 0 < lo < hi < window[0].field.grid.n_nodes
+
+
+def test_hull_of_neumann_spherical_and_of_an_active_left_end():
+    for cfg in (_sphere_config(), _bump_duct_config(u_minus=0.2)):
+        lo, _ = _assert_frozen_outside_hull(
+            _traced(lambda: single_run(cfg), whole=False))
+    assert lo == 0  # the bump duct's inflow end stays active
+
+
+def test_report_gives_the_hull(tmp_path, ladder_rung):
+    _, ((out, _), _) = ladder_rung
+    lo, hi = out.report.hull
+    path = tmp_path / "report.csv"
+    out.report.to_csv(path)
+    assert (f"# cells_advanced={out.report.cells_advanced}\n"
+            f"# hull={lo},{hi}\n") in path.read_text()
+
+
+def _hull_and_whole_reports(go):
+    with pytest.MonkeyPatch.context() as mp:
+        whole_field_monitors(mp)
+        whole = go()
+    return go(), whole
+
+
+def test_hull_monitors_match_whole_field_monitors():
+    # a Gaussian-bump duct with delta > 0 and the Riemann monitor, and a
+    # neumann_spherical run with the quartic monitor
+    for cfg, extra in ((_bump_duct_config(u_minus=0.0), "max_w"),
+                       (_sphere_config(), "quartic")):
+        hull, whole = _hull_and_whole_reports(lambda: single_run(cfg))
+        lo, hi = hull.report.hull
+        assert hi - lo < hull.field.grid.n_nodes
+        assert extra in hull.report.series
+        assert_same_series(hull.report, whole.report)
+
+
+def test_forced_run_monitors_are_bit_identical():
+    # forcing steps the whole grid, so the hull is the whole grid
+    for field, profile, g, eps, bc, forcing, dt in _forced_cases():
+        def go():
+            rec = Recorder(0.02, ref=ReferenceState.constant(1.0),
+                           options=RecorderOptions(sample_count=5,
+                                                   quartic=True))
+            return run(field, g, profile, eps, bc, 0.02, hooks=rec,
+                       dt_fixed=dt, forcing=forcing)[1]
+
+        hull, whole = _hull_and_whole_reports(go)
+        assert hull.hull == (0, field.grid.n_nodes)
+        assert hull.checks == whole.checks
+        for name, vals in hull.series.items():
+            np.testing.assert_array_equal(vals, whole.series[name], name)
+
+
+def test_hull_monitors_see_every_item_a_moved_node_touches():
+    # a field moved on exactly the nodes [lo, hi) of the hull, by O(1):
+    # every monitor item whose stencil reaches a moved node must be
+    # evaluated again, so a pad one node too small shows at once
+    g = GasLaw(2.0, delta=1e-3)
+    grid = Grid(-4.0, 4.0, 64)
+    x = grid.x
+    bc = BoundarySpec.dirichlet_nozzle(1.0, 0.3, 0.5, 0.0)
+    ctx = SolverContext(grid, g, GaussianBumpProfile(), 0.05, bc)
+    ref = ReferenceState(1.0, 0.3, 0.5, 0.0)
+    rng = np.random.default_rng(3)
+    start = FluidField(grid, 1.0 + 0.2 * np.cos(x), 0.3 * np.sin(x))
+    rec = Recorder(1.0, ref=ref, options=RecorderOptions(
+        sample_count=3, quartic=True, collect_snapshots=False))
+    rec.sample(start, ctx)
+    rho_tilde = float(np.min(start.rho))
+    lo, hi = 20, 41
+    ctx.hull = (lo, hi)
+    moved = start.copy()
+    moved.rho[lo:hi] += rng.uniform(-0.4, 0.5, hi - lo)  # some below rho_tilde
+    moved.m[lo:hi] += rng.uniform(-0.5, 0.5, hi - lo)
+    # and a field that also moved a node outside the hull: the recorder
+    # must notice and evaluate the whole grid
+    stray = moved.copy()
+    stray.rho[5] += 0.25
+    moved.t, stray.t = 0.5, 1.0
+    rec.sample(moved, ctx)
+    rec.sample(stray, ctx)
+    rep = rec.finalize()
+    for i, f in ((1, moved), (2, stray)):
+        E, comp = energy_budget(ctx, f, ref)
+        w, z, _ = riemann_monitor(ctx, f)
+        eta = quartic_entropy(g, f.rho, f.m)
+        expect = dict(energy=E, diss_rate_hessian=comp["rate_hessian"],
+                      diss_rate_geometric=comp["rate_geometric"],
+                      llf_rate=llf_dissipation_rate(ctx, f), max_w=w,
+                      min_z=z, vacuum_phi=vacuum_functional(f, rho_tilde),
+                      quartic=float(np.trapezoid(eta * ctx.A, x)))
+        for name, val in expect.items():
+            assert rep.series[name][i] == pytest.approx(val, rel=1e-12,
+                                                        abs=0.0), (i, name)
