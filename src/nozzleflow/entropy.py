@@ -12,12 +12,12 @@ eigenvalue method, which stays accurate for lam in (-1/2, 0) where the
 weight blows up at s = +-1 (gamma > 3).  lam = 0 degenerates to plain
 Gauss-Legendre.
 
-Generators whose curvature jumps are integrated piecewise between the
-breakpoints [-1, kinks inside (-1, 1)..., 1], each piece with a Jacobi rule
-for its ends at +-1, so the node-doubling certification retains spectral
-accuracy.  A polynomial generator (``one``, ``linear``, ``half_square``,
-``quartic``) needs no nodes: psi(u + rho^theta s) expands in powers of s,
-and its moments are exact sums of ``weight_moment`` terms.
+A piecewise-polynomial generator is a table of psi's coefficients on the
+intervals between its kinks.  A state whose range u + rho^theta s meets one
+piece needs no nodes: its moments are exact sums of ``weight_moment`` terms.
+Any other state is integrated piecewise between [-1, kinks inside (-1, 1)...,
+1], each segment with a Jacobi rule for its ends at +-1, so the node-doubling
+certification retains spectral accuracy.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ from functools import cache, lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import DomainError, QuadratureError
+from .errors import ConfigError, DomainError, QuadratureError
 from .thermo import GasLaw, _match
 
 # ---------------------------------------------------------------------------
@@ -86,10 +87,10 @@ def kernel_total_mass(lam: float) -> float:
 class EntropyGenerator:
     """Scalar generator psi with analytic first and second derivatives.
 
-    ``kinks`` lists the velocity-space locations where psi'' jumps; the
-    kernel quadrature splits its integration there.  ``poly`` holds psi's
-    ascending coefficients in v when psi is a polynomial; the kernel then
-    takes its moments in closed form, with no nodes.
+    ``kinks`` lists, sorted, the velocity-space locations where psi'' jumps;
+    the kernel quadrature splits its integration there.  ``pieces`` holds
+    psi's ascending coefficients in v on each of the ``len(kinks) + 1``
+    intervals between them when psi is piecewise polynomial.
     """
 
     name: str
@@ -98,7 +99,13 @@ class EntropyGenerator:
     d2psi: Callable[[np.ndarray], np.ndarray]
     convex: bool = False
     kinks: tuple[float, ...] = ()
-    poly: tuple[float, ...] = ()
+    pieces: tuple[tuple[float, ...], ...] = ()
+
+    def __post_init__(self):
+        if list(self.kinks) != sorted(self.kinks) or (
+                self.pieces and len(self.pieces) != len(self.kinks) + 1):
+            raise ConfigError(f"generator {self.name!r} needs sorted kinks and, "
+                              "if any pieces, one more piece than kinks")
 
 
 def _derivatives(coeffs) -> list[list[float]]:
@@ -110,28 +117,38 @@ def _derivatives(coeffs) -> list[list[float]]:
     return out
 
 
-def _polynomial(name: str, *coeffs: float) -> EntropyGenerator:
-    """Convex polynomial generator from its ascending coefficients in v."""
-    d = _derivatives(coeffs) + [[0.0]] * 2
-    return EntropyGenerator(name, *(partial(np.polyval, d[j]) for j in range(3)),
-                            convex=True, poly=tuple(map(float, coeffs)))
+def _piece_values(kinks, coeffs, v):
+    """Each v's piece polynomial, from np.polyval coefficients per piece."""
+    return np.choose(np.searchsorted(kinks, v, side="right"),
+                     [np.polyval(c, v) for c in coeffs])[()]
+
+
+def _piecewise(name: str, kinks, *pieces, convex: bool = True) -> EntropyGenerator:
+    """Generator from psi's ascending coefficients in v on each interval
+    between the sorted ``kinks``; psi, psi' and psi'' all come from them."""
+    kv = np.array(kinks, dtype=float)
+    polys = [_derivatives(p) + [[0.0]] * 2 for p in pieces]
+    fns = [partial(_piece_values, kv, [d[j] for d in polys]) for j in range(3)]
+    return EntropyGenerator(name, *fns, convex=convex,
+                            kinks=tuple(map(float, kinks)),
+                            pieces=tuple(tuple(map(float, p)) for p in pieces))
 
 
 def gen_one() -> EntropyGenerator:
-    return _polynomial("one", 1.0)
+    return _piecewise("one", (), (1.0,))
 
 
 def gen_linear() -> EntropyGenerator:
-    return _polynomial("linear", 0.0, 1.0)
+    return _piecewise("linear", (), (0.0, 1.0))
 
 
 def gen_half_square() -> EntropyGenerator:
     """psi = v^2/2; its entropy is the mechanical energy up to the factor c_lam."""
-    return _polynomial("half_square", 0.0, 0.0, 0.5)
+    return _piecewise("half_square", (), (0.0, 0.0, 0.5))
 
 
 def gen_quartic() -> EntropyGenerator:
-    return _polynomial("quartic", 0.0, 0.0, 0.0, 0.0, 1.0)
+    return _piecewise("quartic", (), (0.0, 0.0, 0.0, 0.0, 1.0))
 
 
 def gen_half_signed_square(u_minus: float) -> EntropyGenerator:
@@ -140,14 +157,10 @@ def gen_half_signed_square(u_minus: float) -> EntropyGenerator:
     Odd about u_minus, hence not convex; its value is that the companion
     flux grows a power faster than the entropy itself.
     """
-    return EntropyGenerator(
-        f"half_signed_square[{u_minus:g}]",
-        lambda v: 0.5 * (v - u_minus) * np.abs(v - u_minus),
-        lambda v: np.abs(v - u_minus),
-        lambda v: np.sign(v - u_minus),
-        convex=False,
-        kinks=(float(u_minus),),
-    )
+    a = float(u_minus)
+    return _piecewise(f"half_signed_square[{a:g}]", (a,),
+                      (-0.5 * a * a, a, -0.5), (0.5 * a * a, -a, 0.5),
+                      convex=False)
 
 
 def gen_smoothed_abs(center: float = 0.0, width: float = 0.5) -> EntropyGenerator:
@@ -165,34 +178,17 @@ def gen_smoothed_abs(center: float = 0.0, width: float = 0.5) -> EntropyGenerato
 def gen_convex_spline(center: float = 0.0, width: float = 1.0) -> EntropyGenerator:
     """Convex C^3 generator whose curvature (1-t^2)^2 is compactly supported.
 
-    Linear outside [center - width, center + width], so sub-quadratic growth
-    holds with room to spare.
+    The core w^2 (t^2/2 - t^4/6 + t^6/30), t = (v - center)/w, continues
+    linearly outside [center - w, center + w] with value 11/30 w^2 and slope
+    -+8/15 w, so sub-quadratic growth holds with room to spare.
     """
     c, w = float(center), float(width)
-    slope = 8.0 / 15.0  # psi'(c + w)/w
-
-    # the core polynomials in nested (Horner) form on t^2
-    def psi(v):
-        t = np.clip((v - c) / w, -1.0, 1.0)
-        t2 = t * t
-        core = w * w * t2 * (0.5 + t2 * (-1.0 / 6.0 + t2 / 30.0))
-        outer = np.maximum(np.abs(v - c) - w, 0.0)
-        return core + slope * w * outer
-
-    def dpsi(v):
-        t = np.clip((v - c) / w, -1.0, 1.0)
-        t2 = t * t
-        return w * t * (1.0 + t2 * (-2.0 / 3.0 + t2 / 5.0)) \
-            + slope * w * (np.sign(v - c) * (np.abs(v - c) > w))
-
-    def d2psi(v):
-        t = (v - c) / w
-        return np.where(np.abs(t) < 1.0, (1.0 - t * t) ** 2, 0.0)
-
-    return EntropyGenerator(
-        f"convex_spline[{c:g},{w:g}]", psi, dpsi, d2psi,
-        convex=True, kinks=(c - w, c + w),
-    )
+    core = w * w * Polynomial([0.0, 0.0, 0.5, 0.0, -1.0 / 6.0, 0.0, 1.0 / 30.0])(
+        Polynomial([-c / w, 1.0 / w]))
+    edge, slope = 11.0 / 30.0 * w * w, 8.0 / 15.0 * w
+    return _piecewise(f"convex_spline[{c:g},{w:g}]", (c - w, c + w),
+                      (edge + slope * (c - w), -slope), core.coef,
+                      (edge - slope * (c + w), slope))
 
 
 def smooth_bump(s):
@@ -320,8 +316,10 @@ class EntropyKernel:
 
         Takes flat state arrays and returns the moments the assembled
         quantities read: j <= max_order, k <= max(1, j).  Vacuum states
-        (rho <= floor) contribute zero to every moment.  A polynomial
-        generator's moments are exact sums of ``weight_moment`` terms.
+        (rho <= floor) contribute zero to every moment.  States are grouped
+        by the kinks left of and inside their range u +- rho^theta: a group
+        inside one polynomial piece takes exact sums of ``weight_moment``
+        terms, every other group the Jacobi rules of ``_pieces``.
         """
         n = n or self.n_default
         if not (np.isfinite(rho_f).all() and np.isfinite(m_f).all()):
@@ -337,29 +335,33 @@ class EntropyKernel:
         u = m_f[pos] / r
         rt = r ** self.theta
         pos_idx = np.flatnonzero(pos)
-        if gen.poly:
-            # psi^(j)(u + rt s) = sum_l psi^(j+l)(u) (rt s)^l / l!
-            D = [np.polyval(d, u) for d in _derivatives(gen.poly)]
-            for j, k in out:
-                out[(j, k)][pos_idx] = sum(
-                    D[j + l] * (weight_moment(self.lam, l + k) / math.factorial(l))
-                    * rt ** l for l in range(len(D) - j) if (l + k) % 2 == 0)
-            return out
-        kv = np.asarray(gen.kinks, dtype=float)
-        # group states by which kinks land strictly inside (-1, 1)
-        S_k = (kv[None, :] - u[:, None]) / rt[:, None]
-        inside = (S_k > -1.0 + _EDGE) & (S_k < 1.0 - _EDGE)
-        codes = inside.dot(1 << np.arange(kv.size))
-        for code in np.unique(codes):
-            sel = codes == code
-            sub = np.flatnonzero(sel)
+        nk = len(gen.kinks)
+        S_k = (np.asarray(gen.kinks)[None, :] - u[:, None]) / rt[:, None]
+        if nk:
+            # i0 kinks lie left of s = -1, i1 - i0 strictly inside (-1, 1)
+            i0 = np.count_nonzero(S_k <= -1.0 + _EDGE, axis=1)
+            key = i0 * (nk + 1) + np.count_nonzero(S_k < 1.0 - _EDGE, axis=1)
+            groups = [(*divmod(int(code), nk + 1), np.flatnonzero(key == code))
+                      for code in np.unique(key)]
+        else:
+            groups = [(0, 0, slice(None))]
+        polys = [_derivatives(p) for p in gen.pieces]
+        for i0, i1, sel in groups:
             uu, rr, idx = u[sel], rt[sel], pos_idx[sel]
-            pattern = inside[sub[0]]
-            ks = np.sort(S_k[sel][:, pattern], axis=1)
-            for S, W in self._pieces(ks, n):
+            if i0 == i1 and polys:
+                # psi^(j)(u + rt s) = sum_l psi^(j+l)(u) (rt s)^l / l!
+                D = [np.polyval(d, uu) for d in polys[i0]]
+                for j, k in out:
+                    out[(j, k)][idx] = sum(
+                        D[j + l] * (weight_moment(self.lam, l + k) / math.factorial(l))
+                        * rr ** l for l in range(len(D) - j) if (l + k) % 2 == 0)
+                continue
+            for p, (S, W) in enumerate(self._pieces(S_k[sel, i0:i1], n), i0):
                 V = uu[:, None] + rr[:, None] * S
+                fns = ([partial(np.polyval, d) for d in polys[p] + [[0.0]] * 2]
+                       if polys else (gen.psi, gen.dpsi, gen.d2psi))
                 for j in range(max_order + 1):
-                    PW = (gen.psi, gen.dpsi, gen.d2psi)[j](V) * W
+                    PW = fns[j](V) * W
                     for k in range(max(1, j) + 1):
                         if k:
                             PW = PW * S
@@ -408,7 +410,7 @@ class EntropyKernel:
         polynomial generator's moments are exact and use no nodes, so it is
         evaluated once.
         """
-        if gen.poly:
+        if len(gen.pieces) == 1:
             return self.pair(gen, rho, m)
         rf, mf, shape = _flat_states(rho, m)
         u = self.g.velocity(rf, mf)

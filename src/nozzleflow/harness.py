@@ -307,8 +307,8 @@ class RunOutput:
     profile: NozzleProfile         # the profile the run stepped with
     field: FluidField
     report: DiagnosticsReport
-    snapshots: Optional[SnapshotSet]
     label: str = ""
+    snapshots = property(lambda self: self.report.snapshots)
 
 
 def single_run(cfg: RunConfig, eps: Optional[float] = None,
@@ -337,7 +337,7 @@ def single_run(cfg: RunConfig, eps: Optional[float] = None,
     field, report = run(field, g, profile, eps, bc, cfg.t_end, hooks=rec,
                         cfl=cfg.cfl)
     return RunOutput(eps=eps, g=g, profile=profile, field=field, report=report,
-                     snapshots=report.snapshots, label=label)
+                     label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +382,13 @@ class SweepResult:
     failures: list                 # (eps, message)
     d_rho: np.ndarray
     d_m: np.ndarray
-    ratios_rho: np.ndarray
-    ratios_m: np.ndarray
-    converging_rho: bool
-    converging_m: bool
     integrability: list            # IntegrabilityRecord per run
     weak: list                     # WeakResidualRecord per run (optional)
+
+    ratios_rho = property(lambda self: _ratios(self.d_rho))
+    ratios_m = property(lambda self: _ratios(self.d_m))
+    converging_rho = property(lambda self: _verdict(self.d_rho))
+    converging_m = property(lambda self: _verdict(self.d_m))
 
     @property
     def converging(self) -> bool:
@@ -497,10 +498,8 @@ def sweep(cfg: RunConfig) -> SweepResult:
             weak.append(weak_residual(r.snapshots, r.g, profile, tests, gens))
     return SweepResult(
         eps_list=sched.eps_list, certificate=cert, runs=runs,
-        failures=failures, d_rho=d_rho, d_m=d_m,
-        ratios_rho=_ratios(d_rho), ratios_m=_ratios(d_m),
-        converging_rho=_verdict(d_rho), converging_m=_verdict(d_m),
-        integrability=integ, weak=weak)
+        failures=failures, d_rho=d_rho, d_m=d_m, integrability=integ,
+        weak=weak)
 
 
 # ---------------------------------------------------------------------------

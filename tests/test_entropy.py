@@ -7,16 +7,18 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
-from nozzleflow.entropy import (EntropyGenerator, EntropyKernel,
-                                ReferenceState, gauss_jacobi, gen_bump,
-                                gen_convex_spline, gen_half_signed_square,
+from nozzleflow.entropy import (GENERATOR_FACTORIES, EntropyGenerator,
+                                EntropyKernel, ReferenceState, gauss_jacobi,
+                                gen_bump, gen_convex_spline,
+                                gen_half_signed_square,
                                 gen_half_square, gen_linear, gen_one,
                                 gen_quartic, gen_smoothed_abs, get_kernel,
                                 kernel_total_mass, mechanical_energy,
                                 quartic_entropy, relative_energy_density,
                                 special_pair_check, special_pair_fields,
                                 weak_entropy_pair, weight_moment)
-from nozzleflow.errors import DomainError, QuadratureError
+from nozzleflow.diagnostics import default_generator_family
+from nozzleflow.errors import ConfigError, DomainError, QuadratureError
 from nozzleflow.thermo import GasLaw
 
 GAMMAS = (1.2, 1.4, 2.0, 3.0, 5.0, 7.0)
@@ -94,8 +96,23 @@ def test_non_finite_state_is_domain_error(rho, m):
         weak_entropy_pair(g, gen_smoothed_abs(), rho, m)
 
 
-POLYNOMIAL_GENERATORS = (gen_one(), gen_linear(), gen_half_square(),
-                         gen_quartic())
+PIECEWISE_GENERATORS = (gen_one(), gen_linear(), gen_half_square(),
+                        gen_quartic(), gen_half_signed_square(0.0),
+                        gen_convex_spline())
+
+
+def _edge_states(gen, theta, d=1e-6):
+    """(rho, m) placing each kink at s = -+(1 +- d): just inside and just
+    outside both ends of the state's range."""
+    rt = np.array([0.3, 1.0, 2.5])
+    rho, m = [], []
+    for kink in gen.kinks:
+        for side in (-1.0, 1.0):
+            for off in (-d, d):
+                u = kink - side * (1.0 + off) * rt
+                rho.append(rt ** (1.0 / theta))
+                m.append(rho[-1] * u)
+    return np.concatenate(rho or [[]]), np.concatenate(m or [[]])
 
 
 @settings(max_examples=40, deadline=None)
@@ -103,15 +120,19 @@ POLYNOMIAL_GENERATORS = (gen_one(), gen_linear(), gen_half_square(),
        states=st.lists(st.tuples(st.floats(-12.0, 1.0), st.floats(-10.0, 10.0)),
                        min_size=1, max_size=12))
 def test_exact_polynomial_moments_match_quadrature(gamma, states):
-    # closed-form moments of the polynomial generators against the 64-node
-    # kernel quadrature they replace; log10(rho) from -12 reaches the floor
+    # the piece table's moments (exact on one piece, its polynomials on the
+    # segments) against the same generator's callables on the kernel
+    # quadrature; log10(rho) from -12 reaches the floor, and the edge states
+    # put a kink within 1e-6 of s = +-1
     g = GasLaw(gamma)
     kern = EntropyKernel(g, 64)
-    rho = np.array([g.rho_floor] + [10.0 ** a for a, _ in states])
-    m = rho * np.array([0.0] + [u for _, u in states])
-    for gen in POLYNOMIAL_GENERATORS:
-        assert gen.poly
-        quadrature = dataclasses.replace(gen, poly=())
+    rho0 = np.array([g.rho_floor] + [10.0 ** a for a, _ in states])
+    m0 = rho0 * np.array([0.0] + [u for _, u in states])
+    for gen in PIECEWISE_GENERATORS:
+        assert len(gen.pieces) == len(gen.kinks) + 1
+        quadrature = dataclasses.replace(gen, pieces=())
+        rho_e, m_e = _edge_states(gen, g.theta)
+        rho, m = np.concatenate([rho0, rho_e]), np.concatenate([m0, m_e])
         for order in range(3):
             exact = kern.moments(gen, rho, m, order)
             plain = kern.moments(quadrature, rho, m, order)
@@ -123,18 +144,28 @@ def test_exact_polynomial_moments_match_quadrature(gamma, states):
                     (gen.name, order, key)
 
 
-def test_convex_spline_horner_matches_monomial_form():
-    for c, w in ((0.0, 1.0), (0.35, 0.5), (-1.0, 2.0)):
-        gen = gen_convex_spline(c, w)
-        v = np.linspace(c - 1.5 * w, c + 1.5 * w, 2001)
-        t = np.clip((v - c) / w, -1.0, 1.0)
-        outer = np.maximum(np.abs(v - c) - w, 0.0)
-        psi = w * w * (t * t / 2.0 - t ** 4 / 6.0 + t ** 6 / 30.0) \
-            + 8.0 / 15.0 * w * outer
-        dpsi = w * (t - 2.0 * t ** 3 / 3.0 + t ** 5 / 5.0) \
-            + 8.0 / 15.0 * w * np.sign(v - c) * (np.abs(v - c) > w)
-        assert np.max(np.abs(gen.psi(v) - psi)) <= 1e-14 * np.max(np.abs(psi))
-        assert np.max(np.abs(gen.dpsi(v) - dpsi)) <= 1e-14 * np.max(np.abs(dpsi))
+@pytest.mark.parametrize("fields", [dict(kinks=(1.0, 0.0), pieces=()),
+                                    dict(kinks=(0.0,), pieces=((1.0,),))])
+def test_generator_rejects_a_bad_piece_table(fields):
+    with pytest.raises(ConfigError):
+        dataclasses.replace(gen_half_signed_square(0.0), **fields)
+
+
+def test_generator_derivatives_match_finite_differences():
+    # psi' and psi'' of every factory and of the sweep's family against
+    # central differences of psi and psi', away from the kinks
+    h = 1e-5
+    gens = [f() for f in GENERATOR_FACTORIES.values()]
+    gens += default_generator_family() + [gen_convex_spline(0.35, 0.5),
+                                          gen_half_signed_square(0.35)]
+    for gen in gens:
+        v = np.linspace(-3.0, 3.0, 1201)
+        for kink in gen.kinks:
+            v = v[np.abs(v - kink) > 10.0 * h]
+        for f, df in ((gen.psi, gen.dpsi), (gen.dpsi, gen.d2psi)):
+            fd = (f(v + h) - f(v - h)) / (2.0 * h)
+            assert np.max(np.abs(df(v) - fd)) <= 1e-7 * (1.0 + np.max(np.abs(fd))), \
+                gen.name
 
 
 def test_pair_linearity_in_generator():
@@ -228,6 +259,32 @@ def test_hessian_matches_finite_differences():
     # half_square entropy equals c_lam * mechanical energy: check eta_mm
     c = kernel_total_mass(g.lambda_exp)
     assert np.max(np.abs(emm - c / rho)) < 1e-10
+    # kinked generators, on states whose range u +- rho^theta straddles a
+    # kink, and on states off every kink (the far states of the ladder)
+    for gen in (gen_half_signed_square(0.35), gen_convex_spline(0.0, 1.0),
+                gen_convex_spline(0.35, 0.5)):
+        rho_k = rng.uniform(0.3, 3.0, 20)
+        u = np.array(gen.kinks)[rng.integers(len(gen.kinks), size=20)] \
+            + rho_k ** g.theta * rng.uniform(-0.9, 0.9, 20)
+        rho_k = np.concatenate([rho_k, [1.0, 0.125]])
+        m_k = rho_k * np.concatenate([u, [0.75, 0.0]])
+        grad = np.array(kern.pair_grad(gen, rho_k, m_k)[2:])
+        hess = np.array(kern.hessian(gen, rho_k, m_k))
+        fd_grad = [(kern.pair(gen, rho_k + dr, m_k + dm)[0]
+                    - kern.pair(gen, rho_k - dr, m_k - dm)[0]) / (2 * h)
+                   for dr, dm in ((h, 0.0), (0.0, h))]
+        d_r = [(a - b) / (2 * h) for a, b in zip(
+            kern.pair_grad(gen, rho_k + h, m_k)[2:],
+            kern.pair_grad(gen, rho_k - h, m_k)[2:])]
+        d_m = [(a - b) / (2 * h) for a, b in zip(
+            kern.pair_grad(gen, rho_k, m_k + h)[2:],
+            kern.pair_grad(gen, rho_k, m_k - h)[2:])]
+        fd_hess = np.array([d_r[0], d_r[1], d_m[1]])
+        assert np.max(np.abs(grad - fd_grad)) < 1e-6 * (1.0 + np.max(np.abs(grad))), \
+            gen.name
+        assert np.max(np.abs(hess - fd_hess)) < 1e-5 * (1.0 + np.max(np.abs(hess))), \
+            gen.name
+        assert np.max(np.abs(d_m[0] - hess[1])) < 1e-5 * (1.0 + np.max(np.abs(hess)))
 
 
 def test_compatibility_relation_by_finite_differences():

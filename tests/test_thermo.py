@@ -93,6 +93,17 @@ def test_riemann_R_table_matches_direct():
     assert np.max(np.abs(tab - direct) / (1.0 + direct)) < 1e-7
 
 
+@pytest.mark.parametrize("gamma", [5.0, 10.0])
+def test_riemann_R_table_is_relative_1e7_across_the_crossover(gamma):
+    # rho^(gamma - 2) = 2 delta / (kappa gamma) at 0.037 (gamma 5) and 0.24
+    # (gamma 10): relative, not absolute, accuracy on both sides of it
+    g = GasLaw(gamma, delta=1e-4)
+    pts = np.geomspace(1e-4, 30.0, 61)
+    tab = g.riemann_R_table(pts)
+    direct = np.array([g.riemann_R(float(p)) for p in pts])
+    assert np.max(np.abs(tab / direct - 1.0)) < 1e-7
+
+
 def test_riemann_table_overflow_is_a_quadrature_error():
     # rho^(gamma-1) leaves the float range inside the table's rho <= 1e4
     g = GasLaw(100.0, delta=1e-4)
