@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, DomainError
 
@@ -326,6 +325,7 @@ class TabulatedProfile(NozzleProfile):
             raise ConfigError("tabulated x samples must be strictly increasing")
         if np.any(As <= 0):
             raise ConfigError("tabulated areas must be strictly positive")
+        from scipy.interpolate import CubicSpline  # deferred: slow to import
         spline = CubicSpline(xs, As)
         dense = np.linspace(xs[0], xs[-1], 4 * xs.size)
         if np.any(spline(dense) <= 0):

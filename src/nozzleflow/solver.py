@@ -215,7 +215,10 @@ class SolverContext:
     def max_wave_speed(self, rho: np.ndarray, m: np.ndarray) -> float:
         u = self.g.velocity(rho, m)
         c = self.g.sound_speed(np.maximum(rho, 0.0))
-        return float(np.max(np.abs(u) + c)) + 1e-300
+        lam = float(np.max(np.abs(u) + c))
+        if not math.isfinite(lam):
+            raise NonFiniteError(f"wave speed max(|u| + c) = {lam} is not finite")
+        return lam + 1e-300
 
     # -- active window ---------------------------------------------------------
     @cached_property

@@ -529,13 +529,14 @@ def test_cli_rejected_run_leaves_no_output_dir(tmp_path, capsys):
 
 
 def test_cli_gamma_beyond_the_wave_table_is_error_exit_2(tmp_path, capsys):
-    # the Riemann check is on by default and delta comes from the ladder rule
-    cfg_path = _write_cfg(tmp_path / "g100.cfg", dict(
-        gamma="100", output_dir=tmp_path / "out"))
-    with np.errstate(over="ignore"):
+    # the Riemann check is on by default and delta comes from the ladder rule;
+    # at gamma 300 the wave table ends near rho = 10.4, where p' overflows
+    cfg_path = _write_cfg(tmp_path / "g300.cfg", dict(
+        gamma="300", rho_minus="1e3", output_dir=tmp_path / "out"))
+    with np.errstate(over="ignore", invalid="ignore"):
         assert cli_main(["run", str(cfg_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "gamma = 100" in err
+    assert err.startswith("error:") and "rho = 1000" in err and "gamma = 300" in err
     assert not (tmp_path / "out").exists()
 
 

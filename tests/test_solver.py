@@ -130,6 +130,19 @@ def test_step_guards():
         step(f, g, prof, 0.05, bc, 0.5 * bound, ctx=ctx, forcing=drain)
 
 
+def test_overflowing_wave_speed_is_a_non_finite_error():
+    # p'(1e20) = kappa gamma 1e980 at gamma 50 leaves the float range
+    g = GasLaw(50.0, delta=1e-4)
+    grid = Grid(-1.0, 1.0, 32)
+    bc = BoundarySpec.dirichlet_nozzle(1.0, 0.0, 1.0, 0.0)
+    ctx = SolverContext(grid, g, ConstantProfile(), 0.05, bc)
+    f = _constant_field(grid, 1.0)
+    f.rho[3] = 1e20
+    with np.errstate(over="ignore"), \
+            pytest.raises(NonFiniteError, match=r"wave speed max\(\|u\| \+ c\) = inf"):
+        ctx.max_wave_speed(f.rho, f.m)
+
+
 def test_run_identity_and_error_time():
     g = GasLaw(2.0, delta=1e-4)
     prof = ConstantProfile()

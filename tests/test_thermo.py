@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import hyp2f1
 
+from nozzleflow import thermo
 from nozzleflow.errors import DomainError, QuadratureError
 from nozzleflow.thermo import GasLaw, default_kappa
 
@@ -85,31 +91,72 @@ def test_riemann_R_quadrature_oracle():
     assert g.riemann_R(1.0) == pytest.approx(oracle, abs=1e-10)
 
 
-def test_riemann_R_table_matches_direct():
-    g = GasLaw(5.0, delta=1e-4)
-    pts = np.geomspace(1e-6, 50.0, 25)
-    tab = g.riemann_R_table(pts)
-    direct = np.array([g.riemann_R(float(p)) for p in pts])
-    assert np.max(np.abs(tab - direct) / (1.0 + direct)) < 1e-7
+def _riemann_R_closed_form(g, rho):
+    # Euler's integral (DLMF 15.6.1) with the larger term of p' factored out
+    # at rho -> 0: a = theta/(2 - gamma) below gamma 2, the mirror form with
+    # b = 1/(2 (gamma - 2)) above it; gamma 2 is a pure power law
+    kg, c = g.kappa * g.gamma, 2.0 * g.delta / (g.kappa * g.gamma)
+    if g.gamma < 2.0:
+        a = g.theta / (2.0 - g.gamma)
+        return (np.sqrt(kg) * rho ** g.theta / g.theta
+                * hyp2f1(-0.5, a, 1.0 + a, -c * rho ** (2.0 - g.gamma)))
+    if g.gamma == 2.0:
+        return 2.0 * np.sqrt((kg + 2.0 * g.delta) * rho)
+    b = 1.0 / (2.0 * (g.gamma - 2.0))
+    return (2.0 * np.sqrt(2.0 * g.delta * rho)
+            * hyp2f1(-0.5, b, 1.0 + b, -rho ** (g.gamma - 2.0) / c))
 
 
-@pytest.mark.parametrize("gamma", [5.0, 10.0])
-def test_riemann_R_table_is_relative_1e7_across_the_crossover(gamma):
-    # rho^(gamma - 2) = 2 delta / (kappa gamma) at 0.037 (gamma 5) and 0.24
-    # (gamma 10): relative, not absolute, accuracy on both sides of it
+@pytest.mark.parametrize("gamma", [1.001, 1.005, 1.01, 1.05, 1.4, 1.9, 2.0, 2.1, 5.0, 10.0])
+def test_riemann_R_matches_the_hypergeometric_closed_form(gamma):
+    # 400 points of [2e-9, 5e3]: the crossover rho^(gamma - 2) = 2 delta /
+    # (kappa gamma) sits at 0.037 (gamma 5) and 0.24 (gamma 10)
     g = GasLaw(gamma, delta=1e-4)
-    pts = np.geomspace(1e-4, 30.0, 61)
-    tab = g.riemann_R_table(pts)
-    direct = np.array([g.riemann_R(float(p)) for p in pts])
-    assert np.max(np.abs(tab / direct - 1.0)) < 1e-7
+    pts = np.geomspace(2e-9, 5e3, 400)
+    R = g.riemann_R(pts)
+    assert np.max(np.abs(R / _riemann_R_closed_form(g, pts) - 1.0)) < 1e-13
+    assert [g.riemann_R(float(p)) for p in pts[::37]] == list(R[::37])
 
 
-def test_riemann_table_overflow_is_a_quadrature_error():
-    # rho^(gamma-1) leaves the float range inside the table's rho <= 1e4
-    g = GasLaw(100.0, delta=1e-4)
-    with np.errstate(over="ignore"), \
-            pytest.raises(QuadratureError, match="gamma = 100"):
-        g.riemann_invariants(np.array([0.5, 1.0]), np.zeros(2))
+@pytest.mark.parametrize("gamma", [1.05, 1.4])
+def test_riemann_invariants_below_1e_9_use_the_true_R(gamma):
+    g = GasLaw(gamma, delta=1e-4)
+    rho = np.array([g.rho_floor, 5e-12, 5e-10, 9.9e-10])
+    R = _riemann_R_closed_form(g, rho)
+    w, z = g.riemann_invariants(rho, np.full(4, 0.25))
+    np.testing.assert_allclose(w, 0.25 + R, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(z, 0.25 - R, rtol=1e-13, atol=0.0)
+    assert g.riemann_invariants(5e-10, 0.0)[0] == pytest.approx(R[2], rel=1e-13)
+
+
+def test_wave_table_spans_gamma_1_001_to_300_and_ends_with_a_domain_error():
+    # p'(rho) = kappa gamma rho^(gamma - 1) + 2 delta rho reaches the float
+    # range near rho = 10.4 at gamma 300 and 1.2e3 at gamma 100
+    for gamma in (1.001, 100.0, 300.0):
+        g = GasLaw(gamma, delta=1e-4)
+        R = g.riemann_R(np.array([g.rho_floor, 1.0, 10.0]))
+        assert np.all(np.isfinite(R)) and np.all(np.diff(R) > 0.0)
+    with pytest.raises(DomainError, match=r"rho = 1000 .* gamma = 300"):
+        GasLaw(300.0, delta=1e-4).riemann_invariants(np.array([0.5, 1e3]), np.zeros(2))
+    with pytest.raises(DomainError, match=r"rho = 10000 .* gamma = 100"):
+        GasLaw(100.0, delta=1e-4).riemann_R(1e4)
+
+
+def test_wave_table_check_fails_on_a_coarse_rule(monkeypatch):
+    # the 1- and 2-point rules differ by about (h d/dy log sqrt(p'))^2 / 24
+    # per segment, far above the 1e-14 the check allows
+    monkeypatch.setattr(thermo, "WAVE_POINTS", 1)
+    with pytest.raises(QuadratureError, match="gamma = 2: the 1- and 2-point"):
+        GasLaw(2.0, delta=1e-4).riemann_R(1.0)
+
+
+def test_import_leaves_out_scipy_integrate_and_interpolate():
+    code = ("import sys, nozzleflow; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.integrate', 'scipy.interpolate'))))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(thermo.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_riemann_R_derivative_identity():
@@ -124,6 +171,17 @@ def test_riemann_R_derivative_identity():
             fd = (g.riemann_R(rho + h) - g.riemann_R(rho - h)) / (2.0 * h)
             exact = np.sqrt(g.pressure_prime(rho)) / rho
             assert abs(fd - exact) / abs(exact) < 1e-6
+
+
+@pytest.mark.parametrize("gamma", [40.0, 77.0, 100.0, 300.0])
+def test_riemann_R_derivative_identity_at_large_gamma(gamma):
+    # relative step 1e-7: R grows like rho^((gamma - 1)/2) above the crossover
+    g = GasLaw(gamma, delta=1e-4)
+    rho = np.geomspace(1e-3, 8.0, 9)
+    h = 1e-7 * rho
+    fd = (g.riemann_R(rho + h) - g.riemann_R(rho - h)) / (2.0 * h)
+    exact = np.sqrt(g.pressure_prime(rho)) / rho
+    assert np.max(np.abs(fd / exact - 1.0)) < 1e-6
 
 
 def test_riemann_invariants():
