@@ -6,6 +6,7 @@ inequalities the construction is supposed to satisfy, and sweeps the
 viscosity down to measure convergence of the approximations.
 """
 
+from .checks import Check
 from .errors import (
     CavitationError,
     ConfigError,

@@ -17,8 +17,8 @@ from .thermo import GasLaw
 
 
 def _check_lines(report) -> list[str]:
-    return [f"  check {key}: {'pass' if val else 'FAIL'}"
-            for key, val in sorted(report.checks.items())]
+    return [f"  check {key}: {check}"
+            for key, check in sorted(report.checks.items())]
 
 
 def _cmd_run(args) -> int:
@@ -43,7 +43,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    cert = certify(cfg.build_schedule(), cfg.build_profile(), cfg.build_gas())
+    profile = cfg.build_profile()
+    cfg.validate_ladder(profile)
+    cert = certify(cfg.build_schedule(), profile, cfg.build_gas())
     print(cert.summary())
     ok = cert.passed
     if args.with_run:

@@ -19,12 +19,12 @@ entropy kernel once per state they see.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .checks import Check
 from .entropy import (EntropyGenerator, ReferenceState, gen_convex_spline,
                       gen_half_square, gen_smoothed_abs, get_kernel,
                       modified_energy_gradient, quartic_entropy,
@@ -81,10 +81,11 @@ SERIES = (
 
 @dataclass
 class DiagnosticsReport:
-    """Time series of the monitored quantities plus the check verdicts.
+    """Time series of the monitored quantities plus the checks on them.
 
     ``series`` maps the names in SERIES to arrays; each name also reads as
-    an attribute, empty when the run did not record it.
+    an attribute, empty when the run did not record it.  ``checks`` maps
+    each check's name to a Check of its worst value over the series.
     """
 
     series: dict = dc_field(default_factory=dict)
@@ -97,24 +98,35 @@ class DiagnosticsReport:
     label: str = ""
 
     def all_checks_pass(self) -> bool:
-        return all(bool(v) for v in self.checks.values())
+        return all(self.checks.values())
 
     def to_csv(self, path) -> None:
         present = [(col, self.series[name]) for name, col in SERIES
                    if len(self.series.get(name, ()))]
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# diagnostics report label={self.label}\n")
-            fh.write(f"# undershoots={self.undershoots}\n")
-            fh.write(f"# cells_advanced={self.cells_advanced}\n")
-            fh.write(f"# hull={self.hull[0]},{self.hull[1]}\n")
-            for key, val in sorted(self.checks.items()):
-                fh.write(f"# check {key} = {'pass' if val else 'FAIL'}\n")
-            for note in self.notes:
-                fh.write(f"# note: {note}\n")
-            writer = csv.writer(fh)
-            writer.writerow([col for col, _ in present])
-            for row in zip(*[arr for _, arr in present]):
-                writer.writerow([f"{v:.12g}" for v in row])
+        _write_csv(path, [f"diagnostics report label={self.label}",
+                          f"undershoots={self.undershoots}",
+                          f"cells_advanced={self.cells_advanced}",
+                          f"hull={self.hull[0]},{self.hull[1]}"]
+                   + [f"check {key} = {check}"
+                      for key, check in sorted(self.checks.items())]
+                   + [f"note: {note}" for note in self.notes],
+                   [col for col, _ in present], [arr for _, arr in present])
+
+
+def _write_csv(path, comments, header, columns) -> None:
+    """``# `` comment lines, the header and the columns as rows, LF-ended;
+    each distinct value of a column is formatted once, as %.12g."""
+    text = []
+    for col in columns:
+        # distinct bit patterns, so -0.0 keeps its sign
+        bits, inverse = np.unique(np.ascontiguousarray(col, dtype=float)
+                                  .view(np.int64), return_inverse=True)
+        text.append(np.array(["%.12g" % v for v in bits.view(float).tolist()],
+                             dtype=object)[inverse].tolist())
+    lines = [f"# {c}" for c in comments] + [",".join(header)]
+    lines += map(",".join, zip(*text))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 for _name, _ in SERIES:
@@ -571,41 +583,47 @@ class Recorder:
             series={name: np.array(vals) for name, vals in self._series.items()
                     if vals},
             label=self.label)
-        opt = self.opt
+        opt, checks = self.opt, rep.checks
         if "energy" in rep.series:
             scale = rep.energy[0] + 1.0  # rounding floor even for E0 = 0 runs
-            rep.checks["energy_nonnegative"] = bool(
-                np.all(rep.energy >= -1e-12 * scale))
-            rep.checks["dissipation_monotone"] = bool(
-                np.all(np.diff(rep.dissipation) >= -1e-12 * scale))
-            total = rep.energy + rep.dissipation
+            checks["energy_nonnegative"] = Check(_worst(-rep.energy),
+                                                 1e-12 * scale)
+            checks["dissipation_monotone"] = Check(
+                _worst(-np.diff(rep.dissipation)), 1e-12 * scale)
+            total = _worst(rep.energy + rep.dissipation)
             if self._ctx.bc.mode is BCMode.DIRICHLET_SPHERICAL:
-                bound = rep.energy[0] * (1.0 + opt.energy_tol) + 1e-14
-                rep.checks["energy_inequality_sharp"] = bool(np.all(total <= bound))
+                checks["energy_inequality_sharp"] = Check(
+                    total, rep.energy[0] * (1.0 + opt.energy_tol) + 1e-14)
             else:
-                bound = opt.gronwall_M * (rep.energy[0] + 1.0)
-                rep.checks["energy_inequality"] = bool(np.all(total <= bound))
+                checks["energy_inequality"] = Check(
+                    total, opt.gronwall_M * (rep.energy[0] + 1.0))
         if "llf_rate" in rep.series:
             rep.notes.append("llf series estimates the scheme's interface "
                              "dissipation; heuristic, not an estimate of the "
                              "equations")
         if "max_w" in rep.series:
             osc = max(rep.max_w[0] - rep.min_z[0], 1e-300)
-            dts = np.diff(rep.t)
-            slack = opt.riemann_tol * osc * dts + 1e-12 * osc
-            rep.checks["max_w_corrected_nonincreasing"] = bool(
-                np.all(np.diff(rep.max_w - rep.correction) <= slack))
-            rep.checks["min_z_corrected_nondecreasing"] = bool(
-                np.all(np.diff(rep.min_z + rep.correction) >= -slack))
+            drift = opt.riemann_tol * osc * np.diff(rep.t)
+            checks["max_w_corrected_nonincreasing"] = Check(
+                _worst(np.diff(rep.max_w - rep.correction) - drift),
+                1e-12 * osc)
+            checks["min_z_corrected_nondecreasing"] = Check(
+                _worst(-np.diff(rep.min_z + rep.correction) - drift),
+                1e-12 * osc)
         if "vacuum_phi" in rep.series:
-            rep.checks["vacuum_functional_finite"] = bool(
-                np.all(np.isfinite(rep.vacuum_phi)))
+            checks["vacuum_functional_finite"] = Check(
+                np.count_nonzero(~np.isfinite(rep.vacuum_phi)), 0.0)
         if "quartic" in rep.series:
-            q0 = rep.quartic[0]
-            rep.checks["quartic_energy_nonincreasing"] = bool(
-                np.all(np.diff(rep.quartic) <= 1e-3 * abs(q0) + 1e-14))
+            checks["quartic_energy_nonincreasing"] = Check(
+                _worst(np.diff(rep.quartic)),
+                1e-3 * abs(rep.quartic[0]) + 1e-14)
         if self._snaps is not None:
             rho, m = self._snaps[:, :rep.t.size]
             rep.snapshots = SnapshotSet(t=rep.t.copy(), x=self._ctx.x[self._snap],
                                         rho=rho, m=m)
         return rep
+
+
+def _worst(values: np.ndarray) -> float:
+    """The largest value, NaN if any is NaN; -inf for no values."""
+    return float(np.max(values, initial=-np.inf))

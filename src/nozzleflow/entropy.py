@@ -328,15 +328,10 @@ class EntropyKernel:
             raise DomainError("density must be nonnegative")
         out = {(j, k): np.zeros(rho_f.size)
                for j in range(max_order + 1) for k in range(max(1, j) + 1)}
-        pos = rho_f > self.g.rho_floor
-        if not pos.any():
+        pos_idx, u, rt, S_k = self._kink_positions(gen, rho_f, m_f)
+        if not pos_idx.size:
             return out
-        r = rho_f[pos]
-        u = m_f[pos] / r
-        rt = r ** self.theta
-        pos_idx = np.flatnonzero(pos)
         nk = len(gen.kinks)
-        S_k = (np.asarray(gen.kinks)[None, :] - u[:, None]) / rt[:, None]
         if nk:
             # i0 kinks lie left of s = -1, i1 - i0 strictly inside (-1, 1)
             i0 = np.count_nonzero(S_k <= -1.0 + _EDGE, axis=1)
@@ -367,6 +362,16 @@ class EntropyKernel:
                             PW = PW * S
                         out[(j, k)][idx] += PW.sum(axis=1)
         return out
+
+    def _kink_positions(self, gen, rho_f, m_f):
+        """The states above the vacuum floor: their indices, u, rho^theta and
+        each kink's position s = (kink - u) / rho^theta."""
+        pos_idx = np.flatnonzero(rho_f > self.g.rho_floor)
+        r = rho_f[pos_idx]
+        u = m_f[pos_idx] / r
+        rt = r ** self.theta
+        S_k = (np.asarray(gen.kinks)[None, :] - u[:, None]) / rt[:, None]
+        return pos_idx, u, rt, S_k
 
     # -- assembled quantities -------------------------------------------------
     def _assembled(self, gen, rho, m, max_order, n):
@@ -406,13 +411,15 @@ class EntropyKernel:
 
         Starts from the default node count, doubles until consecutive rules
         agree to CERTIFY_RTOL (relative, with a scale floor so symmetric
-        zeros do not trip it), and returns the finer evaluation.  A
-        polynomial generator's moments are exact and use no nodes, so it is
-        evaluated once.
+        zeros do not trip it), and returns the finer evaluation.  When every
+        state's range u +- rho^theta lies inside one polynomial piece, the
+        moments are exact and use no nodes, so they are evaluated once.
         """
-        if len(gen.pieces) == 1:
-            return self.pair(gen, rho, m)
         rf, mf, shape = _flat_states(rho, m)
+        S_k = self._kink_positions(gen, rf, mf)[3]
+        inside = (S_k > -1.0 + _EDGE) & (S_k < 1.0 - _EDGE)
+        if gen.pieces and not inside.any():
+            return self.pair(gen, rho, m)
         u = self.g.velocity(rf, mf)
         scale = rf * (1.0 + u * u + rf ** (2.0 * self.theta)) + 1e-300
         n = self.n_default

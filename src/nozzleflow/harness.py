@@ -18,12 +18,13 @@ from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
+from .checks import Check
 from .diagnostics import (DiagnosticsReport, Recorder, RecorderOptions,
-                          SnapshotSet, WeakResidualRecord,
+                          SnapshotSet, WeakResidualRecord, _write_csv,
                           default_generator_family, default_test_functions,
                           integrability_window, weak_residual)
 from .entropy import ReferenceState
-from .errors import ConfigError, NozzleflowError, SweepError
+from .errors import ConfigError, DomainError, NozzleflowError, SweepError
 from .geometry import NozzleProfile, make_profile
 from .schedule import CertificateReport, ViscositySchedule, certify
 from .solver import (BoundarySpec, FluidField, Grid, InitialData,
@@ -229,6 +230,21 @@ class RunConfig:
         b = self.b if self.b is not None else sched.b_of(eps)
         return float(a), float(b)
 
+    def validate_ladder(self, profile: NozzleProfile) -> None:
+        """Raise ConfigError unless every rung's domain lies inside the
+        profile's and holds the comparison window."""
+        for eps in self.build_schedule().eps_list:
+            a, b = self.domain_of(eps)
+            try:
+                profile.area(np.array([a, b]))
+            except DomainError as err:
+                raise ConfigError(f"the eps={eps:g} domain [{a:g}, {b:g}] "
+                                  f"leaves the profile's: {err}") from None
+            if not a <= self.window_lo < self.window_hi <= b:
+                raise ConfigError(
+                    f"comparison window [{self.window_lo:g}, {self.window_hi:g}] "
+                    f"leaves the eps={eps:g} domain [{a:g}, {b:g}]")
+
     def build_bc(self, eps: float) -> BoundarySpec:
         if self.bc == "dirichlet_nozzle":
             return BoundarySpec.dirichlet_nozzle(
@@ -387,23 +403,20 @@ class SweepResult:
 
     ratios_rho = property(lambda self: _ratios(self.d_rho))
     ratios_m = property(lambda self: _ratios(self.d_m))
-    converging_rho = property(lambda self: _verdict(self.d_rho))
-    converging_m = property(lambda self: _verdict(self.d_m))
+    converging_rho = property(lambda self: _cauchy_check(self.d_rho))
+    converging_m = property(lambda self: _cauchy_check(self.d_m))
 
     @property
     def converging(self) -> bool:
-        return self.converging_rho and self.converging_m
-
-    @property
-    def checks_pass(self) -> bool:
-        return all(r.report.all_checks_pass() for r in self.runs)
+        return bool(self.converging_rho and self.converging_m)
 
     @property
     def passed(self) -> bool:
         """The sweep's verdict: converging, certified, every run's checks
         pass and no rung failed (``nozzleflow sweep`` exits 0 exactly then)."""
         return (self.converging and self.certificate.passed
-                and self.checks_pass and not self.failures)
+                and not self.failures
+                and all(r.report.all_checks_pass() for r in self.runs))
 
     def summary(self) -> str:
         lines = [f"sweep over eps = {tuple(round(e, 6) for e in self.eps_list)}"]
@@ -419,11 +432,16 @@ class SweepResult:
                          + ", ".join(f"{d:.5g}" for d in self.d_rho))
             lines.append("  pairwise L^q distances (m):   "
                          + ", ".join(f"{d:.5g}" for d in self.d_m))
-        lines.append(f"  verdict: rho {'converging' if self.converging_rho else 'NOT converging'}, "
-                     f"m {'converging' if self.converging_m else 'NOT converging'}")
-        lines.append("  per-run inequality checks: "
-                     + ("pass" if self.checks_pass else "FAIL"))
-        return "\n".join(lines)
+        for name, d in (("rho", self.d_rho), ("m", self.d_m)):
+            lines.append(f"  verdict: {name} Cauchy, second-largest of "
+                         f"{len(_cauchy_ratios(d))} ratios: {_cauchy_check(d)}")
+        failing = [f"  run {r.label} check {key}: {check}"
+                   for r in self.runs
+                   for key, check in sorted(r.report.checks.items())
+                   if not check]
+        lines.append(f"  per-run inequality checks failing: {len(failing)} of "
+                     f"{sum(len(r.report.checks) for r in self.runs)}")
+        return "\n".join(lines + failing)
 
 
 def _ratios(distances: np.ndarray) -> np.ndarray:
@@ -431,13 +449,22 @@ def _ratios(distances: np.ndarray) -> np.ndarray:
     return distances[1:] / np.maximum(distances[:-1], 1e-300)
 
 
-def _verdict(distances: np.ndarray) -> bool:
-    """Cauchy verdict: successive ratios below 0.9, one violation allowed."""
-    if len(distances) < 2:
-        return True
-    if np.max(distances) <= 1e-14:
-        return True
-    return int(np.sum(_ratios(distances) >= 0.9)) <= 1
+def _cauchy_ratios(distances: np.ndarray) -> np.ndarray:
+    """The ratios the Cauchy rule reads: none when every distance is at
+    most 1e-14."""
+    if np.max(distances, initial=0.0) <= 1e-14:
+        return np.array([])
+    return _ratios(distances)
+
+
+def _cauchy_check(distances: np.ndarray) -> Check:
+    """Cauchy rule: successive ratios at most 0.9, one violation allowed.
+
+    The value is the second-largest ratio (a NaN sorts above every
+    number); with fewer than two ratios it is -inf, a vacuous pass.
+    """
+    ratios = np.sort(_cauchy_ratios(distances))
+    return Check(ratios[-2] if ratios.size >= 2 else -math.inf, 0.9)
 
 
 def _sweep_worker(args):
@@ -456,17 +483,13 @@ def sweep(cfg: RunConfig) -> SweepResult:
     message; the sweep needs two successful rungs to compare.
     """
     sched = cfg.build_schedule()
-    for eps in sched.eps_list:
-        a, b = cfg.domain_of(eps)
-        if not a <= cfg.window_lo < cfg.window_hi <= b:
-            raise ConfigError(
-                f"comparison window [{cfg.window_lo:g}, {cfg.window_hi:g}] "
-                f"leaves the eps={eps:g} domain [{a:g}, {b:g}]")
     profile = cfg.build_profile()
+    cfg.validate_ladder(profile)
     cert = certify(sched, profile, cfg.build_gas())
     if not cert.passed and not cfg.force:
-        raise ConfigError("schedule failed its certificate "
-                          f"({cert.failing()}); pass force=true to override")
+        failing = "; ".join(f"{k}: {c}" for k, c in cert.failing().items())
+        raise ConfigError(f"schedule failed its certificate ({failing}); "
+                          "pass force=true to override")
     jobs = [(cfg, eps, f"eps={eps:g}") for eps in sched.eps_list]
     workers = cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
     if workers > 1 and len(jobs) > 1:
@@ -510,17 +533,14 @@ def sweep(cfg: RunConfig) -> SweepResult:
 def write_snapshot_csv(path, field: FluidField, g: GasLaw,
                        profile: NozzleProfile, eps: float, bc_mode: str,
                        cfl: float = 0.4) -> None:
-    x = field.grid.x
-    A = profile.area(x)
-    u = field.velocity(g)
-    with open(path, "w") as fh:
-        fh.write(f"# t={field.t:.10g} gamma={g.gamma:.10g} kappa={g.kappa:.10g} "
-                 f"delta={g.delta:.10g} eps={eps:.10g}\n")
-        fh.write(f"# a={field.grid.a:.10g} b={field.grid.b:.10g} "
-                 f"n_cells={field.grid.n_cells} cfl={cfl:g} bc={bc_mode}\n")
-        fh.write("x,rho,m,u,A\n")
-        np.savetxt(fh, np.column_stack((x, field.rho, field.m, u, A)),
-                   fmt="%.12g", delimiter=",")
+    grid = field.grid
+    _write_csv(path, [f"t={field.t:.10g} gamma={g.gamma:.10g} "
+                      f"kappa={g.kappa:.10g} delta={g.delta:.10g} eps={eps:.10g}",
+                      f"a={grid.a:.10g} b={grid.b:.10g} n_cells={grid.n_cells} "
+                      f"cfl={cfl:g} bc={bc_mode}"],
+               ("x", "rho", "m", "u", "A"),
+               (grid.x, field.rho, field.m, field.velocity(g),
+                profile.area(grid.x)))
 
 
 def write_outputs(cfg: RunConfig, runs: dict, summary: str) -> Path:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import Check
 from .errors import ConfigError
 from .geometry import NozzleProfile, ProfileKind, sample_interval
 from .thermo import GasLaw
@@ -86,30 +87,24 @@ class CertificateRow:
 @dataclass(frozen=True)
 class CertificateReport:
     rows: tuple[CertificateRow, ...]
-    max_per_quantity: dict
-    M_budget: float
+    checks: dict                   # quantity -> Check(sup over the rungs, M)
     skipped: tuple[str, ...]
     spherical: bool
 
     @property
     def passed(self) -> bool:
-        return not self.failing()
+        return all(self.checks.values())
 
     def failing(self) -> dict:
-        """The quantities above the budget; a NaN quantity is one of them."""
-        return {k: v for k, v in self.max_per_quantity.items()
-                if not v <= self.M_budget}
+        """The failing checks by quantity; a NaN quantity is one of them."""
+        return {k: c for k, c in self.checks.items() if not c}
 
     def summary(self) -> str:
-        failing = self.failing()
         lines = [f"schedule certificate ({'spherical' if self.spherical else 'duct'} "
-                 f"mode, budget M = {self.M_budget:g}): "
-                 f"{'FAIL' if failing else 'PASS'}"]
-        for key, val in sorted(self.max_per_quantity.items()):
-            mark = "HIGH" if key in failing else "ok "
-            lines.append(f"  [{mark}] sup_k {key} = {val:.6g}")
-        for key in self.skipped:
-            lines.append(f"  [skip] {key}")
+                 f"mode), failing: {', '.join(self.failing()) or 'none'}"]
+        lines += [f"  sup_k {key}: {check}"
+                  for key, check in sorted(self.checks.items())]
+        lines += [f"  [skip] {key}" for key in self.skipped]
         return "\n".join(lines)
 
 
@@ -162,11 +157,10 @@ def certify(sched: ViscositySchedule, profile: NozzleProfile,
         rows.append(CertificateRow(eps=eps, quantities=quant))
     skipped = ("delta_area_a2_negexp (exponent -4/(2 gamma - 4) singular at "
                "gamma = 2)",) if singular else ()
-    keys = rows[0].quantities.keys()
     # np.max keeps a NaN of any rung, which then fails the certificate
-    max_per = {k: float(np.max([r.quantities[k] for r in rows])) for k in keys}
-    return CertificateReport(rows=tuple(rows), max_per_quantity=max_per,
-                             M_budget=sched.M_budget, skipped=skipped,
+    checks = {k: Check(np.max([r.quantities[k] for r in rows]), sched.M_budget)
+              for k in rows[0].quantities}
+    return CertificateReport(rows=tuple(rows), checks=checks, skipped=skipped,
                              spherical=mode_spherical)
 
 

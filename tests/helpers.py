@@ -81,14 +81,24 @@ def whole_field_monitors(mp):
     mp.setattr(diagnostics, "HULL_PAD", 10 ** 9)
 
 
+def assert_same_checks(a, b, atol=0.0):
+    """The same checks pass and fail, with margins within ``atol``."""
+    assert a.keys() == b.keys()
+    for name, ca in a.items():
+        cb = b[name]
+        assert bool(ca) == bool(cb), (name, str(ca), str(cb))
+        assert np.isclose(ca.margin, cb.margin, rtol=0.0, atol=atol,
+                          equal_nan=True), (name, str(ca), str(cb))
+
+
 def assert_same_series(a, b):
     """Hull-path and whole-field reports record the same series and checks.
 
-    Sum series may differ by summation order (1e-12 relative); extremes
-    and checks must be identical.  The per-run table gives bit-equal sums
-    too, which the assertion does not demand.
+    Sum series may differ by summation order (1e-12 relative); extremes,
+    pass/FAIL and margins must be identical.  The per-run table gives
+    bit-equal sums too, which the assertion does not demand of the series.
     """
-    assert a.checks == b.checks
+    assert_same_checks(a.checks, b.checks)
     assert a.series.keys() == b.series.keys()
     for name, va in a.series.items():
         vb = b.series[name]

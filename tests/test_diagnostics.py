@@ -330,7 +330,7 @@ def test_energy_budget_gronwall_verdict():
         rep = rec.finalize()
         assert rep.energy[0] > 0.0
         assert "energy_inequality_sharp" not in rep.checks
-        verdicts[M] = rep.checks["energy_inequality"]
+        verdicts[M] = bool(rep.checks["energy_inequality"])
     assert verdicts == {10.0: True, 1e-3: False}
     # a spherical Dirichlet run checks the sharp form E + D <= E0 (1 + tol):
     # a real bump cannot fit the near-zero budget of a run that started at
@@ -380,8 +380,12 @@ def test_report_csv(tmp_path):
     assert rep.all_checks_pass()
     path = tmp_path / "report.csv"
     rep.to_csv(path)
-    text = path.read_text()
-    assert "# check energy_nonnegative = pass" in text
+    data = path.read_bytes()
+    assert b"\r" not in data
+    text = data.decode()
+    check = rep.checks["energy_nonnegative"]
+    assert f"# check energy_nonnegative = {check}\n" in text
+    assert "# check energy_nonnegative = pass value=" in text
     assert text.count("\n") > 5
 
 

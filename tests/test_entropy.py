@@ -400,6 +400,30 @@ def test_convex_spline_kink_split_certifies():
     assert np.all(np.isfinite(eta)) and np.all(np.isfinite(q))
 
 
+def test_certified_pair_evaluates_exact_states_once(monkeypatch):
+    # rho = 0.01 at gamma 2 gives u +- 0.1: every state lies inside one
+    # piece of convex_spline, whose moments are exact and ignore n; a state
+    # with a kink inside its range still doubles the nodes
+    calls = []
+    real = EntropyKernel.moments
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+    monkeypatch.setattr(EntropyKernel, "moments", counted)
+    g, gen = GasLaw(2.0), gen_convex_spline()
+    rho = np.full(11, 0.01)
+    u = np.linspace(2.0, 3.0, 11)
+    eta, q = weak_entropy_pair(g, gen, rho, rho * u)
+    assert len(calls) == 1
+    eta_n, q_n = get_kernel(g).pair(gen, rho, rho * u, 128)
+    np.testing.assert_array_equal(eta, eta_n)
+    np.testing.assert_array_equal(q, q_n)
+    calls.clear()
+    weak_entropy_pair(g, gen, 1.0, 0.5)  # kink at s = 0.5
+    assert len(calls) >= 2
+
+
 def test_certification_rejects_undeclared_discontinuity():
     g = GasLaw(2.0)
     nasty = EntropyGenerator("step", lambda v: np.sign(v),

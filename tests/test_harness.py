@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from nozzleflow.cli import main as cli_main
 from nozzleflow.diagnostics import SnapshotSet
 from nozzleflow.errors import ConfigError
-from nozzleflow.harness import (RunConfig, lp_distance, single_run, sweep,
+from nozzleflow.harness import (RunConfig, _cauchy_check, _cauchy_ratios,
+                                lp_distance, single_run, sweep,
                                 write_sweep_outputs)
 from nozzleflow.solver import SolverContext
 
@@ -517,6 +520,54 @@ def test_sweep_passed_is_the_cli_exit_status(tmp_path, monkeypatch, over,
     assert res.passed is passed
     assert res.certificate.passed is passed and res.converging
     assert rc == (0 if res.passed else 1)
+
+
+@pytest.mark.parametrize("command", ["check", "sweep"])
+@pytest.mark.parametrize("over,reason", [
+    (dict(a="-0.5"), "comparison window [-1, 1] leaves the eps=0.1 domain"),
+    (dict(profile="spherical"), "leaves the profile's")])
+def test_check_and_sweep_refuse_the_same_ladders(tmp_path, capsys, monkeypatch,
+                                                 command, over, reason):
+    import nozzleflow.harness as harness
+
+    def no_rung(*args, **kwargs):
+        raise AssertionError("a rung ran before the config was rejected")
+    monkeypatch.setattr(harness, "single_run", no_rung)
+    cfg_path = _write_cfg(tmp_path / "bad.cfg", dict(
+        _TINY_SWEEP, output_dir=tmp_path / "out", **over))
+    assert cli_main([command, str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and reason in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_check_prints_each_check_with_its_margin(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path / "budget.cfg", dict(M_budget="0.5"))
+    assert cli_main(["check", str(cfg_path)]) == 1
+    out = capsys.readouterr().out
+    assert "failing: eps_domain, " in out
+    assert "  sup_k eps_domain: FAIL value=2 bound=0.5 margin=-1.5" in out
+    cfg_path = _write_cfg(tmp_path / "run.cfg", _RUN_CFG)
+    assert cli_main(["check", str(cfg_path), "--with-run"]) == 0
+    assert re.search(r"^  check energy_inequality: pass value=\S+ bound=\S+ "
+                     r"margin=\S+$", capsys.readouterr().out, re.M)
+
+
+def test_cauchy_rule_allows_one_violation_and_passes_at_the_bound():
+    def rule(distances):
+        return _cauchy_check(np.array(distances))
+    # ratios 0.9, 1/9, 0.9: the second-largest sits at the bound and passes
+    assert rule([10.0, 9.0, 1.0, 0.9]).value == 0.9
+    assert rule([10.0, 9.0, 1.0, 0.9])
+    # ratios 0.5, 2, 0.5 pass: one violation is allowed; 2, 0.95, 0.5 fail
+    assert rule([4.0, 2.0, 4.0, 2.0]).value == 0.5
+    assert not rule([4.0, 8.0, 7.6, 3.8])
+    # fewer than two ratios, or vanishing distances: a vacuous pass
+    assert rule([1.0, 2.0]).value == -np.inf
+    assert rule([1e-15, 1e-14, 1e-15]).value == -np.inf
+    assert len(_cauchy_ratios(np.array([1e-15, 1e-14, 1e-15]))) == 0
+    # a NaN ratio sorts above every number: two of them fail
+    assert not rule([1.0, np.nan, np.nan, 0.5])
 
 
 def test_cli_rejected_run_leaves_no_output_dir(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nozzleflow.checks import Check
 from nozzleflow.errors import ConfigError
 from nozzleflow.harness import RunConfig
 from nozzleflow.geometry import (ConstantProfile, ExponentialProfile,
@@ -71,16 +72,17 @@ def test_certify_gamma_two_skips_singular_exponent():
     s = make_default(ConstantProfile(), gamma=2.0)
     rep = certify(s, ConstantProfile(), GasLaw(2.0))
     assert any("singular at gamma = 2" in msg for msg in rep.skipped)
-    assert "delta_area_a2_negexp" not in rep.max_per_quantity
+    assert "delta_area_a2_negexp" not in rep.checks
     rep5 = certify(make_default(ConstantProfile(), gamma=5.0),
                    ConstantProfile(), GasLaw(5.0))
-    assert "delta_area_a2_negexp" in rep5.max_per_quantity
+    assert "delta_area_a2_negexp" in rep5.checks
 
 
 def test_combined_quantity_bounded():
     s = make_default(GaussianBumpProfile(), gamma=2.0)
     rep = certify(s, GaussianBumpProfile(), GasLaw(2.0))
-    assert rep.max_per_quantity["eq_3_6_combined"] <= s.M_budget
+    combined = rep.checks["eq_3_6_combined"]
+    assert combined and combined.bound == s.M_budget
 
 
 def test_constant_profile_quantities_nonincreasing_along_ladder():
@@ -101,19 +103,24 @@ def test_spherical_certificate_quantities():
     s = make_default(SphericalProfile(n_dim=3), gamma=2.0)
     rep = certify(s, SphericalProfile(n_dim=3), GasLaw(2.0))
     assert rep.spherical
-    assert set(rep.max_per_quantity) == {"eps_domain", "rho_bar_pressure_volume",
-                                         "delta_volume"}
+    assert set(rep.checks) == {"eps_domain", "rho_bar_pressure_volume",
+                               "delta_volume"}
     # default rho_bar rule makes rho_bar^gamma b^n identically one
-    assert rep.max_per_quantity["rho_bar_pressure_volume"] == pytest.approx(1.0)
+    assert rep.checks["rho_bar_pressure_volume"].value == pytest.approx(1.0)
 
 
 def test_certificate_nan_quantity_fails_and_is_named():
-    rep = CertificateReport(rows=(), max_per_quantity={
-        "finite_ok": 1.0, "undefined": math.nan, "large": 20.0},
-        M_budget=10.0, skipped=(), spherical=False)
+    rep = CertificateReport(rows=(), checks={
+        key: Check(value, 10.0) for key, value in (
+            ("finite_ok", 1.0), ("undefined", math.nan), ("large", 20.0))},
+        skipped=(), spherical=False)
     assert not rep.passed
     assert set(rep.failing()) == {"undefined", "large"}
-    assert "[HIGH] sup_k undefined = nan" in rep.summary()
+    summary = rep.summary()
+    assert "failing: undefined, large" in summary
+    assert "  sup_k undefined: FAIL value=nan bound=10 margin=nan" in summary
+    assert "  sup_k large: FAIL value=20 bound=10 margin=-10" in summary
+    assert "  sup_k finite_ok: pass value=1 bound=10 margin=9" in summary
 
 
 def test_closing_profile_certificate_is_finite_where_the_area_underflows():
@@ -144,5 +151,5 @@ def test_certificate_keeps_a_nan_of_a_later_rung():
                       _RatioFormClosing(60.0), GasLaw(2.0))
     assert math.isfinite(rep.rows[0].quantities["eq_3_6_combined"])
     assert math.isnan(rep.rows[1].quantities["eq_3_6_combined"])
-    assert math.isnan(rep.failing()["eq_3_6_combined"])
+    assert math.isnan(rep.failing()["eq_3_6_combined"].value)
     assert math.isnan(rep.rows[1].worst())

@@ -12,8 +12,9 @@ same series.
 import numpy as np
 import pytest
 
-from helpers import (assert_same_series, manufactured_forcing,
-                     manufactured_state, whole_field_monitors)
+from helpers import (assert_same_checks, assert_same_series,
+                     manufactured_forcing, manufactured_state,
+                     whole_field_monitors)
 from nozzleflow import harness, solver
 from nozzleflow.diagnostics import (Recorder, RecorderOptions,
                                     energy_budget, integrability_window,
@@ -103,7 +104,7 @@ def _single_runs(cfg: RunConfig):
 def _assert_same_run(cfg: RunConfig, window, whole, K):
     (a, ta), (b, tb) = window, whole
     assert ta.steps == tb.steps
-    assert a.report.checks == b.report.checks
+    assert_same_checks(a.report.checks, b.report.checks, atol=1e-12)
     sa, sb = a.snapshots, b.snapshots
     np.testing.assert_array_equal(sa.t, sb.t)
     assert np.max(np.abs(sa.rho - sb.rho)) <= 1e-12
@@ -317,7 +318,7 @@ def test_forced_run_monitors_are_bit_identical():
 
         hull, whole = _hull_and_whole_reports(go)
         assert hull.hull == (0, field.grid.n_nodes)
-        assert hull.checks == whole.checks
+        assert_same_checks(hull.checks, whole.checks)
         for name, vals in hull.series.items():
             np.testing.assert_array_equal(vals, whole.series[name], name)
 
