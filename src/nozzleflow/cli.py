@@ -45,7 +45,8 @@ def _cmd_check(args) -> int:
     cfg = RunConfig.from_file(args.config)
     profile = cfg.build_profile()
     cfg.validate_ladder(profile)
-    cert = certify(cfg.build_schedule(), profile, cfg.build_gas())
+    cert = certify(cfg.build_schedule(), profile, cfg.build_gas(),
+                   cfg.domain_of)
     print(cert.summary())
     ok = cert.passed
     if args.with_run:

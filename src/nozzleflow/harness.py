@@ -485,7 +485,7 @@ def sweep(cfg: RunConfig) -> SweepResult:
     sched = cfg.build_schedule()
     profile = cfg.build_profile()
     cfg.validate_ladder(profile)
-    cert = certify(sched, profile, cfg.build_gas())
+    cert = certify(sched, profile, cfg.build_gas(), cfg.domain_of)
     if not cert.passed and not cfg.force:
         failing = "; ".join(f"{k}: {c}" for k, c in cert.failing().items())
         raise ConfigError(f"schedule failed its certificate ({failing}); "

@@ -14,6 +14,7 @@ the axis and do not apply there).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -112,11 +113,13 @@ def _sup(values: np.ndarray) -> float:
     return float(np.max(np.abs(values)))
 
 
-def certify(sched: ViscositySchedule, profile: NozzleProfile,
-            g: GasLaw) -> CertificateReport:
+def certify(sched: ViscositySchedule, profile: NozzleProfile, g: GasLaw,
+            domain_of: Optional[Callable] = None) -> CertificateReport:
     """Evaluate the per-rung constraint quantities by sampling on [a, b].
 
-    The samples are ``geometry.sample_interval(a, b)``.
+    (a, b) = domain_of(eps) is the domain the rung runs on (default: the
+    ladder rule's ``sched.a_of``/``b_of``; ``RunConfig.domain_of`` adds the
+    config's overrides).  The samples are ``geometry.sample_interval(a, b)``.
 
     Duct mode checks, per rung: eps|b-a|; eps sup|(A'/A)'| sup A |b-a|;
     eps sup|A''|; (delta/eps) sup A |a|^beta sup A^((gamma-3)/(gamma-1));
@@ -129,7 +132,7 @@ def certify(sched: ViscositySchedule, profile: NozzleProfile,
     mode_spherical = sched.spherical or profile.kind is ProfileKind.SPHERICAL
     singular = not mode_spherical and abs(g.gamma - 2.0) <= 1e-12
     for eps in sched.eps_list:
-        a, b = sched.a_of(eps), sched.b_of(eps)
+        a, b = domain_of(eps) if domain_of else (sched.a_of(eps), sched.b_of(eps))
         delta = sched.delta_of(eps)
         quant: dict[str, float] = {"eps_domain": eps * abs(b - a)}
         if mode_spherical:

@@ -26,6 +26,10 @@ window that touches a domain end uses that end's ghost and boundary row, so
 the whole grid is the window [0, n).  Time-dependent boundary values,
 ``forcing`` and far states that are not steady (nonzero far momentum where
 A' != 0) keep their end, or the whole grid, active.
+
+The explicit stage and ``SolverContext.max_wave_speed`` call the gas law's
+unchecked kernels (``GasLaw._pressure``, ``_p_prime``, ``_velocity``) on
+densities clamped at rho_floor (faces) or 0, where validation cannot fail.
 """
 
 from __future__ import annotations
@@ -213,11 +217,14 @@ class SolverContext:
         return np.asarray(self.profile.dlog_prime(self.x), dtype=float)
 
     def max_wave_speed(self, rho: np.ndarray, m: np.ndarray) -> float:
-        u = self.g.velocity(rho, m)
-        c = self.g.sound_speed(np.maximum(rho, 0.0))
-        lam = float(np.max(np.abs(u) + c))
+        """max(|u| + c) over float arrays; rho clamped at 0 needs no check."""
+        speed = np.abs(self.g._velocity(rho, m)) + np.sqrt(
+            self.g._p_prime(np.maximum(rho, 0.0)))
+        lam = float(speed.max())
         if not math.isfinite(lam):
-            raise NonFiniteError(f"wave speed max(|u| + c) = {lam} is not finite")
+            i = int(np.isfinite(speed).argmin())
+            raise NonFiniteError(f"wave speed max(|u| + c) = {lam} is not finite "
+                                 f"at rho = {rho[i]:g} (gamma = {self.g.gamma:g})")
         return lam + 1e-300
 
     # -- active window ---------------------------------------------------------
@@ -371,10 +378,11 @@ LIMITER_THETA = 1.5
 
 
 def _minmod3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    pos = np.minimum(np.minimum(a, b), c)
-    neg = np.maximum(np.maximum(a, b), c)
-    return np.where((a > 0) & (b > 0) & (c > 0), pos,
-                    np.where((a < 0) & (b < 0) & (c < 0), neg, 0.0))
+    """Generalized minmod.  Here b is the mean of a/theta and c/theta, so b
+    shares the sign of a and c whenever they agree; sign(a) + sign(c) then
+    selects the same value as a test of all three signs, for finite slopes."""
+    mag = np.minimum(np.minimum(np.abs(a), np.abs(b)), np.abs(c))
+    return 0.5 * (np.sign(a) + np.sign(c)) * mag
 
 
 def _extend(rho, m, ctx: SolverContext, t: float, lo: int,
@@ -411,7 +419,7 @@ def _extend(rho, m, ctx: SolverContext, t: float, lo: int,
 def _slopes(ve: np.ndarray, mirror_left: bool) -> np.ndarray:
     """Limited undivided slopes at ve[:, 1:-1]; ``mirror_left`` reflects the
     axis ghost's slope from node 1 (even density, odd momentum)."""
-    d = np.diff(ve)
+    d = ve[:, 1:] - ve[:, :-1]
     s = _minmod3(LIMITER_THETA * d[:, :-1], 0.5 * (d[:, :-1] + d[:, 1:]),
                  LIMITER_THETA * d[:, 1:])
     if mirror_left:
@@ -433,13 +441,13 @@ def hyperbolic_interface_data(ctx: SolverContext, rho: np.ndarray,
     lo, hi = window or (0, rho.size)
     ve = _extend(rho, m, ctx, t, lo, hi)
     s = _slopes(ve, lo == 0 and ctx.bc.mode is BCMode.NEUMANN_SPHERICAL)
-    v = ve[:, 1:-1]
+    v, half = ve[:, 1:-1], 0.5 * s
     # sides[0] / sides[1]: (rho, m) reconstructed left / right of each face
-    sides = np.stack((v[:, :-1] + 0.5 * s[:, :-1], v[:, 1:] - 0.5 * s[:, 1:]))
+    sides = np.array((v[:, :-1] + half[:, :-1], v[:, 1:] - half[:, 1:]))
     r = np.maximum(sides[:, 0], g.rho_floor)
     mm = sides[:, 1]
     u = mm / r
-    wave = np.abs(u) + g.sound_speed(r)
+    wave = np.abs(u) + np.sqrt(g._p_prime(r))
     alpha = np.maximum(wave[0], wave[1])
     (rl, rr), (ml, mr), (ul, ur) = r, mm, u
     Ah = ctx.Ah_full[lo:hi + 1]
@@ -454,7 +462,7 @@ def _hyperbolic_rhs(ctx: SolverContext, rho, m, t, window: tuple[int, int]):
     """Explicit rates on the window's nodes, from the full-grid arrays."""
     data = hyperbolic_interface_data(ctx, rho, m, t, window)
     phi, psi = data["phi"], data["psi"]
-    p = ctx.g.pressure(np.maximum(data["rho_ext"], 0.0))
+    p = ctx.g._pressure(np.maximum(data["rho_ext"], 0.0))
     inv = ctx.inv_Adx[window[0]:window[1]]
     conv_rho = -(phi[1:] - phi[:-1]) * inv
     conv_m = -(psi[1:] - psi[:-1]) * inv - (p[2:] - p[:-2]) / (2.0 * ctx.dx)
@@ -546,12 +554,12 @@ def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
         rho_s = rho_s + 0.5 * dt * (f1_rho + f2_rho)
         m_s = m_s + 0.5 * dt * (f1_m + f2_m)
 
-    if not (np.all(np.isfinite(rho_s)) and np.all(np.isfinite(m_s))):
+    if not (np.isfinite(rho_s).all() and np.isfinite(m_s).all()):
         raise NonFiniteError("non-finite values after the explicit stage")
     # transient undershoots are counted, not clamped: the implicit diffusion
     # usually lifts an isolated dip, and a persistent one must surface as a
     # cavitation fault below rather than be masked
-    ctx.undershoots += int(np.sum(rho_s[1:-1] < floor))
+    ctx.undershoots += np.count_nonzero(rho_s[1:-1] < floor)
     ctx.cells_advanced += hi - lo
     ctx.hull = (min(ctx.hull[0], lo), max(ctx.hull[1], hi))
 
@@ -567,11 +575,11 @@ def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
     m_n = _tridiag_solve(*_implicit_system(ctx.mom_bands[:, win], coef, m_s,
                                            m_l, m_r))
 
-    if not (np.all(np.isfinite(rho_n)) and np.all(np.isfinite(m_n))):
+    if not (np.isfinite(rho_n).all() and np.isfinite(m_n).all()):
         raise NonFiniteError("non-finite values after the implicit stage")
-    if np.min(rho_n) < floor:
+    if rho_n.min() < floor:
         raise CavitationError(
-            f"density fell to {np.min(rho_n):.3e} (< floor {floor:.0e})")
+            f"density fell to {rho_n.min():.3e} (< floor {floor:.0e})")
     rho_out[win] = rho_n
     m_out[win] = m_n
     return FluidField(field.grid, rho_out, m_out, t1)
@@ -600,6 +608,9 @@ def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
         return field, (hooks.finalize() if hooks is not None else
                        DiagnosticsReport())
     ctx = SolverContext(field.grid, g, profile, eps, bc)
+    # a state the gas law overflows on fails here, before any monitor sees it
+    with np.errstate(over="ignore"):
+        ctx.max_wave_speed(field.rho, field.m)
     targets = []
     if hooks is not None:
         targets = [ts for ts in np.sort(np.asarray(hooks.sample_times, dtype=float))
@@ -717,8 +728,13 @@ def prepare_initial_data(raw: InitialData, bc: BoundarySpec, g: GasLaw,
     def _rel_energy(rr, mm):
         return float(np.trapezoid(g.relative_energy(rr, mm, rb, ub) * A, x))
 
-    e_raw = _rel_energy(np.maximum(rho, lift), m)
-    e_out = _rel_energy(rho_s, m_s)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        e_raw = _rel_energy(np.maximum(rho, lift), m)
+        e_out = _rel_energy(rho_s, m_s)
+    if not math.isfinite(e_raw + e_out):
+        raise ConfigError(f"the gas law leaves the float range on the initial data "
+                          f"(relative energy {e_raw:g}, max rho = {np.max(rho):g}, "
+                          f"gamma = {g.gamma:g})")
     if abs(e_out - e_raw) > 0.05 * e_raw + 1e-10 * (1.0 + abs(e_raw)):
         raise ConfigError(
             f"prepared data distorts the relative energy by more than 5% "

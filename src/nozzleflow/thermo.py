@@ -44,6 +44,12 @@ class GasLaw:
     when delta = 0 (any negative kappa selects it); override it for physical
     units at the cost of those closed forms.  Densities at or below the
     vacuum floor ``rho_floor`` count as vacuum.
+
+    The public methods reject a negative density (DomainError) and then call
+    the unchecked kernels ``_pressure``, ``_p_prime``, ``_velocity`` and
+    ``_riemann_R``, which own the formulas.  The solver calls the kernels
+    directly on float arrays it has clamped at 0 or rho_floor, where the
+    check cannot fail, so a step pays no validation.
     """
 
     gamma: float
@@ -74,13 +80,15 @@ class GasLaw:
     # -- pressure family -----------------------------------------------------
     def _rho(self, rho) -> np.ndarray:
         r = np.asarray(rho, dtype=float)
-        if np.any(r < 0.0):
+        if (r < 0.0).any():
             raise DomainError("density must be nonnegative")
         return r
 
+    def _pressure(self, r):
+        return self.kappa * r ** self.gamma + self.delta * r * r
+
     def pressure(self, rho):
-        r = self._rho(rho)
-        return _match(rho, self.kappa * r ** self.gamma + self.delta * r * r)
+        return _match(rho, self._pressure(self._rho(rho)))
 
     def pressure_gamma(self, rho):
         """Pure gamma-law part kappa * rho^gamma (no quadratic term)."""
@@ -175,14 +183,16 @@ class GasLaw:
         quadrature below 7e-14 up to gamma 77, 2.6e-13 at 100 and 300, where
         log R nears 300).  A density beyond the table's end raises DomainError.
         """
-        r = self._rho(rho)
+        return _match(rho, self._riemann_R(self._rho(rho)))
+
+    def _riemann_R(self, r):
         if self.delta == 0.0:
-            coeff = np.sqrt(self.kappa * self.gamma) / self.theta
-            return _match(rho, coeff * r ** self.theta)
+            return np.sqrt(self.kappa * self.gamma) / self.theta * r ** self.theta
         y0, h, rho_end, s0, table = self._wave_table
-        if np.any(r > rho_end):
+        beyond = r > rho_end
+        if beyond.any():
             raise DomainError(
-                f"rho = {np.max(r[r > rho_end]):g} is beyond the wave-variable table's "
+                f"rho = {np.max(r[beyond]):g} is beyond the wave-variable table's "
                 f"end {rho_end:.6g} at gamma = {self.gamma:g}, where p'(rho) leaves "
                 "the float range")
         y = np.log(np.where(r == 0.0, 1.0, r))
@@ -192,25 +202,26 @@ class GasLaw:
         half, nodes, w = self._gauss_rule(np.minimum(y0 + h * k, y), y, WAVE_POINTS)
         terms = np.exp(self._log_integrand(nodes) - base[..., None]) * w
         R = np.exp(base) * (1.0 + half * terms.sum(axis=-1))
-        return _match(rho, np.where(r == 0.0, 0.0, R))
+        return np.where(r == 0.0, 0.0, R)
 
     def riemann_invariants(self, rho, u):
         """w = u + R(rho), z = u - R(rho); requires rho > 0."""
-        r = self._rho(rho)
-        if np.any(r <= 0.0):
+        r = np.asarray(rho, dtype=float)
+        if (r <= 0.0).any():
             raise DomainError("Riemann invariants need strictly positive density")
-        R = self.riemann_R(r)
+        R = self._riemann_R(r)
         ua = np.asarray(u, dtype=float)
         w, z = ua + R, ua - R
         if np.ndim(rho) or np.ndim(u):
             return w, z
         return float(w), float(z)
 
+    def _velocity(self, r, m):
+        return np.where(r > self.rho_floor, m / np.maximum(r, self.rho_floor), 0.0)
+
     def velocity(self, rho, m):
         """u = m / rho with the vacuum guard: u = 0 wherever rho <= rho_floor."""
-        r = np.asarray(rho, dtype=float)
-        ma = np.asarray(m, dtype=float)
-        out = np.where(r > self.rho_floor, ma / np.maximum(r, self.rho_floor), 0.0)
+        out = self._velocity(np.asarray(rho, dtype=float), np.asarray(m, dtype=float))
         return out if (np.ndim(rho) or np.ndim(m)) else float(out)
 
     def relative_energy(self, rho, m, rho_bar, u_bar):

@@ -1,0 +1,173 @@
+"""The plain explicit stage and step, kept as the oracle of the fast ones.
+
+``step`` in the package evaluates the gas law through its unchecked
+kernels, takes the generalized minmod from signs and magnitudes and writes
+the face states in place.  This copy does none of that: it calls the
+validating ``GasLaw`` methods, tests all three slope signs with ``np.where``
+and stacks the face states, exactly as the solver did before.  Monkeypatch
+``solver.step``, ``SolverContext.max_wave_speed`` and the
+``hyperbolic_interface_data`` bindings with these to run the plain path.
+"""
+
+import math
+from typing import Callable, Optional
+
+import numpy as np
+
+from nozzleflow.errors import CavitationError, NonFiniteError, StabilityError
+from nozzleflow.geometry import NozzleProfile
+from nozzleflow.solver import (LIMITER_THETA, BCMode, BoundarySpec,
+                               FluidField, SolverContext, _extend,
+                               _implicit_system, _tridiag_solve)
+from nozzleflow.thermo import GasLaw
+
+
+def max_wave_speed(self, rho: np.ndarray, m: np.ndarray) -> float:
+    u = self.g.velocity(rho, m)
+    c = self.g.sound_speed(np.maximum(rho, 0.0))
+    lam = float(np.max(np.abs(u) + c))
+    if not math.isfinite(lam):
+        raise NonFiniteError(f"wave speed max(|u| + c) = {lam} is not finite")
+    return lam + 1e-300
+
+
+def _minmod3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    pos = np.minimum(np.minimum(a, b), c)
+    neg = np.maximum(np.maximum(a, b), c)
+    return np.where((a > 0) & (b > 0) & (c > 0), pos,
+                    np.where((a < 0) & (b < 0) & (c < 0), neg, 0.0))
+
+
+def _slopes(ve: np.ndarray, mirror_left: bool) -> np.ndarray:
+    """Limited undivided slopes at ve[:, 1:-1]; ``mirror_left`` reflects the
+    axis ghost's slope from node 1 (even density, odd momentum)."""
+    d = np.diff(ve)
+    s = _minmod3(LIMITER_THETA * d[:, :-1], 0.5 * (d[:, :-1] + d[:, 1:]),
+                 LIMITER_THETA * d[:, 1:])
+    if mirror_left:
+        s[0, 0], s[1, 0] = -s[0, 2], s[1, 2]
+    return s
+
+
+def hyperbolic_interface_data(ctx: SolverContext, rho: np.ndarray,
+                              m: np.ndarray, t: float = 0.0,
+                              window: Optional[tuple[int, int]] = None) -> dict:
+    """Interface states/fluxes of the explicit stage (also used by diagnostics).
+
+    For the nodes [lo, hi) of ``window`` (default: all), returns arrays over
+    the hi-lo+1 interfaces around them; on the whole grid these are the
+    n_cells+2 interfaces I_{-1}..I_{n_cells} of the ghost-padded grid.
+    ``rho_ext``/``m_ext`` hold the states on nodes lo-1 .. hi.
+    """
+    g = ctx.g
+    lo, hi = window or (0, rho.size)
+    ve = _extend(rho, m, ctx, t, lo, hi)
+    s = _slopes(ve, lo == 0 and ctx.bc.mode is BCMode.NEUMANN_SPHERICAL)
+    v = ve[:, 1:-1]
+    # sides[0] / sides[1]: (rho, m) reconstructed left / right of each face
+    sides = np.stack((v[:, :-1] + 0.5 * s[:, :-1], v[:, 1:] - 0.5 * s[:, 1:]))
+    r = np.maximum(sides[:, 0], g.rho_floor)
+    mm = sides[:, 1]
+    u = mm / r
+    wave = np.abs(u) + g.sound_speed(r)
+    alpha = np.maximum(wave[0], wave[1])
+    (rl, rr), (ml, mr), (ul, ur) = r, mm, u
+    Ah = ctx.Ah_full[lo:hi + 1]
+    phi = Ah * (0.5 * (ml + mr) - 0.5 * alpha * (rr - rl))
+    psi = Ah * (0.5 * (ml * ul + mr * ur) - 0.5 * alpha * (mr - ml))
+    return {"rho_L": rl, "rho_R": rr, "m_L": ml, "m_R": mr,
+            "alpha": alpha, "phi": phi, "psi": psi, "rho_ext": v[0],
+            "m_ext": v[1]}
+
+
+def _hyperbolic_rhs(ctx: SolverContext, rho, m, t, window: tuple[int, int]):
+    """Explicit rates on the window's nodes, from the full-grid arrays."""
+    data = hyperbolic_interface_data(ctx, rho, m, t, window)
+    phi, psi = data["phi"], data["psi"]
+    p = ctx.g.pressure(np.maximum(data["rho_ext"], 0.0))
+    inv = ctx.inv_Adx[window[0]:window[1]]
+    conv_rho = -(phi[1:] - phi[:-1]) * inv
+    conv_m = -(psi[1:] - psi[:-1]) * inv - (p[2:] - p[:-2]) / (2.0 * ctx.dx)
+    return conv_rho, conv_m
+
+
+
+def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
+         bc: BoundarySpec, dt: float, *, ctx: Optional[SolverContext] = None,
+         cfl: float = 0.4, forcing: Optional[Callable] = None) -> FluidField:
+    """Advance one IMEX step of size dt.
+
+    dt must respect the advective bound cfl * dx / max(|u| + c); the implicit
+    diffusion imposes no restriction.  ``forcing(x, t)`` may return extra
+    (mass, momentum) source arrays (manufactured-solution studies).  A given
+    ``ctx`` must have been built for this grid, g, profile, eps and bc.
+    Only the nodes of ``ctx.active_window`` advance (all of them under
+    ``forcing``); the others rest on a steady far state and are copied.
+    """
+    if ctx is None:
+        ctx = SolverContext(field.grid, g, profile, eps, bc)
+    else:
+        ctx.require(field.grid, g, profile, eps, bc)
+    if dt <= 0.0:
+        raise StabilityError("dt must be positive")
+    rho, m = field.rho, field.m
+    n = rho.size
+    lo, hi, bound = ctx.stable_window(rho, m, dt, cfl, forcing is not None)
+    win = slice(lo, hi)
+    if dt > bound * (1.0 + 1e-9):
+        raise StabilityError(
+            f"dt={dt:.3e} exceeds the advective bound {bound:.3e}")
+
+    # two-stage (Heun) explicit convection: a single forward-Euler stage
+    # feeds energy into the resolved waves at O(dt) and visibly pollutes the
+    # discrete energy identity; averaging the stage fluxes removes that while
+    # keeping one tridiagonal solve per equation below.  The output arrays
+    # carry the stage state, so stage 2 reads frozen neighbours from them.
+    floor = ctx.g.rho_floor
+    t0 = field.t
+    rho_out, m_out = rho.copy(), m.copy()
+    c1_rho, c1_m = _hyperbolic_rhs(ctx, rho, m, t0, (lo, hi))
+    rho_out[win] = np.maximum(rho[win] + dt * c1_rho, floor)
+    m_out[win] = m[win] + dt * c1_m
+    if forcing is not None:
+        f1_rho, f1_m = (np.asarray(v, dtype=float) for v in forcing(ctx.x, t0))
+        rho_out[win] = np.maximum(rho_out[win] + dt * f1_rho, floor)
+        m_out[win] = m_out[win] + dt * f1_m
+    c2_rho, c2_m = _hyperbolic_rhs(ctx, rho_out, m_out, t0 + dt, (lo, hi))
+    rho_s = rho[win] + 0.5 * dt * (c1_rho + c2_rho)
+    m_s = m[win] + 0.5 * dt * (c1_m + c2_m)
+    if forcing is not None:
+        f2_rho, f2_m = (np.asarray(v, dtype=float)
+                        for v in forcing(ctx.x, t0 + dt))
+        rho_s = rho_s + 0.5 * dt * (f1_rho + f2_rho)
+        m_s = m_s + 0.5 * dt * (f1_m + f2_m)
+
+    if not (np.all(np.isfinite(rho_s)) and np.all(np.isfinite(m_s))):
+        raise NonFiniteError("non-finite values after the explicit stage")
+    # transient undershoots are counted, not clamped: the implicit diffusion
+    # usually lifts an isolated dip, and a persistent one must surface as a
+    # cavitation fault below rather than be masked
+    ctx.undershoots += int(np.sum(rho_s[1:-1] < floor))
+    ctx.cells_advanced += hi - lo
+    ctx.hull = (min(ctx.hull[0], lo), max(ctx.hull[1], hi))
+
+    # the window's end rows are pinned: to the boundary values at a domain
+    # end (the axis end keeps its mirrored row), else to the frozen values
+    t1 = t0 + dt
+    rho_l, m_l = ctx.bc.left_values(t1) if lo == 0 else (rho[lo], m[lo])
+    rho_r, m_r = ctx.bc.right_values(t1) if hi == n else (rho[hi - 1],
+                                                           m[hi - 1])
+    coef = ctx.eps * dt
+    rho_n = _tridiag_solve(*_implicit_system(ctx.mass_bands[:, win], coef,
+                                             rho_s, rho_l, rho_r))
+    m_n = _tridiag_solve(*_implicit_system(ctx.mom_bands[:, win], coef, m_s,
+                                           m_l, m_r))
+
+    if not (np.all(np.isfinite(rho_n)) and np.all(np.isfinite(m_n))):
+        raise NonFiniteError("non-finite values after the implicit stage")
+    if np.min(rho_n) < floor:
+        raise CavitationError(
+            f"density fell to {np.min(rho_n):.3e} (< floor {floor:.0e})")
+    rho_out[win] = rho_n
+    m_out[win] = m_n
+    return FluidField(field.grid, rho_out, m_out, t1)

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from nozzleflow.errors import ConfigError
 from nozzleflow.harness import (RunConfig, _cauchy_check, _cauchy_ratios,
                                 lp_distance, single_run, sweep,
                                 write_sweep_outputs)
+from nozzleflow.schedule import certify
 from nozzleflow.solver import SolverContext
 
 
@@ -551,6 +553,38 @@ def test_cli_check_prints_each_check_with_its_margin(tmp_path, capsys):
     assert cli_main(["check", str(cfg_path), "--with-run"]) == 0
     assert re.search(r"^  check energy_inequality: pass value=\S+ bound=\S+ "
                      r"margin=\S+$", capsys.readouterr().out, re.M)
+
+
+def test_cli_check_certifies_the_domain_each_rung_runs_on(tmp_path, capsys):
+    # with a = -0.5 the eps = 0.1 rung runs on [-0.5, 10]: eps |b - a| = 1.05,
+    # not the 2 of the ladder rule's [-10, 10]
+    cfg_path = _write_cfg(tmp_path / "a.cfg", dict(
+        a="-0.5", window_lo="-0.4", window_hi="0.4", M_budget="1.04"))
+    assert cli_main(["check", str(cfg_path)]) == 1
+    out = capsys.readouterr().out
+    assert "  sup_k eps_domain: FAIL value=1.05 bound=1.04 margin=-0.01" in out
+    cfg = RunConfig.from_file(cfg_path)
+    rows = certify(cfg.build_schedule(), cfg.build_profile(), cfg.build_gas(),
+                   cfg.domain_of).rows
+    # eps (1/eps + 0.5) on every rung
+    assert [r.quantities["eps_domain"] for r in rows] == pytest.approx(
+        [1.05, 1.025, 1.0125, 1.00625])
+
+
+def test_cli_run_overflowing_initial_state_prints_only_the_error(tmp_path,
+                                                                 capsys):
+    # the gas law overflows at rho = 1e20 and gamma = 50: one error line, no
+    # numpy warning (the filter turns any into an exception), no output
+    cfg_path = _write_cfg(tmp_path / "g50.cfg", dict(
+        gamma="50", rho_minus="1e20", check_riemann="false",
+        output_dir=tmp_path / "out"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli_main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: the gas law leaves the float range on the initial "
+                   "data (relative energy nan, max rho = 1e+20, gamma = 50)\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cauchy_rule_allows_one_violation_and_passes_at_the_bound():

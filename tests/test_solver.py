@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,25 @@ def test_overflowing_wave_speed_is_a_non_finite_error():
     with np.errstate(over="ignore"), \
             pytest.raises(NonFiniteError, match=r"wave speed max\(\|u\| \+ c\) = inf"):
         ctx.max_wave_speed(f.rho, f.m)
+
+
+def test_run_checks_the_initial_wave_speed_before_the_first_sample():
+    g = GasLaw(50.0, delta=1e-4)
+    grid = Grid(-1.0, 1.0, 32)
+    bc = BoundarySpec.dirichlet_nozzle(1.0, 0.0, 1.0, 0.0)
+    f = _constant_field(grid, 1.0)
+    f.rho[3] = 1e20
+
+    class Hooks:
+        sample_times = [0.0, 0.1]
+
+        def sample(self, field, ctx):
+            raise AssertionError("sampled a state the gas law overflows on")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteError, match="wave speed"):
+            run(f, g, ConstantProfile(), 0.05, bc, 0.1, Hooks())
 
 
 def test_run_identity_and_error_time():

@@ -1,0 +1,145 @@
+"""The solver's step against the plain step of ``plain_step.py``.
+
+``step`` and ``SolverContext.max_wave_speed`` call the gas law's unchecked
+kernels, take the generalized minmod from signs and magnitudes and write the
+face states in place.  Each case runs twice: as the solver runs it, and with
+the plain step, wave speed and interface data patched in.  The final fields
+must be bit-identical.  The cases are the direct step and run calls of the
+benchmark's ``small_steps`` workload and one windowed acceptance rung at
+gamma 2 and at gamma 5.
+"""
+
+import numpy as np
+import pytest
+
+import plain_step
+from helpers import manufactured_forcing, manufactured_state
+from nozzleflow import diagnostics, solver
+from nozzleflow.geometry import (GaussianBumpProfile, TabulatedProfile,
+                                 make_profile)
+from nozzleflow.harness import RunConfig, single_run
+from nozzleflow.solver import (BoundarySpec, FluidField, Grid, SolverContext,
+                               run)
+from nozzleflow.thermo import GasLaw
+
+G = GasLaw(2.0, delta=1e-3)
+EPS = 0.05
+
+
+def _both(go):
+    """(fast result, plain result) of go()."""
+    fast = go()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "step", plain_step.step)
+        mp.setattr(SolverContext, "max_wave_speed", plain_step.max_wave_speed)
+        for module in (solver, diagnostics):
+            mp.setattr(module, "hyperbolic_interface_data",
+                       plain_step.hyperbolic_interface_data)
+        plain = go()
+    return fast, plain
+
+
+def _assert_bit_identical(a: FluidField, b: FluidField):
+    assert a.t == b.t
+    assert a.rho.tobytes() == b.rho.tobytes()
+    assert a.m.tobytes() == b.m.tobytes()
+
+
+def _profile(kind):
+    if kind == "tabulated":
+        xs = np.linspace(-3.5, 3.5, 29)
+        return TabulatedProfile.from_columns(xs, 1.0 + 0.5 * np.exp(-xs * xs))
+    params = {"power_law_closing": dict(alpha=1.0), "exponential": dict(rate=0.4),
+              "spherical": dict(n_dim=3)}.get(kind, {})
+    return make_profile(kind, **params)
+
+
+def _data(kind, grid):
+    x = grid.x
+    if kind == "constant":
+        return np.full(x.size, 0.7), np.zeros(x.size)
+    if kind == "riemann":
+        s = 0.5 * (1.0 + np.tanh(x / 0.3))
+        rho = 1.0 - 0.5 * s
+        return rho, 0.1 * rho * (1.0 - s)
+    z = (x - 0.5 * (grid.a + grid.b)) / (0.2 * (grid.b - grid.a))
+    bump = np.where(np.abs(z) < 1.0,
+                    np.exp(1.0 - 1.0 / np.maximum(1.0 - z * z, 1e-12)), 0.0)
+    return 0.7 + 0.3 * bump, np.zeros(x.size)
+
+
+def _case(kind, mode, domain, cells, data):
+    grid = Grid(*domain, cells)
+    rho, m = _data(data, grid)
+    bc = {"nozzle": lambda: BoundarySpec.dirichlet_nozzle(rho[0], m[0],
+                                                          rho[-1], m[-1]),
+          "dirichlet_sph": lambda: BoundarySpec.dirichlet_spherical(rho[-1]),
+          "neumann_sph": lambda: BoundarySpec.neumann_spherical(rho[-1])}[mode]()
+    return grid, _profile(kind), bc, FluidField(grid, rho, m)
+
+
+@pytest.mark.parametrize("kind, mode, domain, cells, data", [
+    ("constant", "nozzle", (-3.0, 3.0), 48, "bump"),
+    ("gaussian_bump", "nozzle", (-3.0, 3.0), 48, "riemann"),
+    ("power_law_closing", "nozzle", (-3.0, 3.0), 64, "bump"),
+    ("exponential", "nozzle", (-3.0, 3.0), 64, "bump"),
+    ("tabulated", "nozzle", (-3.0, 3.0), 96, "bump"),
+    ("spherical", "dirichlet_sph", (1.0, 2.0), 48, "bump"),
+    ("spherical", "neumann_sph", (0.05, 2.05), 48, "bump"),
+    ("gaussian_bump", "nozzle", (-4.0, 4.0), 48, "constant"),
+])
+def test_steps_match_the_plain_step(kind, mode, domain, cells, data):
+    grid, profile, bc, field0 = _case(kind, mode, domain, cells, data)
+
+    def stepped():
+        ctx = SolverContext(grid, G, profile, EPS, bc)
+        dt = 0.3 * grid.dx / ctx.max_wave_speed(field0.rho, field0.m)
+        field = field0
+        for _ in range(300):
+            field = solver.step(field, G, profile, EPS, bc, dt, ctx=ctx)
+        return field
+
+    _assert_bit_identical(*_both(stepped))
+
+
+@pytest.mark.parametrize("kind, mode, domain, cells, data, t_end", [
+    ("gaussian_bump", "nozzle", (-4.0, 4.0), 200, "riemann", 0.25),
+    ("spherical", "dirichlet_sph", (1.0, 5.0), 800, "bump", 0.05),
+])
+def test_runs_match_the_plain_step(kind, mode, domain, cells, data, t_end):
+    grid, profile, bc, field0 = _case(kind, mode, domain, cells, data)
+    fast, plain = _both(lambda: run(field0, G, profile, EPS, bc, t_end)[0])
+    _assert_bit_identical(fast, plain)
+
+
+def test_forced_run_matches_the_plain_step():
+    g, eps, profile = GasLaw(2.0, delta=0.01), 0.05, GaussianBumpProfile()
+    grid = Grid(-2.0, 2.0, 200)
+    bc = BoundarySpec.dirichlet_nozzle(
+        lambda t: manufactured_state(grid.a, t)[0],
+        lambda t: manufactured_state(grid.a, t)[1],
+        lambda t: manufactured_state(grid.b, t)[0],
+        lambda t: manufactured_state(grid.b, t)[1])
+    field0 = FluidField(grid, *manufactured_state(grid.x, 0.0))
+    fast, plain = _both(lambda: run(
+        field0, g, profile, eps, bc, 0.05, dt_fixed=2.0 * grid.dx ** 2,
+        forcing=manufactured_forcing(profile, g, eps))[0])
+    _assert_bit_identical(fast, plain)
+
+
+@pytest.mark.parametrize("gamma", [2.0, 5.0])
+def test_windowed_acceptance_rung_matches_the_plain_step(gamma):
+    # the acceptance sweeps' configuration, coarsest rung
+    cfg = RunConfig.from_mapping(dict(
+        gamma=gamma, profile="constant", bc="dirichlet_nozzle",
+        rho_minus=1.0, rho_plus=0.125, u_minus=0.75, u_plus=0.0,
+        init="riemann", blend_width=1.0, t_end=0.5, dx=1.0 / 128.0,
+        eps0=0.1, n_eps=6, snapshots=97, window_lo=-1.0, window_hi=1.0,
+        check_riemann=False))
+    fast, plain = _both(lambda: single_run(cfg, eps=0.1,
+                                           collect_snapshots=False))
+    lo, hi = fast.report.hull
+    assert hi - lo < fast.field.grid.n_nodes   # the run stepped windows
+    _assert_bit_identical(fast.field, plain.field)
+    for name, series in fast.report.series.items():
+        assert series.tobytes() == plain.report.series[name].tobytes(), name

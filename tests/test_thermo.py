@@ -35,6 +35,21 @@ def test_pressure_examples():
         GasLaw(2.0).pressure(-1.0)
 
 
+@pytest.mark.parametrize("method", [
+    "pressure", "pressure_gamma", "pressure_prime", "sound_speed", "h_delta",
+    "e_delta", "h_delta_prime", "h_delta_second", "riemann_R"])
+@pytest.mark.parametrize("delta", [0.0, 1e-3])
+def test_public_methods_reject_negative_density(method, delta):
+    # the solver's unchecked kernels sit behind these; the public entry
+    # points keep validating
+    g = GasLaw(2.0, delta=delta)
+    for rho in (-1.0, np.array([1.0, -1e-300])):
+        with pytest.raises(DomainError):
+            getattr(g, method)(rho)
+    with pytest.raises(DomainError):
+        g.riemann_invariants(np.array([1.0, -1.0]), np.zeros(2))
+
+
 def test_gas_law_validation():
     with pytest.raises(DomainError):
         GasLaw(1.0)
