@@ -12,7 +12,6 @@ from .entropy import GENERATOR_FACTORIES, get_kernel
 from .errors import ConfigError, NozzleflowError
 from .harness import (RunConfig, single_run, sweep, write_outputs,
                       write_sweep_outputs)
-from .schedule import certify
 from .thermo import GasLaw
 
 
@@ -43,10 +42,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg = RunConfig.from_file(args.config)
-    profile = cfg.build_profile()
-    cfg.validate_ladder(profile)
-    cert = certify(cfg.build_schedule(), profile, cfg.build_gas(),
-                   cfg.domain_of)
+    cert = cfg.certify_ladder(cfg.build_profile())
     print(cert.summary())
     ok = cert.passed
     if args.with_run:

@@ -13,6 +13,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 
@@ -37,9 +38,11 @@ from .thermo import GasLaw
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False,
          "on": True, "off": False, "1": True, "0": False}
+_BC_MODES = ("dirichlet_nozzle", "dirichlet_spherical", "neumann_spherical")
+_INIT_KINDS = ("riemann", "bump", "constant")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Flat configuration for runs and sweeps (see README for the file keys)."""
 
@@ -141,6 +144,10 @@ class RunConfig:
             val = getattr(self, f.name)
             if isinstance(val, float) and not math.isfinite(val):
                 raise ConfigError(f"{f.name} must be finite, got {val}")
+        for name, allowed in (("bc", _BC_MODES), ("init", _INIT_KINDS)):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
+                                  f"choose from {', '.join(allowed)}")
         # kappa = None selects the normalized default; GasLaw would read a
         # negative kappa as that default too, so it is rejected here
         for name in ("dx", "eps", "eps0", "t_end", "kappa"):
@@ -177,18 +184,6 @@ class RunConfig:
         """The axis-end mode always monitors the quartic energy."""
         return self.check_quartic or self.bc == "neumann_spherical"
 
-    @property
-    def delta_q(self) -> float:
-        """Exponent q of the ladder rule delta = eps^q."""
-        return self.delta_exponent if self.delta_exponent is not None \
-            else 1.0 + self.beta_max
-
-    def far_density(self, eps: float) -> float:
-        """Spherical far density: rho_bar, else the ladder rule eps^(n/gamma)."""
-        if self.rho_bar is not None:
-            return self.rho_bar
-        return self.build_schedule().rho_bar_of(eps)
-
     # -- object builders --------------------------------------------------------
     def build_profile(self) -> NozzleProfile:
         params = {
@@ -203,37 +198,40 @@ class RunConfig:
         }
         return make_profile(self.profile, **params.get(self.profile, {}))
 
-    def build_schedule(self) -> ViscositySchedule:
+    @cached_property
+    def _schedule(self) -> ViscositySchedule:
         eps = tuple(self.eps0 * 0.5 ** k for k in range(self.n_eps))
+        q = self.delta_exponent if self.delta_exponent is not None \
+            else 1.0 + self.beta_max
         return ViscositySchedule(
-            eps, q=self.delta_q, beta_max=self.beta_max,
-            M_budget=self.M_budget, L0=self.L0, spherical=self.spherical,
-            n_dim=self.profile_n, gamma=self.gamma)
+            eps, q=q, beta_max=self.beta_max, M_budget=self.M_budget,
+            L0=self.L0, spherical=self.spherical, n_dim=self.profile_n,
+            gamma=self.gamma, delta=self.delta, a=self.a, b=self.b,
+            rho_bar=self.rho_bar)
+
+    def build_schedule(self) -> ViscositySchedule:
+        """The ladder that owns every rung's delta, domain and far density."""
+        return self._schedule
 
     def build_gas(self, eps: Optional[float] = None) -> GasLaw:
-        if self.delta is not None:
-            delta = self.delta
-        else:
-            delta = (self.eps if eps is None else eps) ** self.delta_q
+        delta = self._schedule.delta_of(self.eps if eps is None else eps)
         kappa = self.kappa if self.kappa is not None else -1.0
         return GasLaw(self.gamma, kappa, delta)
 
     def build_reference(self, eps: float) -> ReferenceState:
         if self.spherical:
-            return ReferenceState.constant(self.far_density(eps), 0.0, self.L0)
+            return ReferenceState.constant(self._schedule.rho_bar_of(eps), 0.0,
+                                           self.L0)
         return ReferenceState(self.rho_minus, self.u_minus,
                               self.rho_plus, self.u_plus, self.L0)
 
     def domain_of(self, eps: float) -> tuple[float, float]:
-        sched = self.build_schedule()
-        a = self.a if self.a is not None else sched.a_of(eps)
-        b = self.b if self.b is not None else sched.b_of(eps)
-        return float(a), float(b)
+        return float(self._schedule.a_of(eps)), float(self._schedule.b_of(eps))
 
-    def validate_ladder(self, profile: NozzleProfile) -> None:
-        """Raise ConfigError unless every rung's domain lies inside the
-        profile's and holds the comparison window."""
-        for eps in self.build_schedule().eps_list:
+    def certify_ladder(self, profile: NozzleProfile) -> CertificateReport:
+        """Certify the ladder; ConfigError unless every rung's domain lies
+        inside the profile's and holds the comparison window."""
+        for eps in self._schedule.eps_list:
             a, b = self.domain_of(eps)
             try:
                 profile.area(np.array([a, b]))
@@ -244,17 +242,17 @@ class RunConfig:
                 raise ConfigError(
                     f"comparison window [{self.window_lo:g}, {self.window_hi:g}] "
                     f"leaves the eps={eps:g} domain [{a:g}, {b:g}]")
+        return certify(self._schedule, profile, self.build_gas())
 
     def build_bc(self, eps: float) -> BoundarySpec:
         if self.bc == "dirichlet_nozzle":
             return BoundarySpec.dirichlet_nozzle(
                 self.rho_minus, self.rho_minus * self.u_minus,
                 self.rho_plus, self.rho_plus * self.u_plus)
+        rho_bar = self._schedule.rho_bar_of(eps)
         if self.bc == "dirichlet_spherical":
-            return BoundarySpec.dirichlet_spherical(self.far_density(eps))
-        if self.bc == "neumann_spherical":
-            return BoundarySpec.neumann_spherical(self.far_density(eps))
-        raise ConfigError(f"unknown bc mode {self.bc!r}")
+            return BoundarySpec.dirichlet_spherical(rho_bar)
+        return BoundarySpec.neumann_spherical(rho_bar)
 
     def build_initial(self, eps: float) -> InitialData:
         ref = self.build_reference(eps)
@@ -282,14 +280,12 @@ class RunConfig:
             def m0(x):
                 return np.asarray(ref.m_bar(x)) if flat is None \
                     else np.zeros_like(np.asarray(x, dtype=float))
-        elif self.init == "constant":
+        else:                              # "constant"
             def rho0(x):
                 return np.asarray(ref.rho_bar(x))
 
             def m0(x):
                 return np.asarray(ref.m_bar(x))
-        else:
-            raise ConfigError(f"unknown init kind {self.init!r}")
         return InitialData(rho0, m0, self.mollify_width, self.blend_width)
 
 
@@ -484,8 +480,7 @@ def sweep(cfg: RunConfig) -> SweepResult:
     """
     sched = cfg.build_schedule()
     profile = cfg.build_profile()
-    cfg.validate_ladder(profile)
-    cert = certify(sched, profile, cfg.build_gas(), cfg.domain_of)
+    cert = cfg.certify_ladder(profile)
     if not cert.passed and not cfg.force:
         failing = "; ".join(f"{k}: {c}" for k, c in cert.failing().items())
         raise ConfigError(f"schedule failed its certificate ({failing}); "

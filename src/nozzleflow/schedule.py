@@ -14,7 +14,7 @@ the axis and do not apply there).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,7 +30,8 @@ class ViscositySchedule:
 
     delta(eps) = eps^q, and the domain is (-1/eps, 1/eps) for ducts or
     (eps, 1/eps) with far density rho_bar(eps) = eps^(n/gamma) in the
-    spherical mode.
+    spherical mode.  A set ``delta``, ``a``, ``b`` or ``rho_bar`` replaces
+    its rule on every rung, for the runs and the certificate alike.
     """
 
     eps_list: tuple[float, ...]
@@ -41,6 +42,10 @@ class ViscositySchedule:
     spherical: bool = False
     n_dim: int = 3
     gamma: float = 2.0
+    delta: Optional[float] = None
+    a: Optional[float] = None
+    b: Optional[float] = None
+    rho_bar: Optional[float] = None
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_list)
@@ -54,26 +59,28 @@ class ViscositySchedule:
             raise ConfigError("delta exponent q must be positive")
         if not self.beta_max > 2.0:
             raise ConfigError("beta must exceed 2")
-        if not self.spherical:
-            for e in eps:
-                if abs(self.a_of(e)) <= self.L0 or self.b_of(e) <= self.L0:
-                    raise ConfigError(
-                        f"domain for eps={e} does not contain [-L0, L0]")
+        # the rule's duct domain (-1/eps, 1/eps) is narrowest on the first rung
+        if not self.spherical and 1.0 / eps[0] <= self.L0:
+            raise ConfigError(
+                f"domain for eps={eps[0]} does not contain [-L0, L0]")
 
     # -- rules ---------------------------------------------------------------
     def delta_of(self, eps: float) -> float:
-        return eps ** self.q
+        return eps ** self.q if self.delta is None else self.delta
 
     def a_of(self, eps: float) -> float:
+        if self.a is not None:
+            return self.a
         return eps if self.spherical else -1.0 / eps
 
     def b_of(self, eps: float) -> float:
-        return 1.0 / eps
+        return 1.0 / eps if self.b is None else self.b
 
     def rho_bar_of(self, eps: float) -> float:
         if not self.spherical:
             raise ConfigError("rho_bar rule applies to spherical ladders only")
-        return eps ** (self.n_dim / self.gamma)
+        return eps ** (self.n_dim / self.gamma) if self.rho_bar is None \
+            else self.rho_bar
 
 
 @dataclass(frozen=True)
@@ -113,13 +120,14 @@ def _sup(values: np.ndarray) -> float:
     return float(np.max(np.abs(values)))
 
 
-def certify(sched: ViscositySchedule, profile: NozzleProfile, g: GasLaw,
-            domain_of: Optional[Callable] = None) -> CertificateReport:
+def certify(sched: ViscositySchedule, profile: NozzleProfile,
+            g: GasLaw) -> CertificateReport:
     """Evaluate the per-rung constraint quantities by sampling on [a, b].
 
-    (a, b) = domain_of(eps) is the domain the rung runs on (default: the
-    ladder rule's ``sched.a_of``/``b_of``; ``RunConfig.domain_of`` adds the
-    config's overrides).  The samples are ``geometry.sample_interval(a, b)``.
+    Every rung reads its delta, domain (a, b) and far density from
+    ``sched``, the values the runs use, and ``sched.spherical`` picks the
+    mode.  The samples are ``geometry.sample_interval(a, b)``.  ``g`` must
+    have the schedule's gamma.
 
     Duct mode checks, per rung: eps|b-a|; eps sup|(A'/A)'| sup A |b-a|;
     eps sup|A''|; (delta/eps) sup A |a|^beta sup A^((gamma-3)/(gamma-1));
@@ -128,16 +136,17 @@ def certify(sched: ViscositySchedule, profile: NozzleProfile, g: GasLaw,
     combined quantity eps (1 + sup|(A'/A)'|) |b - a|.
     Spherical mode checks eps|b-a|, rho_bar^gamma b^n and (delta/eps) b^n.
     """
+    if g.gamma != sched.gamma:
+        raise ConfigError(f"the gas law's gamma = {g.gamma:g} differs from "
+                          f"the schedule's gamma = {sched.gamma:g}")
     rows = []
-    mode_spherical = sched.spherical or profile.kind is ProfileKind.SPHERICAL
-    singular = not mode_spherical and abs(g.gamma - 2.0) <= 1e-12
+    singular = not sched.spherical and abs(g.gamma - 2.0) <= 1e-12
     for eps in sched.eps_list:
-        a, b = domain_of(eps) if domain_of else (sched.a_of(eps), sched.b_of(eps))
+        a, b = sched.a_of(eps), sched.b_of(eps)
         delta = sched.delta_of(eps)
         quant: dict[str, float] = {"eps_domain": eps * abs(b - a)}
-        if mode_spherical:
-            n = sched.n_dim
-            rb = sched.rho_bar_of(eps) if sched.spherical else eps ** (n / g.gamma)
+        if sched.spherical:
+            n, rb = sched.n_dim, sched.rho_bar_of(eps)
             quant["rho_bar_pressure_volume"] = rb ** g.gamma * b ** n
             quant["delta_volume"] = delta / eps * b ** n
         else:
@@ -164,7 +173,7 @@ def certify(sched: ViscositySchedule, profile: NozzleProfile, g: GasLaw,
     checks = {k: Check(np.max([r.quantities[k] for r in rows]), sched.M_budget)
               for k in rows[0].quantities}
     return CertificateReport(rows=tuple(rows), checks=checks, skipped=skipped,
-                             spherical=mode_spherical)
+                             spherical=sched.spherical)
 
 
 def make_default(profile: NozzleProfile, gamma: float,

@@ -367,7 +367,8 @@ _RUN_CFG = dict(gamma="2.0", profile="constant", bc="dirichlet_nozzle",
     ("profile_n", "3.0"), ("eps", "abc"), ("eps", "nan"), ("dx", "-1"),
     ("dx", "10"), ("cfl", "5"), ("snapshots", "1"), ("t_end", "0"),
     ("kappa", "-2"), ("mollify_width", "-0.01"), ("blend_width", "-1"),
-    ("workers", "-1"), ("n_eps", "1")])
+    ("workers", "-1"), ("n_eps", "1"), ("bc", "dirichlet_spherica"),
+    ("init", "riemman")])
 def test_cli_bad_input_is_error_exit_2(tmp_path, capsys, monkeypatch, key,
                                        value):
     import nozzleflow.harness as harness
@@ -379,8 +380,9 @@ def test_cli_bad_input_is_error_exit_2(tmp_path, capsys, monkeypatch, key,
     values = dict(_RUN_CFG, output_dir=str(tmp_path / "out"), **{key: value})
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
-    # a sweep must reject a one-rung ladder before any rung runs
-    command = "sweep" if key == "n_eps" else "run"
+    # a sweep must reject a one-rung ladder before any rung runs, and check
+    # a name no rung could be built from
+    command = {"n_eps": "sweep", "bc": "check", "init": "check"}.get(key, "run")
     assert cli_main([command, str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "out" / "report.csv").exists()
@@ -555,20 +557,37 @@ def test_cli_check_prints_each_check_with_its_margin(tmp_path, capsys):
                      r"margin=\S+$", capsys.readouterr().out, re.M)
 
 
-def test_cli_check_certifies_the_domain_each_rung_runs_on(tmp_path, capsys):
+@pytest.mark.parametrize("over,key,line,per_rung", [
     # with a = -0.5 the eps = 0.1 rung runs on [-0.5, 10]: eps |b - a| = 1.05,
-    # not the 2 of the ladder rule's [-10, 10]
-    cfg_path = _write_cfg(tmp_path / "a.cfg", dict(
-        a="-0.5", window_lo="-0.4", window_hi="0.4", M_budget="1.04"))
+    # not the 2 of the ladder rule's [-10, 10]; eps (1/eps + 0.5) per rung
+    (dict(a="-0.5", window_lo="-0.4", window_hi="0.4", M_budget="1.04"),
+     "eps_domain", "FAIL value=1.05 bound=1.04 margin=-0.01",
+     [1.05, 1.025, 1.0125, 1.00625]),
+    # a fixed delta = 1e-3, not eps^5: (delta/eps) |a|^4 = 1e-3 / eps^5
+    (dict(delta="1e-3"), "delta_inv_eps_area_abeta",
+     "FAIL value=3.2768e+06", [100.0, 3200.0, 102400.0, 3276800.0]),
+    # a fixed rho_bar = 1, not eps^(3/2): rho_bar^gamma b^3 = eps^-3
+    (dict(bc="dirichlet_spherical", profile="spherical", window_lo="0.5",
+          window_hi="4", rho_bar="1"), "rho_bar_pressure_volume",
+     "FAIL value=512000", [1e3, 8e3, 64e3, 512e3])],
+    ids=["a", "delta", "rho_bar"])
+def test_cli_check_certifies_the_values_each_rung_runs_with(
+        tmp_path, capsys, over, key, line, per_rung):
+    cfg_path = _write_cfg(tmp_path / "over.cfg", over)
     assert cli_main(["check", str(cfg_path)]) == 1
-    out = capsys.readouterr().out
-    assert "  sup_k eps_domain: FAIL value=1.05 bound=1.04 margin=-0.01" in out
+    assert f"  sup_k {key}: {line}" in capsys.readouterr().out
     cfg = RunConfig.from_file(cfg_path)
-    rows = certify(cfg.build_schedule(), cfg.build_profile(), cfg.build_gas(),
-                   cfg.domain_of).rows
-    # eps (1/eps + 0.5) on every rung
-    assert [r.quantities["eps_domain"] for r in rows] == pytest.approx(
-        [1.05, 1.025, 1.0125, 1.00625])
+    sched = cfg.build_schedule()
+    rows = certify(sched, cfg.build_profile(), cfg.build_gas()).rows
+    assert [r.quantities[key] for r in rows] == pytest.approx(per_rung)
+    # the runs read every rung's values from the schedule the certificate read
+    for eps in sched.eps_list:
+        assert cfg.build_gas(eps).delta == sched.delta_of(eps)
+        assert cfg.domain_of(eps) == (sched.a_of(eps), sched.b_of(eps))
+        if sched.spherical:
+            rho_bar = sched.rho_bar_of(eps)
+            assert cfg.build_bc(eps).right_values(0.0)[0] == rho_bar
+            assert cfg.build_reference(eps).rho_bar(1.0) == rho_bar
 
 
 def test_cli_run_overflowing_initial_state_prints_only_the_error(tmp_path,

@@ -99,6 +99,13 @@ def test_make_default_rejects_uncertifiable_profile():
         make_default(ExponentialProfile(rate=0.5), gamma=1.4)
 
 
+def test_certify_rejects_a_gas_law_of_another_gamma():
+    # the rho_bar rule would read the schedule's gamma 2, the pressure gamma 5
+    prof = SphericalProfile(n_dim=3)
+    with pytest.raises(ConfigError, match="gamma"):
+        certify(make_default(prof, gamma=2.0), prof, GasLaw(5.0))
+
+
 def test_spherical_certificate_quantities():
     s = make_default(SphericalProfile(n_dim=3), gamma=2.0)
     rep = certify(s, SphericalProfile(n_dim=3), GasLaw(2.0))
