@@ -459,9 +459,11 @@ class RecorderOptions:
     riemann: bool = True
     quartic: bool = False
     gronwall_M: float = 10.0       # Gronwall bound E + D <= M (E0 + 1)
-    energy_tol: float = 1e-3       # sharp form E + D <= E0 (1 + tol)
     riemann_tol: float = 1e-3      # slack per unit time, relative to osc(w_0)
 
+
+# the sharp energy form E + D <= E0 (1 + ENERGY_TOL) of spherical Dirichlet runs
+ENERGY_TOL = 1e-3
 
 # a moved node changes monitored items up to HULL_PAD nodes away: an
 # energy-rate interval reads the centered gradients at both its end nodes
@@ -593,7 +595,7 @@ class Recorder:
             total = _worst(rep.energy + rep.dissipation)
             if self._ctx.bc.mode is BCMode.DIRICHLET_SPHERICAL:
                 checks["energy_inequality_sharp"] = Check(
-                    total, rep.energy[0] * (1.0 + opt.energy_tol) + 1e-14)
+                    total, rep.energy[0] * (1.0 + ENERGY_TOL) + 1e-14)
             else:
                 checks["energy_inequality"] = Check(
                     total, opt.gronwall_M * (rep.energy[0] + 1.0))

@@ -477,19 +477,24 @@ def modified_energy_gradient(g: GasLaw, rho, m):
     return g.h_delta_prime(r) - 0.5 * u * u, u
 
 
+# the reference blend half-width L0 of the construction: the blend between
+# the far states lies in [-L0, L0], which every duct rung's domain contains
+BLEND_HALF_WIDTH = 2.0
+
+
 @dataclass(frozen=True)
 class ReferenceState:
     """Smooth monotone interpolation between prescribed far states.
 
-    Constant equal to (rho_minus, u_minus) for x <= -L_halo and to
-    (rho_plus, u_plus) for x >= L_halo, with a C^2 monotone blend between.
+    Constant equal to (rho_minus, u_minus) for x <= -L0 and to
+    (rho_plus, u_plus) for x >= L0, with a C^2 monotone blend between.
     """
 
     rho_minus: float
     u_minus: float
     rho_plus: float
     u_plus: float
-    L0: float = 2.0
+    L0: float = BLEND_HALF_WIDTH
 
     def __post_init__(self):
         if self.rho_minus < 0.0 or self.rho_plus < 0.0:
@@ -498,8 +503,8 @@ class ReferenceState:
             raise DomainError("blend half-width L0 must exceed 1")
 
     @classmethod
-    def constant(cls, rho_bar: float, u_bar: float = 0.0, L0: float = 2.0):
-        return cls(rho_bar, u_bar, rho_bar, u_bar, L0)
+    def constant(cls, rho_bar: float, u_bar: float = 0.0):
+        return cls(rho_bar, u_bar, rho_bar, u_bar)
 
     def _blend(self, x):
         return smoothstep((np.asarray(x, dtype=float) + self.L0) / (2.0 * self.L0))

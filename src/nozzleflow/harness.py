@@ -52,20 +52,16 @@ class RunConfig:
     delta: Optional[float] = None          # None: delta(eps) from the ladder rule
     # geometry
     profile: str = "constant"
-    profile_area: float = 1.0
-    profile_base: float = 1.0
     profile_amp: float = 1.0
     profile_rate: float = 1.0
     profile_alpha: float = 1.0
     profile_n: int = 3
-    profile_omega: Optional[float] = None
     profile_file: Optional[str] = None
     # far states / reference
     rho_minus: float = 1.0
     u_minus: float = 0.0
     rho_plus: float = 0.125
     u_plus: float = 0.0
-    L0: float = 2.0
     # boundary mode
     bc: str = "dirichlet_nozzle"
     rho_bar: Optional[float] = None        # spherical modes; None: ladder rule
@@ -88,8 +84,6 @@ class RunConfig:
     # ladder / sweep
     eps0: float = 0.1
     n_eps: int = 4
-    delta_exponent: Optional[float] = None  # None: 1 + beta_max
-    beta_max: float = 4.0
     M_budget: float = 10.0
     window_lo: float = -1.0
     window_hi: float = 1.0
@@ -102,8 +96,6 @@ class RunConfig:
     check_energy: bool = True
     check_riemann: bool = True
     check_quartic: bool = False
-    gronwall_M: float = 10.0
-    energy_tol: float = 1e-3
     riemann_tol: float = 1e-3
     weak_residuals: bool = False
     output_dir: str = "out"
@@ -150,7 +142,7 @@ class RunConfig:
                                   f"choose from {', '.join(allowed)}")
         # kappa = None selects the normalized default; GasLaw would read a
         # negative kappa as that default too, so it is rejected here
-        for name in ("dx", "eps", "eps0", "t_end", "kappa"):
+        for name in ("dx", "eps", "eps0", "t_end", "kappa", "rho_bar"):
             val = getattr(self, name)
             if val is not None and not val > 0.0:
                 raise ConfigError(f"{name} must be positive, got {val}")
@@ -187,13 +179,10 @@ class RunConfig:
     # -- object builders --------------------------------------------------------
     def build_profile(self) -> NozzleProfile:
         params = {
-            "constant": dict(value=self.profile_area),
-            "gaussian_bump": dict(base=self.profile_base, amp=self.profile_amp,
-                                  rate=self.profile_rate),
+            "gaussian_bump": dict(amp=self.profile_amp, rate=self.profile_rate),
             "power_law_closing": dict(alpha=self.profile_alpha),
             "exponential": dict(rate=self.profile_rate),
-            "spherical": dict(n_dim=self.profile_n,
-                              omega_n=self.profile_omega or 0.0),
+            "spherical": dict(n_dim=self.profile_n),
             "tabulated": dict(file=self.profile_file),
         }
         return make_profile(self.profile, **params.get(self.profile, {}))
@@ -201,13 +190,10 @@ class RunConfig:
     @cached_property
     def _schedule(self) -> ViscositySchedule:
         eps = tuple(self.eps0 * 0.5 ** k for k in range(self.n_eps))
-        q = self.delta_exponent if self.delta_exponent is not None \
-            else 1.0 + self.beta_max
         return ViscositySchedule(
-            eps, q=q, beta_max=self.beta_max, M_budget=self.M_budget,
-            L0=self.L0, spherical=self.spherical, n_dim=self.profile_n,
-            gamma=self.gamma, delta=self.delta, a=self.a, b=self.b,
-            rho_bar=self.rho_bar)
+            eps, q=1.0 + ViscositySchedule.beta_max, M_budget=self.M_budget,
+            spherical=self.spherical, n_dim=self.profile_n, gamma=self.gamma,
+            delta=self.delta, a=self.a, b=self.b, rho_bar=self.rho_bar)
 
     def build_schedule(self) -> ViscositySchedule:
         """The ladder that owns every rung's delta, domain and far density."""
@@ -220,10 +206,9 @@ class RunConfig:
 
     def build_reference(self, eps: float) -> ReferenceState:
         if self.spherical:
-            return ReferenceState.constant(self._schedule.rho_bar_of(eps), 0.0,
-                                           self.L0)
+            return ReferenceState.constant(self._schedule.rho_bar_of(eps))
         return ReferenceState(self.rho_minus, self.u_minus,
-                              self.rho_plus, self.u_plus, self.L0)
+                              self.rho_plus, self.u_plus)
 
     def domain_of(self, eps: float) -> tuple[float, float]:
         return float(self._schedule.a_of(eps)), float(self._schedule.b_of(eps))
@@ -340,8 +325,6 @@ def single_run(cfg: RunConfig, eps: Optional[float] = None,
         snapshot_window=window,
         riemann=cfg.check_riemann,
         quartic=cfg.quartic_check,
-        gronwall_M=cfg.gronwall_M,
-        energy_tol=cfg.energy_tol,
         riemann_tol=cfg.riemann_tol,
     )
     ref = cfg.build_reference(eps) if cfg.check_energy else None

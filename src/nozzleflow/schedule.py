@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .checks import Check
+from .entropy import BLEND_HALF_WIDTH
 from .errors import ConfigError
 from .geometry import NozzleProfile, ProfileKind, sample_interval
 from .thermo import GasLaw
@@ -31,14 +32,15 @@ class ViscositySchedule:
     delta(eps) = eps^q, and the domain is (-1/eps, 1/eps) for ducts or
     (eps, 1/eps) with far density rho_bar(eps) = eps^(n/gamma) in the
     spherical mode.  A set ``delta``, ``a``, ``b`` or ``rho_bar`` replaces
-    its rule on every rung, for the runs and the certificate alike.
+    its rule on every rung, for the runs and the certificate alike.  Every
+    duct rung's domain must contain the reference blend [-L0, L0]
+    (``entropy.BLEND_HALF_WIDTH``).
     """
 
     eps_list: tuple[float, ...]
     q: float
     beta_max: float = 4.0
     M_budget: float = 10.0
-    L0: float = 2.0
     spherical: bool = False
     n_dim: int = 3
     gamma: float = 2.0
@@ -59,10 +61,13 @@ class ViscositySchedule:
             raise ConfigError("delta exponent q must be positive")
         if not self.beta_max > 2.0:
             raise ConfigError("beta must exceed 2")
-        # the rule's duct domain (-1/eps, 1/eps) is narrowest on the first rung
-        if not self.spherical and 1.0 / eps[0] <= self.L0:
-            raise ConfigError(
-                f"domain for eps={eps[0]} does not contain [-L0, L0]")
+        L0 = BLEND_HALF_WIDTH
+        for e in eps:
+            a, b = self.a_of(e), self.b_of(e)
+            if not self.spherical and not (a < -L0 and b > L0):
+                raise ConfigError(
+                    f"the eps={e:g} domain [{a:g}, {b:g}] does not contain "
+                    f"[-L0, L0] = [{-L0:g}, {L0:g}]")
 
     # -- rules ---------------------------------------------------------------
     def delta_of(self, eps: float) -> float:
@@ -180,11 +185,11 @@ def make_default(profile: NozzleProfile, gamma: float,
                  n_eps: int = 4) -> ViscositySchedule:
     """Geometric ladder eps_k = 0.1 / 2^k with q chosen so certify passes.
 
-    The schedule keeps its default beta_max, M_budget and L0, and the
+    The schedule keeps its default beta_max = 4 and M_budget = 10, and the
     profile's own dimension (3 for a duct).  The search starts from the
-    aggressive q = 1 + beta_max and raises q until the certificate clears
-    the budget; a profile that cannot be certified with any q <= 12 is
-    rejected.
+    aggressive q = 1 + beta_max = 5, the q every config's ladder uses, and
+    raises q until the certificate clears the budget; a profile that cannot
+    be certified with any q <= 12 is rejected.
     """
     eps = tuple(0.1 * 0.5 ** k for k in range(n_eps))
     spherical = profile.kind is ProfileKind.SPHERICAL

@@ -160,7 +160,7 @@ def test_05_spherical_energy_inequality():
         eps=eps, window_lo=0.5, window_hi=4.0, workers=1,
     ))
     rep = single_run(cfg, eps=eps, collect_snapshots=False).report
-    # max(E + D) against E0 (1 + energy_tol), energy_tol = 1e-3 by default
+    # max(E + D) against E0 (1 + diagnostics.ENERGY_TOL), ENERGY_TOL = 1e-3
     check = rep.checks["energy_inequality_sharp"]
     excess = check.value / rep.energy[0] - 1.0
     _verdict(5, f"sharp energy inequality, max excess {excess:.2e}: {check}",

@@ -363,12 +363,21 @@ _RUN_CFG = dict(gamma="2.0", profile="constant", bc="dirichlet_nozzle",
                 t_end="0.1", dx="0.03125", eps="0.05", snapshots="5")
 
 
+# the other keys a bad value is checked with: a spherical ladder for rho_bar,
+# and for a = -1 (no rung's domain then holds [-L0, L0] = [-2, 2]) a
+# comparison window inside every rung's domain
+_BAD_INPUT_CONTEXT = {
+    "rho_bar": dict(bc="dirichlet_spherical", profile="spherical",
+                    window_lo="0.5", window_hi="4"),
+    "a": dict(window_lo="-0.5", window_hi="0.5")}
+
+
 @pytest.mark.parametrize("key,value", [
     ("profile_n", "3.0"), ("eps", "abc"), ("eps", "nan"), ("dx", "-1"),
     ("dx", "10"), ("cfl", "5"), ("snapshots", "1"), ("t_end", "0"),
     ("kappa", "-2"), ("mollify_width", "-0.01"), ("blend_width", "-1"),
     ("workers", "-1"), ("n_eps", "1"), ("bc", "dirichlet_spherica"),
-    ("init", "riemman")])
+    ("init", "riemman"), ("L0", "3"), ("rho_bar", "-1"), ("a", "-1")])
 def test_cli_bad_input_is_error_exit_2(tmp_path, capsys, monkeypatch, key,
                                        value):
     import nozzleflow.harness as harness
@@ -377,12 +386,14 @@ def test_cli_bad_input_is_error_exit_2(tmp_path, capsys, monkeypatch, key,
         raise AssertionError("a sweep rung ran before the config was rejected")
 
     monkeypatch.setattr(harness, "single_run", no_rung)
-    values = dict(_RUN_CFG, output_dir=str(tmp_path / "out"), **{key: value})
+    values = dict(_RUN_CFG, output_dir=str(tmp_path / "out"),
+                  **_BAD_INPUT_CONTEXT.get(key, {}), **{key: value})
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
     # a sweep must reject a one-rung ladder before any rung runs, and check
-    # a name no rung could be built from
-    command = {"n_eps": "sweep", "bc": "check", "init": "check"}.get(key, "run")
+    # a name no rung could be built from and a ladder it cannot certify
+    command = {"n_eps": "sweep", "bc": "check", "init": "check",
+               "rho_bar": "check", "a": "check"}.get(key, "run")
     assert cli_main([command, str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "out" / "report.csv").exists()
@@ -443,7 +454,8 @@ def test_sweep_window_must_fit_every_rung(monkeypatch):
 
     monkeypatch.setattr(harness, "single_run", no_run)
     with pytest.raises(ConfigError, match="window"):
-        sweep(_tiny_sweep_config(a=-0.5))   # window_lo = -1 leaves [a, b]
+        # window_lo = -2.8 leaves [a, b], which still contains [-L0, L0]
+        sweep(_tiny_sweep_config(a=-2.5, window_lo=-2.8))
 
 
 def test_sweep_error_lists_every_failed_rung():
@@ -528,7 +540,8 @@ def test_sweep_passed_is_the_cli_exit_status(tmp_path, monkeypatch, over,
 
 @pytest.mark.parametrize("command", ["check", "sweep"])
 @pytest.mark.parametrize("over,reason", [
-    (dict(a="-0.5"), "comparison window [-1, 1] leaves the eps=0.1 domain"),
+    (dict(a="-2.5", window_lo="-2.8"),
+     "comparison window [-2.8, 1] leaves the eps=0.1 domain [-2.5, 10]"),
     (dict(profile="spherical"), "leaves the profile's")])
 def test_check_and_sweep_refuse_the_same_ladders(tmp_path, capsys, monkeypatch,
                                                  command, over, reason):
@@ -558,11 +571,11 @@ def test_cli_check_prints_each_check_with_its_margin(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("over,key,line,per_rung", [
-    # with a = -0.5 the eps = 0.1 rung runs on [-0.5, 10]: eps |b - a| = 1.05,
-    # not the 2 of the ladder rule's [-10, 10]; eps (1/eps + 0.5) per rung
-    (dict(a="-0.5", window_lo="-0.4", window_hi="0.4", M_budget="1.04"),
-     "eps_domain", "FAIL value=1.05 bound=1.04 margin=-0.01",
-     [1.05, 1.025, 1.0125, 1.00625]),
+    # with a = -3 the eps = 0.1 rung runs on [-3, 10]: eps |b - a| = 1.3,
+    # not the 2 of the ladder rule's [-10, 10]; eps (1/eps + 3) per rung
+    (dict(a="-3", M_budget="1.29"),
+     "eps_domain", "FAIL value=1.3 bound=1.29 margin=-0.01",
+     [1.3, 1.15, 1.075, 1.0375]),
     # a fixed delta = 1e-3, not eps^5: (delta/eps) |a|^4 = 1e-3 / eps^5
     (dict(delta="1e-3"), "delta_inv_eps_area_abeta",
      "FAIL value=3.2768e+06", [100.0, 3200.0, 102400.0, 3276800.0]),

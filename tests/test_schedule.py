@@ -54,7 +54,7 @@ def test_validation_errors():
         ViscositySchedule((0.1, 0.05), q=5.0, beta_max=1.5)
     with pytest.raises(ConfigError):
         # |a| = 1/eps must exceed L0
-        ViscositySchedule((0.9, 0.45), q=5.0, L0=2.0)
+        ViscositySchedule((0.9, 0.45), q=5.0)
 
 
 def test_certify_passes_builtin_profiles():
