@@ -25,7 +25,6 @@ from .geometry import (
     GaussianBumpProfile,
     NozzleProfile,
     PowerLawClosingProfile,
-    ProfileKind,
     SphericalProfile,
     TabulatedProfile,
     make_profile,
@@ -52,7 +51,6 @@ from .entropy import (
     quartic_entropy,
     relative_energy_density,
     special_pair_check,
-    weak_entropy_pair,
     weight_moment,
 )
 from .solver import (

@@ -28,7 +28,7 @@ def _cmd_run(args) -> int:
                      + _check_lines(result.report))
     write_outputs(cfg, {"": result}, text)
     print(text)
-    return 0 if result.report.all_checks_pass() else 1
+    return 0 if result.report.passed else 1
 
 
 def _cmd_sweep(args) -> int:
@@ -48,7 +48,7 @@ def _cmd_check(args) -> int:
     if args.with_run:
         result = single_run(cfg, label="check", collect_snapshots=False)
         print("\n".join(_check_lines(result.report)))
-        ok = ok and result.report.all_checks_pass()
+        ok = ok and result.report.passed
     return 0 if ok else 1
 
 
@@ -111,7 +111,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NozzleflowError as err:
+    except (NozzleflowError, OSError) as err:  # OSError: a file it cannot use
         print(f"error: {err}", file=sys.stderr)
         return 2
 

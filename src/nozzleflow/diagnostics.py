@@ -27,10 +27,9 @@ import numpy as np
 from .checks import Check
 from .entropy import (EntropyGenerator, ReferenceState, gen_convex_spline,
                       gen_half_square, gen_smoothed_abs, get_kernel,
-                      modified_energy_gradient, quartic_entropy,
-                      relative_energy_density, smooth_bump)
+                      modified_energy_gradient, quartic_entropy, smooth_bump)
 from .errors import CavitationError, ConfigError
-from .geometry import NozzleProfile, ProfileKind
+from .geometry import NozzleProfile, SphericalProfile
 from .solver import (BCMode, FluidField, SolverContext,
                      hyperbolic_interface_data)
 from .thermo import GasLaw
@@ -97,7 +96,8 @@ class DiagnosticsReport:
     snapshots: Optional[SnapshotSet] = None
     label: str = ""
 
-    def all_checks_pass(self) -> bool:
+    @property
+    def passed(self) -> bool:
         return all(self.checks.values())
 
     def to_csv(self, path) -> None:
@@ -168,24 +168,26 @@ def energy_budget(ctx: SolverContext, field: FluidField, ref: ReferenceState,
     E integrates the relative energy density against A(x) dx (trapezoid).
     The dissipation rate integrates eps*(h''(rho) rho_x^2 + rho u_x^2 + geo)
     with centered differences; the geometric piece is (n-1) rho u^2 / x^2 in
-    the spherical geometry and |(A'/A)' rho u (u - u_bar)| otherwise.
-    ``out`` has a row for each of the three.
+    the spherical geometry and |(A'/A)' rho u (u - u_bar)| otherwise.  The
+    reference state is evaluated once, for both.  ``out`` has a row for each
+    of the three.
     """
     g, profile, n = ctx.g, ctx.profile, ctx.grid.n_nodes
     lo, hi = nodes or (0, n)
     ext = slice(max(lo - 1, 0), min(hi + 1, n))  # the gradients read +-1
     core = slice(lo - ext.start, hi - ext.start)
     x, A, rho, m = ctx.x[ext], ctx.A[ext], field.rho[ext], field.m[ext]
-    dens = relative_energy_density(g, ref, x, rho, m)
+    rho_bar, u_bar = ref.state(x)
+    dens = g.relative_energy(rho, m, rho_bar, u_bar)
     u = g.velocity(rho, m)
     rho_x = np.gradient(rho, ctx.dx)
     u_x = np.gradient(u, ctx.dx)
     hess = g.h_delta_second(np.maximum(rho, g.rho_floor)) * rho_x ** 2 \
         + rho * u_x ** 2
-    if profile.kind is ProfileKind.SPHERICAL:
+    if isinstance(profile, SphericalProfile):
         geo = (profile.n_dim - 1) * rho * u * u / (x * x)
     else:
-        geo = np.abs(ctx.dG[ext] * rho * u * (u - ref.u_bar(x)))
+        geo = np.abs(ctx.dG[ext] * rho * u * (u - u_bar))
     rows = [None] * 3 if out is None else out
     E, rate_h, rate_g = (_integral(f[core] * A[core], x[core], lo, row)
                          for f, row in zip((dens, hess, geo), rows))
@@ -392,7 +394,8 @@ def weak_residual(history: SnapshotSet, g: GasLaw, profile: NozzleProfile,
     tests is ((B_t' @ F) * B_x).sum(1).  The kernel runs once per generator,
     one order-1 moment pass for eta, q and the gradient, on the unique
     (rho, m) states inside the union of the test supports, with the
-    kernel's default 64-node rules for generators that need nodes.
+    kernel's default ``KERNEL_NODES``-node rules for generators that need
+    nodes.
     """
     for gen in gen_set:
         if not gen.convex:
@@ -458,10 +461,12 @@ class RecorderOptions:
     snapshot_window: Optional[tuple[float, float]] = None
     riemann: bool = True
     quartic: bool = False
-    gronwall_M: float = 10.0       # Gronwall bound E + D <= M (E0 + 1)
     riemann_tol: float = 1e-3      # slack per unit time, relative to osc(w_0)
 
 
+# the Gronwall bound E + D <= GRONWALL_M (E0 + 1) of every run but the
+# spherical Dirichlet ones
+GRONWALL_M = 10.0
 # the sharp energy form E + D <= E0 (1 + ENERGY_TOL) of spherical Dirichlet runs
 ENERGY_TOL = 1e-3
 
@@ -598,7 +603,7 @@ class Recorder:
                     total, rep.energy[0] * (1.0 + ENERGY_TOL) + 1e-14)
             else:
                 checks["energy_inequality"] = Check(
-                    total, opt.gronwall_M * (rep.energy[0] + 1.0))
+                    total, GRONWALL_M * (rep.energy[0] + 1.0))
         if "llf_rate" in rep.series:
             rep.notes.append("llf series estimates the scheme's interface "
                              "dissipation; heuristic, not an estimate of the "

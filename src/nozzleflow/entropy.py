@@ -243,6 +243,10 @@ GENERATOR_FACTORIES = {
 _EDGE = 1e-10  # kinks this close to s = +-1 are treated as outside
 # node-doubling tolerance of pair_certified (relative, with a scale floor)
 CERTIFY_RTOL = 1e-10
+# pair_certified gives up when the next doubling would pass this many nodes
+CERTIFY_MAX_NODES = 4096
+# Gauss-Jacobi nodes of a kernel's default rules
+KERNEL_NODES = 64
 
 
 def _flat_states(rho, m):
@@ -266,7 +270,7 @@ def _shaped(shape, *arrs):
 class EntropyKernel:
     """Quadrature engine for one gas law; rules are cached per (a, b, n)."""
 
-    def __init__(self, g: GasLaw, n_nodes: int = 64):
+    def __init__(self, g: GasLaw, n_nodes: int):
         if g.lambda_exp <= -0.5:
             raise DomainError("kernel exponent must exceed -1/2")
         self.g = g
@@ -406,12 +410,13 @@ class EntropyKernel:
         """(eta_rr, eta_rm, eta_mm); states must be away from vacuum."""
         return self._assembled(gen, rho, m, 2, None)[4:]
 
-    def pair_certified(self, gen, rho, m, max_nodes: int = 4096):
+    def pair_certified(self, gen, rho, m):
         """(eta, q) with a node-doubling certificate.
 
         Starts from the default node count, doubles until consecutive rules
         agree to CERTIFY_RTOL (relative, with a scale floor so symmetric
-        zeros do not trip it), and returns the finer evaluation.  When every
+        zeros do not trip it), and returns the finer evaluation; past
+        CERTIFY_MAX_NODES nodes it raises QuadratureError.  When every
         state's range u +- rho^theta lies inside one polynomial piece, the
         moments are exact and use no nodes, so they are evaluated once.
         """
@@ -432,22 +437,16 @@ class EntropyKernel:
                     and np.all(np.abs(q_f - q_c) <= tol_q)):
                 return _shaped(shape, eta_f, q_f)
             n *= 2
-            if 2 * n > max_nodes:
+            if 2 * n > CERTIFY_MAX_NODES:
                 raise QuadratureError(
                     f"entropy pair for generator {gen.name!r} failed the "
-                    f"node-doubling check at {max_nodes} nodes")
+                    f"node-doubling check at {CERTIFY_MAX_NODES} nodes")
             eta_c, q_c = eta_f, q_f
 
 
 @lru_cache(maxsize=64)
-def get_kernel(g: GasLaw, n_nodes: int = 64) -> EntropyKernel:
+def get_kernel(g: GasLaw, n_nodes: int = KERNEL_NODES) -> EntropyKernel:
     return EntropyKernel(g, n_nodes)
-
-
-def weak_entropy_pair(g: GasLaw, gen: EntropyGenerator, rho, m,
-                      max_nodes: int = 4096):
-    """Kernel entropy pair (eta, q), certified against node doubling."""
-    return get_kernel(g).pair_certified(gen, rho, m, max_nodes=max_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -494,36 +493,37 @@ class ReferenceState:
     u_minus: float
     rho_plus: float
     u_plus: float
-    L0: float = BLEND_HALF_WIDTH
 
     def __post_init__(self):
         if self.rho_minus < 0.0 or self.rho_plus < 0.0:
             raise DomainError("reference densities must be nonnegative")
-        if not self.L0 > 1.0:
-            raise DomainError("blend half-width L0 must exceed 1")
 
     @classmethod
     def constant(cls, rho_bar: float, u_bar: float = 0.0):
         return cls(rho_bar, u_bar, rho_bar, u_bar)
 
-    def _blend(self, x):
-        return smoothstep((np.asarray(x, dtype=float) + self.L0) / (2.0 * self.L0))
+    def state(self, x):
+        """(rho_bar, u_bar) at x from one evaluation of the blend."""
+        L0 = BLEND_HALF_WIDTH
+        s = smoothstep((np.asarray(x, dtype=float) + L0) / (2.0 * L0))
+        return (_match(x, self.rho_minus + (self.rho_plus - self.rho_minus) * s),
+                _match(x, self.u_minus + (self.u_plus - self.u_minus) * s))
 
     def rho_bar(self, x):
-        return _match(x, self.rho_minus
-                      + (self.rho_plus - self.rho_minus) * self._blend(x))
+        return self.state(x)[0]
 
     def u_bar(self, x):
-        return _match(x, self.u_minus + (self.u_plus - self.u_minus) * self._blend(x))
+        return self.state(x)[1]
 
     def m_bar(self, x):
-        return _match(x, np.asarray(self.rho_bar(x)) * np.asarray(self.u_bar(x)))
+        rho_bar, u_bar = self.state(x)
+        return _match(x, np.asarray(rho_bar) * np.asarray(u_bar))
 
 
 def relative_energy_density(g: GasLaw, ref: ReferenceState, x, rho, m):
     """The relative energy density (``GasLaw.relative_energy``) against the
     reference state at x."""
-    out = g.relative_energy(rho, m, ref.rho_bar(x), ref.u_bar(x))
+    out = g.relative_energy(rho, m, *ref.state(x))
     scalar = not (np.ndim(x) or np.ndim(rho) or np.ndim(m))
     return float(out) if scalar else np.asarray(out)
 

@@ -10,20 +10,11 @@ spline so that A'/A stays smooth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
+from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DomainError
-
-
-class ProfileKind(Enum):
-    CONSTANT = "constant"
-    GAUSSIAN_BUMP = "gaussian_bump"
-    POWER_LAW_CLOSING = "power_law_closing"
-    EXPONENTIAL = "exponential"
-    SPHERICAL = "spherical"
-    TABULATED = "tabulated"
 
 
 def unit_sphere_area(n: int) -> float:
@@ -62,9 +53,10 @@ class ConditionReport:
 
 
 class NozzleProfile:
-    """Base class; subclasses provide A, A', A'' and the domain."""
+    """Base class; subclasses provide A, A', A'', the domain and ``name``,
+    the profile's config-file name."""
 
-    kind: ProfileKind
+    name: str
     xmin: float = -math.inf
     xmax: float = math.inf
 
@@ -93,7 +85,7 @@ class NozzleProfile:
               (self.xmax < math.inf and np.any(xa >= self.xmax))
         if bad:
             raise DomainError(
-                f"{self.kind.value} profile evaluated outside its domain "
+                f"{self.name} profile evaluated outside its domain "
                 f"({self.xmin}, {self.xmax})")
         return xa
 
@@ -161,7 +153,7 @@ class NozzleProfile:
 @dataclass(frozen=True)
 class ConstantProfile(NozzleProfile):
     value: float = 1.0
-    kind = ProfileKind.CONSTANT
+    name = "constant"
 
     def __post_init__(self):
         if self.value <= 0:
@@ -182,19 +174,18 @@ class ConstantProfile(NozzleProfile):
 
 @dataclass(frozen=True)
 class GaussianBumpProfile(NozzleProfile):
-    """A(x) = base + amp * exp(-rate * x^2)."""
+    """A(x) = 1 + amp * exp(-rate * x^2)."""
 
-    base: float = 1.0
     amp: float = 1.0
     rate: float = 1.0
-    kind = ProfileKind.GAUSSIAN_BUMP
+    name = "gaussian_bump"
 
     def __post_init__(self):
-        if self.base <= 0 or self.rate <= 0 or self.base + min(self.amp, 0.0) <= 0:
-            raise ConfigError("gaussian bump needs base > 0, rate > 0, base + amp > 0")
+        if self.rate <= 0 or self.amp <= -1.0:
+            raise ConfigError("gaussian bump needs rate > 0, amp > -1")
 
     def _area(self, x):
-        return self.base + self.amp * np.exp(-self.rate * x * x)
+        return 1.0 + self.amp * np.exp(-self.rate * x * x)
 
     def _d_area(self, x):
         return -2.0 * self.rate * x * self.amp * np.exp(-self.rate * x * x)
@@ -212,7 +203,7 @@ class PowerLawClosingProfile(NozzleProfile):
     """A(x) = (1 + x^2)^(-alpha): both ends close algebraically."""
 
     alpha: float = 1.0
-    kind = ProfileKind.POWER_LAW_CLOSING
+    name = "power_law_closing"
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -247,7 +238,7 @@ class ExponentialProfile(NozzleProfile):
     """A(x) = exp(rate * x): unbounded at one end, closing at the other."""
 
     rate: float = 1.0
-    kind = ProfileKind.EXPONENTIAL
+    name = "exponential"
 
     def _area(self, x):
         return np.exp(self.rate * x)
@@ -274,18 +265,19 @@ class ExponentialProfile(NozzleProfile):
 
 @dataclass(frozen=True)
 class SphericalProfile(NozzleProfile):
-    """A(x) = omega_n x^(n-1) on x > 0; omega_n defaults to the unit-sphere area."""
+    """A(x) = omega_n x^(n-1) on x > 0, omega_n the unit-sphere area."""
 
     n_dim: int = 3
-    omega_n: float = 0.0
-    kind = ProfileKind.SPHERICAL
+    name = "spherical"
     xmin = 0.0
 
     def __post_init__(self):
         if self.n_dim < 2:
             raise ConfigError("spherical profile needs dimension n >= 2")
-        if self.omega_n <= 0.0:
-            object.__setattr__(self, "omega_n", unit_sphere_area(self.n_dim))
+
+    @cached_property
+    def omega_n(self) -> float:
+        return unit_sphere_area(self.n_dim)
 
     def _area(self, x):
         return self.omega_n * x ** (self.n_dim - 1)
@@ -308,13 +300,14 @@ class SphericalProfile(NozzleProfile):
         return False, False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TabulatedProfile(NozzleProfile):
-    """Cubic-spline interpolant of (x, A) samples; derivatives come from the spline."""
+    """Cubic-spline interpolant of (x, A) samples; derivatives come from the
+    spline.  Two tables are equal only when they are the same object."""
 
-    x_samples: np.ndarray = field(default_factory=lambda: np.array([]))
-    a_samples: np.ndarray = field(default_factory=lambda: np.array([]))
-    kind = ProfileKind.TABULATED
+    x_samples: np.ndarray
+    a_samples: np.ndarray
+    name = "tabulated"
 
     def __post_init__(self):
         xs = np.asarray(self.x_samples, dtype=float)
@@ -386,31 +379,30 @@ class TabulatedProfile(NozzleProfile):
     @classmethod
     def from_file(cls, path) -> "TabulatedProfile":
         """Read a whitespace-delimited (x, A[, A'[, A'']]) table; '#' comments."""
-        data = np.loadtxt(path, comments="#", ndmin=2)
+        try:
+            data = np.loadtxt(path, comments="#", ndmin=2)
+        except ValueError as err:
+            raise ConfigError(f"{path}: not a numeric table: {err}") from None
         if data.shape[1] < 2:
             raise ConfigError(f"{path}: need at least two columns (x, A)")
         cols = [data[:, i] for i in range(min(data.shape[1], 4))]
         return cls.from_columns(*cols)
 
 
-_BUILTIN = {
-    ProfileKind.CONSTANT: ConstantProfile,
-    ProfileKind.GAUSSIAN_BUMP: GaussianBumpProfile,
-    ProfileKind.POWER_LAW_CLOSING: PowerLawClosingProfile,
-    ProfileKind.EXPONENTIAL: ExponentialProfile,
-    ProfileKind.SPHERICAL: SphericalProfile,
-}
+# config-file name -> profile class
+PROFILES = {cls.name: cls for cls in (
+    ConstantProfile, GaussianBumpProfile, PowerLawClosingProfile,
+    ExponentialProfile, SphericalProfile, TabulatedProfile)}
 
 
-def make_profile(kind: str, **params) -> NozzleProfile:
-    """Construct a profile from its config-file kind name and parameters."""
-    try:
-        pk = ProfileKind(kind)
-    except ValueError:
-        raise ConfigError(f"unknown profile kind {kind!r}") from None
-    if pk is ProfileKind.TABULATED:
+def make_profile(name: str, **params) -> NozzleProfile:
+    """Construct a profile from its config-file name and parameters."""
+    cls = PROFILES.get(name)
+    if cls is None:
+        raise ConfigError(f"unknown profile kind {name!r}")
+    if cls is TabulatedProfile:
         path = params.get("file")
         if path is None:
             raise ConfigError("tabulated profile needs file=<path>")
         return TabulatedProfile.from_file(path)
-    return _BUILTIN[pk](**params)
+    return cls(**params)

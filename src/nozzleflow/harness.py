@@ -27,8 +27,9 @@ from .diagnostics import (DiagnosticsReport, Recorder, RecorderOptions,
 from .entropy import ReferenceState
 from .errors import ConfigError, DomainError, NozzleflowError, SweepError
 from .geometry import NozzleProfile, make_profile
-from .schedule import CertificateReport, ViscositySchedule, certify
-from .solver import (BoundarySpec, FluidField, Grid, InitialData,
+from .schedule import (M_BUDGET, Q_LADDER, CertificateReport,
+                       ViscositySchedule, certify)
+from .solver import (CFL, BCMode, BoundarySpec, FluidField, Grid, InitialData,
                      prepare_initial_data, run)
 from .thermo import GasLaw
 
@@ -38,7 +39,7 @@ from .thermo import GasLaw
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False,
          "on": True, "off": False, "1": True, "0": False}
-_BC_MODES = ("dirichlet_nozzle", "dirichlet_spherical", "neumann_spherical")
+_BC_MODES = tuple(mode.value for mode in BCMode)
 _INIT_KINDS = ("riemann", "bump", "constant")
 
 
@@ -77,14 +78,14 @@ class RunConfig:
     # solver
     eps: float = 0.05
     t_end: float = 0.5
-    cfl: float = 0.4
+    cfl: float = CFL
     dx: float = 1.0 / 128.0
     a: Optional[float] = None              # None: ladder rule a(eps)
     b: Optional[float] = None
     # ladder / sweep
     eps0: float = 0.1
     n_eps: int = 4
-    M_budget: float = 10.0
+    M_budget: float = M_BUDGET
     window_lo: float = -1.0
     window_hi: float = 1.0
     p_rho: float = 1.0
@@ -119,15 +120,19 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         data: dict[str, str] = {}
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                stripped = line.split("#", 1)[0].strip()
-                if not stripped:
-                    continue
-                if "=" not in stripped:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, val = (part.strip() for part in stripped.split("=", 1))
-                data[key] = val
+        try:
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path}: not a text file: {err}") from None
+        for lineno, line in enumerate(lines, 1):
+            stripped = line.split("#", 1)[0].strip()
+            if not stripped:
+                continue
+            if "=" not in stripped:
+                raise ConfigError(f"{path}:{lineno}: expected key = value")
+            key, val = (part.strip() for part in stripped.split("=", 1))
+            data[key] = val
         return cls.from_mapping(data)
 
     def validate(self) -> None:
@@ -191,7 +196,7 @@ class RunConfig:
     def _schedule(self) -> ViscositySchedule:
         eps = tuple(self.eps0 * 0.5 ** k for k in range(self.n_eps))
         return ViscositySchedule(
-            eps, q=1.0 + ViscositySchedule.beta_max, M_budget=self.M_budget,
+            eps, q=Q_LADDER, M_budget=self.M_budget,
             spherical=self.spherical, n_dim=self.profile_n, gamma=self.gamma,
             delta=self.delta, a=self.a, b=self.b, rho_bar=self.rho_bar)
 
@@ -395,7 +400,7 @@ class SweepResult:
         pass and no rung failed (``nozzleflow sweep`` exits 0 exactly then)."""
         return (self.converging and self.certificate.passed
                 and not self.failures
-                and all(r.report.all_checks_pass() for r in self.runs))
+                and all(r.report.passed for r in self.runs))
 
     def summary(self) -> str:
         lines = [f"sweep over eps = {tuple(round(e, 6) for e in self.eps_list)}"]
@@ -510,14 +515,14 @@ def sweep(cfg: RunConfig) -> SweepResult:
 
 def write_snapshot_csv(path, field: FluidField, g: GasLaw,
                        profile: NozzleProfile, eps: float, bc_mode: str,
-                       cfl: float = 0.4) -> None:
+                       cfl: float) -> None:
     grid = field.grid
     _write_csv(path, [f"t={field.t:.10g} gamma={g.gamma:.10g} "
                       f"kappa={g.kappa:.10g} delta={g.delta:.10g} eps={eps:.10g}",
                       f"a={grid.a:.10g} b={grid.b:.10g} n_cells={grid.n_cells} "
                       f"cfl={cfl:g} bc={bc_mode}"],
                ("x", "rho", "m", "u", "A"),
-               (grid.x, field.rho, field.m, field.velocity(g),
+               (grid.x, field.rho, field.m, g.velocity(field.rho, field.m),
                 profile.area(grid.x)))
 
 

@@ -21,8 +21,17 @@ import numpy as np
 from .checks import Check
 from .entropy import BLEND_HALF_WIDTH
 from .errors import ConfigError
-from .geometry import NozzleProfile, ProfileKind, sample_interval
+from .geometry import NozzleProfile, SphericalProfile, sample_interval
 from .thermo import GasLaw
+
+# the exponent beta of the certificate quantity delta_inv_eps_area_abeta,
+# (delta/eps) sup A |a|^beta sup A^((gamma-3)/(gamma-1))
+BETA = 4.0
+# the delta exponent q of every config's ladder, and the first q make_default
+# tries: the aggressive delta = eps^(1 + beta)
+Q_LADDER = 1.0 + BETA
+# the default budget M that every certificate quantity must stay below
+M_BUDGET = 10.0
 
 
 @dataclass(frozen=True)
@@ -39,8 +48,7 @@ class ViscositySchedule:
 
     eps_list: tuple[float, ...]
     q: float
-    beta_max: float = 4.0
-    M_budget: float = 10.0
+    M_budget: float = M_BUDGET
     spherical: bool = False
     n_dim: int = 3
     gamma: float = 2.0
@@ -59,8 +67,6 @@ class ViscositySchedule:
         object.__setattr__(self, "eps_list", eps)
         if self.q <= 0:
             raise ConfigError("delta exponent q must be positive")
-        if not self.beta_max > 2.0:
-            raise ConfigError("beta must exceed 2")
         L0 = BLEND_HALF_WIDTH
         for e in eps:
             a, b = self.a_of(e), self.b_of(e)
@@ -164,7 +170,7 @@ def certify(sched: ViscositySchedule, profile: NozzleProfile,
             quant["eps_area_second"] = eps * sup_A2
             exp1 = (g.gamma - 3.0) / (g.gamma - 1.0)
             quant["delta_inv_eps_area_abeta"] = (
-                delta / eps * supA * abs(a) ** sched.beta_max * _sup(A ** exp1))
+                delta / eps * supA * abs(a) ** BETA * _sup(A ** exp1))
             quant["delta_inv_eps_area_a"] = delta / eps * supA * abs(a)
             if not singular:
                 exp2 = -4.0 / (2.0 * g.gamma - 4.0)
@@ -185,17 +191,16 @@ def make_default(profile: NozzleProfile, gamma: float,
                  n_eps: int = 4) -> ViscositySchedule:
     """Geometric ladder eps_k = 0.1 / 2^k with q chosen so certify passes.
 
-    The schedule keeps its default beta_max = 4 and M_budget = 10, and the
-    profile's own dimension (3 for a duct).  The search starts from the
-    aggressive q = 1 + beta_max = 5, the q every config's ladder uses, and
-    raises q until the certificate clears the budget; a profile that cannot
-    be certified with any q <= 12 is rejected.
+    The schedule keeps the default budget M_BUDGET and the profile's own
+    dimension (3 for a duct).  The search starts from Q_LADDER, the q every
+    config's ladder uses, and raises q until the certificate clears the
+    budget; a profile that cannot be certified with any q <= 12 is rejected.
     """
     eps = tuple(0.1 * 0.5 ** k for k in range(n_eps))
-    spherical = profile.kind is ProfileKind.SPHERICAL
+    spherical = isinstance(profile, SphericalProfile)
     n_dim = getattr(profile, "n_dim", 3)
     gas = GasLaw(gamma)
-    q = 1.0 + ViscositySchedule.beta_max
+    q = Q_LADDER
     while q <= 12.0:
         sched = ViscositySchedule(eps, q=q, spherical=spherical, n_dim=n_dim,
                                   gamma=gamma)
@@ -203,5 +208,5 @@ def make_default(profile: NozzleProfile, gamma: float,
             return sched
         q += 1.0
     raise ConfigError(
-        f"no delta exponent q <= 12 certifies the {profile.kind.value} "
-        f"profile against budget M = {ViscositySchedule.M_budget}")
+        f"no delta exponent q <= 12 certifies the {profile.name} "
+        f"profile against budget M = {M_BUDGET}")

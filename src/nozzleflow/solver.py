@@ -97,9 +97,6 @@ class FluidField:
     def copy(self) -> "FluidField":
         return FluidField(self.grid, self.rho.copy(), self.m.copy(), self.t)
 
-    def velocity(self, g: GasLaw) -> np.ndarray:
-        return g.velocity(self.rho, self.m)
-
 
 class BCMode(Enum):
     DIRICHLET_NOZZLE = "dirichlet_nozzle"
@@ -305,18 +302,16 @@ class SolverContext:
         pad = 4 + _green_margin(self.eps * dt * self.band_max)
         return max(i - pad, 0), min(j + pad, n)
 
-    def wave_speed(self, rho: np.ndarray, m: np.ndarray, lo: int,
-                   hi: int) -> float:
-        """max(|u| + c) over the window and the far states outside it."""
-        lam = self.max_wave_speed(rho[lo:hi], m[lo:hi])
-        return lam if hi - lo == rho.size else max(lam, self.far_speed)
-
     def stable_window(self, rho: np.ndarray, m: np.ndarray, dt: float,
                       cfl: float, forced: bool) -> tuple[int, int, float]:
         """(lo, hi, bound): the window a step of size dt advances (the whole
-        grid when forced) and the advective bound cfl dx / max(|u| + c)."""
+        grid when forced) and the advective bound cfl dx / max(|u| + c),
+        the max over the window and the far states outside it."""
         lo, hi = (0, rho.size) if forced else self.active_window(rho, m, dt)
-        return lo, hi, cfl * self.dx / self.wave_speed(rho, m, lo, hi)
+        lam = self.max_wave_speed(rho[lo:hi], m[lo:hi])
+        if hi - lo < rho.size:
+            lam = max(lam, self.far_speed)
+        return lo, hi, cfl * self.dx / lam
 
     def require(self, grid: Grid, g: GasLaw, profile: NozzleProfile,
                 eps: float, bc: BoundarySpec) -> None:
@@ -326,15 +321,8 @@ class SolverContext:
                                   ("profile", self.profile, profile),
                                   ("eps", self.eps, eps),
                                   ("boundary spec", self.bc, bc)):
-            if mine is not given and not _equal(mine, given):
+            if mine is not given and mine != given:
                 raise ConfigError(f"solver context was built for another {what}")
-
-
-def _equal(a, b) -> bool:
-    try:
-        return bool(a == b)
-    except ValueError:  # array-valued fields (tabulated profiles)
-        return False
 
 
 # a node within FAR_STATE_TOL * (|rho| + |m|) of its end's far state rests
@@ -503,10 +491,13 @@ def _tridiag_solve(dl, d, du, b) -> np.ndarray:
 # Public stepping interface
 # ---------------------------------------------------------------------------
 
+# the default Courant number of ``step``, ``run`` and a config's ``cfl``
+CFL = 0.4
+
 
 def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
          bc: BoundarySpec, dt: float, *, ctx: Optional[SolverContext] = None,
-         cfl: float = 0.4, forcing: Optional[Callable] = None) -> FluidField:
+         cfl: float = CFL, forcing: Optional[Callable] = None) -> FluidField:
     """Advance one IMEX step of size dt.
 
     dt must respect the advective bound cfl * dx / max(|u| + c); the implicit
@@ -590,7 +581,7 @@ MAX_STEPS = 10_000_000
 
 
 def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
-        bc: BoundarySpec, t_end: float, hooks=None, *, cfl: float = 0.4,
+        bc: BoundarySpec, t_end: float, hooks=None, *, cfl: float = CFL,
         forcing: Optional[Callable] = None,
         dt_fixed: Optional[float] = None):
     """March to t_end; returns (final field, diagnostics report).

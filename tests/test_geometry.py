@@ -47,7 +47,7 @@ def test_dlog_matches_log_area_difference():
     rng = np.random.default_rng(7)
     h = 1e-5
     for prof in BUILTINS:
-        lo, hi = (0.2, 8.0) if prof.kind.value == "spherical" else (-8.0, 8.0)
+        lo, hi = (0.2, 8.0) if prof.name == "spherical" else (-8.0, 8.0)
         x = rng.uniform(lo, hi, 1000)
         fd = (np.log(prof.area(x + h)) - np.log(prof.area(x - h))) / (2.0 * h)
         scale = np.maximum(np.abs(fd), 1.0)
@@ -68,7 +68,7 @@ def test_dlog_prime_matches_difference():
     rng = np.random.default_rng(9)
     h = 1e-5
     for prof in BUILTINS:
-        lo, hi = (0.3, 8.0) if prof.kind.value == "spherical" else (-8.0, 8.0)
+        lo, hi = (0.3, 8.0) if prof.name == "spherical" else (-8.0, 8.0)
         x = rng.uniform(lo, hi, 300)
         fd = (prof.dlog(x + h) - prof.dlog(x - h)) / (2.0 * h)
         scale = np.maximum(np.abs(fd), 1.0)

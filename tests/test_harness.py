@@ -7,6 +7,7 @@ import pytest
 from nozzleflow.cli import main as cli_main
 from nozzleflow.diagnostics import SnapshotSet
 from nozzleflow.errors import ConfigError
+from nozzleflow.geometry import TabulatedProfile
 from nozzleflow.harness import (RunConfig, _cauchy_check, _cauchy_ratios,
                                 lp_distance, single_run, sweep,
                                 write_sweep_outputs)
@@ -397,6 +398,53 @@ def test_cli_bad_input_is_error_exit_2(tmp_path, capsys, monkeypatch, key,
     assert cli_main([command, str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "out" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["config", "config_bytes", "table",
+                                  "table_text", "output_dir", "table_out"])
+def test_cli_file_error_is_error_exit_2(tmp_path, capsys, case):
+    # a file the CLI cannot read or write ends as one error line naming it
+    (tmp_path / "words.dat").write_text("0.0 one\n1.0 two\n")
+    (tmp_path / "plain").write_text("a file, not a directory\n")
+    (tmp_path / "bytes.cfg").write_bytes(b"gamma = 2\n\xff\xfe\n")
+    paths = {"config": tmp_path / "missing.cfg",
+             "config_bytes": tmp_path / "bytes.cfg",
+             "table": tmp_path / "missing.dat",
+             "table_text": tmp_path / "words.dat",
+             "output_dir": tmp_path / "plain" / "out",
+             "table_out": tmp_path / "missing" / "table.csv"}
+    keys = {"table": dict(profile="tabulated", profile_file=paths["table"]),
+            "table_text": dict(profile="tabulated",
+                               profile_file=paths["table_text"]),
+            "output_dir": dict(output_dir=paths["output_dir"])}
+    argv = ["run", str(paths[case])]
+    if case in keys:
+        argv[1] = str(_write_cfg(tmp_path / "run.cfg", {
+            **_RUN_CFG, "output_dir": tmp_path / "out", **keys[case]}))
+    elif case == "table_out":
+        argv = ["entropy-table", "--gamma", "2", "--out", str(paths[case])]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert str(paths[case]) in err
+
+
+def test_tabulated_profile_through_a_config(tmp_path, capsys):
+    # profile_file feeds both commands, and final.csv writes the table's A
+    x = np.linspace(-25.0, 25.0, 501)
+    table = tmp_path / "area.dat"
+    np.savetxt(table, np.column_stack((x, 1.0 + 0.5 * np.exp(-x * x))))
+    cfg = _write_cfg(tmp_path / "tab.cfg", dict(
+        profile="tabulated", profile_file=table, n_eps=2, dx=0.0625,
+        t_end=0.1, snapshots=5, output_dir=tmp_path / "out"))
+    assert cli_main(["check", str(cfg)]) == 0
+    assert cli_main(["run", str(cfg)]) == 0
+    capsys.readouterr()
+    final = np.loadtxt(tmp_path / "out" / "final.csv", delimiter=",",
+                       skiprows=3)
+    np.testing.assert_allclose(
+        final[:, 4], TabulatedProfile.from_file(table).area(final[:, 0]),
+        rtol=1e-10)
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -9,8 +9,8 @@ from nozzleflow.harness import RunConfig
 from nozzleflow.geometry import (ConstantProfile, ExponentialProfile,
                                  GaussianBumpProfile, NozzleProfile,
                                  PowerLawClosingProfile, SphericalProfile)
-from nozzleflow.schedule import (CertificateReport, ViscositySchedule, certify,
-                                 make_default)
+from nozzleflow.schedule import (BETA, CertificateReport, ViscositySchedule,
+                                 certify, make_default)
 from nozzleflow.thermo import GasLaw
 
 
@@ -25,10 +25,9 @@ def test_rule_arithmetic():
 
 def test_default_rules_symbolic_unit():
     # q = 1 + beta makes delta |a|^beta / eps identically one on the ladder
-    s = ViscositySchedule(tuple(0.1 * 0.5 ** k for k in range(4)), q=5.0,
-                          beta_max=4.0)
+    s = ViscositySchedule(tuple(0.1 * 0.5 ** k for k in range(4)), q=5.0)
     for eps in s.eps_list:
-        val = s.delta_of(eps) * abs(s.a_of(eps)) ** s.beta_max / eps
+        val = s.delta_of(eps) * abs(s.a_of(eps)) ** BETA / eps
         assert val == pytest.approx(1.0)
 
 
@@ -50,8 +49,6 @@ def test_validation_errors():
         ViscositySchedule((0.05, 0.1), q=5.0)
     with pytest.raises(ConfigError):
         ViscositySchedule((0.1, 0.05), q=-1.0)
-    with pytest.raises(ConfigError):
-        ViscositySchedule((0.1, 0.05), q=5.0, beta_max=1.5)
     with pytest.raises(ConfigError):
         # |a| = 1/eps must exceed L0
         ViscositySchedule((0.9, 0.45), q=5.0)
