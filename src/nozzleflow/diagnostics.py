@@ -393,9 +393,8 @@ def weak_residual(history: SnapshotSet, g: GasLaw, profile: NozzleProfile,
     rows of B_t (tests x times) and B_x (tests x nodes), int F phi_t for all
     tests is ((B_t' @ F) * B_x).sum(1).  The kernel runs once per generator,
     one order-1 moment pass for eta, q and the gradient, on the unique
-    (rho, m) states inside the union of the test supports, with the
-    kernel's default ``KERNEL_NODES``-node rules for generators that need
-    nodes.
+    (rho, m) states inside the union of the test supports: exact moments
+    for piece tables, the default ``KERNEL_NODES``-node rule for callables.
     """
     for gen in gen_set:
         if not gen.convex:
@@ -431,10 +430,10 @@ def weak_residual(history: SnapshotSet, g: GasLaw, profile: NozzleProfile,
 
     # the kernel on each state a test function sees, once
     support = np.flatnonzero((Bt.T @ Bx).ravel())
-    states, inverse = np.unique(
-        np.column_stack((rho.ravel()[support], m.ravel()[support])),
-        axis=0, return_inverse=True)
-    r_s, m_s = states.T
+    # one complex key per state sorts as (rho, m) rows do, without row views
+    states, inverse = np.unique(rho.ravel()[support] + 1j * m.ravel()[support],
+                                return_inverse=True)
+    r_s, m_s = states.real, states.imag
     u_s = g.velocity(r_s, m_s)
     kern = get_kernel(g)
     entropy = np.zeros((len(gen_set), len(test_set)))

@@ -13,11 +13,13 @@ weight blows up at s = +-1 (gamma > 3).  lam = 0 degenerates to plain
 Gauss-Legendre.
 
 A piecewise-polynomial generator is a table of psi's coefficients on the
-intervals between its kinks.  A state whose range u + rho^theta s meets one
-piece needs no nodes: its moments are exact sums of ``weight_moment`` terms.
-Any other state is integrated piecewise between [-1, kinks inside (-1, 1)...,
-1], each segment with a Jacobi rule for its ends at +-1, so the node-doubling
-certification retains spectral accuracy.
+intervals between its kinks, and its moments are exact: each piece between
+[-1, kinks inside (-1, 1)..., 1] sums Taylor terms of its polynomial against
+closed-form weight moments, ``weight_moment`` at s = +-1 and a tail recurrence
+at a kink.  A piece too narrow for those sums takes fixed 20-node local rules.
+A generator given by callables is evaluated on one full-interval rule, in
+chunks of states, as one matrix product per derivative order; node-doubling
+certifies it.
 """
 
 from __future__ import annotations
@@ -87,10 +89,10 @@ def kernel_total_mass(lam: float) -> float:
 class EntropyGenerator:
     """Scalar generator psi with analytic first and second derivatives.
 
-    ``kinks`` lists, sorted, the velocity-space locations where psi'' jumps;
-    the kernel quadrature splits its integration there.  ``pieces`` holds
-    psi's ascending coefficients in v on each of the ``len(kinks) + 1``
-    intervals between them when psi is piecewise polynomial.
+    ``kinks`` lists, sorted, the velocity-space locations where psi'' jumps,
+    and ``pieces`` psi's ascending coefficients in v on each of the
+    ``len(kinks) + 1`` intervals between them: the kernel integrates such a
+    table exactly.  A generator given by its callables alone has no kinks.
     """
 
     name: str
@@ -103,9 +105,10 @@ class EntropyGenerator:
 
     def __post_init__(self):
         if list(self.kinks) != sorted(self.kinks) or (
-                self.pieces and len(self.pieces) != len(self.kinks) + 1):
-            raise ConfigError(f"generator {self.name!r} needs sorted kinks and, "
-                              "if any pieces, one more piece than kinks")
+                (self.kinks or self.pieces)
+                and len(self.pieces) != len(self.kinks) + 1):
+            raise ConfigError(f"generator {self.name!r} needs sorted kinks and "
+                              "one piece more than kinks, or neither")
 
 
 def _derivatives(coeffs) -> list[list[float]]:
@@ -240,13 +243,21 @@ GENERATOR_FACTORIES = {
 # Kernel evaluation
 # ---------------------------------------------------------------------------
 
-_EDGE = 1e-10  # kinks this close to s = +-1 are treated as outside
 # node-doubling tolerance of pair_certified (relative, with a scale floor)
 CERTIFY_RTOL = 1e-10
 # pair_certified gives up when the next doubling would pass this many nodes
 CERTIFY_MAX_NODES = 4096
 # Gauss-Jacobi nodes of a kernel's default rules
 KERNEL_NODES = 64
+# states per node product of a callable generator: caps the (states x nodes)
+# arrays at a few MiB
+CHUNK = 2048
+# nodes of the fixed local rules.  A Jacobi rule on [y, 1], y > -1/2, sees
+# its smooth factor (1 + s)^lam analytic two thirds of a half-width past the
+# end: 20 nodes reach rounding, as they do for Legendre on narrow pieces
+TAIL_NODES = 20
+# largest growth of the Taylor terms a piece's exact moments may sum
+TAYLOR_GROWTH = 100.0
 
 
 def _flat_states(rho, m):
@@ -270,48 +281,13 @@ def _shaped(shape, *arrs):
 class EntropyKernel:
     """Quadrature engine for one gas law; rules are cached per (a, b, n)."""
 
-    def __init__(self, g: GasLaw, n_nodes: int):
+    def __init__(self, g: GasLaw):
         if g.lambda_exp <= -0.5:
             raise DomainError("kernel exponent must exceed -1/2")
         self.g = g
         self.lam = g.lambda_exp
         self.theta = g.theta
-        self.n_default = int(n_nodes)
         self._rule = cache(gauss_jacobi)  # (n, a, b) -> (nodes, weights)
-
-    def _pieces(self, ks: np.ndarray, n: int):
-        """(S, W) for each piece between the breakpoints [-1, ks..., 1].
-
-        ``ks`` (npts, k) holds each state's sorted interior kinks.  An end at
-        +-1 keeps its factor (1 -+ s)^lam in the Jacobi rule, a kink end
-        multiplies it into W.  Without kink ends S and W stay (npts, n)
-        broadcast views: unbroadcast (n,) arrays slowed the sums 10-35 %.
-        """
-        npts, k = ks.shape
-        lam = self.lam
-        for j in range(k + 1):
-            lo_kink, hi_kink = j > 0, j < k
-            a = 0.0 if hi_kink else lam
-            b = 0.0 if lo_kink else lam
-            t, w = self._rule(n, a, b)
-            lo = ks[:, j - 1:j] if lo_kink else -1.0
-            hi = ks[:, j:j + 1] if hi_kink else 1.0
-            half = 0.5 * (hi - lo)
-            # a piece with one end at +-1 maps from that end: with a kink
-            # near +-1, mid + half t rounded the moments 4-11x worse
-            if lo_kink == hi_kink:
-                S = 0.5 * (hi + lo) + half * t
-            elif hi_kink:
-                S = lo + half * (1.0 + t)
-            else:
-                S = hi - half * (1.0 - t)
-            S = np.broadcast_to(S, (npts, n))
-            W = half ** (1.0 + a + b) * w
-            if lo_kink:
-                W = W * (1.0 + S) ** lam
-            if hi_kink:
-                W = W * (1.0 - S) ** lam
-            yield S, np.broadcast_to(W, (npts, n))
 
     def moments(self, gen: EntropyGenerator, rho_f: np.ndarray, m_f: np.ndarray,
                 max_order: int = 0,
@@ -320,62 +296,151 @@ class EntropyKernel:
 
         Takes flat state arrays and returns the moments the assembled
         quantities read: j <= max_order, k <= max(1, j).  Vacuum states
-        (rho <= floor) contribute zero to every moment.  States are grouped
-        by the kinks left of and inside their range u +- rho^theta: a group
-        inside one polynomial piece takes exact sums of ``weight_moment``
-        terms, every other group the Jacobi rules of ``_pieces``.
+        (rho <= floor) contribute zero to every moment.  A piece table takes
+        the exact moments of ``_piece_moments`` and ignores ``n``; callables
+        take the n-node rule of ``_node_moments``.
         """
-        n = n or self.n_default
         if not (np.isfinite(rho_f).all() and np.isfinite(m_f).all()):
             raise DomainError("states must be finite")
         if np.any(rho_f < 0.0):
             raise DomainError("density must be nonnegative")
         out = {(j, k): np.zeros(rho_f.size)
                for j in range(max_order + 1) for k in range(max(1, j) + 1)}
-        pos_idx, u, rt, S_k = self._kink_positions(gen, rho_f, m_f)
+        pos_idx = np.flatnonzero(rho_f > self.g.rho_floor)
         if not pos_idx.size:
             return out
-        nk = len(gen.kinks)
-        if nk:
-            # i0 kinks lie left of s = -1, i1 - i0 strictly inside (-1, 1)
-            i0 = np.count_nonzero(S_k <= -1.0 + _EDGE, axis=1)
-            key = i0 * (nk + 1) + np.count_nonzero(S_k < 1.0 - _EDGE, axis=1)
-            groups = [(*divmod(int(code), nk + 1), np.flatnonzero(key == code))
-                      for code in np.unique(key)]
+        r = rho_f[pos_idx]
+        u, rt = m_f[pos_idx] / r, r ** self.theta
+        if gen.pieces:
+            vals = self._piece_moments(gen, u, rt, list(out))
         else:
-            groups = [(0, 0, slice(None))]
-        polys = [_derivatives(p) for p in gen.pieces]
-        for i0, i1, sel in groups:
-            uu, rr, idx = u[sel], rt[sel], pos_idx[sel]
-            if i0 == i1 and polys:
-                # psi^(j)(u + rt s) = sum_l psi^(j+l)(u) (rt s)^l / l!
-                D = [np.polyval(d, uu) for d in polys[i0]]
-                for j, k in out:
-                    out[(j, k)][idx] = sum(
-                        D[j + l] * (weight_moment(self.lam, l + k) / math.factorial(l))
-                        * rr ** l for l in range(len(D) - j) if (l + k) % 2 == 0)
-                continue
-            for p, (S, W) in enumerate(self._pieces(S_k[sel, i0:i1], n), i0):
-                V = uu[:, None] + rr[:, None] * S
-                fns = ([partial(np.polyval, d) for d in polys[p] + [[0.0]] * 2]
-                       if polys else (gen.psi, gen.dpsi, gen.d2psi))
-                for j in range(max_order + 1):
-                    PW = fns[j](V) * W
-                    for k in range(max(1, j) + 1):
-                        if k:
-                            PW = PW * S
-                        out[(j, k)][idx] += PW.sum(axis=1)
+            vals = self._node_moments(gen, u, rt, list(out), n or KERNEL_NODES)
+        for key, val in vals.items():
+            out[key][pos_idx] = val
         return out
 
-    def _kink_positions(self, gen, rho_f, m_f):
-        """The states above the vacuum floor: their indices, u, rho^theta and
-        each kink's position s = (kink - u) / rho^theta."""
-        pos_idx = np.flatnonzero(rho_f > self.g.rho_floor)
-        r = rho_f[pos_idx]
-        u = m_f[pos_idx] / r
-        rt = r ** self.theta
-        S_k = (np.asarray(gen.kinks)[None, :] - u[:, None]) / rt[:, None]
-        return pos_idx, u, rt, S_k
+    def _piece_moments(self, gen, u, rt, keys):
+        """Exact moments of a piece table, piece by piece between the
+        breakpoints [-1, kinks inside (-1, 1)..., 1] of each state.
+
+        On piece p, psi^(j)(u + rt s) = sum_l psi_p^(j+l)(u) (rt s)^l / l!,
+        and s^(l+k) integrates against the weight in closed form: the whole
+        interval gives ``weight_moment``, a kink the tails of
+        ``_tail_moments``.  A generator without kinks never builds a tail.
+        The terms grow like (2 / width)^degree against the piece, so a piece
+        of width < 1 where that passes TAYLOR_GROWTH takes the local rules of
+        ``_local_moments`` instead.
+        """
+        polys = [_derivatives(p) for p in gen.pieces]
+        top = max(len(d) for d in polys) + 1
+        W = [weight_moment(self.lam, m) for m in range(top)]
+        rt_l = [rt ** l for l in range(top - 1)]
+        if gen.kinks:
+            S = np.clip((np.asarray(gen.kinks) - u[:, None]) / rt[:, None], -1.0, 1.0)
+            ends = np.hstack([np.full((u.size, 1), -1.0), S, np.ones((u.size, 1))])
+            T = self._tail_moments(ends, top, W)
+        vals = {key: np.zeros(u.size) if gen.kinks else 0.0 for key in keys}
+        for p, poly in enumerate(polys):
+            I = W
+            if gen.kinks:
+                lo, hi = ends[:, p], ends[:, p + 1]
+                deg = len(poly) - 1
+                narrow = min(1.0, 2.0 * TAYLOR_GROWTH ** (-1.0 / deg)) if deg else 0.0
+                near = (hi > lo) & (hi - lo < narrow)
+                I = [np.where(near, 0.0, Tm[:, p] - Tm[:, p + 1]) for Tm in T]
+                if near.any():
+                    local = self._local_moments(poly, u[near], rt[near], lo[near],
+                                                hi[near], keys)
+                    for key in keys:
+                        vals[key][near] += local[key]
+            D = [np.polyval(d, u) for d in poly]
+            for j, k in keys:
+                # odd weight moments of the whole interval are exact zeros
+                vals[(j, k)] += sum(D[j + l] * (I[l + k] / math.factorial(l)) * rt_l[l]
+                                    for l in range(len(D) - j)
+                                    if gen.kinks or (l + k) % 2 == 0)
+        return vals
+
+    def _local_moments(self, poly, u, rt, lo, hi, keys):
+        """Moments of one polynomial piece on a narrow [lo, hi] by local rules.
+
+        At least its width away from s = +-1, a Gauss-Legendre rule on
+        [lo, hi] with the weight at its nodes converges geometrically.
+        Nearer to the end e, the piece is the ``_tail_rule`` on [lo, e] minus
+        the one on [hi, e]: the polynomial runs on past the piece by less
+        than its width.
+        """
+        out = {key: np.empty(u.size) for key in keys}
+        far = 1.0 - np.maximum(-lo, hi) >= hi - lo
+        for legendre, sel in ((True, np.flatnonzero(far)), (False, np.flatnonzero(~far))):
+            a, b = lo[sel], hi[sel]
+            if legendre:
+                x, w = self._rule(TAIL_NODES, 0.0, 0.0)
+                half = 0.5 * (b - a)[:, None]
+                S = 0.5 * (b + a)[:, None] + half * x
+                W = half * w * ((1.0 - S) * (1.0 + S)) ** self.lam
+            else:
+                # reflected by e, the piece lies in (-1/2, 1]
+                e = np.where(b + a > 0.0, 1.0, -1.0)
+                (S_a, W_a), (S_b, W_b) = (self._tail_rule(np.where(e > 0.0, y, -z))
+                                          for y, z in ((a, b), (b, a)))
+                S, W = e[:, None] * np.hstack((S_a, S_b)), np.hstack((W_a, -W_b))
+            V = u[sel, None] + rt[sel, None] * S
+            for j in range(max(key[0] for key in keys) + 1):
+                PW = (np.polyval(poly[j], V) if j < len(poly) else np.zeros_like(V)) * W
+                for k in range(max(1, j) + 1):
+                    out[(j, k)][sel] = PW.sum(axis=1)
+                    PW = PW * S
+        return out
+
+    def _tail_rule(self, y):
+        """Nodes and weights on [y, 1] of int f(s) (1 - s^2)^lam ds for smooth
+        f: a Jacobi rule for the factor (1 - s)^lam, with (1 + s)^lam smooth
+        for y > -1/2.  y is 1-D; nodes and weights are (y.size, TAIL_NODES)."""
+        t, w = self._rule(TAIL_NODES, self.lam, 0.0)
+        h = 0.5 * (1.0 - y)[:, None]
+        return 1.0 - h * (1.0 - t), h ** (self.lam + 1.0) * w * (2.0 - h * (1.0 - t)) ** self.lam
+
+    def _tail_moments(self, S, top, W):
+        """T_m(s) = int_s^1 sigma^m (1 - sigma^2)^lam d sigma for m < top.
+
+        With y = |s|, U_0(y) comes from the ``_tail_rule`` on [y, 1],
+        U_1 = (1 - y^2)^(lam+1) / (2(lam+1)), and the positive recurrence
+        U_(m+2) = ((m+1) U_m + y^(m+1) (1 - y^2)^(lam+1)) / (m + 2 lam + 3)
+        the rest; parity gives T_m(s) = W_m - (-1)^m U_m(y) for s < 0.
+        T_m(1) = 0 and T_m(-1) = W_m exactly.
+        """
+        lam = self.lam
+        y = np.abs(S)
+        e = ((1.0 - y) * (1.0 + y)) ** (lam + 1.0)
+        U0 = np.zeros_like(y)
+        inner = y < 1.0
+        U0[inner] = self._tail_rule(y[inner])[1].sum(axis=1)
+        U = [U0, e / (2.0 * (lam + 1.0))]
+        for m in range(top - 2):
+            U.append(((m + 1) * U[m] + y ** (m + 1) * e) / (m + 2.0 * lam + 3.0))
+        neg = S < 0.0
+        return [np.where(neg, Wm - (-1) ** m * Um, Um)
+                for m, (Um, Wm) in enumerate(zip(U, W))]
+
+    def _node_moments(self, gen, u, rt, keys, n):
+        """Moments of a callable generator on one n-node full-interval rule.
+
+        States go in chunks of CHUNK; each order j is one product
+        psi^(j)(V) @ Q with V = u + rt t and Q[:, k] = w t^k.
+        """
+        t, w = self._rule(n, self.lam, self.lam)
+        Q = w[:, None] * t[:, None] ** np.arange(max(k for _, k in keys) + 1)
+        fns = (gen.psi, gen.dpsi, gen.d2psi)
+        vals = {key: np.empty(u.size) for key in keys}
+        for c in range(0, u.size, CHUNK):
+            sl = slice(c, c + CHUNK)
+            V = u[sl, None] + rt[sl, None] * t
+            for j in range(max(j for j, _ in keys) + 1):
+                P = fns[j](V) @ Q[:, :max(1, j) + 1]
+                for k in range(max(1, j) + 1):
+                    vals[(j, k)][sl] = P[:, k]
+        return vals
 
     # -- assembled quantities -------------------------------------------------
     def _assembled(self, gen, rho, m, max_order, n):
@@ -416,18 +481,15 @@ class EntropyKernel:
         Starts from the default node count, doubles until consecutive rules
         agree to CERTIFY_RTOL (relative, with a scale floor so symmetric
         zeros do not trip it), and returns the finer evaluation; past
-        CERTIFY_MAX_NODES nodes it raises QuadratureError.  When every
-        state's range u +- rho^theta lies inside one polynomial piece, the
-        moments are exact and use no nodes, so they are evaluated once.
+        CERTIFY_MAX_NODES nodes it raises QuadratureError.  A piece table's
+        moments are exact and use no nodes, so it is evaluated once.
         """
-        rf, mf, shape = _flat_states(rho, m)
-        S_k = self._kink_positions(gen, rf, mf)[3]
-        inside = (S_k > -1.0 + _EDGE) & (S_k < 1.0 - _EDGE)
-        if gen.pieces and not inside.any():
+        if gen.pieces:
             return self.pair(gen, rho, m)
+        rf, mf, shape = _flat_states(rho, m)
         u = self.g.velocity(rf, mf)
         scale = rf * (1.0 + u * u + rf ** (2.0 * self.theta)) + 1e-300
-        n = self.n_default
+        n = KERNEL_NODES
         eta_c, q_c = self.pair(gen, rf, mf, n)
         while True:
             eta_f, q_f = self.pair(gen, rf, mf, 2 * n)
@@ -445,8 +507,8 @@ class EntropyKernel:
 
 
 @lru_cache(maxsize=64)
-def get_kernel(g: GasLaw, n_nodes: int = KERNEL_NODES) -> EntropyKernel:
-    return EntropyKernel(g, n_nodes)
+def get_kernel(g: GasLaw) -> EntropyKernel:
+    return EntropyKernel(g)
 
 
 # ---------------------------------------------------------------------------
@@ -549,10 +611,6 @@ class SpecialPairReport:
     n_points: int
 
 
-# Gauss-Jacobi nodes of the shifted pair's kernel (its generator has a kink)
-SPECIAL_PAIR_NODES = 256
-
-
 def _special_pair(g: GasLaw, ref: ReferenceState, rho_a, m_a):
     """Shifted-pair fields on flat states from two order-1 kernel passes.
 
@@ -563,7 +621,7 @@ def _special_pair(g: GasLaw, ref: ReferenceState, rho_a, m_a):
     stiffener plays no role here).
     """
     g0 = GasLaw(g.gamma, g.kappa, 0.0)
-    kern = get_kernel(g0, SPECIAL_PAIR_NODES)
+    kern = get_kernel(g0)
     gen = gen_half_signed_square(ref.u_minus)
     rm = ref.rho_minus
     mm = rm * ref.u_minus

@@ -119,6 +119,8 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
+        """Parse ``key = value`` lines; a relative ``profile_file`` or
+        ``output_dir`` names a path beside the config file."""
         data: dict[str, str] = {}
         try:
             with open(path) as fh:
@@ -133,6 +135,9 @@ class RunConfig:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, val = (part.strip() for part in stripped.split("=", 1))
             data[key] = val
+        for key in ("profile_file", "output_dir"):
+            if key in data:
+                data[key] = str(Path(path).parent / data[key])
         return cls.from_mapping(data)
 
     def validate(self) -> None:
@@ -165,6 +170,13 @@ class RunConfig:
         if self.snapshots < need:
             raise ConfigError(f"snapshots must be at least {need} with these "
                               f"checks on, got {self.snapshots}")
+        # outputs are written after the rungs run: fail a path below a file now
+        parent = Path(self.output_dir)
+        while not parent.exists():
+            parent = parent.parent
+        if not parent.is_dir():
+            raise ConfigError(f"output_dir {self.output_dir} lies below the "
+                              f"file {parent}")
         gam = self.gamma
         if self.p_rho >= gam + 1.0:
             raise ConfigError(f"p must stay below gamma + 1 = {gam + 1}")

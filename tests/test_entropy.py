@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from nozzleflow.entropy import (GENERATOR_FACTORIES, EntropyGenerator,
                                 special_pair_check, special_pair_fields,
                                 weight_moment)
 from nozzleflow import entropy
+from plain_moments import plain_moments
 from nozzleflow.diagnostics import default_generator_family
 from nozzleflow.errors import ConfigError, DomainError, QuadratureError
 from nozzleflow.thermo import GasLaw
@@ -99,10 +101,81 @@ def test_non_finite_state_is_domain_error(rho, m):
 
 PIECEWISE_GENERATORS = (gen_one(), gen_linear(), gen_half_square(),
                         gen_quartic(), gen_half_signed_square(0.0),
-                        gen_convex_spline())
+                        gen_convex_spline(), gen_convex_spline(0.35, 0.5))
 
 
-def _edge_states(gen, theta, d=1e-6):
+def _moment_keys(order):
+    return sorted((j, k) for j in range(order + 1) for k in range(max(1, j) + 1))
+
+
+def _kinks_in_range(gen, theta, rho, m):
+    """Each state's kink positions s = (kink - u) / rho^theta."""
+    return (np.array(gen.kinks)[None, :] - (m / rho)[:, None]) \
+        / (rho ** theta)[:, None]
+
+
+@settings(max_examples=40, deadline=None)
+@given(gamma=st.sampled_from((1.4, 2.0, 3.0, 5.0)),
+       states=st.lists(st.tuples(st.floats(-12.0, 1.0), st.floats(-10.0, 10.0)),
+                       min_size=1, max_size=12))
+def test_exact_polynomial_moments_match_quadrature(gamma, states):
+    # the exact piece moments against the kink-split rule at n = 2048, which
+    # has converged on states whose kinks lie at least 1e-2 from s = +-1;
+    # log10(rho) from -12 reaches the floor, and rho^theta up to 100 at
+    # gamma 5 makes the spline's core piece narrow
+    g = GasLaw(gamma)
+    kern = get_kernel(g)  # cached, with its 2048-node rules
+    rho0 = np.array([g.rho_floor] + [10.0 ** a for a, _ in states])
+    m0 = rho0 * np.array([0.0] + [u for _, u in states])
+    for gen in PIECEWISE_GENERATORS:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_k = _kinks_in_range(gen, g.theta, rho0, m0)
+        keep = np.all(np.abs(np.abs(s_k) - 1.0) >= 1e-2, axis=1)
+        rho, m = rho0[keep], m0[keep]
+        plain = plain_moments(kern, gen, rho, m, 2, 2048)
+        scale = np.max(np.abs(np.array(list(plain.values()))), axis=0)
+        for order in range(3):
+            exact = kern.moments(gen, rho, m, order)
+            assert sorted(exact) == _moment_keys(order)
+            for key in exact:
+                assert np.all(np.abs(exact[key] - plain[key]) <= 1e-13 * scale), \
+                    (gen.name, order, key)
+
+
+def _mp_moments(mp, gen, lam, theta, rho, m):
+    """Every M[(j, k)] of order <= 2 at one state in mpmath arithmetic.
+
+    Each piece's polynomial psi_p^(j)(u + rt s) is expanded in powers of s,
+    and each power integrates against the weight as an incomplete beta
+    function: int_0^y s^q (1 - s^2)^lam ds = B(y^2; (q+1)/2, lam+1) / 2.
+    """
+    lam, rho, m = mp.mpf(lam), mp.mpf(rho), mp.mpf(m)
+    u, rt = m / rho, rho ** mp.mpf(theta)
+
+    @functools.cache
+    def cumulative(q, y):
+        c = mp.betainc((q + 1) / mp.mpf(2), lam + 1, 0, y * y) / 2
+        return c if y >= 0 else (-1) ** (q + 1) * c
+
+    cuts = [(mp.mpf(kink) - u) / rt for kink in gen.kinks]
+    ends = [mp.mpf(-1)] + [c for c in cuts if -1 < c < 1] + [mp.mpf(1)]
+    out = {key: mp.mpf(0) for key in _moment_keys(2)}
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        mid = u + rt * (lo + hi) / 2
+        p = sum(1 for kink in gen.kinks if kink <= mid)
+        coeffs = [mp.mpf(c) for c in gen.pieces[p]]
+        for j in range(3):
+            d = [mp.mpf(c) * mp.ff(i + j, j) for i, c in enumerate(coeffs[j:])]
+            # d_i (u + rt s)^i = sum_q binom(i, q) u^(i-q) rt^q s^q
+            poly_s = [sum(d[i] * mp.binomial(i, q) * u ** (i - q) * rt ** q
+                          for i in range(q, len(d))) for q in range(len(d))]
+            for k in range(max(1, j) + 1):
+                out[(j, k)] += sum(c * (cumulative(q + k, hi) - cumulative(q + k, lo))
+                                   for q, c in enumerate(poly_s))
+    return out
+
+
+def _edge_states(gen, theta, d):
     """(rho, m) placing each kink at s = -+(1 +- d): just inside and just
     outside both ends of the state's range."""
     rt = np.array([0.3, 1.0, 2.5])
@@ -113,40 +186,55 @@ def _edge_states(gen, theta, d=1e-6):
                 u = kink - side * (1.0 + off) * rt
                 rho.append(rt ** (1.0 / theta))
                 m.append(rho[-1] * u)
-    return np.concatenate(rho or [[]]), np.concatenate(m or [[]])
+    return np.concatenate(rho), np.concatenate(m)
 
 
-@settings(max_examples=40, deadline=None)
-@given(gamma=st.sampled_from((1.4, 2.0, 3.0, 5.0)),
-       states=st.lists(st.tuples(st.floats(-12.0, 1.0), st.floats(-10.0, 10.0)),
-                       min_size=1, max_size=12))
-def test_exact_polynomial_moments_match_quadrature(gamma, states):
-    # the piece table's moments (exact on one piece, its polynomials on the
-    # segments) against the same generator's callables on the kernel
-    # quadrature; log10(rho) from -12 reaches the floor, and the edge states
-    # put a kink within 1e-6 of s = +-1
+@pytest.mark.parametrize("gamma", [1.4, 2.0, 5.0])
+def test_piece_moments_near_the_kernel_edge_match_mpmath(gamma):
+    # a kink at s = -+(1 - d) splits off a piece of width d beside the
+    # weight's end; the 64-node kink-split rule of plain_moments is off there
+    # by up to 1.0e-6 of the moment scale at gamma 2 and 3.3e-4 at gamma 5
+    mp = pytest.importorskip("mpmath")
     g = GasLaw(gamma)
-    kern = EntropyKernel(g, 64)
-    rho0 = np.array([g.rho_floor] + [10.0 ** a for a, _ in states])
-    m0 = rho0 * np.array([0.0] + [u for _, u in states])
-    for gen in PIECEWISE_GENERATORS:
-        assert len(gen.pieces) == len(gen.kinks) + 1
-        quadrature = dataclasses.replace(gen, pieces=())
-        rho_e, m_e = _edge_states(gen, g.theta)
-        rho, m = np.concatenate([rho0, rho_e]), np.concatenate([m0, m_e])
-        for order in range(3):
-            exact = kern.moments(gen, rho, m, order)
-            plain = kern.moments(quadrature, rho, m, order)
-            assert sorted(exact) == sorted(plain) == sorted(
-                (j, k) for j in range(order + 1) for k in range(max(1, j) + 1))
-            scale = np.max(np.abs(np.array(list(plain.values()))), axis=0)
-            for key in plain:
-                assert np.all(np.abs(exact[key] - plain[key]) <= 1e-13 * scale), \
-                    (gen.name, order, key)
+    kern = get_kernel(g)
+    with mp.workdps(40):
+        for gen in (gen_convex_spline(0.0, 0.3), gen_convex_spline(),
+                    gen_half_signed_square(0.0)):
+            for d in (1e-3, 1e-6, 1e-9):
+                rho, m = _edge_states(gen, g.theta, d)
+                refs = [_mp_moments(mp, gen, g.lambda_exp, g.theta, r, mm)
+                        for r, mm in zip(rho, m)]
+                for order in range(3):
+                    got = kern.moments(gen, rho, m, order)
+                    for i, ref in enumerate(refs):
+                        scale = max(abs(ref[key]) for key in got)
+                        for key in got:
+                            err = abs(got[key][i] - ref[key])
+                            assert err <= 1e-13 * scale, (gen.name, d, order, key, i)
+
+
+@pytest.mark.parametrize("gen", [gen_smoothed_abs(0.3, 0.4), gen_bump(0.0, 2.0)],
+                         ids=lambda gen: gen.name)
+def test_chunked_node_products_match_elementwise_sums(gen):
+    # more than two chunks of states, so the last one is partial
+    rng = np.random.default_rng(7)
+    g = GasLaw(2.0)
+    kern = get_kernel(g)
+    size = 2 * entropy.CHUNK + 37
+    rho = np.concatenate([[0.0, g.rho_floor], rng.uniform(1e-3, 4.0, size)])
+    m = rho * np.concatenate([[0.0, 1.0], rng.uniform(-3.0, 3.0, size)])
+    for order in range(3):
+        fast = kern.moments(gen, rho, m, order)
+        plain = plain_moments(kern, gen, rho, m, order, entropy.KERNEL_NODES)
+        assert sorted(fast) == sorted(plain) == _moment_keys(order)
+        scale = np.max(np.abs(np.array(list(plain.values()))), axis=0) + 1e-300
+        for key in plain:
+            assert np.all(np.abs(fast[key] - plain[key]) <= 1e-14 * scale), key
 
 
 @pytest.mark.parametrize("fields", [dict(kinks=(1.0, 0.0), pieces=()),
-                                    dict(kinks=(0.0,), pieces=((1.0,),))])
+                                    dict(kinks=(0.0,), pieces=((1.0,),)),
+                                    dict(kinks=(0.0,), pieces=())])
 def test_generator_rejects_a_bad_piece_table(fields):
     with pytest.raises(ConfigError):
         dataclasses.replace(gen_half_signed_square(0.0), **fields)
@@ -402,9 +490,9 @@ def test_convex_spline_kink_split_certifies():
 
 
 def test_certified_pair_evaluates_exact_states_once(monkeypatch):
-    # rho = 0.01 at gamma 2 gives u +- 0.1: every state lies inside one
-    # piece of convex_spline, whose moments are exact and ignore n; a state
-    # with a kink inside its range still doubles the nodes
+    # a piece table's moments are exact and ignore n, so pair_certified
+    # evaluates it once, with kinks inside the states' ranges or not; a
+    # generator on quadrature nodes still doubles them
     calls = []
     real = EntropyKernel.moments
 
@@ -412,16 +500,18 @@ def test_certified_pair_evaluates_exact_states_once(monkeypatch):
         calls.append(1)
         return real(self, *args, **kwargs)
     monkeypatch.setattr(EntropyKernel, "moments", counted)
-    g, gen = GasLaw(2.0), gen_convex_spline()
-    rho = np.full(11, 0.01)
-    u = np.linspace(2.0, 3.0, 11)
-    eta, q = get_kernel(g).pair_certified(gen, rho, rho * u)
-    assert len(calls) == 1
-    eta_n, q_n = get_kernel(g).pair(gen, rho, rho * u, 128)
-    np.testing.assert_array_equal(eta, eta_n)
-    np.testing.assert_array_equal(q, q_n)
+    g = GasLaw(2.0)
+    rho = np.array([0.01, 0.5, 1.0, 2.0])
+    u = np.array([2.5, 0.9, 0.5, -1.1])   # the last three straddle a kink
+    for gen in (gen_convex_spline(), gen_half_signed_square(0.35)):
+        calls.clear()
+        eta, q = get_kernel(g).pair_certified(gen, rho, rho * u)
+        assert len(calls) == 1, gen.name
+        eta_n, q_n = get_kernel(g).pair(gen, rho, rho * u, 128)
+        np.testing.assert_array_equal(eta, eta_n)
+        np.testing.assert_array_equal(q, q_n)
     calls.clear()
-    get_kernel(g).pair_certified(gen, 1.0, 0.5)  # kink at s = 0.5
+    get_kernel(g).pair_certified(gen_smoothed_abs(), rho, rho * u)
     assert len(calls) >= 2
 
 

@@ -66,7 +66,7 @@ output_dir = results
     assert cfg.rho_plus == 0.25
     assert cfg.n_eps == 3
     assert cfg.force is True
-    assert cfg.output_dir == "results"
+    assert cfg.output_dir == str(tmp_path / "results")   # beside the file
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -402,8 +402,16 @@ def test_cli_bad_input_is_error_exit_2(tmp_path, capsys, monkeypatch, key,
 
 @pytest.mark.parametrize("case", ["config", "config_bytes", "table",
                                   "table_text", "output_dir", "table_out"])
-def test_cli_file_error_is_error_exit_2(tmp_path, capsys, case):
-    # a file the CLI cannot read or write ends as one error line naming it
+def test_cli_file_error_is_error_exit_2(tmp_path, capsys, monkeypatch, case):
+    # a file the CLI cannot read or write ends as one error line naming it;
+    # an output_dir below a regular file fails before the run steps
+    import nozzleflow.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run stepped before the config was rejected")
+
+    if case == "output_dir":
+        monkeypatch.setattr(cli, "single_run", no_run)
     (tmp_path / "words.dat").write_text("0.0 one\n1.0 two\n")
     (tmp_path / "plain").write_text("a file, not a directory\n")
     (tmp_path / "bytes.cfg").write_bytes(b"gamma = 2\n\xff\xfe\n")
@@ -445,6 +453,36 @@ def test_tabulated_profile_through_a_config(tmp_path, capsys):
     np.testing.assert_allclose(
         final[:, 4], TabulatedProfile.from_file(table).area(final[:, 0]),
         rtol=1e-10)
+
+
+def test_config_paths_are_relative_to_the_config_file(tmp_path, monkeypatch,
+                                                    capsys):
+    # profile_file and output_dir written relative in a config name paths
+    # beside it, whatever the working directory
+    x = np.linspace(-25.0, 25.0, 501)
+    (tmp_path / "tab").mkdir()
+    (tmp_path / "elsewhere").mkdir()
+    np.savetxt(tmp_path / "tab" / "area.dat",
+               np.column_stack((x, 1.0 + 0.5 * np.exp(-x * x))))
+    _write_cfg(tmp_path / "tab" / "tab.cfg", dict(
+        profile="tabulated", profile_file="area.dat", n_eps=2, dx=0.0625,
+        t_end=0.1, snapshots=5, output_dir="out"))
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["check", "tab/tab.cfg"]) == 0
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert cli_main(["check", "../tab/tab.cfg"]) == 0
+    assert cli_main(["run", str(tmp_path / "tab" / "tab.cfg")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "tab" / "out" / "final.csv").exists()
+    assert not any((tmp_path / "elsewhere").iterdir())
+
+
+def test_output_dir_below_a_file_is_a_config_error(tmp_path):
+    (tmp_path / "plain").write_text("a file, not a directory\n")
+    with pytest.raises(ConfigError, match="plain"):
+        RunConfig(output_dir=str(tmp_path / "plain" / "a" / "b"))
+    assert RunConfig(output_dir=str(tmp_path / "new" / "out")).output_dir
+    assert not (tmp_path / "new").exists()
 
 
 @pytest.mark.parametrize("flag,value", [
