@@ -494,7 +494,7 @@ class Recorder:
         self.sample_times = np.linspace(0.0, t_end, self.opt.sample_count)
         self._series: dict[str, list] = {name: [] for name, _ in SERIES}
         self._last_rate: dict[str, float] = {}
-        self._ctx: Optional[SolverContext] = None
+        self.ctx: Optional[SolverContext] = None   # fixed by the first sample
         self._table: dict = {}
         self._snaps: Optional[np.ndarray] = None
 
@@ -539,8 +539,8 @@ class Recorder:
         k = len(self._series["t"])  # samples taken so far
         if opt.collect_snapshots and k == opt.sample_count:
             raise ConfigError("recorder already holds sample_count snapshots")
-        if self._ctx is None:
-            self._ctx = ctx
+        if self.ctx is None:
+            self.ctx = ctx
             # the fewest nodes covering the window, to the consumers' WINDOW_TOL
             lo, hi = opt.snapshot_window or (-np.inf, np.inf)
             i0 = np.searchsorted(ctx.x, lo + WINDOW_TOL) - 1
@@ -550,7 +550,7 @@ class Recorder:
                 self._snaps = np.empty((2, opt.sample_count, ctx.x[self._snap].size))
             self._rho_tilde = float(np.min(field.rho))
             self._table = self._new_table(ctx.grid.n_nodes)
-        elif ctx is not self._ctx:
+        elif ctx is not self.ctx:
             raise ConfigError("recorder sampled with another run's context")
         nodes, tab = self._nodes(field, ctx), self._table
         t = field.t
@@ -597,7 +597,7 @@ class Recorder:
             checks["dissipation_monotone"] = Check(
                 _worst(-np.diff(rep.dissipation)), 1e-12 * scale)
             total = _worst(rep.energy + rep.dissipation)
-            if self._ctx.bc.mode is BCMode.DIRICHLET_SPHERICAL:
+            if self.ctx.bc.mode is BCMode.DIRICHLET_SPHERICAL:
                 checks["energy_inequality_sharp"] = Check(
                     total, rep.energy[0] * (1.0 + ENERGY_TOL) + 1e-14)
             else:
@@ -625,7 +625,7 @@ class Recorder:
                 1e-3 * abs(rep.quartic[0]) + 1e-14)
         if self._snaps is not None:
             rho, m = self._snaps[:, :rep.t.size]
-            rep.snapshots = SnapshotSet(t=rep.t.copy(), x=self._ctx.x[self._snap],
+            rep.snapshots = SnapshotSet(t=rep.t.copy(), x=self.ctx.x[self._snap],
                                         rho=rho, m=m)
         return rep
 

@@ -42,8 +42,6 @@ class ConditionReport:
 
     interval: tuple[float, float]
     sup_dlog: float            # sup |A'/A| over the interval
-    l1_dA_left: float          # integral of |A'| over the half-line x < 0 part
-    l1_dA_right: float         # integral of |A'| over the half-line x > 0 part
     area_min: float            # A_0
     area_max: float            # A_1
     satisfies_13a: bool        # bounded A'/A with A' integrable on the left half-line
@@ -128,19 +126,12 @@ class NozzleProfile:
         dA = self._d_area(xs)
         ddA = self._dd_area(xs)
         sup_dlog = float(np.max(np.abs(dA / area)))
-        absdA = np.abs(dA)
-        left = xs <= 0.0
-        l1_left = float(np.trapezoid(absdA[left], xs[left])) if left.sum() > 1 else 0.0
-        right = xs >= 0.0
-        l1_right = float(np.trapezoid(absdA[right], xs[right])) if right.sum() > 1 else 0.0
         ok_13a, ok_13b = self._half_line_integrability()
         finite = (np.all(np.isfinite(area)) and np.all(np.isfinite(dA))
                   and np.all(np.isfinite(ddA)))
         return ConditionReport(
             interval=(a, b),
             sup_dlog=sup_dlog,
-            l1_dA_left=l1_left,
-            l1_dA_right=l1_right,
             area_min=float(np.min(area)),
             area_max=float(np.max(area)),
             satisfies_13a=ok_13a,

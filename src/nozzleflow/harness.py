@@ -29,8 +29,8 @@ from .errors import ConfigError, DomainError, NozzleflowError, SweepError
 from .geometry import NozzleProfile, make_profile
 from .schedule import (M_BUDGET, Q_LADDER, CertificateReport,
                        ViscositySchedule, certify)
-from .solver import (CFL, BCMode, BoundarySpec, FluidField, Grid, InitialData,
-                     prepare_initial_data, run)
+from .solver import (CFL, MIN_CELLS, BCMode, BoundarySpec, FluidField, Grid,
+                     InitialData, prepare_initial_data, run)
 from .thermo import GasLaw
 
 # ---------------------------------------------------------------------------
@@ -183,6 +183,10 @@ class RunConfig:
         if self.q_mom >= 3.0 * (gam + 1.0) / (gam + 3.0):
             raise ConfigError("q must stay below 3(gamma+1)/(gamma+3) "
                               f"= {3.0 * (gam + 1.0) / (gam + 3.0):.4g}")
+        # a grid too coarse for the run or any ladder rung fails before any
+        # of them runs
+        for eps in (self.eps, *self._schedule.eps_list):
+            self.grid_of(eps)
 
     @property
     def spherical(self) -> bool:
@@ -229,6 +233,17 @@ class RunConfig:
 
     def domain_of(self, eps: float) -> tuple[float, float]:
         return float(self._schedule.a_of(eps)), float(self._schedule.b_of(eps))
+
+    def grid_of(self, eps: float) -> Grid:
+        """The eps rung's domain in whole cells of about dx."""
+        a, b = self.domain_of(eps)
+        cells = round((b - a) / self.dx)
+        if cells < MIN_CELLS:
+            raise ConfigError(
+                f"dx = {self.dx:g} leaves {cells} cells on the eps={eps:g} "
+                f"rung's domain [{a:g}, {b:g}]; a grid needs at least "
+                f"{MIN_CELLS}")
+        return Grid(a, b, cells)
 
     def certify_ladder(self, profile: NozzleProfile) -> CertificateReport:
         """Certify the ladder; ConfigError unless every rung's domain lies
@@ -318,7 +333,7 @@ def _parse(key: str, raw: str, hint):
 class RunOutput:
     eps: float
     g: GasLaw                      # the run's gas law (delta from eps)
-    profile: NozzleProfile         # the profile the run stepped with
+    A: np.ndarray                  # the node areas the run stepped with
     field: FluidField
     report: DiagnosticsReport
     label: str = ""
@@ -330,12 +345,11 @@ def single_run(cfg: RunConfig, eps: Optional[float] = None,
     eps = cfg.eps if eps is None else eps
     g = cfg.build_gas(eps)
     profile = cfg.build_profile()
-    a, b = cfg.domain_of(eps)
-    grid = Grid(a, b, int(round((b - a) / cfg.dx)))
+    grid = cfg.grid_of(eps)
     bc = cfg.build_bc(eps)
     raw = cfg.build_initial(eps)
     field = prepare_initial_data(raw, bc, g, profile, grid)
-    window = (max(cfg.window_lo, a), min(cfg.window_hi, b))
+    window = (max(cfg.window_lo, grid.a), min(cfg.window_hi, grid.b))
     opts = RecorderOptions(
         sample_count=cfg.snapshots,
         collect_snapshots=collect_snapshots,
@@ -348,7 +362,7 @@ def single_run(cfg: RunConfig, eps: Optional[float] = None,
     rec = Recorder(cfg.t_end, ref=ref, options=opts, label=label)
     field, report = run(field, g, profile, eps, bc, cfg.t_end, hooks=rec,
                         cfl=cfg.cfl)
-    return RunOutput(eps=eps, g=g, profile=profile, field=field, report=report,
+    return RunOutput(eps=eps, g=g, A=rec.ctx.A, field=field, report=report,
                      label=label)
 
 
@@ -525,17 +539,15 @@ def sweep(cfg: RunConfig) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def write_snapshot_csv(path, field: FluidField, g: GasLaw,
-                       profile: NozzleProfile, eps: float, bc_mode: str,
-                       cfl: float) -> None:
+def write_snapshot_csv(path, field: FluidField, g: GasLaw, A: np.ndarray,
+                       eps: float, bc_mode: str, cfl: float) -> None:
     grid = field.grid
     _write_csv(path, [f"t={field.t:.10g} gamma={g.gamma:.10g} "
                       f"kappa={g.kappa:.10g} delta={g.delta:.10g} eps={eps:.10g}",
                       f"a={grid.a:.10g} b={grid.b:.10g} n_cells={grid.n_cells} "
                       f"cfl={cfl:g} bc={bc_mode}"],
                ("x", "rho", "m", "u", "A"),
-               (grid.x, field.rho, field.m, g.velocity(field.rho, field.m),
-                profile.area(grid.x)))
+               (grid.x, field.rho, field.m, g.velocity(field.rho, field.m), A))
 
 
 def write_outputs(cfg: RunConfig, runs: dict, summary: str) -> Path:
@@ -545,8 +557,8 @@ def write_outputs(cfg: RunConfig, runs: dict, summary: str) -> Path:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for suffix, r in runs.items():
-        write_snapshot_csv(out / f"final{suffix}.csv", r.field, r.g,
-                           r.profile, r.eps, cfg.bc, cfg.cfl)
+        write_snapshot_csv(out / f"final{suffix}.csv", r.field, r.g, r.A,
+                           r.eps, cfg.bc, cfg.cfl)
         r.report.to_csv(out / f"report{suffix}.csv")
     (out / "summary.txt").write_text(summary + "\n")
     return out

@@ -17,15 +17,23 @@ zero momentum an exact steady state regardless of the profile.
 
 A step advances only an index window [i0, i1) of the grid.  Where an end's
 Dirichlet far state is a discrete steady state of the scheme, the nodes that
-rest on it (within FAR_STATE_TOL of its size) are frozen and copied
-unchanged.  The window covers every other node, plus the two explicit
-stages' stencils (4 nodes), plus a margin across which the implicit solve's
+rest on it (within FAR_STATE_TOL of its size) are frozen and left as they
+are.  The window covers every other node, plus the two explicit stages'
+stencils (4 nodes), plus a margin across which the implicit solve's
 discrete Green's function decays below GREEN_DECAY; its first and last
 nodes are pinned to their frozen values in both tridiagonal solves.  A
 window that touches a domain end uses that end's ghost and boundary row, so
 the whole grid is the window [0, n).  Time-dependent boundary values,
 ``forcing`` and far states that are not steady (nonzero far momentum where
 A' != 0) keep their end, or the whole grid, active.
+
+``SolverContext.advance`` steps arrays that the caller hands over for the
+whole run, in place.  Every node outside the window a step advanced still
+rests on its far state afterwards, so the next window is found by scanning
+only that window; the whole grid is scanned on a run's first step and when
+the scanned window rests wholly on one far state.  The same scan gives the
+wave speed the next dt is taken from.  ``run`` calls ``advance``; ``step``
+copies its field and advances the copy after a whole-grid scan.
 
 The explicit stage and ``SolverContext.max_wave_speed`` call the gas law's
 unchecked kernels (``GasLaw._pressure``, ``_p_prime``, ``_velocity``) on
@@ -51,6 +59,9 @@ from .thermo import GasLaw
 
 BCValue = Union[float, Callable[[float], float]]
 
+# the fewest cells a grid may have
+MIN_CELLS = 8
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -63,8 +74,8 @@ class Grid:
     def __post_init__(self):
         if not self.b > self.a:
             raise ConfigError(f"grid needs b > a, got [{self.a}, {self.b}]")
-        if self.n_cells < 8:
-            raise ConfigError("grid needs at least 8 cells")
+        if self.n_cells < MIN_CELLS:
+            raise ConfigError(f"grid needs at least {MIN_CELLS} cells")
 
     @property
     def dx(self) -> float:
@@ -159,12 +170,16 @@ class InitialData:
 # Context: everything that does not change from step to step
 # ---------------------------------------------------------------------------
 
+# the default Courant number of ``step``, ``run`` and a config's ``cfl``
+CFL = 0.4
+
 
 class SolverContext:
     """The solver's inputs for one run, with the coefficient arrays they fix.
 
     A context owns the grid, gas law, profile, viscosity and boundary spec;
-    ``step`` and ``run`` take all five from it.
+    ``step`` and ``run`` take all five from it.  It also keeps the window
+    the last ``advance`` moved and the scan made since, never the arrays.
     """
 
     def __init__(self, grid: Grid, g: GasLaw, profile: NozzleProfile,
@@ -204,9 +219,10 @@ class SolverContext:
         self.mom_bands[2, :-1] = 1.0 / (dx * dx) - self.G[:-1] / (2.0 * dx)
         self.inv_Adx = 1.0 / (self.A * dx)
         self.cells_advanced = 0
-        # [lo, hi): union of every window ``step`` advanced, empty at first;
+        # [lo, hi): union of every window ``advance`` moved, empty at first;
         # each node outside it holds its value from before the first step
         self.hull = (n, 0)
+        self.rescan()
 
     @cached_property
     def dG(self) -> np.ndarray:
@@ -267,6 +283,19 @@ class SolverContext:
         return self.max_wave_speed(rho, m)
 
     @cached_property
+    def rest_speed(self) -> float:
+        """An upper bound of |u| + c over every state in the rest box: the
+        largest |m| over the smallest rho, plus c at the largest rho."""
+        speeds = [0.0]
+        for end in self.far_states:
+            if end is not None:
+                r, mm = end
+                tol = FAR_STATE_TOL * (abs(r) + abs(mm))
+                u = (abs(mm) + tol) / (r - tol) if r > tol else math.inf
+                speeds.append(u + math.sqrt(self.g._p_prime(r + tol)))
+        return max(speeds)
+
+    @cached_property
     def rest_box(self) -> tuple:
         """(rho_lo, rho_hi, m_lo, m_hi), each of shape (2, 1): the states
         resting on the left (row 0) and the right (row 1) far state, within
@@ -281,37 +310,140 @@ class SolverContext:
             rows.append((r - tol, r + tol, mm - tol, mm + tol))
         return tuple(np.array(rows).T[:, :, None])
 
-    def active_window(self, rho: np.ndarray, m: np.ndarray,
-                      dt: float) -> tuple[int, int]:
-        """Node range [i0, i1) a step of size dt advances; the rest is frozen.
+    def _rest_ends(self, rho: np.ndarray, m: np.ndarray,
+                   span: Optional[tuple[int, int]]) -> tuple[int, int]:
+        """(i, j): i is the first node off the left far state and j - 1 the
+        last node off the right one, swapped when i > j; (0, n) when no node
+        is off either.  NaN rests nowhere.
 
-        i0 is the first node off the left far state and i1 - 1 the last node
-        off the right one, each padded by the explicit stencil and by the
-        margin after which the implicit solve's Green's function has decayed
-        below GREEN_DECAY.  It is found from the field at each call.  NaN
-        rests nowhere, so a non-finite node is never frozen.
+        Only the nodes of ``span`` (None: all) are scanned, which is exact
+        when every node below it rests on the left far state and every node
+        past it on the right one.  A span that rests wholly on one far state
+        cannot place that end, and the whole grid is scanned instead.
         """
         n = rho.size
+        lo, hi = span or (0, n)
         rho_lo, rho_hi, m_lo, m_hi = self.rest_box
-        rests = (rho >= rho_lo) & (rho <= rho_hi) & (m >= m_lo) & (m <= m_hi)
+        r, q = rho[lo:hi], m[lo:hi]
+        rests = (r >= rho_lo) & (r <= rho_hi) & (q >= m_lo) & (q <= m_hi)
         left, right = rests[0], rests[1, ::-1]
         i, k = int(left.argmin()), int(right.argmin())
-        i = n if left[i] else i
-        j = 0 if right[k] else n - k
-        i, j = min(i, j), max(i, j)  # no node off either state: the whole grid
-        pad = 4 + _green_margin(self.eps * dt * self.band_max)
-        return max(i - pad, 0), min(j + pad, n)
+        if hi - lo < n and (left[i] or right[k]):
+            return self._rest_ends(rho, m, None)
+        i = n if left[i] else lo + i
+        j = 0 if right[k] else hi - k
+        return min(i, j), max(i, j)
 
-    def stable_window(self, rho: np.ndarray, m: np.ndarray, dt: float,
-                      cfl: float, forced: bool) -> tuple[int, int, float]:
-        """(lo, hi, bound): the window a step of size dt advances (the whole
-        grid when forced) and the advective bound cfl dx / max(|u| + c),
-        the max over the window and the far states outside it."""
-        lo, hi = (0, rho.size) if forced else self.active_window(rho, m, dt)
-        lam = self.max_wave_speed(rho[lo:hi], m[lo:hi])
-        if hi - lo < rho.size:
-            lam = max(lam, self.far_speed)
-        return lo, hi, cfl * self.dx / lam
+    def rescan(self) -> None:
+        """Forget the last scan, so the next one covers the whole grid; due
+        before ``advance`` is handed arrays its last call did not update."""
+        self._moved: Optional[tuple[int, int]] = None
+        self._scan: Optional[tuple[int, int, float]] = None
+
+    def scan(self, rho: np.ndarray, m: np.ndarray,
+             forced: bool) -> tuple[int, int, float]:
+        """(lo, hi, lam): the nodes off their far states padded by the
+        explicit stencil, and lam = max(|u| + c) over them and the far
+        states outside them; cfl dx / lam bounds the next dt.  ``forced``
+        (a run with forcing) gives the whole grid.
+
+        The scan covers the window the last ``advance`` moved (the whole
+        grid after ``rescan``) and is kept until the next ``advance``.
+        """
+        if self._scan is None:
+            n = rho.size
+            i, j = (0, n) if forced else self._rest_ends(rho, m, self._moved)
+            lo, hi = max(i - 4, 0), min(j + 4, n)
+            lam = self.max_wave_speed(rho[lo:hi], m[lo:hi])
+            if hi - lo < n:
+                lam = max(lam, self.far_speed)
+            self._scan = lo, hi, lam
+        return self._scan
+
+    def advance(self, rho: np.ndarray, m: np.ndarray, t: float, dt: float, *,
+                cfl: float = CFL, forcing: Optional[Callable] = None
+                ) -> tuple[int, int]:
+        """Advance (rho, m) at time t by one IMEX step of size dt, in place;
+        returns the node range [lo, hi) it moved.
+
+        The arrays belong to the caller's run: between calls nothing else
+        may change them (call ``rescan`` when other arrays come in).  The
+        range is the ``scan`` window (the whole grid under ``forcing``)
+        padded by the margin after which the implicit solve's Green's
+        function has decayed below GREEN_DECAY; the other nodes are frozen.
+        dt must respect the advective bound cfl dx / max(|u| + c) over the
+        range; the rest box's ``rest_speed`` bounds the nodes that the scan
+        window leaves out.
+        """
+        if dt <= 0.0:
+            raise StabilityError("dt must be positive")
+        forced = forcing is not None
+        n = rho.size
+        lo, hi, lam = self.scan(rho, m, forced)
+        if hi - lo < n:
+            lam = max(lam, self.rest_speed)
+        bound = cfl * self.dx / lam
+        if dt > bound * (1.0 + 1e-9):
+            raise StabilityError(
+                f"dt={dt:.3e} exceeds the advective bound {bound:.3e}")
+        pad = _green_margin(self.eps * dt * self.band_max)
+        lo, hi = max(lo - pad, 0), min(hi + pad, n)
+        win = slice(lo, hi)
+        self._moved, self._scan = (lo, hi), None
+
+        # two-stage (Heun) explicit convection: a single forward-Euler stage
+        # feeds energy into the resolved waves at O(dt) and visibly pollutes
+        # the discrete energy identity; averaging the stage fluxes removes
+        # that while keeping one tridiagonal solve per equation below.  The
+        # arrays carry the stage state, so stage 2 reads frozen neighbours.
+        floor = self.g.rho_floor
+        rho0, m0 = rho[win].copy(), m[win].copy()
+        c1_rho, c1_m = _hyperbolic_rhs(self, rho, m, t, (lo, hi))
+        rho[win] = np.maximum(rho0 + dt * c1_rho, floor)
+        m[win] = m0 + dt * c1_m
+        if forced:
+            f1_rho, f1_m = (np.asarray(v, dtype=float) for v in forcing(self.x, t))
+            rho[win] = np.maximum(rho[win] + dt * f1_rho, floor)
+            m[win] = m[win] + dt * f1_m
+        c2_rho, c2_m = _hyperbolic_rhs(self, rho, m, t + dt, (lo, hi))
+        rho_s = rho0 + 0.5 * dt * (c1_rho + c2_rho)
+        m_s = m0 + 0.5 * dt * (c1_m + c2_m)
+        if forced:
+            f2_rho, f2_m = (np.asarray(v, dtype=float)
+                            for v in forcing(self.x, t + dt))
+            rho_s = rho_s + 0.5 * dt * (f1_rho + f2_rho)
+            m_s = m_s + 0.5 * dt * (f1_m + f2_m)
+
+        if not (np.isfinite(rho_s).all() and np.isfinite(m_s).all()):
+            raise NonFiniteError("non-finite values after the explicit stage")
+        # transient undershoots are counted, not clamped: the implicit
+        # diffusion usually lifts an isolated dip, and a persistent one must
+        # surface as a cavitation fault below rather than be masked
+        self.undershoots += np.count_nonzero(rho_s[1:-1] < floor)
+        self.cells_advanced += hi - lo
+        self.hull = (min(self.hull[0], lo), max(self.hull[1], hi))
+
+        # the window's end rows are pinned: to the boundary values at a
+        # domain end (the axis end keeps its mirrored row), else to the
+        # frozen values
+        t1 = t + dt
+        rho_l, m_l = self.bc.left_values(t1) if lo == 0 else (rho0[0], m0[0])
+        rho_r, m_r = self.bc.right_values(t1) if hi == n else (rho0[-1],
+                                                                m0[-1])
+        coef = self.eps * dt
+        rho_n = _tridiag_solve(*_implicit_system(self.mass_bands[:, win], coef,
+                                                 rho_s, rho_l, rho_r))
+        m_n = _tridiag_solve(*_implicit_system(self.mom_bands[:, win], coef,
+                                               m_s, m_l, m_r))
+
+        if not (np.isfinite(rho_n).all() and np.isfinite(m_n).all()):
+            raise NonFiniteError("non-finite values after the implicit stage")
+        if rho_n.min() < floor:
+            raise CavitationError(
+                f"density fell to {rho_n.min():.3e} (< floor {floor:.0e})")
+        rho[win] = rho_n
+        m[win] = m_n
+        return lo, hi
 
     def require(self, grid: Grid, g: GasLaw, profile: NozzleProfile,
                 eps: float, bc: BoundarySpec) -> None:
@@ -491,89 +623,26 @@ def _tridiag_solve(dl, d, du, b) -> np.ndarray:
 # Public stepping interface
 # ---------------------------------------------------------------------------
 
-# the default Courant number of ``step``, ``run`` and a config's ``cfl``
-CFL = 0.4
-
-
 def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
          bc: BoundarySpec, dt: float, *, ctx: Optional[SolverContext] = None,
          cfl: float = CFL, forcing: Optional[Callable] = None) -> FluidField:
-    """Advance one IMEX step of size dt.
+    """Advance one IMEX step of size dt; returns a new field.
 
     dt must respect the advective bound cfl * dx / max(|u| + c); the implicit
     diffusion imposes no restriction.  ``forcing(x, t)`` may return extra
     (mass, momentum) source arrays (manufactured-solution studies).  A given
     ``ctx`` must have been built for this grid, g, profile, eps and bc.
-    Only the nodes of ``ctx.active_window`` advance (all of them under
-    ``forcing``); the others rest on a steady far state and are copied.
+    The step copies the field, scans the whole copy and advances it with
+    ``ctx.advance``; the result shares no memory with the input or ``ctx``.
     """
     if ctx is None:
         ctx = SolverContext(field.grid, g, profile, eps, bc)
     else:
         ctx.require(field.grid, g, profile, eps, bc)
-    if dt <= 0.0:
-        raise StabilityError("dt must be positive")
-    rho, m = field.rho, field.m
-    n = rho.size
-    lo, hi, bound = ctx.stable_window(rho, m, dt, cfl, forcing is not None)
-    win = slice(lo, hi)
-    if dt > bound * (1.0 + 1e-9):
-        raise StabilityError(
-            f"dt={dt:.3e} exceeds the advective bound {bound:.3e}")
-
-    # two-stage (Heun) explicit convection: a single forward-Euler stage
-    # feeds energy into the resolved waves at O(dt) and visibly pollutes the
-    # discrete energy identity; averaging the stage fluxes removes that while
-    # keeping one tridiagonal solve per equation below.  The output arrays
-    # carry the stage state, so stage 2 reads frozen neighbours from them.
-    floor = ctx.g.rho_floor
-    t0 = field.t
-    rho_out, m_out = rho.copy(), m.copy()
-    c1_rho, c1_m = _hyperbolic_rhs(ctx, rho, m, t0, (lo, hi))
-    rho_out[win] = np.maximum(rho[win] + dt * c1_rho, floor)
-    m_out[win] = m[win] + dt * c1_m
-    if forcing is not None:
-        f1_rho, f1_m = (np.asarray(v, dtype=float) for v in forcing(ctx.x, t0))
-        rho_out[win] = np.maximum(rho_out[win] + dt * f1_rho, floor)
-        m_out[win] = m_out[win] + dt * f1_m
-    c2_rho, c2_m = _hyperbolic_rhs(ctx, rho_out, m_out, t0 + dt, (lo, hi))
-    rho_s = rho[win] + 0.5 * dt * (c1_rho + c2_rho)
-    m_s = m[win] + 0.5 * dt * (c1_m + c2_m)
-    if forcing is not None:
-        f2_rho, f2_m = (np.asarray(v, dtype=float)
-                        for v in forcing(ctx.x, t0 + dt))
-        rho_s = rho_s + 0.5 * dt * (f1_rho + f2_rho)
-        m_s = m_s + 0.5 * dt * (f1_m + f2_m)
-
-    if not (np.isfinite(rho_s).all() and np.isfinite(m_s).all()):
-        raise NonFiniteError("non-finite values after the explicit stage")
-    # transient undershoots are counted, not clamped: the implicit diffusion
-    # usually lifts an isolated dip, and a persistent one must surface as a
-    # cavitation fault below rather than be masked
-    ctx.undershoots += np.count_nonzero(rho_s[1:-1] < floor)
-    ctx.cells_advanced += hi - lo
-    ctx.hull = (min(ctx.hull[0], lo), max(ctx.hull[1], hi))
-
-    # the window's end rows are pinned: to the boundary values at a domain
-    # end (the axis end keeps its mirrored row), else to the frozen values
-    t1 = t0 + dt
-    rho_l, m_l = ctx.bc.left_values(t1) if lo == 0 else (rho[lo], m[lo])
-    rho_r, m_r = ctx.bc.right_values(t1) if hi == n else (rho[hi - 1],
-                                                           m[hi - 1])
-    coef = ctx.eps * dt
-    rho_n = _tridiag_solve(*_implicit_system(ctx.mass_bands[:, win], coef,
-                                             rho_s, rho_l, rho_r))
-    m_n = _tridiag_solve(*_implicit_system(ctx.mom_bands[:, win], coef, m_s,
-                                           m_l, m_r))
-
-    if not (np.isfinite(rho_n).all() and np.isfinite(m_n).all()):
-        raise NonFiniteError("non-finite values after the implicit stage")
-    if rho_n.min() < floor:
-        raise CavitationError(
-            f"density fell to {rho_n.min():.3e} (< floor {floor:.0e})")
-    rho_out[win] = rho_n
-    m_out[win] = m_n
-    return FluidField(field.grid, rho_out, m_out, t1)
+    rho, m = field.rho.copy(), field.m.copy()
+    ctx.rescan()
+    ctx.advance(rho, m, field.t, dt, cfl=cfl, forcing=forcing)
+    return FluidField(field.grid, rho, m, field.t + dt)
 
 
 # a run that needs more steps than this to reach t_end is stuck
@@ -587,9 +656,11 @@ def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
     """March to t_end; returns (final field, diagnostics report).
 
     ``hooks`` (any object with sample_times, sample(field, ctx), finalize())
-    is sampled at its requested times with the run's SolverContext; the step
-    size is clipped so those times are hit exactly.  With hooks=None an
-    empty report is returned.
+    is sampled at its requested times with the run's SolverContext and a
+    field that no later step changes; the step size is clipped so those
+    times are hit exactly.  With hooks=None an empty report is returned.
+    Each step is one ``ctx.advance`` on the run's own arrays, with dt from
+    the wave speed of ``ctx.scan``.
     """
     from .diagnostics import DiagnosticsReport  # local import to avoid a cycle
 
@@ -609,31 +680,33 @@ def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
         if targets and abs(targets[0] - field.t) <= 1e-12:
             hooks.sample(field, ctx)
             targets = targets[1:]
+    # the run's own arrays: advance updates them in place, and each hook
+    # sample gets a copy that no later step touches
+    rho, m, t = field.rho.copy(), field.m.copy(), field.t
+    forced = forcing is not None
     k = 0
-    while field.t < t_end - 1e-13 * max(1.0, t_end):
+    while t < t_end - 1e-13 * max(1.0, t_end):
         if k >= MAX_STEPS:
             raise SolverError(f"exceeded {MAX_STEPS} steps before t_end")
         dt = dt_fixed
         if dt is None:
-            dt = ctx.stable_window(field.rho, field.m, 0.0, cfl,
-                                   forcing is not None)[2]
+            dt = cfl * ctx.dx / ctx.scan(rho, m, forced)[2]
         t_next = targets[0] if targets else t_end
         t_next = min(t_next, t_end)
         snap = False
-        if field.t + dt >= t_next - 1e-13 * max(1.0, t_next):
-            dt = t_next - field.t
+        if t + dt >= t_next - 1e-13 * max(1.0, t_next):
+            dt = t_next - t
             snap = True
         try:
-            field = step(field, g, profile, eps, bc, dt, ctx=ctx, cfl=cfl,
-                         forcing=forcing)
+            ctx.advance(rho, m, t, dt, cfl=cfl, forcing=forcing)
         except SolverError as err:
-            raise type(err)(f"{err} [at t={field.t:.8g}]") from err
-        if snap:
-            field.t = t_next
-            if targets and abs(t_next - targets[0]) <= 1e-12:
-                hooks.sample(field, ctx)
-                targets = targets[1:]
+            raise type(err)(f"{err} [at t={t:.8g}]") from err
+        t = t_next if snap else t + dt
+        if snap and targets and abs(t_next - targets[0]) <= 1e-12:
+            hooks.sample(FluidField(field.grid, rho.copy(), m.copy(), t), ctx)
+            targets = targets[1:]
         k += 1
+    field = FluidField(field.grid, rho, m, t)
     if hooks is None:
         report = DiagnosticsReport()
     else:

@@ -4,8 +4,10 @@
 kernels, takes the generalized minmod from signs and magnitudes and writes
 the face states in place.  This copy does none of that: it calls the
 validating ``GasLaw`` methods, tests all three slope signs with ``np.where``
-and stacks the face states, exactly as the solver did before.  Monkeypatch
-``solver.step``, ``SolverContext.max_wave_speed`` and the
+and stacks the face states, exactly as the solver did before.  It also finds
+every window by a whole-grid scan and steps a copy of the field, as the
+solver did before ``SolverContext.advance``.  Monkeypatch ``solver.step``,
+``SolverContext.advance``, ``SolverContext.max_wave_speed`` and the
 ``hyperbolic_interface_data`` bindings with these to run the plain path.
 """
 
@@ -18,7 +20,8 @@ from nozzleflow.errors import CavitationError, NonFiniteError, StabilityError
 from nozzleflow.geometry import NozzleProfile
 from nozzleflow.solver import (LIMITER_THETA, BCMode, BoundarySpec,
                                FluidField, SolverContext, _extend,
-                               _implicit_system, _tridiag_solve)
+                               _green_margin, _implicit_system,
+                               _tridiag_solve)
 from nozzleflow.thermo import GasLaw
 
 
@@ -101,8 +104,8 @@ def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
     diffusion imposes no restriction.  ``forcing(x, t)`` may return extra
     (mass, momentum) source arrays (manufactured-solution studies).  A given
     ``ctx`` must have been built for this grid, g, profile, eps and bc.
-    Only the nodes of ``ctx.active_window`` advance (all of them under
-    ``forcing``); the others rest on a steady far state and are copied.
+    Only the nodes of the whole-grid scan's window advance (all of them
+    under ``forcing``); the others rest on a steady far state and are copied.
     """
     if ctx is None:
         ctx = SolverContext(field.grid, g, profile, eps, bc)
@@ -112,7 +115,16 @@ def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
         raise StabilityError("dt must be positive")
     rho, m = field.rho, field.m
     n = rho.size
-    lo, hi, bound = ctx.stable_window(rho, m, dt, cfl, forcing is not None)
+    if forcing is not None:
+        lo, hi = 0, n
+    else:
+        i, j = ctx._rest_ends(rho, m, None)  # the whole-grid scan
+        pad = 4 + _green_margin(ctx.eps * dt * ctx.band_max)
+        lo, hi = max(i - pad, 0), min(j + pad, n)
+    lam = ctx.max_wave_speed(rho[lo:hi], m[lo:hi])
+    if hi - lo < n:
+        lam = max(lam, ctx.far_speed)
+    bound = cfl * ctx.dx / lam
     win = slice(lo, hi)
     if dt > bound * (1.0 + 1e-9):
         raise StabilityError(
@@ -171,3 +183,13 @@ def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
     rho_out[win] = rho_n
     m_out[win] = m_n
     return FluidField(field.grid, rho_out, m_out, t1)
+
+
+def advance(self, rho: np.ndarray, m: np.ndarray, t: float, dt: float, *,
+            cfl: float = 0.4, forcing: Optional[Callable] = None) -> None:
+    """The plain ``step`` on a run's arrays, written back in place; the
+    context's next scan covers the whole grid."""
+    out = step(FluidField(self.grid, rho, m, t), self.g, self.profile,
+               self.eps, self.bc, dt, ctx=self, cfl=cfl, forcing=forcing)
+    rho[:], m[:] = out.rho, out.m
+    self.rescan()

@@ -381,12 +381,14 @@ _BAD_INPUT_CONTEXT = {
     ("init", "riemman"), ("L0", "3"), ("rho_bar", "-1"), ("a", "-1")])
 def test_cli_bad_input_is_error_exit_2(tmp_path, capsys, monkeypatch, key,
                                        value):
+    import nozzleflow.cli as cli
     import nozzleflow.harness as harness
 
     def no_rung(*args, **kwargs):
         raise AssertionError("a sweep rung ran before the config was rejected")
 
     monkeypatch.setattr(harness, "single_run", no_rung)
+    monkeypatch.setattr(cli, "single_run", no_rung)
     values = dict(_RUN_CFG, output_dir=str(tmp_path / "out"),
                   **_BAD_INPUT_CONTEXT.get(key, {}), **{key: value})
     cfg_path = tmp_path / "bad.cfg"
@@ -723,12 +725,18 @@ def test_cauchy_rule_allows_one_violation_and_passes_at_the_bound():
 
 
 def test_cli_rejected_run_leaves_no_output_dir(tmp_path, capsys):
-    # fewer than 8 cells: single_run rejects the grid
+    # fewer than 8 cells: the config rejects dx, naming the rung and limit
     cfg_path = _write_cfg(tmp_path / "bad.cfg", dict(
         _RUN_CFG, dx="10", output_dir=tmp_path / "out"))
     assert cli_main(["run", str(cfg_path)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error: dx = 10 leaves 4 cells on the eps=0.05 rung")
+    assert "at least 8" in err
     assert not (tmp_path / "out").exists()
+    # a ladder rung counts too: at eps0 = 0.1 the domain [-10, 10] gets 7
+    with pytest.raises(ConfigError, match=r"dx = 3 leaves 7 cells on the "
+                                          r"eps=0\.1 rung"):
+        RunConfig(dx=3.0)
 
 
 def test_cli_gamma_beyond_the_wave_table_is_error_exit_2(tmp_path, capsys):
@@ -744,7 +752,8 @@ def test_cli_gamma_beyond_the_wave_table_is_error_exit_2(tmp_path, capsys):
 
 
 def test_run_files_use_the_run_profile(tmp_path, monkeypatch):
-    # the writer reads RunOutput.profile: one profile build per run
+    # the writer reads the run context's areas, RunOutput.A: one profile
+    # build per run
     builds = []
     real = RunConfig.build_profile
 

@@ -132,6 +132,27 @@ def test_step_guards():
         step(f, g, prof, 0.05, bc, 0.5 * bound, ctx=ctx, forcing=drain)
 
 
+def test_cfl_check_covers_the_whole_stepped_window():
+    # a dip at rest: every node of the scan window is slower than the far
+    # state, and one resting node just outside it (inside the stepped
+    # window's diffusive margin) is faster by 6e-13 relative
+    g = GasLaw(2.0, delta=1e-3)
+    grid = Grid(-8.0, 8.0, 256)
+    x = grid.x
+    bc = BoundarySpec.dirichlet_nozzle(1.0, 0.0, 1.0, 0.0)
+    rho, m = 1.0 - 0.2 * np.exp(-16.0 * x * x), np.zeros_like(x)
+    ctx = SolverContext(grid, g, GaussianBumpProfile(), 0.05, bc)
+    i, _ = ctx._rest_ends(rho, m, None)
+    m[i - 5] = 0.9e-12
+    lo, hi, lam = ctx.scan(rho, m, False)
+    assert lo == i - 4 and lam == ctx.far_speed
+    # within the scan window's bound, above the stepped window's
+    dt = 0.4 * grid.dx / lam * (1.0 + 1e-9)
+    with pytest.raises(StabilityError, match="exceeds the advective bound"):
+        step(FluidField(grid, rho, m), g, GaussianBumpProfile(), 0.05, bc, dt,
+             ctx=ctx)
+
+
 def test_overflowing_wave_speed_is_a_non_finite_error():
     # p'(1e20) = kappa gamma 1e980 at gamma 50 leaves the float range
     g = GasLaw(50.0, delta=1e-4)
@@ -179,6 +200,72 @@ def test_run_identity_and_error_time():
 
     with pytest.raises(SolverError, match="at t="):
         run(f, g, prof, 0.05, bc, 0.2, forcing=blow_up)
+
+
+def _windowed_bump():
+    """A bump at rest between two steady far states: steps move windows."""
+    g = GasLaw(2.0, delta=1e-3)
+    grid = Grid(-8.0, 8.0, 256)
+    x = grid.x
+    bc = BoundarySpec.dirichlet_nozzle(1.0, 0.0, 1.0, 0.0)
+    field = FluidField(grid, 1.0 + 0.3 * np.exp(-16.0 * x * x), np.zeros_like(x))
+    return g, GaussianBumpProfile(), bc, field
+
+
+def test_step_returns_arrays_it_keeps_no_alias_of():
+    g, prof, bc, f = _windowed_bump()
+    ctx = SolverContext(f.grid, g, prof, 0.05, bc)
+    dt = 0.3 * f.grid.dx / ctx.max_wave_speed(f.rho, f.m)
+    start = f.copy()
+    out = step(f, g, prof, 0.05, bc, dt, ctx=ctx)
+    lo, hi = ctx.hull
+    assert 0 < lo < hi < f.grid.n_nodes   # the step moved a window
+    owned = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
+    for arr in (out.rho, out.m):
+        assert not any(np.shares_memory(arr, other)
+                       for other in [f.rho, f.m, *owned, *ctx.rest_box])
+    # the input is untouched, and a later step leaves this result as it was
+    kept = out.copy()
+    step(out, g, prof, 0.05, bc, dt, ctx=ctx)
+    step(f, g, prof, 0.05, bc, dt, ctx=ctx)
+    for now, then in ((f, start), (out, kept)):
+        assert now.rho.tobytes() == then.rho.tobytes()
+        assert now.m.tobytes() == then.m.tobytes()
+    # a second bump outside the last window: the step scans the field whole
+    two = FluidField(f.grid, f.rho + np.roll(f.rho - 1.0, 90), f.m)
+    a = step(two, g, prof, 0.05, bc, dt, ctx=ctx)
+    b = step(two, g, prof, 0.05, bc, dt,
+             ctx=SolverContext(f.grid, g, prof, 0.05, bc))
+    assert a.rho.tobytes() == b.rho.tobytes()
+    assert a.m.tobytes() == b.m.tobytes()
+
+
+def test_run_hooks_keep_the_fields_they_were_given():
+    from nozzleflow.diagnostics import DiagnosticsReport
+
+    g, prof, bc, f = _windowed_bump()
+
+    class Keeper:
+        sample_times = np.linspace(0.0, 0.2, 6)
+
+        def __init__(self):
+            self.kept = []
+
+        def sample(self, field, ctx):
+            self.kept.append((field, field.rho.copy(), field.m.copy(), field.t))
+
+        def finalize(self):
+            return DiagnosticsReport()
+
+    hooks = Keeper()
+    out, rep = run(f, g, prof, 0.05, bc, 0.2, hooks)
+    assert 0 < rep.hull[0] < rep.hull[1] < f.grid.n_nodes
+    assert [t for *_, t in hooks.kept] == pytest.approx(Keeper.sample_times)
+    for field, rho, m, t in hooks.kept:
+        assert field.t == t
+        assert field.rho.tobytes() == rho.tobytes()
+        assert field.m.tobytes() == m.tobytes()
+    assert not np.array_equal(hooks.kept[0][0].rho, out.rho)
 
 
 def test_run_constant_state_long():

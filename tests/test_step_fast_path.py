@@ -2,11 +2,16 @@
 
 ``step`` and ``SolverContext.max_wave_speed`` call the gas law's unchecked
 kernels, take the generalized minmod from signs and magnitudes and write the
-face states in place.  Each case runs twice: as the solver runs it, and with
-the plain step, wave speed and interface data patched in.  The final fields
+face states in place; ``run`` advances its own arrays in place after a scan
+of the last window only.  Each case runs twice: as the solver runs it, and
+with the plain step, advance, wave speed and interface data patched in.  The final fields
 must be bit-identical.  The cases are the direct step and run calls of the
 benchmark's ``small_steps`` workload and one windowed acceptance rung at
 gamma 2 and at gamma 5.
+
+``SolverContext.scan`` finds each window by scanning only the window the
+last step moved.  Its cases run once so and once with every scan forced to
+the whole grid; fields, counters and snapshots must be bit-identical.
 """
 
 import numpy as np
@@ -31,6 +36,7 @@ def _both(go):
     fast = go()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "step", plain_step.step)
+        mp.setattr(SolverContext, "advance", plain_step.advance)
         mp.setattr(SolverContext, "max_wave_speed", plain_step.max_wave_speed)
         for module in (solver, diagnostics):
             mp.setattr(module, "hyperbolic_interface_data",
@@ -112,30 +118,39 @@ def test_runs_match_the_plain_step(kind, mode, domain, cells, data, t_end):
     _assert_bit_identical(fast, plain)
 
 
-def test_forced_run_matches_the_plain_step():
+def _manufactured_run(cells: int, t_end: float):
+    """The forced manufactured-solution run, with its time-dependent
+    boundary values; returns (field, report)."""
     g, eps, profile = GasLaw(2.0, delta=0.01), 0.05, GaussianBumpProfile()
-    grid = Grid(-2.0, 2.0, 200)
+    grid = Grid(-2.0, 2.0, cells)
     bc = BoundarySpec.dirichlet_nozzle(
         lambda t: manufactured_state(grid.a, t)[0],
         lambda t: manufactured_state(grid.a, t)[1],
         lambda t: manufactured_state(grid.b, t)[0],
         lambda t: manufactured_state(grid.b, t)[1])
     field0 = FluidField(grid, *manufactured_state(grid.x, 0.0))
-    fast, plain = _both(lambda: run(
-        field0, g, profile, eps, bc, 0.05, dt_fixed=2.0 * grid.dx ** 2,
-        forcing=manufactured_forcing(profile, g, eps))[0])
+    return run(field0, g, profile, eps, bc, t_end, dt_fixed=2.0 * grid.dx ** 2,
+               forcing=manufactured_forcing(profile, g, eps))
+
+
+def test_forced_run_matches_the_plain_step():
+    fast, plain = _both(lambda: _manufactured_run(200, 0.05)[0])
     _assert_bit_identical(fast, plain)
 
 
-@pytest.mark.parametrize("gamma", [2.0, 5.0])
-def test_windowed_acceptance_rung_matches_the_plain_step(gamma):
-    # the acceptance sweeps' configuration, coarsest rung
-    cfg = RunConfig.from_mapping(dict(
+def _acceptance_config(gamma: float) -> RunConfig:
+    return RunConfig.from_mapping(dict(
         gamma=gamma, profile="constant", bc="dirichlet_nozzle",
         rho_minus=1.0, rho_plus=0.125, u_minus=0.75, u_plus=0.0,
         init="riemann", blend_width=1.0, t_end=0.5, dx=1.0 / 128.0,
         eps0=0.1, n_eps=6, snapshots=97, window_lo=-1.0, window_hi=1.0,
         check_riemann=False))
+
+
+@pytest.mark.parametrize("gamma", [2.0, 5.0])
+def test_windowed_acceptance_rung_matches_the_plain_step(gamma):
+    # the acceptance sweeps' configuration, coarsest rung
+    cfg = _acceptance_config(gamma)
     fast, plain = _both(lambda: single_run(cfg, eps=0.1,
                                            collect_snapshots=False))
     lo, hi = fast.report.hull
@@ -143,3 +158,66 @@ def test_windowed_acceptance_rung_matches_the_plain_step(gamma):
     _assert_bit_identical(fast.field, plain.field)
     for name, series in fast.report.series.items():
         assert series.tobytes() == plain.report.series[name].tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# The incremental window scan against the whole-grid scan
+# ---------------------------------------------------------------------------
+
+
+def _scanned(go, whole: bool):
+    """(go(), the span of every rest-end scan); with ``whole`` each scan
+    covers the whole grid, the plain path of ``SolverContext.scan``."""
+    spans, scan = [], SolverContext._rest_ends
+
+    def recorded(ctx, rho, m, span):
+        spans.append(span)
+        return scan(ctx, rho, m, None if whole else span)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SolverContext, "_rest_ends", recorded)
+        return go(), spans
+
+
+def _small_run(kind, mode, domain, cells, data, t_end):
+    grid, profile, bc, field0 = _case(kind, mode, domain, cells, data)
+    return run(field0, G, profile, EPS, bc, t_end)
+
+
+def _finest_rung(gamma):
+    out = single_run(_acceptance_config(gamma), eps=0.003125)
+    return out.field, out.report
+
+
+# the benchmark's CFL-stepped run calls and its forced run, and the finest
+# rung of each acceptance sweep
+SCAN_CASES = {
+    "run[gaussian_bump]": lambda: _small_run("gaussian_bump", "nozzle",
+                                             (-4.0, 4.0), 200, "riemann", 0.25),
+    "run[spherical]": lambda: _small_run("spherical", "dirichlet_sph",
+                                         (1.0, 5.0), 800, "bump", 0.05),
+    "manufactured": lambda: _manufactured_run(400, 0.1),
+    "rung[gamma=2]": lambda: _finest_rung(2.0),
+    "rung[gamma=5]": lambda: _finest_rung(5.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_incremental_scan_matches_the_whole_grid_scan(case):
+    ((fast, fast_rep), spans), ((plain, plain_rep), _) = (
+        _scanned(SCAN_CASES[case], whole) for whole in (False, True))
+    _assert_bit_identical(fast, plain)
+    assert fast_rep.cells_advanced == plain_rep.cells_advanced
+    assert fast_rep.hull == plain_rep.hull
+    for name, series in fast_rep.series.items():
+        assert series.tobytes() == plain_rep.series[name].tobytes(), name
+    if fast_rep.snapshots is not None:
+        for name in ("t", "rho", "m"):
+            assert getattr(fast_rep.snapshots, name).tobytes() == \
+                getattr(plain_rep.snapshots, name).tobytes(), name
+    if case.startswith("rung"):
+        # after the first step no scan falls back to the whole grid
+        n = fast.grid.n_nodes
+        assert spans[0] is None and len(spans) > 100
+        assert all(span is not None and span[1] - span[0] < n
+                   for span in spans[1:])

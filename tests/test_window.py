@@ -2,8 +2,8 @@
 
 A step advances only the nodes off their end's far state plus a stencil and
 a diffusive margin.  Each case runs twice: as the solver runs it, and with
-the window finder replaced by one that returns the whole grid (the plain
-path).  Both must give the same run within roundoff.  The monitors evaluate
+the far-state scan replaced by one that finds no node at rest, so every
+step advances the whole grid (the plain path).  Both must give the same run within roundoff.  The monitors evaluate
 only the hull of those windows; each recorded case also runs with the
 monitors' node range forced to the whole grid, and both must record the
 same series.
@@ -15,7 +15,7 @@ import pytest
 from helpers import (assert_same_checks, assert_same_series,
                      manufactured_forcing, manufactured_state,
                      whole_field_monitors)
-from nozzleflow import harness, solver
+from nozzleflow import harness
 from nozzleflow.diagnostics import (Recorder, RecorderOptions,
                                     energy_budget, integrability_window,
                                     llf_dissipation_rate, riemann_monitor,
@@ -67,7 +67,7 @@ class _Trace:
         self.steps = 0
         self.lo, self.hi = np.inf, -np.inf
         self.start = None
-        step, find = solver.step, SolverContext.active_window
+        advance = SolverContext.advance
         prepare = harness.prepare_initial_data
 
         def prepared(*args):
@@ -76,16 +76,16 @@ class _Trace:
 
         def counted(*args, **kwargs):
             self.steps += 1
-            return step(*args, **kwargs)
-
-        def window(ctx, rho, m, dt):
-            lo, hi = (0, rho.size) if whole else find(ctx, rho, m, dt)
-            if dt > 0.0:
-                self.lo, self.hi = min(self.lo, lo), max(self.hi, hi)
+            lo, hi = advance(*args, **kwargs)
+            self.lo, self.hi = min(self.lo, lo), max(self.hi, hi)
             return lo, hi
 
-        mp.setattr(solver, "step", counted)
-        mp.setattr(SolverContext, "active_window", window)
+        def no_rest(ctx, rho, m, span):
+            return 0, rho.size
+
+        mp.setattr(SolverContext, "advance", counted)
+        if whole:
+            mp.setattr(SolverContext, "_rest_ends", no_rest)
         mp.setattr(harness, "prepare_initial_data", prepared)
 
 
@@ -236,6 +236,26 @@ def test_fallback_for_a_far_state_that_is_not_steady():
                         cfg.build_profile(), eps, cfg.build_bc(eps))
     left, right = ctx.far_states
     assert left is None and right == (0.125, 0.0)
+
+
+def test_span_scan_matches_the_whole_grid_scan():
+    # fields that rest on the left far state below a and on the right one
+    # from b on, scanned on every span that holds [a, b); a span resting
+    # wholly on one far state must fall back to the whole grid
+    g = GasLaw(2.0, delta=1e-3)
+    grid = Grid(-4.0, 4.0, 64)
+    n = grid.n_nodes
+    ctx = SolverContext(grid, g, GaussianBumpProfile(), 0.05,
+                        BoundarySpec.dirichlet_nozzle(1.0, 0.0, 0.125, 0.0))
+    rng = np.random.default_rng(7)
+    for a, b in ((40, 40), (30, 34), (0, 12), (50, n), (20, 21)):
+        rho = np.where(np.arange(n) < b, 1.0, 0.125)
+        rho[a:b] = rng.choice([1.0, 0.125, 0.6], b - a)
+        m = np.zeros(n)
+        whole = ctx._rest_ends(rho, m, None)
+        for lo in {*range(0, a, 3), a}:
+            for hi in {*range(max(b, lo + 1), n, 3), max(b, lo + 1), n}:
+                assert ctx._rest_ends(rho, m, (lo, hi)) == whole, (a, b, lo, hi)
 
 
 def test_report_counts_cells_advanced(tmp_path, ladder_rung):
