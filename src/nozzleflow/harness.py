@@ -238,7 +238,7 @@ class RunConfig:
         """The eps rung's domain in whole cells of about dx."""
         a, b = self.domain_of(eps)
         cells = round((b - a) / self.dx)
-        if cells < MIN_CELLS:
+        if b > a and cells < MIN_CELLS:  # Grid itself rejects b <= a
             raise ConfigError(
                 f"dx = {self.dx:g} leaves {cells} cells on the eps={eps:g} "
                 f"rung's domain [{a:g}, {b:g}]; a grid needs at least "

@@ -3,10 +3,10 @@
 A step advances only the nodes off their end's far state plus a stencil and
 a diffusive margin.  Each case runs twice: as the solver runs it, and with
 the far-state scan replaced by one that finds no node at rest, so every
-step advances the whole grid (the plain path).  Both must give the same run within roundoff.  The monitors evaluate
-only the hull of those windows; each recorded case also runs with the
-monitors' node range forced to the whole grid, and both must record the
-same series.
+step advances the whole grid (the plain path).  Both must give the same
+run within roundoff.  The monitors evaluate only the hull of those windows;
+each recorded case also runs with the monitors' node range forced to the
+whole grid, and both must record the same series.
 """
 
 import numpy as np
