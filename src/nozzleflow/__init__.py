@@ -6,7 +6,7 @@ inequalities the construction is supposed to satisfy, and sweeps the
 viscosity down to measure convergence of the approximations.
 """
 
-from .checks import Check
+from .checks import Check, Report
 from .errors import (
     CavitationError,
     ConfigError,
@@ -46,10 +46,8 @@ from .entropy import (
     gen_quartic,
     gen_smoothed_abs,
     get_kernel,
-    kernel_total_mass,
     mechanical_energy,
     quartic_entropy,
-    relative_energy_density,
     special_pair_check,
     weight_moment,
 )
@@ -64,7 +62,8 @@ from .solver import (
     run,
     step,
 )
-from .schedule import CertificateReport, ViscositySchedule, certify, make_default
+from .schedule import (ViscositySchedule, certificate_summary, certify,
+                       make_default)
 from .diagnostics import (
     DiagnosticsReport,
     IntegrabilityRecord,

@@ -1,8 +1,9 @@
-"""The package's one verdict: a value checked against its bound."""
+"""The package's verdicts: a value checked against its bound, and the one
+container of named series and the checks on them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -31,3 +32,29 @@ class Check:
     def __str__(self) -> str:
         return (f"{'pass' if self else 'FAIL'} value={self.value:.6g} "
                 f"bound={self.bound:.6g} margin={self.margin:.3g}")
+
+
+@dataclass
+class Report:
+    """Named series (name -> array) and the checks on them (name -> Check):
+    the one place that judges and prints a set of checks.  ``notes`` remark
+    on what was or was not checked, ``label`` names what the report covers.
+    """
+
+    series: dict = field(default_factory=dict)
+    checks: dict = field(default_factory=dict)
+    notes: list = field(default_factory=list)
+    label: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return all(self.checks.values())
+
+    def failing(self) -> dict:
+        """The failing checks by name; a NaN value is one of them."""
+        return {k: c for k, c in self.checks.items() if not c}
+
+    def check_lines(self, fmt: str) -> list[str]:
+        """``fmt.format(name=..., check=...)`` per check, sorted by name."""
+        return [fmt.format(name=name, check=check)
+                for name, check in sorted(self.checks.items())]

@@ -12,12 +12,10 @@ from .entropy import GENERATOR_FACTORIES, get_kernel
 from .errors import ConfigError, NozzleflowError
 from .harness import (RunConfig, single_run, sweep, write_outputs,
                       write_sweep_outputs)
+from .schedule import certificate_summary
 from .thermo import GasLaw
 
-
-def _check_lines(report) -> list[str]:
-    return [f"  check {key}: {check}"
-            for key, check in sorted(report.checks.items())]
+CHECK_LINE = "  check {name}: {check}"
 
 
 def _cmd_run(args) -> int:
@@ -25,7 +23,7 @@ def _cmd_run(args) -> int:
     result = single_run(cfg, label="run")
     text = "\n".join([f"run finished at t={result.field.t:g} "
                       f"(eps={result.eps:g}, delta={result.g.delta:g})"]
-                     + _check_lines(result.report))
+                     + result.report.check_lines(CHECK_LINE))
     write_outputs(cfg, {"": result}, text)
     print(text)
     return 0 if result.report.passed else 1
@@ -43,11 +41,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_check(args) -> int:
     cfg = RunConfig.from_file(args.config)
     cert = cfg.certify_ladder(cfg.build_profile())
-    print(cert.summary())
+    print(certificate_summary(cert))
     ok = cert.passed
     if args.with_run:
         result = single_run(cfg, label="check", collect_snapshots=False)
-        print("\n".join(_check_lines(result.report)))
+        print("\n".join(result.report.check_lines(CHECK_LINE)))
         ok = ok and result.report.passed
     return 0 if ok else 1
 

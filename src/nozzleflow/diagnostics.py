@@ -19,12 +19,12 @@ entropy kernel once per state they see.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .checks import Check
+from .checks import Check, Report
 from .entropy import (EntropyGenerator, ReferenceState, gen_convex_spline,
                       gen_half_square, gen_smoothed_abs, get_kernel,
                       modified_energy_gradient, quartic_entropy, smooth_bump)
@@ -79,26 +79,18 @@ SERIES = (
 
 
 @dataclass
-class DiagnosticsReport:
-    """Time series of the monitored quantities plus the checks on them.
+class DiagnosticsReport(Report):
+    """A run's Report: the monitored time series plus the checks on them.
 
     ``series`` maps the names in SERIES to arrays; each name also reads as
     an attribute, empty when the run did not record it.  ``checks`` maps
     each check's name to a Check of its worst value over the series.
     """
 
-    series: dict = dc_field(default_factory=dict)
     undershoots: int = 0
     cells_advanced: int = 0        # node updates summed over the run's steps
     hull: tuple = (0, 0)           # nodes [lo, hi) some step advanced
-    checks: dict = dc_field(default_factory=dict)
-    notes: list = dc_field(default_factory=list)
     snapshots: Optional[SnapshotSet] = None
-    label: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
 
     def to_csv(self, path) -> None:
         present = [(col, self.series[name]) for name, col in SERIES
@@ -107,8 +99,7 @@ class DiagnosticsReport:
                           f"undershoots={self.undershoots}",
                           f"cells_advanced={self.cells_advanced}",
                           f"hull={self.hull[0]},{self.hull[1]}"]
-                   + [f"check {key} = {check}"
-                      for key, check in sorted(self.checks.items())]
+                   + self.check_lines("check {name} = {check}")
                    + [f"note: {note}" for note in self.notes],
                    [col for col, _ in present], [arr for _, arr in present])
 
@@ -493,19 +484,11 @@ class Recorder:
         self.label = label
         self.sample_times = np.linspace(0.0, t_end, self.opt.sample_count)
         self._series: dict[str, list] = {name: [] for name, _ in SERIES}
-        self._last_rate: dict[str, float] = {}
+        # the sampled rate of each series that integrates one in time
+        self._rates: dict[str, list] = {}
         self.ctx: Optional[SolverContext] = None   # fixed by the first sample
         self._table: dict = {}
         self._snaps: Optional[np.ndarray] = None
-
-    def _running_integral(self, name: str, t: float, rate: float) -> float:
-        """Trapezoid integral in time of a rate given at every sample."""
-        prev = self._last_rate.get(name)
-        self._last_rate[name] = rate
-        if prev is None:
-            return 0.0
-        return self._series[name][-1] \
-            + 0.5 * (t - self._series["t"][-1]) * (prev + rate)
 
     def _new_table(self, n: int) -> dict:
         """Row views of one stacked array: the field of the last whole-grid
@@ -553,22 +536,17 @@ class Recorder:
         elif ctx is not self.ctx:
             raise ConfigError("recorder sampled with another run's context")
         nodes, tab = self._nodes(field, ctx), self._table
-        t = field.t
-        row = {"t": t}
+        row, rates = {"t": field.t}, {}
         if self.ref is not None:
             E, comp = energy_budget(ctx, field, self.ref, nodes, tab["energy"])
             row.update(energy=E, diss_rate_hessian=comp["rate_hessian"],
-                       diss_rate_geometric=comp["rate_geometric"],
-                       dissipation=self._running_integral(
-                           "dissipation", t, comp["rate_total"]))
-        rate = llf_dissipation_rate(ctx, field, nodes, tab["llf"])
-        row.update(llf_rate=rate, llf_cumulative=self._running_integral(
-            "llf_cumulative", t, rate))
+                       diss_rate_geometric=comp["rate_geometric"])
+            rates["dissipation"] = comp["rate_total"]
+        rates["llf_cumulative"] = row["llf_rate"] = llf_dissipation_rate(
+            ctx, field, nodes, tab["llf"])
         if opt.riemann:
-            max_w, min_z, rate = riemann_monitor(ctx, field, nodes,
-                                                 tab["riemann"])
-            row.update(max_w=max_w, min_z=min_z,
-                       correction=self._running_integral("correction", t, rate))
+            row["max_w"], row["min_z"], rates["correction"] = riemann_monitor(
+                ctx, field, nodes, tab["riemann"])
         row.update(vacuum_phi=vacuum_functional(field, self._rho_tilde, nodes,
                                                 tab["vacuum"]),
                    min_rho=float(np.min(field.rho)))
@@ -579,15 +557,22 @@ class Recorder:
                                        win.start, tab["quartic"])
         for name, val in row.items():
             self._series[name].append(val)
+        for name, rate in rates.items():
+            self._rates.setdefault(name, []).append(rate)
         if opt.collect_snapshots:
             self._snaps[:, k] = field.rho[self._snap], field.m[self._snap]
 
     # -- wrap-up ---------------------------------------------------------------
     def finalize(self) -> DiagnosticsReport:
         self._table = {}
+        series = {name: np.array(vals) for name, vals in self._series.items()}
+        # each integral's trapezoid terms summed in sample order, from 0
+        for name, rate in self._rates.items():
+            rate = np.array(rate)
+            series[name] = np.cumsum(np.concatenate((
+                [0.0], 0.5 * np.diff(series["t"]) * (rate[:-1] + rate[1:]))))
         rep = DiagnosticsReport(
-            series={name: np.array(vals) for name, vals in self._series.items()
-                    if vals},
+            series={name: vals for name, vals in series.items() if vals.size},
             label=self.label)
         opt, checks = self.opt, rep.checks
         if "energy" in rep.series:

@@ -69,15 +69,11 @@ def gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def weight_moment(lam: float, k: int) -> float:
-    """int_{-1}^{1} s^k (1-s^2)^lam ds in closed form (0 for odd k)."""
+    """int_{-1}^{1} s^k (1-s^2)^lam ds in closed form (0 for odd k); k = 0
+    gives the kernel's total mass c_lam = sqrt(pi) Gamma(lam+1) / Gamma(lam+3/2)."""
     if k % 2 == 1:
         return 0.0
     return math.gamma((k + 1) / 2.0) * math.gamma(lam + 1.0) / math.gamma(lam + k / 2.0 + 1.5)
-
-
-def kernel_total_mass(lam: float) -> float:
-    """c_lam = sqrt(pi) Gamma(lam+1) / Gamma(lam+3/2)."""
-    return weight_moment(lam, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -570,24 +566,6 @@ class ReferenceState:
         s = smoothstep((np.asarray(x, dtype=float) + L0) / (2.0 * L0))
         return (_match(x, self.rho_minus + (self.rho_plus - self.rho_minus) * s),
                 _match(x, self.u_minus + (self.u_plus - self.u_minus) * s))
-
-    def rho_bar(self, x):
-        return self.state(x)[0]
-
-    def u_bar(self, x):
-        return self.state(x)[1]
-
-    def m_bar(self, x):
-        rho_bar, u_bar = self.state(x)
-        return _match(x, np.asarray(rho_bar) * np.asarray(u_bar))
-
-
-def relative_energy_density(g: GasLaw, ref: ReferenceState, x, rho, m):
-    """The relative energy density (``GasLaw.relative_energy``) against the
-    reference state at x."""
-    out = g.relative_energy(rho, m, *ref.state(x))
-    scalar = not (np.ndim(x) or np.ndim(rho) or np.ndim(m))
-    return float(out) if scalar else np.asarray(out)
 
 
 def quartic_entropy(g: GasLaw, rho, m):

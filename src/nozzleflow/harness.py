@@ -19,7 +19,7 @@ from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
-from .checks import Check
+from .checks import Check, Report
 from .diagnostics import (DiagnosticsReport, Recorder, RecorderOptions,
                           SnapshotSet, WeakResidualRecord, _write_csv,
                           default_generator_family, default_test_functions,
@@ -27,8 +27,8 @@ from .diagnostics import (DiagnosticsReport, Recorder, RecorderOptions,
 from .entropy import ReferenceState
 from .errors import ConfigError, DomainError, NozzleflowError, SweepError
 from .geometry import NozzleProfile, make_profile
-from .schedule import (M_BUDGET, Q_LADDER, CertificateReport,
-                       ViscositySchedule, certify)
+from .schedule import (M_BUDGET, Q_LADDER, ViscositySchedule, certify,
+                       certificate_summary)
 from .solver import (CFL, MIN_CELLS, BCMode, BoundarySpec, FluidField, Grid,
                      InitialData, prepare_initial_data, run)
 from .thermo import GasLaw
@@ -150,6 +150,12 @@ class RunConfig:
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
                                   f"choose from {', '.join(allowed)}")
+        # the boundary mode picks the certificate's mode and the far states
+        if self.spherical != (self.profile == "spherical"):
+            raise ConfigError(
+                f"bc = {self.bc} does not fit profile = {self.profile}: "
+                "bc = dirichlet_spherical or neumann_spherical needs profile "
+                "= spherical, and profile = spherical needs one of them")
         # kappa = None selects the normalized default; GasLaw would read a
         # negative kappa as that default too, so it is rejected here
         for name in ("dx", "eps", "eps0", "t_end", "kappa", "rho_bar"):
@@ -178,11 +184,13 @@ class RunConfig:
             raise ConfigError(f"output_dir {self.output_dir} lies below the "
                               f"file {parent}")
         gam = self.gamma
-        if self.p_rho >= gam + 1.0:
-            raise ConfigError(f"p must stay below gamma + 1 = {gam + 1}")
-        if self.q_mom >= 3.0 * (gam + 1.0) / (gam + 3.0):
-            raise ConfigError("q must stay below 3(gamma+1)/(gamma+3) "
-                              f"= {3.0 * (gam + 1.0) / (gam + 3.0):.4g}")
+        for name, top, spelt in (
+                ("p_rho", gam + 1.0, "gamma + 1"),
+                ("q_mom", 3.0 * (gam + 1.0) / (gam + 3.0),
+                 "3(gamma+1)/(gamma+3)")):
+            if not 1.0 <= getattr(self, name) < top:
+                raise ConfigError(f"{name} must lie in [1, {spelt}) = "
+                                  f"[1, {top:.4g}), got {getattr(self, name)}")
         # a grid too coarse for the run or any ladder rung fails before any
         # of them runs
         for eps in (self.eps, *self._schedule.eps_list):
@@ -245,7 +253,7 @@ class RunConfig:
                 f"{MIN_CELLS}")
         return Grid(a, b, cells)
 
-    def certify_ladder(self, profile: NozzleProfile) -> CertificateReport:
+    def certify_ladder(self, profile: NozzleProfile) -> Report:
         """Certify the ladder; ConfigError unless every rung's domain lies
         inside the profile's and holds the comparison window."""
         for eps in self._schedule.eps_list:
@@ -287,7 +295,7 @@ class RunConfig:
             amp, x0, wdt = self.init_amp, self.init_center, self.init_width
 
             def rho0(x):
-                base = ref.rho_bar(x) if flat is None else flat
+                base = ref.state(x)[0] if flat is None else flat
                 s = (x - x0) / wdt
                 bump = np.where(np.abs(s) < 1.0,
                                 np.exp(1.0 - 1.0 / np.maximum(1.0 - s * s, 1e-12)),
@@ -295,14 +303,14 @@ class RunConfig:
                 return base + amp * bump
 
             def m0(x):
-                return np.asarray(ref.m_bar(x)) if flat is None \
+                return np.multiply(*ref.state(x)) if flat is None \
                     else np.zeros_like(np.asarray(x, dtype=float))
         else:                              # "constant"
             def rho0(x):
-                return np.asarray(ref.rho_bar(x))
+                return np.asarray(ref.state(x)[0])
 
             def m0(x):
-                return np.asarray(ref.m_bar(x))
+                return np.multiply(*ref.state(x))
         return InitialData(rho0, m0, self.mollify_width, self.blend_width)
 
 
@@ -403,7 +411,7 @@ def lp_distance(snap_a: SnapshotSet, snap_b: SnapshotSet, K, p: float = 1.0,
 @dataclass
 class SweepResult:
     eps_list: tuple
-    certificate: CertificateReport
+    certificate: Report
     runs: list                     # RunOutput per successful rung
     failures: list                 # (eps, message)
     d_rho: np.ndarray
@@ -430,7 +438,7 @@ class SweepResult:
 
     def summary(self) -> str:
         lines = [f"sweep over eps = {tuple(round(e, 6) for e in self.eps_list)}"]
-        lines.append(self.certificate.summary())
+        lines.append(certificate_summary(self.certificate))
         for r in self.runs:
             lines.append(f"  run {r.label}: cells_advanced="
                          f"{r.report.cells_advanced} on {r.field.grid.n_nodes} "
@@ -447,8 +455,7 @@ class SweepResult:
                          f"{len(_cauchy_ratios(d))} ratios: {_cauchy_check(d)}")
         failing = [f"  run {r.label} check {key}: {check}"
                    for r in self.runs
-                   for key, check in sorted(r.report.checks.items())
-                   if not check]
+                   for key, check in sorted(r.report.failing().items())]
         lines.append(f"  per-run inequality checks failing: {len(failing)} of "
                      f"{sum(len(r.report.checks) for r in self.runs)}")
         return "\n".join(lines + failing)

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .checks import Check
+from .checks import Check, Report
 from .entropy import BLEND_HALF_WIDTH
 from .errors import ConfigError
 from .geometry import NozzleProfile, SphericalProfile, sample_interval
@@ -94,37 +94,13 @@ class ViscositySchedule:
             else self.rho_bar
 
 
-@dataclass(frozen=True)
-class CertificateRow:
-    eps: float
-    quantities: dict
-
-    def worst(self) -> float:
-        return float(np.max(list(self.quantities.values())))
-
-
-@dataclass(frozen=True)
-class CertificateReport:
-    rows: tuple[CertificateRow, ...]
-    checks: dict                   # quantity -> Check(sup over the rungs, M)
-    skipped: tuple[str, ...]
-    spherical: bool
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
-
-    def failing(self) -> dict:
-        """The failing checks by quantity; a NaN quantity is one of them."""
-        return {k: c for k, c in self.checks.items() if not c}
-
-    def summary(self) -> str:
-        lines = [f"schedule certificate ({'spherical' if self.spherical else 'duct'} "
-                 f"mode), failing: {', '.join(self.failing()) or 'none'}"]
-        lines += [f"  sup_k {key}: {check}"
-                  for key, check in sorted(self.checks.items())]
-        lines += [f"  [skip] {key}" for key in self.skipped]
-        return "\n".join(lines)
+def certificate_summary(report: Report) -> str:
+    """The certificate's verdict line, its checks and its skipped quantities."""
+    return "\n".join(
+        [f"schedule certificate ({report.label} mode), failing: "
+         f"{', '.join(report.failing()) or 'none'}"]
+        + report.check_lines("  sup_k {name}: {check}")
+        + [f"  [skip] {note}" for note in report.notes])
 
 
 def _sup(values: np.ndarray) -> float:
@@ -132,7 +108,7 @@ def _sup(values: np.ndarray) -> float:
 
 
 def certify(sched: ViscositySchedule, profile: NozzleProfile,
-            g: GasLaw) -> CertificateReport:
+            g: GasLaw) -> Report:
     """Evaluate the per-rung constraint quantities by sampling on [a, b].
 
     Every rung reads its delta, domain (a, b) and far density from
@@ -146,11 +122,14 @@ def certify(sched: ViscositySchedule, profile: NozzleProfile,
     last is skipped at gamma = 2 where its exponent is singular); plus the
     combined quantity eps (1 + sup|(A'/A)'|) |b - a|.
     Spherical mode checks eps|b-a|, rho_bar^gamma b^n and (delta/eps) b^n.
+    The Report holds ``eps`` and each quantity as per-rung series, a
+    Check(sup over the rungs, M_budget) per quantity, the skipped quantities
+    as notes and the mode as label.
     """
     if g.gamma != sched.gamma:
         raise ConfigError(f"the gas law's gamma = {g.gamma:g} differs from "
                           f"the schedule's gamma = {sched.gamma:g}")
-    rows = []
+    rungs = []
     singular = not sched.spherical and abs(g.gamma - 2.0) <= 1e-12
     for eps in sched.eps_list:
         a, b = sched.a_of(eps), sched.b_of(eps)
@@ -177,14 +156,15 @@ def certify(sched: ViscositySchedule, profile: NozzleProfile,
                 quant["delta_area_a2_negexp"] = (
                     delta * supA * abs(a) ** 2 * _sup(A ** exp2))
             quant["eq_3_6_combined"] = eps * (1.0 + sup_glp) * abs(b - a)
-        rows.append(CertificateRow(eps=eps, quantities=quant))
-    skipped = ("delta_area_a2_negexp (exponent -4/(2 gamma - 4) singular at "
-               "gamma = 2)",) if singular else ()
+        rungs.append(quant)
+    series = {"eps": np.array(sched.eps_list)}
+    series.update((k, np.array([q[k] for q in rungs])) for k in rungs[0])
     # np.max keeps a NaN of any rung, which then fails the certificate
-    checks = {k: Check(np.max([r.quantities[k] for r in rows]), sched.M_budget)
-              for k in rows[0].quantities}
-    return CertificateReport(rows=tuple(rows), checks=checks, skipped=skipped,
-                             spherical=sched.spherical)
+    checks = {k: Check(np.max(series[k]), sched.M_budget) for k in rungs[0]}
+    skipped = ["delta_area_a2_negexp (exponent -4/(2 gamma - 4) singular at "
+               "gamma = 2)"] if singular else []
+    return Report(series, checks, skipped,
+                  "spherical" if sched.spherical else "duct")
 
 
 def make_default(profile: NozzleProfile, gamma: float,

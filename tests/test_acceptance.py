@@ -15,8 +15,8 @@ from nozzleflow.diagnostics import (default_generator_family,
 from nozzleflow.entropy import (ReferenceState, gen_bump, gen_half_square,
                                 gen_linear, gen_one, gen_quartic,
                                 gen_smoothed_abs, get_kernel,
-                                kernel_total_mass, mechanical_energy,
-                                special_pair_check)
+                                mechanical_energy, special_pair_check,
+                                weight_moment)
 from nozzleflow.geometry import (ConstantProfile, ExponentialProfile,
                                  GaussianBumpProfile, PowerLawClosingProfile,
                                  SphericalProfile)
@@ -64,7 +64,7 @@ def test_01_entropy_kernel_closed_forms():
     worst = 0.0
     for gamma in (1.2, 1.4, 2.0, 3.0, 5.0, 7.0):
         g = GasLaw(gamma)
-        c = kernel_total_mass(g.lambda_exp)
+        c = weight_moment(g.lambda_exp, 0)
         kern = get_kernel(g)
         rho = rng.uniform(0.01, 5.0, 1000)
         u = rng.uniform(0.05, 3.0, 1000) * rng.choice([-1.0, 1.0], 1000)

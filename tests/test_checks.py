@@ -28,3 +28,15 @@ def test_check_stores_plain_floats():
     c = Check(np.float64(1.0), 3)
     assert type(c.value) is float and type(c.bound) is float
     assert c == Check(1.0, 3.0)
+
+
+def test_a_report_passes_when_every_check_does():
+    from nozzleflow import Report
+    rep = Report(checks={"b": Check(1.0, 2.0), "a": Check(math.nan, 1.0),
+                         "c": Check(3.0, 2.0)})
+    assert not rep.passed and set(rep.failing()) == {"a", "c"}
+    assert rep.check_lines("{name}: {check}") == [
+        "a: FAIL value=nan bound=1 margin=nan",
+        "b: pass value=1 bound=2 margin=1",
+        "c: FAIL value=3 bound=2 margin=-1"]
+    assert Report().passed and Report().failing() == {}

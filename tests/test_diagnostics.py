@@ -9,7 +9,7 @@ from nozzleflow.diagnostics import (Recorder, RecorderOptions, SnapshotSet,
                                     integrability_window, riemann_monitor,
                                     vacuum_functional, weak_residual)
 from nozzleflow.entropy import (ReferenceState, gen_half_square, gen_linear,
-                                kernel_total_mass)
+                                weight_moment)
 from nozzleflow.errors import CavitationError, ConfigError
 from nozzleflow.geometry import ConstantProfile, GaussianBumpProfile
 from nozzleflow.solver import (BoundarySpec, FluidField, Grid, InitialData,
@@ -230,7 +230,7 @@ def test_linear_generator_reduces_to_momentum_form():
     snap, g = _shock_snapshots()
     tests = default_test_functions(0.02, 0.48, (-1.5, 1.5), nt=2, nx=4)
     rec = weak_residual(snap, g, ConstantProfile(), tests, [gen_linear()])
-    c = kernel_total_mass(g.lambda_exp)
+    c = weight_moment(g.lambda_exp, 0)
     lhs = rec.entropy[0]
     rhs = -c * rec.momentum
     scale = np.max(np.abs(rhs)) + np.max(rec.norms) * 1e-16
@@ -244,7 +244,7 @@ def test_half_square_pairing_matches_scaled_mechanical_form():
     snap, g = _shock_snapshots()
     tests = default_test_functions(0.02, 0.48, (-1.5, 1.5), nt=2, nx=4)
     rec = weak_residual(snap, g, ConstantProfile(), tests, [gen_half_square()])
-    c = kernel_total_mass(g.lambda_exp)
+    c = weight_moment(g.lambda_exp, 0)
     eta_s, q_s = mechanical_energy(g, snap.rho, snap.m)
     t, x = snap.t, snap.x
     for j, tf in enumerate(tests):
@@ -309,6 +309,44 @@ def test_recorder_full_run_checks():
     assert np.all(rep.llf_rate >= -1e-14)
     assert rep.snapshots is not None
     assert rep.snapshots.rho.shape == (17, grid.n_nodes)
+
+
+def _sequential_trapezoid(t, rates):
+    """The running trapezoid integral, one interval added at a time."""
+    total, out = 0.0, [0.0]
+    for k in range(1, len(t)):
+        total += 0.5 * (float(t[k]) - float(t[k - 1])) \
+            * (float(rates[k - 1]) + float(rates[k]))
+        out.append(total)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("samples", [1, 17])
+def test_recorder_integrals_are_sequential_trapezoid_sums(samples):
+    g = GasLaw(2.0, delta=1e-4)
+    prof = GaussianBumpProfile()
+    rm, um, rp, up = single_shock_states(2.0)
+    bc = BoundarySpec.dirichlet_nozzle(rm, rm * um, rp, rp * up)
+    grid = Grid(-4.0, 4.0, 128)
+    field = prepare_initial_data(
+        InitialData(lambda x: np.where(x < 0, rm, rp),
+                    lambda x: np.where(x < 0, rm * um, rp * up), 0.0, 0.5),
+        bc, g, prof, grid)
+    rec = Recorder(0.2, ref=ReferenceState(rm, um, rp, up),
+                   options=RecorderOptions(sample_count=samples))
+    if samples == 1:
+        rec.sample(field, SolverContext(grid, g, prof, 0.05, bc))
+        rep = rec.finalize()
+    else:
+        _, rep = run(field, g, prof, 0.05, bc, 0.2, hooks=rec)
+    rates = rec._rates
+    assert np.array_equal(rates["dissipation"],
+                          rep.diss_rate_hessian + rep.diss_rate_geometric)
+    assert np.array_equal(rates["llf_cumulative"], rep.llf_rate)
+    for name in ("dissipation", "llf_cumulative", "correction"):
+        assert len(rates[name]) == samples
+        assert getattr(rep, name).tobytes() == \
+            _sequential_trapezoid(rep.t, rates[name]).tobytes(), name
 
 
 def test_energy_budget_gronwall_verdict(monkeypatch):

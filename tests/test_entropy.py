@@ -14,8 +14,7 @@ from nozzleflow.entropy import (GENERATOR_FACTORIES, EntropyGenerator,
                                 gen_half_signed_square,
                                 gen_half_square, gen_linear, gen_one,
                                 gen_quartic, gen_smoothed_abs, get_kernel,
-                                kernel_total_mass, mechanical_energy,
-                                quartic_entropy, relative_energy_density,
+                                mechanical_energy, quartic_entropy,
                                 special_pair_check, special_pair_fields,
                                 weight_moment)
 from nozzleflow import entropy
@@ -55,7 +54,7 @@ def test_weight_moments_closed_form():
                                                        abs=1e-13)
     lam = 0.5
     c = math.sqrt(math.pi) * math.gamma(lam + 1.0) / math.gamma(lam + 1.5)
-    assert kernel_total_mass(lam) == pytest.approx(c)
+    assert weight_moment(lam, 0) == pytest.approx(c)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +66,7 @@ def test_pair_closed_forms_across_gamma():
     rng = np.random.default_rng(0)
     for gamma in GAMMAS:
         g = GasLaw(gamma)
-        c = kernel_total_mass(g.lambda_exp)
+        c = weight_moment(g.lambda_exp, 0)
         rho, m = _states(rng)
         eta, q = get_kernel(g).pair_certified(gen_one(), rho, m)
         assert np.max(np.abs(eta - c * rho) / (c * rho)) < 1e-9
@@ -346,7 +345,7 @@ def test_hessian_matches_finite_differences():
     fd_rm = (gp - gm) / (2 * h)
     assert np.max(np.abs(erm - fd_rm) / np.maximum(np.abs(fd_rm), 1.0)) < 1e-6
     # half_square entropy equals c_lam * mechanical energy: check eta_mm
-    c = kernel_total_mass(g.lambda_exp)
+    c = weight_moment(g.lambda_exp, 0)
     assert np.max(np.abs(emm - c / rho)) < 1e-10
     # kinked generators, on states whose range u +- rho^theta straddles a
     # kink, and on states off every kink (the far states of the ladder)
@@ -542,25 +541,25 @@ def test_generators_report_convexity():
 
 def test_reference_state_shape():
     ref = ReferenceState(1.0, 0.5, 0.25, -0.5)
-    assert ref.rho_bar(-3.0) == 1.0 and ref.rho_bar(2.0) == 0.25
-    assert ref.u_bar(-2.0) == 0.5 and ref.u_bar(5.0) == -0.5
+    assert ref.state(-3.0)[0] == 1.0 and ref.state(2.0)[0] == 0.25
+    assert ref.state(-2.0)[1] == 0.5 and ref.state(5.0)[1] == -0.5
     x = np.linspace(-2.0, 2.0, 101)
-    assert np.all(np.diff(ref.rho_bar(x)) <= 1e-15)
-    assert np.all(np.diff(ref.u_bar(x)) <= 1e-15)
+    assert np.all(np.diff(ref.state(x)[0]) <= 1e-15)
+    assert np.all(np.diff(ref.state(x)[1]) <= 1e-15)
 
 
 def test_relative_energy_density():
     g = GasLaw(2.0, delta=0.0)
     ref = ReferenceState.constant(1.0, 0.0)
-    assert relative_energy_density(g, ref, 0.0, 1.0, 0.0) == pytest.approx(0.0)
+    assert g.relative_energy(1.0, 0.0, *ref.state(0.0)) == pytest.approx(0.0)
     # h(rho) = rho^2/8: h(2) - h(1) - h'(1)(2-1) = 0.5 - 0.125 - 0.25 = 0.125
-    assert relative_energy_density(g, ref, 0.0, 2.0, 0.0) == pytest.approx(0.125)
+    assert g.relative_energy(2.0, 0.0, *ref.state(0.0)) == pytest.approx(0.125)
     rng = np.random.default_rng(6)
     ref2 = ReferenceState(1.0, 0.4, 0.2, 0.0)
     x = rng.uniform(-5.0, 5.0, 100_000)
     rho = rng.uniform(0.0, 6.0, 100_000)
     m = rho * rng.uniform(-4.0, 4.0, 100_000)
-    vals = relative_energy_density(GasLaw(1.4, delta=0.05), ref2, x, rho, m)
+    vals = GasLaw(1.4, delta=0.05).relative_energy(rho, m, *ref2.state(x))
     assert np.all(vals >= -1e-13)
 
 

@@ -101,7 +101,7 @@ def test_config_builders():
     prof = cfg.build_profile()
     assert prof.area(0.3) == 1.0
     ref = cfg.build_reference(0.1)
-    assert ref.rho_bar(-5.0) == 1.0 and ref.rho_bar(5.0) == 0.125
+    assert ref.state(-5.0)[0] == 1.0 and ref.state(5.0)[0] == 0.125
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +378,8 @@ _BAD_INPUT_CONTEXT = {
     ("dx", "10"), ("cfl", "5"), ("snapshots", "1"), ("t_end", "0"),
     ("kappa", "-2"), ("mollify_width", "-0.01"), ("blend_width", "-1"),
     ("workers", "-1"), ("n_eps", "1"), ("bc", "dirichlet_spherica"),
-    ("init", "riemman"), ("L0", "3"), ("rho_bar", "-1"), ("a", "-1")])
+    ("init", "riemman"), ("L0", "3"), ("rho_bar", "-1"), ("a", "-1"),
+    ("p_rho", "0.5"), ("q_mom", "0.5"), ("profile", "spherical")])
 def test_cli_bad_input_is_error_exit_2(tmp_path, capsys, monkeypatch, key,
                                        value):
     import nozzleflow.cli as cli
@@ -393,10 +394,12 @@ def test_cli_bad_input_is_error_exit_2(tmp_path, capsys, monkeypatch, key,
                   **_BAD_INPUT_CONTEXT.get(key, {}), **{key: value})
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
-    # a sweep must reject a one-rung ladder before any rung runs, and check
-    # a name no rung could be built from and a ladder it cannot certify
+    # a sweep must reject a one-rung ladder and a distance exponent before
+    # any rung runs, and check a name no rung could be built from and a
+    # ladder it cannot certify
     command = {"n_eps": "sweep", "bc": "check", "init": "check",
-               "rho_bar": "check", "a": "check"}.get(key, "run")
+               "rho_bar": "check", "a": "check",
+               "p_rho": "sweep"}.get(key, "run")
     assert cli_main([command, str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "out" / "report.csv").exists()
@@ -595,7 +598,7 @@ def test_spherical_far_state_follows_the_rung():
     assert rho_bc == pytest.approx(0.031623, rel=1e-5)
     x = np.linspace(0.1, 10.0, 7)
     assert np.array_equal(cfg.build_initial(0.1).rho0(x), np.full(7, rho_bc))
-    assert cfg.build_reference(0.1).rho_bar(1.0) == rho_bc
+    assert cfg.build_reference(0.1).state(1.0)[0] == rho_bc
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +633,10 @@ def test_sweep_passed_is_the_cli_exit_status(tmp_path, monkeypatch, over,
 @pytest.mark.parametrize("over,reason", [
     (dict(a="-2.5", window_lo="-2.8"),
      "comparison window [-2.8, 1] leaves the eps=0.1 domain [-2.5, 10]"),
-    (dict(profile="spherical"), "leaves the profile's")])
+    # a spherical ladder whose set a = -1 reaches past the profile's x > 0:
+    # "the eps=0.1 domain [-1, 10] leaves the profile's"
+    (dict(profile="spherical", bc="dirichlet_spherical", a="-1",
+          window_lo="0.5", window_hi="4"), "leaves the profile's")])
 def test_check_and_sweep_refuse_the_same_ladders(tmp_path, capsys, monkeypatch,
                                                  command, over, reason):
     import nozzleflow.harness as harness
@@ -643,6 +649,27 @@ def test_check_and_sweep_refuse_the_same_ladders(tmp_path, capsys, monkeypatch,
     assert cli_main([command, str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and reason in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["check", "run", "sweep"])
+def test_a_spherical_bc_on_a_duct_profile_is_refused(tmp_path, capsys,
+                                                     monkeypatch, command):
+    # a spherical boundary mode must not certify or run a constant duct
+    import nozzleflow.cli as cli
+    import nozzleflow.harness as harness
+
+    def no_rung(*args, **kwargs):
+        raise AssertionError("a rung ran before the config was rejected")
+    monkeypatch.setattr(harness, "single_run", no_rung)
+    monkeypatch.setattr(cli, "single_run", no_rung)
+    cfg_path = _write_cfg(tmp_path / "mismatch.cfg", dict(
+        profile="constant", bc="dirichlet_spherical", init="bump",
+        window_lo="0.5", window_hi="4", output_dir=tmp_path / "out"))
+    assert cli_main([command, str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert re.match(r"error: bc = dirichlet_spherical .*profile = constant",
+                    err)
     assert not (tmp_path / "out").exists()
 
 
@@ -679,8 +706,8 @@ def test_cli_check_certifies_the_values_each_rung_runs_with(
     assert f"  sup_k {key}: {line}" in capsys.readouterr().out
     cfg = RunConfig.from_file(cfg_path)
     sched = cfg.build_schedule()
-    rows = certify(sched, cfg.build_profile(), cfg.build_gas()).rows
-    assert [r.quantities[key] for r in rows] == pytest.approx(per_rung)
+    series = certify(sched, cfg.build_profile(), cfg.build_gas()).series
+    assert list(series[key]) == pytest.approx(per_rung)
     # the runs read every rung's values from the schedule the certificate read
     for eps in sched.eps_list:
         assert cfg.build_gas(eps).delta == sched.delta_of(eps)
@@ -688,7 +715,7 @@ def test_cli_check_certifies_the_values_each_rung_runs_with(
         if sched.spherical:
             rho_bar = sched.rho_bar_of(eps)
             assert cfg.build_bc(eps).right_values(0.0)[0] == rho_bar
-            assert cfg.build_reference(eps).rho_bar(1.0) == rho_bar
+            assert cfg.build_reference(eps).state(1.0)[0] == rho_bar
 
 
 def test_cli_run_overflowing_initial_state_prints_only_the_error(tmp_path,

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from nozzleflow.checks import Check
+from nozzleflow.checks import Check, Report
 from nozzleflow.errors import ConfigError
 from nozzleflow.harness import RunConfig
 from nozzleflow.geometry import (ConstantProfile, ExponentialProfile,
                                  GaussianBumpProfile, NozzleProfile,
                                  PowerLawClosingProfile, SphericalProfile)
-from nozzleflow.schedule import (BETA, CertificateReport, ViscositySchedule,
-                                 certify, make_default)
+from nozzleflow.schedule import (BETA, ViscositySchedule,
+                                 certificate_summary, certify, make_default)
 from nozzleflow.thermo import GasLaw
 
 
@@ -19,8 +19,8 @@ def test_rule_arithmetic():
     assert s.delta_of(0.1) == pytest.approx(1e-3)
     # delta |a|^beta / eps with delta = 1e-3, |a| = 10, beta = 3, eps = 0.1
     assert s.delta_of(0.1) * abs(s.a_of(0.1)) ** 3.0 / 0.1 == pytest.approx(10.0)
-    assert certify(s, ConstantProfile(), GasLaw(2.0)).rows[0] \
-        .quantities["eps_domain"] == pytest.approx(2.0)
+    assert certify(s, ConstantProfile(), GasLaw(2.0)) \
+        .series["eps_domain"][0] == pytest.approx(2.0)
 
 
 def test_default_rules_symbolic_unit():
@@ -62,13 +62,13 @@ def test_certify_passes_builtin_profiles():
                         (ConstantProfile(), 5.0), (GaussianBumpProfile(), 5.0)]:
         s = make_default(prof, gamma=gamma)
         rep = certify(s, prof, GasLaw(gamma))
-        assert rep.passed, rep.summary()
+        assert rep.passed, certificate_summary(rep)
 
 
 def test_certify_gamma_two_skips_singular_exponent():
     s = make_default(ConstantProfile(), gamma=2.0)
     rep = certify(s, ConstantProfile(), GasLaw(2.0))
-    assert any("singular at gamma = 2" in msg for msg in rep.skipped)
+    assert any("singular at gamma = 2" in msg for msg in rep.notes)
     assert "delta_area_a2_negexp" not in rep.checks
     rep5 = certify(make_default(ConstantProfile(), gamma=5.0),
                    ConstantProfile(), GasLaw(5.0))
@@ -85,8 +85,8 @@ def test_combined_quantity_bounded():
 def test_constant_profile_quantities_nonincreasing_along_ladder():
     s = make_default(ConstantProfile(), gamma=2.0, n_eps=5)
     rep = certify(s, ConstantProfile(), GasLaw(2.0))
-    for key in rep.rows[0].quantities:
-        series = [row.quantities[key] for row in rep.rows]
+    for key in rep.checks:
+        series = rep.series[key]
         assert all(b <= a + 1e-12 for a, b in zip(series, series[1:])), key
 
 
@@ -106,7 +106,7 @@ def test_certify_rejects_a_gas_law_of_another_gamma():
 def test_spherical_certificate_quantities():
     s = make_default(SphericalProfile(n_dim=3), gamma=2.0)
     rep = certify(s, SphericalProfile(n_dim=3), GasLaw(2.0))
-    assert rep.spherical
+    assert rep.label == "spherical"
     assert set(rep.checks) == {"eps_domain", "rho_bar_pressure_volume",
                                "delta_volume"}
     # default rho_bar rule makes rho_bar^gamma b^n identically one
@@ -114,13 +114,13 @@ def test_spherical_certificate_quantities():
 
 
 def test_certificate_nan_quantity_fails_and_is_named():
-    rep = CertificateReport(rows=(), checks={
+    rep = Report(checks={
         key: Check(value, 10.0) for key, value in (
             ("finite_ok", 1.0), ("undefined", math.nan), ("large", 20.0))},
-        skipped=(), spherical=False)
+        label="duct")
     assert not rep.passed
     assert set(rep.failing()) == {"undefined", "large"}
-    summary = rep.summary()
+    summary = certificate_summary(rep)
     assert "failing: undefined, large" in summary
     assert "  sup_k undefined: FAIL value=nan bound=10 margin=nan" in summary
     assert "  sup_k large: FAIL value=20 bound=10 margin=-10" in summary
@@ -135,9 +135,9 @@ def test_closing_profile_certificate_is_finite_where_the_area_underflows():
     with np.errstate(all="ignore"):
         rep = certify(cfg.build_schedule(), cfg.build_profile(),
                       GasLaw(cfg.gamma))
-    for row in rep.rows:
+    for k, eps in enumerate(rep.series["eps"]):
         for name in ("eps_dlog_prime_area_domain", "eq_3_6_combined"):
-            assert math.isfinite(row.quantities[name]), (row.eps, name)
+            assert math.isfinite(rep.series[name][k]), (eps, name)
 
 
 class _RatioFormClosing(PowerLawClosingProfile):
@@ -153,7 +153,33 @@ def test_certificate_keeps_a_nan_of_a_later_rung():
     with np.errstate(all="ignore"):
         rep = certify(ViscositySchedule((0.01, 0.001), q=5.0),
                       _RatioFormClosing(60.0), GasLaw(2.0))
-    assert math.isfinite(rep.rows[0].quantities["eq_3_6_combined"])
-    assert math.isnan(rep.rows[1].quantities["eq_3_6_combined"])
+    assert math.isfinite(rep.series["eq_3_6_combined"][0])
+    assert math.isnan(rep.series["eq_3_6_combined"][1])
+    assert not rep.passed
     assert math.isnan(rep.failing()["eq_3_6_combined"].value)
-    assert math.isnan(rep.rows[1].worst())
+    assert math.isnan(np.max([rep.series[k][1] for k in rep.checks]))
+
+
+def test_certificate_series_hold_one_value_per_rung():
+    for prof in (GaussianBumpProfile(), SphericalProfile(n_dim=3)):
+        s = make_default(prof, gamma=2.0, n_eps=5)
+        rep = certify(s, prof, GasLaw(2.0))
+        assert list(rep.series["eps"]) == list(s.eps_list)
+        assert set(rep.series) == {"eps"} | set(rep.checks)
+        for key, check in rep.checks.items():
+            assert rep.series[key].shape == (5,)
+            assert check == Check(np.max(rep.series[key]), s.M_budget)
+
+
+def test_default_certificate_summary_is_unchanged():
+    cfg = RunConfig()
+    assert certificate_summary(cfg.certify_ladder(cfg.build_profile())) == (
+        "schedule certificate (duct mode), failing: none\n"
+        "  sup_k delta_inv_eps_area_a: pass value=0.001 bound=10 margin=10\n"
+        "  sup_k delta_inv_eps_area_abeta: pass value=1 bound=10 margin=9\n"
+        "  sup_k eps_area_second: pass value=0 bound=10 margin=10\n"
+        "  sup_k eps_dlog_prime_area_domain: pass value=0 bound=10 margin=10\n"
+        "  sup_k eps_domain: pass value=2 bound=10 margin=8\n"
+        "  sup_k eq_3_6_combined: pass value=2 bound=10 margin=8\n"
+        "  [skip] delta_area_a2_negexp (exponent -4/(2 gamma - 4) singular "
+        "at gamma = 2)")
