@@ -3,16 +3,18 @@
 The solver accepts any strictly positive C^2 area function.  Builtin shapes
 cover constant ducts, Gaussian bumps, algebraically closing ends,
 exponential horns, and the spherical weight omega_n * x^(n-1).  Arbitrary
-profiles come in as two-column tables and are interpolated with a cubic
-spline so that A'/A stays smooth.
+profiles come in as two-column tables and are interpolated with the
+not-a-knot cubic spline so that A'/A stays smooth.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
 from .errors import ConfigError, DomainError
 
@@ -291,34 +293,69 @@ class SphericalProfile(NozzleProfile):
         return False, False
 
 
+def _finite_column(name: str, values) -> np.ndarray:
+    """A table column as floats; a ConfigError naming the column if an entry
+    is NaN or infinite."""
+    col = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(col))
+    if bad.size:
+        raise ConfigError(f"tabulated {name} column holds a non-finite value "
+                          f"({col.flat[bad[0]]:g} in data row {bad[0] + 1})")
+    return col
+
+
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients (c3, c2, c1, c0), one column per interval, of the
+    not-a-knot cubic spline through (x, y), len(x) >= 4 (de Boor 1978,
+    ch. IV).  The knot slopes solve one tridiagonal system; the system and
+    the coefficients are formed as scipy's CubicSpline forms them, so the
+    two agree bit for bit."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    lower, diag, upper = np.empty(x.size - 1), np.empty(x.size), np.empty(x.size - 1)
+    rhs = np.empty(x.size)
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    lower[:-1], upper[1:] = dx[1:], dx[:-1]
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]  # the first two intervals share one cubic
+    diag[0], upper[0] = dx[1], d
+    rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]  # and so do the last two
+    diag[-1], lower[-1] = dx[-2], d
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    *_, s, info = dgtsv(lower, diag, upper, rhs)
+    if info != 0:
+        raise ConfigError(f"tabulated spline system is singular (gtsv info={info})")
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
 @dataclass(frozen=True, eq=False)
 class TabulatedProfile(NozzleProfile):
-    """Cubic-spline interpolant of (x, A) samples; derivatives come from the
-    spline.  Two tables are equal only when they are the same object."""
+    """Not-a-knot cubic-spline interpolant of (x, A) samples; derivatives come
+    from the spline.  Two tables are equal only when they are the same
+    object."""
 
     x_samples: np.ndarray
     a_samples: np.ndarray
     name = "tabulated"
 
     def __post_init__(self):
-        xs = np.asarray(self.x_samples, dtype=float)
-        As = np.asarray(self.a_samples, dtype=float)
+        xs = _finite_column("x", self.x_samples)
+        As = _finite_column("A", self.a_samples)
         if xs.ndim != 1 or xs.size < 4 or As.shape != xs.shape:
             raise ConfigError("tabulated profile needs >= 4 matching (x, A) samples")
         if np.any(np.diff(xs) <= 0):
             raise ConfigError("tabulated x samples must be strictly increasing")
         if np.any(As <= 0):
             raise ConfigError("tabulated areas must be strictly positive")
-        from scipy.interpolate import CubicSpline  # deferred: slow to import
-        spline = CubicSpline(xs, As)
-        dense = np.linspace(xs[0], xs[-1], 4 * xs.size)
-        if np.any(spline(dense) <= 0):
-            raise ConfigError("tabulated area interpolant dips below zero")
         object.__setattr__(self, "x_samples", xs)
         object.__setattr__(self, "a_samples", As)
-        object.__setattr__(self, "_spline", spline)
+        object.__setattr__(self, "_coef", _not_a_knot(xs, As))
         object.__setattr__(self, "xmin", float(xs[0]))
         object.__setattr__(self, "xmax", float(xs[-1]))
+        if np.any(self._area(np.linspace(xs[0], xs[-1], 4 * xs.size)) <= 0):
+            raise ConfigError("tabulated area interpolant dips below zero")
 
     def _check_domain(self, x):
         xa = np.asarray(x, dtype=float)
@@ -327,14 +364,26 @@ class TabulatedProfile(NozzleProfile):
                 f"tabulated profile evaluated outside [{self.xmin}, {self.xmax}]")
         return xa
 
+    def _piece(self, x):
+        """Each node's interval coefficients and its offset from the
+        interval's left knot; the last knot takes the last interval."""
+        knots = self.x_samples
+        i = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, knots.size - 2)
+        return self._coef[:, i], x - knots[i]
+
+    # the powers are summed from low order up, as scipy's PPoly sums them
+    # (Horner's rule differs from it in the last bit)
     def _area(self, x):
-        return self._spline(x)
+        (c3, c2, c1, c0), z = self._piece(x)
+        return c0 + c1 * z + c2 * (z * z) + c3 * (z * z * z)
 
     def _d_area(self, x):
-        return self._spline(x, 1)
+        (c3, c2, c1, _), z = self._piece(x)
+        return c1 + c2 * z * 2 + c3 * (z * z) * 3
 
     def _dd_area(self, x):
-        return self._spline(x, 2)
+        (c3, c2, _, _), z = self._piece(x)
+        return c2 * 2 + c3 * z * 6
 
     def _half_line_integrability(self):
         # Only the tabulated window is known; both conditions hold on it.
@@ -344,40 +393,49 @@ class TabulatedProfile(NozzleProfile):
     def from_columns(cls, x, a, d_a=None, dd_a=None) -> "TabulatedProfile":
         """Build from sample columns, validating optional derivative columns.
 
-        Supplied A' values must match the centered difference of A at the
-        sample spacing to 1e-6 (relative to the derivative scale); they are
-        then discarded in favor of the spline derivative, which is what the
-        solver needs to be C^2.
+        Supplied A' values must be finite and match the centered difference
+        of A at the sample spacing to 1e-6 (relative to the derivative
+        scale); they are then discarded in favor of the spline derivative,
+        which is what the solver needs to be C^2.  A'' is checked the same
+        way, against second differences to 1e-4.
         """
-        x = np.asarray(x, dtype=float)
-        a = np.asarray(a, dtype=float)
+        prof = cls(x_samples=x, a_samples=a)
+        x, a = prof.x_samples, prof.a_samples
         if d_a is not None:
-            d_a = np.asarray(d_a, dtype=float)
+            d_a = _finite_column("A'", d_a)
             fd = (a[2:] - a[:-2]) / (x[2:] - x[:-2])
             scale = max(1.0, float(np.max(np.abs(fd))))
             if np.max(np.abs(d_a[1:-1] - fd)) > 1e-6 * scale:
                 raise ConfigError("supplied A' samples disagree with centered "
                                   "differences of A beyond 1e-6")
         if dd_a is not None:
-            dd_a = np.asarray(dd_a, dtype=float)
+            dd_a = _finite_column("A''", dd_a)
             fd2 = (a[2:] - 2 * a[1:-1] + a[:-2]) / ((0.5 * (x[2:] - x[:-2])) ** 2)
             scale = max(1.0, float(np.max(np.abs(fd2))))
             if np.max(np.abs(dd_a[1:-1] - fd2)) > 1e-4 * scale:
                 raise ConfigError("supplied A'' samples disagree with second "
                                   "differences of A")
-        return cls(x_samples=x, a_samples=a)
+        return prof
 
     @classmethod
     def from_file(cls, path) -> "TabulatedProfile":
         """Read a whitespace-delimited (x, A[, A'[, A'']]) table; '#' comments."""
-        try:
-            data = np.loadtxt(path, comments="#", ndmin=2)
-        except ValueError as err:
-            raise ConfigError(f"{path}: not a numeric table: {err}") from None
+        with warnings.catch_warnings():
+            # an empty table is refused below, with its own message
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                data = np.loadtxt(path, comments="#", ndmin=2)
+            except ValueError as err:
+                raise ConfigError(f"{path}: not a numeric table: {err}") from None
+        if data.size == 0:
+            raise ConfigError(f"{path}: the table has no rows")
         if data.shape[1] < 2:
             raise ConfigError(f"{path}: need at least two columns (x, A)")
         cols = [data[:, i] for i in range(min(data.shape[1], 4))]
-        return cls.from_columns(*cols)
+        try:
+            return cls.from_columns(*cols)
+        except ConfigError as err:
+            raise ConfigError(f"{path}: {err}") from None
 
 
 # config-file name -> profile class

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from nozzleflow import geometry
 from nozzleflow.errors import ConfigError, DomainError
 from nozzleflow.geometry import (ConstantProfile, ExponentialProfile,
                                  GaussianBumpProfile, PowerLawClosingProfile,
@@ -163,6 +168,89 @@ def test_tabulated_rejects_bad_tables():
     x = np.linspace(0.0, 1.0, 10)
     with pytest.raises(ConfigError):
         TabulatedProfile(x, np.where(x > 0.5, -1.0, 1.0))
+
+
+def _spline_table(n):
+    """A Gaussian-bump table of n uniform rows, or for n = 2000 a smooth
+    table on knots spaced at random within a factor 3."""
+    if n == 2000:
+        x = np.cumsum(np.random.default_rng(5).uniform(0.5, 1.5, n)) * 0.005
+        return x, 2.0 + np.sin(3.0 * x)
+    x = np.linspace(-3.5, 3.5, n)
+    return x, 1.0 + 0.5 * np.exp(-x * x)
+
+
+@pytest.mark.parametrize("n", [4, 5, 29, 401, 2000])
+def test_tabulated_spline_is_scipy_cubic_spline_bit_for_bit(n):
+    # the plain path the numpy spline replaces is the oracle
+    from scipy.interpolate import CubicSpline
+    x, a = _spline_table(n)
+    prof, plain = TabulatedProfile(x, a), CubicSpline(x, a)
+    inner = np.linspace(x[0], x[-1], 5001)[1:-1]
+    for pts in (x, inner, x[:1], x[-1:]):  # the last knot: interval n - 2
+        for nu, fn in enumerate((prof.area, prof.d_area, prof.dd_area)):
+            assert np.array_equal(fn(pts), plain(pts, nu)), (nu, pts[:3])
+
+
+def test_tabulated_scalar_input_gives_a_float():
+    prof = TabulatedProfile(*_spline_table(29))
+    for fn in (prof.area, prof.d_area, prof.dd_area, prof.dlog):
+        assert type(fn(0.3)) is float
+        assert fn(0.3) == fn(np.array([0.3]))[0]
+
+
+def test_tabulated_run_leaves_scipy_interpolate_unimported():
+    # the small_steps tabulated case: profile, context and a few steps
+    code = """if True:
+        import sys
+        import numpy as np
+        from nozzleflow.geometry import TabulatedProfile
+        from nozzleflow.solver import (BoundarySpec, FluidField, Grid,
+                                       SolverContext, step)
+        from nozzleflow.thermo import GasLaw
+        xs = np.linspace(-3.5, 3.5, 29)
+        profile = TabulatedProfile.from_columns(xs, 1.0 + 0.5 * np.exp(-xs * xs))
+        g, grid = GasLaw(2.0, delta=1e-3), Grid(-3.0, 3.0, 96)
+        rho = 0.7 + 0.3 * np.exp(-grid.x ** 2)
+        bc = BoundarySpec.dirichlet_nozzle(rho[0], 0.0, rho[-1], 0.0)
+        ctx = SolverContext(grid, g, profile, 0.05, bc)
+        field = FluidField(grid, rho, np.zeros_like(rho))
+        dt = 0.3 * grid.dx / ctx.max_wave_speed(field.rho, field.m)
+        for _ in range(5):
+            field = step(field, g, profile, 0.05, bc, dt, ctx=ctx)
+        assert np.all(np.isfinite(field.rho)) and field.t > 0
+        print("scipy.interpolate" in sys.modules)
+    """
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(geometry.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("0 1\n1 nan\n2 1\n3 1\n", "A column holds a non-finite value"),
+    ("0 1\n1 1e400\n2 1\n3 1\n", "A column holds a non-finite value"),
+    ("0 1\ninf 1\n2 1\n3 1\n", "x column holds a non-finite value"),
+    ("# x A\n", "the table has no rows"),
+], ids=["nan_A", "inf_A", "inf_x", "empty"])
+def test_tabulated_file_refuses_non_finite_and_empty_tables(tmp_path, text,
+                                                            message):
+    path = tmp_path / "area.dat"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message) as err:
+        TabulatedProfile.from_file(path)
+    assert str(path) in str(err.value)
+
+
+def test_tabulated_refuses_non_finite_derivative_columns():
+    x = np.linspace(0.0, 1.0, 11)
+    a = 2.0 + np.sin(x)
+    bad = np.cos(x)
+    bad[3] = np.nan
+    with pytest.raises(ConfigError, match="A' column"):
+        TabulatedProfile.from_columns(x, a, d_a=bad)
+    with pytest.raises(ConfigError, match="A'' column"):
+        TabulatedProfile.from_columns(x, a, dd_a=bad)
 
 
 def test_make_profile_unknown_kind():

@@ -370,7 +370,14 @@ _RUN_CFG = dict(gamma="2.0", profile="constant", bc="dirichlet_nozzle",
 _BAD_INPUT_CONTEXT = {
     "rho_bar": dict(bc="dirichlet_spherical", profile="spherical",
                     window_lo="0.5", window_hi="4"),
-    "a": dict(window_lo="-0.5", window_hi="0.5")}
+    "a": dict(window_lo="-0.5", window_hi="0.5"),
+    "profile_file": dict(profile="tabulated")}
+
+# area tables the profile must refuse: loadtxt reads 1e400 as inf, and a
+# table of comments only as no rows
+_BAD_TABLES = {"nan.dat": "0 1\n1 nan\n2 1\n3 1\n",
+               "inf.dat": "0 1\n1 1e400\n2 1\n3 1\n",
+               "empty.dat": "# x A\n"}
 
 
 @pytest.mark.parametrize("key,value", [
@@ -379,7 +386,9 @@ _BAD_INPUT_CONTEXT = {
     ("kappa", "-2"), ("mollify_width", "-0.01"), ("blend_width", "-1"),
     ("workers", "-1"), ("n_eps", "1"), ("bc", "dirichlet_spherica"),
     ("init", "riemman"), ("L0", "3"), ("rho_bar", "-1"), ("a", "-1"),
-    ("p_rho", "0.5"), ("q_mom", "0.5"), ("profile", "spherical")])
+    ("p_rho", "0.5"), ("q_mom", "0.5"), ("profile", "spherical"),
+    ("profile_file", "nan.dat"), ("profile_file", "inf.dat"),
+    ("profile_file", "empty.dat")])
 def test_cli_bad_input_is_error_exit_2(tmp_path, capsys, monkeypatch, key,
                                        value):
     import nozzleflow.cli as cli
@@ -394,19 +403,28 @@ def test_cli_bad_input_is_error_exit_2(tmp_path, capsys, monkeypatch, key,
                   **_BAD_INPUT_CONTEXT.get(key, {}), **{key: value})
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    for name, text in _BAD_TABLES.items():
+        (tmp_path / name).write_text(text)
     # a sweep must reject a one-rung ladder and a distance exponent before
     # any rung runs, and check a name no rung could be built from and a
-    # ladder it cannot certify
+    # ladder it cannot certify; check and sweep build the profile before
+    # any rung
     command = {"n_eps": "sweep", "bc": "check", "init": "check",
-               "rho_bar": "check", "a": "check",
-               "p_rho": "sweep"}.get(key, "run")
-    assert cli_main([command, str(cfg_path)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
-    assert not (tmp_path / "out" / "report.csv").exists()
+               "rho_bar": "check", "a": "check", "p_rho": "sweep",
+               "nan.dat": "check", "inf.dat": "sweep", "empty.dat": "check",
+               }.get(value if key == "profile_file" else key, "run")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main([command, str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not caught, [str(w.message) for w in caught]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("case", ["config", "config_bytes", "table",
-                                  "table_text", "output_dir", "table_out"])
+                                  "table_text", "nan.dat", "inf.dat",
+                                  "empty.dat", "output_dir", "table_out"])
 def test_cli_file_error_is_error_exit_2(tmp_path, capsys, monkeypatch, case):
     # a file the CLI cannot read or write ends as one error line naming it;
     # an output_dir below a regular file fails before the run steps
@@ -420,16 +438,18 @@ def test_cli_file_error_is_error_exit_2(tmp_path, capsys, monkeypatch, case):
     (tmp_path / "words.dat").write_text("0.0 one\n1.0 two\n")
     (tmp_path / "plain").write_text("a file, not a directory\n")
     (tmp_path / "bytes.cfg").write_bytes(b"gamma = 2\n\xff\xfe\n")
+    for name, text in _BAD_TABLES.items():
+        (tmp_path / name).write_text(text)
     paths = {"config": tmp_path / "missing.cfg",
              "config_bytes": tmp_path / "bytes.cfg",
              "table": tmp_path / "missing.dat",
              "table_text": tmp_path / "words.dat",
+             **{name: tmp_path / name for name in _BAD_TABLES},
              "output_dir": tmp_path / "plain" / "out",
              "table_out": tmp_path / "missing" / "table.csv"}
-    keys = {"table": dict(profile="tabulated", profile_file=paths["table"]),
-            "table_text": dict(profile="tabulated",
-                               profile_file=paths["table_text"]),
-            "output_dir": dict(output_dir=paths["output_dir"])}
+    keys = {name: dict(profile="tabulated", profile_file=paths[name])
+            for name in ("table", "table_text", *_BAD_TABLES)}
+    keys["output_dir"] = dict(output_dir=paths["output_dir"])
     argv = ["run", str(paths[case])]
     if case in keys:
         argv[1] = str(_write_cfg(tmp_path / "run.cfg", {
