@@ -19,7 +19,6 @@ from .errors import (
     SweepError,
 )
 from .geometry import (
-    ConditionReport,
     ConstantProfile,
     ExponentialProfile,
     GaussianBumpProfile,
@@ -35,7 +34,6 @@ from .entropy import (
     EntropyGenerator,
     EntropyKernel,
     ReferenceState,
-    SpecialPairReport,
     gauss_jacobi,
     gen_bump,
     gen_convex_spline,

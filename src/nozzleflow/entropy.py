@@ -33,6 +33,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from scipy.linalg import eigh_tridiagonal
 
+from .checks import Check, Report
 from .errors import ConfigError, DomainError, QuadratureError
 from .thermo import GasLaw, _match
 
@@ -579,14 +580,8 @@ def quartic_entropy(g: GasLaw, rho, m):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpecialPairReport:
-    """Numerical survey of the shifted-pair inequalities on a state sample."""
-
-    q_tilde_at_ref: float
-    fitted: dict[str, float]
-    margins: Optional[dict[str, float]]
-    n_points: int
+# allowance on max(lhs - M rhs) of a shifted-pair inequality over a sample
+PAIR_INEQUALITY_TOL = 1e-9
 
 
 def _special_pair(g: GasLaw, ref: ReferenceState, rho_a, m_a):
@@ -622,12 +617,14 @@ def special_pair_fields(g: GasLaw, ref: ReferenceState, rho, m):
 
 
 def special_pair_check(g: GasLaw, ref: ReferenceState, rho, m,
-                       M: Optional[float] = None) -> SpecialPairReport:
+                       M: Optional[float] = None) -> Report:
     """Fit/verify the growth and domination inequalities of the shifted pair.
 
-    For each inequality the minimal constant that makes it hold on the given
-    sample is fitted; if ``M`` is supplied, the worst margin (right side
-    minus left side) at that constant is also reported.
+    The Report's series hold ``q_tilde_at_ref`` and, per inequality, the
+    minimal constant that makes it hold on the given sample.  Its checks
+    hold ``Check(q_tilde_at_ref, 0)`` and, if ``M`` is supplied, one check
+    per inequality of max(lhs - M rhs) over the sample against
+    ``PAIR_INEQUALITY_TOL``.
     """
     rho_a, m_a, _ = _flat_states(rho, m)
     if np.any(rho_a < 0.0):
@@ -664,16 +661,16 @@ def special_pair_check(g: GasLaw, ref: ReferenceState, rho, m,
     fitted["m_eta_tilde_m_bound"] = _ratio(
         np.abs(m_a * eta_tm), rho_a * du ** 2 + rho_a * drt ** 2 + rho_a)
 
-    margins = None
+    checks = {"q_tilde_at_ref": Check(q_t_ref, 0.0)}
     if M is not None:
-        margins = {
-            "eta_tilde_bound": float(np.min(M * G1 - np.abs(eta_t))),
-            "q_tilde_growth": float(np.min(q_t - G2p / M + M * G2n)),
-            "source_domination": float(np.min(M * (q_t + 1.0) - np.abs(source))),
-            "eta_tilde_m_bound": float(np.min(M * (du + drt) - np.abs(eta_tm))),
-            "m_eta_tilde_m_bound": float(np.min(
-                M * (rho_a * du ** 2 + rho_a * drt ** 2 + rho_a)
-                - np.abs(m_a * eta_tm))),
+        excess = {
+            "eta_tilde_bound": np.abs(eta_t) - M * G1,
+            "q_tilde_growth": G2p / M - M * G2n - q_t,
+            "source_domination": np.abs(source) - M * (q_t + 1.0),
+            "eta_tilde_m_bound": np.abs(eta_tm) - M * (du + drt),
+            "m_eta_tilde_m_bound": np.abs(m_a * eta_tm)
+            - M * (rho_a * du ** 2 + rho_a * drt ** 2 + rho_a),
         }
-    return SpecialPairReport(q_tilde_at_ref=q_t_ref, fitted=fitted,
-                             margins=margins, n_points=rho_a.size)
+        checks.update((name, Check(np.max(v), PAIR_INEQUALITY_TOL))
+                      for name, v in excess.items())
+    return Report(series={"q_tilde_at_ref": q_t_ref, **fitted}, checks=checks)

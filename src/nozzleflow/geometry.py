@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
+from .checks import Check, Report
 from .errors import ConfigError, DomainError
 
 
@@ -38,20 +39,6 @@ def sample_interval(a: float, b: float) -> np.ndarray:
     return np.unique(np.clip(pts, a, b))
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Numerically estimated admissibility data for A(x) on an interval."""
-
-    interval: tuple[float, float]
-    sup_dlog: float            # sup |A'/A| over the interval
-    area_min: float            # A_0
-    area_max: float            # A_1
-    satisfies_13a: bool        # bounded A'/A with A' integrable on the left half-line
-    satisfies_13b: bool        # same with the right half-line
-    satisfies_14_15: bool      # two-sided positive bounds and C^2/L^1 control on [a, b]
-    n_samples: int
-
-
 class NozzleProfile:
     """Base class; subclasses provide A, A', A'', the domain and ``name``,
     the profile's config-file name."""
@@ -59,6 +46,9 @@ class NozzleProfile:
     name: str
     xmin: float = -math.inf
     xmax: float = math.inf
+    # (1.3a), (1.3b): |A'/A| globally bounded with A' in L^1 on the left and
+    # on the right half-line (a table is taken to hold both on its window)
+    half_line_integrable: tuple[bool, bool] = (True, True)
 
     # -- raw shape callbacks (no domain checks) ----------------------------
     def _area(self, x):
@@ -112,12 +102,13 @@ class NozzleProfile:
         return self._eval(self._dlog_prime, x)
 
     # -- admissibility -------------------------------------------------------
-    def _half_line_integrability(self) -> tuple[bool, bool]:
-        """Whether |A'/A| is globally bounded with A' in L^1 on each half-line."""
-        raise NotImplementedError
-
-    def validate_conditions(self, interval) -> ConditionReport:
-        """Admissibility data of A on ``sample_interval`` of the interval."""
+    def validate_conditions(self, interval) -> Report:
+        """Admissibility of A on ``sample_interval`` of the interval: the
+        series ``x``, ``A`` and ``dlog`` (A'/A) and one check per condition.
+        (1.3a) and (1.3b) read ``half_line_integrable`` (value 0 when the
+        fact holds, 1 when not); (1.4)-(1.5) checks -A_0, A_0 the least
+        sampled area, against minus the least positive float, so it passes
+        when A_0 > 0, with a NaN value when A, A' or A'' is not finite."""
         a, b = float(interval[0]), float(interval[1])
         if not (a < b):
             raise DomainError(f"invalid interval [{a}, {b}]")
@@ -125,22 +116,16 @@ class NozzleProfile:
             raise DomainError(f"interval [{a}, {b}] leaves the profile domain")
         xs = sample_interval(a, b)
         area = self._area(xs)
-        dA = self._d_area(xs)
-        ddA = self._dd_area(xs)
-        sup_dlog = float(np.max(np.abs(dA / area)))
-        ok_13a, ok_13b = self._half_line_integrability()
-        finite = (np.all(np.isfinite(area)) and np.all(np.isfinite(dA))
-                  and np.all(np.isfinite(ddA)))
-        return ConditionReport(
-            interval=(a, b),
-            sup_dlog=sup_dlog,
-            area_min=float(np.min(area)),
-            area_max=float(np.max(area)),
-            satisfies_13a=ok_13a,
-            satisfies_13b=ok_13b,
-            satisfies_14_15=bool(finite and np.min(area) > 0.0),
-            n_samples=len(xs),
-        )
+        finite = all(np.all(np.isfinite(v))
+                     for v in (area, self._d_area(xs), self._dd_area(xs)))
+        left, right = self.half_line_integrable
+        return Report(
+            series={"x": xs, "A": area, "dlog": self._dlog(xs)},
+            checks={"13a_left_half_line": Check(not left, 0.0),
+                    "13b_right_half_line": Check(not right, 0.0),
+                    "14_15_area_bounds": Check(
+                        -np.min(area) if finite else math.nan, -math.ulp(0.0))},
+            label=f"[{a:g}, {b:g}]")
 
 
 @dataclass(frozen=True)
@@ -160,9 +145,6 @@ class ConstantProfile(NozzleProfile):
 
     def _dd_area(self, x):
         return np.zeros_like(x, dtype=float)
-
-    def _half_line_integrability(self):
-        return True, True
 
 
 @dataclass(frozen=True)
@@ -186,9 +168,6 @@ class GaussianBumpProfile(NozzleProfile):
     def _dd_area(self, x):
         e = self.amp * np.exp(-self.rate * x * x)
         return e * (4.0 * self.rate ** 2 * x * x - 2.0 * self.rate)
-
-    def _half_line_integrability(self):
-        return True, True
 
 
 @dataclass(frozen=True)
@@ -220,11 +199,6 @@ class PowerLawClosingProfile(NozzleProfile):
     def _dlog_prime(self, x):
         return -2.0 * self.alpha * (1.0 - x * x) / (1.0 + x * x) ** 2
 
-    def _half_line_integrability(self):
-        # |A'/A| = 2 a |x| / (1+x^2) peaks at alpha; A' integrates to A(0) on
-        # each half-line.
-        return True, True
-
 
 @dataclass(frozen=True)
 class ExponentialProfile(NozzleProfile):
@@ -248,12 +222,10 @@ class ExponentialProfile(NozzleProfile):
     def _dlog_prime(self, x):
         return np.zeros_like(x, dtype=float)
 
-    def _half_line_integrability(self):
-        if self.rate > 0:
-            return True, False
-        if self.rate < 0:
-            return False, True
-        return True, True
+    @property
+    def half_line_integrable(self):
+        # A' = rate A is integrable where A closes
+        return self.rate >= 0, self.rate <= 0
 
 
 @dataclass(frozen=True)
@@ -263,6 +235,7 @@ class SphericalProfile(NozzleProfile):
     n_dim: int = 3
     name = "spherical"
     xmin = 0.0
+    half_line_integrable = (False, False)  # A'/A = (n-1)/x blows up at 0
 
     def __post_init__(self):
         if self.n_dim < 2:
@@ -287,10 +260,6 @@ class SphericalProfile(NozzleProfile):
 
     def _dlog_prime(self, x):
         return -(self.n_dim - 1) / (x * x)
-
-    def _half_line_integrability(self):
-        # A'/A = (n-1)/x is unbounded toward the origin.
-        return False, False
 
 
 def _finite_column(name: str, values) -> np.ndarray:
@@ -385,36 +354,34 @@ class TabulatedProfile(NozzleProfile):
         (c3, c2, _, _), z = self._piece(x)
         return c2 * 2 + c3 * z * 6
 
-    def _half_line_integrability(self):
-        # Only the tabulated window is known; both conditions hold on it.
-        return True, True
-
     @classmethod
     def from_columns(cls, x, a, d_a=None, dd_a=None) -> "TabulatedProfile":
         """Build from sample columns, validating optional derivative columns.
 
-        Supplied A' values must be finite and match the centered difference
-        of A at the sample spacing to 1e-6 (relative to the derivative
-        scale); they are then discarded in favor of the spline derivative,
-        which is what the solver needs to be C^2.  A'' is checked the same
-        way, against second differences to 1e-4.
+        Supplied A' and A'' columns must be finite and match the spline's own
+        A' and A'' at the interior knots to h_max^2 times a scale, h_max the
+        widest row spacing.  The scale is max(1, |column|, |the derivative
+        two orders up|) over the spline (A''' from its cubic coefficients,
+        A'''' from their jumps per spacing), the sizes that the spline's
+        error and a centered difference's grow with.  The columns are then
+        discarded: the solver needs the spline's C^2 derivatives.
         """
         prof = cls(x_samples=x, a_samples=a)
-        x, a = prof.x_samples, prof.a_samples
-        if d_a is not None:
-            d_a = _finite_column("A'", d_a)
-            fd = (a[2:] - a[:-2]) / (x[2:] - x[:-2])
-            scale = max(1.0, float(np.max(np.abs(fd))))
-            if np.max(np.abs(d_a[1:-1] - fd)) > 1e-6 * scale:
-                raise ConfigError("supplied A' samples disagree with centered "
-                                  "differences of A beyond 1e-6")
-        if dd_a is not None:
-            dd_a = _finite_column("A''", dd_a)
-            fd2 = (a[2:] - 2 * a[1:-1] + a[:-2]) / ((0.5 * (x[2:] - x[:-2])) ** 2)
-            scale = max(1.0, float(np.max(np.abs(fd2))))
-            if np.max(np.abs(dd_a[1:-1] - fd2)) > 1e-4 * scale:
-                raise ConfigError("supplied A'' samples disagree with second "
-                                  "differences of A")
+        h = np.diff(prof.x_samples)
+        d3 = 6.0 * prof._coef[0]
+        d4 = np.diff(d3) / (0.5 * (h[:-1] + h[1:]))
+        knots = prof.x_samples[1:-1]
+        for name, col, spline, higher in (("A'", d_a, prof._d_area, d3),
+                                          ("A''", dd_a, prof._dd_area, d4)):
+            if col is None:
+                continue
+            col, own = _finite_column(name, col), spline(knots)
+            scale = max(1.0, np.max(np.abs(own)), np.max(np.abs(higher)))
+            tol = h.max() ** 2 * scale
+            if np.max(np.abs(col[1:-1] - own)) > tol:
+                raise ConfigError(f"supplied {name} samples disagree with the "
+                                  f"spline's {name} beyond {tol:.3g} "
+                                  "(h_max^2 times their scale)")
         return prof
 
     @classmethod

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
@@ -409,36 +409,38 @@ def lp_distance(snap_a: SnapshotSet, snap_b: SnapshotSet, K, p: float = 1.0,
 
 
 @dataclass
-class SweepResult:
-    eps_list: tuple
-    certificate: Report
-    runs: list                     # RunOutput per successful rung
-    failures: list                 # (eps, message)
-    d_rho: np.ndarray
-    d_m: np.ndarray
-    integrability: list            # IntegrabilityRecord per run
-    weak: list                     # WeakResidualRecord per run (optional)
+class SweepResult(Report):
+    """The sweep's Report: the series ``eps`` (the ladder), ``d_rho`` and
+    ``d_m`` (successive L^p distances), ``ratios_rho`` and ``ratios_m`` (the
+    ratios the Cauchy rule reads) and the Cauchy checks ``converging_rho``
+    and ``converging_m``, with a note for a check that rests on fewer than
+    two ratios.  It also holds the certificate, the runs and the rungs that
+    failed, and per run its integrability and weak-residual records."""
 
-    ratios_rho = property(lambda self: _ratios(self.d_rho))
-    ratios_m = property(lambda self: _ratios(self.d_m))
-    converging_rho = property(lambda self: _cauchy_check(self.d_rho))
-    converging_m = property(lambda self: _cauchy_check(self.d_m))
+    certificate: Report = field(default_factory=Report)
+    runs: list = field(default_factory=list)          # RunOutput per rung
+    failures: list = field(default_factory=list)      # (eps, message)
+    integrability: list = field(default_factory=list)
+    weak: list = field(default_factory=list)          # empty unless asked
 
-    @property
-    def converging(self) -> bool:
-        return bool(self.converging_rho and self.converging_m)
+    d_rho = property(lambda self: self.series["d_rho"])
+    d_m = property(lambda self: self.series["d_m"])
+    converging_rho = property(lambda self: self.checks["converging_rho"])
+    converging_m = property(lambda self: self.checks["converging_m"])
 
     @property
     def passed(self) -> bool:
-        """The sweep's verdict: converging, certified, every run's checks
-        pass and no rung failed (``nozzleflow sweep`` exits 0 exactly then)."""
-        return (self.converging and self.certificate.passed
+        """The sweep's verdict: its checks and the certificate pass, no rung
+        failed and every run's checks pass (``nozzleflow sweep`` exits 0
+        exactly then)."""
+        return (super().passed and self.certificate.passed
                 and not self.failures
                 and all(r.report.passed for r in self.runs))
 
     def summary(self) -> str:
-        lines = [f"sweep over eps = {tuple(round(e, 6) for e in self.eps_list)}"]
-        lines.append(certificate_summary(self.certificate))
+        ladder = tuple(round(e, 6) for e in self.series["eps"].tolist())
+        lines = [f"sweep over eps = {ladder}",
+                 certificate_summary(self.certificate)]
         for r in self.runs:
             lines.append(f"  run {r.label}: cells_advanced="
                          f"{r.report.cells_advanced} on {r.field.grid.n_nodes} "
@@ -450,9 +452,11 @@ class SweepResult:
                          + ", ".join(f"{d:.5g}" for d in self.d_rho))
             lines.append("  pairwise L^q distances (m):   "
                          + ", ".join(f"{d:.5g}" for d in self.d_m))
-        for name, d in (("rho", self.d_rho), ("m", self.d_m)):
+        for name in ("rho", "m"):
             lines.append(f"  verdict: {name} Cauchy, second-largest of "
-                         f"{len(_cauchy_ratios(d))} ratios: {_cauchy_check(d)}")
+                         f"{len(self.series[f'ratios_{name}'])} ratios: "
+                         f"{self.checks[f'converging_{name}']}")
+        lines += [f"  note: {note}" for note in self.notes]
         failing = [f"  run {r.label} check {key}: {check}"
                    for r in self.runs
                    for key, check in sorted(r.report.failing().items())]
@@ -461,27 +465,20 @@ class SweepResult:
         return "\n".join(lines + failing)
 
 
-def _ratios(distances: np.ndarray) -> np.ndarray:
-    """Successive distance ratios d_{k+1} / d_k."""
-    return distances[1:] / np.maximum(distances[:-1], 1e-300)
+def _cauchy(distances: np.ndarray) -> tuple[np.ndarray, Check]:
+    """The Cauchy rule on the successive distances: the ratios
+    d_{k+1} / d_k it reads (none when every distance is at most 1e-14) and
+    its check, every ratio at most 0.9 with one violation allowed.
 
-
-def _cauchy_ratios(distances: np.ndarray) -> np.ndarray:
-    """The ratios the Cauchy rule reads: none when every distance is at
-    most 1e-14."""
-    if np.max(distances, initial=0.0) <= 1e-14:
-        return np.array([])
-    return _ratios(distances)
-
-
-def _cauchy_check(distances: np.ndarray) -> Check:
-    """Cauchy rule: successive ratios at most 0.9, one violation allowed.
-
-    The value is the second-largest ratio (a NaN sorts above every
+    The check's value is the second-largest ratio (a NaN sorts above every
     number); with fewer than two ratios it is -inf, a vacuous pass.
     """
-    ratios = np.sort(_cauchy_ratios(distances))
-    return Check(ratios[-2] if ratios.size >= 2 else -math.inf, 0.9)
+    if np.max(distances, initial=0.0) <= 1e-14:
+        ratios = np.array([])
+    else:
+        ratios = distances[1:] / np.maximum(distances[:-1], 1e-300)
+    ranked = np.sort(ratios)
+    return ratios, Check(ranked[-2] if ranked.size >= 2 else -math.inf, 0.9)
 
 
 def _sweep_worker(args):
@@ -522,9 +519,18 @@ def sweep(cfg: RunConfig) -> SweepResult:
                                      for eps, msg in failures))
 
     K = (cfg.window_lo, cfg.window_hi)
-    d_rho, d_m = (np.array([lp_distance(a.snapshots, b.snapshots, K, p, which)
-                            for a, b in zip(runs, runs[1:])])
-                  for p, which in ((cfg.p_rho, "rho"), (cfg.q_mom, "m")))
+    series = {"eps": np.array(sched.eps_list)}
+    checks, notes = {}, []
+    for p, name in ((cfg.p_rho, "rho"), (cfg.q_mom, "m")):
+        d = series[f"d_{name}"] = np.array(
+            [lp_distance(a.snapshots, b.snapshots, K, p, name)
+             for a, b in zip(runs, runs[1:])])
+        ratios, checks[f"converging_{name}"] = _cauchy(d)
+        series[f"ratios_{name}"] = ratios
+        if ratios.size < 2:
+            notes.append(f"{name} Cauchy check rests on {ratios.size} ratio(s), "
+                         "fewer than the 2 it needs to fail, so its pass is "
+                         "no evidence")
     integ = [integrability_window(r.snapshots, r.g, K, profile, r.eps)
              for r in runs]
     weak: list[WeakResidualRecord] = []
@@ -535,10 +541,9 @@ def sweep(cfg: RunConfig) -> SweepResult:
         gens = default_generator_family((-u_span, 0.0, u_span))
         for r in runs:
             weak.append(weak_residual(r.snapshots, r.g, profile, tests, gens))
-    return SweepResult(
-        eps_list=sched.eps_list, certificate=cert, runs=runs,
-        failures=failures, d_rho=d_rho, d_m=d_m, integrability=integ,
-        weak=weak)
+    return SweepResult(series=series, checks=checks, notes=notes,
+                       certificate=cert, runs=runs, failures=failures,
+                       integrability=integ, weak=weak)
 
 
 # ---------------------------------------------------------------------------

@@ -587,7 +587,7 @@ def test_special_pair_check_takes_two_order_one_passes(monkeypatch):
     m = rho * rng.uniform(-2.0, 2.0, 200)
     rep = special_pair_check(GasLaw(2.0), ReferenceState(1.0, 0.5, 0.5, 0.0),
                              rho, m, M=50.0)
-    assert rep.margins is not None and rep.n_points == 200
+    assert len(rep.checks) == 6  # q_tilde_at_ref and the five inequalities
     assert sorted(calls) == [(1, 1), (200, 1)]
 
 
@@ -616,7 +616,8 @@ def test_q_tilde_negative_at_reference():
                 ref = ReferenceState(rho_minus, u_minus, 0.5, 0.0)
                 rep = special_pair_check(GasLaw(gamma), ref,
                                          np.array([1.0]), np.array([0.0]))
-                assert rep.q_tilde_at_ref < 0.0
+                assert rep.series["q_tilde_at_ref"] < 0.0
+                assert list(rep.checks) == ["q_tilde_at_ref"] and rep.passed
 
 
 def test_growth_inequality_fit_and_verify():
@@ -625,10 +626,8 @@ def test_growth_inequality_fit_and_verify():
     rho, u = np.meshgrid(np.linspace(0.0, 10.0, 100),
                          np.linspace(-10.0, 10.0, 100), indexing="ij")
     rep = special_pair_check(g, ref, rho, rho * u)
-    M = 1.02 * max(rep.fitted.values())
+    M = 1.02 * max(v for k, v in rep.series.items() if k != "q_tilde_at_ref")
     rho2, u2 = np.meshgrid(np.linspace(0.0, 10.0, 173),
                            np.linspace(-10.0, 10.0, 171), indexing="ij")
     rep2 = special_pair_check(g, ref, rho2, rho2 * u2, M=M)
-    assert rep2.margins is not None
-    for key, margin in rep2.margins.items():
-        assert margin > -1e-9, key
+    assert len(rep2.checks) == 6 and not rep2.failing()

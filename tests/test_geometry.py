@@ -100,34 +100,56 @@ def test_exponential_dlog_is_the_rate():
     assert prof.dlog(1.0) == 0.4 and isinstance(prof.dlog(1.0), float)
 
 
+def _conditions(prof, interval):
+    """validate_conditions' Report with the three conditions as booleans:
+    (1.3a), (1.3b), (1.4)-(1.5)."""
+    rep = prof.validate_conditions(interval)
+    return rep, tuple(bool(rep.checks[k]) for k in (
+        "13a_left_half_line", "13b_right_half_line", "14_15_area_bounds"))
+
+
 def test_validate_conditions_constant():
-    rep = ConstantProfile().validate_conditions((-10.0, 10.0))
-    assert rep.sup_dlog == 0.0
-    assert rep.satisfies_13a and rep.satisfies_13b and rep.satisfies_14_15
-    assert rep.area_min == rep.area_max == 1.0
+    rep, ok = _conditions(ConstantProfile(), (-10.0, 10.0))
+    assert np.max(np.abs(rep.series["dlog"])) == 0.0
+    assert ok == (True, True, True) and rep.passed
+    assert np.min(rep.series["A"]) == np.max(rep.series["A"]) == 1.0
+    assert rep.series["x"][0] == -10.0 and rep.series["x"][-1] == 10.0
 
 
 def test_validate_conditions_spherical():
-    rep = SphericalProfile(n_dim=3).validate_conditions((0.1, 10.0))
-    assert rep.satisfies_14_15
-    assert not rep.satisfies_13a and not rep.satisfies_13b
-    assert rep.sup_dlog == pytest.approx(20.0, rel=1e-3)  # (n-1)/x at x = 0.1
+    rep, ok = _conditions(SphericalProfile(n_dim=3), (0.1, 10.0))
+    assert ok == (False, False, True)
+    assert sorted(rep.failing()) == ["13a_left_half_line", "13b_right_half_line"]
+    # (n-1)/x at x = 0.1
+    assert np.max(np.abs(rep.series["dlog"])) == pytest.approx(20.0, rel=1e-3)
 
 
 def test_validate_conditions_power_law_sup():
     # |A'/A| = 2 a |x| / (1 + x^2) attains its maximum alpha at |x| = 1
     alpha = 1.0
-    rep = PowerLawClosingProfile(alpha=alpha).validate_conditions((-50.0, 50.0))
-    assert rep.sup_dlog == pytest.approx(alpha, rel=1e-3)
-    assert rep.sup_dlog <= 2.0 * alpha
-    assert rep.satisfies_13a
+    rep, ok = _conditions(PowerLawClosingProfile(alpha=alpha), (-50.0, 50.0))
+    sup_dlog = np.max(np.abs(rep.series["dlog"]))
+    assert sup_dlog == pytest.approx(alpha, rel=1e-3)
+    assert sup_dlog <= 2.0 * alpha
+    assert ok[0]
+
+
+def test_validate_conditions_area_must_stay_positive():
+    # A = (1 + x^2)^(-60) underflows to 0 at x = 1e6: A_0 > 0 fails there
+    rep, ok = _conditions(PowerLawClosingProfile(alpha=60.0), (-1e6, 1e6))
+    assert ok == (True, True, False)
+    assert rep.checks["14_15_area_bounds"].value == 0.0
+    _, ok = _conditions(PowerLawClosingProfile(alpha=60.0), (-10.0, 10.0))
+    assert ok == (True, True, True)
 
 
 def test_exponential_one_sided_integrability():
-    rep = ExponentialProfile(rate=0.5).validate_conditions((-10.0, 10.0))
-    assert rep.satisfies_13a and not rep.satisfies_13b
-    rep = ExponentialProfile(rate=-0.5).validate_conditions((-10.0, 10.0))
-    assert not rep.satisfies_13a and rep.satisfies_13b
+    _, ok = _conditions(ExponentialProfile(rate=0.5), (-10.0, 10.0))
+    assert ok[:2] == (True, False)
+    _, ok = _conditions(ExponentialProfile(rate=-0.5), (-10.0, 10.0))
+    assert ok[:2] == (False, True)
+    _, ok = _conditions(ExponentialProfile(rate=0.0), (-10.0, 10.0))
+    assert ok[:2] == (True, True)
 
 
 def test_unit_sphere_area_values():
@@ -156,10 +178,33 @@ def test_tabulated_derivative_consistency_gate():
     a = 2.0 + np.sin(x)
     fd = np.gradient(a, x)
     fd[1:-1] = (a[2:] - a[:-2]) / (x[2:] - x[:-2])
-    TabulatedProfile.from_columns(x, a, d_a=fd)  # consistent: accepted
+    fd2 = np.gradient(fd, x)
+    fd2[1:-1] = (a[2:] - 2.0 * a[1:-1] + a[:-2]) / np.diff(x)[1:] ** 2
+    TabulatedProfile.from_columns(x, a, d_a=fd, dd_a=fd2)  # consistent: accepted
     bad = fd + 0.5
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="spline's A'"):
         TabulatedProfile.from_columns(x, a, d_a=bad)
+    with pytest.raises(ConfigError, match="spline's A''"):
+        TabulatedProfile.from_columns(x, a, dd_a=fd2 + 0.5)
+
+
+@pytest.mark.parametrize("rate", [1.0, 16.0])
+def test_tabulated_accepts_exact_derivative_columns(rate):
+    # a centered difference is off by h^2/6 |A'''| here, more than 1e-6 of
+    # A'; the spline's A'' is off by about h^2/12 |A''''|, which the narrow
+    # bump makes 8 times h^2 max |A''|
+    x = np.linspace(-3.0, 3.0, 601)
+    e = np.exp(-rate * x * x)
+    TabulatedProfile.from_columns(x, 1.0 + 0.5 * e, d_a=-rate * x * e,
+                                  dd_a=(2.0 * rate * rate * x * x - rate) * e)
+
+
+def test_tabulated_accepts_exact_derivative_columns_on_uneven_rows():
+    # spacing alternating 0.1 and 0.2, where second differences over the
+    # half-width are not A''
+    x = np.concatenate([[0.0], np.cumsum(np.tile([0.1, 0.2], 10))]) - 1.5
+    TabulatedProfile.from_columns(x, 1.0 + x * x, d_a=2.0 * x,
+                                  dd_a=np.full_like(x, 2.0))
 
 
 def test_tabulated_rejects_bad_tables():

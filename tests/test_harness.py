@@ -4,15 +4,18 @@ import warnings
 import numpy as np
 import pytest
 
+from nozzleflow.checks import Report
 from nozzleflow.cli import main as cli_main
 from nozzleflow.diagnostics import SnapshotSet
+from nozzleflow.entropy import ReferenceState, special_pair_check
 from nozzleflow.errors import ConfigError
-from nozzleflow.geometry import TabulatedProfile
-from nozzleflow.harness import (RunConfig, _cauchy_check, _cauchy_ratios,
+from nozzleflow.geometry import SphericalProfile, TabulatedProfile
+from nozzleflow.harness import (RunConfig, _cauchy,
                                 lp_distance, single_run, sweep,
                                 write_sweep_outputs)
 from nozzleflow.schedule import certify
 from nozzleflow.solver import SolverContext
+from nozzleflow.thermo import GasLaw
 
 
 def _snap(rng, nt=7, nx=41, K=(-2.0, 2.0), T=1.0, shift=0.0):
@@ -182,7 +185,7 @@ def test_sweep_constant_data_all_distances_zero():
     assert not res.failures
     assert np.max(res.d_rho) < 1e-13
     assert np.max(res.d_m) < 1e-13
-    assert res.converging
+    assert not res.failing()
 
 
 def test_sweep_tolerates_single_rung_failure():
@@ -537,6 +540,49 @@ def test_single_run_builds_one_context(monkeypatch):
     assert len(builds) == 1
 
 
+@pytest.mark.parametrize("n_eps", [3, 4])
+def test_sweep_notes_a_cauchy_check_that_cannot_fail(n_eps):
+    # three rungs give one ratio per field: each check passes at -inf, and
+    # the note says so; four rungs give two ratios and no note
+    res = sweep(_tiny_sweep_config(n_eps=n_eps, check_riemann=False))
+    notes = [f"{name} Cauchy check rests on 1 ratio(s), fewer than the 2 it "
+             "needs to fail, so its pass is no evidence" for name in ("rho", "m")]
+    assert res.notes == (notes if n_eps == 3 else [])
+    lines = res.summary().splitlines()
+    assert [line for line in lines if "note:" in line] == [
+        f"  note: {note}" for note in res.notes]
+    for name in ("rho", "m"):
+        check = res.checks[f"converging_{name}"]
+        assert len(res.series[f"ratios_{name}"]) == n_eps - 2
+        assert (check.value == -np.inf) is (n_eps == 3)
+    assert res.passed
+
+
+_VERDICTS = {
+    "special_pair_check": lambda: special_pair_check(
+        GasLaw(2.0), ReferenceState(1.0, 0.5, 0.5, 0.0),
+        np.array([0.5, 1.0, 2.0]), np.array([0.0, 0.5, -1.0]), M=50.0),
+    "validate_conditions": lambda: SphericalProfile(n_dim=3)
+    .validate_conditions((0.1, 10.0)),
+    "certify": lambda: certify(_tiny_sweep_config().build_schedule(),
+                               _tiny_sweep_config().build_profile(),
+                               GasLaw(2.0)),
+    "sweep": lambda: sweep(_tiny_sweep_config()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VERDICTS))
+def test_every_verdict_is_a_report_that_prints_its_checks(name):
+    rep = _VERDICTS[name]()
+    assert isinstance(rep, Report) and rep.checks
+    lines = rep.check_lines("{name}: {check}")
+    assert lines == [f"{key}: {check}"
+                     for key, check in sorted(rep.checks.items())]
+    for line in lines:
+        assert re.fullmatch(r"\S+: (pass|FAIL) value=\S+ bound=\S+ "
+                            r"margin=\S+", line), line
+
+
 def test_sweep_builds_the_gas_law_once_per_rung(monkeypatch, tmp_path):
     # one per rung inside single_run plus one for the certificate; the
     # integrability, weak-residual and CSV steps reuse each rung's gas law
@@ -553,8 +599,8 @@ def test_sweep_builds_the_gas_law_once_per_rung(monkeypatch, tmp_path):
     write_sweep_outputs(res, cfg)
     assert len(res.runs) == 3 and len(res.weak) == 3
     assert len(builds) == 3 + 1
-    assert [r.g.delta for r in res.runs] == [real(cfg, e).delta
-                                             for e in res.eps_list]
+    assert [r.g.delta for r in res.runs] == [
+        real(cfg, e).delta for e in res.series["eps"].tolist()]
 
 
 def test_sweep_window_must_fit_every_rung(monkeypatch):
@@ -645,7 +691,7 @@ def test_sweep_passed_is_the_cli_exit_status(tmp_path, monkeypatch, over,
     rc = cli_main(["sweep", str(cfg_path)])
     res, = results
     assert res.passed is passed
-    assert res.certificate.passed is passed and res.converging
+    assert res.certificate.passed is passed and not res.failing()
     assert rc == (0 if res.passed else 1)
 
 
@@ -756,7 +802,7 @@ def test_cli_run_overflowing_initial_state_prints_only_the_error(tmp_path,
 
 def test_cauchy_rule_allows_one_violation_and_passes_at_the_bound():
     def rule(distances):
-        return _cauchy_check(np.array(distances))
+        return _cauchy(np.array(distances))[1]
     # ratios 0.9, 1/9, 0.9: the second-largest sits at the bound and passes
     assert rule([10.0, 9.0, 1.0, 0.9]).value == 0.9
     assert rule([10.0, 9.0, 1.0, 0.9])
@@ -766,7 +812,7 @@ def test_cauchy_rule_allows_one_violation_and_passes_at_the_bound():
     # fewer than two ratios, or vanishing distances: a vacuous pass
     assert rule([1.0, 2.0]).value == -np.inf
     assert rule([1e-15, 1e-14, 1e-15]).value == -np.inf
-    assert len(_cauchy_ratios(np.array([1e-15, 1e-14, 1e-15]))) == 0
+    assert len(_cauchy(np.array([1e-15, 1e-14, 1e-15]))[0]) == 0
     # a NaN ratio sorts above every number: two of them fail
     assert not rule([1.0, np.nan, np.nan, 0.5])
 
