@@ -9,28 +9,30 @@ entropy inequality for convex generators).
 
 The per-sample monitors read the grid, gas law, eps and fixed geometry
 (A, A'/A, (A'/A)') from the SolverContext that ``run`` steps with and hands
-to ``Recorder.sample``; none of them evaluates the profile.  A sample
-evaluates only the context's hull (the nodes a step has moved) plus the
-monitors' stencil; the frozen exterior's terms come from a per-run table
-filled by the first, whole-grid sample.  The weak residuals contract the
-tensor-product test functions with small matrix products and evaluate the
-entropy kernel once per state they see.
+to ``Recorder.sample``; none of them evaluates the profile.  A sample holds
+the nodes the context stores, and the monitors sum its live nodes (those
+that may differ from their end's far state); every other node holds its
+far state, whose terms each monitor adds in closed form.  The weak residuals
+contract the tensor-product test functions with small matrix products and
+evaluate the entropy kernel once per state they see.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .checks import Check, Report
-from .entropy import (EntropyGenerator, ReferenceState, gen_convex_spline,
-                      gen_half_square, gen_smoothed_abs, get_kernel,
-                      modified_energy_gradient, quartic_entropy, smooth_bump)
+from .entropy import (BLEND_HALF_WIDTH, EntropyGenerator, ReferenceState,
+                      gen_convex_spline, gen_half_square, gen_smoothed_abs,
+                      get_kernel, modified_energy_gradient, quartic_entropy,
+                      smooth_bump)
 from .errors import CavitationError, ConfigError
 from .geometry import NozzleProfile, SphericalProfile
-from .solver import (BCMode, FluidField, SolverContext,
+from .solver import (BLOCK, BCMode, FluidField, Grid, SolverContext,
                      hyperbolic_interface_data)
 from .thermo import GasLaw
 
@@ -101,23 +103,27 @@ class DiagnosticsReport(Report):
                           f"hull={self.hull[0]},{self.hull[1]}"]
                    + self.check_lines("check {name} = {check}")
                    + [f"note: {note}" for note in self.notes],
-                   [col for col, _ in present], [arr for _, arr in present])
+                   [col for col, _ in present], len(self.t),
+                   lambda lo, hi: [arr[lo:hi] for _, arr in present])
 
 
-def _write_csv(path, comments, header, columns) -> None:
-    """``# `` comment lines, the header and the columns as rows, LF-ended;
-    each distinct value of a column is formatted once, as %.12g."""
-    text = []
-    for col in columns:
-        # distinct bit patterns, so -0.0 keeps its sign
-        bits, inverse = np.unique(np.ascontiguousarray(col, dtype=float)
-                                  .view(np.int64), return_inverse=True)
-        text.append(np.array(["%.12g" % v for v in bits.view(float).tolist()],
-                             dtype=object)[inverse].tolist())
-    lines = [f"# {c}" for c in comments] + [",".join(header)]
-    lines += map(",".join, zip(*text))
+def _write_csv(path, comments, header, n_rows, columns) -> None:
+    """``# `` comment lines, the header and n_rows rows, LF-ended.  The rows
+    go out BLOCK at a time, ``columns(lo, hi)`` giving the columns of rows
+    [lo, hi); each distinct value of a block's column is formatted once,
+    as %.12g."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([f"# {c}" for c in comments] + [",".join(header)])
+                 + "\n")
+        for lo in range(0, n_rows, BLOCK):
+            text = []
+            for col in columns(lo, min(lo + BLOCK, n_rows)):
+                # distinct bit patterns, so -0.0 keeps its sign
+                bits, inverse = np.unique(np.ascontiguousarray(col, dtype=float)
+                                          .view(np.int64), return_inverse=True)
+                text.append(np.array(["%.12g" % v for v in bits.view(float).tolist()],
+                                     dtype=object)[inverse].tolist())
+            fh.write("\n".join(map(",".join, zip(*text))) + "\n")
 
 
 for _name, _ in SERIES:
@@ -130,44 +136,93 @@ for _name, _ in SERIES:
 # ---------------------------------------------------------------------------
 
 
-# Each monitor evaluates the items (trapezoid intervals, llf interfaces or
-# nodes) of a node range [lo, hi), by default the whole grid.  Given ``out``,
-# a row per result over all the grid's items, it writes the range's terms
-# into it and reduces whole rows: the Recorder's frozen exterior.
-Nodes = Optional[tuple[int, int]]
+# a node that differs from its far state changes monitored items up to
+# HULL_PAD nodes away: an energy-rate interval reads the centered gradients
+# at both its end nodes
+HULL_PAD = 2
 
 
-def _place(terms: np.ndarray, start: int, out: Optional[np.ndarray]):
-    """``out`` with ``terms`` written from item ``start`` on, else ``terms``."""
-    if out is None:
-        return terms
-    out[..., start:start + terms.shape[-1]] = terms
-    return out
+def _stored(ctx: SolverContext, field: FluidField, lo: Optional[int] = None,
+            hi: Optional[int] = None) -> tuple[FluidField, int, int]:
+    """``field`` on every node the context stores, which it grows to hold
+    the field's arrays and [lo, hi), and the nodes [a, b) of its arrays
+    whose terms the monitors sum: the context's live nodes padded by
+    HULL_PAD, and [lo, hi).  Every other node holds its end's far state.
+    A field whose end states are not the far states is stored up to the
+    domain end and summed whole."""
+    n, (left, right), far = ctx.grid.n_nodes, field.ends, ctx.far_states
+    a = field.lo if left is not None and left == far[0] else 0
+    b = field.hi if right is not None and right == far[1] else n
+    live = ctx.live if (a, b) == (field.lo, field.hi) else None
+    if lo is not None:
+        a, b = min(a, lo), max(b, hi)
+        if live is not None:
+            live = min(live[0], lo), max(live[1], hi)
+    ctx.store(a, b)
+    f = field.over(ctx.lo, ctx.hi)
+    if live is None:
+        return f, 0, f.rho.size
+    return (f, max(live[0] - HULL_PAD - ctx.lo, 0),
+            min(live[1] + HULL_PAD - ctx.lo, f.rho.size))
 
 
-def _integral(y: np.ndarray, x: np.ndarray, start: int, out=None) -> float:
-    """np.trapezoid(y, x) on the nodes from ``start`` on, as a sum of its
-    interval terms: those of the whole ``out`` row once they are in it."""
-    return float(np.sum(_place(np.diff(x) * (y[1:] + y[:-1]) / 2.0, start,
-                               out)))
+def _far_past(ctx: SolverContext, lo: int, hi: int) -> list:
+    """The far states of the nodes on each side of [lo, hi), indices into
+    the stored arrays, that the grid has there."""
+    return [end for end, past in zip(ctx.far_states,
+                                     (ctx.lo + lo > 0,
+                                      ctx.lo + hi < ctx.grid.n_nodes)) if past]
 
 
-def energy_budget(ctx: SolverContext, field: FluidField, ref: ReferenceState,
-                  nodes: Nodes = None, out=None) -> tuple[float, dict]:
+def _integral(y: np.ndarray, x: np.ndarray) -> float:
+    """np.trapezoid(y, x) as a sum of its interval terms."""
+    return float(np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
+
+
+@lru_cache(maxsize=16)
+def _energy_nodes(grid: Grid, g: GasLaw, ref: ReferenceState,
+                  ends: tuple) -> tuple[int, int]:
+    """The nodes [lo, hi) the energy monitor needs stored besides a field's
+    arrays, (n, 0) for none: the reference's blend [-L0, L0] with one node
+    more on each side, and up to the domain end each end whose state in
+    ``ends`` is not the reference's there, up to the rounding of m / rho."""
+    n = grid.n_nodes
+    lo, hi = n, 0
+    if (ref.rho_minus, ref.u_minus) != (ref.rho_plus, ref.u_plus):
+        L0 = BLEND_HALF_WIDTH
+        lo, hi = grid.searchsorted(-L0) - 1, grid.searchsorted(L0, "right") + 1
+    for side, end in enumerate(ends):
+        rho_r, u_r = ((ref.rho_minus, ref.u_minus),
+                      (ref.rho_plus, ref.u_plus))[side]
+        if end is not None and not (
+                end[0] == rho_r and abs(g.velocity(*end) - u_r)
+                <= 4.0 * np.spacing(abs(u_r))):
+            lo, hi = (0, max(hi, 1)) if side == 0 else (min(lo, n - 1), n)
+    return lo, hi
+
+
+def energy_budget(ctx: SolverContext, field: FluidField,
+                  ref: ReferenceState) -> tuple[float, dict]:
     """Relative energy E and the instantaneous dissipation-rate components.
 
     E integrates the relative energy density against A(x) dx (trapezoid).
     The dissipation rate integrates eps*(h''(rho) rho_x^2 + rho u_x^2 + geo)
     with centered differences; the geometric piece is (n-1) rho u^2 / x^2 in
     the spherical geometry and |(A'/A)' rho u (u - u_bar)| otherwise.  The
-    reference state is evaluated once, for both.  ``out`` has a row for each
-    of the three.
+    reference state is evaluated once, for both.
+
+    The terms are summed over the live nodes (``_stored``).  Every other
+    node holds its end's far state, where the gradients vanish; so do the relative
+    energy and the geometric piece where the reference is that same state,
+    up to the rounding of u = m / rho.  So the context also stores the
+    reference's blend [-L0, L0], and reaches each domain end whose far
+    state differs from the reference's there.
     """
-    g, profile, n = ctx.g, ctx.profile, ctx.grid.n_nodes
-    lo, hi = nodes or (0, n)
-    ext = slice(max(lo - 1, 0), min(hi + 1, n))  # the gradients read +-1
+    g, profile = ctx.g, ctx.profile
+    f, lo, hi = _stored(ctx, field, *_energy_nodes(ctx.grid, g, ref, field.ends))
+    ext = slice(max(lo - 1, 0), min(hi + 1, f.rho.size))  # gradients read +-1
     core = slice(lo - ext.start, hi - ext.start)
-    x, A, rho, m = ctx.x[ext], ctx.A[ext], field.rho[ext], field.m[ext]
+    x, A, rho, m = ctx.x[ext], ctx.A[ext], f.rho[ext], f.m[ext]
     rho_bar, u_bar = ref.state(x)
     dens = g.relative_energy(rho, m, rho_bar, u_bar)
     u = g.velocity(rho, m)
@@ -179,68 +234,80 @@ def energy_budget(ctx: SolverContext, field: FluidField, ref: ReferenceState,
         geo = (profile.n_dim - 1) * rho * u * u / (x * x)
     else:
         geo = np.abs(ctx.dG[ext] * rho * u * (u - u_bar))
-    rows = [None] * 3 if out is None else out
-    E, rate_h, rate_g = (_integral(f[core] * A[core], x[core], lo, row)
-                         for f, row in zip((dens, hess, geo), rows))
+    E, rate_h, rate_g = (_integral(v[core] * A[core], x[core])
+                         for v in (dens, hess, geo))
     rate_h, rate_g = ctx.eps * rate_h, ctx.eps * rate_g
     return E, {"rate_hessian": rate_h, "rate_geometric": rate_g,
                "rate_total": rate_h + rate_g}
 
 
-def llf_dissipation_rate(ctx: SolverContext, field: FluidField,
-                         nodes: Nodes = None, out=None) -> float:
+def llf_dissipation_rate(ctx: SolverContext, field: FluidField) -> float:
     """Energy drain of the interface dissipation (scheme-internal estimate).
 
     Sums alpha/2 * A * (jump of grad eta_bar) . (jump of state) over the
-    interfaces around the nodes, ghost faces included; nonnegative by
-    convexity.  Heuristic in the sense that it describes the scheme, not the
-    equations.
+    interfaces around the live nodes, ghost faces included; nonnegative
+    by convexity.  Every other interface lies between equal far states,
+    where both jumps are zero.  Heuristic in the sense that it describes
+    the scheme, not the equations.
     """
-    lo, hi = nodes or (0, ctx.grid.n_nodes)
-    data = hyperbolic_interface_data(ctx, field.rho, field.m, field.t,
-                                     (lo, hi))
+    f, lo, hi = _stored(ctx, field)
+    data = hyperbolic_interface_data(ctx, f.rho, f.m, f.t, (lo, hi))
     gl_r, gl_m = modified_energy_gradient(ctx.g, data["rho_L"], data["m_L"])
     gr_r, gr_m = modified_energy_gradient(ctx.g, data["rho_R"], data["m_R"])
     # reference part of grad eta_bar cancels in the jump
     jump = ((gr_r - gl_r) * (data["rho_R"] - data["rho_L"])
             + (gr_m - gl_m) * (data["m_R"] - data["m_L"]))
-    terms = 0.5 * data["alpha"] * ctx.Ah_full[lo:hi + 1] * jump
-    return float(np.sum(_place(terms, lo, out)))
+    return float(np.sum(0.5 * data["alpha"] * ctx.Ah_full[lo:hi + 1] * jump))
 
 
-def riemann_monitor(ctx: SolverContext, field: FluidField, nodes: Nodes = None,
-                    out=None) -> tuple[float, float, float]:
+def riemann_monitor(ctx: SolverContext,
+                    field: FluidField) -> tuple[float, float, float]:
     """(max w, min z, correction rate) for the current field.
 
     The rate is the sup-norm of u sqrt(p') A'/A - eps (A'/A)' u; its time
     integral is the correction, and max w minus the correction is what
-    should be non-increasing (min z plus it non-decreasing).
+    should be non-increasing (min z plus it non-decreasing).  The far
+    states' invariants join the extremes; their rate is zero, since a far
+    state is at rest or lies in a duct of uniform area.
     """
     g = ctx.g
-    win = slice(*(nodes or (0, ctx.grid.n_nodes)))
-    rho = field.rho[win]
+    f, lo, hi = _stored(ctx, field)
+    ends = _far_past(ctx, lo, hi)
+    rho = np.append(f.rho[lo:hi], [e[0] for e in ends])
+    m = np.append(f.m[lo:hi], [e[1] for e in ends])
     if np.min(rho) < g.rho_floor:
         raise CavitationError("invariants undefined: density at the vacuum floor")
-    u = field.m[win] / rho
+    u = m / rho
     w, z = g.riemann_invariants(rho, u)
-    c = g.sound_speed(rho)
-    rate = np.abs(u * c * ctx.G[win] - ctx.eps * ctx.dG[win] * u)
-    w, z, rate = _place(np.stack((w, z, rate)), win.start, out)
+    u = u[:hi - lo]
+    c = g.sound_speed(rho[:hi - lo])
+    rate = np.abs(u * c * ctx.G[lo:hi] - ctx.eps * ctx.dG[lo:hi] * u)
     return float(np.max(w)), float(np.min(z)), float(np.max(rate))
 
 
-def vacuum_functional(field: FluidField, rho_tilde: float, nodes: Nodes = None,
-                      out=None) -> float:
-    """Trapezoid integral of 1/rho - 1/rho_t + (rho - rho_t)/rho_t^2 on {rho < rho_t}."""
+def vacuum_functional(field: FluidField, rho_tilde: float) -> float:
+    """Trapezoid integral of 1/rho - 1/rho_t + (rho - rho_t)/rho_t^2 on {rho < rho_t}.
+
+    The intervals that reach the field's arrays are summed node by node;
+    past them the integrand is the end state's constant, times the length.
+    """
     if rho_tilde <= 0.0:
         raise ConfigError("rho_tilde must be positive")
-    win = slice(*(nodes or (0, field.grid.n_nodes)))
-    rho = field.rho[win]
-    r = np.maximum(rho, 1e-300)
-    phi = np.where(rho < rho_tilde,
-                   1.0 / r - 1.0 / rho_tilde + (rho - rho_tilde) / rho_tilde ** 2,
-                   0.0)
-    return _integral(phi, field.grid.x[win], win.start, out)
+
+    def phi(rho):
+        r = np.maximum(rho, 1e-300)
+        return np.where(rho < rho_tilde,
+                        1.0 / r - 1.0 / rho_tilde + (rho - rho_tilde) / rho_tilde ** 2,
+                        0.0)
+
+    grid = field.grid
+    lo, hi = max(field.lo - 1, 0), min(field.hi + 1, grid.n_nodes)
+    x = grid.nodes(lo, hi)
+    total = _integral(phi(field.values(lo, hi)[0]), x)
+    for end, length in zip(field.ends, (x[0] - grid.a, grid.b - x[-1])):
+        if end is not None:
+            total += float(phi(end[0])) * length
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +527,6 @@ GRONWALL_M = 10.0
 # the sharp energy form E + D <= E0 (1 + ENERGY_TOL) of spherical Dirichlet runs
 ENERGY_TOL = 1e-3
 
-# a moved node changes monitored items up to HULL_PAD nodes away: an
-# energy-rate interval reads the centered gradients at both its end nodes
-HULL_PAD = 2
-
-
 class Recorder:
     """Samples a run at fixed times and accumulates the report.
 
@@ -473,8 +535,9 @@ class Recorder:
     series are always recorded, the energy budget when a reference state is
     given.  The boundary mode picks the energy check: the sharp form for
     spherical Dirichlet runs, the Gronwall bound otherwise.  The monitors
-    evaluate ``ctx.hull`` padded by HULL_PAD and take the frozen exterior's
-    terms from a per-run table, so the series equal whole-grid evaluation.
+    sum the context's live nodes and add the far states elsewhere in
+    closed form, so the series equal whole-grid evaluation up to the order
+    of their sums.
     """
 
     def __init__(self, t_end: float, ref: Optional[ReferenceState] = None,
@@ -487,37 +550,13 @@ class Recorder:
         # the sampled rate of each series that integrates one in time
         self._rates: dict[str, list] = {}
         self.ctx: Optional[SolverContext] = None   # fixed by the first sample
-        self._table: dict = {}
         self._snaps: Optional[np.ndarray] = None
-
-    def _new_table(self, n: int) -> dict:
-        """Row views of one stacked array: the field of the last whole-grid
-        sample (NaN until there is one), then each monitor's ``out``; the rows
-        of monitors the run does not record are never touched."""
-        stack, table, i = np.empty((13, n + 1)), {}, 0
-        stack[:2] = np.nan
-        for name, k, width in (("field", 2, n), ("energy", 3, n - 1),
-                               ("llf", 1, n + 1), ("riemann", 3, n),
-                               ("vacuum", 1, n - 1), ("quartic", 1, n - 1)):
-            table[name], i = stack[i:i + k, :width].squeeze(), i + k
-        return table
-
-    def _nodes(self, field: FluidField, ctx: SolverContext) -> tuple[int, int]:
-        """``ctx.hull`` padded by HULL_PAD while every node outside the hull
-        holds its value of the last whole-grid sample; else the whole grid,
-        whose sample this becomes."""
-        n, (lo, hi), frozen = ctx.grid.n_nodes, ctx.hull, self._table["field"]
-        if lo < hi and all(np.array_equal(now[part], then[part])
-                           for now, then in zip((field.rho, field.m), frozen)
-                           for part in (slice(0, lo), slice(hi, n))):
-            return max(lo - HULL_PAD, 0), min(hi + HULL_PAD, n)
-        frozen[:] = field.rho, field.m
-        return 0, n
 
     # -- sampling ------------------------------------------------------------
     def sample(self, field: FluidField, ctx: SolverContext) -> None:
         opt = self.opt
-        if field.grid != ctx.grid:
+        grid = ctx.grid
+        if field.grid != grid:
             raise ConfigError("field grid differs from the context's grid")
         k = len(self._series["t"])  # samples taken so far
         if opt.collect_snapshots and k == opt.sample_count:
@@ -526,45 +565,50 @@ class Recorder:
             self.ctx = ctx
             # the fewest nodes covering the window, to the consumers' WINDOW_TOL
             lo, hi = opt.snapshot_window or (-np.inf, np.inf)
-            i0 = np.searchsorted(ctx.x, lo + WINDOW_TOL) - 1
-            i1 = np.searchsorted(ctx.x, hi - WINDOW_TOL, side="right") + 1
-            self._snap = slice(max(i0, 0), i1)
+            self._snap = (max(grid.searchsorted(lo + WINDOW_TOL) - 1, 0),
+                          min(grid.searchsorted(hi - WINDOW_TOL, "right") + 1,
+                              grid.n_nodes))
             if opt.collect_snapshots:  # (rho, m) rows of each sample in turn
-                self._snaps = np.empty((2, opt.sample_count, ctx.x[self._snap].size))
-            self._rho_tilde = float(np.min(field.rho))
-            self._table = self._new_table(ctx.grid.n_nodes)
+                self._snaps = np.empty((2, opt.sample_count,
+                                        self._snap[1] - self._snap[0]))
+            self._rho_tilde = _min_rho(field)
         elif ctx is not self.ctx:
             raise ConfigError("recorder sampled with another run's context")
-        nodes, tab = self._nodes(field, ctx), self._table
         row, rates = {"t": field.t}, {}
         if self.ref is not None:
-            E, comp = energy_budget(ctx, field, self.ref, nodes, tab["energy"])
+            E, comp = energy_budget(ctx, field, self.ref)
             row.update(energy=E, diss_rate_hessian=comp["rate_hessian"],
                        diss_rate_geometric=comp["rate_geometric"])
             rates["dissipation"] = comp["rate_total"]
         rates["llf_cumulative"] = row["llf_rate"] = llf_dissipation_rate(
-            ctx, field, nodes, tab["llf"])
+            ctx, field)
         if opt.riemann:
             row["max_w"], row["min_z"], rates["correction"] = riemann_monitor(
-                ctx, field, nodes, tab["riemann"])
-        row.update(vacuum_phi=vacuum_functional(field, self._rho_tilde, nodes,
-                                                tab["vacuum"]),
-                   min_rho=float(np.min(field.rho)))
+                ctx, field)
+        row.update(vacuum_phi=vacuum_functional(field, self._rho_tilde),
+                   min_rho=_min_rho(field))
         if opt.quartic:
-            win = slice(*nodes)
-            vals = quartic_entropy(ctx.g, field.rho[win], field.m[win])
-            row["quartic"] = _integral(vals * ctx.A[win], ctx.x[win],
-                                       win.start, tab["quartic"])
+            # a far state's quartic entropy is not zero, and its integral
+            # past the summed nodes needs A there: a run that monitors it
+            # stores every node
+            ctx.store(0, grid.n_nodes)
+            f, lo, hi = _stored(ctx, field)
+            ends = _far_past(ctx, lo, hi)
+            vals = quartic_entropy(ctx.g, np.append(f.rho[lo:hi], [e[0] for e in ends]),
+                                   np.append(f.m[lo:hi], [e[1] for e in ends]))
+            row["quartic"] = _integral(vals[:hi - lo] * ctx.A[lo:hi], ctx.x[lo:hi])
+            for eta, part in zip(vals[hi - lo:], [slice(0, lo + 1)] * (lo > 0)
+                                 + [slice(hi - 1, None)] * (hi < grid.n_nodes)):
+                row["quartic"] += float(eta) * _integral(ctx.A[part], ctx.x[part])
         for name, val in row.items():
             self._series[name].append(val)
         for name, rate in rates.items():
             self._rates.setdefault(name, []).append(rate)
         if opt.collect_snapshots:
-            self._snaps[:, k] = field.rho[self._snap], field.m[self._snap]
+            self._snaps[:, k] = field.values(*self._snap)
 
     # -- wrap-up ---------------------------------------------------------------
     def finalize(self) -> DiagnosticsReport:
-        self._table = {}
         series = {name: np.array(vals) for name, vals in self._series.items()}
         # each integral's trapezoid terms summed in sample order, from 0
         for name, rate in self._rates.items():
@@ -610,9 +654,16 @@ class Recorder:
                 1e-3 * abs(rep.quartic[0]) + 1e-14)
         if self._snaps is not None:
             rho, m = self._snaps[:, :rep.t.size]
-            rep.snapshots = SnapshotSet(t=rep.t.copy(), x=self.ctx.x[self._snap],
+            rep.snapshots = SnapshotSet(t=rep.t.copy(),
+                                        x=self.ctx.grid.nodes(*self._snap),
                                         rho=rho, m=m)
         return rep
+
+
+def _min_rho(field: FluidField) -> float:
+    """The least density of every node, the end states' included."""
+    return float(np.min(np.append(field.rho, [end[0] for end in field.ends
+                                               if end is not None])))
 
 
 def _worst(values: np.ndarray) -> float:

@@ -246,9 +246,13 @@ CERTIFY_RTOL = 1e-10
 CERTIFY_MAX_NODES = 4096
 # Gauss-Jacobi nodes of a kernel's default rules
 KERNEL_NODES = 64
-# states per node product of a callable generator: caps the (states x nodes)
-# arrays at a few MiB
+# states per chunk of a piece table's moment pass: caps its per-piece tail
+# tables below a MiB, and each chunk costs about 0.7 ms of Python
 CHUNK = 2048
+# bytes of each (states x nodes) array of a callable generator's chunk: a
+# larger temporary is mapped and unmapped by the allocator per chunk, and
+# faulting its pages in again cost the ladder's weak residuals 0.2 s
+NODE_CHUNK_BYTES = 1 << 16
 # nodes of the fixed local rules.  A Jacobi rule on [y, 1], y > -1/2, sees
 # its smooth factor (1 + s)^lam analytic two thirds of a half-width past the
 # end: 20 nodes reach rounding, as they do for Legendre on narrow pieces
@@ -294,8 +298,8 @@ class EntropyKernel:
         Takes flat state arrays and returns the moments the assembled
         quantities read: j <= max_order, k <= max(1, j).  Vacuum states
         (rho <= floor) contribute zero to every moment.  A piece table takes
-        the exact moments of ``_piece_moments`` and ignores ``n``; callables
-        take the n-node rule of ``_node_moments``.
+        the exact moments of ``_piece_moments``, CHUNK states at a time, and
+        ignores ``n``; callables take the n-node rule of ``_node_moments``.
         """
         if not (np.isfinite(rho_f).all() and np.isfinite(m_f).all()):
             raise DomainError("states must be finite")
@@ -308,12 +312,16 @@ class EntropyKernel:
             return out
         r = rho_f[pos_idx]
         u, rt = m_f[pos_idx] / r, r ** self.theta
-        if gen.pieces:
-            vals = self._piece_moments(gen, u, rt, list(out))
-        else:
+        if not gen.pieces:
             vals = self._node_moments(gen, u, rt, list(out), n or KERNEL_NODES)
-        for key, val in vals.items():
-            out[key][pos_idx] = val
+            for key, val in vals.items():
+                out[key][pos_idx] = val
+            return out
+        for c in range(0, u.size, CHUNK):
+            sl = slice(c, c + CHUNK)
+            for key, val in self._piece_moments(gen, u[sl], rt[sl],
+                                                list(out)).items():
+                out[key][pos_idx[sl]] = val
         return out
 
     def _piece_moments(self, gen, u, rt, keys):
@@ -423,15 +431,17 @@ class EntropyKernel:
     def _node_moments(self, gen, u, rt, keys, n):
         """Moments of a callable generator on one n-node full-interval rule.
 
-        States go in chunks of CHUNK; each order j is one product
-        psi^(j)(V) @ Q with V = u + rt t and Q[:, k] = w t^k.
+        States go in chunks whose (states x n) arrays take NODE_CHUNK_BYTES;
+        each order j is one product psi^(j)(V) @ Q with V = u + rt t and
+        Q[:, k] = w t^k.
         """
         t, w = self._rule(n, self.lam, self.lam)
         Q = w[:, None] * t[:, None] ** np.arange(max(k for _, k in keys) + 1)
         fns = (gen.psi, gen.dpsi, gen.d2psi)
         vals = {key: np.empty(u.size) for key in keys}
-        for c in range(0, u.size, CHUNK):
-            sl = slice(c, c + CHUNK)
+        step = max(1, NODE_CHUNK_BYTES // (8 * n))
+        for c in range(0, u.size, step):
+            sl = slice(c, c + step)
             V = u[sl, None] + rt[sl, None] * t
             for j in range(max(j for j, _ in keys) + 1):
                 P = fns[j](V) @ Q[:, :max(1, j) + 1]

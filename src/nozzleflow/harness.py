@@ -30,12 +30,18 @@ from .geometry import NozzleProfile, make_profile
 from .schedule import (M_BUDGET, Q_LADDER, ViscositySchedule, certify,
                        certificate_summary)
 from .solver import (CFL, MIN_CELLS, BCMode, BoundarySpec, FluidField, Grid,
-                     InitialData, prepare_initial_data, run)
+                     InitialData, SolverContext, prepare_initial_data, run)
 from .thermo import GasLaw
 
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
+
+# the most nodes a rung's grid may have: its final field and CSV are whole
+# grids (16 and about 60 bytes a node)
+MAX_NODES = 1 << 23
+# the most bytes a run's snapshots may take: 2 x snapshots x window nodes x 8
+MAX_SNAPSHOT_BYTES = 1 << 28
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False,
          "on": True, "off": False, "1": True, "0": False}
@@ -191,10 +197,23 @@ class RunConfig:
             if not 1.0 <= getattr(self, name) < top:
                 raise ConfigError(f"{name} must lie in [1, {spelt}) = "
                                   f"[1, {top:.4g}), got {getattr(self, name)}")
-        # a grid too coarse for the run or any ladder rung fails before any
-        # of them runs
+        # a grid too coarse, or too large, for the run or any ladder rung
+        # fails before any of them runs or allocates
         for eps in (self.eps, *self._schedule.eps_list):
-            self.grid_of(eps)
+            grid = self.grid_of(eps)
+            if grid.n_nodes > MAX_NODES:
+                raise ConfigError(
+                    f"dx = {self.dx:g} gives the eps={eps:g} rung "
+                    f"{grid.n_nodes} nodes, above the limit of {MAX_NODES}")
+            # the Recorder keeps the window's nodes and one more each side
+            span = min(self.window_hi, grid.b) - max(self.window_lo, grid.a)
+            window = min(int(max(span, 0.0) / grid.dx) + 3, grid.n_nodes)
+            size = 2 * self.snapshots * window * 8
+            if size > MAX_SNAPSHOT_BYTES:
+                raise ConfigError(
+                    f"snapshots = {self.snapshots} of {window} window nodes on "
+                    f"the eps={eps:g} rung take {size} bytes, above the limit "
+                    f"of {MAX_SNAPSHOT_BYTES}")
 
     @property
     def spherical(self) -> bool:
@@ -341,7 +360,7 @@ def _parse(key: str, raw: str, hint):
 class RunOutput:
     eps: float
     g: GasLaw                      # the run's gas law (delta from eps)
-    A: np.ndarray                  # the node areas the run stepped with
+    ctx: SolverContext             # the run's context, for its node areas
     field: FluidField
     report: DiagnosticsReport
     label: str = ""
@@ -370,7 +389,7 @@ def single_run(cfg: RunConfig, eps: Optional[float] = None,
     rec = Recorder(cfg.t_end, ref=ref, options=opts, label=label)
     field, report = run(field, g, profile, eps, bc, cfg.t_end, hooks=rec,
                         cfl=cfg.cfl)
-    return RunOutput(eps=eps, g=g, A=rec.ctx.A, field=field, report=report,
+    return RunOutput(eps=eps, g=g, ctx=rec.ctx, field=field, report=report,
                      label=label)
 
 
@@ -551,15 +570,20 @@ def sweep(cfg: RunConfig) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def write_snapshot_csv(path, field: FluidField, g: GasLaw, A: np.ndarray,
+def write_snapshot_csv(path, field: FluidField, g: GasLaw, ctx: SolverContext,
                        eps: float, bc_mode: str, cfl: float) -> None:
+    """The whole-grid ``field`` with the node areas ``ctx`` stepped with."""
     grid = field.grid
+
+    def columns(lo, hi):
+        rho, m = field.values(lo, hi)
+        return grid.nodes(lo, hi), rho, m, g.velocity(rho, m), ctx.area(lo, hi)
+
     _write_csv(path, [f"t={field.t:.10g} gamma={g.gamma:.10g} "
                       f"kappa={g.kappa:.10g} delta={g.delta:.10g} eps={eps:.10g}",
                       f"a={grid.a:.10g} b={grid.b:.10g} n_cells={grid.n_cells} "
                       f"cfl={cfl:g} bc={bc_mode}"],
-               ("x", "rho", "m", "u", "A"),
-               (grid.x, field.rho, field.m, g.velocity(field.rho, field.m), A))
+               ("x", "rho", "m", "u", "A"), grid.n_nodes, columns)
 
 
 def write_outputs(cfg: RunConfig, runs: dict, summary: str) -> Path:
@@ -569,7 +593,7 @@ def write_outputs(cfg: RunConfig, runs: dict, summary: str) -> Path:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for suffix, r in runs.items():
-        write_snapshot_csv(out / f"final{suffix}.csv", r.field, r.g, r.A,
+        write_snapshot_csv(out / f"final{suffix}.csv", r.field, r.g, r.ctx,
                            r.eps, cfg.bc, cfg.cfl)
         r.report.to_csv(out / f"report{suffix}.csv")
     (out / "summary.txt").write_text(summary + "\n")

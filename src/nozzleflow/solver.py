@@ -27,13 +27,17 @@ the whole grid is the window [0, n).  Time-dependent boundary values,
 ``forcing`` and far states that are not steady (nonzero far momentum where
 A' != 0) keep their end, or the whole grid, active.
 
-``SolverContext.advance`` steps arrays that the caller hands over for the
-whole run, in place.  Every node outside the window a step advanced still
-rests on its far state afterwards, so the next window is found by scanning
-only that window; the whole grid is scanned on a run's first step and when
+A run stores only a node range: ``SolverContext.start`` takes the run's
+state on the nodes around the initial data that are not exactly their
+end's far state, and the context grows the range as the windows spread;
+every node outside it holds its far state exactly.  ``advance`` steps that
+state in place.  Every node outside the window a step advanced still rests
+on its far state afterwards, so the next window is found by scanning only
+that window; every stored node is scanned on a run's first step and when
 the scanned window rests wholly on one far state.  The same scan gives the
-wave speed the next dt is taken from.  ``run`` calls ``advance``; ``step``
-copies its field and advances the copy after a whole-grid scan.
+wave speed the next dt is taken from.  ``run`` calls ``advance`` and
+returns the whole-grid field; ``step`` starts the context on its field and
+advances it after a scan of every stored node.
 
 The explicit stage and ``SolverContext.max_wave_speed`` call the gas law's
 unchecked kernels (``GasLaw._pressure``, ``_p_prime``, ``_velocity``) on
@@ -54,7 +58,7 @@ from scipy.linalg.lapack import dgtsv
 from .errors import (CavitationError, ConfigError, DomainError, NonFiniteError,
                      SolverError, StabilityError)
 from .entropy import smooth_bump, smoothstep
-from .geometry import NozzleProfile
+from .geometry import ConstantProfile, NozzleProfile
 from .thermo import GasLaw
 
 BCValue = Union[float, Callable[[float], float]]
@@ -89,24 +93,89 @@ class Grid:
     def x(self) -> np.ndarray:
         return np.linspace(self.a, self.b, self.n_nodes)
 
+    def nodes(self, lo: int, hi: int) -> np.ndarray:
+        """x on the nodes [lo, hi), bit for bit as ``x`` (np.linspace) holds
+        them, without building ``x``."""
+        x = np.arange(lo, hi, dtype=float) * self.dx + self.a
+        if hi == self.n_nodes and hi > lo:
+            x[-1] = self.b
+        return x
+
+    def searchsorted(self, v: float, side: str = "left") -> int:
+        """np.searchsorted(x, v, side) from the few nodes next to v."""
+        k = int(min(max((v - self.a) / self.dx, -2), self.n_nodes + 2))
+        lo, hi = max(k - 2, 0), min(k + 3, self.n_nodes)
+        return lo + int(np.searchsorted(self.nodes(lo, hi), v, side))
+
 
 @dataclass
 class FluidField:
-    """Discrete (rho, m) state with its time stamp."""
+    """Discrete (rho, m) state with its time stamp.
+
+    The arrays hold the nodes [lo, lo + rho.size) of the grid.  Every node
+    below them holds the state ``ends[0]`` and every node past them
+    ``ends[1]``, each a (rho, m) pair, None at a domain end the arrays
+    reach; a whole-grid field has lo = 0 and no ends.
+    """
 
     grid: Grid
     rho: np.ndarray
     m: np.ndarray
     t: float = 0.0
+    lo: int = 0
+    ends: tuple = (None, None)
 
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=float)
         self.m = np.asarray(self.m, dtype=float)
-        if self.rho.shape != (self.grid.n_nodes,) or self.m.shape != (self.grid.n_nodes,):
+        n, hi = self.grid.n_nodes, self.lo + self.rho.size
+        if self.rho.ndim != 1 or self.m.shape != self.rho.shape \
+                or not 0 <= self.lo <= hi <= n:
             raise ConfigError("field arrays must match the grid node count")
+        if (self.ends[0] is None) != (self.lo == 0) \
+                or (self.ends[1] is None) != (hi == n):
+            raise ConfigError("field arrays must match the grid node count: "
+                              "an end state stands for the nodes they leave out")
+        if self.ends != (None, None):
+            self.ends = tuple(None if e is None else (float(e[0]), float(e[1]))
+                              for e in self.ends)
+
+    @property
+    def hi(self) -> int:
+        return self.lo + self.rho.size
 
     def copy(self) -> "FluidField":
-        return FluidField(self.grid, self.rho.copy(), self.m.copy(), self.t)
+        return FluidField(self.grid, self.rho.copy(), self.m.copy(), self.t,
+                          self.lo, self.ends)
+
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        """Rows (rho, m) on the nodes [lo, hi), the ends' states included."""
+        out = np.empty((2, hi - lo))
+        a, b = min(max(self.lo, lo), hi), max(min(self.hi, hi), lo)
+        if a > lo:
+            out[:, :a - lo] = np.reshape(self.ends[0], (2, 1))
+        if b < hi:
+            out[:, b - lo:] = np.reshape(self.ends[1], (2, 1))
+        if a < b:
+            out[:, a - lo:b - lo] = (self.rho[a - self.lo:b - self.lo],
+                                     self.m[a - self.lo:b - self.lo])
+        return out
+
+    def over(self, lo: int, hi: int) -> "FluidField":
+        """The same field with its arrays on [lo, hi), a range that holds
+        theirs; self when it is theirs."""
+        if (lo, hi) == (self.lo, self.hi):
+            return self
+        if not lo <= self.lo <= self.hi <= hi:
+            raise ConfigError(f"nodes [{lo}, {hi}) do not hold the field's "
+                              f"[{self.lo}, {self.hi})")
+        n = self.grid.n_nodes
+        return FluidField(self.grid, *self.values(lo, hi), self.t, lo,
+                          (self.ends[0] if lo > 0 else None,
+                           self.ends[1] if hi < n else None))
+
+    def whole(self) -> "FluidField":
+        return self.over(0, self.grid.n_nodes)
 
 
 class BCMode(Enum):
@@ -178,8 +247,14 @@ class SolverContext:
     """The solver's inputs for one run, with the coefficient arrays they fix.
 
     A context owns the grid, gas law, profile, viscosity and boundary spec;
-    ``step`` and ``run`` take all five from it.  It also keeps the window
-    the last ``advance`` moved and the scan made since, never the arrays.
+    ``step`` and ``run`` take all five from it.  It stores the nodes
+    [lo, hi) of the grid: on them it holds the coefficient arrays (``x``,
+    ``A``, ``G``, ``Ah``, ``Ah_full``, the bands and ``inv_Adx``) and, from
+    ``start`` on, the run's state ``rho`` and ``m``.  Every node outside
+    holds its end's far state, and so does every stored node outside
+    ``live``.  ``store`` grows the range, and the profile is evaluated once
+    on each node it gains.  The context also keeps the window the last
+    ``advance`` moved and the scan made since.
     """
 
     def __init__(self, grid: Grid, g: GasLaw, profile: NozzleProfile,
@@ -191,43 +266,155 @@ class SolverContext:
         self.profile = profile
         self.eps = eps
         self.bc = bc
-        x = grid.x
-        dx = grid.dx
-        self.x = x
-        self.dx = dx
-        self.A = np.asarray(profile.area(x), dtype=float)
-        self.G = np.asarray(profile.dlog(x), dtype=float)
-        # interface areas I_j between nodes j, j+1, plus mirrored ghost faces
-        Ah = np.asarray(profile.area(x[:-1] + 0.5 * dx), dtype=float)
-        self.Ah = Ah
-        self.Ah_full = np.concatenate([[Ah[0]], Ah, [Ah[-1]]])
+        self.dx = grid.dx
+        self.lo = self.hi = 0          # nothing stored yet
+        self.rho = self.m = None       # the run's state, from ``start``
+        # [lo, hi): the stored nodes that may differ from their end's far
+        # state, from ``find_live`` on (None: any stored node may)
+        self.live: Optional[tuple[int, int]] = None
+        self._dG: Optional[np.ndarray] = None
         self.undershoots = 0
-        # diffusion operators per unit eps*dt in LAPACK band rows
-        # (super, diagonal, sub): row 0 holds L[j-1, j] at column j, row 2
-        # holds L[j+1, j]
-        n = grid.n_nodes
-        self.mass_bands = np.zeros((3, n))
-        self.mass_bands[0, 1:] = Ah / (self.A[:-1] * dx * dx)
-        self.mass_bands[2, :-1] = Ah / (self.A[1:] * dx * dx)
-        if bc.mode is BCMode.NEUMANN_SPHERICAL:
-            self.mass_bands[0, 1] = 2.0 * Ah[0] / (self.A[0] * dx * dx)
-        self.mass_bands[1] = -(np.concatenate([[0.0], self.mass_bands[2, :-1]])
-                               + np.concatenate([self.mass_bands[0, 1:], [0.0]]))
-        self.mom_bands = np.zeros((3, n))
-        self.mom_bands[0, 1:] = 1.0 / (dx * dx) + self.G[1:] / (2.0 * dx)
-        self.mom_bands[1] = -2.0 / (dx * dx)
-        self.mom_bands[2, :-1] = 1.0 / (dx * dx) - self.G[:-1] / (2.0 * dx)
-        self.inv_Adx = 1.0 / (self.A * dx)
         self.cells_advanced = 0
         # [lo, hi): union of every window ``advance`` moved, empty at first;
         # each node outside it holds its value from before the first step
-        self.hull = (n, 0)
+        self.hull = (grid.n_nodes, 0)
         self.rescan()
 
-    @cached_property
+    # -- the stored range ------------------------------------------------------
+    def _cover(self, lo: int, hi: int) -> tuple[int, int]:
+        """The nodes to store for [lo, hi): STORE_MARGIN more on each side,
+        and on a side that passes the stored range at least that range's
+        size more, so that the range doubles as the flow spreads."""
+        n, s0, s1 = self.grid.n_nodes, self.lo, self.hi
+        lo, hi = max(lo - STORE_MARGIN, 0), min(hi + STORE_MARGIN, n)
+        if s0 < s1:
+            lo = max(min(lo, 2 * s0 - s1), 0) if lo < s0 else s0
+            hi = min(max(hi, 2 * s1 - s0), n) if hi > s1 else s1
+        return lo, hi
+
+    def store(self, lo: int, hi: int) -> None:
+        """Store at least the nodes [lo, hi); a range that grows takes the
+        nodes of ``_cover`` too.  New nodes get their profile values and,
+        under a state, their end's far state."""
+        old = self.lo, self.hi
+        n = self.grid.n_nodes
+        if old[0] <= max(lo, 0) and min(hi, n) <= old[1] and old[0] < old[1]:
+            return
+        dx, prof, nodes = self.dx, self.profile, self.grid.nodes
+        lo, hi = self._cover(lo, hi)
+        if old[0] < old[1]:
+            lo, hi = min(lo, old[0]), max(hi, old[1])
+        if (lo, hi) == old:
+            return
+        if self.rho is not None:
+            self.rho, self.m = self._state(0.0).values(lo, hi)
+
+        def grown(arr, fn, was, now):
+            if was[0] >= was[1]:
+                return fn(*now)
+            return np.concatenate((fn(now[0], was[0]), arr, fn(was[1], now[1])))
+
+        def of(method, shift=0.0):
+            return lambda a, b: np.asarray(method(nodes(a, b) + shift),
+                                           dtype=float)
+
+        new = lo, hi
+        self.x = grown(getattr(self, "x", None), nodes, old, new)
+        self.A = grown(getattr(self, "A", None), of(prof.area), old, new)
+        self.G = grown(getattr(self, "G", None), of(prof.dlog), old, new)
+        if self._dG is not None:
+            self._dG = grown(self._dG, of(prof.dlog_prime), old, new)
+        # the faces I_j between nodes j, j+1 that the range reaches
+        self.Ah = grown(getattr(self, "Ah", None), of(prof.area, 0.5 * dx),
+                        (max(old[0] - 1, 0), min(old[1], n - 1)),
+                        (max(lo - 1, 0), min(hi, n - 1)))
+        self.lo, self.hi = lo, hi
+        self._derive()
+
+    def _derive(self) -> None:
+        """The arrays built from A, G and the face areas on the range.  The
+        bands hold the diffusion operators per unit eps*dt in LAPACK band
+        rows (super, diagonal, sub): row 0 holds L[j-1, j] at column j,
+        row 2 holds L[j+1, j].  At an edge of the range that is no domain
+        end, the columns' entries that reach outside it are not built; no
+        window comes that close."""
+        n, dx, N, Ah = self.grid.n_nodes, self.dx, self.hi - self.lo, self.Ah
+        # faces I_(lo-1) .. I_(hi-1), a domain end's ghost face mirrored
+        self.Ah_full = np.concatenate([Ah[:1]] * (self.lo == 0) + [Ah]
+                                      + [Ah[-1:]] * (self.hi == n))
+        inner = self.Ah_full[1:N]
+        mass = np.zeros((3, N))
+        mass[0, 1:] = inner / (self.A[:-1] * dx * dx)
+        mass[2, :-1] = inner / (self.A[1:] * dx * dx)
+        if self.bc.mode is BCMode.NEUMANN_SPHERICAL and self.lo == 0:
+            mass[0, 1] = 2.0 * inner[0] / (self.A[0] * dx * dx)
+        mass[1] = -(np.concatenate([[0.0], mass[2, :-1]])
+                    + np.concatenate([mass[0, 1:], [0.0]]))
+        mom = np.empty((3, N))
+        mom[0] = 1.0 / (dx * dx) + self.G / (2.0 * dx)
+        mom[1] = -2.0 / (dx * dx)
+        mom[2] = 1.0 / (dx * dx) - self.G / (2.0 * dx)
+        if self.lo == 0:
+            mom[0, 0] = 0.0
+        if self.hi == n:
+            mom[2, -1] = 0.0
+        self.mass_bands, self.mom_bands = mass, mom
+        self.inv_Adx = 1.0 / (self.A * dx)
+        # the largest off-diagonal entry of either diffusion operator
+        self.band_max = float(max(np.max(np.abs(b[[0, 2]])) for b in (mass, mom)))
+
+    def area(self, lo: int, hi: int) -> np.ndarray:
+        """A on the nodes [lo, hi): the stored values on stored nodes, the
+        profile's on the others."""
+        a, b = min(max(self.lo, lo), hi), max(min(self.hi, hi), lo)
+        stored = self.A[a - self.lo:b - self.lo] if a < b else np.empty(0)
+        return np.concatenate([self.profile.area(self.grid.nodes(lo, a)), stored,
+                               self.profile.area(self.grid.nodes(b, hi))])
+
+    @property
     def dG(self) -> np.ndarray:
-        """(A'/A)' at the nodes; only the monitors read it."""
-        return np.asarray(self.profile.dlog_prime(self.x), dtype=float)
+        """(A'/A)' at the stored nodes; only the monitors read it."""
+        if self._dG is None:
+            self._dG = np.asarray(self.profile.dlog_prime(self.x), dtype=float)
+        return self._dG
+
+    # -- the run's state -------------------------------------------------------
+    def start(self, field: FluidField) -> None:
+        """Take a copy of ``field`` as the run's state, which ``advance``
+        steps in place, and forget the last scan.  The range comes to hold
+        the field's arrays, and reaches each domain end whose nodes the
+        field leaves at another state than that end's far state."""
+        n, (left, right), far = self.grid.n_nodes, field.ends, self.far_states
+        lo = field.lo if left is not None and left == far[0] else 0
+        hi = field.hi if right is not None and right == far[1] else n
+        self.rho = self.m = None
+        if lo < self.lo or hi > self.hi or self.lo == self.hi:
+            self.store(lo, hi)
+        self.rho, self.m = field.values(self.lo, self.hi)
+        self.live = None
+        self.rescan()
+
+    def find_live(self) -> None:
+        """Set ``live`` to the stored nodes from the first off the left far
+        state to the last off the right one (an end without a far state has
+        none on); each ``advance`` widens it by its window."""
+        off = [np.ones(self.rho.size, bool) if end is None
+               else (self.rho != end[0]) | (self.m != end[1])
+               for end in self.far_states]
+        i = self.lo + int(off[0].argmax()) if off[0].any() else self.hi
+        j = self.hi - int(off[1][::-1].argmax()) if off[1].any() else self.lo
+        self.live = (min(i, j), j)
+
+    def _state(self, t: float) -> FluidField:
+        """The run's state as a field on the context's own arrays."""
+        n = self.grid.n_nodes
+        return FluidField(self.grid, self.rho, self.m, t, self.lo,
+                          (self.far_states[0] if self.lo > 0 else None,
+                           self.far_states[1] if self.hi < n else None))
+
+    def field(self, t: float) -> FluidField:
+        """A copy of the run's state at time t, on the stored nodes."""
+        return self._state(t).copy()
 
     def max_wave_speed(self, rho: np.ndarray, m: np.ndarray) -> float:
         """max(|u| + c) over float arrays; rho clamped at 0 needs no check."""
@@ -246,32 +433,41 @@ class SolverContext:
         """Per end, the far state (rho, m) that frozen nodes may rest on.
 
         None where the end has no constant Dirichlet state, or where that
-        state is not a discrete steady state: the explicit stage and both
-        diffusion operators applied to it must vanish on the interior.
+        state is not a discrete steady state (``_steady``).
         """
-        n = self.grid.n_nodes
         bc = self.bc
         ends = []
         for rho_f, m_f in ((bc.rho_left, bc.m_left), (bc.rho_right, bc.m_right)):
-            if rho_f is None or callable(rho_f) or callable(m_f):
-                ends.append(None)
-                continue
-            rho, m = np.full(n, float(rho_f)), np.full(n, float(m_f))
-            c_rho, c_m = _hyperbolic_rhs(self, rho, m, 0.0, (2, n - 2))
-            resid = max(np.max(np.abs(c_rho)), np.max(np.abs(c_m)),
-                        self.eps * np.max(np.abs(_apply(self.mass_bands, rho))),
-                        self.eps * np.max(np.abs(_apply(self.mom_bands, m))))
-            rate = (self.max_wave_speed(rho[:1], m[:1]) / self.dx
-                    + self.eps * self.band_max) * (abs(rho_f) + abs(m_f))
-            ends.append((float(rho_f), float(m_f))
-                        if resid <= STEADY_RTOL * rate else None)
+            ends.append(None if rho_f is None or callable(rho_f) or callable(m_f)
+                        or not self._steady(float(rho_f), float(m_f))
+                        else (float(rho_f), float(m_f)))
         return tuple(ends)
 
-    @cached_property
-    def band_max(self) -> float:
-        """Largest off-diagonal entry of either diffusion operator."""
-        return float(max(np.max(np.abs(b[[0, 2]]))
-                         for b in (self.mass_bands, self.mom_bands)))
+    def _steady(self, rho_f: float, m_f: float) -> bool:
+        """Whether the explicit stage and both diffusion operators, applied
+        to the constant state, vanish on the interior to STEADY_RTOL times
+        the rate scale (wave speed / dx + eps * largest band entry).
+
+        On a constant state the limited slopes, the face jumps and the
+        pressure difference are exact zeros: the explicit rates are m_f
+        times differences of face areas, and the diffusion rows rounding
+        plus m_f times differences of A'/A.  So a state at rest, or any
+        state in a uniform duct, is steady; only a moving state in a duct
+        whose area varies is tested, on a context that stores every node.
+        """
+        if m_f == 0.0 or isinstance(self.profile, ConstantProfile):
+            return True
+        n = self.grid.n_nodes
+        probe = SolverContext(self.grid, self.g, self.profile, self.eps, self.bc)
+        probe.store(0, n)
+        rho, m = np.full(n, rho_f), np.full(n, m_f)
+        c_rho, c_m = _hyperbolic_rhs(probe, rho, m, 0.0, (2, n - 2))
+        resid = max(np.max(np.abs(c_rho)), np.max(np.abs(c_m)),
+                    self.eps * np.max(np.abs(_apply(probe.mass_bands, rho))),
+                    self.eps * np.max(np.abs(_apply(probe.mom_bands, m))))
+        rate = (self.max_wave_speed(rho[:1], m[:1]) / self.dx
+                + self.eps * probe.band_max) * (abs(rho_f) + abs(m_f))
+        return resid <= STEADY_RTOL * rate
 
     @cached_property
     def far_speed(self) -> float:
@@ -312,65 +508,68 @@ class SolverContext:
 
     def _rest_ends(self, rho: np.ndarray, m: np.ndarray,
                    span: Optional[tuple[int, int]]) -> tuple[int, int]:
-        """(i, j): i is the first node off the left far state and j - 1 the
-        last node off the right one, swapped when i > j; (0, n) when no node
-        is off either.  NaN rests nowhere.
+        """(i, j) in grid indices: i is the first node off the left far
+        state and j - 1 the last node off the right one, swapped when
+        i > j; (0, n) when no node is off either.  NaN rests nowhere.
 
-        Only the nodes of ``span`` (None: all) are scanned, which is exact
-        when every node below it rests on the left far state and every node
-        past it on the right one.  A span that rests wholly on one far state
-        cannot place that end, and the whole grid is scanned instead.
+        ``rho`` and ``m`` hold the stored nodes.  Only the nodes of
+        ``span`` (None: all stored) are scanned, which is exact when every
+        node below it rests on the left far state and every node past it
+        on the right one; the nodes past the stored range hold their far
+        states, as the range's outermost nodes do.  A span that rests
+        wholly on one far state cannot place that end, and every stored
+        node is scanned instead.
         """
-        n = rho.size
-        lo, hi = span or (0, n)
+        n, s0 = self.grid.n_nodes, self.lo
+        lo, hi = span or (s0, s0 + rho.size)
         rho_lo, rho_hi, m_lo, m_hi = self.rest_box
-        r, q = rho[lo:hi], m[lo:hi]
+        r, q = rho[lo - s0:hi - s0], m[lo - s0:hi - s0]
         rests = (r >= rho_lo) & (r <= rho_hi) & (q >= m_lo) & (q <= m_hi)
         left, right = rests[0], rests[1, ::-1]
         i, k = int(left.argmin()), int(right.argmin())
-        if hi - lo < n and (left[i] or right[k]):
+        if span is not None and (left[i] or right[k]):
             return self._rest_ends(rho, m, None)
         i = n if left[i] else lo + i
         j = 0 if right[k] else hi - k
         return min(i, j), max(i, j)
 
     def rescan(self) -> None:
-        """Forget the last scan, so the next one covers the whole grid; due
-        before ``advance`` is handed arrays its last call did not update."""
+        """Forget the last scan, so the next one covers every stored node."""
         self._moved: Optional[tuple[int, int]] = None
         self._scan: Optional[tuple[int, int, float]] = None
 
-    def scan(self, rho: np.ndarray, m: np.ndarray,
-             forced: bool) -> tuple[int, int, float]:
+    def scan(self, forced: bool) -> tuple[int, int, float]:
         """(lo, hi, lam): the nodes off their far states padded by the
         explicit stencil, and lam = max(|u| + c) over them and the far
         states outside them; cfl dx / lam bounds the next dt.  ``forced``
         (a run with forcing) gives the whole grid.
 
-        The scan covers the window the last ``advance`` moved (the whole
-        grid after ``rescan``) and is kept until the next ``advance``.
+        The scan covers the window the last ``advance`` moved (every stored
+        node after ``start``) and is kept until the next ``advance``.
         """
         if self._scan is None:
-            n = rho.size
-            i, j = (0, n) if forced else self._rest_ends(rho, m, self._moved)
+            n = self.grid.n_nodes
+            i, j = (0, n) if forced else self._rest_ends(self.rho, self.m,
+                                                         self._moved)
             lo, hi = max(i - 4, 0), min(j + 4, n)
-            lam = self.max_wave_speed(rho[lo:hi], m[lo:hi])
+            if lo < self.lo or hi > self.hi:
+                self.store(lo, hi)
+            win = slice(lo - self.lo, hi - self.lo)
+            lam = self.max_wave_speed(self.rho[win], self.m[win])
             if hi - lo < n:
                 lam = max(lam, self.far_speed)
             self._scan = lo, hi, lam
         return self._scan
 
-    def advance(self, rho: np.ndarray, m: np.ndarray, t: float, dt: float, *,
-                cfl: float = CFL, forcing: Optional[Callable] = None
-                ) -> tuple[int, int]:
-        """Advance (rho, m) at time t by one IMEX step of size dt, in place;
-        returns the node range [lo, hi) it moved.
+    def advance(self, t: float, dt: float, *, cfl: float = CFL,
+                forcing: Optional[Callable] = None) -> tuple[int, int]:
+        """Advance the run's state at time t by one IMEX step of size dt,
+        in place; returns the node range [lo, hi) it moved.
 
-        The arrays belong to the caller's run: between calls nothing else
-        may change them (call ``rescan`` when other arrays come in).  The
-        range is the ``scan`` window (the whole grid under ``forcing``)
+        The range is the ``scan`` window (the whole grid under ``forcing``)
         padded by the margin after which the implicit solve's Green's
         function has decayed below GREEN_DECAY; the other nodes are frozen.
+        The stored range first grows to hold it with STORE_MARGIN to spare.
         dt must respect the advective bound cfl dx / max(|u| + c) over the
         range; the rest box's ``rest_speed`` bounds the nodes that the scan
         window leaves out.
@@ -378,17 +577,24 @@ class SolverContext:
         if dt <= 0.0:
             raise StabilityError("dt must be positive")
         forced = forcing is not None
-        n = rho.size
-        lo, hi, lam = self.scan(rho, m, forced)
+        n = self.grid.n_nodes
+        lo, hi, lam = self.scan(forced)
         if hi - lo < n:
             lam = max(lam, self.rest_speed)
         bound = cfl * self.dx / lam
         if dt > bound * (1.0 + 1e-9):
             raise StabilityError(
                 f"dt={dt:.3e} exceeds the advective bound {bound:.3e}")
-        pad = _green_margin(self.eps * dt * self.band_max)
-        lo, hi = max(lo - pad, 0), min(hi + pad, n)
-        win = slice(lo, hi)
+        while True:  # the margin reads the band entries of the nodes it adds
+            pad = _green_margin(self.eps * dt * self.band_max)
+            wlo, whi = max(lo - pad, 0), min(hi + pad, n)
+            if self.lo <= max(wlo - STORE_MARGIN, 0) \
+                    and min(whi + STORE_MARGIN, n) <= self.hi:
+                break
+            self.store(wlo - STORE_MARGIN, whi + STORE_MARGIN)
+        lo, hi = wlo, whi
+        rho, m, s0 = self.rho, self.m, self.lo
+        win = slice(lo - s0, hi - s0)
         self._moved, self._scan = (lo, hi), None
 
         # two-stage (Heun) explicit convection: a single forward-Euler stage
@@ -398,14 +604,15 @@ class SolverContext:
         # arrays carry the stage state, so stage 2 reads frozen neighbours.
         floor = self.g.rho_floor
         rho0, m0 = rho[win].copy(), m[win].copy()
-        c1_rho, c1_m = _hyperbolic_rhs(self, rho, m, t, (lo, hi))
+        c1_rho, c1_m = _hyperbolic_rhs(self, rho, m, t, (win.start, win.stop))
         rho[win] = np.maximum(rho0 + dt * c1_rho, floor)
         m[win] = m0 + dt * c1_m
         if forced:
             f1_rho, f1_m = (np.asarray(v, dtype=float) for v in forcing(self.x, t))
             rho[win] = np.maximum(rho[win] + dt * f1_rho, floor)
             m[win] = m[win] + dt * f1_m
-        c2_rho, c2_m = _hyperbolic_rhs(self, rho, m, t + dt, (lo, hi))
+        c2_rho, c2_m = _hyperbolic_rhs(self, rho, m, t + dt,
+                                       (win.start, win.stop))
         rho_s = rho0 + 0.5 * dt * (c1_rho + c2_rho)
         m_s = m0 + 0.5 * dt * (c1_m + c2_m)
         if forced:
@@ -422,6 +629,9 @@ class SolverContext:
         self.undershoots += np.count_nonzero(rho_s[1:-1] < floor)
         self.cells_advanced += hi - lo
         self.hull = (min(self.hull[0], lo), max(self.hull[1], hi))
+        if self.live is not None:
+            self.live = ((lo, hi) if self.live[0] >= self.live[1] else
+                         (min(self.live[0], lo), max(self.live[1], hi)))
 
         # the window's end rows are pinned: to the boundary values at a
         # domain end (the axis end keeps its mirrored row), else to the
@@ -456,6 +666,14 @@ class SolverContext:
             if mine is not given and mine != given:
                 raise ConfigError(f"solver context was built for another {what}")
 
+
+# the stored range reaches this many nodes past every window a step moves
+# (and past a started field's arrays), so that its outermost nodes hold the
+# far states and every stencil of a step or a monitor stays inside it
+STORE_MARGIN = 4
+# initial data and output rows go in blocks of this many nodes, so that a
+# pass over the whole grid holds no whole-grid array
+BLOCK = 1 << 14
 
 # a node within FAR_STATE_TOL * (|rho| + |m|) of its end's far state rests
 # there; the bound sits well above the roundoff that the explicit stage and
@@ -507,32 +725,38 @@ def _minmod3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def _extend(rho, m, ctx: SolverContext, t: float, lo: int,
             hi: int) -> np.ndarray:
-    """Rows (rho, m) on nodes lo-2 .. hi+1, the reconstruction stencil of
-    the nodes [lo, hi).
+    """Rows (rho, m) on nodes lo-2 .. hi+1 of the stored arrays, the
+    reconstruction stencil of the nodes [lo, hi).
 
-    Inside the grid the values come from the full arrays (frozen neighbours
-    are stencil data); past a domain end the ghost node repeats once more, so
-    its limited slope comes out zero.  Dirichlet ghosts extrapolate linearly
-    through the pinned boundary value (constant extrapolation would cut the
-    boundary cells to first order); the axis end mirrors with even density
-    and odd momentum.
+    Inside the stored range the values come from the arrays (frozen
+    neighbours are stencil data); past an edge of it inside the grid, a
+    node holds its end's far state; past a domain end the ghost node
+    repeats once more, so its limited slope comes out zero.  Dirichlet
+    ghosts extrapolate linearly through the pinned boundary value
+    (constant extrapolation would cut the boundary cells to first order);
+    the axis end mirrors with even density and odd momentum.
     """
     n = rho.size
     s0, s1 = max(lo - 2, 0), min(hi + 2, n)
-    head, tail = s0 - (lo - 2), hi + 2 - s1  # ghost entries at each end
+    head, tail = s0 - (lo - 2), hi + 2 - s1  # entries past each array end
     ve = np.empty((2, hi - lo + 4))
     ve[0, head:head + s1 - s0], ve[1, head:head + s1 - s0] = rho[s0:s1], m[s0:s1]
     if head:
-        if ctx.bc.mode is BCMode.NEUMANN_SPHERICAL:
+        if ctx.lo > 0:
+            ve[:, :head] = np.reshape(ctx.far_states[0], (2, 1))
+        elif ctx.bc.mode is BCMode.NEUMANN_SPHERICAL:
             ve[:, :head] = ((rho[1],), (-m[1],))
         else:
             rl, ml = ctx.bc.left_values(t)
             ve[:, :head] = ((max(2.0 * rl - rho[1], ctx.g.rho_floor),),
                             (2.0 * ml - m[1],))
     if tail:
-        rr, mr = ctx.bc.right_values(t)
-        ve[:, -tail:] = ((max(2.0 * rr - rho[-2], ctx.g.rho_floor),),
-                         (2.0 * mr - m[-2],))
+        if ctx.hi < ctx.grid.n_nodes:
+            ve[:, -tail:] = np.reshape(ctx.far_states[1], (2, 1))
+        else:
+            rr, mr = ctx.bc.right_values(t)
+            ve[:, -tail:] = ((max(2.0 * rr - rho[-2], ctx.g.rho_floor),),
+                             (2.0 * mr - m[-2],))
     return ve
 
 
@@ -552,15 +776,20 @@ def hyperbolic_interface_data(ctx: SolverContext, rho: np.ndarray,
                               window: Optional[tuple[int, int]] = None) -> dict:
     """Interface states/fluxes of the explicit stage (also used by diagnostics).
 
+    ``rho`` and ``m`` hold the context's stored nodes (a context that
+    stores none takes them as the whole grid), and ``window`` indexes them.
     For the nodes [lo, hi) of ``window`` (default: all), returns arrays over
     the hi-lo+1 interfaces around them; on the whole grid these are the
     n_cells+2 interfaces I_{-1}..I_{n_cells} of the ghost-padded grid.
     ``rho_ext``/``m_ext`` hold the states on nodes lo-1 .. hi.
     """
     g = ctx.g
+    if ctx.lo == ctx.hi:  # a new context takes the arrays as the whole grid
+        ctx.store(0, rho.size)
     lo, hi = window or (0, rho.size)
     ve = _extend(rho, m, ctx, t, lo, hi)
-    s = _slopes(ve, lo == 0 and ctx.bc.mode is BCMode.NEUMANN_SPHERICAL)
+    s = _slopes(ve, lo + ctx.lo == 0
+                and ctx.bc.mode is BCMode.NEUMANN_SPHERICAL)
     v, half = ve[:, 1:-1], 0.5 * s
     # sides[0] / sides[1]: (rho, m) reconstructed left / right of each face
     sides = np.array((v[:, :-1] + half[:, :-1], v[:, 1:] - half[:, 1:]))
@@ -579,7 +808,7 @@ def hyperbolic_interface_data(ctx: SolverContext, rho: np.ndarray,
 
 
 def _hyperbolic_rhs(ctx: SolverContext, rho, m, t, window: tuple[int, int]):
-    """Explicit rates on the window's nodes, from the full-grid arrays."""
+    """Explicit rates on the window's nodes, from the stored arrays."""
     data = hyperbolic_interface_data(ctx, rho, m, t, window)
     phi, psi = data["phi"], data["psi"]
     p = ctx.g._pressure(np.maximum(data["rho_ext"], 0.0))
@@ -632,17 +861,19 @@ def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
     diffusion imposes no restriction.  ``forcing(x, t)`` may return extra
     (mass, momentum) source arrays (manufactured-solution studies).  A given
     ``ctx`` must have been built for this grid, g, profile, eps and bc.
-    The step copies the field, scans the whole copy and advances it with
-    ``ctx.advance``; the result shares no memory with the input or ``ctx``.
+    The step starts ``ctx`` on a copy of the field, scans it whole and
+    advances it; the result, on the nodes the context stores (every node
+    for a whole-grid field), shares no memory with the input or ``ctx``.
     """
     if ctx is None:
         ctx = SolverContext(field.grid, g, profile, eps, bc)
     else:
         ctx.require(field.grid, g, profile, eps, bc)
-    rho, m = field.rho.copy(), field.m.copy()
-    ctx.rescan()
-    ctx.advance(rho, m, field.t, dt, cfl=cfl, forcing=forcing)
-    return FluidField(field.grid, rho, m, field.t + dt)
+    ctx.start(field)
+    ctx.advance(field.t, dt, cfl=cfl, forcing=forcing)
+    out = ctx._state(field.t + dt)
+    ctx.rho = ctx.m = None
+    return out
 
 
 # a run that needs more steps than this to reach t_end is stuck
@@ -653,44 +884,51 @@ def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
         bc: BoundarySpec, t_end: float, hooks=None, *, cfl: float = CFL,
         forcing: Optional[Callable] = None,
         dt_fixed: Optional[float] = None):
-    """March to t_end; returns (final field, diagnostics report).
+    """March to t_end; returns (final whole-grid field, diagnostics report).
 
     ``hooks`` (any object with sample_times, sample(field, ctx), finalize())
     is sampled at its requested times with the run's SolverContext and a
-    field that no later step changes; the step size is clipped so those
-    times are hit exactly.  With hooks=None an empty report is returned.
-    Each step is one ``ctx.advance`` on the run's own arrays, with dt from
-    the wave speed of ``ctx.scan``.
+    copy of the run's state on the nodes the context stores; the step size
+    is clipped so those times are hit exactly.  With hooks=None an empty
+    report is returned.  The context holds the run's state (``start``);
+    each step is one ``ctx.advance``, with dt from the wave speed of
+    ``ctx.scan``.
     """
     from .diagnostics import DiagnosticsReport  # local import to avoid a cycle
 
     if t_end < field.t - 1e-12:
         raise ConfigError("t_end lies before the field's current time")
     if t_end <= field.t + 1e-15 * max(1.0, abs(t_end)):
-        return field, (hooks.finalize() if hooks is not None else
-                       DiagnosticsReport())
+        return field.whole(), (hooks.finalize() if hooks is not None else
+                               DiagnosticsReport())
     ctx = SolverContext(field.grid, g, profile, eps, bc)
     # a state the gas law overflows on fails here, before any monitor sees it
+    ends = [e for e in field.ends if e is not None]
     with np.errstate(over="ignore"):
-        ctx.max_wave_speed(field.rho, field.m)
+        ctx.max_wave_speed(np.append(field.rho, [e[0] for e in ends]),
+                           np.append(field.m, [e[1] for e in ends]))
+    ctx.start(field)
+    forced = forcing is not None
+    if forced:  # forcing moves every node from the first step on
+        ctx.store(0, field.grid.n_nodes)
+        ctx.live = (0, field.grid.n_nodes)
+    else:
+        ctx.find_live()
     targets = []
     if hooks is not None:
         targets = [ts for ts in np.sort(np.asarray(hooks.sample_times, dtype=float))
                    if field.t - 1e-12 <= ts <= t_end + 1e-12]
         if targets and abs(targets[0] - field.t) <= 1e-12:
-            hooks.sample(field, ctx)
+            hooks.sample(ctx.field(field.t), ctx)
             targets = targets[1:]
-    # the run's own arrays: advance updates them in place, and each hook
-    # sample gets a copy that no later step touches
-    rho, m, t = field.rho.copy(), field.m.copy(), field.t
-    forced = forcing is not None
+    t = field.t
     k = 0
     while t < t_end - 1e-13 * max(1.0, t_end):
         if k >= MAX_STEPS:
             raise SolverError(f"exceeded {MAX_STEPS} steps before t_end")
         dt = dt_fixed
         if dt is None:
-            dt = cfl * ctx.dx / ctx.scan(rho, m, forced)[2]
+            dt = cfl * ctx.dx / ctx.scan(forced)[2]
         t_next = targets[0] if targets else t_end
         t_next = min(t_next, t_end)
         snap = False
@@ -698,25 +936,24 @@ def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
             dt = t_next - t
             snap = True
         try:
-            ctx.advance(rho, m, t, dt, cfl=cfl, forcing=forcing)
+            ctx.advance(t, dt, cfl=cfl, forcing=forcing)
         except SolverError as err:
             raise type(err)(f"{err} [at t={t:.8g}]") from err
         t = t_next if snap else t + dt
         if snap and targets and abs(t_next - targets[0]) <= 1e-12:
-            hooks.sample(FluidField(field.grid, rho.copy(), m.copy(), t), ctx)
+            hooks.sample(ctx.field(t), ctx)
             targets = targets[1:]
         k += 1
-    field = FluidField(field.grid, rho, m, t)
     if hooks is None:
         report = DiagnosticsReport()
     else:
         for _ in targets:  # sample times at/after t_end collapse onto the end
-            hooks.sample(field, ctx)
+            hooks.sample(ctx.field(t), ctx)
         report = hooks.finalize()
     report.undershoots = ctx.undershoots
     report.cells_advanced = ctx.cells_advanced
     report.hull = ctx.hull
-    return field, report
+    return ctx._state(t).whole(), report
 
 
 # ---------------------------------------------------------------------------
@@ -724,15 +961,26 @@ def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
 # ---------------------------------------------------------------------------
 
 
-def _mollify(values: np.ndarray, width: float, dx: float) -> np.ndarray:
+def _mollify(values: np.ndarray, width: float, dx: float,
+             pad: Optional[tuple[int, int]] = None) -> np.ndarray:
+    """``values`` smoothed by the normalized smooth bump on 2 half + 1
+    nodes, half = ceil(width / dx) (none for width <= dx).  They hold the
+    nodes to smooth plus up to half neighbours on each side; ``pad`` edge
+    copies (default: half on each side) stand for the missing ones.  A node
+    whose 2 half + 1 nodes hold one value keeps it exactly, where the
+    weighted sum would round it by an ulp or so."""
     if width <= dx:
         return values.copy()
     half = int(np.ceil(width / dx))
     kern = smooth_bump(np.linspace(-1.0, 1.0, 2 * half + 1))[0]
     kern /= kern.sum()
-    padded = np.concatenate([np.full(half, values[0]), values,
-                             np.full(half, values[-1])])
-    return np.convolve(padded, kern, mode="valid")
+    pad = pad or (half, half)
+    padded = np.concatenate([np.full(pad[0], values[0]), values,
+                             np.full(pad[1], values[-1])])
+    # changes[k]: how often the value changes between padded nodes 0 .. k
+    changes = np.concatenate(([0], np.cumsum(padded[1:] != padded[:-1])))
+    return np.where(changes[2 * half:] == changes[:-2 * half], padded[half:-half],
+                    np.convolve(padded, kern, mode="valid"))
 
 
 def prepare_initial_data(raw: InitialData, bc: BoundarySpec, g: GasLaw,
@@ -742,65 +990,98 @@ def prepare_initial_data(raw: InitialData, bc: BoundarySpec, g: GasLaw,
     The blend equals the boundary values identically within blend_width/2 of
     each end.  The construction must not distort the relative energy of the
     data by more than 5%; that is enforced, because a distorted start would
-    invalidate every energy-based comparison downstream.
+    invalidate every energy-based comparison downstream.  The grid is
+    prepared BLOCK nodes at a time.  The field's arrays run from the first
+    node that is not exactly the left boundary state to the last that is
+    not exactly the right one; the nodes outside hold those states.
     """
     span = grid.b - grid.a
     if raw.blend_width >= span / 4.0:
         raise ConfigError("blend width must be below a quarter of the domain")
-    x = grid.x
-    rho = np.asarray(raw.rho0(x), dtype=float)
-    m = np.asarray(raw.m0(x), dtype=float)
-    if rho.shape != x.shape or m.shape != x.shape:
-        raise ConfigError("initial data callables must return node-shaped arrays")
-    if np.any(rho < 0.0):
-        raise DomainError("raw initial density must be nonnegative")
+    n, dx, width = grid.n_nodes, grid.dx, raw.mollify_width
+    half = int(np.ceil(width / dx)) if width > dx else 0
+
+    def raw_data(lo, hi):
+        x = grid.nodes(lo, hi)
+        rho = np.asarray(raw.rho0(x), dtype=float)
+        m = np.asarray(raw.m0(x), dtype=float)
+        if rho.shape != x.shape or m.shape != x.shape:
+            raise ConfigError("initial data callables must return node-shaped arrays")
+        if np.any(rho < 0.0):
+            raise DomainError("raw initial density must be nonnegative")
+        return rho, m
 
     rho_l, m_l = bc.left_values(0.0)
     rho_r, m_r = bc.right_values(0.0)
     if rho_l is None:
-        rho_l = float(rho[0])  # axis end carries no density target
-
-    rho_s = _mollify(rho, raw.mollify_width, grid.dx)
-    m_s = _mollify(m, raw.mollify_width, grid.dx)
+        rho_l = float(raw_data(0, 1)[0][0])  # axis end carries no density target
     lift = max(g.rho_floor, 1e-4 * min(rho_l, rho_r))
-    rho_s = np.maximum(rho_s, lift)
-
-    # weight w of the boundary values: 1 within blend_width/2 of the end (at
-    # the end node alone for a zero width), smoothly down to 0 at blend_width
-    half = 0.5 * raw.blend_width
     axis = bc.mode is BCMode.NEUMANN_SPHERICAL
-    for d, rv, mv, pin_rho in ((x - grid.a, rho_l, m_l, not axis),
-                               (grid.b - x, rho_r, m_r, True)):
-        if half > 0.0:
-            w = 1.0 - smoothstep((d - half) / half)
-        else:
-            w = (d <= 0.0).astype(float)
-        m_s = (1.0 - w) * m_s + w * mv
-        if pin_rho:  # the axis end pins only the momentum
-            rho_s = (1.0 - w) * rho_s + w * rv
+
+    def block(lo, hi):
+        """x, the lifted raw data and the prepared data on nodes [lo, hi)."""
+        e0, e1 = max(lo - half, 0), min(hi + half, n)
+        rho, m = raw_data(e0, e1)
+        pad = (half - (lo - e0), half - (e1 - hi))
+        rho_s = np.maximum(_mollify(rho, width, dx, pad), lift)
+        m_s = _mollify(m, width, dx, pad)
+        x = grid.nodes(lo, hi)
+        # weight w of the boundary values: 1 within blend_width/2 of the end
+        # (at the end node alone for a zero width), smoothly down to 0 at
+        # blend_width; a value blended with itself stays that value exactly
+        bw = 0.5 * raw.blend_width
+        for d, rv, mv, pin_rho in ((x - grid.a, rho_l, m_l, not axis),
+                                   (grid.b - x, rho_r, m_r, True)):
+            if bw > 0.0:
+                w = 1.0 - smoothstep((d - bw) / bw)
+            else:
+                w = (d <= 0.0).astype(float)
+            m_s = np.where(m_s == mv, m_s, (1.0 - w) * m_s + w * mv)
+            if pin_rho:  # the axis end pins only the momentum
+                rho_s = np.where(rho_s == rv, rho_s, (1.0 - w) * rho_s + w * rv)
+        core = slice(lo - e0, hi - e0)
+        return x, np.maximum(rho[core], lift), m[core], rho_s, m_s
 
     # relative-energy distortion gate, measured against a bc-implied reference
     mid = 0.5 * (grid.a + grid.b)
     halo = max(span / 8.0, 2.0 * grid.dx)
-    blend = smoothstep((x - (mid - halo)) / (2.0 * halo))
-    rb = rho_l + (rho_r - rho_l) * blend
     ub_l = m_l / rho_l
     ub_r = m_r / rho_r
-    ub = ub_l + (ub_r - ub_l) * blend
-    A = profile.area(x)
-
-    def _rel_energy(rr, mm):
-        return float(np.trapezoid(g.relative_energy(rr, mm, rb, ub) * A, x))
-
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        e_raw = _rel_energy(np.maximum(rho, lift), m)
-        e_out = _rel_energy(rho_s, m_s)
+    e_raw = e_out = 0.0
+    first, last = n, 0  # nodes off the left / right boundary state
+    for lo in range(0, n - 1, BLOCK):
+        hi = min(lo + BLOCK + 1, n)  # blocks share their end nodes
+        x, rho, m, rho_s, m_s = block(lo, hi)
+        blend = smoothstep((x - (mid - halo)) / (2.0 * halo))
+        rb = rho_l + (rho_r - rho_l) * blend
+        ub = ub_l + (ub_r - ub_l) * blend
+        A = profile.area(x)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            e_raw += float(np.trapezoid(g.relative_energy(rho, m, rb, ub) * A, x))
+            e_out += float(np.trapezoid(g.relative_energy(rho_s, m_s, rb, ub) * A,
+                                        x))
+        off = np.flatnonzero((rho_s != rho_l) | (m_s != m_l))
+        if off.size:
+            first = min(first, lo + int(off[0]))
+        off = np.flatnonzero((rho_s != rho_r) | (m_s != m_r))
+        if off.size:
+            last = max(last, lo + int(off[-1]) + 1)
     if not math.isfinite(e_raw + e_out):
+        rho_max = max(float(np.max(raw_data(lo, min(lo + BLOCK, n))[0]))
+                      for lo in range(0, n, BLOCK))
         raise ConfigError(f"the gas law leaves the float range on the initial data "
-                          f"(relative energy {e_raw:g}, max rho = {np.max(rho):g}, "
+                          f"(relative energy {e_raw:g}, max rho = {rho_max:g}, "
                           f"gamma = {g.gamma:g})")
     if abs(e_out - e_raw) > 0.05 * e_raw + 1e-10 * (1.0 + abs(e_raw)):
         raise ConfigError(
             f"prepared data distorts the relative energy by more than 5% "
             f"({e_raw:.6g} -> {e_out:.6g}); reduce the mollify/blend widths")
-    return FluidField(grid, rho_s, m_s, 0.0)
+    # nodes below lo hold the left state and nodes from hi on the right one,
+    # an empty range where the data jump straight from one to the other
+    lo, hi = min(first, last), last
+    parts = [block(b, min(b + BLOCK, hi))[3:] for b in range(lo, hi, BLOCK)]
+    rho_s, m_s = (np.concatenate([p[i] for p in parts]) if parts else np.empty(0)
+                  for i in (0, 1))
+    return FluidField(grid, rho_s, m_s, 0.0, lo,
+                      ((rho_l, m_l) if lo > 0 else None,
+                       (rho_r, m_r) if hi < n else None))

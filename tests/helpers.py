@@ -3,6 +3,7 @@
 import numpy as np
 
 from nozzleflow import BoundarySpec, FluidField, Grid, diagnostics, run
+from nozzleflow.solver import SolverContext
 from nozzleflow.geometry import GaussianBumpProfile
 from nozzleflow.thermo import GasLaw
 
@@ -77,7 +78,12 @@ def single_shock_states(gamma: float = 2.0):
 
 
 def whole_field_monitors(mp):
-    """Force the monitors' node range to the whole grid: the plain path."""
+    """Make every context store the whole grid from its first node on, and
+    the monitors sum every node, so that runs sample whole fields and no
+    closed form stands in for a node: the plain path of the stored range
+    and of the monitors."""
+    mp.setattr(SolverContext, "_cover",
+               lambda ctx, lo, hi: (0, ctx.grid.n_nodes))
     mp.setattr(diagnostics, "HULL_PAD", 10 ** 9)
 
 
@@ -92,13 +98,13 @@ def assert_same_checks(a, b, atol=0.0):
 
 
 def assert_same_series(a, b):
-    """Hull-path and whole-field reports record the same series and checks.
+    """Stored-range and whole-grid reports record the same series and checks.
 
-    Sum series may differ by summation order (1e-12 relative); extremes,
-    pass/FAIL and margins must be identical.  The per-run table gives
-    bit-equal sums too, which the assertion does not demand of the series.
+    Sum series may differ by summation order, to 1e-13 of their scale, and
+    the margins of the checks read from them to 1e-12; extremes and
+    pass/FAIL must be identical.
     """
-    assert_same_checks(a.checks, b.checks)
+    assert_same_checks(a.checks, b.checks, atol=1e-12)
     assert a.series.keys() == b.series.keys()
     for name, va in a.series.items():
         vb = b.series[name]
@@ -106,4 +112,4 @@ def assert_same_series(a, b):
             np.testing.assert_array_equal(va, vb, err_msg=name)
         else:
             scale = np.max(np.abs(vb))
-            assert np.max(np.abs(va - vb)) <= 1e-12 * scale, name
+            assert np.max(np.abs(va - vb)) <= 1e-13 * scale, name

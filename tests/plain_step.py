@@ -6,7 +6,8 @@ the face states in place.  This copy does none of that: it calls the
 validating ``GasLaw`` methods, tests all three slope signs with ``np.where``
 and stacks the face states, exactly as the solver did before.  It also finds
 every window by a whole-grid scan and steps a copy of the field, as the
-solver did before ``SolverContext.advance``.  Monkeypatch ``solver.step``,
+solver did before ``SolverContext.advance``, on a context that stores
+every node.  Monkeypatch ``solver.step``,
 ``SolverContext.advance``, ``SolverContext.max_wave_speed`` and the
 ``hyperbolic_interface_data`` bindings with these to run the plain path.
 """
@@ -111,6 +112,7 @@ def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
         ctx = SolverContext(field.grid, g, profile, eps, bc)
     else:
         ctx.require(field.grid, g, profile, eps, bc)
+    ctx.store(0, field.grid.n_nodes)  # the coefficients of every node
     if dt <= 0.0:
         raise StabilityError("dt must be positive")
     rho, m = field.rho, field.m
@@ -185,11 +187,14 @@ def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
     return FluidField(field.grid, rho_out, m_out, t1)
 
 
-def advance(self, rho: np.ndarray, m: np.ndarray, t: float, dt: float, *,
-            cfl: float = 0.4, forcing: Optional[Callable] = None) -> None:
-    """The plain ``step`` on a run's arrays, written back in place; the
-    context's next scan covers the whole grid."""
-    out = step(FluidField(self.grid, rho, m, t), self.g, self.profile,
+def advance(self, t: float, dt: float, *, cfl: float = 0.4,
+            forcing: Optional[Callable] = None) -> None:
+    """The plain ``step`` on the context's state, which it first widens to
+    every node, written back in place; the next scan covers every node, and
+    the monitors sum every node."""
+    self.store(0, self.grid.n_nodes)
+    out = step(FluidField(self.grid, self.rho, self.m, t), self.g, self.profile,
                self.eps, self.bc, dt, ctx=self, cfl=cfl, forcing=forcing)
-    rho[:], m[:] = out.rho, out.m
+    self.rho[:], self.m[:] = out.rho, out.m
+    self.live = None
     self.rescan()

@@ -20,7 +20,8 @@ from nozzleflow.entropy import (ReferenceState, gen_bump, gen_half_square,
 from nozzleflow.geometry import (ConstantProfile, ExponentialProfile,
                                  GaussianBumpProfile, PowerLawClosingProfile,
                                  SphericalProfile)
-from nozzleflow.harness import RunConfig, single_run, sweep
+from nozzleflow.harness import (RunConfig, lp_distance, single_run, sweep,
+                                write_snapshot_csv)
 from nozzleflow.schedule import certify, make_default
 from nozzleflow.solver import (BoundarySpec, FluidField, Grid, SolverContext,
                                step)
@@ -276,18 +277,37 @@ def test_weak_residual_matches_plain_evaluation(sweep_gamma2, sweep_gamma5):
 
 
 def test_hull_monitors_match_whole_field_on_every_rung(sweep_gamma2,
-                                                     sweep_gamma5):
-    # each rung again with the monitors' node range forced to the whole
-    # grid: the same series, checks and therefore verdicts
+                                                     sweep_gamma5, tmp_path):
+    # each rung again with every node stored, so that the monitors see the
+    # whole grid: the same fields, snapshots, distances and final CSV bit
+    # for bit, the same series to 1e-13, checks and therefore verdicts
     for res, gamma in ((sweep_gamma2, 2.0), (sweep_gamma5, 5.0)):
         cfg = _sweep_config(gamma)
         with pytest.MonkeyPatch.context() as mp:
             whole_field_monitors(mp)
-            for rung in res.runs:
-                whole = single_run(cfg, eps=rung.eps, collect_snapshots=False)
-                lo, hi = rung.report.hull
-                assert hi - lo < rung.field.grid.n_nodes
-                assert_same_series(rung.report, whole.report)
+            plain = [single_run(cfg, eps=rung.eps) for rung in res.runs]
+        for rung, whole in zip(res.runs, plain):
+            n = rung.field.grid.n_nodes
+            lo, hi = rung.report.hull
+            assert hi - lo < n and rung.ctx.hi - rung.ctx.lo < n
+            assert (whole.ctx.lo, whole.ctx.hi) == (0, n)
+            for name in ("rho", "m"):
+                assert getattr(rung.field, name).tobytes() == \
+                    getattr(whole.field, name).tobytes()
+                assert getattr(rung.snapshots, name).tobytes() == \
+                    getattr(whole.snapshots, name).tobytes()
+            assert_same_series(rung.report, whole.report)
+            texts = []
+            for out in (rung, whole):
+                write_snapshot_csv(tmp_path / "final.csv", out.field, out.g,
+                                   out.ctx, out.eps, cfg.bc, cfg.cfl)
+                texts.append((tmp_path / "final.csv").read_bytes())
+            assert texts[0] == texts[1]
+        K = (cfg.window_lo, cfg.window_hi)
+        for name, p in (("rho", cfg.p_rho), ("m", cfg.q_mom)):
+            d = [lp_distance(a.snapshots, b.snapshots, K, p, name)
+                 for a, b in zip(plain, plain[1:])]
+            assert np.array(d).tobytes() == res.series[f"d_{name}"].tobytes()
 
 
 def test_11_special_pair_sign():

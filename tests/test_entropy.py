@@ -231,6 +231,22 @@ def test_chunked_node_products_match_elementwise_sums(gen):
             assert np.all(np.abs(fast[key] - plain[key]) <= 1e-14 * scale), key
 
 
+@pytest.mark.parametrize("gen", [gen_half_square(), gen_convex_spline(0.0, 1.0)],
+                         ids=lambda gen: gen.name)
+def test_chunked_piece_moments_match_one_pass(gen, monkeypatch):
+    # piece tables go CHUNK states at a time, bit for bit as in one pass
+    rng = np.random.default_rng(11)
+    kern = get_kernel(GasLaw(5.0, delta=1e-4))
+    size = 2 * entropy.CHUNK + 37
+    rho = np.concatenate([[0.0], rng.uniform(1e-3, 4.0, size)])
+    m = rho * np.concatenate([[0.0], rng.uniform(-3.0, 3.0, size)])
+    chunked = kern.moments(gen, rho, m, 2)
+    monkeypatch.setattr(entropy, "CHUNK", 10 ** 9)
+    whole = kern.moments(gen, rho, m, 2)
+    for key in whole:
+        assert chunked[key].tobytes() == whole[key].tobytes(), key
+
+
 @pytest.mark.parametrize("fields", [dict(kinks=(1.0, 0.0), pieces=()),
                                     dict(kinks=(0.0,), pieces=((1.0,),)),
                                     dict(kinks=(0.0,), pieces=())])

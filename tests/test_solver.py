@@ -144,7 +144,8 @@ def test_cfl_check_covers_the_whole_stepped_window():
     ctx = SolverContext(grid, g, GaussianBumpProfile(), 0.05, bc)
     i, _ = ctx._rest_ends(rho, m, None)
     m[i - 5] = 0.9e-12
-    lo, hi, lam = ctx.scan(rho, m, False)
+    ctx.start(FluidField(grid, rho, m))
+    lo, hi, lam = ctx.scan(False)
     assert lo == i - 4 and lam == ctx.far_speed
     # within the scan window's bound, above the stepped window's
     dt = 0.4 * grid.dx / lam * (1.0 + 1e-9)
@@ -288,7 +289,7 @@ def test_prepare_initial_data_fixed_point():
     raw = InitialData(lambda x: np.full_like(x, 0.8),
                       lambda x: np.zeros_like(x),
                       mollify_width=0.2, blend_width=1.0)
-    f = prepare_initial_data(raw, bc, g, prof, grid)
+    f = prepare_initial_data(raw, bc, g, prof, grid).whole()
     assert np.max(np.abs(f.rho - 0.8)) < 1e-14
     assert np.max(np.abs(f.m)) < 1e-14
 
@@ -301,7 +302,7 @@ def test_prepare_initial_data_jump():
     raw = InitialData(lambda x: np.where(x < 0, 1.0, 0.125),
                       lambda x: np.zeros_like(x),
                       mollify_width=0.02, blend_width=1.0)
-    f = prepare_initial_data(raw, bc, g, prof, grid)
+    f = prepare_initial_data(raw, bc, g, prof, grid).whole()
     assert f.rho[0] == pytest.approx(1.0)
     assert f.rho[-1] == pytest.approx(0.125)
     assert np.all(np.diff(f.rho) <= 1e-12)  # monotone through the jump
@@ -317,7 +318,7 @@ def test_prepare_initial_data_energy_ratio():
     raw = InitialData(lambda x: 1.0 + 0.5 * np.exp(-x * x),
                       lambda x: np.zeros_like(x),
                       mollify_width=0.1, blend_width=1.0)
-    f = prepare_initial_data(raw, bc, g, prof, grid)
+    f = prepare_initial_data(raw, bc, g, prof, grid).whole()
     x = grid.x
     h = g.h_delta
     raw_rho = 1.0 + 0.5 * np.exp(-x * x)
@@ -344,7 +345,7 @@ def test_prepare_zero_blend_pins_only_the_end_nodes():
         raw = InitialData(lambda x: 1.0 + 0.1 * np.sin(x),
                           lambda x: 0.05 * np.cos(x),
                           mollify_width=0.1, blend_width=0.0)
-        f = prepare_initial_data(raw, bc, g, prof, grid)
+        f = prepare_initial_data(raw, bc, g, prof, grid).whole()
         rho_l, m_l = bc.left_values(0.0)
         rho_r, m_r = bc.right_values(0.0)
         assert f.rho[0] == (rho_s[0] if rho_l is None else rho_l)
@@ -445,7 +446,7 @@ def _contexts_for_every_mode(n_nodes):
     g = GasLaw(2.0, delta=1e-3)
     duct = Grid(-3.0, 3.0, n_nodes - 1)
     sphere = Grid(0.5, 6.0, n_nodes - 1)
-    return [
+    contexts = [
         SolverContext(duct, g, GaussianBumpProfile(), 0.05,
                       BoundarySpec.dirichlet_nozzle(1.0, 0.2, 0.5, 0.0)),
         SolverContext(sphere, g, SphericalProfile(n_dim=3), 0.05,
@@ -453,6 +454,9 @@ def _contexts_for_every_mode(n_nodes):
         SolverContext(sphere, g, SphericalProfile(n_dim=3), 0.05,
                       BoundarySpec.neumann_spherical(0.4)),
     ]
+    for ctx in contexts:
+        ctx.store(0, n_nodes)  # the bands of every node
+    return contexts
 
 
 @pytest.mark.parametrize("n_nodes", [9, 49, 1025])

@@ -156,8 +156,15 @@ def test_windowed_acceptance_rung_matches_the_plain_step(gamma):
     lo, hi = fast.report.hull
     assert hi - lo < fast.field.grid.n_nodes   # the run stepped windows
     _assert_bit_identical(fast.field, plain.field)
+    # the plain step stores every node, so its monitors sum over more of
+    # them: extremes agree bit for bit, sums to 1e-13 of their scale
     for name, series in fast.report.series.items():
-        assert series.tobytes() == plain.report.series[name].tobytes(), name
+        other = plain.report.series[name]
+        if name in ("t", "max_w", "min_z", "min_rho"):
+            assert series.tobytes() == other.tobytes(), name
+        else:
+            assert np.max(np.abs(series - other)) \
+                <= 1e-13 * np.max(np.abs(other)), name
 
 
 # ---------------------------------------------------------------------------

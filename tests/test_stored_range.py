@@ -1,0 +1,291 @@
+"""A run stores only a node range around its flow; the rest is far state.
+
+The solver context stores the nodes [lo, hi) of the grid that cover every
+window a step moved, plus a margin, and every node outside holds its end's
+far state exactly.  Initial data, monitors and output rows are built from
+that range and the far states.  Each run case here runs twice: as the
+package runs it, and with every context storing the whole grid from its
+first node on (the plain path, ``whole_field_monitors``).  Fields and
+snapshots must be bit-identical, every report series must agree to 1e-13
+of its scale, and the verdicts must be the same.  Acceptance's
+``test_hull_monitors_match_whole_field_on_every_rung`` runs both paths on
+every rung of both acceptance ladders, distances and final CSVs included.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from helpers import assert_same_series, whole_field_monitors
+from nozzleflow import diagnostics, harness, solver
+from nozzleflow.errors import ConfigError
+from nozzleflow.geometry import GaussianBumpProfile, SphericalProfile
+from nozzleflow.harness import RunConfig, single_run, write_snapshot_csv
+from nozzleflow.solver import (BoundarySpec, FluidField, Grid, InitialData,
+                               SolverContext, prepare_initial_data, run)
+from nozzleflow.thermo import GasLaw
+
+
+def _ladder_config(gamma: float = 2.0, **over) -> RunConfig:
+    # an acceptance sweep's configuration
+    values = dict(
+        gamma=gamma, profile="constant", bc="dirichlet_nozzle",
+        rho_minus=1.0, rho_plus=0.125, u_minus=0.75, u_plus=0.0,
+        init="riemann", blend_width=1.0, t_end=0.5, dx=1.0 / 128.0,
+        eps0=0.1, n_eps=6, snapshots=97, window_lo=-1.0, window_hi=1.0,
+        workers=1, check_riemann=False)
+    values.update(over)
+    return RunConfig.from_mapping(values)
+
+
+def _monitors_duct() -> RunConfig:
+    # the benchmark's monitors duct: a Gaussian bump with every monitor on
+    return RunConfig.from_mapping(dict(
+        gamma=2.0, profile="gaussian_bump", bc="dirichlet_nozzle",
+        rho_minus=1.0, rho_plus=0.125, u_minus=0.0, u_plus=0.0,
+        init="riemann", blend_width=1.0, t_end=1.0, dx=1.0 / 128.0,
+        snapshots=257, eps=0.05, delta=1e-4, riemann_tol=1e-3,
+        check_energy=True, check_riemann=True))
+
+
+def _plain(go):
+    with pytest.MonkeyPatch.context() as mp:
+        whole_field_monitors(mp)
+        return go()
+
+
+def _assert_same_field(a: FluidField, b: FluidField):
+    assert a.t == b.t and (a.lo, a.hi) == (b.lo, b.hi)
+    assert a.rho.tobytes() == b.rho.tobytes()
+    assert a.m.tobytes() == b.m.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Node ranges
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("a, b, cells", [(-320.0, 320.0, 81920),
+                                         (0.05, 2.05, 48), (-3.0, 3.0, 97)])
+def test_grid_nodes_and_search_match_linspace(a, b, cells):
+    grid = Grid(a, b, cells)
+    x = grid.x
+    n = grid.n_nodes
+    for lo, hi in ((0, n), (0, 1), (n - 1, n), (3, 9), (n // 2, n), (5, 5)):
+        assert grid.nodes(lo, hi).tobytes() == x[lo:hi].tobytes()
+    rng = np.random.default_rng(cells)
+    values = np.concatenate([x[rng.integers(0, n, 50)],
+                             rng.uniform(a - 1.0, b + 1.0, 50),
+                             [a, b, -np.inf, np.inf, a - 1e-12, b + 1e-12]])
+    for v in values:
+        for side in ("left", "right"):
+            assert grid.searchsorted(v, side) == np.searchsorted(x, v, side)
+
+
+def test_field_values_widen_and_whole():
+    grid = Grid(-1.0, 1.0, 16)
+    f = FluidField(grid, np.arange(3.0), -np.arange(3.0), 0.5, 6,
+                   ((1.0, 0.5), (2.0, 0.0)))
+    whole = f.whole()
+    assert (whole.lo, whole.hi, whole.ends) == (0, 17, (None, None))
+    np.testing.assert_array_equal(whole.rho[:6], 1.0)
+    np.testing.assert_array_equal(whole.rho[6:9], [0.0, 1.0, 2.0])
+    np.testing.assert_array_equal(whole.m[9:], 0.0)
+    wide = f.over(4, 12)
+    assert wide.ends == f.ends and wide.values(0, 17).tobytes() == \
+        whole.values(0, 17).tobytes()
+    assert f.over(6, 9) is f and whole.whole() is whole
+    with pytest.raises(ConfigError):
+        f.over(7, 12)
+    with pytest.raises(ConfigError):
+        FluidField(grid, np.ones(3), np.ones(3), lo=6)  # no end states
+
+
+def test_prepared_data_do_not_depend_on_the_block_size():
+    # blocks of 257 nodes against one block for the whole grid: the same
+    # nodes kept and the same values, bit for bit; the finest ladder rung
+    # keeps only its mollified jump
+    cfg = _ladder_config()
+    eps = 0.003125
+    args = (cfg.build_initial(eps), cfg.build_bc(eps), cfg.build_gas(eps),
+            cfg.build_profile(), cfg.grid_of(eps))
+    blocked = prepare_initial_data(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "BLOCK", 257)
+        small = prepare_initial_data(*args)
+        mp.setattr(solver, "BLOCK", 1 << 30)
+        plain = prepare_initial_data(*args)
+    for other in (small, plain):
+        _assert_same_field(blocked, other)
+        assert blocked.ends == other.ends
+    assert blocked.hi - blocked.lo <= 8
+    whole = blocked.whole()
+    assert np.all(whole.rho[:blocked.lo] == 1.0)
+    assert np.all(whole.m[blocked.hi:] == 0.0)
+
+
+def test_mollified_flat_data_stay_exact():
+    # 43 kernel taps round a constant by an ulp; a flat neighbourhood keeps
+    # its value, and the prepared Riemann data of the dx = 1/1024 rung hold
+    # their boundary states exactly away from the jump
+    values = np.full(200, 0.75)
+    values[100:] = 0.125
+    out = solver._mollify(values, 0.02, 1.0 / 1024.0)
+    assert np.all(out[:79] == 0.75) and np.all(out[121:] == 0.125)
+    assert np.all((out[81:119] < 0.75) & (out[81:119] > 0.125))
+    assert np.all(np.diff(out) <= 1e-15)
+    cfg = _ladder_config(gamma=5.0, dx=1.0 / 1024.0)
+    eps = 0.003125
+    f = prepare_initial_data(cfg.build_initial(eps), cfg.build_bc(eps),
+                             cfg.build_gas(eps), cfg.build_profile(),
+                             cfg.grid_of(eps))
+    assert f.hi - f.lo <= 2 * 21 + 2
+
+
+def test_csv_rows_do_not_depend_on_the_block_size(tmp_path):
+    cfg = _ladder_config()
+    out = single_run(cfg, eps=0.05, collect_snapshots=False)
+    texts = []
+    for block in (7, 1 << 30):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diagnostics, "BLOCK", block)
+            write_snapshot_csv(tmp_path / "final.csv", out.field, out.g,
+                               out.ctx, out.eps, cfg.bc, cfg.cfl)
+            out.report.to_csv(tmp_path / "report.csv")
+        texts.append([(tmp_path / name).read_bytes()
+                      for name in ("final.csv", "report.csv")])
+    assert texts[0] == texts[1]
+    final = np.loadtxt(tmp_path / "final.csv", delimiter=",", skiprows=3)
+    assert final.shape[0] == out.field.grid.n_nodes
+    np.testing.assert_array_equal(final[:, 4], 1.0)
+
+
+def test_context_areas_on_any_range():
+    grid = Grid(-6.0, 6.0, 96)
+    profile = GaussianBumpProfile()
+    ctx = SolverContext(grid, GasLaw(2.0, delta=1e-3), profile, 0.05,
+                        BoundarySpec.dirichlet_nozzle(1.0, 0.0, 1.0, 0.0))
+    ctx.store(40, 50)
+    assert 0 < ctx.lo < 40 and 50 < ctx.hi < grid.n_nodes
+    full = profile.area(grid.x)
+    for lo, hi in ((0, 97), (0, 10), (30, 60), (45, 47), (90, 97), (5, 5)):
+        assert ctx.area(lo, hi).tobytes() == full[lo:hi].tobytes()
+    # growing evaluates only the new nodes, and stays bit for bit the
+    # whole-grid coefficients
+    ctx.store(0, 97)
+    whole = SolverContext(grid, ctx.g, profile, 0.05, ctx.bc)
+    whole.store(0, 97)
+    for name in ("x", "A", "G", "Ah", "Ah_full", "mass_bands", "mom_bands",
+                 "inv_Adx", "dG"):
+        assert getattr(ctx, name).tobytes() == getattr(whole, name).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The stored range against whole-grid storage
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_run(fast, plain):
+    _assert_same_field(fast.field, plain.field)
+    assert_same_series(fast.report, plain.report)
+    for name in ("cells_advanced", "undershoots", "hull"):
+        assert getattr(fast.report, name) == getattr(plain.report, name)
+    if fast.report.snapshots is not None:
+        for name in ("t", "x", "rho", "m"):
+            assert getattr(fast.snapshots, name).tobytes() == \
+                getattr(plain.snapshots, name).tobytes(), name
+
+
+def test_monitors_duct_matches_whole_grid_storage():
+    cfg = _monitors_duct()
+    fast = single_run(cfg)
+    plain = _plain(lambda: single_run(cfg))
+    _assert_same_run(fast, plain)
+    assert {"max_w", "energy"} <= fast.report.series.keys()
+    assert fast.ctx.hi - fast.ctx.lo < fast.field.grid.n_nodes
+
+
+@pytest.mark.parametrize("case", ["gaussian_bump", "spherical"])
+def test_small_runs_match_whole_grid_storage(case):
+    # the benchmark's direct run calls: whole-grid fields, stored whole
+    g = GasLaw(2.0, delta=1e-3)
+    if case == "gaussian_bump":
+        grid, profile, t_end = Grid(-4.0, 4.0, 200), GaussianBumpProfile(), 0.25
+        s = 0.5 * (1.0 + np.tanh(grid.x / 0.3))
+        rho, m = 1.0 - 0.5 * s, 0.1 * (1.0 - 0.5 * s) * (1.0 - s)
+        bc = BoundarySpec.dirichlet_nozzle(rho[0], m[0], rho[-1], m[-1])
+    else:
+        grid, profile, t_end = Grid(1.0, 5.0, 800), SphericalProfile(3), 0.05
+        z = (grid.x - 3.0) / 0.8
+        rho = 0.7 + 0.3 * np.where(np.abs(z) < 1.0, np.exp(
+            1.0 - 1.0 / np.maximum(1.0 - z * z, 1e-12)), 0.0)
+        m = np.zeros_like(rho)
+        bc = BoundarySpec.dirichlet_spherical(rho[-1])
+    field = FluidField(grid, rho, m)
+    fast = run(field, g, profile, 0.05, bc, t_end)
+    plain = _plain(lambda: run(field, g, profile, 0.05, bc, t_end))
+    _assert_same_field(fast[0], plain[0])
+    assert fast[1].cells_advanced == plain[1].cells_advanced
+
+
+# ---------------------------------------------------------------------------
+# Memory
+# ---------------------------------------------------------------------------
+
+
+def test_finest_ladder_rung_stores_few_nodes():
+    # gamma 2, eps = 0.003125, dx = 1/128: 81,921 nodes around a hull of
+    # about 160; the run's allocations stay far below the grid's size
+    cfg = _ladder_config()
+    single_run(cfg, eps=0.1)  # the caches a first run fills
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = single_run(cfg, eps=0.003125)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert out.field.grid.n_nodes == 81921
+    assert out.ctx.hi - out.ctx.lo <= 4096
+    assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("over, text", [
+    (dict(dx=1e-7), "above the limit of 8388608"),
+    (dict(snapshots=100_000_000), "above the limit of 268435456"),
+])
+def test_size_limits_refuse_before_allocating(over, text):
+    values = dict(over, output_dir="out")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=text):
+            RunConfig.from_mapping(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+
+
+def test_size_limits_admit_the_resolved_rung():
+    cfg = _ladder_config(gamma=5.0, dx=1.0 / 2048.0, check_riemann=True)
+    assert cfg.grid_of(0.003125).n_nodes == 1_310_721
+    assert harness.MAX_NODES >= 2 * 1_310_721
+
+
+def test_prepared_field_starts_a_run_with_its_exact_ends():
+    # a field that leaves its ends at other states than the far states is
+    # stored up to those ends
+    g = GasLaw(2.0, delta=1e-3)
+    grid = Grid(-4.0, 4.0, 64)
+    bc = BoundarySpec.dirichlet_nozzle(1.0, 0.0, 0.5, 0.0)
+    raw = InitialData(lambda x: np.where(x < 0.0, 1.0, 0.5),
+                      lambda x: np.zeros_like(x), 0.0, 1.0)
+    field = prepare_initial_data(raw, bc, g, GaussianBumpProfile(), grid)
+    ctx = SolverContext(grid, g, GaussianBumpProfile(), 0.05, bc)
+    ctx.start(field)
+    assert 0 < ctx.lo <= field.lo and field.hi <= ctx.hi < grid.n_nodes
+    odd = FluidField(grid, field.rho, field.m, 0.0, field.lo,
+                     ((1.0, 0.1), field.ends[1]))
+    ctx.start(odd)
+    assert ctx.lo == 0 and ctx.rho[0] == 1.0 and ctx.m[0] == 0.1

@@ -81,7 +81,7 @@ class _Trace:
             return lo, hi
 
         def no_rest(ctx, rho, m, span):
-            return 0, rho.size
+            return 0, ctx.grid.n_nodes
 
         mp.setattr(SolverContext, "advance", counted)
         if whole:
@@ -278,8 +278,8 @@ def _assert_frozen_outside_hull(window_run):
     # the whole grid
     assert (lo, hi) == (trace.lo, trace.hi)
     assert hi - lo < out.field.grid.n_nodes
-    for now, then in ((out.field.rho, trace.start.rho),
-                      (out.field.m, trace.start.m)):
+    start = trace.start.whole()
+    for now, then in ((out.field.rho, start.rho), (out.field.m, start.m)):
         assert np.array_equal(now[:lo], then[:lo])
         assert np.array_equal(now[hi:], then[hi:])
     return lo, hi
