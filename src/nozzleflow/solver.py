@@ -390,7 +390,10 @@ class SolverContext:
         self.rho = self.m = None
         if lo < self.lo or hi > self.hi or self.lo == self.hi:
             self.store(lo, hi)
-        self.rho, self.m = field.values(self.lo, self.hi)
+        if (self.lo, self.hi) == (field.lo, field.hi):
+            self.rho, self.m = field.rho.copy(), field.m.copy()
+        else:
+            self.rho, self.m = field.values(self.lo, self.hi)
         self.live = None
         self.rescan()
 
