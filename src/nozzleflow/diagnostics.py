@@ -150,9 +150,7 @@ def _stored(ctx: SolverContext, field: FluidField, lo: Optional[int] = None,
     HULL_PAD, and [lo, hi).  Every other node holds its end's far state.
     A field whose end states are not the far states is stored up to the
     domain end and summed whole."""
-    n, (left, right), far = ctx.grid.n_nodes, field.ends, ctx.far_states
-    a = field.lo if left is not None and left == far[0] else 0
-    b = field.hi if right is not None and right == far[1] else n
+    a, b = ctx.reach(field)
     live = ctx.live if (a, b) == (field.lo, field.hi) else None
     if lo is not None:
         a, b = min(a, lo), max(b, hi)

@@ -37,8 +37,8 @@ from .thermo import GasLaw
 # Configuration
 # ---------------------------------------------------------------------------
 
-# the most nodes a rung's grid may have: its final field and CSV are whole
-# grids (16 and about 60 bytes a node)
+# the most nodes a rung's grid may have: only its final CSV is a whole grid
+# (about 60 bytes a node)
 MAX_NODES = 1 << 23
 # the most bytes a run's snapshots may take: 2 x snapshots x window nodes x 8
 MAX_SNAPSHOT_BYTES = 1 << 28
@@ -361,7 +361,7 @@ class RunOutput:
     eps: float
     g: GasLaw                      # the run's gas law (delta from eps)
     ctx: SolverContext             # the run's context, for its node areas
-    field: FluidField
+    field: FluidField              # the final state on the context's nodes
     report: DiagnosticsReport
     label: str = ""
     snapshots = property(lambda self: self.report.snapshots)
@@ -572,7 +572,7 @@ def sweep(cfg: RunConfig) -> SweepResult:
 
 def write_snapshot_csv(path, field: FluidField, g: GasLaw, ctx: SolverContext,
                        eps: float, bc_mode: str, cfl: float) -> None:
-    """The whole-grid ``field`` with the node areas ``ctx`` stepped with."""
+    """``field`` on every node, with the node areas ``ctx`` stepped with."""
     grid = field.grid
 
     def columns(lo, hi):

@@ -36,8 +36,8 @@ on its far state afterwards, so the next window is found by scanning only
 that window; every stored node is scanned on a run's first step and when
 the scanned window rests wholly on one far state.  The same scan gives the
 wave speed the next dt is taken from.  ``run`` calls ``advance`` and
-returns the whole-grid field; ``step`` starts the context on its field and
-advances it after a scan of every stored node.
+returns the stored range's state; ``step`` starts the context on its field
+and advances it after a scan of every stored node.
 
 The explicit stage and ``SolverContext.max_wave_speed`` call the gas law's
 unchecked kernels (``GasLaw._pressure``, ``_p_prime``, ``_velocity``) on
@@ -85,7 +85,7 @@ class Grid:
     def dx(self) -> float:
         return (self.b - self.a) / self.n_cells
 
-    @property
+    @cached_property
     def n_nodes(self) -> int:
         return self.n_cells + 1
 
@@ -252,9 +252,9 @@ class SolverContext:
     ``A``, ``G``, ``Ah``, ``Ah_full``, the bands and ``inv_Adx``) and, from
     ``start`` on, the run's state ``rho`` and ``m``.  Every node outside
     holds its end's far state, and so does every stored node outside
-    ``live``.  ``store`` grows the range, and the profile is evaluated once
-    on each node it gains.  The context also keeps the window the last
-    ``advance`` moved and the scan made since.
+    ``live``.  ``store`` grows the range and evaluates the profile on all
+    of it.  The context also keeps the window the last ``advance`` moved
+    and the scan made since.
     """
 
     def __init__(self, grid: Grid, g: GasLaw, profile: NozzleProfile,
@@ -269,8 +269,8 @@ class SolverContext:
         self.dx = grid.dx
         self.lo = self.hi = 0          # nothing stored yet
         self.rho = self.m = None       # the run's state, from ``start``
-        # [lo, hi): the stored nodes that may differ from their end's far
-        # state, from ``find_live`` on (None: any stored node may)
+        # [lo, hi): the nodes that may differ from their end's far state,
+        # from ``start`` on (None before it)
         self.live: Optional[tuple[int, int]] = None
         self._dG: Optional[np.ndarray] = None
         self.undershoots = 0
@@ -294,13 +294,12 @@ class SolverContext:
 
     def store(self, lo: int, hi: int) -> None:
         """Store at least the nodes [lo, hi); a range that grows takes the
-        nodes of ``_cover`` too.  New nodes get their profile values and,
-        under a state, their end's far state."""
+        nodes of ``_cover`` too, and the profile is evaluated on the whole
+        new range.  Nodes new to a state get their end's far state."""
         old = self.lo, self.hi
         n = self.grid.n_nodes
         if old[0] <= max(lo, 0) and min(hi, n) <= old[1] and old[0] < old[1]:
             return
-        dx, prof, nodes = self.dx, self.profile, self.grid.nodes
         lo, hi = self._cover(lo, hi)
         if old[0] < old[1]:
             lo, hi = min(lo, old[0]), max(hi, old[1])
@@ -308,26 +307,14 @@ class SolverContext:
             return
         if self.rho is not None:
             self.rho, self.m = self._state(0.0).values(lo, hi)
-
-        def grown(arr, fn, was, now):
-            if was[0] >= was[1]:
-                return fn(*now)
-            return np.concatenate((fn(now[0], was[0]), arr, fn(was[1], now[1])))
-
-        def of(method, shift=0.0):
-            return lambda a, b: np.asarray(method(nodes(a, b) + shift),
-                                           dtype=float)
-
-        new = lo, hi
-        self.x = grown(getattr(self, "x", None), nodes, old, new)
-        self.A = grown(getattr(self, "A", None), of(prof.area), old, new)
-        self.G = grown(getattr(self, "G", None), of(prof.dlog), old, new)
-        if self._dG is not None:
-            self._dG = grown(self._dG, of(prof.dlog_prime), old, new)
+        prof = self.profile
+        self.x = self.grid.nodes(lo, hi)
+        self.A = np.asarray(prof.area(self.x), dtype=float)
+        self.G = np.asarray(prof.dlog(self.x), dtype=float)
+        self._dG = None
         # the faces I_j between nodes j, j+1 that the range reaches
-        self.Ah = grown(getattr(self, "Ah", None), of(prof.area, 0.5 * dx),
-                        (max(old[0] - 1, 0), min(old[1], n - 1)),
-                        (max(lo - 1, 0), min(hi, n - 1)))
+        faces = self.grid.nodes(max(lo - 1, 0), min(hi, n - 1)) + 0.5 * self.dx
+        self.Ah = np.asarray(prof.area(faces), dtype=float)
         self.lo, self.hi = lo, hi
         self._derive()
 
@@ -381,12 +368,9 @@ class SolverContext:
     # -- the run's state -------------------------------------------------------
     def start(self, field: FluidField) -> None:
         """Take a copy of ``field`` as the run's state, which ``advance``
-        steps in place, and forget the last scan.  The range comes to hold
-        the field's arrays, and reaches each domain end whose nodes the
-        field leaves at another state than that end's far state."""
-        n, (left, right), far = self.grid.n_nodes, field.ends, self.far_states
-        lo = field.lo if left is not None and left == far[0] else 0
-        hi = field.hi if right is not None and right == far[1] else n
+        steps in place, and forget the last scan.  ``live`` becomes the
+        field's ``reach``, and the stored range comes to hold it."""
+        lo, hi = self.live = self.reach(field)
         self.rho = self.m = None
         if lo < self.lo or hi > self.hi or self.lo == self.hi:
             self.store(lo, hi)
@@ -394,19 +378,15 @@ class SolverContext:
             self.rho, self.m = field.rho.copy(), field.m.copy()
         else:
             self.rho, self.m = field.values(self.lo, self.hi)
-        self.live = None
         self.rescan()
 
-    def find_live(self) -> None:
-        """Set ``live`` to the stored nodes from the first off the left far
-        state to the last off the right one (an end without a far state has
-        none on); each ``advance`` widens it by its window."""
-        off = [np.ones(self.rho.size, bool) if end is None
-               else (self.rho != end[0]) | (self.m != end[1])
-               for end in self.far_states]
-        i = self.lo + int(off[0].argmax()) if off[0].any() else self.hi
-        j = self.hi - int(off[1][::-1].argmax()) if off[1].any() else self.lo
-        self.live = (min(i, j), j)
+    def reach(self, field: FluidField) -> tuple[int, int]:
+        """The nodes [lo, hi) of ``field`` that may differ from their end's
+        far state: its arrays, and every node up to each domain end whose
+        nodes the field leaves at another state than that end's far state."""
+        n, (left, right), far = self.grid.n_nodes, field.ends, self.far_states
+        return (field.lo if left is not None and left == far[0] else 0,
+                field.hi if right is not None and right == far[1] else n)
 
     def _state(self, t: float) -> FluidField:
         """The run's state as a field on the context's own arrays."""
@@ -632,9 +612,8 @@ class SolverContext:
         self.undershoots += np.count_nonzero(rho_s[1:-1] < floor)
         self.cells_advanced += hi - lo
         self.hull = (min(self.hull[0], lo), max(self.hull[1], hi))
-        if self.live is not None:
-            self.live = ((lo, hi) if self.live[0] >= self.live[1] else
-                         (min(self.live[0], lo), max(self.live[1], hi)))
+        self.live = ((lo, hi) if self.live[0] >= self.live[1] else
+                     (min(self.live[0], lo), max(self.live[1], hi)))
 
         # the window's end rows are pinned: to the boundary values at a
         # domain end (the axis end keeps its mirrored row), else to the
@@ -780,15 +759,16 @@ def hyperbolic_interface_data(ctx: SolverContext, rho: np.ndarray,
     """Interface states/fluxes of the explicit stage (also used by diagnostics).
 
     ``rho`` and ``m`` hold the context's stored nodes (a context that
-    stores none takes them as the whole grid), and ``window`` indexes them.
+    stores none is refused), and ``window`` indexes them.
     For the nodes [lo, hi) of ``window`` (default: all), returns arrays over
     the hi-lo+1 interfaces around them; on the whole grid these are the
     n_cells+2 interfaces I_{-1}..I_{n_cells} of the ghost-padded grid.
     ``rho_ext``/``m_ext`` hold the states on nodes lo-1 .. hi.
     """
     g = ctx.g
-    if ctx.lo == ctx.hi:  # a new context takes the arrays as the whole grid
-        ctx.store(0, rho.size)
+    if ctx.lo == ctx.hi:
+        raise ConfigError("the solver context stores no nodes: call its "
+                          "store or start first")
     lo, hi = window or (0, rho.size)
     ve = _extend(rho, m, ctx, t, lo, hi)
     s = _slopes(ve, lo + ctx.lo == 0
@@ -887,7 +867,9 @@ def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
         bc: BoundarySpec, t_end: float, hooks=None, *, cfl: float = CFL,
         forcing: Optional[Callable] = None,
         dt_fixed: Optional[float] = None):
-    """March to t_end; returns (final whole-grid field, diagnostics report).
+    """March to t_end; returns (final field, diagnostics report).  The
+    field is a copy of the run's state on the nodes its context stores; a
+    run of zero length returns ``field`` itself.
 
     ``hooks`` (any object with sample_times, sample(field, ctx), finalize())
     is sampled at its requested times with the run's SolverContext and a
@@ -902,8 +884,8 @@ def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
     if t_end < field.t - 1e-12:
         raise ConfigError("t_end lies before the field's current time")
     if t_end <= field.t + 1e-15 * max(1.0, abs(t_end)):
-        return field.whole(), (hooks.finalize() if hooks is not None else
-                               DiagnosticsReport())
+        return field, (hooks.finalize() if hooks is not None else
+                       DiagnosticsReport())
     ctx = SolverContext(field.grid, g, profile, eps, bc)
     # a state the gas law overflows on fails here, before any monitor sees it
     ends = [e for e in field.ends if e is not None]
@@ -915,8 +897,6 @@ def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
     if forced:  # forcing moves every node from the first step on
         ctx.store(0, field.grid.n_nodes)
         ctx.live = (0, field.grid.n_nodes)
-    else:
-        ctx.find_live()
     targets = []
     if hooks is not None:
         targets = [ts for ts in np.sort(np.asarray(hooks.sample_times, dtype=float))
@@ -956,7 +936,7 @@ def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
     report.undershoots = ctx.undershoots
     report.cells_advanced = ctx.cells_advanced
     report.hull = ctx.hull
-    return ctx._state(t).whole(), report
+    return ctx.field(t), report
 
 
 # ---------------------------------------------------------------------------

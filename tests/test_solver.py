@@ -387,7 +387,7 @@ def test_refinement_halving_order_at_least_one():
                           mollify_width=0.0, blend_width=0.5)
         f = prepare_initial_data(raw, bc, g, prof, grid)
         out, _ = run(f, g, prof, 0.05, bc, 0.5)
-        fields[n] = out
+        fields[n] = out.whole()
     x = fields[512].grid.x
     d1 = np.trapezoid(np.abs(np.interp(x, fields[128].grid.x, fields[128].rho)
                              - np.interp(x, fields[256].grid.x, fields[256].rho)), x)

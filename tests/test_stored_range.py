@@ -20,10 +20,12 @@ import pytest
 from helpers import assert_same_series, whole_field_monitors
 from nozzleflow import diagnostics, harness, solver
 from nozzleflow.errors import ConfigError
-from nozzleflow.geometry import GaussianBumpProfile, SphericalProfile
+from nozzleflow.geometry import (ConstantProfile, GaussianBumpProfile,
+                                 SphericalProfile)
 from nozzleflow.harness import RunConfig, single_run, write_snapshot_csv
 from nozzleflow.solver import (BoundarySpec, FluidField, Grid, InitialData,
-                               SolverContext, prepare_initial_data, run)
+                               SolverContext, hyperbolic_interface_data,
+                               prepare_initial_data, run)
 from nozzleflow.thermo import GasLaw
 
 
@@ -171,8 +173,8 @@ def test_context_areas_on_any_range():
     full = profile.area(grid.x)
     for lo, hi in ((0, 97), (0, 10), (30, 60), (45, 47), (90, 97), (5, 5)):
         assert ctx.area(lo, hi).tobytes() == full[lo:hi].tobytes()
-    # growing evaluates only the new nodes, and stays bit for bit the
-    # whole-grid coefficients
+    # growing re-evaluates the range, and stays bit for bit the whole-grid
+    # coefficients
     ctx.store(0, 97)
     whole = SolverContext(grid, ctx.g, profile, 0.05, ctx.bc)
     whole.store(0, 97)
@@ -181,13 +183,78 @@ def test_context_areas_on_any_range():
         assert getattr(ctx, name).tobytes() == getattr(whole, name).tobytes()
 
 
+def test_interface_data_refuse_a_context_that_stores_no_nodes():
+    grid = Grid(-1.0, 1.0, 16)
+    ctx = SolverContext(grid, GasLaw(2.0, delta=1e-3), ConstantProfile(), 0.05,
+                        BoundarySpec.dirichlet_nozzle(1.0, 0.0, 1.0, 0.0))
+    rho, m = np.ones(grid.n_nodes), np.zeros(grid.n_nodes)
+    with pytest.raises(ConfigError, match="store or start"):
+        hyperbolic_interface_data(ctx, rho, m)
+    assert (ctx.lo, ctx.hi) == (0, 0)
+    ctx.store(0, grid.n_nodes)
+    assert hyperbolic_interface_data(ctx, rho, m)["phi"].size == grid.n_nodes + 1
+
+
+# ---------------------------------------------------------------------------
+# The live range against a scan of the stored nodes
+# ---------------------------------------------------------------------------
+
+
+def _scanned_live(ctx: SolverContext) -> tuple[int, int]:
+    """The plain path of ``start``'s ``live``: every stored node scanned,
+    from the first off the left far state to the last off the right one (an
+    end without a far state has none on)."""
+    off = [np.ones(ctx.rho.size, bool) if end is None
+           else (ctx.rho != end[0]) | (ctx.m != end[1])
+           for end in ctx.far_states]
+    i = ctx.lo + int(off[0].argmax()) if off[0].any() else ctx.hi
+    j = ctx.hi - int(off[1][::-1].argmax()) if off[1].any() else ctx.lo
+    return min(i, j), j
+
+
+def _bump_inflow() -> RunConfig:
+    # a Gaussian bump duct with inflow: the left end has no far state
+    return RunConfig.from_mapping(dict(
+        gamma=2.0, profile="gaussian_bump", bc="dirichlet_nozzle",
+        rho_minus=1.0, rho_plus=0.125, u_minus=0.2, u_plus=0.0,
+        init="riemann", blend_width=1.0, t_end=0.5, dx=1.0 / 64.0, eps=0.05,
+        delta=1e-4))
+
+
+def _sphere_neumann() -> RunConfig:
+    return RunConfig.from_mapping(dict(
+        gamma=2.0, profile="spherical", profile_n=3, bc="neumann_spherical",
+        init="bump", init_amp=1.0, init_center=2.0, init_width=1.0,
+        mollify_width=0.0, blend_width=0.5, t_end=0.5, dx=0.025, eps=0.05))
+
+
+@pytest.mark.parametrize("case, eps", [("ladder", 0.003125),
+                                       ("bump_inflow", 0.05),
+                                       ("sphere_neumann", 0.05)])
+def test_started_live_range_matches_a_scan(case, eps):
+    cfg = {"ladder": _ladder_config, "bump_inflow": _bump_inflow,
+           "sphere_neumann": _sphere_neumann}[case]()
+    ctx = SolverContext(cfg.grid_of(eps), cfg.build_gas(eps),
+                        cfg.build_profile(), eps, cfg.build_bc(eps))
+    field = prepare_initial_data(cfg.build_initial(eps), ctx.bc, ctx.g,
+                                 ctx.profile, ctx.grid)
+    ctx.start(field)
+    assert ctx.live == _scanned_live(ctx)
+    n = ctx.grid.n_nodes
+    assert ctx.live[1] - ctx.live[0] < n
+    if case != "ladder":  # no far state on the left: live starts at 0
+        assert ctx.far_states[0] is None and ctx.live[0] == 0
+    ctx.start(field.whole())
+    assert ctx.live == (0, n) and (ctx.lo, ctx.hi) == (0, n)
+
+
 # ---------------------------------------------------------------------------
 # The stored range against whole-grid storage
 # ---------------------------------------------------------------------------
 
 
 def _assert_same_run(fast, plain):
-    _assert_same_field(fast.field, plain.field)
+    _assert_same_field(fast.field.whole(), plain.field)
     assert_same_series(fast.report, plain.report)
     for name in ("cells_advanced", "undershoots", "hull"):
         assert getattr(fast.report, name) == getattr(plain.report, name)
@@ -248,6 +315,7 @@ def test_finest_ladder_rung_stores_few_nodes():
         tracemalloc.stop()
     assert out.field.grid.n_nodes == 81921
     assert out.ctx.hi - out.ctx.lo <= 4096
+    assert out.field.rho.size == out.ctx.hi - out.ctx.lo
     assert peak < 8 * 2 ** 20
 
 

@@ -145,7 +145,7 @@ def test_window_matches_whole_grid_on_neumann_spherical():
 
 def test_ladder_rung_exterior_stays_exact_far_state(ladder_rung):
     cfg, ((out, trace), (whole, _)) = ladder_rung
-    f = out.field
+    f = out.field.whole()
     lo, hi = trace.lo, trace.hi
     assert 0 < lo < hi < f.grid.n_nodes
     # nodes no step ever advanced hold the far states bit for bit
@@ -278,8 +278,8 @@ def _assert_frozen_outside_hull(window_run):
     # the whole grid
     assert (lo, hi) == (trace.lo, trace.hi)
     assert hi - lo < out.field.grid.n_nodes
-    start = trace.start.whole()
-    for now, then in ((out.field.rho, start.rho), (out.field.m, start.m)):
+    start, end = trace.start.whole(), out.field.whole()
+    for now, then in ((end.rho, start.rho), (end.m, start.m)):
         assert np.array_equal(now[:lo], then[:lo])
         assert np.array_equal(now[hi:], then[hi:])
     return lo, hi
