@@ -30,7 +30,8 @@ from .geometry import NozzleProfile, make_profile
 from .schedule import (M_BUDGET, Q_LADDER, ViscositySchedule, certify,
                        certificate_summary)
 from .solver import (CFL, MIN_CELLS, BCMode, BoundarySpec, FluidField, Grid,
-                     InitialData, SolverContext, prepare_initial_data, run)
+                     InitialData, SolverContext, check_cfl,
+                     prepare_initial_data, run)
 from .thermo import GasLaw
 
 # ---------------------------------------------------------------------------
@@ -172,10 +173,7 @@ class RunConfig:
             val = getattr(self, name)
             if val < 0:
                 raise ConfigError(f"{name} must be nonnegative, got {val}")
-        # Heun is SSP with coefficient 1; the MUSCL/central stencil allows 1/2
-        # (Kurganov-Tadmor 2000)
-        if not 0.0 < self.cfl <= 0.5:
-            raise ConfigError(f"cfl must lie in (0, 0.5], got {self.cfl}")
+        check_cfl(self.cfl)
         # a time-series check on too few samples would pass without evidence
         need = 4 if (self.check_energy or self.check_riemann or self.quartic_check
                      or self.weak_residuals) else 1

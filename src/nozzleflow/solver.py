@@ -42,6 +42,8 @@ and advances it after a scan of every stored node.
 The explicit stage and ``SolverContext.max_wave_speed`` call the gas law's
 unchecked kernels (``GasLaw._pressure``, ``_p_prime``, ``_velocity``) on
 densities clamped at rho_floor (faces) or 0, where validation cannot fail.
+On the small arrays a step works on, a numpy call costs more than its
+arithmetic, so each call covers both variables (``_stage``).
 """
 
 from __future__ import annotations
@@ -239,8 +241,17 @@ class InitialData:
 # Context: everything that does not change from step to step
 # ---------------------------------------------------------------------------
 
-# the default Courant number of ``step``, ``run`` and a config's ``cfl``
+# the default Courant number of ``step``, ``run`` and a config's ``cfl``,
+# and the largest that any of them accepts: Heun is SSP with coefficient 1,
+# and the MUSCL/central stencil allows 1/2 (Kurganov-Tadmor 2000)
 CFL = 0.4
+CFL_MAX = 0.5
+
+
+def check_cfl(cfl: float) -> None:
+    """Raise ConfigError unless cfl lies in (0, CFL_MAX]."""
+    if not 0.0 < cfl <= CFL_MAX:
+        raise ConfigError(f"cfl must lie in (0, {CFL_MAX:g}], got {cfl}")
 
 
 class SolverContext:
@@ -250,9 +261,9 @@ class SolverContext:
     ``step`` and ``run`` take all five from it.  It stores the nodes
     [lo, hi) of the grid: on them it holds the coefficient arrays (``x``,
     ``A``, ``G``, ``Ah``, ``Ah_full``, the bands and ``inv_Adx``) and, from
-    ``start`` on, the run's state ``rho`` and ``m``.  Every node outside
-    holds its end's far state, and so does every stored node outside
-    ``live``.  ``store`` grows the range and evaluates the profile on all
+    ``start`` on, the run's ``state``, rows (rho, m) with the views ``rho``
+    and ``m``.  Every node outside holds its end's far state, and so does
+    every stored node outside ``live``.  ``store`` grows the range and evaluates the profile on all
     of it.  The context also keeps the window the last ``advance`` moved
     and the scan made since.
     """
@@ -267,8 +278,9 @@ class SolverContext:
         self.eps = eps
         self.bc = bc
         self.dx = grid.dx
+        self._two_dx = np.array(2.0 * grid.dx)   # the pressure term's divisor
         self.lo = self.hi = 0          # nothing stored yet
-        self.rho = self.m = None       # the run's state, from ``start``
+        self.state = None              # the run's state, from ``start``
         # [lo, hi): the nodes that may differ from their end's far state,
         # from ``start`` on (None before it)
         self.live: Optional[tuple[int, int]] = None
@@ -305,8 +317,8 @@ class SolverContext:
             lo, hi = min(lo, old[0]), max(hi, old[1])
         if (lo, hi) == old:
             return
-        if self.rho is not None:
-            self.rho, self.m = self._state(0.0).values(lo, hi)
+        if self.state is not None:
+            self.state = self._state(0.0).values(lo, hi)
         prof = self.profile
         self.x = self.grid.nodes(lo, hi)
         self.A = np.asarray(prof.area(self.x), dtype=float)
@@ -330,14 +342,15 @@ class SolverContext:
         self.Ah_full = np.concatenate([Ah[:1]] * (self.lo == 0) + [Ah]
                                       + [Ah[-1:]] * (self.hi == n))
         inner = self.Ah_full[1:N]
-        mass = np.zeros((3, N))
+        # both operators in one array: a step assembles both systems at once
+        self.bands = np.zeros((2, 3, N))
+        mass, mom = self.bands
         mass[0, 1:] = inner / (self.A[:-1] * dx * dx)
         mass[2, :-1] = inner / (self.A[1:] * dx * dx)
         if self.bc.mode is BCMode.NEUMANN_SPHERICAL and self.lo == 0:
             mass[0, 1] = 2.0 * inner[0] / (self.A[0] * dx * dx)
         mass[1] = -(np.concatenate([[0.0], mass[2, :-1]])
                     + np.concatenate([mass[0, 1:], [0.0]]))
-        mom = np.empty((3, N))
         mom[0] = 1.0 / (dx * dx) + self.G / (2.0 * dx)
         mom[1] = -2.0 / (dx * dx)
         mom[2] = 1.0 / (dx * dx) - self.G / (2.0 * dx)
@@ -366,18 +379,26 @@ class SolverContext:
         return self._dG
 
     # -- the run's state -------------------------------------------------------
+    @property
+    def rho(self) -> np.ndarray:
+        return self.state[0]
+
+    @property
+    def m(self) -> np.ndarray:
+        return self.state[1]
+
     def start(self, field: FluidField) -> None:
         """Take a copy of ``field`` as the run's state, which ``advance``
         steps in place, and forget the last scan.  ``live`` becomes the
         field's ``reach``, and the stored range comes to hold it."""
         lo, hi = self.live = self.reach(field)
-        self.rho = self.m = None
+        self.state = None
         if lo < self.lo or hi > self.hi or self.lo == self.hi:
             self.store(lo, hi)
         if (self.lo, self.hi) == (field.lo, field.hi):
-            self.rho, self.m = field.rho.copy(), field.m.copy()
+            self.state = np.array((field.rho, field.m))
         else:
-            self.rho, self.m = field.values(self.lo, self.hi)
+            self.state = field.values(self.lo, self.hi)
         self.rescan()
 
     def reach(self, field: FluidField) -> tuple[int, int]:
@@ -402,7 +423,7 @@ class SolverContext:
     def max_wave_speed(self, rho: np.ndarray, m: np.ndarray) -> float:
         """max(|u| + c) over float arrays; rho clamped at 0 needs no check."""
         speed = np.abs(self.g._velocity(rho, m)) + np.sqrt(
-            self.g._p_prime(np.maximum(rho, 0.0)))
+            self.g._p_prime(np.maximum(rho, _ZERO)))
         lam = float(speed.max())
         if not math.isfinite(lam):
             i = int(np.isfinite(speed).argmin())
@@ -443,8 +464,8 @@ class SolverContext:
         n = self.grid.n_nodes
         probe = SolverContext(self.grid, self.g, self.profile, self.eps, self.bc)
         probe.store(0, n)
-        rho, m = np.full(n, rho_f), np.full(n, m_f)
-        c_rho, c_m = _hyperbolic_rhs(probe, rho, m, 0.0, (2, n - 2))
+        rho, m = state = np.array((np.full(n, rho_f), np.full(n, m_f)))
+        c_rho, c_m = _hyperbolic_rhs(probe, state, 0.0, (2, n - 2))
         resid = max(np.max(np.abs(c_rho)), np.max(np.abs(c_m)),
                     self.eps * np.max(np.abs(_apply(probe.mass_bands, rho))),
                     self.eps * np.max(np.abs(_apply(probe.mom_bands, m))))
@@ -557,8 +578,8 @@ class SolverContext:
         range; the rest box's ``rest_speed`` bounds the nodes that the scan
         window leaves out.
         """
-        if dt <= 0.0:
-            raise StabilityError("dt must be positive")
+        if not 0.0 < dt < math.inf:
+            raise StabilityError(f"dt must be positive and finite, got {dt}")
         forced = forcing is not None
         n = self.grid.n_nodes
         lo, hi, lam = self.scan(forced)
@@ -576,65 +597,63 @@ class SolverContext:
                 break
             self.store(wlo - STORE_MARGIN, whi + STORE_MARGIN)
         lo, hi = wlo, whi
-        rho, m, s0 = self.rho, self.m, self.lo
-        win = slice(lo - s0, hi - s0)
+        state, a, b = self.state, lo - self.lo, hi - self.lo
         self._moved, self._scan = (lo, hi), None
 
         # two-stage (Heun) explicit convection: a single forward-Euler stage
         # feeds energy into the resolved waves at O(dt) and visibly pollutes
         # the discrete energy identity; averaging the stage fluxes removes
         # that while keeping one tridiagonal solve per equation below.  The
-        # arrays carry the stage state, so stage 2 reads frozen neighbours.
-        floor = self.g.rho_floor
-        rho0, m0 = rho[win].copy(), m[win].copy()
-        c1_rho, c1_m = _hyperbolic_rhs(self, rho, m, t, (win.start, win.stop))
-        rho[win] = np.maximum(rho0 + dt * c1_rho, floor)
-        m[win] = m0 + dt * c1_m
+        # state carries the stage state, so stage 2 reads frozen neighbours.
+        floor, h, half_h = self.g._floor, np.array(dt), np.array(0.5 * dt)
+        state0 = state[:, a:b].copy()
+        c1 = _hyperbolic_rhs(self, state, t, (a, b))
+        mid = state0 + h * c1
+        np.maximum(mid[0], floor, out=mid[0])
         if forced:
-            f1_rho, f1_m = (np.asarray(v, dtype=float) for v in forcing(self.x, t))
-            rho[win] = np.maximum(rho[win] + dt * f1_rho, floor)
-            m[win] = m[win] + dt * f1_m
-        c2_rho, c2_m = _hyperbolic_rhs(self, rho, m, t + dt,
-                                       (win.start, win.stop))
-        rho_s = rho0 + 0.5 * dt * (c1_rho + c2_rho)
-        m_s = m0 + 0.5 * dt * (c1_m + c2_m)
+            f1 = np.array(forcing(self.x, t), dtype=float)
+            mid = mid + h * f1
+            np.maximum(mid[0], floor, out=mid[0])
+        state[:, a:b] = mid
+        c2 = _hyperbolic_rhs(self, state, t + dt, (a, b))
+        new = state0 + half_h * (c1 + c2)
         if forced:
-            f2_rho, f2_m = (np.asarray(v, dtype=float)
-                            for v in forcing(self.x, t + dt))
-            rho_s = rho_s + 0.5 * dt * (f1_rho + f2_rho)
-            m_s = m_s + 0.5 * dt * (f1_m + f2_m)
+            new = new + half_h * (f1 + np.array(forcing(self.x, t + dt),
+                                                dtype=float))
 
-        if not (np.isfinite(rho_s).all() and np.isfinite(m_s).all()):
+        if not np.isfinite(new).all():
             raise NonFiniteError("non-finite values after the explicit stage")
         # transient undershoots are counted, not clamped: the implicit
         # diffusion usually lifts an isolated dip, and a persistent one must
         # surface as a cavitation fault below rather than be masked
-        self.undershoots += np.count_nonzero(rho_s[1:-1] < floor)
+        self.undershoots += np.count_nonzero(new[0, 1:-1] < floor)
         self.cells_advanced += hi - lo
         self.hull = (min(self.hull[0], lo), max(self.hull[1], hi))
         self.live = ((lo, hi) if self.live[0] >= self.live[1] else
                      (min(self.live[0], lo), max(self.live[1], hi)))
 
-        # the window's end rows are pinned: to the boundary values at a
-        # domain end (the axis end keeps its mirrored row), else to the
-        # frozen values
+        # (I - eps dt L) u = new for both rows at once.  The window's end
+        # rows are pinned: to the boundary values at a domain end (the axis
+        # end keeps its mirrored density row), else to the frozen values
         t1 = t + dt
-        rho_l, m_l = self.bc.left_values(t1) if lo == 0 else (rho0[0], m0[0])
-        rho_r, m_r = self.bc.right_values(t1) if hi == n else (rho0[-1],
-                                                                m0[-1])
-        coef = self.eps * dt
-        rho_n = _tridiag_solve(*_implicit_system(self.mass_bands[:, win], coef,
-                                                 rho_s, rho_l, rho_r))
-        m_n = _tridiag_solve(*_implicit_system(self.mom_bands[:, win], coef,
-                                               m_s, m_l, m_r))
+        left = self.bc.left_values(t1) if lo == 0 else state0[:, 0]
+        right = self.bc.right_values(t1) if hi == n else state0[:, -1]
+        ab = np.array(-(self.eps * dt)) * self.bands[:, :, a:b]
+        ab[:, 1] += 1.0
+        pin = slice(0 if left[0] is not None else 1, 2)
+        ab[pin, 1, 0], ab[pin, 0, 1], new[pin, 0] = 1.0, 0.0, left[pin]
+        ab[:, 1, -1], ab[:, 2, -2], new[:, -1] = 1.0, 0.0, right
+        for k in (0, 1):
+            new[k] = _tridiag_solve(ab[k, 2, :-1], ab[k, 1], ab[k, 0, 1:],
+                                    new[k])
 
-        if not (np.isfinite(rho_n).all() and np.isfinite(m_n).all()):
+        if not np.isfinite(new).all():
             raise NonFiniteError("non-finite values after the implicit stage")
-        if rho_n.min() < floor:
+        low = new[0].min()
+        if low < floor:
             raise CavitationError(
-                f"density fell to {rho_n.min():.3e} (< floor {floor:.0e})")
-        rho[win] = rho_n
-        m[win] = m_n
+                f"density fell to {low:.3e} (< floor {self.g.rho_floor:.0e})")
+        state[:, a:b] = new
         return lo, hi
 
     def require(self, grid: Grid, g: GasLaw, profile: NozzleProfile,
@@ -697,20 +716,18 @@ def _apply(bands: np.ndarray, u: np.ndarray) -> np.ndarray:
 LIMITER_THETA = 1.5
 
 
-def _minmod3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Generalized minmod.  Here b is the mean of a/theta and c/theta, so b
-    shares the sign of a and c whenever they agree; sign(a) + sign(c) then
-    selects the same value as a test of all three signs, for finite slopes."""
-    mag = np.minimum(np.minimum(np.abs(a), np.abs(b)), np.abs(c))
-    return 0.5 * (np.sign(a) + np.sign(c)) * mag
+# the stage's scalar operands as 0-d arrays: on arrays of a few dozen nodes
+# a ufunc converts a Python float operand at about the cost of its arithmetic
+_HALF, _THETA, _ZERO = np.array(0.5), np.array(LIMITER_THETA), np.array(0.0)
 
 
-def _extend(rho, m, ctx: SolverContext, t: float, lo: int,
+def _extend(state: np.ndarray, ctx: SolverContext, t: float, lo: int,
             hi: int) -> np.ndarray:
-    """Rows (rho, m) on nodes lo-2 .. hi+1 of the stored arrays, the
-    reconstruction stencil of the nodes [lo, hi).
+    """(rho, m) on nodes lo-2 .. hi+1 of the stored ``state`` (rows rho,
+    m), the reconstruction stencil of the nodes [lo, hi), one node a row:
+    a shift along the nodes is then a contiguous block of both variables.
 
-    Inside the stored range the values come from the arrays (frozen
+    Inside the stored range the values come from the state (frozen
     neighbours are stencil data); past an edge of it inside the grid, a
     node holds its end's far state; past a domain end the ghost node
     repeats once more, so its limited slope comes out zero.  Dirichlet
@@ -718,39 +735,67 @@ def _extend(rho, m, ctx: SolverContext, t: float, lo: int,
     (constant extrapolation would cut the boundary cells to first order);
     the axis end mirrors with even density and odd momentum.
     """
-    n = rho.size
+    n = state.shape[1]
     s0, s1 = max(lo - 2, 0), min(hi + 2, n)
     head, tail = s0 - (lo - 2), hi + 2 - s1  # entries past each array end
-    ve = np.empty((2, hi - lo + 4))
-    ve[0, head:head + s1 - s0], ve[1, head:head + s1 - s0] = rho[s0:s1], m[s0:s1]
+    ve = np.empty((hi - lo + 4, 2))
+    ve[head:head + s1 - s0] = state[:, s0:s1].T
     if head:
         if ctx.lo > 0:
-            ve[:, :head] = np.reshape(ctx.far_states[0], (2, 1))
+            ve[:head] = ctx.far_states[0]
         elif ctx.bc.mode is BCMode.NEUMANN_SPHERICAL:
-            ve[:, :head] = ((rho[1],), (-m[1],))
+            ve[:head] = state[0, 1], -state[1, 1]
         else:
             rl, ml = ctx.bc.left_values(t)
-            ve[:, :head] = ((max(2.0 * rl - rho[1], ctx.g.rho_floor),),
-                            (2.0 * ml - m[1],))
+            ve[:head] = (max(2.0 * rl - state[0, 1], ctx.g.rho_floor),
+                         2.0 * ml - state[1, 1])
     if tail:
         if ctx.hi < ctx.grid.n_nodes:
-            ve[:, -tail:] = np.reshape(ctx.far_states[1], (2, 1))
+            ve[-tail:] = ctx.far_states[1]
         else:
             rr, mr = ctx.bc.right_values(t)
-            ve[:, -tail:] = ((max(2.0 * rr - rho[-2], ctx.g.rho_floor),),
-                             (2.0 * mr - m[-2],))
+            ve[-tail:] = (max(2.0 * rr - state[0, -2], ctx.g.rho_floor),
+                          2.0 * mr - state[1, -2])
     return ve
 
 
-def _slopes(ve: np.ndarray, mirror_left: bool) -> np.ndarray:
-    """Limited undivided slopes at ve[:, 1:-1]; ``mirror_left`` reflects the
-    axis ghost's slope from node 1 (even density, odd momentum)."""
-    d = ve[:, 1:] - ve[:, :-1]
-    s = _minmod3(LIMITER_THETA * d[:, :-1], 0.5 * (d[:, :-1] + d[:, 1:]),
-                 LIMITER_THETA * d[:, 1:])
-    if mirror_left:
-        s[0, 0], s[1, 0] = -s[0, 2], s[1, 2]
-    return s
+def _stage(ctx: SolverContext, state: np.ndarray, t: float, lo: int,
+           hi: int) -> tuple:
+    """The explicit stage on the stored nodes [lo, hi) of ``state`` (rows
+    rho, m): the stencil ``ve`` (``_extend``) and, on the hi-lo+1 faces
+    around the nodes, the face states ``S`` indexed (var, side, face) with
+    var rho (floored), m, m u and side left, right of the face; the local
+    Lax-Friedrichs speed ``alpha``; and the area-weighted fluxes ``F``
+    (mass, momentum).  Each call covers both variables or both sides, in
+    the order of the per-variable formulas, so each element rounds alike.
+    """
+    ve = _extend(state, ctx, t, lo, hi)
+    d = ve[1:] - ve[:-1]
+    # generalized minmod of theta d_-, (d_- + d_+)/2, theta d_+: the mean
+    # shares the others' sign when they agree, so sign(d_-) + sign(d_+)
+    # selects as a test of all three signs does, for finite slopes
+    td = _THETA * d
+    mag = np.abs(td)
+    mag = np.minimum(np.minimum(mag[:-1], np.abs(_HALF * (d[:-1] + d[1:]))),
+                     mag[1:])
+    sign = np.sign(td)
+    s = _HALF * (sign[:-1] + sign[1:]) * mag
+    if lo + ctx.lo == 0 and ctx.bc.mode is BCMode.NEUMANN_SPHERICAL:
+        # the axis ghost's slope is node 1's, reflected
+        s[0] = -s[2, 0], s[2, 1]
+    v, half = ve[1:-1], _HALF * s
+    sides = np.array((v[:-1] + half[:-1], v[1:] - half[1:]))  # side, face, var
+    S = np.empty((3, 2, hi - lo + 1))
+    S[:2] = sides.transpose(2, 0, 1)  # one copy, cheaper than strided sums
+    r = S[0]
+    np.maximum(r, ctx.g._floor, out=r)
+    u = S[1] / r
+    np.multiply(S[1], u, out=S[2])
+    wave = np.abs(u) + np.sqrt(ctx.g._p_prime(r))
+    alpha = np.maximum(wave[0], wave[1])
+    F = ctx.Ah_full[lo:hi + 1] * (_HALF * (S[1:, 0] + S[1:, 1])
+                                  - _HALF * alpha * (S[:2, 1] - S[:2, 0]))
+    return ve, S, alpha, F
 
 
 def hyperbolic_interface_data(ctx: SolverContext, rho: np.ndarray,
@@ -763,64 +808,34 @@ def hyperbolic_interface_data(ctx: SolverContext, rho: np.ndarray,
     For the nodes [lo, hi) of ``window`` (default: all), returns arrays over
     the hi-lo+1 interfaces around them; on the whole grid these are the
     n_cells+2 interfaces I_{-1}..I_{n_cells} of the ghost-padded grid.
-    ``rho_ext``/``m_ext`` hold the states on nodes lo-1 .. hi.
+    ``rho_ext``/``m_ext`` hold the states on nodes lo-1 .. hi.  The arrays
+    are views of ``_stage``'s.
     """
-    g = ctx.g
     if ctx.lo == ctx.hi:
         raise ConfigError("the solver context stores no nodes: call its "
                           "store or start first")
     lo, hi = window or (0, rho.size)
-    ve = _extend(rho, m, ctx, t, lo, hi)
-    s = _slopes(ve, lo + ctx.lo == 0
-                and ctx.bc.mode is BCMode.NEUMANN_SPHERICAL)
-    v, half = ve[:, 1:-1], 0.5 * s
-    # sides[0] / sides[1]: (rho, m) reconstructed left / right of each face
-    sides = np.array((v[:, :-1] + half[:, :-1], v[:, 1:] - half[:, 1:]))
-    r = np.maximum(sides[:, 0], g.rho_floor)
-    mm = sides[:, 1]
-    u = mm / r
-    wave = np.abs(u) + np.sqrt(g._p_prime(r))
-    alpha = np.maximum(wave[0], wave[1])
-    (rl, rr), (ml, mr), (ul, ur) = r, mm, u
-    Ah = ctx.Ah_full[lo:hi + 1]
-    phi = Ah * (0.5 * (ml + mr) - 0.5 * alpha * (rr - rl))
-    psi = Ah * (0.5 * (ml * ul + mr * ur) - 0.5 * alpha * (mr - ml))
-    return {"rho_L": rl, "rho_R": rr, "m_L": ml, "m_R": mr,
-            "alpha": alpha, "phi": phi, "psi": psi, "rho_ext": v[0],
-            "m_ext": v[1]}
+    ve, S, alpha, F = _stage(ctx, np.array((rho, m)), t, lo, hi)
+    return {"rho_L": S[0, 0], "rho_R": S[0, 1], "m_L": S[1, 0], "m_R": S[1, 1],
+            "alpha": alpha, "phi": F[0], "psi": F[1], "rho_ext": ve[1:-1, 0],
+            "m_ext": ve[1:-1, 1]}
 
 
-def _hyperbolic_rhs(ctx: SolverContext, rho, m, t, window: tuple[int, int]):
-    """Explicit rates on the window's nodes, from the stored arrays."""
-    data = hyperbolic_interface_data(ctx, rho, m, t, window)
-    phi, psi = data["phi"], data["psi"]
-    p = ctx.g._pressure(np.maximum(data["rho_ext"], 0.0))
-    inv = ctx.inv_Adx[window[0]:window[1]]
-    conv_rho = -(phi[1:] - phi[:-1]) * inv
-    conv_m = -(psi[1:] - psi[:-1]) * inv - (p[2:] - p[:-2]) / (2.0 * ctx.dx)
-    return conv_rho, conv_m
+def _hyperbolic_rhs(ctx: SolverContext, state: np.ndarray, t: float,
+                    window: tuple[int, int]) -> np.ndarray:
+    """Explicit rates (rho, m) on the window's nodes, from the stored
+    ``state`` (rows rho, m)."""
+    lo, hi = window
+    ve, _, _, F = _stage(ctx, state, t, lo, hi)
+    p = ctx.g._pressure(np.maximum(ve[1:-1, 0], _ZERO))
+    rates = -(F[:, 1:] - F[:, :-1]) * ctx.inv_Adx[lo:hi]
+    rates[1] -= (p[2:] - p[:-2]) / ctx._two_dx
+    return rates
 
 
 # ---------------------------------------------------------------------------
 # Implicit stage
 # ---------------------------------------------------------------------------
-
-
-def _implicit_system(bands: np.ndarray, coef: float, rhs: np.ndarray,
-                     left: Optional[float], right: float):
-    """Bands (dl, d, du) and right side of (I - coef L) u = rhs.
-
-    The end rows pin u to the Dirichlet values; ``left=None`` keeps the
-    assembled first row (the mirrored axis end).
-    """
-    ab = -coef * bands
-    ab[1] += 1.0
-    dl, d, du = ab[2, :-1], ab[1], ab[0, 1:]
-    b = rhs.copy()
-    if left is not None:
-        d[0], du[0], b[0] = 1.0, 0.0, left
-    d[-1], dl[-1], b[-1] = 1.0, 0.0, right
-    return dl, d, du, b
 
 
 def _tridiag_solve(dl, d, du, b) -> np.ndarray:
@@ -840,14 +855,16 @@ def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
          cfl: float = CFL, forcing: Optional[Callable] = None) -> FluidField:
     """Advance one IMEX step of size dt; returns a new field.
 
-    dt must respect the advective bound cfl * dx / max(|u| + c); the implicit
-    diffusion imposes no restriction.  ``forcing(x, t)`` may return extra
+    dt must be positive and respect the advective bound cfl * dx /
+    max(|u| + c), with cfl in (0, CFL_MAX]; the implicit diffusion imposes
+    no restriction.  ``forcing(x, t)`` may return extra
     (mass, momentum) source arrays (manufactured-solution studies).  A given
     ``ctx`` must have been built for this grid, g, profile, eps and bc.
     The step starts ``ctx`` on a copy of the field, scans it whole and
     advances it; the result, on the nodes the context stores (every node
     for a whole-grid field), shares no memory with the input or ``ctx``.
     """
+    check_cfl(cfl)
     if ctx is None:
         ctx = SolverContext(field.grid, g, profile, eps, bc)
     else:
@@ -855,7 +872,7 @@ def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
     ctx.start(field)
     ctx.advance(field.t, dt, cfl=cfl, forcing=forcing)
     out = ctx._state(field.t + dt)
-    ctx.rho = ctx.m = None
+    ctx.state = None
     return out
 
 
@@ -877,10 +894,17 @@ def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
     is clipped so those times are hit exactly.  With hooks=None an empty
     report is returned.  The context holds the run's state (``start``);
     each step is one ``ctx.advance``, with dt from the wave speed of
-    ``ctx.scan``.
+    ``ctx.scan``, or ``dt_fixed``.  A cfl outside (0, CFL_MAX], a t_end
+    that is not finite and a dt_fixed that is not positive and finite are
+    refused (ConfigError).
     """
     from .diagnostics import DiagnosticsReport  # local import to avoid a cycle
 
+    check_cfl(cfl)
+    if not math.isfinite(t_end):
+        raise ConfigError(f"t_end must be finite, got {t_end}")
+    if dt_fixed is not None and not 0.0 < dt_fixed < math.inf:
+        raise ConfigError(f"dt_fixed must be positive and finite, got {dt_fixed}")
     if t_end < field.t - 1e-12:
         raise ConfigError("t_end lies before the field's current time")
     if t_end <= field.t + 1e-15 * max(1.0, abs(t_end)):

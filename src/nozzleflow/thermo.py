@@ -49,13 +49,15 @@ class GasLaw:
     the unchecked kernels ``_pressure``, ``_p_prime``, ``_velocity`` and
     ``_riemann_R``, which own the formulas.  The solver calls the kernels
     directly on float arrays it has clamped at 0 or rho_floor, where the
-    check cannot fail, so a step pays no validation.
+    check cannot fail, so a step pays no validation.  The first three take
+    their coefficients as 0-d arrays, which numpy converts faster than floats.
     """
 
     gamma: float
     kappa: float = -1.0
     delta: float = 0.0
     rho_floor = RHO_FLOOR     # class constant, not a field
+    _floor, _zero = np.array(RHO_FLOOR), np.array(0.0)   # as 0-d operands
 
     def __post_init__(self):
         if not 1.0 < self.gamma < np.inf:
@@ -66,6 +68,12 @@ class GasLaw:
             raise DomainError(f"kappa must be finite and > 0, got {self.kappa}")
         if not 0.0 <= self.delta < np.inf:
             raise DomainError(f"delta must be finite and >= 0, got {self.delta}")
+        # the kernels' coefficients; kappa * gamma and 2 delta are the
+        # products the formulas evaluate first
+        for name, value in (("_kappa", self.kappa), ("_delta", self.delta),
+                            ("_kappa_gamma", self.kappa * self.gamma),
+                            ("_two_delta", 2.0 * self.delta)):
+            object.__setattr__(self, name, np.array(value))
 
     # -- derived exponents ---------------------------------------------------
     @property
@@ -85,7 +93,7 @@ class GasLaw:
         return r
 
     def _pressure(self, r):
-        return self.kappa * r ** self.gamma + self.delta * r * r
+        return self._kappa * r ** self.gamma + self._delta * r * r
 
     def pressure(self, rho):
         return _match(rho, self._pressure(self._rho(rho)))
@@ -96,7 +104,7 @@ class GasLaw:
         return _match(rho, self.kappa * r ** self.gamma)
 
     def _p_prime(self, r):
-        return self.kappa * self.gamma * r ** (self.gamma - 1.0) + 2.0 * self.delta * r
+        return self._kappa_gamma * r ** (self.gamma - 1.0) + self._two_delta * r
 
     def pressure_prime(self, rho):
         return _match(rho, self._p_prime(self._rho(rho)))
@@ -217,7 +225,7 @@ class GasLaw:
         return float(w), float(z)
 
     def _velocity(self, r, m):
-        return np.where(r > self.rho_floor, m / np.maximum(r, self.rho_floor), 0.0)
+        return np.where(r > self._floor, m / np.maximum(r, self._floor), self._zero)
 
     def velocity(self, rho, m):
         """u = m / rho with the vacuum guard: u = 0 wherever rho <= rho_floor."""

@@ -1,13 +1,25 @@
 """The plain explicit stage and step, kept as the oracle of the fast ones.
 
-``step`` in the package evaluates the gas law through its unchecked
-kernels, takes the generalized minmod from signs and magnitudes and writes
-the face states in place.  This copy does none of that: it calls the
-validating ``GasLaw`` methods, tests all three slope signs with ``np.where``
-and stacks the face states, exactly as the solver did before.  It also finds
-every window by a whole-grid scan and steps a copy of the field, as the
-solver did before ``SolverContext.advance``, on a context that stores
-every node.  Monkeypatch ``solver.step``,
+The package's step differs from this copy in how it computes, not in what:
+
+* it evaluates the gas law through its unchecked kernels, whose
+  coefficients are 0-d float64 arrays, and passes 0.5, LIMITER_THETA, dt
+  and the other scalar operands of the stage as 0-d arrays too;
+* it takes the generalized minmod from signs and magnitudes;
+* it stacks the rows (rho, m): the run's state is one (2, n) array, the
+  stencil holds one node a row, and one ufunc call covers both rows in the
+  stencil copy, the slopes, the face states, the fluxes, the Heun updates
+  and the finite checks; the two implicit systems are assembled in one
+  (2, 3, N) array;
+* it advances the run's state in place after a scan of the last window.
+
+This copy does none of that: it calls the validating ``GasLaw`` methods,
+tests all three slope signs with ``np.where``, computes each variable's
+fluxes, updates and implicit system on their own with Python float
+operands, and finds every window by a whole-grid scan and steps a copy of
+the field on a context that stores every node.  It imports from the
+package only the data types, the limiter parameter, the window margin and
+the tridiagonal solve.  Monkeypatch ``solver.step``,
 ``SolverContext.advance``, ``SolverContext.max_wave_speed`` and the
 ``hyperbolic_interface_data`` bindings with these to run the plain path.
 """
@@ -20,8 +32,7 @@ import numpy as np
 from nozzleflow.errors import CavitationError, NonFiniteError, StabilityError
 from nozzleflow.geometry import NozzleProfile
 from nozzleflow.solver import (LIMITER_THETA, BCMode, BoundarySpec,
-                               FluidField, SolverContext, _extend,
-                               _green_margin, _implicit_system,
+                               FluidField, SolverContext, _green_margin,
                                _tridiag_solve)
 from nozzleflow.thermo import GasLaw
 
@@ -40,6 +51,35 @@ def _minmod3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     neg = np.maximum(np.maximum(a, b), c)
     return np.where((a > 0) & (b > 0) & (c > 0), pos,
                     np.where((a < 0) & (b < 0) & (c < 0), neg, 0.0))
+
+
+def _extend(rho, m, ctx: SolverContext, t: float, lo: int,
+            hi: int) -> np.ndarray:
+    """Rows (rho, m) on nodes lo-2 .. hi+1 of the stored arrays: far states
+    past a stored edge inside the grid, linear extrapolation through the
+    Dirichlet value or the axis mirror past a domain end."""
+    n = rho.size
+    s0, s1 = max(lo - 2, 0), min(hi + 2, n)
+    head, tail = s0 - (lo - 2), hi + 2 - s1  # entries past each array end
+    ve = np.empty((2, hi - lo + 4))
+    ve[0, head:head + s1 - s0], ve[1, head:head + s1 - s0] = rho[s0:s1], m[s0:s1]
+    if head:
+        if ctx.lo > 0:
+            ve[:, :head] = np.reshape(ctx.far_states[0], (2, 1))
+        elif ctx.bc.mode is BCMode.NEUMANN_SPHERICAL:
+            ve[:, :head] = ((rho[1],), (-m[1],))
+        else:
+            rl, ml = ctx.bc.left_values(t)
+            ve[:, :head] = ((max(2.0 * rl - rho[1], ctx.g.rho_floor),),
+                            (2.0 * ml - m[1],))
+    if tail:
+        if ctx.hi < ctx.grid.n_nodes:
+            ve[:, -tail:] = np.reshape(ctx.far_states[1], (2, 1))
+        else:
+            rr, mr = ctx.bc.right_values(t)
+            ve[:, -tail:] = ((max(2.0 * rr - rho[-2], ctx.g.rho_floor),),
+                             (2.0 * mr - m[-2],))
+    return ve
 
 
 def _slopes(ve: np.ndarray, mirror_left: bool) -> np.ndarray:
@@ -66,7 +106,8 @@ def hyperbolic_interface_data(ctx: SolverContext, rho: np.ndarray,
     g = ctx.g
     lo, hi = window or (0, rho.size)
     ve = _extend(rho, m, ctx, t, lo, hi)
-    s = _slopes(ve, lo == 0 and ctx.bc.mode is BCMode.NEUMANN_SPHERICAL)
+    s = _slopes(ve, lo + ctx.lo == 0
+                and ctx.bc.mode is BCMode.NEUMANN_SPHERICAL)
     v = ve[:, 1:-1]
     # sides[0] / sides[1]: (rho, m) reconstructed left / right of each face
     sides = np.stack((v[:, :-1] + 0.5 * s[:, :-1], v[:, 1:] - 0.5 * s[:, 1:]))
@@ -94,6 +135,23 @@ def _hyperbolic_rhs(ctx: SolverContext, rho, m, t, window: tuple[int, int]):
     conv_m = -(psi[1:] - psi[:-1]) * inv - (p[2:] - p[:-2]) / (2.0 * ctx.dx)
     return conv_rho, conv_m
 
+
+
+def _implicit_system(bands: np.ndarray, coef: float, rhs: np.ndarray,
+                     left: Optional[float], right: float):
+    """Bands (dl, d, du) and right side of (I - coef L) u = rhs.
+
+    The end rows pin u to the Dirichlet values; ``left=None`` keeps the
+    assembled first row (the mirrored axis end).
+    """
+    ab = -coef * bands
+    ab[1] += 1.0
+    dl, d, du = ab[2, :-1], ab[1], ab[0, 1:]
+    b = rhs.copy()
+    if left is not None:
+        d[0], du[0], b[0] = 1.0, 0.0, left
+    d[-1], dl[-1], b[-1] = 1.0, 0.0, right
+    return dl, d, du, b
 
 
 def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,

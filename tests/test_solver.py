@@ -132,6 +132,54 @@ def test_step_guards():
         step(f, g, prof, 0.05, bc, 0.5 * bound, ctx=ctx, forcing=drain)
 
 
+def _guard_case():
+    g = GasLaw(2.0, delta=1e-3)
+    prof = ConstantProfile()
+    grid = Grid(-1.0, 1.0, 32)
+    bc = BoundarySpec.dirichlet_nozzle(1.0, 0.0, 1.0, 0.0)
+    return _constant_field(grid, 1.0), g, prof, 0.05, bc
+
+
+@pytest.mark.parametrize("call, kwargs, name", [
+    ("run", dict(cfl=2.0), "cfl"),
+    ("run", dict(cfl=5.0), "cfl"),
+    ("run", dict(cfl=-1.0), "cfl"),
+    ("run", dict(cfl=0.0), "cfl"),
+    ("run", dict(cfl=float("nan")), "cfl"),
+    ("step", dict(cfl=2.0), "cfl"),
+    ("step", dict(cfl=-1.0), "cfl"),
+    ("run", dict(t_end=float("nan")), "t_end"),
+    ("run", dict(t_end=float("inf")), "t_end"),
+    ("run", dict(dt_fixed=float("nan")), "dt_fixed"),
+    ("run", dict(dt_fixed=-1e-3), "dt_fixed"),
+])
+def test_scheme_limits_are_config_errors(call, kwargs, name):
+    # the config refuses cfl > CFL_MAX; a direct call refuses it too, and a
+    # t_end or dt_fixed that cannot make a run
+    f, g, prof, eps, bc = _guard_case()
+    kwargs = dict(kwargs)
+    with pytest.raises(ConfigError, match=f"^{name} must"):
+        if call == "step":
+            step(f, g, prof, eps, bc, 1e-3, **kwargs)
+        else:
+            run(f, g, prof, eps, bc, kwargs.pop("t_end", 0.1), **kwargs)
+
+
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1.0])
+def test_step_refuses_a_dt_that_is_not_positive_and_finite(dt):
+    f, g, prof, eps, bc = _guard_case()
+    with pytest.raises(StabilityError, match="dt must be positive and finite"):
+        step(f, g, prof, eps, bc, dt)
+
+
+def test_config_cfl_ceiling_is_the_solver_s():
+    from nozzleflow.harness import RunConfig
+    from nozzleflow.solver import CFL_MAX
+    assert RunConfig.from_mapping({"cfl": CFL_MAX}).cfl == CFL_MAX
+    with pytest.raises(ConfigError, match="^cfl must lie in"):
+        RunConfig.from_mapping({"cfl": np.nextafter(CFL_MAX, 1.0)})
+
+
 def test_cfl_check_covers_the_whole_stepped_window():
     # a dip at rest: every node of the scan window is slower than the far
     # state, and one resting node just outside it (inside the stepped
@@ -461,10 +509,11 @@ def _contexts_for_every_mode(n_nodes):
 
 @pytest.mark.parametrize("n_nodes", [9, 49, 1025])
 def test_tridiag_solve_matches_solve_banded(n_nodes):
-    # the LAPACK gtsv path against scipy's checked banded solver, on the
-    # bands the step assembles for each boundary mode
+    # the LAPACK gtsv path against scipy's checked banded solver, on each
+    # boundary mode's bands, assembled as the plain step assembles them
     from scipy.linalg import solve_banded
-    from nozzleflow.solver import _implicit_system, _tridiag_solve
+    from nozzleflow.solver import _tridiag_solve
+    from plain_step import _implicit_system
     rng = np.random.default_rng(n_nodes)
     for ctx in _contexts_for_every_mode(n_nodes):
         rho_l, m_l = ctx.bc.left_values(0.0)

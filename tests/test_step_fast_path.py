@@ -1,13 +1,16 @@
 """The solver's step against the plain step of ``plain_step.py``.
 
-``step`` and ``SolverContext.max_wave_speed`` call the gas law's unchecked
-kernels, take the generalized minmod from signs and magnitudes and write the
-face states in place; ``run`` advances its own arrays in place after a scan
-of the last window only.  Each case runs twice: as the solver runs it, and
-with the plain step, advance, wave speed and interface data patched in.  The final fields
-must be bit-identical.  The cases are the direct step and run calls of the
+``plain_step.py`` lists what the fast step does differently.  Each case
+runs twice: as the solver runs it, and with the plain step, advance, wave
+speed and interface data patched in.  The final fields must be
+bit-identical.  The cases are the direct step and run calls of the
 benchmark's ``small_steps`` workload and one windowed acceptance rung at
 gamma 2 and at gamma 5.
+
+``hyperbolic_interface_data``, which the llf monitor reads, must equal the
+plain stage's dict bit for bit on all nine arrays: on every step case, on
+windows that reach past a stored edge onto far-state ghosts, and at the
+axis end, whose ghost slope is mirrored.
 
 ``SolverContext.scan`` finds each window by scanning only the window the
 last step moved.  Its cases run once so and once with every scan forced to
@@ -84,7 +87,8 @@ def _case(kind, mode, domain, cells, data):
     return grid, _profile(kind), bc, FluidField(grid, rho, m)
 
 
-@pytest.mark.parametrize("kind, mode, domain, cells, data", [
+# the benchmark's ``small_steps`` step cases
+STEP_CASES = [
     ("constant", "nozzle", (-3.0, 3.0), 48, "bump"),
     ("gaussian_bump", "nozzle", (-3.0, 3.0), 48, "riemann"),
     ("power_law_closing", "nozzle", (-3.0, 3.0), 64, "bump"),
@@ -93,7 +97,10 @@ def _case(kind, mode, domain, cells, data):
     ("spherical", "dirichlet_sph", (1.0, 2.0), 48, "bump"),
     ("spherical", "neumann_sph", (0.05, 2.05), 48, "bump"),
     ("gaussian_bump", "nozzle", (-4.0, 4.0), 48, "constant"),
-])
+]
+
+
+@pytest.mark.parametrize("kind, mode, domain, cells, data", STEP_CASES)
 def test_steps_match_the_plain_step(kind, mode, domain, cells, data):
     grid, profile, bc, field0 = _case(kind, mode, domain, cells, data)
 
@@ -116,6 +123,72 @@ def test_runs_match_the_plain_step(kind, mode, domain, cells, data, t_end):
     grid, profile, bc, field0 = _case(kind, mode, domain, cells, data)
     fast, plain = _both(lambda: run(field0, G, profile, EPS, bc, t_end)[0])
     _assert_bit_identical(fast, plain)
+
+
+# ---------------------------------------------------------------------------
+# The public interface data against the plain stage's
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_interface_data(ctx, rho, m, t, window):
+    """The nine arrays of hyperbolic_interface_data bit for bit against the
+    plain stage's; returns the fast dict."""
+    fast = solver.hyperbolic_interface_data(ctx, rho, m, t, window)
+    plain = plain_step.hyperbolic_interface_data(ctx, rho, m, t, window)
+    assert len(fast) == 9 and fast.keys() == plain.keys()
+    for name, values in fast.items():
+        assert values.shape == plain[name].shape, name
+        assert values.tobytes() == plain[name].tobytes(), name
+    return fast
+
+
+@pytest.mark.parametrize("kind, mode, domain, cells, data", STEP_CASES)
+def test_interface_data_matches_the_plain_stage(kind, mode, domain, cells,
+                                                data):
+    # the initial data and a state 40 steps on, over every node and over a
+    # window inside the grid
+    grid, profile, bc, field = _case(kind, mode, domain, cells, data)
+    ctx = SolverContext(grid, G, profile, EPS, bc)
+    dt = 0.3 * grid.dx / ctx.max_wave_speed(field.rho, field.m)
+    for k in range(41):
+        if k % 40 == 0:
+            ctx.start(field)
+            n = ctx.rho.size
+            for window in (None, (3, n - 5)):
+                _assert_same_interface_data(ctx, ctx.rho, ctx.m, field.t,
+                                            window)
+        field = solver.step(field, G, profile, EPS, bc, dt, ctx=ctx)
+
+
+def test_interface_data_matches_past_a_stored_edge():
+    # a field on nodes 90 .. 110 of 201 between two far states: windows at
+    # either edge of the stored range reach past it, onto far-state ghosts
+    grid = Grid(-4.0, 4.0, 200)
+    x = grid.nodes(90, 110)
+    s = 0.5 * (1.0 + np.tanh(x / 0.1))
+    rho, m = 1.0 - 0.5 * s, 0.1 * (1.0 - s)
+    bc = BoundarySpec.dirichlet_nozzle(1.0, 0.1, 0.5, 0.0)
+    field = FluidField(grid, rho, m, 0.0, 90, ((1.0, 0.1), (0.5, 0.0)))
+    ctx = SolverContext(grid, G, _profile("constant"), EPS, bc)
+    ctx.start(field)
+    n = ctx.rho.size
+    assert 0 < ctx.lo and ctx.hi < grid.n_nodes
+    for window in ((0, 12), (n - 12, n), (1, n - 1), None):
+        _assert_same_interface_data(ctx, ctx.rho, ctx.m, 0.0, window)
+
+
+def test_interface_data_matches_at_the_axis():
+    # data with a slope at the axis: the ghost's mirrored slope is nonzero
+    grid, profile, bc, _ = _case("spherical", "neumann_sph", (0.05, 2.05), 48,
+                                 "bump")
+    x = grid.x
+    field = FluidField(grid, 0.7 + 0.2 * np.cos(2.0 * x), 0.05 * x)
+    ctx = SolverContext(grid, G, profile, EPS, bc)
+    ctx.start(field)
+    for window in ((0, 10), None):
+        data = _assert_same_interface_data(ctx, ctx.rho, ctx.m, 0.0, window)
+        assert data["rho_L"][0] != data["rho_ext"][0]
+        assert data["m_L"][0] != data["m_ext"][0]
 
 
 def _manufactured_run(cells: int, t_end: float):
