@@ -16,6 +16,9 @@ from .schedule import certificate_summary
 from .thermo import GasLaw
 
 CHECK_LINE = "  check {name}: {check}"
+# the most (rho, u) states an entropy table may hold: n^2 rows of about 60
+# bytes, as many as a rung's final CSV may have (harness.MAX_NODES)
+MAX_TABLE_STATES = 1 << 23
 
 
 def _cmd_run(args) -> int:
@@ -56,6 +59,9 @@ def _cmd_entropy_table(args) -> int:
         raise ConfigError("entropy-table needs --n >= 1, a finite --rho-max > 0 "
                           f"and a finite --u-max >= 0, got --n {args.n}, "
                           f"--rho-max {args.rho_max}, --u-max {args.u_max}")
+    if args.n ** 2 > MAX_TABLE_STATES:
+        raise ConfigError(f"entropy-table --n {args.n} gives {args.n ** 2} "
+                          f"states, above the limit of {MAX_TABLE_STATES}")
     g = GasLaw(args.gamma)
     factory = GENERATOR_FACTORIES.get(args.generator)
     if factory is None:

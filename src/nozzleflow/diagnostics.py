@@ -9,9 +9,9 @@ entropy inequality for convex generators).
 
 The per-sample monitors read the grid, gas law, eps and fixed geometry
 (A, A'/A, (A'/A)') from the SolverContext that ``run`` steps with and hands
-to ``Recorder.sample``; none of them evaluates the profile.  A sample holds
-the nodes the context stores, and the monitors sum its live nodes (those
-that may differ from their end's far state); every other node holds its
+to ``Recorder.sample``; none of them evaluates the profile.  The monitors
+sum a field's live nodes (``SolverContext.reach``: those that may differ
+from their end's far state), read by grid node; every other node holds its
 far state, whose terms each monitor adds in closed form.  The weak residuals
 contract the tensor-product test functions with small matrix products and
 evaluate the entropy kernel once per state they see.
@@ -43,6 +43,16 @@ from .thermo import GasLaw
 
 # a node within WINDOW_TOL of a window end counts as inside the window
 WINDOW_TOL = 1e-12
+
+
+def snapshot_nodes(grid: Grid, window: Optional[tuple[float, float]]
+                   ) -> tuple[int, int]:
+    """The nodes [lo, hi) a Recorder keeps of each sample for ``window``
+    (None: all): the fewest that cover it to the consumers' WINDOW_TOL, and
+    one more on each side; ``Grid.searchsorted`` builds no ``x``."""
+    lo, hi = window or (-np.inf, np.inf)
+    return (max(grid.searchsorted(lo + WINDOW_TOL) - 1, 0),
+            min(grid.searchsorted(hi - WINDOW_TOL, "right") + 1, grid.n_nodes))
 
 
 @dataclass
@@ -143,33 +153,27 @@ HULL_PAD = 2
 
 
 def _stored(ctx: SolverContext, field: FluidField, lo: Optional[int] = None,
-            hi: Optional[int] = None) -> tuple[FluidField, int, int]:
-    """``field`` on every node the context stores, which it grows to hold
-    the field's arrays and [lo, hi), and the nodes [a, b) of its arrays
-    whose terms the monitors sum: the context's live nodes padded by
-    HULL_PAD, and [lo, hi).  Every other node holds its end's far state.
-    A field whose end states are not the far states is stored up to the
-    domain end and summed whole."""
+            hi: Optional[int] = None) -> tuple[int, int]:
+    """The grid nodes [a, b) whose terms the monitors sum: the field's live
+    nodes (``ctx.reach``) and [lo, hi), padded by HULL_PAD.  Every other
+    node holds its end's far state, the field's end state there.  The
+    context comes to store them, and one node more on each side for the
+    energy monitor's gradients."""
     a, b = ctx.reach(field)
-    live = ctx.live if (a, b) == (field.lo, field.hi) else None
     if lo is not None:
         a, b = min(a, lo), max(b, hi)
-        if live is not None:
-            live = min(live[0], lo), max(live[1], hi)
-    ctx.store(a, b)
-    f = field.over(ctx.lo, ctx.hi)
-    if live is None:
-        return f, 0, f.rho.size
-    return (f, max(live[0] - HULL_PAD - ctx.lo, 0),
-            min(live[1] + HULL_PAD - ctx.lo, f.rho.size))
+    a, b = max(a - HULL_PAD, 0), min(b + HULL_PAD, ctx.grid.n_nodes)
+    ctx.store(a - 1, b + 1)
+    return a, b
 
 
-def _far_past(ctx: SolverContext, lo: int, hi: int) -> list:
-    """The far states of the nodes on each side of [lo, hi), indices into
-    the stored arrays, that the grid has there."""
-    return [end for end, past in zip(ctx.far_states,
-                                     (ctx.lo + lo > 0,
-                                      ctx.lo + hi < ctx.grid.n_nodes)) if past]
+def _with_ends(field: FluidField, lo: int, hi: int) -> np.ndarray:
+    """Rows (rho, m) on the nodes [lo, hi), then the end state of each side
+    of them that the grid has."""
+    past = (lo > 0, hi < field.grid.n_nodes)
+    ends = [end for end, p in zip(field.ends, past) if p]
+    return np.concatenate([field.values(lo, hi)]
+                          + [np.reshape(end, (2, 1)) for end in ends], axis=1)
 
 
 def _integral(y: np.ndarray, x: np.ndarray) -> float:
@@ -180,8 +184,8 @@ def _integral(y: np.ndarray, x: np.ndarray) -> float:
 @lru_cache(maxsize=16)
 def _energy_nodes(grid: Grid, g: GasLaw, ref: ReferenceState,
                   ends: tuple) -> tuple[int, int]:
-    """The nodes [lo, hi) the energy monitor needs stored besides a field's
-    arrays, (n, 0) for none: the reference's blend [-L0, L0] with one node
+    """The nodes [lo, hi) the energy monitor sums besides a field's live
+    nodes, (n, 0) for none: the reference's blend [-L0, L0] with one node
     more on each side, and up to the domain end each end whose state in
     ``ends`` is not the reference's there, up to the rounding of m / rho."""
     n = grid.n_nodes
@@ -209,18 +213,19 @@ def energy_budget(ctx: SolverContext, field: FluidField,
     the spherical geometry and |(A'/A)' rho u (u - u_bar)| otherwise.  The
     reference state is evaluated once, for both.
 
-    The terms are summed over the live nodes (``_stored``).  Every other
-    node holds its end's far state, where the gradients vanish; so do the relative
-    energy and the geometric piece where the reference is that same state,
-    up to the rounding of u = m / rho.  So the context also stores the
-    reference's blend [-L0, L0], and reaches each domain end whose far
-    state differs from the reference's there.
+    The terms are summed over the field's live nodes (``_stored``).  Every
+    other node holds its end's far state, where the gradients vanish; so do
+    the relative energy and the geometric piece where the reference is that
+    same state, up to the rounding of u = m / rho.  So the monitor also
+    sums the reference's blend [-L0, L0], and up to each domain end whose
+    far state differs from the reference's there.
     """
     g, profile = ctx.g, ctx.profile
-    f, lo, hi = _stored(ctx, field, *_energy_nodes(ctx.grid, g, ref, field.ends))
-    ext = slice(max(lo - 1, 0), min(hi + 1, f.rho.size))  # gradients read +-1
-    core = slice(lo - ext.start, hi - ext.start)
-    x, A, rho, m = ctx.x[ext], ctx.A[ext], f.rho[ext], f.m[ext]
+    lo, hi = _stored(ctx, field, *_energy_nodes(ctx.grid, g, ref, field.ends))
+    e0, e1 = max(lo - 1, 0), min(hi + 1, ctx.grid.n_nodes)  # gradients: +-1
+    ext, core = slice(e0 - ctx.lo, e1 - ctx.lo), slice(lo - e0, hi - e0)
+    x, A = ctx.x[ext], ctx.A[ext]
+    rho, m = field.values(e0, e1)
     rho_bar, u_bar = ref.state(x)
     dens = g.relative_energy(rho, m, rho_bar, u_bar)
     u = g.velocity(rho, m)
@@ -243,13 +248,15 @@ def llf_dissipation_rate(ctx: SolverContext, field: FluidField) -> float:
     """Energy drain of the interface dissipation (scheme-internal estimate).
 
     Sums alpha/2 * A * (jump of grad eta_bar) . (jump of state) over the
-    interfaces around the live nodes, ghost faces included; nonnegative
-    by convexity.  Every other interface lies between equal far states,
-    where both jumps are zero.  Heuristic in the sense that it describes
-    the scheme, not the equations.
+    interfaces around the field's live nodes, ghost faces included;
+    nonnegative by convexity.  Every other interface lies between equal far
+    states, where both jumps are zero.  Heuristic in the sense that it
+    describes the scheme, not the equations.
     """
-    f, lo, hi = _stored(ctx, field)
-    data = hyperbolic_interface_data(ctx, f.rho, f.m, f.t, (lo, hi))
+    lo, hi = _stored(ctx, field)
+    lo, hi = lo - ctx.lo, hi - ctx.lo  # the stored arrays' indices
+    data = hyperbolic_interface_data(ctx, *field.values(ctx.lo, ctx.hi),
+                                     field.t, (lo, hi))
     gl_r, gl_m = modified_energy_gradient(ctx.g, data["rho_L"], data["m_L"])
     gr_r, gr_m = modified_energy_gradient(ctx.g, data["rho_R"], data["m_R"])
     # reference part of grad eta_bar cancels in the jump
@@ -269,17 +276,16 @@ def riemann_monitor(ctx: SolverContext,
     state is at rest or lies in a duct of uniform area.
     """
     g = ctx.g
-    f, lo, hi = _stored(ctx, field)
-    ends = _far_past(ctx, lo, hi)
-    rho = np.append(f.rho[lo:hi], [e[0] for e in ends])
-    m = np.append(f.m[lo:hi], [e[1] for e in ends])
+    lo, hi = _stored(ctx, field)
+    rho, m = _with_ends(field, lo, hi)
     if np.min(rho) < g.rho_floor:
         raise CavitationError("invariants undefined: density at the vacuum floor")
     u = m / rho
     w, z = g.riemann_invariants(rho, u)
     u = u[:hi - lo]
     c = g.sound_speed(rho[:hi - lo])
-    rate = np.abs(u * c * ctx.G[lo:hi] - ctx.eps * ctx.dG[lo:hi] * u)
+    win = slice(lo - ctx.lo, hi - ctx.lo)
+    rate = np.abs(u * c * ctx.G[win] - ctx.eps * ctx.dG[win] * u)
     return float(np.max(w)), float(np.min(z)), float(np.max(rate))
 
 
@@ -533,7 +539,7 @@ class Recorder:
     series are always recorded, the energy budget when a reference state is
     given.  The boundary mode picks the energy check: the sharp form for
     spherical Dirichlet runs, the Gronwall bound otherwise.  The monitors
-    sum the context's live nodes and add the far states elsewhere in
+    sum each sample's live nodes and add the far states elsewhere in
     closed form, so the series equal whole-grid evaluation up to the order
     of their sums.
     """
@@ -561,11 +567,7 @@ class Recorder:
             raise ConfigError("recorder already holds sample_count snapshots")
         if self.ctx is None:
             self.ctx = ctx
-            # the fewest nodes covering the window, to the consumers' WINDOW_TOL
-            lo, hi = opt.snapshot_window or (-np.inf, np.inf)
-            self._snap = (max(grid.searchsorted(lo + WINDOW_TOL) - 1, 0),
-                          min(grid.searchsorted(hi - WINDOW_TOL, "right") + 1,
-                              grid.n_nodes))
+            self._snap = snapshot_nodes(grid, opt.snapshot_window)
             if opt.collect_snapshots:  # (rho, m) rows of each sample in turn
                 self._snaps = np.empty((2, opt.sample_count,
                                         self._snap[1] - self._snap[0]))
@@ -590,10 +592,8 @@ class Recorder:
             # past the summed nodes needs A there: a run that monitors it
             # stores every node
             ctx.store(0, grid.n_nodes)
-            f, lo, hi = _stored(ctx, field)
-            ends = _far_past(ctx, lo, hi)
-            vals = quartic_entropy(ctx.g, np.append(f.rho[lo:hi], [e[0] for e in ends]),
-                                   np.append(f.m[lo:hi], [e[1] for e in ends]))
+            lo, hi = _stored(ctx, field)
+            vals = quartic_entropy(ctx.g, *_with_ends(field, lo, hi))
             row["quartic"] = _integral(vals[:hi - lo] * ctx.A[lo:hi], ctx.x[lo:hi])
             for eta, part in zip(vals[hi - lo:], [slice(0, lo + 1)] * (lo > 0)
                                  + [slice(hi - 1, None)] * (hi < grid.n_nodes)):

@@ -23,7 +23,7 @@ from .checks import Check, Report
 from .diagnostics import (DiagnosticsReport, Recorder, RecorderOptions,
                           SnapshotSet, WeakResidualRecord, _write_csv,
                           default_generator_family, default_test_functions,
-                          integrability_window, weak_residual)
+                          integrability_window, snapshot_nodes, weak_residual)
 from .entropy import ReferenceState
 from .errors import ConfigError, DomainError, NozzleflowError, SweepError
 from .geometry import NozzleProfile, make_profile
@@ -203,9 +203,9 @@ class RunConfig:
                 raise ConfigError(
                     f"dx = {self.dx:g} gives the eps={eps:g} rung "
                     f"{grid.n_nodes} nodes, above the limit of {MAX_NODES}")
-            # the Recorder keeps the window's nodes and one more each side
-            span = min(self.window_hi, grid.b) - max(self.window_lo, grid.a)
-            window = min(int(max(span, 0.0) / grid.dx) + 3, grid.n_nodes)
+            lo, hi = snapshot_nodes(grid, (max(self.window_lo, grid.a),
+                                           min(self.window_hi, grid.b)))
+            window = hi - lo
             size = 2 * self.snapshots * window * 8
             if size > MAX_SNAPSHOT_BYTES:
                 raise ConfigError(

@@ -31,13 +31,14 @@ A run stores only a node range: ``SolverContext.start`` takes the run's
 state on the nodes around the initial data that are not exactly their
 end's far state, and the context grows the range as the windows spread;
 every node outside it holds its far state exactly.  ``advance`` steps that
-state in place.  Every node outside the window a step advanced still rests
-on its far state afterwards, so the next window is found by scanning only
-that window; every stored node is scanned on a run's first step and when
-the scanned window rests wholly on one far state.  The same scan gives the
-wave speed the next dt is taken from.  ``run`` calls ``advance`` and
-returns the stored range's state; ``step`` starts the context on its field
-and advances it after a scan of every stored node.
+state in place and adds each window to ``live``, outside which every node
+holds its far state.  Every node outside the window a step advanced still
+rests on its far state afterwards, so the next window is found by scanning
+only that window; every stored node is scanned on a run's first step and
+when the scanned window rests wholly on one far state.  The same scan gives
+the wave speed the next dt is taken from.  ``run`` calls ``advance`` and
+returns the state on the ``live`` nodes; ``step`` starts the context on
+its field and advances it after a scan of every stored node.
 
 The explicit stage and ``SolverContext.max_wave_speed`` call the gas law's
 unchecked kernels (``GasLaw._pressure``, ``_p_prime``, ``_velocity``) on
@@ -154,30 +155,23 @@ class FluidField:
         """Rows (rho, m) on the nodes [lo, hi), the ends' states included."""
         out = np.empty((2, hi - lo))
         a, b = min(max(self.lo, lo), hi), max(min(self.hi, hi), lo)
+        # row by row: a tuple of rows, or an end state, would first be made
+        # an array
         if a > lo:
-            out[:, :a - lo] = np.reshape(self.ends[0], (2, 1))
+            out[0, :a - lo], out[1, :a - lo] = self.ends[0]
         if b < hi:
-            out[:, b - lo:] = np.reshape(self.ends[1], (2, 1))
+            out[0, b - lo:], out[1, b - lo:] = self.ends[1]
         if a < b:
-            out[:, a - lo:b - lo] = (self.rho[a - self.lo:b - self.lo],
-                                     self.m[a - self.lo:b - self.lo])
+            out[0, a - lo:b - lo] = self.rho[a - self.lo:b - self.lo]
+            out[1, a - lo:b - lo] = self.m[a - self.lo:b - self.lo]
         return out
 
-    def over(self, lo: int, hi: int) -> "FluidField":
-        """The same field with its arrays on [lo, hi), a range that holds
-        theirs; self when it is theirs."""
-        if (lo, hi) == (self.lo, self.hi):
-            return self
-        if not lo <= self.lo <= self.hi <= hi:
-            raise ConfigError(f"nodes [{lo}, {hi}) do not hold the field's "
-                              f"[{self.lo}, {self.hi})")
-        n = self.grid.n_nodes
-        return FluidField(self.grid, *self.values(lo, hi), self.t, lo,
-                          (self.ends[0] if lo > 0 else None,
-                           self.ends[1] if hi < n else None))
-
     def whole(self) -> "FluidField":
-        return self.over(0, self.grid.n_nodes)
+        """The same field with its arrays on every node; self when they are."""
+        if self.ends == (None, None):
+            return self
+        return FluidField(self.grid, *self.values(0, self.grid.n_nodes),
+                          self.t)
 
 
 class BCMode(Enum):
@@ -263,9 +257,9 @@ class SolverContext:
     ``A``, ``G``, ``Ah``, ``Ah_full``, the bands and ``inv_Adx``) and, from
     ``start`` on, the run's ``state``, rows (rho, m) with the views ``rho``
     and ``m``.  Every node outside holds its end's far state, and so does
-    every stored node outside ``live``.  ``store`` grows the range and evaluates the profile on all
-    of it.  The context also keeps the window the last ``advance`` moved
-    and the scan made since.
+    every stored node outside ``live``, the nodes that ``field`` copies.
+    ``store`` grows the range and evaluates the profile on all of it.  The
+    context also keeps the window the last ``advance`` moved and the scan.
     """
 
     def __init__(self, grid: Grid, g: GasLaw, profile: NozzleProfile,
@@ -304,19 +298,18 @@ class SolverContext:
             hi = min(max(hi, 2 * s1 - s0), n) if hi > s1 else s1
         return lo, hi
 
-    def store(self, lo: int, hi: int) -> None:
-        """Store at least the nodes [lo, hi); a range that grows takes the
-        nodes of ``_cover`` too, and the profile is evaluated on the whole
-        new range.  Nodes new to a state get their end's far state."""
+    def store(self, lo: int, hi: int) -> bool:
+        """Store at least the nodes [lo, hi); returns whether the range
+        grew.  A range that grows takes the nodes of ``_cover`` too, and the
+        profile is evaluated on the whole new range.  Nodes new to a state
+        get their end's far state."""
         old = self.lo, self.hi
         n = self.grid.n_nodes
         if old[0] <= max(lo, 0) and min(hi, n) <= old[1] and old[0] < old[1]:
-            return
+            return False
         lo, hi = self._cover(lo, hi)
         if old[0] < old[1]:
             lo, hi = min(lo, old[0]), max(hi, old[1])
-        if (lo, hi) == old:
-            return
         if self.state is not None:
             self.state = self._state(0.0).values(lo, hi)
         prof = self.profile
@@ -329,6 +322,7 @@ class SolverContext:
         self.Ah = np.asarray(prof.area(faces), dtype=float)
         self.lo, self.hi = lo, hi
         self._derive()
+        return True
 
     def _derive(self) -> None:
         """The arrays built from A, G and the face areas on the range.  The
@@ -391,10 +385,9 @@ class SolverContext:
         """Take a copy of ``field`` as the run's state, which ``advance``
         steps in place, and forget the last scan.  ``live`` becomes the
         field's ``reach``, and the stored range comes to hold it."""
-        lo, hi = self.live = self.reach(field)
+        self.live = self.reach(field)
         self.state = None
-        if lo < self.lo or hi > self.hi or self.lo == self.hi:
-            self.store(lo, hi)
+        self.store(*self.live)
         if (self.lo, self.hi) == (field.lo, field.hi):
             self.state = np.array((field.rho, field.m))
         else:
@@ -410,14 +403,17 @@ class SolverContext:
                 field.hi if right is not None and right == far[1] else n)
 
     def _state(self, t: float) -> FluidField:
-        """The run's state as a field on the context's own arrays."""
+        """The run's state at time t on its ``live`` nodes, with the far
+        states as end states: a field of views of the context's arrays."""
+        lo, hi = self.live
         n = self.grid.n_nodes
-        return FluidField(self.grid, self.rho, self.m, t, self.lo,
-                          (self.far_states[0] if self.lo > 0 else None,
-                           self.far_states[1] if self.hi < n else None))
+        return FluidField(self.grid, *self.state[:, lo - self.lo:hi - self.lo],
+                          t, lo, (self.far_states[0] if lo > 0 else None,
+                                  self.far_states[1] if hi < n else None))
 
     def field(self, t: float) -> FluidField:
-        """A copy of the run's state at time t, on the stored nodes."""
+        """A copy of the run's state at time t on exactly its ``live``
+        nodes (every node after a whole-grid start)."""
         return self._state(t).copy()
 
     def max_wave_speed(self, rho: np.ndarray, m: np.ndarray) -> float:
@@ -556,8 +552,7 @@ class SolverContext:
             i, j = (0, n) if forced else self._rest_ends(self.rho, self.m,
                                                          self._moved)
             lo, hi = max(i - 4, 0), min(j + 4, n)
-            if lo < self.lo or hi > self.hi:
-                self.store(lo, hi)
+            self.store(lo, hi)
             win = slice(lo - self.lo, hi - self.lo)
             lam = self.max_wave_speed(self.rho[win], self.m[win])
             if hi - lo < n:
@@ -592,10 +587,8 @@ class SolverContext:
         while True:  # the margin reads the band entries of the nodes it adds
             pad = _green_margin(self.eps * dt * self.band_max)
             wlo, whi = max(lo - pad, 0), min(hi + pad, n)
-            if self.lo <= max(wlo - STORE_MARGIN, 0) \
-                    and min(whi + STORE_MARGIN, n) <= self.hi:
+            if not self.store(wlo - STORE_MARGIN, whi + STORE_MARGIN):
                 break
-            self.store(wlo - STORE_MARGIN, whi + STORE_MARGIN)
         lo, hi = wlo, whi
         state, a, b = self.state, lo - self.lo, hi - self.lo
         self._moved, self._scan = (lo, hi), None
@@ -861,7 +854,7 @@ def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
     (mass, momentum) source arrays (manufactured-solution studies).  A given
     ``ctx`` must have been built for this grid, g, profile, eps and bc.
     The step starts ``ctx`` on a copy of the field, scans it whole and
-    advances it; the result, on the nodes the context stores (every node
+    advances it; the result, on the context's ``live`` nodes (every node
     for a whole-grid field), shares no memory with the input or ``ctx``.
     """
     check_cfl(cfl)
@@ -885,18 +878,17 @@ def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
         forcing: Optional[Callable] = None,
         dt_fixed: Optional[float] = None):
     """March to t_end; returns (final field, diagnostics report).  The
-    field is a copy of the run's state on the nodes its context stores; a
-    run of zero length returns ``field`` itself.
+    field is ``SolverContext.field``, the run's state on its ``live`` nodes;
+    a run of zero length returns ``field`` itself.
 
     ``hooks`` (any object with sample_times, sample(field, ctx), finalize())
-    is sampled at its requested times with the run's SolverContext and a
-    copy of the run's state on the nodes the context stores; the step size
-    is clipped so those times are hit exactly.  With hooks=None an empty
-    report is returned.  The context holds the run's state (``start``);
-    each step is one ``ctx.advance``, with dt from the wave speed of
-    ``ctx.scan``, or ``dt_fixed``.  A cfl outside (0, CFL_MAX], a t_end
-    that is not finite and a dt_fixed that is not positive and finite are
-    refused (ConfigError).
+    is sampled at its requested times with the run's SolverContext and its
+    ``field``; the step size is clipped so those times are hit exactly.
+    With hooks=None an empty report is returned.  The context holds the
+    run's state (``start``); each step is one ``ctx.advance``, with dt from
+    the wave speed of ``ctx.scan``, or ``dt_fixed``.  A cfl outside
+    (0, CFL_MAX], a t_end that is not finite and a dt_fixed that is not
+    positive and finite are refused (ConfigError).
     """
     from .diagnostics import DiagnosticsReport  # local import to avoid a cycle
 

@@ -79,9 +79,8 @@ def single_shock_states(gamma: float = 2.0):
 
 def whole_field_monitors(mp):
     """Make every context store the whole grid from its first node on, and
-    the monitors sum every node, so that runs sample whole fields and no
-    closed form stands in for a node: the plain path of the stored range
-    and of the monitors."""
+    the monitors sum every node, so that no closed form stands in for a
+    node: the plain path of the stored range and of the monitors."""
     mp.setattr(SolverContext, "_cover",
                lambda ctx, lo, hi: (0, ctx.grid.n_nodes))
     mp.setattr(diagnostics, "HULL_PAD", 10 ** 9)

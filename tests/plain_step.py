@@ -249,10 +249,11 @@ def advance(self, t: float, dt: float, *, cfl: float = 0.4,
             forcing: Optional[Callable] = None) -> None:
     """The plain ``step`` on the context's state, which it first widens to
     every node, written back in place; the next scan covers every node, and
-    the monitors sum every node."""
+    every node is live, so a sampled field and the monitors' sums cover
+    every node."""
     self.store(0, self.grid.n_nodes)
     out = step(FluidField(self.grid, self.rho, self.m, t), self.g, self.profile,
                self.eps, self.bc, dt, ctx=self, cfl=cfl, forcing=forcing)
     self.rho[:], self.m[:] = out.rho, out.m
-    self.live = None
+    self.live = (0, self.grid.n_nodes)
     self.rescan()

@@ -291,10 +291,10 @@ def test_hull_monitors_match_whole_field_on_every_rung(sweep_gamma2,
             lo, hi = rung.report.hull
             assert hi - lo < n and rung.ctx.hi - rung.ctx.lo < n
             assert (whole.ctx.lo, whole.ctx.hi) == (0, n)
-            field = rung.field.whole()
+            field, other = rung.field.whole(), whole.field.whole()
             for name in ("rho", "m"):
                 assert getattr(field, name).tobytes() == \
-                    getattr(whole.field, name).tobytes()
+                    getattr(other, name).tobytes()
                 assert getattr(rung.snapshots, name).tobytes() == \
                     getattr(whole.snapshots, name).tobytes()
             assert_same_series(rung.report, whole.report)

@@ -193,7 +193,7 @@ def test_piece_moments_near_the_kernel_edge_match_mpmath(gamma):
     # a kink at s = -+(1 - d) splits off a piece of width d beside the
     # weight's end; the 64-node kink-split rule of plain_moments is off there
     # by up to 1.0e-6 of the moment scale at gamma 2 and 3.3e-4 at gamma 5
-    mp = pytest.importorskip("mpmath")
+    import mpmath as mp  # in the test extra: without it the test fails
     g = GasLaw(gamma)
     kern = get_kernel(g)
     with mp.workdps(40):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -523,6 +524,25 @@ def test_cli_entropy_table_bad_number_is_error_exit_2(tmp_path, capsys, flag,
     assert cli_main(["entropy-table", "--gamma", "2.0", "--out", str(out),
                      flag, value]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_cli_entropy_table_size_limit_refuses_before_allocating(tmp_path,
+                                                                capsys):
+    # 2897 is the least --n whose n^2 states pass MAX_TABLE_STATES = 2^23
+    out = tmp_path / "table.csv"
+    tracemalloc.start()
+    try:
+        for n in (2897, 1_000_000):
+            assert cli_main(["entropy-table", "--gamma", "2", "--n", str(n),
+                             "--out", str(out)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: entropy-table --n {n} gives {n * n} states, above the limit "
+        "of 8388608" for n in (2897, 1_000_000)]
     assert not out.exists()
 
 

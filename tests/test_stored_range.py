@@ -19,6 +19,8 @@ import pytest
 
 from helpers import assert_same_series, whole_field_monitors
 from nozzleflow import diagnostics, harness, solver
+from nozzleflow.diagnostics import (energy_budget, llf_dissipation_rate,
+                                    riemann_monitor)
 from nozzleflow.errors import ConfigError
 from nozzleflow.geometry import (ConstantProfile, GaussianBumpProfile,
                                  SphericalProfile)
@@ -58,7 +60,8 @@ def _plain(go):
 
 
 def _assert_same_field(a: FluidField, b: FluidField):
-    assert a.t == b.t and (a.lo, a.hi) == (b.lo, b.hi)
+    a, b = a.whole(), b.whole()
+    assert a.t == b.t
     assert a.rho.tobytes() == b.rho.tobytes()
     assert a.m.tobytes() == b.m.tobytes()
 
@@ -94,12 +97,8 @@ def test_field_values_widen_and_whole():
     np.testing.assert_array_equal(whole.rho[:6], 1.0)
     np.testing.assert_array_equal(whole.rho[6:9], [0.0, 1.0, 2.0])
     np.testing.assert_array_equal(whole.m[9:], 0.0)
-    wide = f.over(4, 12)
-    assert wide.ends == f.ends and wide.values(0, 17).tobytes() == \
-        whole.values(0, 17).tobytes()
-    assert f.over(6, 9) is f and whole.whole() is whole
-    with pytest.raises(ConfigError):
-        f.over(7, 12)
+    assert f.values(4, 12).tobytes() == whole.values(4, 12).tobytes()
+    assert whole.whole() is whole
     with pytest.raises(ConfigError):
         FluidField(grid, np.ones(3), np.ones(3), lo=6)  # no end states
 
@@ -120,7 +119,8 @@ def test_prepared_data_do_not_depend_on_the_block_size():
         plain = prepare_initial_data(*args)
     for other in (small, plain):
         _assert_same_field(blocked, other)
-        assert blocked.ends == other.ends
+        assert (blocked.lo, blocked.hi, blocked.ends) == \
+            (other.lo, other.hi, other.ends)
     assert blocked.hi - blocked.lo <= 8
     whole = blocked.whole()
     assert np.all(whole.rho[:blocked.lo] == 1.0)
@@ -168,14 +168,14 @@ def test_context_areas_on_any_range():
     profile = GaussianBumpProfile()
     ctx = SolverContext(grid, GasLaw(2.0, delta=1e-3), profile, 0.05,
                         BoundarySpec.dirichlet_nozzle(1.0, 0.0, 1.0, 0.0))
-    ctx.store(40, 50)
+    assert ctx.store(40, 50) and not ctx.store(40, 50)  # whether it grew
     assert 0 < ctx.lo < 40 and 50 < ctx.hi < grid.n_nodes
     full = profile.area(grid.x)
     for lo, hi in ((0, 97), (0, 10), (30, 60), (45, 47), (90, 97), (5, 5)):
         assert ctx.area(lo, hi).tobytes() == full[lo:hi].tobytes()
     # growing re-evaluates the range, and stays bit for bit the whole-grid
     # coefficients
-    ctx.store(0, 97)
+    assert ctx.store(0, 97)
     whole = SolverContext(grid, ctx.g, profile, 0.05, ctx.bc)
     whole.store(0, 97)
     for name in ("x", "A", "G", "Ah", "Ah_full", "mass_bands", "mom_bands",
@@ -228,6 +228,22 @@ def _sphere_neumann() -> RunConfig:
         mollify_width=0.0, blend_width=0.5, t_end=0.5, dx=0.025, eps=0.05))
 
 
+class _LiveRanges:
+    """Hooks that record each sampled field's node range and the run's
+    ``live`` when it was sampled."""
+
+    def __init__(self, t_end: float):
+        self.sample_times = np.linspace(0.0, t_end, 5)
+        self.seen = []
+
+    def sample(self, field, ctx):
+        self.ctx = ctx
+        self.seen.append(((field.lo, field.hi), ctx.live))
+
+    def finalize(self):
+        return diagnostics.DiagnosticsReport()
+
+
 @pytest.mark.parametrize("case, eps", [("ladder", 0.003125),
                                        ("bump_inflow", 0.05),
                                        ("sphere_neumann", 0.05)])
@@ -239,13 +255,45 @@ def test_started_live_range_matches_a_scan(case, eps):
     field = prepare_initial_data(cfg.build_initial(eps), ctx.bc, ctx.g,
                                  ctx.profile, ctx.grid)
     ctx.start(field)
-    assert ctx.live == _scanned_live(ctx)
+    live = ctx.live
+    assert live == _scanned_live(ctx)
     n = ctx.grid.n_nodes
-    assert ctx.live[1] - ctx.live[0] < n
+    assert live[1] - live[0] < n
     if case != "ladder":  # no far state on the left: live starts at 0
         assert ctx.far_states[0] is None and ctx.live[0] == 0
     ctx.start(field.whole())
     assert ctx.live == (0, n) and (ctx.lo, ctx.hi) == (0, n)
+    # every field the run samples or returns holds exactly its live nodes
+    hooks = _LiveRanges(cfg.t_end)
+    out, _ = run(field, ctx.g, ctx.profile, eps, ctx.bc, cfg.t_end,
+                 hooks=hooks, cfl=cfg.cfl)
+    assert len(hooks.seen) == 5
+    assert hooks.seen[0][0] == live
+    for got, run_live in hooks.seen:
+        assert got == run_live
+    assert (out.lo, out.hi) == hooks.ctx.live
+    assert out.hi - out.lo < n
+
+
+def test_monitors_read_any_field_with_a_finished_run_s_context():
+    # a whole-grid field that leaves the far state at nodes outside the
+    # run's live nodes, inside and outside its stored range: the run's
+    # context gives each monitor's value with a fresh context
+    cfg = RunConfig(eps=0.05, dx=1.0 / 32.0, t_end=0.2, snapshots=5)
+    out = single_run(cfg)
+    ctx, lo = out.ctx, out.ctx.live[0]
+    assert ctx.lo < lo - 50 and 100 < ctx.lo
+    moved = out.field.whole()
+    moved.rho[[lo - 50, 100]] += 0.3
+    ref = cfg.build_reference(cfg.eps)
+    monitors = {"energy_budget": lambda c, f: energy_budget(c, f, ref),
+                "llf_dissipation_rate": llf_dissipation_rate,
+                "riemann_monitor": riemann_monitor}
+    for name, monitor in monitors.items():
+        fresh = SolverContext(ctx.grid, ctx.g, ctx.profile, ctx.eps, ctx.bc)
+        expect = monitor(fresh, moved)
+        assert monitor(ctx, moved) == expect, name
+        assert monitor(ctx, out.field) != expect, name
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +302,7 @@ def test_started_live_range_matches_a_scan(case, eps):
 
 
 def _assert_same_run(fast, plain):
-    _assert_same_field(fast.field.whole(), plain.field)
+    _assert_same_field(fast.field, plain.field)
     assert_same_series(fast.report, plain.report)
     for name in ("cells_advanced", "undershoots", "hull"):
         assert getattr(fast.report, name) == getattr(plain.report, name)
@@ -315,7 +363,7 @@ def test_finest_ladder_rung_stores_few_nodes():
         tracemalloc.stop()
     assert out.field.grid.n_nodes == 81921
     assert out.ctx.hi - out.ctx.lo <= 4096
-    assert out.field.rho.size == out.ctx.hi - out.ctx.lo
+    assert (out.field.lo, out.field.hi) == out.ctx.live
     assert peak < 8 * 2 ** 20
 
 
@@ -333,6 +381,17 @@ def test_size_limits_refuse_before_allocating(over, text):
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2 ** 20
+
+
+def test_snapshot_limit_counts_the_nodes_the_recorder_keeps(monkeypatch):
+    # the window [-1, 1] holds 257 nodes at dx = 1/128, its ends included
+    cfg = _ladder_config(snapshots=5, t_end=0.05)
+    kept = single_run(cfg).snapshots.x.size
+    assert kept == 257
+    monkeypatch.setattr(harness, "MAX_SNAPSHOT_BYTES", 0)
+    with pytest.raises(ConfigError, match=f"of {kept} window nodes on the "
+                                          f"eps={cfg.eps:g} rung"):
+        cfg.validate()
 
 
 def test_size_limits_admit_the_resolved_rung():
