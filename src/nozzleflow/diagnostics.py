@@ -9,10 +9,11 @@ entropy inequality for convex generators).
 
 The per-sample monitors read the grid, gas law, eps and fixed geometry
 (A, A'/A, (A'/A)') from the SolverContext that ``run`` steps with and hands
-to ``Recorder.sample``; none of them evaluates the profile.  The monitors
-sum a field's live nodes (``SolverContext.reach``: those that may differ
-from their end's far state), read by grid node; every other node holds its
-far state, whose terms each monitor adds in closed form.  The weak residuals
+to ``Recorder.sample``, which builds one ``RowBlock`` of the rows they all
+read.  The monitors sum a field's live nodes (``SolverContext.reach``:
+those that may differ from their end's far state); every other node holds
+its far state, whose terms each monitor adds in closed form, from the
+profile past the stored range once per growth of it.  The weak residuals
 contract the tensor-product test functions with small matrix products and
 evaluate the entropy kernel once per state they see.
 """
@@ -152,33 +153,77 @@ for _name, _ in SERIES:
 HULL_PAD = 2
 
 
-def _stored(ctx: SolverContext, field: FluidField, lo: Optional[int] = None,
-            hi: Optional[int] = None) -> tuple[int, int]:
-    """The grid nodes [a, b) whose terms the monitors sum: the field's live
-    nodes (``ctx.reach``) and [lo, hi), padded by HULL_PAD.  Every other
-    node holds its end's far state, the field's end state there.  The
-    context comes to store them, and one node more on each side for the
-    energy monitor's gradients."""
-    a, b = ctx.reach(field)
-    if lo is not None:
-        a, b = min(a, lo), max(b, hi)
-    a, b = max(a - HULL_PAD, 0), min(b + HULL_PAD, ctx.grid.n_nodes)
-    ctx.store(a - 1, b + 1)
-    return a, b
+class RowBlock:
+    """The rows of one sample that every monitor reads, built once.
+
+    The monitors sum the nodes [lo, hi): the field's live nodes
+    (``ctx.reach``) padded by HULL_PAD, which the context comes to store;
+    every other node holds its end's far state, the field's end state
+    there.  The rows, from grid node ``first`` on, are those and the
+    explicit stencil's two more on each side that the grid has: rho and m
+    (the rows of ``state``) and u = m / rho (0 at vacuum).  On the summed
+    nodes (``core`` of the rows, ``held`` of the stored arrays) the block
+    holds the context's x, A, G and dG = (A'/A)' and the trapezoid weights
+    dx A.  ``memo`` keeps what the samples of one context share
+    (``per_range``): a Recorder passes its own, a monitor called alone
+    starts an empty one.
+    """
+
+    def __init__(self, ctx: SolverContext, field: FluidField,
+                 memo: Optional[dict] = None):
+        self.ctx, self.memo = ctx, {} if memo is None else memo
+        n, (lo, hi) = ctx.grid.n_nodes, ctx.reach(field)
+        self.lo, self.hi = lo, hi = max(lo - HULL_PAD, 0), min(hi + HULL_PAD, n)
+        ctx.store(lo, hi)
+        self.first = max(lo - 2, 0)
+        self.state = field.values(self.first, min(hi + 2, n))
+        self.rho, self.m = self.state
+        self.u = ctx.g.velocity(self.rho, self.m)
+        self.core = slice(lo - self.first, hi - self.first)
+        self.held = slice(lo - ctx.lo, hi - ctx.lo)
+        self.x, self.A, self.G, self.dG = (
+            v[self.held] for v in (ctx.x, ctx.A, ctx.G, ctx.dG))
+        self.weights = ctx.dx * self.A
+        self.weights[0] *= 0.5
+        self.weights[-1] *= 0.5
+
+    def per_range(self, key, build):
+        """build() for the context's stored range, kept in the memo under
+        ``key`` until that range grows."""
+        span = (self.ctx.lo, self.ctx.hi)
+        kept = self.memo.get(key)
+        if kept is None or kept[0] != span:
+            kept = self.memo[key] = span, build()
+        return kept[1]
 
 
-def _with_ends(field: FluidField, lo: int, hi: int) -> np.ndarray:
-    """Rows (rho, m) on the nodes [lo, hi), then the end state of each side
-    of them that the grid has."""
-    past = (lo > 0, hi < field.grid.n_nodes)
-    ends = [end for end, p in zip(field.ends, past) if p]
-    return np.concatenate([field.values(lo, hi)]
-                          + [np.reshape(end, (2, 1)) for end in ends], axis=1)
+def _trapezoid(v: np.ndarray, dx: float):
+    """The trapezoid sum of each row of v at the node spacing dx."""
+    return 0.5 * dx * np.sum(v[..., 1:] + v[..., :-1], axis=-1)
 
 
-def _integral(y: np.ndarray, x: np.ndarray) -> float:
-    """np.trapezoid(y, x) as a sum of its interval terms."""
-    return float(np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
+def _past(block: RowBlock, key, values, h0: int, h1: int) -> list:
+    """Trapezoid sums of the rows ``values(i, j, side)``, given on the
+    nodes [i, j) all at the end state of ``side``, over the nodes [h0, lo]
+    and [hi - 1, h1) on each side of the summed nodes [lo, hi); 0.0 for a
+    side with none.  Per side and stored range the values on the stored
+    nodes are kept, and the nodes outside the range summed once, BLOCK at
+    a time."""
+    ctx, sums = block.ctx, [0.0, 0.0]
+    s0, s1 = ctx.lo, ctx.hi
+    for side, (i, j) in enumerate(((h0, block.lo + 1), (block.hi - 1, h1))):
+        if j - i < 2:
+            continue
+
+        def build(side=side, i=i, j=j):
+            a, b = (i, s0 + 1) if side == 0 else (s1 - 1, j)
+            return values(s0, s1, side), sum(
+                _trapezoid(values(k, min(k + BLOCK + 1, b), side), ctx.dx)
+                for k in range(a, b - 1, BLOCK))
+        held, outside = block.per_range((key, side), build)
+        sums[side] = outside + _trapezoid(
+            held[:, max(i, s0) - s0:min(j, s1) - s0], ctx.dx)
+    return sums
 
 
 @lru_cache(maxsize=16)
@@ -203,89 +248,124 @@ def _energy_nodes(grid: Grid, g: GasLaw, ref: ReferenceState,
     return lo, hi
 
 
-def energy_budget(ctx: SolverContext, field: FluidField,
-                  ref: ReferenceState) -> tuple[float, dict]:
+def _reference_terms(g: GasLaw, ref: ReferenceState, x: np.ndarray) -> np.ndarray:
+    """Rows rho_bar, u_bar, h(rho_bar) and h'(rho_bar) at x."""
+    rho_bar, u_bar = ref.state(x)
+    return np.array((rho_bar, u_bar, g.h_delta(rho_bar), g.h_delta_prime(rho_bar)))
+
+
+def _energy_densities(ctx: SolverContext, rho, u, terms: np.ndarray,
+                      x: np.ndarray, dG) -> tuple:
+    """The relative energy density (``GasLaw.relative_energy`` from the
+    reference ``terms``) and the geometric dissipation piece before eps,
+    of the states (rho, u) at x; ``dG()`` gives (A'/A)' there, read in a
+    duct alone."""
+    g, profile = ctx.g, ctx.profile
+    rho_bar, u_bar, h_bar, hp_bar = terms
+    kinetic = np.where(rho > g.rho_floor, 0.5 * rho * (u - u_bar) ** 2, 0.0)
+    dens = kinetic + g.h_delta(rho) - h_bar - hp_bar * (rho - rho_bar)
+    if isinstance(profile, SphericalProfile):
+        geo = (profile.n_dim - 1) * rho * u * u / (x * x)
+    else:
+        geo = np.abs(dG() * rho * u * (u - u_bar))
+    return dens, geo
+
+
+def energy_budget(ctx: SolverContext, field: FluidField, ref: ReferenceState,
+                  block: Optional[RowBlock] = None) -> tuple[float, dict]:
     """Relative energy E and the instantaneous dissipation-rate components.
 
     E integrates the relative energy density against A(x) dx (trapezoid).
     The dissipation rate integrates eps*(h''(rho) rho_x^2 + rho u_x^2 + geo)
     with centered differences; the geometric piece is (n-1) rho u^2 / x^2 in
-    the spherical geometry and |(A'/A)' rho u (u - u_bar)| otherwise.  The
-    reference state is evaluated once, for both.
+    the spherical geometry and |(A'/A)' rho u (u - u_bar)| otherwise.
 
-    The terms are summed over the field's live nodes (``_stored``).  Every
-    other node holds its end's far state, where the gradients vanish; so do
-    the relative energy and the geometric piece where the reference is that
-    same state, up to the rounding of u = m / rho.  So the monitor also
-    sums the reference's blend [-L0, L0], and up to each domain end whose
-    far state differs from the reference's there.
+    The terms are summed over the field's live nodes (``block``, built
+    here when None), with the reference evaluated once per stored range.
+    Every other node holds its end's far state, where the gradients
+    vanish; so do the relative energy and the geometric piece where the
+    reference is that same state, up to the rounding of u = m / rho.  So
+    the monitor also adds the reference's blend [-L0, L0], and up to each
+    domain end whose far state differs from the reference's there
+    (``_past``).
     """
-    g, profile = ctx.g, ctx.profile
-    lo, hi = _stored(ctx, field, *_energy_nodes(ctx.grid, g, ref, field.ends))
-    e0, e1 = max(lo - 1, 0), min(hi + 1, ctx.grid.n_nodes)  # gradients: +-1
-    ext, core = slice(e0 - ctx.lo, e1 - ctx.lo), slice(lo - e0, hi - e0)
-    x, A = ctx.x[ext], ctx.A[ext]
-    rho, m = field.values(e0, e1)
-    rho_bar, u_bar = ref.state(x)
-    dens = g.relative_energy(rho, m, rho_bar, u_bar)
-    u = g.velocity(rho, m)
-    rho_x = np.gradient(rho, ctx.dx)
-    u_x = np.gradient(u, ctx.dx)
+    block = RowBlock(ctx, field) if block is None else block
+    g, core, s0, ends = ctx.g, block.core, ctx.lo, field.ends
+    rho, u = block.rho[core], block.u[core]
+    terms = block.per_range(("reference", ref),
+                            lambda: _reference_terms(g, ref, ctx.x))
+    dens, geo = _energy_densities(ctx, rho, u, terms[:, block.held], block.x,
+                                  lambda: block.dG)
+    rho_x, u_x = np.gradient(np.array((block.rho, block.u)), ctx.dx,
+                             axis=1)[:, core]
     hess = g.h_delta_second(np.maximum(rho, g.rho_floor)) * rho_x ** 2 \
         + rho * u_x ** 2
-    if isinstance(profile, SphericalProfile):
-        geo = (profile.n_dim - 1) * rho * u * u / (x * x)
-    else:
-        geo = np.abs(ctx.dG[ext] * rho * u * (u - u_bar))
-    E, rate_h, rate_g = (_integral(v[core] * A[core], x[core])
-                         for v in (dens, hess, geo))
-    rate_h, rate_g = ctx.eps * rate_h, ctx.eps * rate_g
-    return E, {"rate_hessian": rate_h, "rate_geometric": rate_g,
-               "rate_total": rate_h + rate_g}
+    E, rate_h, rate_g = np.array((dens, hess, geo)) @ block.weights
+
+    def values(i, j, side):  # E and geo, times A, at the end state
+        x, (r, m) = ctx.grid.nodes(i, j), ends[side]
+        stored = s0 <= i and j <= ctx.hi
+        return np.array(_energy_densities(
+            ctx, r, g.velocity(r, m), _reference_terms(g, ref, x), x,
+            lambda: ctx.dG[i - s0:j - s0] if stored
+            else np.asarray(ctx.profile.dlog_prime(x), dtype=float))) \
+            * ctx.area(i, j)
+
+    h0, h1 = _energy_nodes(ctx.grid, g, ref, ends)
+    past_E, past_g = sum(_past(block, ("energy", ref, ends), values,
+                               max(h0, 0), min(h1, ctx.grid.n_nodes)),
+                         np.zeros(2))
+    rate_h, rate_g = ctx.eps * rate_h, ctx.eps * (rate_g + past_g)
+    return E + past_E, {"rate_hessian": rate_h, "rate_geometric": rate_g,
+                        "rate_total": rate_h + rate_g}
 
 
-def llf_dissipation_rate(ctx: SolverContext, field: FluidField) -> float:
+def llf_dissipation_rate(ctx: SolverContext, field: FluidField,
+                         block: Optional[RowBlock] = None) -> float:
     """Energy drain of the interface dissipation (scheme-internal estimate).
 
     Sums alpha/2 * A * (jump of grad eta_bar) . (jump of state) over the
     interfaces around the field's live nodes, ghost faces included;
-    nonnegative by convexity.  Every other interface lies between equal far
-    states, where both jumps are zero.  Heuristic in the sense that it
-    describes the scheme, not the equations.
+    nonnegative by convexity.  The stage reads the block's rows (built
+    here when None).  Every other interface lies between equal far states,
+    where both jumps are zero.  Heuristic in the sense that it describes
+    the scheme, not the equations.
     """
-    lo, hi = _stored(ctx, field)
-    lo, hi = lo - ctx.lo, hi - ctx.lo  # the stored arrays' indices
-    data = hyperbolic_interface_data(ctx, *field.values(ctx.lo, ctx.hi),
-                                     field.t, (lo, hi))
-    gl_r, gl_m = modified_energy_gradient(ctx.g, data["rho_L"], data["m_L"])
-    gr_r, gr_m = modified_energy_gradient(ctx.g, data["rho_R"], data["m_R"])
+    block = RowBlock(ctx, field) if block is None else block
+    core = block.core
+    data = hyperbolic_interface_data(ctx, block.rho, block.m, field.t,
+                                     (core.start, core.stop), block.first)
+    # both sides of every face in one call: rows (left, right)
+    rho = np.array((data["rho_L"], data["rho_R"]))
+    m = np.array((data["m_L"], data["m_R"]))
+    g_r, g_m = modified_energy_gradient(ctx.g, rho, m)
     # reference part of grad eta_bar cancels in the jump
-    jump = ((gr_r - gl_r) * (data["rho_R"] - data["rho_L"])
-            + (gr_m - gl_m) * (data["m_R"] - data["m_L"]))
-    return float(np.sum(0.5 * data["alpha"] * ctx.Ah_full[lo:hi + 1] * jump))
+    jump = ((g_r[1] - g_r[0]) * (rho[1] - rho[0])
+            + (g_m[1] - g_m[0]) * (m[1] - m[0]))
+    faces = ctx.Ah_full[block.held.start:block.held.stop + 1]
+    return float(np.sum(0.5 * data["alpha"] * faces * jump))
 
 
-def riemann_monitor(ctx: SolverContext,
-                    field: FluidField) -> tuple[float, float, float]:
+def riemann_monitor(ctx: SolverContext, field: FluidField,
+                    block: Optional[RowBlock] = None
+                    ) -> tuple[float, float, float]:
     """(max w, min z, correction rate) for the current field.
 
     The rate is the sup-norm of u sqrt(p') A'/A - eps (A'/A)' u; its time
     integral is the correction, and max w minus the correction is what
-    should be non-increasing (min z plus it non-decreasing).  The far
-    states' invariants join the extremes; their rate is zero, since a far
-    state is at rest or lies in a duct of uniform area.
+    should be non-increasing (min z plus it non-decreasing).  The extremes
+    run over the block's rows (built here when None), the far states past
+    the live nodes included; their rate is zero, since a far state is at
+    rest or lies in a duct of uniform area.
     """
+    block = RowBlock(ctx, field) if block is None else block
     g = ctx.g
-    lo, hi = _stored(ctx, field)
-    rho, m = _with_ends(field, lo, hi)
-    if np.min(rho) < g.rho_floor:
+    if np.min(block.rho) < g.rho_floor:
         raise CavitationError("invariants undefined: density at the vacuum floor")
-    u = m / rho
-    w, z = g.riemann_invariants(rho, u)
-    u = u[:hi - lo]
-    c = g.sound_speed(rho[:hi - lo])
-    win = slice(lo - ctx.lo, hi - ctx.lo)
-    rate = np.abs(u * c * ctx.G[win] - ctx.eps * ctx.dG[win] * u)
+    w, z = g.riemann_invariants(block.rho, block.u)
+    u = block.u[block.core]
+    c = g.sound_speed(block.rho[block.core])
+    rate = np.abs(u * c * block.G - ctx.eps * block.dG * u)
     return float(np.max(w)), float(np.min(z)), float(np.max(rate))
 
 
@@ -306,12 +386,26 @@ def vacuum_functional(field: FluidField, rho_tilde: float) -> float:
 
     grid = field.grid
     lo, hi = max(field.lo - 1, 0), min(field.hi + 1, grid.n_nodes)
-    x = grid.nodes(lo, hi)
-    total = _integral(phi(field.values(lo, hi)[0]), x)
+    rho, x = field.values(lo, hi)[0], grid.nodes(lo, hi)
+    # phi vanishes on {rho >= rho_t}
+    total = float(_trapezoid(phi(rho), grid.dx)) if np.min(rho) < rho_tilde \
+        else 0.0
     for end, length in zip(field.ends, (x[0] - grid.a, grid.b - x[-1])):
-        if end is not None:
+        if end is not None and end[0] < rho_tilde:
             total += float(phi(end[0])) * length
     return total
+
+
+def _quartic(block: RowBlock) -> float:
+    """Integral of the quartic entropy against A dx: the trapezoid sum of
+    the summed nodes, then each end state's eta times the integral of A
+    past them (``_past``)."""
+    ctx, n = block.ctx, block.ctx.grid.n_nodes
+    eta = quartic_entropy(ctx.g, block.rho, block.m)
+    left, right = _past(block, "area", lambda i, j, _: ctx.area(i, j)[None],
+                        0, n)
+    return (float(eta[block.core] @ block.weights)
+            + float(eta[0] * np.sum(left)) + float(eta[-1] * np.sum(right)))
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +632,11 @@ class Recorder:
     the run's SolverContext; the first sample fixes it.  The llf and vacuum
     series are always recorded, the energy budget when a reference state is
     given.  The boundary mode picks the energy check: the sharp form for
-    spherical Dirichlet runs, the Gronwall bound otherwise.  The monitors
-    sum each sample's live nodes and add the far states elsewhere in
-    closed form, so the series equal whole-grid evaluation up to the order
-    of their sums.
+    spherical Dirichlet runs, the Gronwall bound otherwise.  Each sample
+    builds one RowBlock, which every monitor reads, and the Recorder keeps
+    the blocks' memo.  The monitors sum each sample's live nodes and add
+    the far states elsewhere in closed form, so the series equal
+    whole-grid evaluation up to the order of their sums.
     """
 
     def __init__(self, t_end: float, ref: Optional[ReferenceState] = None,
@@ -555,6 +650,7 @@ class Recorder:
         self._rates: dict[str, list] = {}
         self.ctx: Optional[SolverContext] = None   # fixed by the first sample
         self._snaps: Optional[np.ndarray] = None
+        self._memo: dict = {}   # the row blocks' (``RowBlock``)
 
     # -- sampling ------------------------------------------------------------
     def sample(self, field: FluidField, ctx: SolverContext) -> None:
@@ -575,29 +671,21 @@ class Recorder:
         elif ctx is not self.ctx:
             raise ConfigError("recorder sampled with another run's context")
         row, rates = {"t": field.t}, {}
+        block = RowBlock(ctx, field, self._memo)
         if self.ref is not None:
-            E, comp = energy_budget(ctx, field, self.ref)
+            E, comp = energy_budget(ctx, field, self.ref, block)
             row.update(energy=E, diss_rate_hessian=comp["rate_hessian"],
                        diss_rate_geometric=comp["rate_geometric"])
             rates["dissipation"] = comp["rate_total"]
         rates["llf_cumulative"] = row["llf_rate"] = llf_dissipation_rate(
-            ctx, field)
+            ctx, field, block)
         if opt.riemann:
             row["max_w"], row["min_z"], rates["correction"] = riemann_monitor(
-                ctx, field)
+                ctx, field, block)
         row.update(vacuum_phi=vacuum_functional(field, self._rho_tilde),
                    min_rho=_min_rho(field))
         if opt.quartic:
-            # a far state's quartic entropy is not zero, and its integral
-            # past the summed nodes needs A there: a run that monitors it
-            # stores every node
-            ctx.store(0, grid.n_nodes)
-            lo, hi = _stored(ctx, field)
-            vals = quartic_entropy(ctx.g, *_with_ends(field, lo, hi))
-            row["quartic"] = _integral(vals[:hi - lo] * ctx.A[lo:hi], ctx.x[lo:hi])
-            for eta, part in zip(vals[hi - lo:], [slice(0, lo + 1)] * (lo > 0)
-                                 + [slice(hi - 1, None)] * (hi < grid.n_nodes)):
-                row["quartic"] += float(eta) * _integral(ctx.A[part], ctx.x[part])
+            row["quartic"] = _quartic(block)
         for name, val in row.items():
             self._series[name].append(val)
         for name, rate in rates.items():

@@ -195,16 +195,21 @@ class RunConfig:
             if not 1.0 <= getattr(self, name) < top:
                 raise ConfigError(f"{name} must lie in [1, {spelt}) = "
                                   f"[1, {top:.4g}), got {getattr(self, name)}")
-        # a grid too coarse, or too large, for the run or any ladder rung
-        # fails before any of them runs or allocates
+        # a grid too coarse, or too large, for the run or any ladder rung,
+        # or a window with no node of it, fails before any of them runs or
+        # allocates; a run keeps the part of the window its domain holds
         for eps in (self.eps, *self._schedule.eps_list):
             grid = self.grid_of(eps)
             if grid.n_nodes > MAX_NODES:
                 raise ConfigError(
                     f"dx = {self.dx:g} gives the eps={eps:g} rung "
                     f"{grid.n_nodes} nodes, above the limit of {MAX_NODES}")
-            lo, hi = snapshot_nodes(grid, (max(self.window_lo, grid.a),
-                                           min(self.window_hi, grid.b)))
+            window = (max(self.window_lo, grid.a), min(self.window_hi, grid.b))
+            if not window[0] < window[1]:
+                raise ConfigError(
+                    f"window [{self.window_lo:g}, {self.window_hi:g}] holds no "
+                    f"part of the eps={eps:g} domain [{grid.a:g}, {grid.b:g}]")
+            lo, hi = snapshot_nodes(grid, window)
             window = hi - lo
             size = 2 * self.snapshots * window * 8
             if size > MAX_SNAPSHOT_BYTES:

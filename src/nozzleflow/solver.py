@@ -258,7 +258,7 @@ class SolverContext:
     ``start`` on, the run's ``state``, rows (rho, m) with the views ``rho``
     and ``m``.  Every node outside holds its end's far state, and so does
     every stored node outside ``live``, the nodes that ``field`` copies.
-    ``store`` grows the range and evaluates the profile on all of it.  The
+    ``store`` grows the range and evaluates the profile on its new nodes.  The
     context also keeps the window the last ``advance`` moved and the scan.
     """
 
@@ -274,6 +274,7 @@ class SolverContext:
         self.dx = grid.dx
         self._two_dx = np.array(2.0 * grid.dx)   # the pressure term's divisor
         self.lo = self.hi = 0          # nothing stored yet
+        self.x = self.A = self.G = self.Ah = np.empty(0)
         self.state = None              # the run's state, from ``start``
         # [lo, hi): the nodes that may differ from their end's far state,
         # from ``start`` on (None before it)
@@ -300,26 +301,34 @@ class SolverContext:
 
     def store(self, lo: int, hi: int) -> bool:
         """Store at least the nodes [lo, hi); returns whether the range
-        grew.  A range that grows takes the nodes of ``_cover`` too, and the
-        profile is evaluated on the whole new range.  Nodes new to a state
-        get their end's far state."""
-        old = self.lo, self.hi
-        n = self.grid.n_nodes
-        if old[0] <= max(lo, 0) and min(hi, n) <= old[1] and old[0] < old[1]:
+        grew.  A range that grows takes the nodes of ``_cover`` too; the
+        profile is evaluated on the nodes new to it alone, whose values join
+        the columns already held.  Nodes new to a state get their end's far
+        state."""
+        n, s0, s1 = self.grid.n_nodes, self.lo, self.hi
+        if s0 <= max(lo, 0) and min(hi, n) <= s1 and s0 < s1:
             return False
         lo, hi = self._cover(lo, hi)
-        if old[0] < old[1]:
-            lo, hi = min(lo, old[0]), max(hi, old[1])
+        if s0 < s1:
+            lo, hi = min(lo, s0), max(hi, s1)
+            f0, f1 = max(s0 - 1, 0), min(s1, n - 1)  # the faces held
+        else:
+            s0 = s1 = lo
+            f0 = f1 = max(lo - 1, 0)
         if self.state is not None:
             self.state = self._state(0.0).values(lo, hi)
-        prof = self.profile
-        self.x = self.grid.nodes(lo, hi)
-        self.A = np.asarray(prof.area(self.x), dtype=float)
-        self.G = np.asarray(prof.dlog(self.x), dtype=float)
-        self._dG = None
+        nodes, prof = self.grid.nodes, self.profile
+        new = (nodes(lo, s0), nodes(s1, hi))
+        self.x = np.concatenate((new[0], self.x, new[1]))
+        self.A = _widen(self.A, prof.area, new)
+        self.G = _widen(self.G, prof.dlog, new)
+        if self._dG is not None:
+            self._dG = _widen(self._dG, prof.dlog_prime, new)
         # the faces I_j between nodes j, j+1 that the range reaches
-        faces = self.grid.nodes(max(lo - 1, 0), min(hi, n - 1)) + 0.5 * self.dx
-        self.Ah = np.asarray(prof.area(faces), dtype=float)
+        half = 0.5 * self.dx
+        self.Ah = _widen(self.Ah, prof.area,
+                         (nodes(max(lo - 1, 0), f0) + half,
+                          nodes(f1, min(hi, n - 1)) + half))
         self.lo, self.hi = lo, hi
         self._derive()
         return True
@@ -682,6 +691,14 @@ STEADY_RTOL = 1e-14
 GREEN_DECAY = 1e-16
 
 
+def _widen(held: np.ndarray, f: Callable, new: tuple) -> np.ndarray:
+    """``held`` with f's values at the positions ``new`` = (left, right)
+    on each side; f is not called on none."""
+    left, right = (np.asarray(f(v), dtype=float) if v.size else v
+                   for v in new)
+    return np.concatenate((left, held, right))
+
+
 def _green_margin(r: float) -> int:
     """Nodes across which the Green's function of the implicit operator
     -r u[j-1] + (1 + 2r) u[j] - r u[j+1] decays below GREEN_DECAY.
@@ -715,18 +732,19 @@ _HALF, _THETA, _ZERO = np.array(0.5), np.array(LIMITER_THETA), np.array(0.0)
 
 
 def _extend(state: np.ndarray, ctx: SolverContext, t: float, lo: int,
-            hi: int) -> np.ndarray:
-    """(rho, m) on nodes lo-2 .. hi+1 of the stored ``state`` (rows rho,
-    m), the reconstruction stencil of the nodes [lo, hi), one node a row:
-    a shift along the nodes is then a contiguous block of both variables.
+            hi: int, first: int) -> np.ndarray:
+    """(rho, m) on columns lo-2 .. hi+1 of ``state`` (rows rho, m of the
+    grid nodes from ``first`` on), the reconstruction stencil of the nodes
+    [lo, hi), one node a row: a shift along the nodes is then a contiguous
+    block of both variables.
 
-    Inside the stored range the values come from the state (frozen
-    neighbours are stencil data); past an edge of it inside the grid, a
-    node holds its end's far state; past a domain end the ghost node
-    repeats once more, so its limited slope comes out zero.  Dirichlet
-    ghosts extrapolate linearly through the pinned boundary value
-    (constant extrapolation would cut the boundary cells to first order);
-    the axis end mirrors with even density and odd momentum.
+    Inside the state the values come from it (frozen neighbours are
+    stencil data); past an end of it inside the grid, a node holds its
+    end's far state; past a domain end the ghost node repeats once more, so
+    its limited slope comes out zero.  Dirichlet ghosts extrapolate
+    linearly through the pinned boundary value (constant extrapolation
+    would cut the boundary cells to first order); the axis end mirrors
+    with even density and odd momentum.
     """
     n = state.shape[1]
     s0, s1 = max(lo - 2, 0), min(hi + 2, n)
@@ -734,7 +752,7 @@ def _extend(state: np.ndarray, ctx: SolverContext, t: float, lo: int,
     ve = np.empty((hi - lo + 4, 2))
     ve[head:head + s1 - s0] = state[:, s0:s1].T
     if head:
-        if ctx.lo > 0:
+        if first > 0:
             ve[:head] = ctx.far_states[0]
         elif ctx.bc.mode is BCMode.NEUMANN_SPHERICAL:
             ve[:head] = state[0, 1], -state[1, 1]
@@ -743,7 +761,7 @@ def _extend(state: np.ndarray, ctx: SolverContext, t: float, lo: int,
             ve[:head] = (max(2.0 * rl - state[0, 1], ctx.g.rho_floor),
                          2.0 * ml - state[1, 1])
     if tail:
-        if ctx.hi < ctx.grid.n_nodes:
+        if first + n < ctx.grid.n_nodes:
             ve[-tail:] = ctx.far_states[1]
         else:
             rr, mr = ctx.bc.right_values(t)
@@ -753,16 +771,17 @@ def _extend(state: np.ndarray, ctx: SolverContext, t: float, lo: int,
 
 
 def _stage(ctx: SolverContext, state: np.ndarray, t: float, lo: int,
-           hi: int) -> tuple:
-    """The explicit stage on the stored nodes [lo, hi) of ``state`` (rows
-    rho, m): the stencil ``ve`` (``_extend``) and, on the hi-lo+1 faces
-    around the nodes, the face states ``S`` indexed (var, side, face) with
-    var rho (floored), m, m u and side left, right of the face; the local
-    Lax-Friedrichs speed ``alpha``; and the area-weighted fluxes ``F``
-    (mass, momentum).  Each call covers both variables or both sides, in
-    the order of the per-variable formulas, so each element rounds alike.
+           hi: int, first: int) -> tuple:
+    """The explicit stage on the columns [lo, hi) of ``state`` (rows rho, m
+    of the stored grid nodes from ``first`` on): the stencil ``ve``
+    (``_extend``) and, on the hi-lo+1 faces around the nodes, the face
+    states ``S`` indexed (var, side, face) with var rho (floored), m, m u
+    and side left, right of the face; the local Lax-Friedrichs speed
+    ``alpha``; and the area-weighted fluxes ``F`` (mass, momentum).  Each
+    call covers both variables or both sides, in the order of the
+    per-variable formulas, so each element rounds alike.
     """
-    ve = _extend(state, ctx, t, lo, hi)
+    ve = _extend(state, ctx, t, lo, hi, first)
     d = ve[1:] - ve[:-1]
     # generalized minmod of theta d_-, (d_- + d_+)/2, theta d_+: the mean
     # shares the others' sign when they agree, so sign(d_-) + sign(d_+)
@@ -773,7 +792,7 @@ def _stage(ctx: SolverContext, state: np.ndarray, t: float, lo: int,
                      mag[1:])
     sign = np.sign(td)
     s = _HALF * (sign[:-1] + sign[1:]) * mag
-    if lo + ctx.lo == 0 and ctx.bc.mode is BCMode.NEUMANN_SPHERICAL:
+    if lo + first == 0 and ctx.bc.mode is BCMode.NEUMANN_SPHERICAL:
         # the axis ghost's slope is node 1's, reflected
         s[0] = -s[2, 0], s[2, 1]
     v, half = ve[1:-1], _HALF * s
@@ -786,18 +805,21 @@ def _stage(ctx: SolverContext, state: np.ndarray, t: float, lo: int,
     np.multiply(S[1], u, out=S[2])
     wave = np.abs(u) + np.sqrt(ctx.g._p_prime(r))
     alpha = np.maximum(wave[0], wave[1])
-    F = ctx.Ah_full[lo:hi + 1] * (_HALF * (S[1:, 0] + S[1:, 1])
-                                  - _HALF * alpha * (S[:2, 1] - S[:2, 0]))
+    face = first - ctx.lo + lo  # Ah_full[0] is the face I_(ctx.lo - 1)
+    F = ctx.Ah_full[face:face + hi - lo + 1] * (
+        _HALF * (S[1:, 0] + S[1:, 1]) - _HALF * alpha * (S[:2, 1] - S[:2, 0]))
     return ve, S, alpha, F
 
 
 def hyperbolic_interface_data(ctx: SolverContext, rho: np.ndarray,
                               m: np.ndarray, t: float = 0.0,
-                              window: Optional[tuple[int, int]] = None) -> dict:
+                              window: Optional[tuple[int, int]] = None,
+                              first: Optional[int] = None) -> dict:
     """Interface states/fluxes of the explicit stage (also used by diagnostics).
 
-    ``rho`` and ``m`` hold the context's stored nodes (a context that
-    stores none is refused), and ``window`` indexes them.
+    ``rho`` and ``m`` hold grid nodes from ``first`` on (default: the
+    context's stored nodes; a context that stores none is refused), inside
+    the stored range, and ``window`` indexes them.
     For the nodes [lo, hi) of ``window`` (default: all), returns arrays over
     the hi-lo+1 interfaces around them; on the whole grid these are the
     n_cells+2 interfaces I_{-1}..I_{n_cells} of the ghost-padded grid.
@@ -808,7 +830,8 @@ def hyperbolic_interface_data(ctx: SolverContext, rho: np.ndarray,
         raise ConfigError("the solver context stores no nodes: call its "
                           "store or start first")
     lo, hi = window or (0, rho.size)
-    ve, S, alpha, F = _stage(ctx, np.array((rho, m)), t, lo, hi)
+    ve, S, alpha, F = _stage(ctx, np.array((rho, m)), t, lo, hi,
+                             ctx.lo if first is None else first)
     return {"rho_L": S[0, 0], "rho_R": S[0, 1], "m_L": S[1, 0], "m_R": S[1, 1],
             "alpha": alpha, "phi": F[0], "psi": F[1], "rho_ext": ve[1:-1, 0],
             "m_ext": ve[1:-1, 1]}
@@ -819,7 +842,7 @@ def _hyperbolic_rhs(ctx: SolverContext, state: np.ndarray, t: float,
     """Explicit rates (rho, m) on the window's nodes, from the stored
     ``state`` (rows rho, m)."""
     lo, hi = window
-    ve, _, _, F = _stage(ctx, state, t, lo, hi)
+    ve, _, _, F = _stage(ctx, state, t, lo, hi, ctx.lo)
     p = ctx.g._pressure(np.maximum(ve[1:-1, 0], _ZERO))
     rates = -(F[:, 1:] - F[:, :-1]) * ctx.inv_Adx[lo:hi]
     rates[1] -= (p[2:] - p[:-2]) / ctx._two_dx

@@ -54,17 +54,18 @@ def _minmod3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _extend(rho, m, ctx: SolverContext, t: float, lo: int,
-            hi: int) -> np.ndarray:
-    """Rows (rho, m) on nodes lo-2 .. hi+1 of the stored arrays: far states
-    past a stored edge inside the grid, linear extrapolation through the
-    Dirichlet value or the axis mirror past a domain end."""
+            hi: int, first: int) -> np.ndarray:
+    """Rows (rho, m) on nodes lo-2 .. hi+1 of the arrays, which hold the
+    grid nodes from ``first`` on: far states past an end of the arrays
+    inside the grid, linear extrapolation through the Dirichlet value or
+    the axis mirror past a domain end."""
     n = rho.size
     s0, s1 = max(lo - 2, 0), min(hi + 2, n)
     head, tail = s0 - (lo - 2), hi + 2 - s1  # entries past each array end
     ve = np.empty((2, hi - lo + 4))
     ve[0, head:head + s1 - s0], ve[1, head:head + s1 - s0] = rho[s0:s1], m[s0:s1]
     if head:
-        if ctx.lo > 0:
+        if first > 0:
             ve[:, :head] = np.reshape(ctx.far_states[0], (2, 1))
         elif ctx.bc.mode is BCMode.NEUMANN_SPHERICAL:
             ve[:, :head] = ((rho[1],), (-m[1],))
@@ -73,7 +74,7 @@ def _extend(rho, m, ctx: SolverContext, t: float, lo: int,
             ve[:, :head] = ((max(2.0 * rl - rho[1], ctx.g.rho_floor),),
                             (2.0 * ml - m[1],))
     if tail:
-        if ctx.hi < ctx.grid.n_nodes:
+        if first + n < ctx.grid.n_nodes:
             ve[:, -tail:] = np.reshape(ctx.far_states[1], (2, 1))
         else:
             rr, mr = ctx.bc.right_values(t)
@@ -95,18 +96,22 @@ def _slopes(ve: np.ndarray, mirror_left: bool) -> np.ndarray:
 
 def hyperbolic_interface_data(ctx: SolverContext, rho: np.ndarray,
                               m: np.ndarray, t: float = 0.0,
-                              window: Optional[tuple[int, int]] = None) -> dict:
+                              window: Optional[tuple[int, int]] = None,
+                              first: Optional[int] = None) -> dict:
     """Interface states/fluxes of the explicit stage (also used by diagnostics).
 
-    For the nodes [lo, hi) of ``window`` (default: all), returns arrays over
-    the hi-lo+1 interfaces around them; on the whole grid these are the
-    n_cells+2 interfaces I_{-1}..I_{n_cells} of the ghost-padded grid.
+    ``rho`` and ``m`` hold the grid nodes from ``first`` on (default: the
+    context's stored nodes).  For the nodes [lo, hi) of ``window``
+    (default: all), returns arrays over the hi-lo+1 interfaces around them;
+    on the whole grid these are the n_cells+2 interfaces I_{-1}..I_{n_cells}
+    of the ghost-padded grid.
     ``rho_ext``/``m_ext`` hold the states on nodes lo-1 .. hi.
     """
     g = ctx.g
     lo, hi = window or (0, rho.size)
-    ve = _extend(rho, m, ctx, t, lo, hi)
-    s = _slopes(ve, lo + ctx.lo == 0
+    first = ctx.lo if first is None else first
+    ve = _extend(rho, m, ctx, t, lo, hi, first)
+    s = _slopes(ve, lo + first == 0
                 and ctx.bc.mode is BCMode.NEUMANN_SPHERICAL)
     v = ve[:, 1:-1]
     # sides[0] / sides[1]: (rho, m) reconstructed left / right of each face
@@ -117,7 +122,7 @@ def hyperbolic_interface_data(ctx: SolverContext, rho: np.ndarray,
     wave = np.abs(u) + g.sound_speed(r)
     alpha = np.maximum(wave[0], wave[1])
     (rl, rr), (ml, mr), (ul, ur) = r, mm, u
-    Ah = ctx.Ah_full[lo:hi + 1]
+    Ah = ctx.Ah_full[first - ctx.lo + lo:first - ctx.lo + hi + 1]
     phi = Ah * (0.5 * (ml + mr) - 0.5 * alpha * (rr - rl))
     psi = Ah * (0.5 * (ml * ul + mr * ur) - 0.5 * alpha * (mr - ml))
     return {"rho_L": rl, "rho_R": rr, "m_L": ml, "m_R": mr,

@@ -635,6 +635,25 @@ def test_sweep_window_must_fit_every_rung(monkeypatch):
         sweep(_tiny_sweep_config(a=-2.5, window_lo=-2.8))
 
 
+@pytest.mark.parametrize("command", ["check", "run"])
+@pytest.mark.parametrize("window", [(1.0, 0.0), (0.5, 0.5), (30.0, 40.0)])
+def test_a_window_with_no_part_of_a_rung_s_domain_is_refused(
+        tmp_path, capsys, command, window):
+    # window_lo above window_hi, an empty window and one past the eps = 0.05
+    # domain [-20, 20]: exit 2, one error line and no output for check and
+    # run alike (a run of the first raised numpy's ValueError in the
+    # Recorder)
+    path = _write_cfg(tmp_path / "w.cfg", dict(
+        window_lo=window[0], window_hi=window[1], dx=0.0625, snapshots=5,
+        output_dir=tmp_path / "out"))
+    assert cli_main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: window [{window[0]:g}, {window[1]:g}] "
+                          "holds no part of the eps=0.05 domain") \
+        and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_error_lists_every_failed_rung():
     from nozzleflow.errors import SweepError
     with pytest.raises(SweepError) as info:

@@ -43,14 +43,25 @@ def _ladder_config(gamma: float = 2.0, **over) -> RunConfig:
     return RunConfig.from_mapping(values)
 
 
-def _monitors_duct() -> RunConfig:
+def _monitors_duct(u_minus: float = 0.0) -> RunConfig:
     # the benchmark's monitors duct: a Gaussian bump with every monitor on
     return RunConfig.from_mapping(dict(
         gamma=2.0, profile="gaussian_bump", bc="dirichlet_nozzle",
-        rho_minus=1.0, rho_plus=0.125, u_minus=0.0, u_plus=0.0,
+        rho_minus=1.0, rho_plus=0.125, u_minus=u_minus, u_plus=0.0,
         init="riemann", blend_width=1.0, t_end=1.0, dx=1.0 / 128.0,
         snapshots=257, eps=0.05, delta=1e-4, riemann_tol=1e-3,
         check_energy=True, check_riemann=True))
+
+
+def _monitors_sphere(amp: float = 1.0, centre: float = 2.0) -> RunConfig:
+    # the benchmark's monitors sphere: an axis end and the quartic monitor
+    return RunConfig.from_mapping(dict(
+        gamma=2.0, profile="spherical", profile_n=3, bc="neumann_spherical",
+        init="bump", init_amp=amp, init_center=centre, init_width=1.0,
+        mollify_width=0.0, blend_width=0.5, t_end=0.5,
+        dx=(1.0 / 0.05 - 0.05) / 400, snapshots=257, eps=0.05, window_lo=0.5,
+        window_hi=4.0, check_energy=True, check_riemann=True,
+        check_quartic=True))
 
 
 def _plain(go):
@@ -321,6 +332,34 @@ def test_monitors_duct_matches_whole_grid_storage():
     assert fast.ctx.hi - fast.ctx.lo < fast.field.grid.n_nodes
 
 
+def _monitors_alone(mp):
+    """Make the Recorder call each public monitor without its row block,
+    so that each builds its own from the context and the field."""
+    for name in ("energy_budget", "llf_dissipation_rate", "riemann_monitor"):
+        monitor = getattr(diagnostics, name)
+        mp.setattr(diagnostics, name, lambda ctx, field, *args, _m=monitor:
+                   _m(ctx, field, *args[:-1]))
+
+
+# the benchmark's monitors configs at seed 0 and at seed 3's jitter: the
+# duct's u_minus != 0 leaves its bump duct no left far state
+@pytest.mark.parametrize("cfg", [
+    _monitors_duct(), _monitors_duct(u_minus=-0.00016115848191681353),
+    _monitors_sphere(), _monitors_sphere(1.006245754042505, 1.982978751548553)],
+    ids=["duct", "duct-jitter", "sphere", "sphere-jitter"])
+def test_one_row_block_matches_the_monitors_alone_and_whole_grid(cfg):
+    # the Recorder's row block against every public monitor building its
+    # own block, and against whole-grid storage and summation
+    block = single_run(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        _monitors_alone(mp)
+        alone = single_run(cfg)
+    for other in (alone, _plain(lambda: single_run(cfg))):
+        _assert_same_run(block, other)
+    assert {"max_w", "energy", "llf_rate", "vacuum_phi"} <= \
+        block.report.series.keys()
+
+
 @pytest.mark.parametrize("case", ["gaussian_bump", "spherical"])
 def test_small_runs_match_whole_grid_storage(case):
     # the benchmark's direct run calls: whole-grid fields, stored whole
@@ -365,6 +404,21 @@ def test_finest_ladder_rung_stores_few_nodes():
     assert out.ctx.hi - out.ctx.lo <= 4096
     assert (out.field.lo, out.field.hi) == out.ctx.live
     assert peak < 8 * 2 ** 20
+
+
+def test_quartic_monitor_stores_no_more_nodes():
+    # a duct whose flow leaves both far states untouched: the quartic
+    # monitor integrates A past the summed nodes without storing them, so
+    # the stored range is the one a run without it keeps
+    runs = [single_run(RunConfig(eps=0.05, dx=1.0 / 32.0, t_end=0.2,
+                                 snapshots=5, check_quartic=quartic))
+            for quartic in (True, False)]
+    ctx = runs[0].ctx
+    lo, hi = ctx.live
+    assert 0 < lo and hi < ctx.grid.n_nodes
+    assert "quartic" in runs[0].report.series
+    assert (ctx.lo, ctx.hi) == (runs[1].ctx.lo, runs[1].ctx.hi)
+    assert ctx.hi - ctx.lo <= 2 * (hi - lo) + 2 * solver.STORE_MARGIN
 
 
 @pytest.mark.parametrize("over, text", [
