@@ -164,14 +164,12 @@ class RowBlock:
     (the rows of ``state``) and u = m / rho (0 at vacuum).  On the summed
     nodes (``core`` of the rows, ``held`` of the stored arrays) the block
     holds the context's x, A, G and dG = (A'/A)' and the trapezoid weights
-    dx A.  ``memo`` keeps what the samples of one context share
-    (``per_range``): a Recorder passes its own, a monitor called alone
-    starts an empty one.
+    dx A.  What the samples of one context share lives in the context's
+    ``memo`` (``per_range``).
     """
 
-    def __init__(self, ctx: SolverContext, field: FluidField,
-                 memo: Optional[dict] = None):
-        self.ctx, self.memo = ctx, {} if memo is None else memo
+    def __init__(self, ctx: SolverContext, field: FluidField):
+        self.ctx = ctx
         n, (lo, hi) = ctx.grid.n_nodes, ctx.reach(field)
         self.lo, self.hi = lo, hi = max(lo - HULL_PAD, 0), min(hi + HULL_PAD, n)
         ctx.store(lo, hi)
@@ -188,13 +186,12 @@ class RowBlock:
         self.weights[-1] *= 0.5
 
     def per_range(self, key, build):
-        """build() for the context's stored range, kept in the memo under
-        ``key`` until that range grows."""
-        span = (self.ctx.lo, self.ctx.hi)
-        kept = self.memo.get(key)
-        if kept is None or kept[0] != span:
-            kept = self.memo[key] = span, build()
-        return kept[1]
+        """build() for the context's stored range, kept in its ``memo``
+        under ``key`` until that range grows."""
+        memo = self.ctx.memo
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
 
 def _trapezoid(v: np.ndarray, dx: float):
@@ -290,7 +287,7 @@ def energy_budget(ctx: SolverContext, field: FluidField, ref: ReferenceState,
     (``_past``).
     """
     block = RowBlock(ctx, field) if block is None else block
-    g, core, s0, ends = ctx.g, block.core, ctx.lo, field.ends
+    g, core, ends = ctx.g, block.core, field.ends
     rho, u = block.rho[core], block.u[core]
     terms = block.per_range(("reference", ref),
                             lambda: _reference_terms(g, ref, ctx.x))
@@ -304,12 +301,9 @@ def energy_budget(ctx: SolverContext, field: FluidField, ref: ReferenceState,
 
     def values(i, j, side):  # E and geo, times A, at the end state
         x, (r, m) = ctx.grid.nodes(i, j), ends[side]
-        stored = s0 <= i and j <= ctx.hi
         return np.array(_energy_densities(
             ctx, r, g.velocity(r, m), _reference_terms(g, ref, x), x,
-            lambda: ctx.dG[i - s0:j - s0] if stored
-            else np.asarray(ctx.profile.dlog_prime(x), dtype=float))) \
-            * ctx.area(i, j)
+            lambda: ctx.profile.dlog_prime(x))) * ctx.area(i, j)
 
     h0, h1 = _energy_nodes(ctx.grid, g, ref, ends)
     past_E, past_g = sum(_past(block, ("energy", ref, ends), values,
@@ -633,10 +627,10 @@ class Recorder:
     series are always recorded, the energy budget when a reference state is
     given.  The boundary mode picks the energy check: the sharp form for
     spherical Dirichlet runs, the Gronwall bound otherwise.  Each sample
-    builds one RowBlock, which every monitor reads, and the Recorder keeps
-    the blocks' memo.  The monitors sum each sample's live nodes and add
-    the far states elsewhere in closed form, so the series equal
-    whole-grid evaluation up to the order of their sums.
+    builds one RowBlock, which every monitor reads; what the samples share
+    lives in the context's ``memo``.  The monitors sum each sample's live
+    nodes and add the far states elsewhere in closed form, so the series
+    equal whole-grid evaluation up to the order of their sums.
     """
 
     def __init__(self, t_end: float, ref: Optional[ReferenceState] = None,
@@ -650,7 +644,6 @@ class Recorder:
         self._rates: dict[str, list] = {}
         self.ctx: Optional[SolverContext] = None   # fixed by the first sample
         self._snaps: Optional[np.ndarray] = None
-        self._memo: dict = {}   # the row blocks' (``RowBlock``)
 
     # -- sampling ------------------------------------------------------------
     def sample(self, field: FluidField, ctx: SolverContext) -> None:
@@ -671,7 +664,7 @@ class Recorder:
         elif ctx is not self.ctx:
             raise ConfigError("recorder sampled with another run's context")
         row, rates = {"t": field.t}, {}
-        block = RowBlock(ctx, field, self._memo)
+        block = RowBlock(ctx, field)
         if self.ref is not None:
             E, comp = energy_budget(ctx, field, self.ref, block)
             row.update(energy=E, diss_rate_hessian=comp["rate_hessian"],

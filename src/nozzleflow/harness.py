@@ -361,12 +361,12 @@ def _parse(key: str, raw: str, hint):
 
 @dataclass
 class RunOutput:
-    eps: float
-    g: GasLaw                      # the run's gas law (delta from eps)
-    ctx: SolverContext             # the run's context, for its node areas
+    ctx: SolverContext             # the run's context: its inputs and areas
     field: FluidField              # the final state on the context's nodes
     report: DiagnosticsReport
     label: str = ""
+    eps = property(lambda self: self.ctx.eps)
+    g = property(lambda self: self.ctx.g)  # its gas law (delta from eps)
     snapshots = property(lambda self: self.report.snapshots)
 
 
@@ -392,8 +392,7 @@ def single_run(cfg: RunConfig, eps: Optional[float] = None,
     rec = Recorder(cfg.t_end, ref=ref, options=opts, label=label)
     field, report = run(field, g, profile, eps, bc, cfg.t_end, hooks=rec,
                         cfl=cfg.cfl)
-    return RunOutput(eps=eps, g=g, ctx=rec.ctx, field=field, report=report,
-                     label=label)
+    return RunOutput(ctx=rec.ctx, field=field, report=report, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -573,19 +572,21 @@ def sweep(cfg: RunConfig) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def write_snapshot_csv(path, field: FluidField, g: GasLaw, ctx: SolverContext,
-                       eps: float, bc_mode: str, cfl: float) -> None:
-    """``field`` on every node, with the node areas ``ctx`` stepped with."""
-    grid = field.grid
+def write_snapshot_csv(path, field: FluidField, ctx: SolverContext,
+                       cfl: float) -> None:
+    """``field`` on every node, with the gas law, eps, boundary mode and
+    node areas of ``ctx``, the run's context."""
+    grid, g = field.grid, ctx.g
 
     def columns(lo, hi):
         rho, m = field.values(lo, hi)
         return grid.nodes(lo, hi), rho, m, g.velocity(rho, m), ctx.area(lo, hi)
 
     _write_csv(path, [f"t={field.t:.10g} gamma={g.gamma:.10g} "
-                      f"kappa={g.kappa:.10g} delta={g.delta:.10g} eps={eps:.10g}",
+                      f"kappa={g.kappa:.10g} delta={g.delta:.10g} "
+                      f"eps={ctx.eps:.10g}",
                       f"a={grid.a:.10g} b={grid.b:.10g} n_cells={grid.n_cells} "
-                      f"cfl={cfl:g} bc={bc_mode}"],
+                      f"cfl={cfl:g} bc={ctx.bc.mode.value}"],
                ("x", "rho", "m", "u", "A"), grid.n_nodes, columns)
 
 
@@ -596,8 +597,7 @@ def write_outputs(cfg: RunConfig, runs: dict, summary: str) -> Path:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for suffix, r in runs.items():
-        write_snapshot_csv(out / f"final{suffix}.csv", r.field, r.g, r.ctx,
-                           r.eps, cfg.bc, cfg.cfl)
+        write_snapshot_csv(out / f"final{suffix}.csv", r.field, r.ctx, cfg.cfl)
         r.report.to_csv(out / f"report{suffix}.csv")
     (out / "summary.txt").write_text(summary + "\n")
     return out

@@ -252,14 +252,17 @@ class SolverContext:
     """The solver's inputs for one run, with the coefficient arrays they fix.
 
     A context owns the grid, gas law, profile, viscosity and boundary spec;
-    ``step`` and ``run`` take all five from it.  It stores the nodes
-    [lo, hi) of the grid: on them it holds the coefficient arrays (``x``,
-    ``A``, ``G``, ``Ah``, ``Ah_full``, the bands and ``inv_Adx``) and, from
-    ``start`` on, the run's ``state``, rows (rho, m) with the views ``rho``
-    and ``m``.  Every node outside holds its end's far state, and so does
-    every stored node outside ``live``, the nodes that ``field`` copies.
-    ``store`` grows the range and evaluates the profile on its new nodes.  The
-    context also keeps the window the last ``advance`` moved and the scan.
+    ``step`` and ``run`` take all five from it.  It alone owns the nodes
+    [lo, hi) of the grid that it stores: on them it holds the coefficient
+    arrays (``x``, ``A``, ``G``, ``dG`` = (A'/A)', ``Ah``, ``Ah_full``, the
+    bands and ``inv_Adx``), the monitors' values per stored range
+    (``memo``) and, from ``start`` on, the run's ``state``, rows (rho, m)
+    with the views ``rho`` and ``m``.  Every node outside holds its end's
+    far state, and so does every stored node outside ``live``, the nodes
+    that ``field`` copies.  ``store`` grows the range by ``_cover``'s rule,
+    to at most about twice the nodes asked for, and evaluates the profile
+    on its new nodes.  The context also keeps the window the last
+    ``advance`` moved and the scan.
     """
 
     def __init__(self, grid: Grid, g: GasLaw, profile: NozzleProfile,
@@ -274,12 +277,12 @@ class SolverContext:
         self.dx = grid.dx
         self._two_dx = np.array(2.0 * grid.dx)   # the pressure term's divisor
         self.lo = self.hi = 0          # nothing stored yet
-        self.x = self.A = self.G = self.Ah = np.empty(0)
+        self.x = self.A = self.G = self.dG = self.Ah = np.empty(0)
+        self.memo: dict = {}           # the monitors' values per stored range
         self.state = None              # the run's state, from ``start``
         # [lo, hi): the nodes that may differ from their end's far state,
         # from ``start`` on (None before it)
         self.live: Optional[tuple[int, int]] = None
-        self._dG: Optional[np.ndarray] = None
         self.undershoots = 0
         self.cells_advanced = 0
         # [lo, hi): union of every window ``advance`` moved, empty at first;
@@ -289,22 +292,19 @@ class SolverContext:
 
     # -- the stored range ------------------------------------------------------
     def _cover(self, lo: int, hi: int) -> tuple[int, int]:
-        """The nodes to store for [lo, hi): STORE_MARGIN more on each side,
-        and on a side that passes the stored range at least that range's
-        size more, so that the range doubles as the flow spreads."""
-        n, s0, s1 = self.grid.n_nodes, self.lo, self.hi
-        lo, hi = max(lo - STORE_MARGIN, 0), min(hi + STORE_MARGIN, n)
-        if s0 < s1:
-            lo = max(min(lo, 2 * s0 - s1), 0) if lo < s0 else s0
-            hi = min(max(hi, 2 * s1 - s0), n) if hi > s1 else s1
-        return lo, hi
+        """The nodes to store for [lo, hi): half its size plus STORE_MARGIN
+        more on each side, so that the range grows geometrically as the
+        flow spreads but holds at most twice the nodes asked for, plus the
+        margins."""
+        pad = (hi - lo) // 2 + STORE_MARGIN
+        return max(lo - pad, 0), min(hi + pad, self.grid.n_nodes)
 
     def store(self, lo: int, hi: int) -> bool:
         """Store at least the nodes [lo, hi); returns whether the range
-        grew.  A range that grows takes the nodes of ``_cover`` too; the
-        profile is evaluated on the nodes new to it alone, whose values join
-        the columns already held.  Nodes new to a state get their end's far
-        state."""
+        grew.  A range that grows takes the nodes of ``_cover`` too and
+        empties ``memo``; the profile is evaluated on the nodes new to it
+        alone, whose values join the columns already held.  Nodes new to a
+        state get their end's far state."""
         n, s0, s1 = self.grid.n_nodes, self.lo, self.hi
         if s0 <= max(lo, 0) and min(hi, n) <= s1 and s0 < s1:
             return False
@@ -322,14 +322,14 @@ class SolverContext:
         self.x = np.concatenate((new[0], self.x, new[1]))
         self.A = _widen(self.A, prof.area, new)
         self.G = _widen(self.G, prof.dlog, new)
-        if self._dG is not None:
-            self._dG = _widen(self._dG, prof.dlog_prime, new)
+        self.dG = _widen(self.dG, prof.dlog_prime, new)
         # the faces I_j between nodes j, j+1 that the range reaches
         half = 0.5 * self.dx
         self.Ah = _widen(self.Ah, prof.area,
                          (nodes(max(lo - 1, 0), f0) + half,
                           nodes(f1, min(hi, n - 1)) + half))
         self.lo, self.hi = lo, hi
+        self.memo = {}
         self._derive()
         return True
 
@@ -373,13 +373,6 @@ class SolverContext:
         stored = self.A[a - self.lo:b - self.lo] if a < b else np.empty(0)
         return np.concatenate([self.profile.area(self.grid.nodes(lo, a)), stored,
                                self.profile.area(self.grid.nodes(b, hi))])
-
-    @property
-    def dG(self) -> np.ndarray:
-        """(A'/A)' at the stored nodes; only the monitors read it."""
-        if self._dG is None:
-            self._dG = np.asarray(self.profile.dlog_prime(self.x), dtype=float)
-        return self._dG
 
     # -- the run's state -------------------------------------------------------
     @property
@@ -462,21 +455,32 @@ class SolverContext:
         times differences of face areas, and the diffusion rows rounding
         plus m_f times differences of A'/A.  So a state at rest, or any
         state in a uniform duct, is steady; only a moving state in a duct
-        whose area varies is tested, on a context that stores every node.
+        whose area varies is tested (``_residual``).
         """
         if m_f == 0.0 or isinstance(self.profile, ConstantProfile):
             return True
-        n = self.grid.n_nodes
-        probe = SolverContext(self.grid, self.g, self.profile, self.eps, self.bc)
-        probe.store(0, n)
-        rho, m = state = np.array((np.full(n, rho_f), np.full(n, m_f)))
-        c_rho, c_m = _hyperbolic_rhs(probe, state, 0.0, (2, n - 2))
-        resid = max(np.max(np.abs(c_rho)), np.max(np.abs(c_m)),
-                    self.eps * np.max(np.abs(_apply(probe.mass_bands, rho))),
-                    self.eps * np.max(np.abs(_apply(probe.mom_bands, m))))
-        rate = (self.max_wave_speed(rho[:1], m[:1]) / self.dx
-                + self.eps * probe.band_max) * (abs(rho_f) + abs(m_f))
+        resid, rate = self._residual(rho_f, m_f)
         return resid <= STEADY_RTOL * rate
+
+    def _residual(self, rho_f: float, m_f: float) -> tuple[float, float]:
+        """(largest interior rate, rate scale times |rho_f| + |m_f|) of the
+        constant state, from one probe context per BLOCK-node piece and its
+        stencil (with ``_cover``'s pad).  Each rate and band entry is
+        computed node by node, so the maxima are the whole grid's exactly."""
+        eps, resid, band_max = self.eps, 0.0, 0.0
+        for k in range(0, self.grid.n_nodes, BLOCK):
+            probe = SolverContext(self.grid, self.g, self.profile, eps, self.bc)
+            probe.store(k - 2, k + BLOCK + 2)
+            N = probe.hi - probe.lo
+            rho, m = state = np.array((np.full(N, rho_f), np.full(N, m_f)))
+            c_rho, c_m = _hyperbolic_rhs(probe, state, 0.0, (2, N - 2))
+            resid = max(resid, np.max(np.abs(c_rho)), np.max(np.abs(c_m)),
+                        eps * np.max(np.abs(_apply(probe.mass_bands, rho))),
+                        eps * np.max(np.abs(_apply(probe.mom_bands, m))))
+            band_max = max(band_max, probe.band_max)
+        speed = self.max_wave_speed(np.array([rho_f]), np.array([m_f]))
+        rate = (speed / self.dx + eps * band_max) * (abs(rho_f) + abs(m_f))
+        return resid, rate
 
     @cached_property
     def far_speed(self) -> float:

@@ -18,10 +18,14 @@ tests all three slope signs with ``np.where``, computes each variable's
 fluxes, updates and implicit system on their own with Python float
 operands, and finds every window by a whole-grid scan and steps a copy of
 the field on a context that stores every node.  It imports from the
-package only the data types, the limiter parameter, the window margin and
-the tridiagonal solve.  Monkeypatch ``solver.step``,
+package only the data types, the limiter parameter, the window margin, the
+steady tolerance and the tridiagonal solve.  Monkeypatch ``solver.step``,
 ``SolverContext.advance``, ``SolverContext.max_wave_speed`` and the
 ``hyperbolic_interface_data`` bindings with these to run the plain path.
+
+``steady_residual`` and ``far_states`` are the plain steady test: the
+stage and both diffusion operators of a constant state on a probe context
+that stores every node, where the package probes BLOCK-node pieces.
 """
 
 import math
@@ -30,10 +34,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from nozzleflow.errors import CavitationError, NonFiniteError, StabilityError
-from nozzleflow.geometry import NozzleProfile
-from nozzleflow.solver import (LIMITER_THETA, BCMode, BoundarySpec,
-                               FluidField, SolverContext, _green_margin,
-                               _tridiag_solve)
+from nozzleflow.geometry import ConstantProfile, NozzleProfile
+from nozzleflow.solver import (LIMITER_THETA, STEADY_RTOL, BCMode,
+                               BoundarySpec, FluidField, SolverContext,
+                               _green_margin, _tridiag_solve)
 from nozzleflow.thermo import GasLaw
 
 
@@ -139,6 +143,45 @@ def _hyperbolic_rhs(ctx: SolverContext, rho, m, t, window: tuple[int, int]):
     conv_rho = -(phi[1:] - phi[:-1]) * inv
     conv_m = -(psi[1:] - psi[:-1]) * inv - (p[2:] - p[:-2]) / (2.0 * ctx.dx)
     return conv_rho, conv_m
+
+
+def steady_residual(ctx: SolverContext, rho_f: float,
+                    m_f: float) -> tuple[float, float]:
+    """(residual, rate) of the constant state (rho_f, m_f): the largest
+    interior explicit rate and eps times diffusion row, and the rate scale
+    (wave speed / dx + eps * largest band entry) times |rho_f| + |m_f|, on
+    a probe context that stores every node."""
+    n = ctx.grid.n_nodes
+    probe = SolverContext(ctx.grid, ctx.g, ctx.profile, ctx.eps, ctx.bc)
+    probe.store(0, n)
+    rho, m = np.full(n, rho_f), np.full(n, m_f)
+    c_rho, c_m = _hyperbolic_rhs(probe, rho, m, 0.0, (2, n - 2))
+
+    def interior(bands, u):  # rows 1 .. n-2 of the banded operator
+        return bands[2, :-2] * u[:-2] + bands[1, 1:-1] * u[1:-1] \
+            + bands[0, 2:] * u[2:]
+
+    resid = max(np.max(np.abs(c_rho)), np.max(np.abs(c_m)),
+                ctx.eps * np.max(np.abs(interior(probe.mass_bands, rho))),
+                ctx.eps * np.max(np.abs(interior(probe.mom_bands, m))))
+    rate = (max_wave_speed(ctx, rho[:1], m[:1]) / ctx.dx
+            + ctx.eps * probe.band_max) * (abs(rho_f) + abs(m_f))
+    return resid, rate
+
+
+def far_states(ctx: SolverContext) -> tuple:
+    """``SolverContext.far_states`` from ``steady_residual``, for constant
+    boundary values: an end's state when it is at rest, the duct uniform,
+    or the residual at most STEADY_RTOL times the rate."""
+    bc, out = ctx.bc, []
+    for rho_f, m_f in ((bc.rho_left, bc.m_left), (bc.rho_right, bc.m_right)):
+        steady = rho_f is not None and (
+            m_f == 0.0 or isinstance(ctx.profile, ConstantProfile))
+        if rho_f is not None and not steady:
+            resid, rate = steady_residual(ctx, rho_f, m_f)
+            steady = resid <= STEADY_RTOL * rate
+        out.append((float(rho_f), float(m_f)) if steady else None)
+    return tuple(out)
 
 
 

@@ -300,8 +300,8 @@ def test_hull_monitors_match_whole_field_on_every_rung(sweep_gamma2,
             assert_same_series(rung.report, whole.report)
             texts = []
             for out in (rung, whole):
-                write_snapshot_csv(tmp_path / "final.csv", out.field, out.g,
-                                   out.ctx, out.eps, cfg.bc, cfg.cfl)
+                write_snapshot_csv(tmp_path / "final.csv", out.field, out.ctx,
+                                   cfg.cfl)
                 texts.append((tmp_path / "final.csv").read_bytes())
             assert texts[0] == texts[1]
         K = (cfg.window_lo, cfg.window_hi)

@@ -17,13 +17,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import plain_step
 from helpers import assert_same_series, whole_field_monitors
 from nozzleflow import diagnostics, harness, solver
 from nozzleflow.diagnostics import (energy_budget, llf_dissipation_rate,
                                     riemann_monitor)
 from nozzleflow.errors import ConfigError
-from nozzleflow.geometry import (ConstantProfile, GaussianBumpProfile,
-                                 SphericalProfile)
+from nozzleflow.geometry import (ConstantProfile, ExponentialProfile,
+                                 GaussianBumpProfile, PowerLawClosingProfile,
+                                 SphericalProfile, TabulatedProfile)
 from nozzleflow.harness import RunConfig, single_run, write_snapshot_csv
 from nozzleflow.solver import (BoundarySpec, FluidField, Grid, InitialData,
                                SolverContext, hyperbolic_interface_data,
@@ -163,8 +165,8 @@ def test_csv_rows_do_not_depend_on_the_block_size(tmp_path):
     for block in (7, 1 << 30):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(diagnostics, "BLOCK", block)
-            write_snapshot_csv(tmp_path / "final.csv", out.field, out.g,
-                               out.ctx, out.eps, cfg.bc, cfg.cfl)
+            write_snapshot_csv(tmp_path / "final.csv", out.field, out.ctx,
+                               cfg.cfl)
             out.report.to_csv(tmp_path / "report.csv")
         texts.append([(tmp_path / name).read_bytes()
                       for name in ("final.csv", "report.csv")])
@@ -293,6 +295,7 @@ def test_monitors_read_any_field_with_a_finished_run_s_context():
     cfg = RunConfig(eps=0.05, dx=1.0 / 32.0, t_end=0.2, snapshots=5)
     out = single_run(cfg)
     ctx, lo = out.ctx, out.ctx.live[0]
+    ctx.store(lo - 60, ctx.hi)  # a stored range that holds node lo - 50
     assert ctx.lo < lo - 50 and 100 < ctx.lo
     moved = out.field.whole()
     moved.rho[[lo - 50, 100]] += 0.3
@@ -305,6 +308,65 @@ def test_monitors_read_any_field_with_a_finished_run_s_context():
         expect = monitor(fresh, moved)
         assert monitor(ctx, moved) == expect, name
         assert monitor(ctx, out.field) != expect, name
+
+
+# ---------------------------------------------------------------------------
+# The steady test on BLOCK-node pieces against the whole-grid probe
+# ---------------------------------------------------------------------------
+
+
+_TABLE_X = np.linspace(-8.0, 8.0, 33)
+_STEADY_PROFILES = {
+    "bump": GaussianBumpProfile(), "throat": GaussianBumpProfile(amp=-0.5),
+    "closing": PowerLawClosingProfile(), "exponential": ExponentialProfile(),
+    "tabulated": TabulatedProfile(_TABLE_X,
+                                  1.0 + 0.5 * np.exp(-_TABLE_X * _TABLE_X))}
+
+
+@pytest.mark.parametrize("name", _STEADY_PROFILES)
+def test_pieced_steady_test_matches_the_whole_grid_probe(name, monkeypatch):
+    # moving far states in a duct whose area varies, on grids below and
+    # above BLOCK nodes: the same verdicts, residuals and rates, bit for
+    # bit, and no probe stores more than a piece, its stencil and the pad
+    stored = []
+    derive = SolverContext._derive
+    monkeypatch.setattr(SolverContext, "_derive", lambda ctx: (
+        stored.append(ctx.hi - ctx.lo), derive(ctx))[1])
+    piece = solver.BLOCK + 4
+    bound = piece + 2 * (piece // 2 + solver.STORE_MARGIN)
+    g, profile = GasLaw(2.0, delta=1e-3), _STEADY_PROFILES[name]
+    verdicts = set()
+    for cells in (48, 200, 5120, 81920):
+        grid = Grid(-8.0, 8.0, cells)
+        for m_f in (0.1, 1e-11, 1.3e-13):
+            bc = BoundarySpec.dirichlet_nozzle(1.0, m_f, 0.5, m_f)
+            ctx = SolverContext(grid, g, profile, 0.05, bc)
+            stored.clear()
+            ends = ctx.far_states
+            assert stored and max(stored) <= bound, (cells, m_f)
+            assert ends == plain_step.far_states(ctx), (cells, m_f)
+            for rho_f in (1.0, 0.5):
+                assert ctx._residual(rho_f, m_f) == \
+                    plain_step.steady_residual(ctx, rho_f, m_f), (cells, m_f)
+            verdicts.update(end is None for end in ends)
+    assert verdicts == {True, False}  # both verdicts are tested
+
+
+def test_steady_test_holds_no_whole_grid_array():
+    # a bump duct with inflow on the 81,921 nodes of the finest ladder
+    # rung: a probe of the whole grid peaked at 31 MiB
+    cfg, eps = _bump_inflow(), 0.003125
+    ctx = SolverContext(_ladder_config().grid_of(eps), cfg.build_gas(eps),
+                        cfg.build_profile(), eps, cfg.build_bc(eps))
+    assert ctx.grid.n_nodes == 81921
+    tracemalloc.start()
+    try:
+        ends = ctx.far_states
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ends == (None, (0.125, 0.0))
+    assert peak <= 16 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +471,19 @@ def test_finest_ladder_rung_stores_few_nodes():
 def test_quartic_monitor_stores_no_more_nodes():
     # a duct whose flow leaves both far states untouched: the quartic
     # monitor integrates A past the summed nodes without storing them, so
-    # the stored range is the one a run without it keeps
-    runs = [single_run(RunConfig(eps=0.05, dx=1.0 / 32.0, t_end=0.2,
-                                 snapshots=5, check_quartic=quartic))
-            for quartic in (True, False)]
-    ctx = runs[0].ctx
-    lo, hi = ctx.live
-    assert 0 < lo and hi < ctx.grid.n_nodes
-    assert "quartic" in runs[0].report.series
-    assert (ctx.lo, ctx.hi) == (runs[1].ctx.lo, runs[1].ctx.hi)
-    assert ctx.hi - ctx.lo <= 2 * (hi - lo) + 2 * solver.STORE_MARGIN
+    # the stored range is the one a run without it keeps, and it holds at
+    # most twice the live nodes (the second case stored 2.8 times them
+    # when a growth added the range's size on the side a window passed)
+    for dx, t_end in ((1.0 / 32.0, 0.2), (1.0 / 128.0, 0.5)):
+        runs = [single_run(RunConfig(eps=0.05, dx=dx, t_end=t_end,
+                                     snapshots=5, check_quartic=quartic))
+                for quartic in (True, False)]
+        ctx = runs[0].ctx
+        lo, hi = ctx.live
+        assert 0 < lo and hi < ctx.grid.n_nodes
+        assert "quartic" in runs[0].report.series
+        assert (ctx.lo, ctx.hi) == (runs[1].ctx.lo, runs[1].ctx.hi)
+        assert ctx.hi - ctx.lo <= 2 * (hi - lo) + 2 * solver.STORE_MARGIN, dx
 
 
 @pytest.mark.parametrize("over, text", [
