@@ -527,6 +527,15 @@ class WeakResidualRecord:
                                        0.0)))
 
 
+def _unique_states(rho, m, support):
+    """The distinct (rho, m) among the flat indices ``support``, as two
+    contiguous arrays, and each index's place among them."""
+    # one complex key per state sorts as (rho, m) rows do, without row views
+    states, inverse = np.unique(rho.ravel()[support] + 1j * m.ravel()[support],
+                                return_inverse=True)
+    return states.real.copy(), states.imag.copy(), inverse.ravel()
+
+
 def weak_residual(history: SnapshotSet, g: GasLaw, profile: NozzleProfile,
                   test_set: Sequence[SpaceTimeBump],
                   gen_set: Sequence[EntropyGenerator]) -> WeakResidualRecord:
@@ -541,10 +550,12 @@ def weak_residual(history: SnapshotSet, g: GasLaw, profile: NozzleProfile,
 
     Each test is a product b_t(t) b_x(x); with the trapezoid weights in the
     rows of B_t (tests x times) and B_x (tests x nodes), int F phi_t for all
-    tests is ((B_t' @ F) * B_x).sum(1).  The kernel runs once per generator,
-    one order-1 moment pass for eta, q and the gradient, on the unique
-    (rho, m) states inside the union of the test supports: exact moments
-    for piece tables, the default ``KERNEL_NODES``-node rule for callables.
+    tests is ((B_t' @ F) * B_x).sum(1).  The kernel runs once for the whole
+    family, one order-1 moment pass (``pair_grads``) on the unique (rho, m)
+    states inside the union of the test supports: exact moments for piece
+    tables, the default ``KERNEL_NODES``-node rule for callables.  Each
+    generator's eta, q and source are then assembled, scattered and
+    contracted in turn.
     """
     for gen in gen_set:
         if not gen.convex:
@@ -570,30 +581,30 @@ def weak_residual(history: SnapshotSet, g: GasLaw, profile: NozzleProfile,
 
     rho, m = history.rho, history.m
     A, dA = (np.asarray(f(x), dtype=float) for f in (profile.area, profile.d_area))
-    u = g.velocity(rho, m)
     p = g.pressure_gamma(rho)
     mass = contract(rho * A, m * A)
-    momentum = contract(m * A, (m * u + p) * A, p * dA)
+    momentum = contract(m * A, (m * g.velocity(rho, m) + p) * A, p * dA)
+    del p  # freed before the kernel pass, the residual's peak
     # B_t, B_x >= 0: bumps times positive weights
     norms = (Bt.sum(1) + np.abs(dBt).sum(1)) * (Bx @ A) \
         + Bt.sum(1) * (np.abs(dBx) @ A)
 
     # the kernel on each state a test function sees, once
     support = np.flatnonzero((Bt.T @ Bx).ravel())
-    # one complex key per state sorts as (rho, m) rows do, without row views
-    states, inverse = np.unique(rho.ravel()[support] + 1j * m.ravel()[support],
-                                return_inverse=True)
-    r_s, m_s = states.real, states.imag
+    r_s, m_s, inverse = _unique_states(rho, m, support)
     u_s = g.velocity(r_s, m_s)
-    kern = get_kernel(g)
     entropy = np.zeros((len(gen_set), len(test_set)))
-    for i, gen in enumerate(gen_set):
-        eta, q, eta_r, eta_m = kern.pair_grad(gen, r_s, m_s)
+    pairs = get_kernel(g).pair_grads(gen_set, r_s, m_s)
+    field = np.zeros(rho.shape)
+    for i, (eta, q, eta_r, eta_m) in enumerate(pairs):
         src = m_s * eta_r + m_s * u_s * eta_m - q
-        full = np.zeros((3, rho.size))
-        full[:, support] = np.stack((eta, q, src))[:, inverse.ravel()]
-        eta_f, q_f, src_f = full.reshape(3, *rho.shape)
-        entropy[i] = contract(-eta_f * A, -q_f * A, dA * src_f)
+        # contract's three terms, each scattered into the one field
+        terms = []
+        for vals, weight, left, right in ((eta, -A, dBt, Bx), (q, -A, Bt, dBx),
+                                          (src, dA, Bt, Bx)):
+            field.ravel()[support] = vals[inverse]
+            terms.append(((left @ (field * weight)) * right).sum(1))
+        entropy[i] = terms[0] + terms[1] + terms[2]
     return WeakResidualRecord(list(test_set), list(gen_set), mass, momentum,
                               entropy, norms)
 

@@ -7,10 +7,10 @@ through the averaging
     q(rho, m)   = rho * int_{-1}^{1} (u + theta rho^theta s) psi(...) (1 - s^2)^lam ds,
 
 with u = m/rho, theta = (gamma-1)/2 and lam = (3-gamma)/(2(gamma-1)).
-Nodes and weights for the weight (1-s^2)^lam come from the Golub-Welsch
-eigenvalue method, which stays accurate for lam in (-1/2, 0) where the
-weight blows up at s = +-1 (gamma > 3).  lam = 0 degenerates to plain
-Gauss-Legendre.
+Gauss-Jacobi rules for the weight (1-s^2)^lam take their nodes from the
+eigenvalues of the Jacobi matrix and their weights from the orthonormal
+recurrence, which stays accurate for lam in (-1/2, 0) where the weight
+blows up at s = +-1 (gamma > 3).  lam = 0 is plain Gauss-Legendre.
 
 A piecewise-polynomial generator is a table of psi's coefficients on the
 intervals between its kinks, and its moments are exact: each piece between
@@ -19,39 +19,46 @@ closed-form weight moments, ``weight_moment`` at s = +-1 and a tail recurrence
 at a kink.  A piece too narrow for those sums takes fixed 20-node local rules.
 A generator given by callables is evaluated on one full-interval rule, in
 chunks of states, as one matrix product per derivative order; node-doubling
-certifies it.
+certifies it.  One moment pass serves a whole family of generators.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
-from typing import Callable, Optional
+from functools import cache, cached_property, lru_cache, partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .checks import Check, Report
 from .errors import ConfigError, DomainError, QuadratureError
 from .thermo import GasLaw, _match
 
 # ---------------------------------------------------------------------------
-# Gauss-Jacobi rules (Golub-Welsch)
+# Gauss-Jacobi rules
 # ---------------------------------------------------------------------------
+
+# a rule's nodes with |x| above this take their weights in extended
+# precision (np.longdouble, 80 bits on x86-64): in doubles the recurrence
+# loses up to 8e-13 of the largest weight there at n = 4096 (lam = -1/3)
+END_X = 0.99
 
 
 def jacobi_recurrence(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """First n three-term recurrence coefficients for the weight (1-x)^a (1+x)^b."""
-    alpha = np.zeros(n)
-    beta = np.zeros(n)
+    """First n three-term recurrence coefficients for the weight
+    (1-x)^a (1+x)^b, in extended precision."""
+    alpha = np.zeros(n, dtype=np.longdouble)
+    beta = np.zeros(n, dtype=np.longdouble)
+    a, b = np.longdouble(a), np.longdouble(b)
     apb = a + b
     alpha[0] = (b - a) / (apb + 2.0)
     beta[0] = (2.0 ** (apb + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0)
                / math.gamma(apb + 2.0))
     if n > 1:
-        k = np.arange(1, n, dtype=float)
+        k = np.arange(1, n, dtype=np.longdouble)
         alpha[1:] = (b * b - a * a) / ((2.0 * k + apb) * (2.0 * k + apb + 2.0))
         beta[1:] = (4.0 * k * (k + a) * (k + b) * (k + apb)
                     / ((2.0 * k + apb) ** 2 * (2.0 * k + apb + 1.0)
@@ -59,14 +66,66 @@ def jacobi_recurrence(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarra
     return alpha, beta
 
 
+def _christoffel(x, a, b, alpha, off, beta0):
+    """Nodes and weights of an n-node rule from some of its nodes x, in x's
+    float type.
+
+    With the orthonormal p_n and p_n' run up the recurrence at every node,
+    a Newton step p_n / p_n' moves each node onto the root, and its weight
+    is w = (2n + a + b + 1) / ((1 - x^2) p_n'(x)^2) there, to first order in
+    the step, with p_n'' from the Jacobi equation: near x = +-1 the rounding
+    of a node alone moves w by up to 1e-10 of itself at n = 4096.  For the
+    exponents ``jacobi_recurrence`` takes (below 84.5), p_k stays below
+    1e86 inside END_X, and past it the type is extended.
+    """
+    n = alpha.size - 1
+    alpha, off = alpha.astype(x.dtype), off.astype(x.dtype)
+    # rows p_k and p_k'
+    P, P_prev = np.zeros((2, x.size), x.dtype), np.zeros((2, x.size), x.dtype)
+    P[0] = 1.0 / math.sqrt(beta0)
+    for k in range(n):
+        P_next = (x - alpha[k]) * P - (off[k - 1] if k else 0.0) * P_prev
+        P_next[1] += P[0]
+        P_next /= off[k]
+        P, P_prev = P_next, P
+    p, dp = P
+    step = p / dp
+    om = (1.0 - x) * (1.0 + x)
+    d2p = -((b - a - (a + b + 2.0) * x) * dp + n * (n + a + b + 1.0) * p) / om
+    w = (2 * n + a + b + 1.0) / ((om + 2.0 * x * step) * (dp - d2p * step) ** 2)
+    return (x - step).astype(float), w.astype(float)
+
+
 def gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1] for the weight (1-x)^a (1+x)^b."""
+    """Nodes and weights on [-1, 1] for the weight (1-x)^a (1+x)^b.
+
+    The eigenvalues of the Jacobi matrix T start the nodes, and
+    ``_christoffel`` polishes them and weighs them: O(n) memory and no
+    eigenvectors.  The nodes past END_X are weighed again in extended
+    precision, with the coefficients of ``jacobi_recurrence`` in the same.
+    A symmetric rule (a = b) takes the nodes in [0, 1] from half of T^2 and
+    mirrors them.
+    """
     if min(a, b) <= -1.0:
         raise DomainError("Jacobi exponents must exceed -1")
-    alpha, beta = jacobi_recurrence(n, a, b)
-    nodes, vec = eigh_tridiagonal(alpha, np.sqrt(beta[1:]))
-    weights = beta[0] * vec[0] ** 2
-    return nodes, weights
+    alpha, beta = jacobi_recurrence(n + 1, a, b)
+    off = np.sqrt(beta[1:])
+    e = off[:n - 1].astype(float)
+    if a == b:
+        # T has a zero diagonal, so the even rows and columns of T^2 form a
+        # tridiagonal matrix whose eigenvalues are the squared nodes >= 0
+        e2 = np.r_[0.0, e, 0.0] ** 2
+        x = np.sqrt(np.maximum(eigvalsh_tridiagonal(
+            e2[0:n:2] + e2[1:n + 1:2], e[0:n - 2:2] * e[1:n - 1:2]), 0.0))
+    else:
+        x = eigvalsh_tridiagonal(alpha[:n].astype(float), e)
+    x, w = _christoffel(x, a, b, alpha, off, beta[0])
+    ends = np.abs(x) > END_X
+    x[ends], w[ends] = _christoffel(x[ends].astype(np.longdouble), a, b, alpha,
+                                    off, beta[0])
+    if a == b:
+        x, w = np.r_[-x[n % 2:][::-1], x], np.r_[w[n % 2:][::-1], w]
+    return x, w
 
 
 def weight_moment(lam: float, k: int) -> float:
@@ -89,7 +148,9 @@ class EntropyGenerator:
     ``kinks`` lists, sorted, the velocity-space locations where psi'' jumps,
     and ``pieces`` psi's ascending coefficients in v on each of the
     ``len(kinks) + 1`` intervals between them: the kernel integrates such a
-    table exactly.  A generator given by its callables alone has no kinks.
+    table exactly.  A generator given by its callables alone has no kinks;
+    its ``jet(v, order)``, when given, returns psi and its derivatives up to
+    ``order`` from one evaluation.
     """
 
     name: str
@@ -99,6 +160,7 @@ class EntropyGenerator:
     convex: bool = False
     kinks: tuple[float, ...] = ()
     pieces: tuple[tuple[float, ...], ...] = ()
+    jet: Optional[Callable[[np.ndarray, int], list]] = None
 
     def __post_init__(self):
         if list(self.kinks) != sorted(self.kinks) or (
@@ -106,6 +168,17 @@ class EntropyGenerator:
                 and len(self.pieces) != len(self.kinks) + 1):
             raise ConfigError(f"generator {self.name!r} needs sorted kinks and "
                               "one piece more than kinks, or neither")
+
+    def derivatives(self, v, order: int) -> list:
+        """[psi(v), psi'(v), ...] up to ``order``."""
+        if self.jet is not None:
+            return self.jet(v, order)
+        return [f(v) for f in (self.psi, self.dpsi, self.d2psi)[:order + 1]]
+
+    @cached_property
+    def tables(self) -> list[list[list[float]]]:
+        """Per piece, ``_derivatives`` of its polynomial."""
+        return [_derivatives(p) for p in self.pieces]
 
 
 def _derivatives(coeffs) -> list[list[float]]:
@@ -117,10 +190,24 @@ def _derivatives(coeffs) -> list[list[float]]:
     return out
 
 
+def _horner(c, x):
+    """np.polyval(c, x) for finite x, bit for bit, without its set-up."""
+    y = c[0]
+    for a in c[1:]:
+        y = y * x + a
+    return y
+
+
 def _piece_values(kinks, coeffs, v):
     """Each v's piece polynomial, from np.polyval coefficients per piece."""
     return np.choose(np.searchsorted(kinks, v, side="right"),
                      [np.polyval(c, v) for c in coeffs])[()]
+
+
+def _from_jet(name: str, jet, convex: bool = False) -> EntropyGenerator:
+    """Generator whose psi, psi' and psi'' each read one order of ``jet``."""
+    return EntropyGenerator(name, *(lambda v, j=j: jet(v, j)[j] for j in range(3)),
+                            convex=convex, jet=jet)
 
 
 def _piecewise(name: str, kinks, *pieces, convex: bool = True) -> EntropyGenerator:
@@ -166,13 +253,18 @@ def gen_half_signed_square(u_minus: float) -> EntropyGenerator:
 def gen_smoothed_abs(center: float = 0.0, width: float = 0.5) -> EntropyGenerator:
     """Smooth convex regularization of |v - center| with linear growth."""
     c, w = float(center), float(width)
-    return EntropyGenerator(
-        f"smoothed_abs[{c:g},{w:g}]",
-        lambda v: np.sqrt((v - c) ** 2 + w * w),
-        lambda v: (v - c) / np.sqrt((v - c) ** 2 + w * w),
-        lambda v: w * w / ((v - c) ** 2 + w * w) ** 1.5,
-        convex=True,
-    )
+
+    def jet(v, order):
+        d = v - c
+        q = d ** 2 + w * w
+        out = [np.sqrt(q)]
+        if order:
+            out.append(d / out[0])
+        if order > 1:
+            out.append(w * w / q ** 1.5)
+        return out
+
+    return _from_jet(f"smoothed_abs[{c:g},{w:g}]", jet, convex=True)
 
 
 def gen_convex_spline(center: float = 0.0, width: float = 1.0) -> EntropyGenerator:
@@ -209,18 +301,20 @@ def gen_bump(center: float = 0.0, width: float = 1.0) -> EntropyGenerator:
     """Compactly supported C-infinity bump exp(-1/(1-t^2)); not convex."""
     c, w = float(center), float(width)
 
-    def d2psi(v):
+    def jet(v, order):
         t = (v - c) / w
-        inside = np.abs(t) < 1.0
-        t = np.where(inside, t, 0.0)
-        om = 1.0 - t * t
-        g = -2.0 * t / om ** 2
-        gp = -2.0 / om ** 2 - 8.0 * t * t / om ** 3
-        return np.where(inside, smooth_bump(t)[0] * (g * g + gp) / (w * w), 0.0)
+        b, db = smooth_bump(t)
+        out = [b, db / w][:order + 1]
+        if order > 1:
+            inside = np.abs(t) < 1.0
+            t = np.where(inside, t, 0.0)
+            om = 1.0 - t * t
+            g = -2.0 * t / om ** 2
+            gp = -2.0 / om ** 2 - 8.0 * t * t / om ** 3
+            out.append(np.where(inside, b * (g * g + gp) / (w * w), 0.0))
+        return out
 
-    return EntropyGenerator(f"bump[{c:g},{w:g}]",
-                            lambda v: smooth_bump((v - c) / w)[0],
-                            lambda v: smooth_bump((v - c) / w)[1] / w, d2psi)
+    return _from_jet(f"bump[{c:g},{w:g}]", jet)
 
 
 # every factory builds with no arguments
@@ -290,60 +384,76 @@ class EntropyKernel:
         self.theta = g.theta
         self._rule = cache(gauss_jacobi)  # (n, a, b) -> (nodes, weights)
 
-    def moments(self, gen: EntropyGenerator, rho_f: np.ndarray, m_f: np.ndarray,
-                max_order: int = 0,
-                n: Optional[int] = None) -> dict[tuple[int, int], np.ndarray]:
-        """M[(j, k)] = int s^k psi^(j)(u + rho^theta s) (1-s^2)^lam ds per state.
+    def moments(self, gens: Sequence[EntropyGenerator], rho_f: np.ndarray,
+                m_f: np.ndarray, max_order: int = 0,
+                n: Optional[int] = None) -> list[dict[tuple[int, int], np.ndarray]]:
+        """Per generator of ``gens``, in order, the moments
+        M[(j, k)] = int s^k psi^(j)(u + rho^theta s) (1-s^2)^lam ds per state.
 
         Takes flat state arrays and returns the moments the assembled
         quantities read: j <= max_order, k <= max(1, j).  Vacuum states
-        (rho <= floor) contribute zero to every moment.  A piece table takes
-        the exact moments of ``_piece_moments``, CHUNK states at a time, and
-        ignores ``n``; callables take the n-node rule of ``_node_moments``.
+        (rho <= floor) contribute zero to every moment.  One pass serves the
+        whole family: the state checks, u, rho^theta and the vacuum split are
+        done once, callables share each chunk's nodes u + rho^theta t, and
+        piece tables each chunk's powers of rho^theta; every generator's
+        moments are bit for bit those of a call with it alone.  A piece table
+        takes the exact moments of ``_piece_moments``, CHUNK states at a time,
+        and ignores ``n``; callables take the n-node rule of ``_node_moments``.
         """
         if not (np.isfinite(rho_f).all() and np.isfinite(m_f).all()):
             raise DomainError("states must be finite")
         if np.any(rho_f < 0.0):
             raise DomainError("density must be nonnegative")
-        out = {(j, k): np.zeros(rho_f.size)
-               for j in range(max_order + 1) for k in range(max(1, j) + 1)}
+        keys = [(j, k) for j in range(max_order + 1) for k in range(max(1, j) + 1)]
         pos_idx = np.flatnonzero(rho_f > self.g.rho_floor)
-        if not pos_idx.size:
-            return out
         r = rho_f[pos_idx]
         u, rt = m_f[pos_idx] / r, r ** self.theta
-        if not gen.pieces:
-            vals = self._node_moments(gen, u, rt, list(out), n or KERNEL_NODES)
-            for key, val in vals.items():
-                out[key][pos_idx] = val
-            return out
-        for c in range(0, u.size, CHUNK):
+        # per generator, one row per key over the states above the floor;
+        # the piece tables go first, before the callables' rows exist
+        vals = [np.empty((len(keys), u.size)) if gen.pieces else None for gen in gens]
+        tables = [i for i, gen in enumerate(gens) if gen.pieces]
+        if tables:
+            top = max(len(d) for i in tables for d in gens[i].tables) + 1
+            W = [weight_moment(self.lam, m) for m in range(top)]
+        for c in range(0, u.size if tables else 0, CHUNK):
             sl = slice(c, c + CHUNK)
-            for key, val in self._piece_moments(gen, u[sl], rt[sl],
-                                                list(out)).items():
-                out[key][pos_idx[sl]] = val
-        return out
+            rt_l = [rt[sl] ** l for l in range(top - 1)]
+            for i in tables:
+                chunk = self._piece_moments(gens[i], u[sl], rt[sl], rt_l, W, keys)
+                for row, key in zip(vals[i], keys):
+                    row[sl] = chunk[key]
+        nodal = [i for i, gen in enumerate(gens) if not gen.pieces]
+        if nodal:
+            for i, val in zip(nodal, self._node_moments(
+                    [gens[i] for i in nodal], u, rt, len(keys), max_order,
+                    n or KERNEL_NODES)):
+                vals[i] = val
+        if pos_idx.size < rho_f.size:
+            for i, val in enumerate(vals):
+                vals[i] = np.zeros((len(keys), rho_f.size))
+                vals[i][:, pos_idx] = val
+        return [dict(zip(keys, val)) for val in vals]
 
-    def _piece_moments(self, gen, u, rt, keys):
+    def _piece_moments(self, gen, u, rt, rt_l, W, keys):
         """Exact moments of a piece table, piece by piece between the
         breakpoints [-1, kinks inside (-1, 1)..., 1] of each state.
 
         On piece p, psi^(j)(u + rt s) = sum_l psi_p^(j+l)(u) (rt s)^l / l!,
         and s^(l+k) integrates against the weight in closed form: the whole
-        interval gives ``weight_moment``, a kink the tails of
-        ``_tail_moments``.  A generator without kinks never builds a tail.
-        The terms grow like (2 / width)^degree against the piece, so a piece
-        of width < 1 where that passes TAYLOR_GROWTH takes the local rules of
+        interval gives ``weight_moment`` (``W``), a kink the tails of
+        ``_tail_moments``.  ``rt_l`` holds the powers rt^l.  A generator
+        without kinks never builds a tail.  The terms grow like
+        (2 / width)^degree against the piece, so a piece of width < 1 where
+        that passes TAYLOR_GROWTH takes the local rules of
         ``_local_moments`` instead.
         """
-        polys = [_derivatives(p) for p in gen.pieces]
-        top = max(len(d) for d in polys) + 1
-        W = [weight_moment(self.lam, m) for m in range(top)]
-        rt_l = [rt ** l for l in range(top - 1)]
+        polys = gen.tables
         if gen.kinks:
             S = np.clip((np.asarray(gen.kinks) - u[:, None]) / rt[:, None], -1.0, 1.0)
             ends = np.hstack([np.full((u.size, 1), -1.0), S, np.ones((u.size, 1))])
-            T = self._tail_moments(ends, top, W)
+            # T_m at each breakpoint: W_m at s = -1, 0 at s = 1
+            tails = self._tail_moments(S, max(len(d) for d in polys) + 1, W)
+            T = [[Wm, *(Tm[:, i] for i in range(S.shape[1]))] for Wm, Tm in zip(W, tails)]
         vals = {key: np.zeros(u.size) if gen.kinks else 0.0 for key in keys}
         for p, poly in enumerate(polys):
             I = W
@@ -352,13 +462,14 @@ class EntropyKernel:
                 deg = len(poly) - 1
                 narrow = min(1.0, 2.0 * TAYLOR_GROWTH ** (-1.0 / deg)) if deg else 0.0
                 near = (hi > lo) & (hi - lo < narrow)
-                I = [np.where(near, 0.0, Tm[:, p] - Tm[:, p + 1]) for Tm in T]
+                I = [Tm[p] - Tm[p + 1] if p + 1 < len(Tm) else Tm[p] for Tm in T]
                 if near.any():
+                    I = [np.where(near, 0.0, Im) for Im in I]
                     local = self._local_moments(poly, u[near], rt[near], lo[near],
                                                 hi[near], keys)
                     for key in keys:
                         vals[key][near] += local[key]
-            D = [np.polyval(d, u) for d in poly]
+            D = [_horner(d, u) for d in poly]
             for j, k in keys:
                 # odd weight moments of the whole interval are exact zeros
                 vals[(j, k)] += sum(D[j + l] * (I[l + k] / math.factorial(l)) * rt_l[l]
@@ -428,59 +539,74 @@ class EntropyKernel:
         return [np.where(neg, Wm - (-1) ** m * Um, Um)
                 for m, (Um, Wm) in enumerate(zip(U, W))]
 
-    def _node_moments(self, gen, u, rt, keys, n):
-        """Moments of a callable generator on one n-node full-interval rule.
+    def _node_moments(self, gens, u, rt, n_keys, order, n):
+        """Moments of callable generators on one n-node full-interval rule,
+        as one (keys x states) array per generator.
 
-        States go in chunks whose (states x n) arrays take NODE_CHUNK_BYTES;
-        each order j is one product psi^(j)(V) @ Q with V = u + rt t and
-        Q[:, k] = w t^k.
+        States go in chunks whose (states x n) arrays take NODE_CHUNK_BYTES.
+        Every generator reads the chunk's one node array V = u + rt t, and
+        each order j is one product psi^(j)(V) @ Q with Q[:, k] = w t^k.
         """
         t, w = self._rule(n, self.lam, self.lam)
-        Q = w[:, None] * t[:, None] ** np.arange(max(k for _, k in keys) + 1)
-        fns = (gen.psi, gen.dpsi, gen.d2psi)
-        vals = {key: np.empty(u.size) for key in keys}
+        Q = w[:, None] * t[:, None] ** np.arange(max(1, order) + 1)
+        Qj = [Q[:, :max(1, j) + 1] for j in range(order + 1)]
+        rows = np.cumsum([0] + [q.shape[1] for q in Qj])
+        vals = [np.empty((n_keys, u.size)) for _ in gens]
         step = max(1, NODE_CHUNK_BYTES // (8 * n))
         for c in range(0, u.size, step):
             sl = slice(c, c + step)
             V = u[sl, None] + rt[sl, None] * t
-            for j in range(max(j for j, _ in keys) + 1):
-                P = fns[j](V) @ Q[:, :max(1, j) + 1]
-                for k in range(max(1, j) + 1):
-                    vals[(j, k)][sl] = P[:, k]
+            for gen, out in zip(gens, vals):
+                for j, F in enumerate(gen.derivatives(V, order)):
+                    out[rows[j]:rows[j + 1], sl] = (F @ Qj[j]).T
         return vals
 
     # -- assembled quantities -------------------------------------------------
-    def _assembled(self, gen, rho, m, max_order, n):
-        """(eta, q), then (eta_rho, eta_m) and (eta_rr, eta_rm, eta_mm) up to
-        max_order, by differentiating under the integral of one pass."""
+    def _assembled(self, gens, rho, m, max_order, n):
+        """Per generator, (eta, q), then (eta_rho, eta_m) and
+        (eta_rr, eta_rm, eta_mm) up to max_order, by differentiating under
+        the integral of one moment pass for the whole family.  The pass runs
+        at once; each generator's quantities are assembled as they are
+        taken, and its moments freed then."""
         rf, mf, shape = _flat_states(rho, m)
         if max_order == 2 and np.any(rf <= self.g.rho_floor):
             raise DomainError("entropy Hessian needs rho above the vacuum floor")
-        M = self.moments(gen, rf, mf, max_order, n)
+        moments = self.moments(gens, rf, mf, max_order, n)
         th = self.theta
-        out = [rf * M[(0, 0)], mf * M[(0, 0)] + th * rf ** (1.0 + th) * M[(0, 1)]]
+        flux = th * rf ** (1.0 + th)
         if max_order:
             u = self.g.velocity(rf, mf)
             rt = rf ** th
-            out += [M[(0, 0)] - u * M[(1, 0)] + th * rt * M[(1, 1)], M[(1, 0)]]
-        if max_order == 2:
-            out += [th * (1.0 + th) * rf ** (th - 1.0) * M[(1, 1)]
-                    + (th * th * rt * rt * M[(2, 2)] - 2.0 * u * th * rt * M[(2, 1)]
-                       + u * u * M[(2, 0)]) / rf,
-                    (th * rt * M[(2, 1)] - u * M[(2, 0)]) / rf, M[(2, 0)] / rf]
-        return _shaped(shape, *out)
+
+        def assemble(M):
+            out = [rf * M[(0, 0)], mf * M[(0, 0)] + flux * M[(0, 1)]]
+            if max_order:
+                out += [M[(0, 0)] - u * M[(1, 0)] + th * rt * M[(1, 1)], M[(1, 0)]]
+            if max_order == 2:
+                out += [th * (1.0 + th) * rf ** (th - 1.0) * M[(1, 1)]
+                        + (th * th * rt * rt * M[(2, 2)] - 2.0 * u * th * rt * M[(2, 1)]
+                           + u * u * M[(2, 0)]) / rf,
+                        (th * rt * M[(2, 1)] - u * M[(2, 0)]) / rf, M[(2, 0)] / rf]
+            return _shaped(shape, *out)
+
+        return (assemble(moments.pop(0)) for _ in gens)
 
     def pair(self, gen, rho, m, n: Optional[int] = None):
         """(eta, q) for one generator, vectorized over states of any shape."""
-        return self._assembled(gen, rho, m, 0, n)
+        return next(self._assembled([gen], rho, m, 0, n))
 
     def pair_grad(self, gen, rho, m):
         """(eta, q, eta_rho, eta_m) from one order-1 moment pass."""
-        return self._assembled(gen, rho, m, 1, None)
+        return next(self._assembled([gen], rho, m, 1, None))
+
+    def pair_grads(self, gens, rho, m):
+        """``pair_grad`` of each generator in turn, from one moment pass
+        for the whole family; each tuple is assembled as it is taken."""
+        return self._assembled(gens, rho, m, 1, None)
 
     def hessian(self, gen, rho, m):
         """(eta_rr, eta_rm, eta_mm); states must be away from vacuum."""
-        return self._assembled(gen, rho, m, 2, None)[4:]
+        return next(self._assembled([gen], rho, m, 2, None))[4:]
 
     def pair_certified(self, gen, rho, m):
         """(eta, q) with a node-doubling certificate.
@@ -579,9 +705,13 @@ class ReferenceState:
                 _match(x, self.u_minus + (self.u_plus - self.u_minus) * s))
 
 
+# the quartic monitor's generator, built once with its derivative tables
+QUARTIC = gen_quartic()
+
+
 def quartic_entropy(g: GasLaw, rho, m):
     """eta for psi = s^4 (exact moments); controls rho u^4 + rho^(2 gamma - 1)."""
-    eta, _ = get_kernel(g).pair(gen_quartic(), rho, m)
+    eta, _ = get_kernel(g).pair(QUARTIC, rho, m)
     return eta
 
 

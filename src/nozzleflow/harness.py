@@ -473,6 +473,10 @@ class SweepResult(Report):
                          + ", ".join(f"{d:.5g}" for d in self.d_rho))
             lines.append("  pairwise L^q distances (m):   "
                          + ", ".join(f"{d:.5g}" for d in self.d_m))
+        if self.weak:
+            lines.append("  max_entropy_violation per rung: "
+                         + ", ".join(f"{w.max_entropy_violation:.5g}"
+                                     for w in self.weak))
         for name in ("rho", "m"):
             lines.append(f"  verdict: {name} Cauchy, second-largest of "
                          f"{len(self.series[f'ratios_{name}'])} ratios: "

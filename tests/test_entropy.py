@@ -38,12 +38,69 @@ def _states(rng, n=50):
 
 
 def test_gauss_jacobi_against_scipy():
+    # symmetric rules of odd and even size, and the one-sided (lam, 0) ones
+    # of the tail rules
     for lam in (4.5, 2.0, 0.5, 0.0, -0.25, -1.0 / 3.0):
-        for n in (8, 32, 64):
-            x, w = gauss_jacobi(n, lam, lam)
-            xo, wo = roots_jacobi(n, lam, lam)
-            assert np.max(np.abs(x - xo)) < 1e-12
-            assert np.max(np.abs(w - wo)) < 1e-12
+        for n in (8, 21, 32, 64):
+            for a, b in ((lam, lam), (lam, 0.0)):
+                x, w = gauss_jacobi(n, a, b)
+                xo, wo = roots_jacobi(n, a, b)
+                assert np.max(np.abs(x - xo)) < 1e-12
+                assert np.max(np.abs(w - wo)) < 1e-12
+
+
+def _mp_rule_point(mp, n, lam, x0):
+    """(node, weight) of the n-node rule for (1 - x^2)^lam at the node
+    nearest x0, in mpmath: two Newton steps on the orthonormal p_n from a
+    node good to 1e-15, then the Christoffel number 1 / sum_(k<n) p_k^2."""
+    a = mp.mpf(lam)
+    sb = [mp.sqrt(2 ** (2 * a + 1) * mp.gamma(a + 1) ** 2 / mp.gamma(2 * a + 2))]
+    sb += [mp.sqrt(4 * k * (k + a) ** 2 * (k + 2 * a)
+                   / ((2 * k + 2 * a) ** 2 * (2 * k + 2 * a + 1) * (2 * k + 2 * a - 1)))
+           for k in range(1, n + 1)]
+
+    def run(x):
+        p_prev, p, dp_prev, dp = 0, 1 / sb[0], 0, 0
+        total = p * p
+        for k in range(n):
+            p_prev, p, dp_prev, dp = (p, (x * p - sb[k] * p_prev) / sb[k + 1], dp,
+                                      (p + x * dp - sb[k] * dp_prev) / sb[k + 1])
+            total += p * p if k < n - 1 else 0
+        return p / dp, total
+
+    x = mp.mpf(x0)
+    for _ in range(2):
+        x -= run(x)[0]
+    return x, 1 / run(x)[1]
+
+
+# per n, the kernel exponents lam and the nodes checked (the upper half of
+# a symmetric rule when None; the rest mirror it): lam = 4.5, 0.5, -1/4 and
+# -1/3 are gamma = 1.2, 2, 5 and 7, where the weight is singular at s = +-1.
+# At n = 512 and 4096, the picks are both ends, a node inside END_X next to
+# where the weights change precision, and the middle
+RULE_CASES = {20: ((4.5, 0.5, 0.0, -0.25, -1.0 / 3.0), None),
+              64: ((4.5, 0.5, -0.25, -1.0 / 3.0), None),
+              512: ((0.5, -0.25, -1.0 / 3.0), (0, 1, 25, 256)),
+              4096: ((0.5, -1.0 / 3.0), (0, 204, 2048))}
+
+
+@pytest.mark.parametrize("n", sorted(RULE_CASES))
+def test_gauss_jacobi_matches_mpmath_and_scipy(n):
+    # nodes to 1e-13 against scipy and 40-digit mpmath, weights to 1e-13 of
+    # the largest against mpmath; scipy's own weights are off by up to
+    # 1e-12 of the largest at n = 64 and 4e-8 at n = 4096 for lam < 0
+    import mpmath as mp  # in the test extra: without it the test fails
+    lams, picks = RULE_CASES[n]
+    for lam in lams:
+        x, w = gauss_jacobi(n, lam, lam)
+        xs, _ = roots_jacobi(n, lam, lam)
+        assert np.max(np.abs(x - xs)) <= 1e-13
+        with mp.workdps(40):
+            for i in picks or range(n // 2, n):
+                xr, wr = _mp_rule_point(mp, n, lam, x[i])
+                assert abs(x[i] - xr) <= 1e-13, (lam, i)
+                assert abs(w[i] - wr) <= 1e-13 * np.max(w), (lam, i)
 
 
 def test_weight_moments_closed_form():
@@ -134,7 +191,7 @@ def test_exact_polynomial_moments_match_quadrature(gamma, states):
         plain = plain_moments(kern, gen, rho, m, 2, 2048)
         scale = np.max(np.abs(np.array(list(plain.values()))), axis=0)
         for order in range(3):
-            exact = kern.moments(gen, rho, m, order)
+            exact = kern.moments([gen], rho, m, order)[0]
             assert sorted(exact) == _moment_keys(order)
             for key in exact:
                 assert np.all(np.abs(exact[key] - plain[key]) <= 1e-13 * scale), \
@@ -204,7 +261,7 @@ def test_piece_moments_near_the_kernel_edge_match_mpmath(gamma):
                 refs = [_mp_moments(mp, gen, g.lambda_exp, g.theta, r, mm)
                         for r, mm in zip(rho, m)]
                 for order in range(3):
-                    got = kern.moments(gen, rho, m, order)
+                    got = kern.moments([gen], rho, m, order)[0]
                     for i, ref in enumerate(refs):
                         scale = max(abs(ref[key]) for key in got)
                         for key in got:
@@ -223,7 +280,7 @@ def test_chunked_node_products_match_elementwise_sums(gen):
     rho = np.concatenate([[0.0, g.rho_floor], rng.uniform(1e-3, 4.0, size)])
     m = rho * np.concatenate([[0.0, 1.0], rng.uniform(-3.0, 3.0, size)])
     for order in range(3):
-        fast = kern.moments(gen, rho, m, order)
+        fast = kern.moments([gen], rho, m, order)[0]
         plain = plain_moments(kern, gen, rho, m, order, entropy.KERNEL_NODES)
         assert sorted(fast) == sorted(plain) == _moment_keys(order)
         scale = np.max(np.abs(np.array(list(plain.values()))), axis=0) + 1e-300
@@ -240,11 +297,56 @@ def test_chunked_piece_moments_match_one_pass(gen, monkeypatch):
     size = 2 * entropy.CHUNK + 37
     rho = np.concatenate([[0.0], rng.uniform(1e-3, 4.0, size)])
     m = rho * np.concatenate([[0.0], rng.uniform(-3.0, 3.0, size)])
-    chunked = kern.moments(gen, rho, m, 2)
+    chunked = kern.moments([gen], rho, m, 2)[0]
     monkeypatch.setattr(entropy, "CHUNK", 10 ** 9)
-    whole = kern.moments(gen, rho, m, 2)
+    whole = kern.moments([gen], rho, m, 2)[0]
     for key in whole:
         assert chunked[key].tobytes() == whole[key].tobytes(), key
+
+
+# the sweep's family with a non-convex table and a non-convex callable
+FAMILY = (gen_half_square(), gen_convex_spline(), gen_half_signed_square(0.0),
+          gen_smoothed_abs(-1.0, 0.5), gen_smoothed_abs(0.0, 0.5),
+          gen_smoothed_abs(1.0, 0.5), gen_bump(0.0, 2.0))
+
+
+@pytest.mark.parametrize("gamma", [2.0, 5.0])
+def test_one_moment_pass_gives_each_generator_its_own_moments(gamma):
+    # the family in one pass: each generator's moments bit for bit those of
+    # a call with it alone, in any order of the family, and within the
+    # plain kink-split rule's tolerances of the tests above; the first two
+    # states sit at and below the vacuum floor, and 300 states make three
+    # chunks of the callables' nodes
+    rng = np.random.default_rng(12)
+    g = GasLaw(gamma)
+    kern = get_kernel(g)
+    rho = np.concatenate([[0.0, g.rho_floor], rng.uniform(1e-3, 4.0, 300)])
+    m = rho * np.concatenate([[0.0, 1.0], rng.uniform(-3.0, 3.0, 300)])
+    perm = rng.permutation(len(FAMILY))
+    for order in range(3):
+        family = kern.moments(FAMILY, rho, m, order)
+        shuffled = kern.moments([FAMILY[i] for i in perm], rho, m, order)
+        for i, gen in enumerate(FAMILY):
+            alone = kern.moments([gen], rho, m, order)[0]
+            moved = shuffled[list(perm).index(i)]
+            assert sorted(family[i]) == sorted(alone) == _moment_keys(order)
+            for key in alone:
+                assert family[i][key].tobytes() == alone[key].tobytes(), (gen.name, key)
+                assert moved[key].tobytes() == alone[key].tobytes(), (gen.name, key)
+    family = kern.moments(FAMILY, rho, m, 2)
+    for gen, fast in zip(FAMILY, family):
+        if gen.pieces:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s_k = _kinks_in_range(gen, g.theta, rho, m)
+            keep = np.all(np.abs(np.abs(s_k) - 1.0) >= 1e-2, axis=1)
+            n, tol = 2048, 1e-13
+        else:
+            keep, n, tol = np.ones(rho.size, dtype=bool), entropy.KERNEL_NODES, 1e-14
+        plain = plain_moments(kern, gen, rho[keep], m[keep], 2, n)
+        scale = np.max(np.abs(np.array(list(plain.values()))), axis=0) + 1e-300
+        for key in plain:
+            assert np.all(np.abs(fast[key][keep] - plain[key]) <= tol * scale), \
+                (gen.name, key)
 
 
 @pytest.mark.parametrize("fields", [dict(kinks=(1.0, 0.0), pieces=()),
@@ -588,9 +690,9 @@ def _count_moments(monkeypatch):
     calls = []
     real = EntropyKernel.moments
 
-    def counted(self, gen, rho_f, m_f, max_order=0, n=None):
+    def counted(self, gens, rho_f, m_f, max_order=0, n=None):
         calls.append((rho_f.size, max_order))
-        return real(self, gen, rho_f, m_f, max_order, n)
+        return real(self, gens, rho_f, m_f, max_order, n)
     monkeypatch.setattr(EntropyKernel, "moments", counted)
     return calls
 

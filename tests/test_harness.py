@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 import warnings
@@ -254,6 +255,18 @@ def test_sweep_summary_reports_cells_advanced_per_rung():
         assert (f"  run {r.label}: cells_advanced={r.report.cells_advanced} "
                 f"on {n} nodes") in lines
     assert any(line.startswith("  verdict:") for line in lines)
+
+
+def test_sweep_summary_prints_each_rung_s_entropy_violation():
+    # with weak residuals on, one line holds every rung's largest normalized
+    # entropy-inequality residual, in ladder order; without, no such line
+    res = sweep(_tiny_sweep_config(weak_residuals=True))
+    assert len(res.weak) == len(res.runs) == 3
+    line = "  max_entropy_violation per rung: " + ", ".join(
+        f"{w.max_entropy_violation:.5g}" for w in res.weak)
+    assert line in res.summary().splitlines()
+    assert "max_entropy_violation" not in dataclasses.replace(
+        res, weak=[]).summary()
 
 
 # ---------------------------------------------------------------------------
