@@ -363,11 +363,12 @@ def riemann_monitor(ctx: SolverContext, field: FluidField,
     return float(np.max(w)), float(np.min(z)), float(np.max(rate))
 
 
-def vacuum_functional(field: FluidField, rho_tilde: float) -> float:
+def vacuum_functional(field: FluidField, rho_tilde: float,
+                      block: Optional[RowBlock] = None) -> float:
     """Trapezoid integral of 1/rho - 1/rho_t + (rho - rho_t)/rho_t^2 on {rho < rho_t}.
 
-    The intervals that reach the field's arrays are summed node by node;
-    past them the integrand is the end state's constant, times the length.
+    The nodes that reach the field's arrays, read from ``block`` when given,
+    are summed; past them the integrand is the end state's, times the length.
     """
     if rho_tilde <= 0.0:
         raise ConfigError("rho_tilde must be positive")
@@ -380,7 +381,8 @@ def vacuum_functional(field: FluidField, rho_tilde: float) -> float:
 
     grid = field.grid
     lo, hi = max(field.lo - 1, 0), min(field.hi + 1, grid.n_nodes)
-    rho, x = field.values(lo, hi)[0], grid.nodes(lo, hi)
+    rows = field.values(lo, hi) if block is None else block.state[:, lo - block.first:]
+    rho, x = rows[0, :hi - lo], grid.nodes(lo, hi)
     # phi vanishes on {rho >= rho_t}
     total = float(_trapezoid(phi(rho), grid.dx)) if np.min(rho) < rho_tilde \
         else 0.0
@@ -686,7 +688,7 @@ class Recorder:
         if opt.riemann:
             row["max_w"], row["min_z"], rates["correction"] = riemann_monitor(
                 ctx, field, block)
-        row.update(vacuum_phi=vacuum_functional(field, self._rho_tilde),
+        row.update(vacuum_phi=vacuum_functional(field, self._rho_tilde, block),
                    min_rho=_min_rho(field))
         if opt.quartic:
             row["quartic"] = _quartic(block)

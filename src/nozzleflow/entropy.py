@@ -47,6 +47,15 @@ from .thermo import GasLaw, _match
 END_X = 0.99
 
 
+def _gamma_ratio(scale, a, b, c):
+    """scale Gamma(a) Gamma(b) / Gamma(c); past Gamma's float range, the
+    exponential of log(scale) and lgamma terms, so no factor overflows."""
+    try:
+        return scale * math.gamma(a) * math.gamma(b) / math.gamma(c)
+    except OverflowError:
+        return np.exp(np.log(scale) + (math.lgamma(a) + math.lgamma(b) - math.lgamma(c)))
+
+
 def jacobi_recurrence(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """First n three-term recurrence coefficients for the weight
     (1-x)^a (1+x)^b, in extended precision."""
@@ -55,8 +64,7 @@ def jacobi_recurrence(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarra
     a, b = np.longdouble(a), np.longdouble(b)
     apb = a + b
     alpha[0] = (b - a) / (apb + 2.0)
-    beta[0] = (2.0 ** (apb + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0)
-               / math.gamma(apb + 2.0))
+    beta[0] = _gamma_ratio(2.0 ** (apb + 1.0), a + 1.0, b + 1.0, apb + 2.0)
     if n > 1:
         k = np.arange(1, n, dtype=np.longdouble)
         alpha[1:] = (b * b - a * a) / ((2.0 * k + apb) * (2.0 * k + apb + 2.0))
@@ -74,9 +82,9 @@ def _christoffel(x, a, b, alpha, off, beta0):
     a Newton step p_n / p_n' moves each node onto the root, and its weight
     is w = (2n + a + b + 1) / ((1 - x^2) p_n'(x)^2) there, to first order in
     the step, with p_n'' from the Jacobi equation: near x = +-1 the rounding
-    of a node alone moves w by up to 1e-10 of itself at n = 4096.  For the
-    exponents ``jacobi_recurrence`` takes (below 84.5), p_k stays below
-    1e86 inside END_X, and past it the type is extended.
+    of a node alone moves w by up to 1e-10 of itself at n = 4096.  Below
+    exponent 84.5, p_k stays below 1e86 inside END_X, and past it the type
+    is extended; above, a large rule's outermost weights may underflow to 0.
     """
     n = alpha.size - 1
     alpha, off = alpha.astype(x.dtype), off.astype(x.dtype)
@@ -131,9 +139,7 @@ def gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 def weight_moment(lam: float, k: int) -> float:
     """int_{-1}^{1} s^k (1-s^2)^lam ds in closed form (0 for odd k); k = 0
     gives the kernel's total mass c_lam = sqrt(pi) Gamma(lam+1) / Gamma(lam+3/2)."""
-    if k % 2 == 1:
-        return 0.0
-    return math.gamma((k + 1) / 2.0) * math.gamma(lam + 1.0) / math.gamma(lam + k / 2.0 + 1.5)
+    return 0.0 if k % 2 else _gamma_ratio(1.0, (k + 1) / 2.0, lam + 1.0, lam + k / 2.0 + 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -705,14 +711,16 @@ class ReferenceState:
                 _match(x, self.u_minus + (self.u_plus - self.u_minus) * s))
 
 
-# the quartic monitor's generator, built once with its derivative tables
-QUARTIC = gen_quartic()
-
-
 def quartic_entropy(g: GasLaw, rho, m):
-    """eta for psi = s^4 (exact moments); controls rho u^4 + rho^(2 gamma - 1)."""
-    eta, _ = get_kernel(g).pair(QUARTIC, rho, m)
-    return eta
+    """eta for psi = s^4 (controls rho u^4 + rho^(2 gamma - 1)), 0 at or below rho_floor:
+    rho (u^4 W_0 + 6 u^2 rho^(gamma-1) W_2 + rho^(2(gamma-1)) W_4), W_k = ``weight_moment``."""
+    r, mm = np.asarray(rho, dtype=float), np.asarray(m, dtype=float)
+    if not (np.isfinite(r).all() and np.isfinite(mm).all()):
+        raise DomainError("states must be finite")
+    W0, W2, W4 = (weight_moment(g.lambda_exp, k) for k in (0, 2, 4))
+    u2, p = g._velocity(r, mm) ** 2, g._rho(r) ** (g.gamma - 1.0)
+    eta = np.where(r > g.rho_floor, r * (W0 * u2 * u2 + 6.0 * W2 * u2 * p + W4 * p * p), 0.0)
+    return eta if eta.ndim else float(eta)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@
 The pressure is p(rho) = kappa * rho^gamma + delta * rho^2.  The quadratic
 term (delta > 0) keeps the parabolic runs away from vacuum and is sent to
 zero together with the viscosity.  With the normalized kappa the integrated
-wave variable R(rho) collapses to rho^theta, which several closed-form
-checks rely on.  With delta > 0, log R is tabulated in y = log rho with
-numpy only (one Gauss-Legendre rule per segment, summed by np.logaddexp),
-for every gamma in (1, inf) up to the density where p' leaves the float range.
+wave variable R(rho) collapses to rho^theta; at gamma = 2 it is a power of
+rho for every delta.  Otherwise log R is tabulated in y = log rho with numpy
+only (one Gauss-Legendre rule per segment, summed by np.logaddexp), for
+every gamma in (1, inf) up to the density where p' leaves the float range.
 """
 
 from __future__ import annotations
@@ -185,17 +185,20 @@ class GasLaw:
     def riemann_R(self, rho):
         """R(rho) = int_0^rho sqrt(p'(s))/s ds, the wave variable.
 
-        Closed form rho^theta * sqrt(kappa gamma)/theta when delta = 0;
-        otherwise the ``_wave_table`` value at the node below log rho plus one
-        Gauss-Legendre sub-segment from it (relative error against 30-digit
+        Closed form sqrt(kappa gamma + 2 delta)/theta rho^theta when delta = 0 or
+        gamma = 2; otherwise ``_wave_table``'s value at the node below log rho
+        plus one Gauss-Legendre sub-segment (relative error against 30-digit
         quadrature below 7e-14 up to gamma 77, 2.6e-13 at 100 and 300, where
         log R nears 300).  A density beyond the table's end raises DomainError.
         """
         return _match(rho, self._riemann_R(self._rho(rho)))
 
     def _riemann_R(self, r):
-        if self.delta == 0.0:
-            return np.sqrt(self.kappa * self.gamma) / self.theta * r ** self.theta
+        if self.delta == 0.0 or self.gamma == 2.0:   # builds no wave table
+            return np.sqrt(self._kappa_gamma + self._two_delta) / self.theta * r ** self.theta
+        return self._table_R(r)
+
+    def _table_R(self, r):
         y0, h, rho_end, s0, table = self._wave_table
         beyond = r > rho_end
         if beyond.any():
@@ -217,12 +220,9 @@ class GasLaw:
         r = np.asarray(rho, dtype=float)
         if (r <= 0.0).any():
             raise DomainError("Riemann invariants need strictly positive density")
-        R = self._riemann_R(r)
-        ua = np.asarray(u, dtype=float)
+        R, ua = self._riemann_R(r), np.asarray(u, dtype=float)
         w, z = ua + R, ua - R
-        if np.ndim(rho) or np.ndim(u):
-            return w, z
-        return float(w), float(z)
+        return (w, z) if np.ndim(rho) or np.ndim(u) else (float(w), float(z))
 
     def _velocity(self, r, m):
         return np.where(r > self._floor, m / np.maximum(r, self._floor), self._zero)

@@ -12,6 +12,7 @@ from nozzleflow.entropy import (ReferenceState, gen_half_square, gen_linear,
                                 weight_moment)
 from nozzleflow.errors import CavitationError, ConfigError
 from nozzleflow.geometry import ConstantProfile, GaussianBumpProfile
+from nozzleflow.harness import RunConfig, single_run
 from nozzleflow.solver import (BoundarySpec, FluidField, Grid, InitialData,
                                SolverContext, prepare_initial_data, run)
 from nozzleflow.thermo import GasLaw
@@ -90,6 +91,50 @@ def test_riemann_monitor_constant_state():
     f.rho[3] = 0.0
     with pytest.raises(CavitationError):
         riemann_monitor(ctx, f)
+
+
+# the benchmark's two densely monitored runs (gamma 2, delta > 0), shortened:
+# a bump duct with the Riemann monitor, a collapsing sphere with the quartic
+MONITOR_CONFIGS = {
+    "duct": dict(gamma=2.0, profile="gaussian_bump", bc="dirichlet_nozzle",
+                 rho_minus=1.0, rho_plus=0.125, u_minus=0.0, u_plus=0.0,
+                 init="riemann", blend_width=1.0, t_end=0.2, dx=1.0 / 128.0,
+                 snapshots=9, eps=0.2, delta=1e-4, riemann_tol=1e-3,
+                 check_energy=True, check_riemann=True),
+    "sphere": dict(gamma=2.0, profile="spherical", profile_n=3,
+                   bc="neumann_spherical", init="bump", init_amp=1.0,
+                   init_center=2.0, init_width=1.0, mollify_width=0.0,
+                   blend_width=0.5, t_end=0.1, dx=(1.0 / 0.05 - 0.05) / 64,
+                   snapshots=9, eps=0.05, window_lo=0.5, window_hi=4.0,
+                   check_energy=True, check_riemann=True, check_quartic=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONITOR_CONFIGS))
+def test_monitors_agree_on_the_table_and_closed_form_paths(name, monkeypatch):
+    # gamma 2 takes R in closed form; forced through the wave table, the
+    # invariants agree to rounding and every other series to the bit.  Each
+    # sample's vacuum functional is also taken without the row block
+    cfg = RunConfig(**MONITOR_CONFIGS[name])
+    vacuum = diagnostics.vacuum_functional
+
+    def both(field, rho_tilde, block=None):
+        value = vacuum(field, rho_tilde, block)
+        assert block is not None and value == vacuum(field, rho_tilde)
+        return value
+
+    monkeypatch.setattr(diagnostics, "vacuum_functional", both)
+    closed = single_run(cfg, collect_snapshots=False).report
+    monkeypatch.setattr(GasLaw, "_riemann_R", GasLaw._table_R)
+    table = single_run(cfg, collect_snapshots=False).report
+    assert {k: bool(v) for k, v in closed.checks.items()} \
+        == {k: bool(v) for k, v in table.checks.items()}
+    assert closed.series.keys() == table.series.keys()
+    for key, series in closed.series.items():
+        if key in ("max_w", "min_z"):
+            np.testing.assert_allclose(series, table.series[key], rtol=1e-14, atol=0.0)
+        else:
+            np.testing.assert_array_equal(series, table.series[key])
 
 
 def test_riemann_monitor_correction_positive_on_bump():

@@ -114,6 +114,26 @@ def test_weight_moments_closed_form():
     assert weight_moment(lam, 0) == pytest.approx(c)
 
 
+def test_weight_moments_and_rules_stay_finite_near_gamma_1():
+    # lam = 99.5, 199.5 and 999.5 are gamma = 1.01, 1.005 and 1.001, where
+    # Gamma(2 lam + 2), then Gamma(lam + 1) leave the float range, and
+    # 2^-(2 lam + 1) that of doubles
+    for lam in (99.5, 199.5, 999.5):
+        W = [weight_moment(lam, k) for k in range(9)]
+        x, w = gauss_jacobi(64, lam, lam)
+        assert np.all(np.isfinite(W)) and np.all(np.isfinite(x))
+        assert np.all(np.isfinite(w)) and np.sum(w) == pytest.approx(W[0], rel=1e-12)
+    # the Gamma-ratio form wherever it stays finite
+    for lam in np.linspace(-0.49, 170.0, 400):
+        for k in range(0, 9, 2):
+            try:
+                old = (math.gamma((k + 1) / 2.0) * math.gamma(lam + 1.0)
+                       / math.gamma(lam + k / 2.0 + 1.5))
+            except OverflowError:
+                continue
+            assert weight_moment(lam, k) == pytest.approx(old, rel=1e-14, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # closed-form pairs
 # ---------------------------------------------------------------------------
@@ -403,6 +423,26 @@ def test_quartic_entropy_moment():
     g = GasLaw(2.0)
     assert quartic_entropy(g, 1.0, 0.0) == pytest.approx(np.pi / 16.0, rel=1e-12)
     assert quartic_entropy(g, 0.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("gamma", [1.4, 2.0, 5.0])
+def test_quartic_entropy_matches_the_moment_pass(gamma):
+    # the closed form against the exact piece-table moments of psi = s^4,
+    # vacuum states (at and below the floor) and scalar states included
+    g = GasLaw(gamma)
+    rho, m = _states(np.random.default_rng(5), 200)
+    rho = np.r_[rho, 0.0, g.rho_floor, 0.5 * g.rho_floor, 1e-9, 50.0]
+    m = np.r_[m, 0.0, 1e-13, -1e-13, 1e-9, -400.0]
+    eta = quartic_entropy(g, rho, m)
+    ref = get_kernel(g).pair(gen_quartic(), rho, m)[0]
+    assert np.all(eta[-5:-2] == 0.0) and np.all(ref[-5:-2] == 0.0)
+    np.testing.assert_allclose(eta, ref, rtol=1e-14, atol=0.0)
+    for i in (0, 3, -1):
+        e = quartic_entropy(g, float(rho[i]), float(m[i]))
+        assert isinstance(e, float) and e == eta[i]
+    for bad in ((-1.0, 0.0), (np.nan, 0.0), (1.0, np.inf)):
+        with pytest.raises(DomainError):
+            quartic_entropy(g, *bad)
 
 
 def test_quartic_dominates_rho_u4_and_density_power():

@@ -133,6 +133,18 @@ def test_riemann_R_matches_the_hypergeometric_closed_form(gamma):
     assert [g.riemann_R(float(p)) for p in pts[::37]] == list(R[::37])
 
 
+@pytest.mark.parametrize("delta", [1e-4, 0.1])
+def test_gamma_2_closed_form_R_matches_the_wave_table(delta):
+    # at gamma 2, p' = (kappa gamma + 2 delta) rho: the closed form replaces
+    # the table path, which still evaluates on the same states
+    g = GasLaw(2.0, delta=delta)
+    rho = np.geomspace(g.rho_floor, 1e3, 500)
+    R = g.riemann_R(rho)
+    assert "_wave_table" not in vars(g)   # the closed form builds no table
+    assert np.max(np.abs(R / g._table_R(rho) - 1.0)) < 1e-13
+    assert [g.riemann_R(float(r)) for r in rho] == list(R)
+
+
 @pytest.mark.parametrize("gamma", [1.05, 1.4])
 def test_riemann_invariants_below_1e_9_use_the_true_R(gamma):
     g = GasLaw(gamma, delta=1e-4)
@@ -160,9 +172,10 @@ def test_wave_table_spans_gamma_1_001_to_300_and_ends_with_a_domain_error():
 def test_wave_table_check_fails_on_a_coarse_rule(monkeypatch):
     # the 1- and 2-point rules differ by about (h d/dy log sqrt(p'))^2 / 24
     # per segment, far above the 1e-14 the check allows
+    # (gamma 5: at gamma 2, R has a closed form and builds no table)
     monkeypatch.setattr(thermo, "WAVE_POINTS", 1)
-    with pytest.raises(QuadratureError, match="gamma = 2: the 1- and 2-point"):
-        GasLaw(2.0, delta=1e-4).riemann_R(1.0)
+    with pytest.raises(QuadratureError, match="gamma = 5: the 1- and 2-point"):
+        GasLaw(5.0, delta=1e-4).riemann_R(1.0)
 
 
 def test_import_leaves_out_scipy_integrate_and_interpolate():
