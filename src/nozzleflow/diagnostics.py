@@ -9,8 +9,9 @@ entropy inequality for convex generators).
 
 The per-sample monitors read the grid, gas law, eps and fixed geometry
 (A, A'/A, (A'/A)') from the SolverContext that ``run`` steps with and hands
-to ``Recorder.sample``, which builds one ``RowBlock`` of the rows they all
-read.  The monitors sum a field's live nodes (``SolverContext.reach``:
+to ``Recorder.sample``.  The Recorder runs them over stacks of samples, on
+one ``RowBlock`` of the rows they all read per stack.  The monitors sum a
+field's live nodes (``SolverContext.reach``:
 those that may differ from their end's far state); every other node holds
 its far state, whose terms each monitor adds in closed form, from the
 profile past the stored range once per growth of it.  The weak residuals
@@ -154,18 +155,20 @@ HULL_PAD = 2
 
 
 class RowBlock:
-    """The rows of one sample that every monitor reads, built once.
+    """The rows of a stack of samples that every monitor reads, built once.
 
-    The monitors sum the nodes [lo, hi): the field's live nodes
-    (``ctx.reach``) padded by HULL_PAD, which the context comes to store;
-    every other node holds its end's far state, the field's end state
-    there.  The rows, from grid node ``first`` on, are those and the
-    explicit stencil's two more on each side that the grid has: rho and m
-    (the rows of ``state``) and u = m / rho (0 at vacuum).  On the summed
-    nodes (``core`` of the rows, ``held`` of the stored arrays) the block
-    holds the context's x, A, G and dG = (A'/A)' and the trapezoid weights
-    dx A.  What the samples of one context share lives in the context's
-    ``memo`` (``per_range``).
+    ``field`` is one sample, or a stack of k samples that share their node
+    range and end states (``FluidField``).  The monitors sum the nodes
+    [lo, hi): the field's live nodes (``ctx.reach``) padded by HULL_PAD,
+    which the context comes to store; every other node holds its end's far
+    state, the field's end state there.  The rows, from grid node
+    ``first`` on, are those and the explicit stencil's two more on each
+    side that the grid has: rho and m (``state``, of shape (2, k, N), one
+    sample a row) and u = m / rho (0 at vacuum), with the samples' times
+    ``t``.  On the summed nodes (``core`` of the rows, ``held`` of the
+    stored arrays) the block holds the context's x, A, G and dG = (A'/A)'
+    and the trapezoid weights dx A.  What the samples of one context share
+    lives in the context's ``memo`` (``per_range``).
     """
 
     def __init__(self, ctx: SolverContext, field: FluidField):
@@ -174,8 +177,10 @@ class RowBlock:
         self.lo, self.hi = lo, hi = max(lo - HULL_PAD, 0), min(hi + HULL_PAD, n)
         ctx.store(lo, hi)
         self.first = max(lo - 2, 0)
-        self.state = field.values(self.first, min(hi + 2, n))
+        rows = field.values(self.first, min(hi + 2, n))
+        self.state = rows.reshape(2, -1, rows.shape[-1])
         self.rho, self.m = self.state
+        self.t = np.reshape(field.t, -1)
         self.u = ctx.g.velocity(self.rho, self.m)
         self.core = slice(lo - self.first, hi - self.first)
         self.held = slice(lo - ctx.lo, hi - ctx.lo)
@@ -192,6 +197,12 @@ class RowBlock:
         if key not in memo:
             memo[key] = build()
         return memo[key]
+
+
+def _per_sample(field: FluidField, values):
+    """``values``, one per sample, as they are for a stack and as a float
+    for a single field."""
+    return values if np.ndim(field.t) else float(values[0])
 
 
 def _trapezoid(v: np.ndarray, dx: float):
@@ -269,7 +280,7 @@ def _energy_densities(ctx: SolverContext, rho, u, terms: np.ndarray,
 
 
 def energy_budget(ctx: SolverContext, field: FluidField, ref: ReferenceState,
-                  block: Optional[RowBlock] = None) -> tuple[float, dict]:
+                  block: Optional[RowBlock] = None) -> tuple:
     """Relative energy E and the instantaneous dissipation-rate components.
 
     E integrates the relative energy density against A(x) dx (trapezoid).
@@ -284,17 +295,17 @@ def energy_budget(ctx: SolverContext, field: FluidField, ref: ReferenceState,
     reference is that same state, up to the rounding of u = m / rho.  So
     the monitor also adds the reference's blend [-L0, L0], and up to each
     domain end whose far state differs from the reference's there
-    (``_past``).
+    (``_past``).  A stack of samples gives each value per sample.
     """
     block = RowBlock(ctx, field) if block is None else block
     g, core, ends = ctx.g, block.core, field.ends
-    rho, u = block.rho[core], block.u[core]
+    rho, u = block.rho[:, core], block.u[:, core]
     terms = block.per_range(("reference", ref),
                             lambda: _reference_terms(g, ref, ctx.x))
     dens, geo = _energy_densities(ctx, rho, u, terms[:, block.held], block.x,
                                   lambda: block.dG)
     rho_x, u_x = np.gradient(np.array((block.rho, block.u)), ctx.dx,
-                             axis=1)[:, core]
+                             axis=-1)[..., core]
     hess = g.h_delta_second(np.maximum(rho, g.rho_floor)) * rho_x ** 2 \
         + rho * u_x ** 2
     E, rate_h, rate_g = np.array((dens, hess, geo)) @ block.weights
@@ -310,39 +321,41 @@ def energy_budget(ctx: SolverContext, field: FluidField, ref: ReferenceState,
                                max(h0, 0), min(h1, ctx.grid.n_nodes)),
                          np.zeros(2))
     rate_h, rate_g = ctx.eps * rate_h, ctx.eps * (rate_g + past_g)
-    return E + past_E, {"rate_hessian": rate_h, "rate_geometric": rate_g,
-                        "rate_total": rate_h + rate_g}
+    return _per_sample(field, E + past_E), {
+        name: _per_sample(field, rate) for name, rate in (
+            ("rate_hessian", rate_h), ("rate_geometric", rate_g),
+            ("rate_total", rate_h + rate_g))}
 
 
 def llf_dissipation_rate(ctx: SolverContext, field: FluidField,
-                         block: Optional[RowBlock] = None) -> float:
+                         block: Optional[RowBlock] = None):
     """Energy drain of the interface dissipation (scheme-internal estimate).
 
     Sums alpha/2 * A * (jump of grad eta_bar) . (jump of state) over the
     interfaces around the field's live nodes, ghost faces included;
     nonnegative by convexity.  The stage reads the block's rows (built
-    here when None).  Every other interface lies between equal far states,
-    where both jumps are zero.  Heuristic in the sense that it describes
-    the scheme, not the equations.
+    here when None), each sample with its own ghosts.  Every other
+    interface lies between equal far states, where both jumps are zero.
+    Heuristic in the sense that it describes the scheme, not the equations.
     """
     block = RowBlock(ctx, field) if block is None else block
     core = block.core
-    data = hyperbolic_interface_data(ctx, block.rho, block.m, field.t,
+    data = hyperbolic_interface_data(ctx, block.rho, block.m, block.t,
                                      (core.start, core.stop), block.first)
-    # both sides of every face in one call: rows (left, right)
+    # both sides of every face in one call: rows (left, right), then
+    # (face, sample)
     rho = np.array((data["rho_L"], data["rho_R"]))
     m = np.array((data["m_L"], data["m_R"]))
     g_r, g_m = modified_energy_gradient(ctx.g, rho, m)
     # reference part of grad eta_bar cancels in the jump
     jump = ((g_r[1] - g_r[0]) * (rho[1] - rho[0])
             + (g_m[1] - g_m[0]) * (m[1] - m[0]))
-    faces = ctx.Ah_full[block.held.start:block.held.stop + 1]
-    return float(np.sum(0.5 * data["alpha"] * faces * jump))
+    faces = ctx.Ah_full[block.held.start:block.held.stop + 1, None]
+    return _per_sample(field, np.sum(0.5 * data["alpha"] * faces * jump, axis=0))
 
 
 def riemann_monitor(ctx: SolverContext, field: FluidField,
-                    block: Optional[RowBlock] = None
-                    ) -> tuple[float, float, float]:
+                    block: Optional[RowBlock] = None) -> tuple:
     """(max w, min z, correction rate) for the current field.
 
     The rate is the sup-norm of u sqrt(p') A'/A - eps (A'/A)' u; its time
@@ -350,25 +363,28 @@ def riemann_monitor(ctx: SolverContext, field: FluidField,
     should be non-increasing (min z plus it non-decreasing).  The extremes
     run over the block's rows (built here when None), the far states past
     the live nodes included; their rate is zero, since a far state is at
-    rest or lies in a duct of uniform area.
+    rest or lies in a duct of uniform area.  A stack of samples gives each
+    value per sample.
     """
     block = RowBlock(ctx, field) if block is None else block
     g = ctx.g
     if np.min(block.rho) < g.rho_floor:
         raise CavitationError("invariants undefined: density at the vacuum floor")
     w, z = g.riemann_invariants(block.rho, block.u)
-    u = block.u[block.core]
-    c = g.sound_speed(block.rho[block.core])
+    u = block.u[:, block.core]
+    c = g.sound_speed(block.rho[:, block.core])
     rate = np.abs(u * c * block.G - ctx.eps * block.dG * u)
-    return float(np.max(w)), float(np.min(z)), float(np.max(rate))
+    return tuple(_per_sample(field, v) for v in (
+        np.max(w, axis=-1), np.min(z, axis=-1), np.max(rate, axis=-1)))
 
 
 def vacuum_functional(field: FluidField, rho_tilde: float,
-                      block: Optional[RowBlock] = None) -> float:
+                      block: Optional[RowBlock] = None):
     """Trapezoid integral of 1/rho - 1/rho_t + (rho - rho_t)/rho_t^2 on {rho < rho_t}.
 
     The nodes that reach the field's arrays, read from ``block`` when given,
-    are summed; past them the integrand is the end state's, times the length.
+    are summed; past them the integrand is the end state's, times the
+    length.  A stack of samples gives one value per sample.
     """
     if rho_tilde <= 0.0:
         raise ConfigError("rho_tilde must be positive")
@@ -381,27 +397,27 @@ def vacuum_functional(field: FluidField, rho_tilde: float,
 
     grid = field.grid
     lo, hi = max(field.lo - 1, 0), min(field.hi + 1, grid.n_nodes)
-    rows = field.values(lo, hi) if block is None else block.state[:, lo - block.first:]
-    rho, x = rows[0, :hi - lo], grid.nodes(lo, hi)
+    rows = field.values(lo, hi) if block is None else block.state[..., lo - block.first:]
+    rho, x = rows[0, ..., :hi - lo], grid.nodes(lo, hi)
     # phi vanishes on {rho >= rho_t}
-    total = float(_trapezoid(phi(rho), grid.dx)) if np.min(rho) < rho_tilde \
-        else 0.0
+    total = _trapezoid(phi(rho), grid.dx) if np.min(rho) < rho_tilde \
+        else np.zeros(rho.shape[:-1])
     for end, length in zip(field.ends, (x[0] - grid.a, grid.b - x[-1])):
         if end is not None and end[0] < rho_tilde:
-            total += float(phi(end[0])) * length
-    return total
+            total = total + phi(end[0]) * length
+    return _per_sample(field, np.reshape(total, -1))
 
 
-def _quartic(block: RowBlock) -> float:
-    """Integral of the quartic entropy against A dx: the trapezoid sum of
-    the summed nodes, then each end state's eta times the integral of A
-    past them (``_past``)."""
+def _quartic(block: RowBlock) -> np.ndarray:
+    """Integral of the quartic entropy against A dx, per sample: the
+    trapezoid sum of the summed nodes, then each end state's eta times the
+    integral of A past them (``_past``)."""
     ctx, n = block.ctx, block.ctx.grid.n_nodes
     eta = quartic_entropy(ctx.g, block.rho, block.m)
     left, right = _past(block, "area", lambda i, j, _: ctx.area(i, j)[None],
                         0, n)
-    return (float(eta[block.core] @ block.weights)
-            + float(eta[0] * np.sum(left)) + float(eta[-1] * np.sum(right)))
+    return (eta[:, block.core] @ block.weights + eta[:, 0] * np.sum(left)
+            + eta[:, -1] * np.sum(right))
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +648,13 @@ GRONWALL_M = 10.0
 # the sharp energy form E + D <= E0 (1 + ENERGY_TOL) of spherical Dirichlet runs
 ENERGY_TOL = 1e-3
 
+# the most bytes of pending sample rows (rho and m on the pending samples'
+# common node range) a Recorder holds before it evaluates them: a flush
+# then allocates under about 1.5 MiB (the explicit stage's dozen arrays of
+# the rows' size, and the exterior sums of a stored range that grew)
+FLUSH_BYTES = 1 << 16
+
+
 class Recorder:
     """Samples a run at fixed times and accumulates the report.
 
@@ -639,11 +662,18 @@ class Recorder:
     the run's SolverContext; the first sample fixes it.  The llf and vacuum
     series are always recorded, the energy budget when a reference state is
     given.  The boundary mode picks the energy check: the sharp form for
-    spherical Dirichlet runs, the Gronwall bound otherwise.  Each sample
-    builds one RowBlock, which every monitor reads; what the samples share
-    lives in the context's ``memo``.  The monitors sum each sample's live
-    nodes and add the far states elsewhere in closed form, so the series
-    equal whole-grid evaluation up to the order of their sums.
+    spherical Dirichlet runs, the Gronwall bound otherwise.
+
+    ``sample`` checks a sample, keeps its snapshot and copies what the
+    monitors read: t, its rows and its end states.  The monitors run later,
+    once over a stack of every pending sample (``_flush``): before the
+    pending rows would pass FLUSH_BYTES, before a sample whose end states
+    differ from theirs, and in ``finalize``; so a monitor's error surfaces
+    at that flush.  A flush builds one RowBlock, which every monitor reads;
+    what the samples share lives in the context's ``memo``.  The monitors
+    sum the stack's live nodes and add the far states elsewhere in closed
+    form, so the series equal per-sample and whole-grid evaluation up to
+    the order of their sums.
     """
 
     def __init__(self, t_end: float, ref: Optional[ReferenceState] = None,
@@ -657,6 +687,11 @@ class Recorder:
         self._rates: dict[str, list] = {}
         self.ctx: Optional[SolverContext] = None   # fixed by the first sample
         self._snaps: Optional[np.ndarray] = None
+        self._taken = 0
+        # copies of the samples the monitors have not read, and the nodes
+        # [lo, hi) their arrays cover together
+        self._pending: list[FluidField] = []
+        self._span = (0, 0)
 
     # -- sampling ------------------------------------------------------------
     def sample(self, field: FluidField, ctx: SolverContext) -> None:
@@ -664,7 +699,7 @@ class Recorder:
         grid = ctx.grid
         if field.grid != grid:
             raise ConfigError("field grid differs from the context's grid")
-        k = len(self._series["t"])  # samples taken so far
+        k = self._taken  # samples taken so far
         if opt.collect_snapshots and k == opt.sample_count:
             raise ConfigError("recorder already holds sample_count snapshots")
         if self.ctx is None:
@@ -676,6 +711,31 @@ class Recorder:
             self._rho_tilde = _min_rho(field)
         elif ctx is not self.ctx:
             raise ConfigError("recorder sampled with another run's context")
+        span = (field.lo, field.hi)
+        if self._pending:  # the rows rho and m take 16 bytes a node
+            span = (min(self._span[0], field.lo), max(self._span[1], field.hi))
+            if field.ends != self._pending[0].ends or \
+                    16 * (len(self._pending) + 1) * (span[1] - span[0]) > FLUSH_BYTES:
+                self._flush()
+                span = (field.lo, field.hi)
+        self._span = span
+        self._pending.append(field.copy())
+        self._taken += 1
+        if opt.collect_snapshots:
+            self._snaps[:, k] = field.values(*self._snap)
+
+    def _flush(self) -> None:
+        """Every monitor once over the pending samples, stacked on the nodes
+        their arrays cover together, each with its end states past its own."""
+        pending, self._pending = self._pending, []
+        if not pending:
+            return
+        (lo, hi), ctx, opt = self._span, self.ctx, self.opt
+        rows = np.empty((2, len(pending), hi - lo))
+        for i, sample in enumerate(pending):
+            rows[:, i] = sample.values(lo, hi)
+        field = FluidField(ctx.grid, *rows, np.array([f.t for f in pending]),
+                           lo, pending[0].ends)
         row, rates = {"t": field.t}, {}
         block = RowBlock(ctx, field)
         if self.ref is not None:
@@ -692,15 +752,14 @@ class Recorder:
                    min_rho=_min_rho(field))
         if opt.quartic:
             row["quartic"] = _quartic(block)
-        for name, val in row.items():
-            self._series[name].append(val)
-        for name, rate in rates.items():
-            self._rates.setdefault(name, []).append(rate)
-        if opt.collect_snapshots:
-            self._snaps[:, k] = field.values(*self._snap)
+        for name, values in row.items():
+            self._series[name].extend(values)
+        for name, values in rates.items():
+            self._rates.setdefault(name, []).extend(values)
 
     # -- wrap-up ---------------------------------------------------------------
     def finalize(self) -> DiagnosticsReport:
+        self._flush()
         series = {name: np.array(vals) for name, vals in self._series.items()}
         # each integral's trapezoid terms summed in sample order, from 0
         for name, rate in self._rates.items():
@@ -752,10 +811,12 @@ class Recorder:
         return rep
 
 
-def _min_rho(field: FluidField) -> float:
-    """The least density of every node, the end states' included."""
-    return float(np.min(np.append(field.rho, [end[0] for end in field.ends
-                                               if end is not None])))
+def _min_rho(field: FluidField):
+    """The least density of every node, the end states' included (per
+    sample of a stack)."""
+    ends = np.min([end[0] for end in field.ends if end is not None],
+                  initial=np.inf)
+    return _per_sample(field, np.min(field.rho, axis=-1, initial=ends).reshape(-1))
 
 
 def _worst(values: np.ndarray) -> float:

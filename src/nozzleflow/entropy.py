@@ -45,6 +45,10 @@ from .thermo import GasLaw, _match
 # precision (np.longdouble, 80 bits on x86-64): in doubles the recurrence
 # loses up to 8e-13 of the largest weight there at n = 4096 (lam = -1/3)
 END_X = 0.99
+# a node's rows of the orthonormal recurrence are scaled down once they pass
+# 2^SCALE_EXP, looked at every 8 steps; one step grows them by less than
+# 2^13, so p_n'^2 stays finite
+SCALE_EXP = 256
 
 
 def _gamma_ratio(scale, a, b, c):
@@ -84,24 +88,31 @@ def _christoffel(x, a, b, alpha, off, beta0):
     the step, with p_n'' from the Jacobi equation: near x = +-1 the rounding
     of a node alone moves w by up to 1e-10 of itself at n = 4096.  Below
     exponent 84.5, p_k stays below 1e86 inside END_X, and past it the type
-    is extended; above, a large rule's outermost weights may underflow to 0.
+    is extended.  Above, p_k grows past the float range: a node's rows are
+    then scaled by 2^-e, exactly, once they pass 2^SCALE_EXP, and its
+    weight by 2^(2e) at the end, so a weight that truly underflows comes
+    out as an exact 0.
     """
     n = alpha.size - 1
     alpha, off = alpha.astype(x.dtype), off.astype(x.dtype)
-    # rows p_k and p_k'
+    # rows p_k and p_k', times 2^-scale
     P, P_prev = np.zeros((2, x.size), x.dtype), np.zeros((2, x.size), x.dtype)
     P[0] = 1.0 / math.sqrt(beta0)
+    scale = np.zeros(x.size, dtype=int)
     for k in range(n):
         P_next = (x - alpha[k]) * P - (off[k - 1] if k else 0.0) * P_prev
         P_next[1] += P[0]
         P_next /= off[k]
         P, P_prev = P_next, P
+        if k % 8 == 7 and np.max(np.abs(P), initial=0.0) > 2.0 ** SCALE_EXP:
+            e = np.frexp(np.max(np.abs(P), axis=0))[1]
+            P, P_prev, scale = np.ldexp(P, -e), np.ldexp(P_prev, -e), scale + e
     p, dp = P
     step = p / dp
     om = (1.0 - x) * (1.0 + x)
     d2p = -((b - a - (a + b + 2.0) * x) * dp + n * (n + a + b + 1.0) * p) / om
     w = (2 * n + a + b + 1.0) / ((om + 2.0 * x * step) * (dp - d2p * step) ** 2)
-    return (x - step).astype(float), w.astype(float)
+    return (x - step).astype(float), np.ldexp(w, -2 * scale).astype(float)
 
 
 def gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:

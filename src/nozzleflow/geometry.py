@@ -80,8 +80,12 @@ class NozzleProfile:
         return xa
 
     def _eval(self, fn, x):
-        """fn on the domain-checked nodes: a float for a scalar x."""
-        out = fn(self._check_domain(x))
+        """fn on the domain-checked nodes: a float for a scalar x.  A
+        parameter whose powers leave the float range is a DomainError."""
+        try:
+            out = fn(self._check_domain(x))
+        except OverflowError as err:
+            raise DomainError(f"{self!r} leaves the float range: {err}") from None
         return out if np.ndim(x) else float(out)
 
     def area(self, x):

@@ -43,6 +43,8 @@ from .thermo import GasLaw
 MAX_NODES = 1 << 23
 # the most bytes a run's snapshots may take: 2 x snapshots x window nodes x 8
 MAX_SNAPSHOT_BYTES = 1 << 28
+# the most rungs a ladder may have: eps falls by 2^63 over them
+MAX_RUNGS = 64
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False,
          "on": True, "off": False, "1": True, "0": False}
@@ -198,12 +200,11 @@ class RunConfig:
         # a grid too coarse, or too large, for the run or any ladder rung,
         # or a window with no node of it, fails before any of them runs or
         # allocates; a run keeps the part of the window its domain holds
+        if self.n_eps > MAX_RUNGS:
+            raise ConfigError(f"n_eps = {self.n_eps} rungs, above the limit of "
+                              f"{MAX_RUNGS}")
         for eps in (self.eps, *self._schedule.eps_list):
             grid = self.grid_of(eps)
-            if grid.n_nodes > MAX_NODES:
-                raise ConfigError(
-                    f"dx = {self.dx:g} gives the eps={eps:g} rung "
-                    f"{grid.n_nodes} nodes, above the limit of {MAX_NODES}")
             window = (max(self.window_lo, grid.a), min(self.window_hi, grid.b))
             if not window[0] < window[1]:
                 raise ConfigError(
@@ -265,9 +266,15 @@ class RunConfig:
         return float(self._schedule.a_of(eps)), float(self._schedule.b_of(eps))
 
     def grid_of(self, eps: float) -> Grid:
-        """The eps rung's domain in whole cells of about dx."""
+        """The eps rung's domain in whole cells of about dx, refused above
+        MAX_NODES nodes."""
         a, b = self.domain_of(eps)
-        cells = round((b - a) / self.dx)
+        cells = (b - a) / self.dx
+        if not cells < MAX_NODES or round(cells) + 1 > MAX_NODES:
+            raise ConfigError(
+                f"dx = {self.dx:g} gives the eps={eps:g} rung {cells + 1:.0f} "
+                f"nodes, above the limit of {MAX_NODES}")
+        cells = round(cells)
         if b > a and cells < MIN_CELLS:  # Grid itself rejects b <= a
             raise ConfigError(
                 f"dx = {self.dx:g} leaves {cells} cells on the eps={eps:g} "

@@ -115,10 +115,12 @@ class Grid:
 class FluidField:
     """Discrete (rho, m) state with its time stamp.
 
-    The arrays hold the nodes [lo, lo + rho.size) of the grid.  Every node
-    below them holds the state ``ends[0]`` and every node past them
-    ``ends[1]``, each a (rho, m) pair, None at a domain end the arrays
-    reach; a whole-grid field has lo = 0 and no ends.
+    The arrays hold the nodes [lo, hi) of the grid.  Every node below them
+    holds the state ``ends[0]`` and every node past them ``ends[1]``, each
+    a (rho, m) pair, None at a domain end the arrays reach; a whole-grid
+    field has lo = 0 and no ends.  A stack of k samples that share lo and
+    the ends has arrays of shape (k, hi - lo) and t of shape (k,): the
+    monitors take one, the solver steps single fields only.
     """
 
     grid: Grid
@@ -131,9 +133,9 @@ class FluidField:
     def __post_init__(self):
         self.rho = np.asarray(self.rho, dtype=float)
         self.m = np.asarray(self.m, dtype=float)
-        n, hi = self.grid.n_nodes, self.lo + self.rho.size
-        if self.rho.ndim != 1 or self.m.shape != self.rho.shape \
-                or not 0 <= self.lo <= hi <= n:
+        n, hi = self.grid.n_nodes, self.lo + self.rho.shape[-1]
+        if self.rho.ndim != getattr(self.t, "ndim", 0) + 1 or self.rho.ndim > 2 \
+                or self.m.shape != self.rho.shape or not 0 <= self.lo <= hi <= n:
             raise ConfigError("field arrays must match the grid node count")
         if (self.ends[0] is None) != (self.lo == 0) \
                 or (self.ends[1] is None) != (hi == n):
@@ -145,25 +147,26 @@ class FluidField:
 
     @property
     def hi(self) -> int:
-        return self.lo + self.rho.size
+        return self.lo + self.rho.shape[-1]
 
     def copy(self) -> "FluidField":
         return FluidField(self.grid, self.rho.copy(), self.m.copy(), self.t,
                           self.lo, self.ends)
 
     def values(self, lo: int, hi: int) -> np.ndarray:
-        """Rows (rho, m) on the nodes [lo, hi), the ends' states included."""
-        out = np.empty((2, hi - lo))
+        """Rows (rho, m) on the nodes [lo, hi), the ends' states included;
+        a stack's are of shape (2, k, hi - lo)."""
+        out = np.empty((2, *self.rho.shape[:-1], hi - lo))
         a, b = min(max(self.lo, lo), hi), max(min(self.hi, hi), lo)
         # row by row: a tuple of rows, or an end state, would first be made
         # an array
         if a > lo:
-            out[0, :a - lo], out[1, :a - lo] = self.ends[0]
+            out[0, ..., :a - lo], out[1, ..., :a - lo] = self.ends[0]
         if b < hi:
-            out[0, b - lo:], out[1, b - lo:] = self.ends[1]
+            out[0, ..., b - lo:], out[1, ..., b - lo:] = self.ends[1]
         if a < b:
-            out[0, a - lo:b - lo] = self.rho[a - self.lo:b - self.lo]
-            out[1, a - lo:b - lo] = self.m[a - self.lo:b - self.lo]
+            out[0, ..., a - lo:b - lo] = self.rho[..., a - self.lo:b - self.lo]
+            out[1, ..., a - lo:b - lo] = self.m[..., a - self.lo:b - self.lo]
         return out
 
     def whole(self) -> "FluidField":
@@ -387,6 +390,8 @@ class SolverContext:
         """Take a copy of ``field`` as the run's state, which ``advance``
         steps in place, and forget the last scan.  ``live`` becomes the
         field's ``reach``, and the stored range comes to hold it."""
+        if field.rho.ndim != 1:
+            raise ConfigError("the solver steps one field, not a stack of samples")
         self.live = self.reach(field)
         self.state = None
         self.store(*self.live)
@@ -464,19 +469,25 @@ class SolverContext:
 
     def _residual(self, rho_f: float, m_f: float) -> tuple[float, float]:
         """(largest interior rate, rate scale times |rho_f| + |m_f|) of the
-        constant state, from one probe context per BLOCK-node piece and its
-        stencil (with ``_cover``'s pad).  Each rate and band entry is
-        computed node by node, so the maxima are the whole grid's exactly."""
-        eps, resid, band_max = self.eps, 0.0, 0.0
-        for k in range(0, self.grid.n_nodes, BLOCK):
+        constant state, from one probe context per BLOCK-node piece: it
+        stores the piece and its stencil (with ``_cover``'s pad) and steps
+        the piece's nodes alone, the explicit rates on the grid's nodes
+        [2, n - 2) and the diffusion rows on [1, n - 1).  Each rate and band
+        entry is computed node by node, so the maxima are the whole grid's
+        exactly."""
+        n, eps, resid, band_max = self.grid.n_nodes, self.eps, 0.0, 0.0
+        for k in range(0, n, BLOCK):
             probe = SolverContext(self.grid, self.g, self.profile, eps, self.bc)
             probe.store(k - 2, k + BLOCK + 2)
             N = probe.hi - probe.lo
             rho, m = state = np.array((np.full(N, rho_f), np.full(N, m_f)))
-            c_rho, c_m = _hyperbolic_rhs(probe, state, 0.0, (2, N - 2))
-            resid = max(resid, np.max(np.abs(c_rho)), np.max(np.abs(c_m)),
-                        eps * np.max(np.abs(_apply(probe.mass_bands, rho))),
-                        eps * np.max(np.abs(_apply(probe.mom_bands, m))))
+            a, b = k - probe.lo, min(k + BLOCK, n) - probe.lo  # the piece
+            c_rho, c_m = _hyperbolic_rhs(probe, state, 0.0, (
+                max(a, 2 - probe.lo), min(b, n - 2 - probe.lo)))
+            rows = slice(max(a, 1) - 1, min(b, N - 1) + 1)  # and its neighbours
+            resid = max(resid, *(np.max(np.abs(r), initial=0.0) for r in (
+                c_rho, c_m, eps * _apply(probe.mass_bands[:, rows], rho[rows]),
+                eps * _apply(probe.mom_bands[:, rows], m[rows]))))
             band_max = max(band_max, probe.band_max)
         speed = self.max_wave_speed(np.array([rho_f]), np.array([m_f]))
         rate = (speed / self.dx + eps * band_max) * (abs(rho_f) + abs(m_f))
@@ -733,31 +744,37 @@ LIMITER_THETA = 1.5
 # the stage's scalar operands as 0-d arrays: on arrays of a few dozen nodes
 # a ufunc converts a Python float operand at about the cost of its arithmetic
 _HALF, _THETA, _ZERO = np.array(0.5), np.array(LIMITER_THETA), np.array(0.0)
+_MIRROR = np.array((-1.0, 1.0))  # (rho, m) reflected at the axis
 
 
-def _extend(state: np.ndarray, ctx: SolverContext, t: float, lo: int,
-            hi: int, first: int) -> np.ndarray:
+def _extend(state: np.ndarray, ctx: SolverContext, t, lo: int, hi: int,
+            first: int) -> np.ndarray:
     """(rho, m) on columns lo-2 .. hi+1 of ``state`` (rows rho, m of the
     grid nodes from ``first`` on), the reconstruction stencil of the nodes
     [lo, hi), one node a row: a shift along the nodes is then a contiguous
-    block of both variables.
+    block of both variables.  A stack of k samples, ``state`` of shape
+    (2, k, n) at the times t (k,), gives each node a (k, 2) block.
 
     Inside the state the values come from it (frozen neighbours are
     stencil data); past an end of it inside the grid, a node holds its
-    end's far state; past a domain end the ghost node repeats once more, so
-    its limited slope comes out zero.  Dirichlet ghosts extrapolate
-    linearly through the pinned boundary value (constant extrapolation
-    would cut the boundary cells to first order); the axis end mirrors
-    with even density and odd momentum.
+    end's far state; past a domain end the ghost node repeats once more,
+    so its limited slope comes out zero.  Dirichlet ghosts
+    extrapolate linearly through the pinned boundary value (constant
+    extrapolation would cut the boundary cells to first order); the axis
+    end mirrors with even density and odd momentum.
     """
-    n = state.shape[1]
+    n = state.shape[-1]
     s0, s1 = max(lo - 2, 0), min(hi + 2, n)
     head, tail = s0 - (lo - 2), hi + 2 - s1  # entries past each array end
-    ve = np.empty((hi - lo + 4, 2))
-    ve[head:head + s1 - s0] = state[:, s0:s1].T
+    ve = np.empty((hi - lo + 4, 2) if state.ndim == 2 else
+                  (hi - lo + 4, state.shape[1], 2))
+    ve[head:head + s1 - s0] = state[..., s0:s1].T
     if head:
         if first > 0:
             ve[:head] = ctx.far_states[0]
+        elif state.ndim > 2:  # a stack: each sample's ghosts at its own time
+            ve[:head] = np.stack([_extend(v, ctx, ti, lo, lo, first)[:head]
+                                  for v, ti in zip(state.swapaxes(0, 1), t)], 1)
         elif ctx.bc.mode is BCMode.NEUMANN_SPHERICAL:
             ve[:head] = state[0, 1], -state[1, 1]
         else:
@@ -767,6 +784,9 @@ def _extend(state: np.ndarray, ctx: SolverContext, t: float, lo: int,
     if tail:
         if first + n < ctx.grid.n_nodes:
             ve[-tail:] = ctx.far_states[1]
+        elif state.ndim > 2:
+            ve[-tail:] = np.stack([_extend(v, ctx, ti, hi, hi, first)[-tail:]
+                                   for v, ti in zip(state.swapaxes(0, 1), t)], 1)
         else:
             rr, mr = ctx.bc.right_values(t)
             ve[-tail:] = (max(2.0 * rr - state[0, -2], ctx.g.rho_floor),
@@ -774,8 +794,8 @@ def _extend(state: np.ndarray, ctx: SolverContext, t: float, lo: int,
     return ve
 
 
-def _stage(ctx: SolverContext, state: np.ndarray, t: float, lo: int,
-           hi: int, first: int) -> tuple:
+def _stage(ctx: SolverContext, state: np.ndarray, t, lo: int, hi: int,
+           first: int) -> tuple:
     """The explicit stage on the columns [lo, hi) of ``state`` (rows rho, m
     of the stored grid nodes from ``first`` on): the stencil ``ve``
     (``_extend``) and, on the hi-lo+1 faces around the nodes, the face
@@ -783,7 +803,8 @@ def _stage(ctx: SolverContext, state: np.ndarray, t: float, lo: int,
     and side left, right of the face; the local Lax-Friedrichs speed
     ``alpha``; and the area-weighted fluxes ``F`` (mass, momentum).  Each
     call covers both variables or both sides, in the order of the
-    per-variable formulas, so each element rounds alike.
+    per-variable formulas, so each element rounds alike.  A stack of
+    samples (``_extend``) adds a last axis to S, alpha and F.
     """
     ve = _extend(state, ctx, t, lo, hi, first)
     d = ve[1:] - ve[:-1]
@@ -797,12 +818,15 @@ def _stage(ctx: SolverContext, state: np.ndarray, t: float, lo: int,
     sign = np.sign(td)
     s = _HALF * (sign[:-1] + sign[1:]) * mag
     if lo + first == 0 and ctx.bc.mode is BCMode.NEUMANN_SPHERICAL:
-        # the axis ghost's slope is node 1's, reflected
-        s[0] = -s[2, 0], s[2, 1]
+        s[0] = s[2] * _MIRROR  # the axis ghost's slope is node 1's, reflected
     v, half = ve[1:-1], _HALF * s
     sides = np.array((v[:-1] + half[:-1], v[1:] - half[1:]))  # side, face, var
-    S = np.empty((3, 2, hi - lo + 1))
-    S[:2] = sides.transpose(2, 0, 1)  # one copy, cheaper than strided sums
+    if ve.ndim == 2:
+        S = np.empty((3, 2, hi - lo + 1))
+        S[:2] = sides.transpose(2, 0, 1)  # one copy, cheaper than strided sums
+    else:  # a stack: face arrays (face, sample)
+        S = np.empty((3, 2, hi - lo + 1, ve.shape[1]))
+        S[:2] = sides.transpose(3, 0, 1, 2)
     r = S[0]
     np.maximum(r, ctx.g._floor, out=r)
     u = S[1] / r
@@ -810,7 +834,8 @@ def _stage(ctx: SolverContext, state: np.ndarray, t: float, lo: int,
     wave = np.abs(u) + np.sqrt(ctx.g._p_prime(r))
     alpha = np.maximum(wave[0], wave[1])
     face = first - ctx.lo + lo  # Ah_full[0] is the face I_(ctx.lo - 1)
-    F = ctx.Ah_full[face:face + hi - lo + 1] * (
+    areas = ctx.Ah_full[face:face + hi - lo + 1]
+    F = (areas if ve.ndim == 2 else areas[:, None]) * (
         _HALF * (S[1:, 0] + S[1:, 1]) - _HALF * alpha * (S[:2, 1] - S[:2, 0]))
     return ve, S, alpha, F
 
@@ -828,17 +853,19 @@ def hyperbolic_interface_data(ctx: SolverContext, rho: np.ndarray,
     the hi-lo+1 interfaces around them; on the whole grid these are the
     n_cells+2 interfaces I_{-1}..I_{n_cells} of the ghost-padded grid.
     ``rho_ext``/``m_ext`` hold the states on nodes lo-1 .. hi.  The arrays
-    are views of ``_stage``'s.
+    are views of ``_stage``'s.  Rows of shape (k, N) with t of shape (k,)
+    are a stack of samples, each with its own ghosts, and give each array
+    a last axis of length k.
     """
     if ctx.lo == ctx.hi:
         raise ConfigError("the solver context stores no nodes: call its "
                           "store or start first")
-    lo, hi = window or (0, rho.size)
+    lo, hi = window or (0, np.shape(rho)[-1])
     ve, S, alpha, F = _stage(ctx, np.array((rho, m)), t, lo, hi,
                              ctx.lo if first is None else first)
     return {"rho_L": S[0, 0], "rho_R": S[0, 1], "m_L": S[1, 0], "m_R": S[1, 1],
-            "alpha": alpha, "phi": F[0], "psi": F[1], "rho_ext": ve[1:-1, 0],
-            "m_ext": ve[1:-1, 1]}
+            "alpha": alpha, "phi": F[0], "psi": F[1],
+            "rho_ext": ve[1:-1, ..., 0], "m_ext": ve[1:-1, ..., 1]}
 
 
 def _hyperbolic_rhs(ctx: SolverContext, state: np.ndarray, t: float,

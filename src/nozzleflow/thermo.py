@@ -63,7 +63,11 @@ class GasLaw:
         if not 1.0 < self.gamma < np.inf:
             raise DomainError(f"gamma must be finite and > 1, got {self.gamma}")
         if self.kappa < 0.0:
-            object.__setattr__(self, "kappa", default_kappa(self.gamma))
+            try:
+                object.__setattr__(self, "kappa", default_kappa(self.gamma))
+            except OverflowError:
+                raise DomainError(f"gamma = {self.gamma} leaves the default "
+                                  "kappa outside the float range") from None
         if not 0.0 < self.kappa < np.inf:
             raise DomainError(f"kappa must be finite and > 0, got {self.kappa}")
         if not 0.0 <= self.delta < np.inf:

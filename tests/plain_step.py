@@ -109,8 +109,15 @@ def hyperbolic_interface_data(ctx: SolverContext, rho: np.ndarray,
     (default: all), returns arrays over the hi-lo+1 interfaces around them;
     on the whole grid these are the n_cells+2 interfaces I_{-1}..I_{n_cells}
     of the ghost-padded grid.
-    ``rho_ext``/``m_ext`` hold the states on nodes lo-1 .. hi.
+    ``rho_ext``/``m_ext`` hold the states on nodes lo-1 .. hi.  A stack of
+    samples, rows (k, N) at the times t (k,), is taken one sample at a
+    time, and each array stacks the samples' along a last axis.
     """
+    if np.ndim(rho) == 2:
+        each = [hyperbolic_interface_data(ctx, r, mm, ti, window, first)
+                for r, mm, ti in zip(rho, m, t)]
+        return {key: np.stack([d[key] for d in each], axis=-1)
+                for key in each[0]}
     g = ctx.g
     lo, hi = window or (0, rho.size)
     first = ctx.lo if first is None else first

@@ -20,12 +20,14 @@ from nozzleflow.entropy import (ReferenceState, gen_bump, gen_half_square,
 from nozzleflow.geometry import (ConstantProfile, ExponentialProfile,
                                  GaussianBumpProfile, PowerLawClosingProfile,
                                  SphericalProfile)
+from nozzleflow import harness
 from nozzleflow.harness import (RunConfig, lp_distance, single_run, sweep,
                                 write_snapshot_csv)
 from nozzleflow.schedule import certify, make_default
 from nozzleflow.solver import (BoundarySpec, FluidField, Grid, SolverContext,
                                step)
 from nozzleflow.thermo import GasLaw
+from plain_recorder import PlainRecorder
 from plain_weak_residual import plain_weak_residual
 
 
@@ -309,6 +311,22 @@ def test_hull_monitors_match_whole_field_on_every_rung(sweep_gamma2,
             d = [lp_distance(a.snapshots, b.snapshots, K, p, name)
                  for a, b in zip(plain, plain[1:])]
             assert np.array(d).tobytes() == res.series[f"d_{name}"].tobytes()
+
+
+def test_stacked_monitors_match_per_sample_evaluation_on_every_rung(
+        sweep_gamma2):
+    # each gamma 2 rung again with the per-sample Recorder: the same
+    # fields and snapshots bit for bit, the same series to 1e-13 and checks
+    cfg = _sweep_config(2.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "Recorder", PlainRecorder)
+        plain = [single_run(cfg, eps=rung.eps) for rung in sweep_gamma2.runs]
+    for rung, other in zip(sweep_gamma2.runs, plain):
+        assert rung.field.rho.tobytes() == other.field.rho.tobytes()
+        for name in ("rho", "m"):
+            assert getattr(rung.snapshots, name).tobytes() == \
+                getattr(other.snapshots, name).tobytes()
+        assert_same_series(rung.report, other.report)
 
 
 def test_11_special_pair_sign():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import single_shock_states
-from nozzleflow import diagnostics
+from helpers import assert_same_series, single_shock_states
+from nozzleflow import diagnostics, harness
 from nozzleflow.diagnostics import (Recorder, RecorderOptions, SnapshotSet,
                                     SpaceTimeBump, default_generator_family,
                                     default_test_functions, energy_budget,
@@ -16,6 +16,7 @@ from nozzleflow.harness import RunConfig, single_run
 from nozzleflow.solver import (BoundarySpec, FluidField, Grid, InitialData,
                                SolverContext, prepare_initial_data, run)
 from nozzleflow.thermo import GasLaw
+from plain_recorder import PlainRecorder
 
 
 _AT_REST = BoundarySpec.dirichlet_nozzle(1.0, 0.0, 1.0, 0.0)
@@ -114,13 +115,15 @@ MONITOR_CONFIGS = {
 def test_monitors_agree_on_the_table_and_closed_form_paths(name, monkeypatch):
     # gamma 2 takes R in closed form; forced through the wave table, the
     # invariants agree to rounding and every other series to the bit.  Each
-    # sample's vacuum functional is also taken without the row block
+    # flush's vacuum functionals, one per sample of its stack, are also
+    # taken from the stacked field without the row block
     cfg = RunConfig(**MONITOR_CONFIGS[name])
     vacuum = diagnostics.vacuum_functional
 
     def both(field, rho_tilde, block=None):
         value = vacuum(field, rho_tilde, block)
-        assert block is not None and value == vacuum(field, rho_tilde)
+        assert block is not None and value.shape == field.t.shape
+        assert value.tobytes() == vacuum(field, rho_tilde).tobytes()
         return value
 
     monkeypatch.setattr(diagnostics, "vacuum_functional", both)
@@ -135,6 +138,82 @@ def test_monitors_agree_on_the_table_and_closed_form_paths(name, monkeypatch):
             np.testing.assert_allclose(series, table.series[key], rtol=1e-14, atol=0.0)
         else:
             np.testing.assert_array_equal(series, table.series[key])
+
+
+@pytest.mark.parametrize("name", sorted(MONITOR_CONFIGS))
+def test_stacked_monitors_match_per_sample_evaluation(name, monkeypatch):
+    # the Recorder evaluates its samples a stack at a time; the per-sample
+    # Recorder of plain_recorder.py evaluates each as it is taken
+    cfg = RunConfig(**MONITOR_CONFIGS[name])
+    flushes = []
+    flush = Recorder._flush
+    monkeypatch.setattr(Recorder, "_flush", lambda rec: (
+        flushes.append(len(rec._pending)), flush(rec))[1])
+    stacked = single_run(cfg)
+    assert 1 < max(flushes) and sum(flushes) == cfg.snapshots
+    monkeypatch.setattr(harness, "Recorder", PlainRecorder)
+    plain = single_run(cfg)
+    assert stacked.field.rho.tobytes() == plain.field.rho.tobytes()
+    for key in ("rho", "m"):
+        assert getattr(stacked.snapshots, key).tobytes() == \
+            getattr(plain.snapshots, key).tobytes()
+    assert_same_series(stacked.report, plain.report)
+
+
+def test_a_stack_across_a_growth_and_new_end_states_matches_per_sample():
+    # a bump duct whose flow spreads to both domain ends: the first stack
+    # holds samples from before and after the stored range grows, and each
+    # change of the end states flushes the pending samples first
+    g, prof = GasLaw(2.0, delta=1e-4), GaussianBumpProfile()
+    bc = BoundarySpec.dirichlet_nozzle(1.0, 0.0, 0.5, 0.0)
+    grid = Grid(-6.0, 6.0, 192)
+    field = prepare_initial_data(
+        InitialData(lambda x: np.where(x < 0, 1.0, 0.5),
+                    lambda x: np.zeros_like(x), 0.0, 0.5), bc, g, prof, grid)
+    ref = ReferenceState(1.0, 0.0, 0.5, 0.0)
+
+    class Logged(Recorder):
+        def sample(self, field, ctx):
+            super().sample(field, ctx)
+            log.append((len(self._pending), field.ends, (ctx.lo, ctx.hi)))
+
+    log, reports = [], []
+    for cls in (Logged, PlainRecorder):
+        rec = cls(2.5, ref=ref, options=RecorderOptions(sample_count=21,
+                                                        quartic=True))
+        reports.append(run(field, g, prof, 0.05, bc, 2.5, hooks=rec)[1])
+    stacks = [k for k, (pending, _, _) in enumerate(log) if pending == 1]
+    assert len(stacks) == 3   # one per end states: far, left None, none
+    assert len({ends for _, ends, _ in log}) == 3
+    first = {stored for _, _, stored in log[:stacks[1]]}
+    assert len(first) > 1     # the first stack spans a growth
+    assert_same_series(*reports)
+
+
+def test_a_sample_is_copied_when_it_is_taken():
+    # the monitors run after the sample: rho, m and t mutated in the
+    # sampled field afterwards leave the report unchanged
+    g = GasLaw(2.0, delta=1e-4)
+    grid = Grid(-2.0, 2.0, 64)
+    ctx = SolverContext(grid, g, ConstantProfile(), 0.05, _AT_REST)
+    reports = []
+    for mutate in (False, True):
+        rec = Recorder(0.1, ref=ReferenceState.constant(1.0, 0.0),
+                       options=RecorderOptions(sample_count=3))
+        for k, t in enumerate((0.0, 0.05, 0.1)):
+            f = _constant_field(grid, 1.0)
+            f.rho[20 + k] = 1.5
+            f.m[30] = 0.1 * k
+            f.t = t
+            rec.sample(f, ctx)
+            if mutate:
+                f.rho[:], f.m[:], f.t = 0.5, 0.3, 7.0
+        reports.append(rec.finalize())
+    assert reports[0].series.keys() == reports[1].series.keys()
+    for name, series in reports[0].series.items():
+        assert series.tobytes() == reports[1].series[name].tobytes(), name
+    assert reports[0].snapshots.rho.tobytes() == \
+        reports[1].snapshots.rho.tobytes()
 
 
 def test_riemann_monitor_correction_positive_on_bump():

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,35 @@ def test_weight_moments_and_rules_stay_finite_near_gamma_1():
             except OverflowError:
                 continue
             assert weight_moment(lam, k) == pytest.approx(old, rel=1e-14, abs=0.0)
+
+
+def test_large_rules_near_gamma_1_emit_no_warning():
+    # gamma 1.01 and 1.005: the recurrence rows p_k pass the float range, so
+    # they are rescaled; p_n'^2 overflowed and warned before, and weights
+    # that underflow come out as exact zeros
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, lam in ((4096, 99.5), (1024, 199.5)):
+            x, w = gauss_jacobi(n, lam, lam)
+            assert np.all(np.isfinite(x)) and np.all(np.diff(x) > 0.0)
+            assert np.all(w >= 0.0)
+            assert np.sum(w) == pytest.approx(weight_moment(lam, 0), rel=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [1.4, 2.0, 5.0])
+def test_rescaled_recurrence_leaves_the_rules_bit_identical(gamma,
+                                                           monkeypatch):
+    # scaling by powers of two is exact: a rule whose rows are rescaled at
+    # every look comes out bit for bit as one whose rows never are, as at
+    # these gammas with the default SCALE_EXP
+    lam = (3.0 - gamma) / (2.0 * (gamma - 1.0))
+    for n, b in ((64, lam), (512, lam), (1024, lam + 0.5)):
+        rule = gauss_jacobi(n, lam, b)
+        with monkeypatch.context() as mp:
+            mp.setattr(entropy, "SCALE_EXP", -1100)
+            scaled = gauss_jacobi(n, lam, b)
+        for a, c in zip(rule, scaled):
+            assert a.tobytes() == c.tobytes(), (gamma, n)
 
 
 # ---------------------------------------------------------------------------

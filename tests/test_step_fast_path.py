@@ -10,7 +10,8 @@ gamma 2 and at gamma 5.
 ``hyperbolic_interface_data``, which the llf monitor reads, must equal the
 plain stage's dict bit for bit on all nine arrays: on every step case, on
 windows that reach past a stored edge onto far-state ghosts, and at the
-axis end, whose ghost slope is mirrored.
+axis end, whose ghost slope is mirrored; and so must a stack of samples,
+which the llf monitor passes, sample by sample.
 
 ``SolverContext.scan`` finds each window by scanning only the window the
 last step moved.  Its cases run once so and once with every scan forced to
@@ -133,14 +134,19 @@ def test_runs_match_the_plain_step(kind, mode, domain, cells, data, t_end):
 
 def _assert_same_interface_data(ctx, rho, m, t, window):
     """The nine arrays of hyperbolic_interface_data bit for bit against the
-    plain stage's; returns the fast dict."""
-    fast = solver.hyperbolic_interface_data(ctx, rho, m, t, window)
-    plain = plain_step.hyperbolic_interface_data(ctx, rho, m, t, window)
-    assert len(fast) == 9 and fast.keys() == plain.keys()
-    for name, values in fast.items():
-        assert values.shape == plain[name].shape, name
-        assert values.tobytes() == plain[name].tobytes(), name
-    return fast
+    plain stage's, for the state alone and for a stack of it and a
+    perturbed copy at a later time, which the plain stage takes one sample
+    at a time; returns the fast dict of the state alone."""
+    stack = (np.array((rho, 1.01 * rho)), np.array((m, 0.9 * m + 0.01)),
+             np.array((t, t + 0.1)))
+    for args in ((rho, m, t), stack):
+        fast = solver.hyperbolic_interface_data(ctx, *args, window)
+        plain = plain_step.hyperbolic_interface_data(ctx, *args, window)
+        assert len(fast) == 9 and fast.keys() == plain.keys()
+        for name, values in fast.items():
+            assert values.shape == plain[name].shape, name
+            assert values.tobytes() == plain[name].tobytes(), name
+    return solver.hyperbolic_interface_data(ctx, rho, m, t, window)
 
 
 @pytest.mark.parametrize("kind, mode, domain, cells, data", STEP_CASES)
