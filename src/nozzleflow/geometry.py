@@ -81,10 +81,14 @@ class NozzleProfile:
 
     def _eval(self, fn, x):
         """fn on the domain-checked nodes: a float for a scalar x.  A
-        parameter whose powers leave the float range is a DomainError."""
+        parameter whose values overflow the float range is a DomainError;
+        a NaN or an infinity that arises from an underflowed area or an
+        infinite parameter is returned, without a numpy warning, for the
+        caller's checks to fail on."""
         try:
-            out = fn(self._check_domain(x))
-        except OverflowError as err:
+            with np.errstate(over="raise", invalid="ignore", divide="ignore"):
+                out = fn(self._check_domain(x))
+        except (OverflowError, FloatingPointError) as err:
             raise DomainError(f"{self!r} leaves the float range: {err}") from None
         return out if np.ndim(x) else float(out)
 

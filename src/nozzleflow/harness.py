@@ -30,7 +30,7 @@ from .geometry import NozzleProfile, make_profile
 from .schedule import (M_BUDGET, Q_LADDER, ViscositySchedule, certify,
                        certificate_summary)
 from .solver import (CFL, MIN_CELLS, BCMode, BoundarySpec, FluidField, Grid,
-                     InitialData, SolverContext, check_cfl,
+                     InitialData, Rung, SolverContext, check_cfl, march,
                      prepare_initial_data, run)
 from .thermo import GasLaw
 
@@ -377,9 +377,9 @@ class RunOutput:
     snapshots = property(lambda self: self.report.snapshots)
 
 
-def single_run(cfg: RunConfig, eps: Optional[float] = None,
-               label: str = "run", collect_snapshots: bool = True) -> RunOutput:
-    eps = cfg.eps if eps is None else eps
+def prepare_rung(cfg: RunConfig, eps: float, label: str,
+                 collect_snapshots: bool = True) -> Rung:
+    """The eps rung's starting field, solver inputs and Recorder."""
     g = cfg.build_gas(eps)
     profile = cfg.build_profile()
     grid = cfg.grid_of(eps)
@@ -397,9 +397,21 @@ def single_run(cfg: RunConfig, eps: Optional[float] = None,
     )
     ref = cfg.build_reference(eps) if cfg.check_energy else None
     rec = Recorder(cfg.t_end, ref=ref, options=opts, label=label)
-    field, report = run(field, g, profile, eps, bc, cfg.t_end, hooks=rec,
-                        cfl=cfg.cfl)
-    return RunOutput(ctx=rec.ctx, field=field, report=report, label=label)
+    return Rung(field, g, profile, eps, bc, rec)
+
+
+def _output(rung: Rung, result) -> RunOutput:
+    field, report = result
+    return RunOutput(ctx=rung.hooks.ctx, field=field, report=report,
+                     label=rung.hooks.label)
+
+
+def single_run(cfg: RunConfig, eps: Optional[float] = None,
+               label: str = "run", collect_snapshots: bool = True) -> RunOutput:
+    rung = prepare_rung(cfg, cfg.eps if eps is None else eps, label,
+                        collect_snapshots)
+    return _output(rung, run(rung.field, rung.g, rung.profile, rung.eps,
+                             rung.bc, cfg.t_end, hooks=rung.hooks, cfl=cfg.cfl))
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +525,37 @@ def _cauchy(distances: np.ndarray) -> tuple[np.ndarray, Check]:
     return ratios, Check(ranked[-2] if ranked.size >= 2 else -math.inf, 0.9)
 
 
+def _failure(err: NozzleflowError) -> str:
+    return f"{type(err).__name__}: {err}"
+
+
 def _sweep_worker(args):
-    """One rung: its RunOutput, or the text of the package error it raised."""
+    """One rung in a process of its own: its RunOutput, or the text of the
+    package error it raised."""
     cfg, eps, label = args
     try:
         return single_run(cfg, eps=eps, label=label)
     except NozzleflowError as err:
-        return f"{type(err).__name__}: {err}"
+        return _failure(err)
+
+
+def _lockstep(cfg: RunConfig, jobs: list) -> list:
+    """Every rung through one ``march``: per rung its RunOutput, or the
+    text of the package error it raised, as ``_sweep_worker`` gives it."""
+    outcomes = []
+    for job in jobs:
+        try:
+            outcomes.append(prepare_rung(*job))
+        except NozzleflowError as err:
+            outcomes.append(_failure(err))
+    rungs = [out for out in outcomes if isinstance(out, Rung)]
+    results = iter(march(rungs, cfg.t_end, cfl=cfg.cfl))
+    for k, rung in enumerate(outcomes):
+        if isinstance(rung, Rung):
+            res = next(results)
+            outcomes[k] = (_failure(res) if isinstance(res, Exception)
+                           else _output(rung, res))
+    return outcomes
 
 
 def sweep(cfg: RunConfig) -> SweepResult:
@@ -541,7 +577,7 @@ def sweep(cfg: RunConfig) -> SweepResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_worker, jobs))
     else:
-        outcomes = [_sweep_worker(job) for job in jobs]
+        outcomes = _lockstep(cfg, jobs)
     runs = [out for out in outcomes if isinstance(out, RunOutput)]
     failures = [(job[1], out) for job, out in zip(jobs, outcomes)
                 if isinstance(out, str)]

@@ -148,13 +148,16 @@ def certify(sched: ViscositySchedule, profile: NozzleProfile,
             quant["eps_dlog_prime_area_domain"] = eps * sup_glp * supA * abs(b - a)
             quant["eps_area_second"] = eps * sup_A2
             exp1 = (g.gamma - 3.0) / (g.gamma - 1.0)
-            quant["delta_inv_eps_area_abeta"] = (
-                delta / eps * supA * abs(a) ** BETA * _sup(A ** exp1))
-            quant["delta_inv_eps_area_a"] = delta / eps * supA * abs(a)
-            if not singular:
-                exp2 = -4.0 / (2.0 * g.gamma - 4.0)
-                quant["delta_area_a2_negexp"] = (
-                    delta * supA * abs(a) ** 2 * _sup(A ** exp2))
+            # an area that underflows to 0 gives an infinite power, which
+            # fails its check
+            with np.errstate(divide="ignore", over="ignore"):
+                quant["delta_inv_eps_area_abeta"] = (
+                    delta / eps * supA * abs(a) ** BETA * _sup(A ** exp1))
+                quant["delta_inv_eps_area_a"] = delta / eps * supA * abs(a)
+                if not singular:
+                    exp2 = -4.0 / (2.0 * g.gamma - 4.0)
+                    quant["delta_area_a2_negexp"] = (
+                        delta * supA * abs(a) ** 2 * _sup(A ** exp2))
             quant["eq_3_6_combined"] = eps * (1.0 + sup_glp) * abs(b - a)
         rungs.append(quant)
     series = {"eps": np.array(sched.eps_list)}

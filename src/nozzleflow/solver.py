@@ -36,15 +36,33 @@ holds its far state.  Every node outside the window a step advanced still
 rests on its far state afterwards, so the next window is found by scanning
 only that window; every stored node is scanned on a run's first step and
 when the scanned window rests wholly on one far state.  The same scan gives
-the wave speed the next dt is taken from.  ``run`` calls ``advance`` and
-returns the state on the ``live`` nodes; ``step`` starts the context on
+the wave speed the next dt is taken from.  ``step`` starts the context on
 its field and advances it after a scan of every stored node.
+
+``march`` steps the rungs of a viscosity ladder in lockstep, each with its
+own context, scan, CFL check, dt and hooks; ``run`` is a march of one.  One
+``advance`` steps them all: it lays every rung's window, with its two ghost
+nodes a side (``_extend``), end to end on one ragged row, runs each
+explicit stage once on the row, with dt, eps dt, 2 dx and the gas law's
+delta as per-node rows, and solves both implicit systems of every rung in
+one tridiagonal call.  The stencils cross from one block into the next
+only on the dead columns between them (the ghosts), whose rates nothing
+reads.  In the solve the dead columns are identity rows with right side 0,
+and a block's pinned end rows have exact zeros where they would couple to
+a dead row (the bands ``ab[0, :, first]`` and ``ab[2, :, last]``), so
+gtsv's elimination, partial pivoting included, never mixes two blocks and
+each rung's numbers are bit for bit those it gets alone; without the zeros
+a pivot could swap rows across a junction.  A rung that fails leaves the
+row before the solve.  On the small windows of a ladder a numpy call costs
+more than its arithmetic, so one call for every rung pays that cost once;
+a row stops at ROW_NODES columns, where its arrays leave the cache.  With
+one rung the rows are views of its context's arrays and the coefficients
+0-d arrays.
 
 The explicit stage and ``SolverContext.max_wave_speed`` call the gas law's
 unchecked kernels (``GasLaw._pressure``, ``_p_prime``, ``_velocity``) on
 densities clamped at rho_floor (faces) or 0, where validation cannot fail.
-On the small arrays a step works on, a numpy call costs more than its
-arithmetic, so each call covers both variables (``_stage``).
+For the same reason each call covers both variables (``_fluxes``).
 """
 
 from __future__ import annotations
@@ -59,7 +77,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import (CavitationError, ConfigError, DomainError, NonFiniteError,
-                     SolverError, StabilityError)
+                     NozzleflowError, SolverError, StabilityError)
 from .entropy import smooth_bump, smoothstep
 from .geometry import ConstantProfile, NozzleProfile
 from .thermo import GasLaw
@@ -211,16 +229,27 @@ class BoundarySpec:
         # left end: rho_x = 0 (mirror), m = 0; right end: Dirichlet (rho_bar, 0)
         return cls(BCMode.NEUMANN_SPHERICAL, None, 0.0, rho_bar, 0.0)
 
+    # both ends' values when none is a callable, found once
+    _fixed = None
+
     def __post_init__(self):
         for v in (self.rho_left, self.rho_right):
             if v is not None and not callable(v) and v <= 0.0:
                 raise ConfigError("Dirichlet boundary densities must be positive")
+        if not any(map(callable, (self.rho_left, self.m_left, self.rho_right,
+                                  self.m_right))):
+            object.__setattr__(self, "_fixed", (self.left_values(0.0),
+                                                self.right_values(0.0)))
 
     def left_values(self, t: float) -> tuple[Optional[float], float]:
+        if self._fixed:
+            return self._fixed[0]
         rho = None if self.rho_left is None else self._at(self.rho_left, t)
         return rho, self._at(self.m_left, t)
 
     def right_values(self, t: float) -> tuple[float, float]:
+        if self._fixed:
+            return self._fixed[1]
         return self._at(self.rho_right, t), self._at(self.m_right, t)
 
 
@@ -348,9 +377,10 @@ class SolverContext:
         self.Ah_full = np.concatenate([Ah[:1]] * (self.lo == 0) + [Ah]
                                       + [Ah[-1:]] * (self.hi == n))
         inner = self.Ah_full[1:N]
-        # both operators in one array: a step assembles both systems at once
-        self.bands = np.zeros((2, 3, N))
-        mass, mom = self.bands
+        # both operators in one array (band, operator, node): a step
+        # assembles both systems at once, each band one contiguous row
+        self.bands = np.zeros((3, 2, N))
+        mass, mom = self.bands[:, 0], self.bands[:, 1]
         mass[0, 1:] = inner / (self.A[:-1] * dx * dx)
         mass[2, :-1] = inner / (self.A[1:] * dx * dx)
         if self.bc.mode is BCMode.NEUMANN_SPHERICAL and self.lo == 0:
@@ -584,22 +614,17 @@ class SolverContext:
             self._scan = lo, hi, lam
         return self._scan
 
-    def advance(self, t: float, dt: float, *, cfl: float = CFL,
-                forcing: Optional[Callable] = None) -> tuple[int, int]:
-        """Advance the run's state at time t by one IMEX step of size dt,
-        in place; returns the node range [lo, hi) it moved.
-
-        The range is the ``scan`` window (the whole grid under ``forcing``)
-        padded by the margin after which the implicit solve's Green's
-        function has decayed below GREEN_DECAY; the other nodes are frozen.
-        The stored range first grows to hold it with STORE_MARGIN to spare.
-        dt must respect the advective bound cfl dx / max(|u| + c) over the
-        range; the rest box's ``rest_speed`` bounds the nodes that the scan
-        window leaves out.
-        """
+    def _window(self, dt: float, cfl: float, forced: bool) -> tuple[int, int]:
+        """The node range [lo, hi) that a step of size dt moves: the
+        ``scan`` window (the whole grid when ``forced``) padded by the
+        margin after which the implicit solve's Green's function has
+        decayed below GREEN_DECAY; the other nodes are frozen.  The stored
+        range first grows to hold it with STORE_MARGIN to spare.  dt must
+        respect the advective bound cfl dx / max(|u| + c) over the range;
+        the rest box's ``rest_speed`` bounds the nodes that the scan window
+        leaves out.  The next scan covers this range."""
         if not 0.0 < dt < math.inf:
             raise StabilityError(f"dt must be positive and finite, got {dt}")
-        forced = forcing is not None
         n = self.grid.n_nodes
         lo, hi, lam = self.scan(forced)
         if hi - lo < n:
@@ -613,65 +638,8 @@ class SolverContext:
             wlo, whi = max(lo - pad, 0), min(hi + pad, n)
             if not self.store(wlo - STORE_MARGIN, whi + STORE_MARGIN):
                 break
-        lo, hi = wlo, whi
-        state, a, b = self.state, lo - self.lo, hi - self.lo
-        self._moved, self._scan = (lo, hi), None
-
-        # two-stage (Heun) explicit convection: a single forward-Euler stage
-        # feeds energy into the resolved waves at O(dt) and visibly pollutes
-        # the discrete energy identity; averaging the stage fluxes removes
-        # that while keeping one tridiagonal solve per equation below.  The
-        # state carries the stage state, so stage 2 reads frozen neighbours.
-        floor, h, half_h = self.g._floor, np.array(dt), np.array(0.5 * dt)
-        state0 = state[:, a:b].copy()
-        c1 = _hyperbolic_rhs(self, state, t, (a, b))
-        mid = state0 + h * c1
-        np.maximum(mid[0], floor, out=mid[0])
-        if forced:
-            f1 = np.array(forcing(self.x, t), dtype=float)
-            mid = mid + h * f1
-            np.maximum(mid[0], floor, out=mid[0])
-        state[:, a:b] = mid
-        c2 = _hyperbolic_rhs(self, state, t + dt, (a, b))
-        new = state0 + half_h * (c1 + c2)
-        if forced:
-            new = new + half_h * (f1 + np.array(forcing(self.x, t + dt),
-                                                dtype=float))
-
-        if not np.isfinite(new).all():
-            raise NonFiniteError("non-finite values after the explicit stage")
-        # transient undershoots are counted, not clamped: the implicit
-        # diffusion usually lifts an isolated dip, and a persistent one must
-        # surface as a cavitation fault below rather than be masked
-        self.undershoots += np.count_nonzero(new[0, 1:-1] < floor)
-        self.cells_advanced += hi - lo
-        self.hull = (min(self.hull[0], lo), max(self.hull[1], hi))
-        self.live = ((lo, hi) if self.live[0] >= self.live[1] else
-                     (min(self.live[0], lo), max(self.live[1], hi)))
-
-        # (I - eps dt L) u = new for both rows at once.  The window's end
-        # rows are pinned: to the boundary values at a domain end (the axis
-        # end keeps its mirrored density row), else to the frozen values
-        t1 = t + dt
-        left = self.bc.left_values(t1) if lo == 0 else state0[:, 0]
-        right = self.bc.right_values(t1) if hi == n else state0[:, -1]
-        ab = np.array(-(self.eps * dt)) * self.bands[:, :, a:b]
-        ab[:, 1] += 1.0
-        pin = slice(0 if left[0] is not None else 1, 2)
-        ab[pin, 1, 0], ab[pin, 0, 1], new[pin, 0] = 1.0, 0.0, left[pin]
-        ab[:, 1, -1], ab[:, 2, -2], new[:, -1] = 1.0, 0.0, right
-        for k in (0, 1):
-            new[k] = _tridiag_solve(ab[k, 2, :-1], ab[k, 1], ab[k, 0, 1:],
-                                    new[k])
-
-        if not np.isfinite(new).all():
-            raise NonFiniteError("non-finite values after the implicit stage")
-        low = new[0].min()
-        if low < floor:
-            raise CavitationError(
-                f"density fell to {low:.3e} (< floor {self.g.rho_floor:.0e})")
-        state[:, a:b] = new
-        return lo, hi
+        self._moved, self._scan = (wlo, whi), None
+        return wlo, whi
 
     def require(self, grid: Grid, g: GasLaw, profile: NozzleProfile,
                 eps: float, bc: BoundarySpec) -> None:
@@ -748,7 +716,7 @@ _MIRROR = np.array((-1.0, 1.0))  # (rho, m) reflected at the axis
 
 
 def _extend(state: np.ndarray, ctx: SolverContext, t, lo: int, hi: int,
-            first: int) -> np.ndarray:
+            first: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """(rho, m) on columns lo-2 .. hi+1 of ``state`` (rows rho, m of the
     grid nodes from ``first`` on), the reconstruction stencil of the nodes
     [lo, hi), one node a row: a shift along the nodes is then a contiguous
@@ -761,13 +729,15 @@ def _extend(state: np.ndarray, ctx: SolverContext, t, lo: int, hi: int,
     so its limited slope comes out zero.  Dirichlet ghosts
     extrapolate linearly through the pinned boundary value (constant
     extrapolation would cut the boundary cells to first order); the axis
-    end mirrors with even density and odd momentum.
+    end mirrors with even density and odd momentum.  A single state's
+    rows may go to ``out``, a (hi - lo + 4, 2) block of a ragged row.
     """
     n = state.shape[-1]
     s0, s1 = max(lo - 2, 0), min(hi + 2, n)
     head, tail = s0 - (lo - 2), hi + 2 - s1  # entries past each array end
-    ve = np.empty((hi - lo + 4, 2) if state.ndim == 2 else
-                  (hi - lo + 4, state.shape[1], 2))
+    ve = out if out is not None else np.empty(
+        (hi - lo + 4, 2) if state.ndim == 2 else
+        (hi - lo + 4, state.shape[1], 2))
     ve[head:head + s1 - s0] = state[..., s0:s1].T
     if head:
         if first > 0:
@@ -798,15 +768,25 @@ def _stage(ctx: SolverContext, state: np.ndarray, t, lo: int, hi: int,
            first: int) -> tuple:
     """The explicit stage on the columns [lo, hi) of ``state`` (rows rho, m
     of the stored grid nodes from ``first`` on): the stencil ``ve``
-    (``_extend``) and, on the hi-lo+1 faces around the nodes, the face
-    states ``S`` indexed (var, side, face) with var rho (floored), m, m u
-    and side left, right of the face; the local Lax-Friedrichs speed
-    ``alpha``; and the area-weighted fluxes ``F`` (mass, momentum).  Each
-    call covers both variables or both sides, in the order of the
+    (``_extend``) and ``_fluxes``' face states, speeds and fluxes."""
+    ve = _extend(state, ctx, t, lo, hi, first)
+    axis = lo + first == 0 and ctx.bc.mode is BCMode.NEUMANN_SPHERICAL
+    face = first - ctx.lo + lo  # Ah_full[0] is the face I_(ctx.lo - 1)
+    return (ve, *_fluxes(ve, ctx.g, ctx.Ah_full[face:face + hi - lo + 1],
+                         (0,) if axis else ()))
+
+
+def _fluxes(ve: np.ndarray, gas, areas: np.ndarray, axes) -> tuple:
+    """On the faces between the stencil rows ``ve``[1:-1]: the face states
+    ``S`` indexed (var, side, face) with var rho (floored), m, m u and side
+    left, right of the face; the local Lax-Friedrichs speed ``alpha``; and
+    the fluxes ``F`` (mass, momentum) weighted by ``areas``.  ``axes``
+    lists the ghost rows ve[o + 1] whose limited slope is the axis mirror
+    of ve[o + 3]'s.  ``gas`` is the gas law or a ragged row's ``_RowGas``.
+    Each call covers both variables or both sides, in the order of the
     per-variable formulas, so each element rounds alike.  A stack of
     samples (``_extend``) adds a last axis to S, alpha and F.
     """
-    ve = _extend(state, ctx, t, lo, hi, first)
     d = ve[1:] - ve[:-1]
     # generalized minmod of theta d_-, (d_- + d_+)/2, theta d_+: the mean
     # shares the others' sign when they agree, so sign(d_-) + sign(d_+)
@@ -817,27 +797,48 @@ def _stage(ctx: SolverContext, state: np.ndarray, t, lo: int, hi: int,
                      mag[1:])
     sign = np.sign(td)
     s = _HALF * (sign[:-1] + sign[1:]) * mag
-    if lo + first == 0 and ctx.bc.mode is BCMode.NEUMANN_SPHERICAL:
-        s[0] = s[2] * _MIRROR  # the axis ghost's slope is node 1's, reflected
+    for o in axes:  # the axis ghost's slope is node 1's, reflected
+        s[o] = s[o + 2] * _MIRROR
     v, half = ve[1:-1], _HALF * s
     sides = np.array((v[:-1] + half[:-1], v[1:] - half[1:]))  # side, face, var
+    faces = ve.shape[0] - 3
     if ve.ndim == 2:
-        S = np.empty((3, 2, hi - lo + 1))
+        S = np.empty((3, 2, faces))
         S[:2] = sides.transpose(2, 0, 1)  # one copy, cheaper than strided sums
     else:  # a stack: face arrays (face, sample)
-        S = np.empty((3, 2, hi - lo + 1, ve.shape[1]))
+        S = np.empty((3, 2, faces, ve.shape[1]))
         S[:2] = sides.transpose(3, 0, 1, 2)
     r = S[0]
-    np.maximum(r, ctx.g._floor, out=r)
+    np.maximum(r, GasLaw._floor, out=r)
     u = S[1] / r
     np.multiply(S[1], u, out=S[2])
-    wave = np.abs(u) + np.sqrt(ctx.g._p_prime(r))
+    wave = np.abs(u) + np.sqrt(gas._p_prime(r))
     alpha = np.maximum(wave[0], wave[1])
-    face = first - ctx.lo + lo  # Ah_full[0] is the face I_(ctx.lo - 1)
-    areas = ctx.Ah_full[face:face + hi - lo + 1]
     F = (areas if ve.ndim == 2 else areas[:, None]) * (
         _HALF * (S[1:, 0] + S[1:, 1]) - _HALF * alpha * (S[:2, 1] - S[:2, 0]))
-    return ve, S, alpha, F
+    return S, alpha, F
+
+
+def _rates(ve: np.ndarray, F: np.ndarray, gas, inv_Adx, two_dx) -> np.ndarray:
+    """Explicit rates (rho, m) on the nodes ve[2:-2] from the stencil rows
+    and ``_fluxes``' F."""
+    p = gas._pressure(np.maximum(ve[1:-1, 0], _ZERO))
+    rates = -(F[:, 1:] - F[:, :-1]) * inv_Adx
+    rates[1] -= (p[2:] - p[:-2]) / two_dx
+    return rates
+
+
+class _RowGas:
+    """The gas law's kernels on a ragged row of rungs that share gamma and
+    kappa: delta per node, ``_delta`` on the pressure's stencil rows
+    (ve[1:-1]) and 2 delta on the faces."""
+
+    _pressure, _p_prime = GasLaw._pressure, GasLaw._p_prime
+
+    def __init__(self, g: GasLaw, delta: np.ndarray):
+        self.gamma, self._kappa, self._kappa_gamma = (g.gamma, g._kappa,
+                                                      g._kappa_gamma)
+        self._delta, self._two_delta = delta[1:-1], 2.0 * delta[1:-2]
 
 
 def hyperbolic_interface_data(ctx: SolverContext, rho: np.ndarray,
@@ -874,10 +875,7 @@ def _hyperbolic_rhs(ctx: SolverContext, state: np.ndarray, t: float,
     ``state`` (rows rho, m)."""
     lo, hi = window
     ve, _, _, F = _stage(ctx, state, t, lo, hi, ctx.lo)
-    p = ctx.g._pressure(np.maximum(ve[1:-1, 0], _ZERO))
-    rates = -(F[:, 1:] - F[:, :-1]) * ctx.inv_Adx[lo:hi]
-    rates[1] -= (p[2:] - p[:-2]) / ctx._two_dx
-    return rates
+    return _rates(ve, F, ctx.g, ctx.inv_Adx[lo:hi], ctx._two_dx)
 
 
 # ---------------------------------------------------------------------------
@@ -891,6 +889,202 @@ def _tridiag_solve(dl, d, du, b) -> np.ndarray:
     if info != 0:
         raise SolverError(f"singular implicit system (gtsv info={info})")
     return x
+
+
+# ---------------------------------------------------------------------------
+# The lockstep step: every rung's window on one ragged row
+# ---------------------------------------------------------------------------
+
+# a ragged row holds at most this many columns, so that its arrays stay in
+# cache; a window longer than that is a row of its own
+ROW_NODES = 1 << 14
+# what fills the row between two blocks: face areas (3 faces), node
+# coefficients (4 nodes), forcing, and the bands of a dead column, -0.0 so
+# that -(eps dt) times it is +0.0 (every coupling entry an exact +0.0)
+_FACE_GAP, _NODE_GAP, _NO_FORCE = np.ones(3), np.ones(4), np.zeros((2, 4))
+_DEAD = np.full((3, 2, 4), -0.0)
+
+
+def _join(pieces: list, gap: np.ndarray) -> np.ndarray:
+    """The pieces end to end along their last axis, ``gap`` between each
+    two: a ragged row.  One piece is returned as it is, a view."""
+    if len(pieces) == 1:
+        return pieces[0]
+    parts = [gap] * (2 * len(pieces) - 1)
+    parts[::2] = pieces
+    return np.concatenate(parts, axis=-1)
+
+
+def advance(ctxs: list, ts: list, dts: list, *, cfl: float = CFL,
+            forcing: Optional[Callable] = None) -> list:
+    """One IMEX step of every context's state, in place: each at its time
+    t by its dt, in one pass; returns per context the node range [lo, hi)
+    it moved (``SolverContext._window``), or the SolverError it raised.
+    A context that raises leaves the others as they would be alone.
+
+    The windows lie end to end on ragged rows of at most ROW_NODES
+    columns each (see the module docstring).  The contexts must share
+    gamma and kappa; eps, delta, dt, the grid, the profile and the
+    boundary spec are each context's own.
+    """
+    out: list = [None] * len(ctxs)
+    # per context of a row (index, context, t, dt, a, b, o): it moves its
+    # stored columns [a, b), and its block takes the stencil row's columns
+    # o .. o + b - a + 3 and the node rows' (the stencil's [2:-2])
+    # o .. o + b - a - 1; the 4 node columns between two blocks are dead
+    blocks, o = [], 0
+    for i, (c, t, dt) in enumerate(zip(ctxs, ts, dts)):
+        try:
+            lo, hi = c._window(dt, cfl, forcing is not None)
+        except SolverError as err:
+            out[i] = err
+            continue
+        if blocks and o + hi - lo + 4 > ROW_NODES:
+            _step_row(blocks, o, out, forcing)
+            blocks, o = [], 0
+        blocks.append((i, c, t, dt, lo - c.lo, hi - c.lo, o))
+        o += hi - lo + 4
+    if blocks:
+        _step_row(blocks, o, out, forcing)
+    return out
+
+
+def _step_row(blocks: list, width: int, out: list,
+              forcing: Optional[Callable]) -> None:
+    """``advance`` on the blocks of one ragged row of ``width`` columns;
+    ``out`` gets each context's result at its index."""
+    g = blocks[0][1].g
+    if len(blocks) == 1:  # the coefficients as 0-d arrays, the rows views
+        (_, c, _, dt, a, b, _), = blocks
+        areas, inv_Adx = c.Ah_full[a:b + 1], c.inv_Adx[a:b]
+        gas, h, half_h, e, two_dx = (g, np.array(dt), np.array(0.5 * dt),
+                                     np.array(-(c.eps * dt)), c._two_dx)
+    else:
+        if any(c.g.gamma != g.gamma or c.g.kappa != g.kappa
+               for _, c, *_ in blocks):
+            raise ConfigError("rungs stepped together must share gamma and "
+                              "kappa")
+        areas = _join([c.Ah_full[a:b + 1] for _, c, _, _, a, b, _ in blocks],
+                      _FACE_GAP)
+        inv_Adx = _join([c.inv_Adx[a:b] for _, c, _, _, a, b, _ in blocks],
+                        _NODE_GAP)
+        coef = np.repeat(np.array(
+            [(dt, 0.5 * dt, -(c.eps * dt), 2.0 * c.dx, c.g.delta)
+             for _, c, _, dt, *_ in blocks]).T,
+            [b - a + 4 for *_, a, b, _ in blocks], axis=1)
+        (h, half_h, e, two_dx), gas = coef[:4, 2:-2], _RowGas(g, coef[4])
+        stencil = np.empty((width, 2))
+    axes = [o for _, c, _, _, a, _, o in blocks
+            if c.lo + a == 0 and c.bc.mode is BCMode.NEUMANN_SPHERICAL]
+
+    def rates(later: bool):
+        """The explicit rates on the node row, from each state at its t,
+        or t + dt; the stencil row with them."""
+        if len(blocks) == 1:
+            _, c, t, dt, a, b, _ = blocks[0]
+            ve = _extend(c.state, c, t + dt if later else t, a, b, c.lo)
+        else:
+            ve = stencil
+            for _, c, t, dt, a, b, o in blocks:
+                _extend(c.state, c, t + dt if later else t, a, b, c.lo,
+                        out=ve[o:o + b - a + 4])
+        _, _, F = _fluxes(ve, gas, areas, axes)
+        return ve, _rates(ve, F, gas, inv_Adx, two_dx)
+
+    def forced(later: bool):
+        return _join([np.array(forcing(c.x, t + dt if later else t),
+                               dtype=float)
+                      for _, c, t, dt, *_ in blocks], _NO_FORCE)
+
+    # two-stage (Heun) explicit convection: a single forward-Euler stage
+    # feeds energy into the resolved waves at O(dt) and visibly pollutes
+    # the discrete energy identity; averaging the stage fluxes removes
+    # that while keeping one tridiagonal solve per equation below.  Each
+    # state carries the stage state, so stage 2 reads frozen neighbours.
+    floor = GasLaw._floor
+    ve, c1 = rates(False)
+    state0 = ve[2:-2].T.copy()
+    mid = state0 + h * c1
+    np.maximum(mid[0], floor, out=mid[0])
+    if forcing is not None:
+        f1 = forced(False)
+        mid = mid + h * f1
+        np.maximum(mid[0], floor, out=mid[0])
+    for _, c, _, _, a, b, o in blocks:
+        c.state[:, a:b] = mid[:, o:o + b - a]
+    new = state0 + half_h * (c1 + rates(True)[1])
+    if forcing is not None:
+        new = new + half_h * (f1 + forced(True))
+
+    if not math.isfinite(new.sum()):  # then find whose entries are not
+        for i, _, _, _, a, b, o in blocks:
+            if not np.isfinite(new[:, o:o + b - a]).all():
+                out[i] = NonFiniteError("non-finite values after the "
+                                        "explicit stage")
+        if all(out[i] is not None for i, *_ in blocks):
+            return
+
+    # (I - eps dt L) u = new for both rows of every block at once.  A
+    # block's end rows are pinned: to the boundary values at a domain end
+    # (the axis end keeps its mirrored density row), else to the frozen
+    # values; a dead column, or a block that failed, is an identity row
+    # with right side 0, and no entry couples a block to its neighbours
+    ab = e * _join([c.bands[..., a:b] if out[i] is None else
+                    np.full((3, 2, b - a), -0.0)
+                    for i, c, _, _, a, b, _ in blocks], _DEAD)
+    ab[1] += 1.0
+    below = new[0] < floor
+    for i, c, t, dt, a, b, o in blocks:
+        f, l = o, o + b - a - 1  # the block's first and last node columns
+        new[:, f if out[i] is not None else l + 1:l + 5] = 0.0
+        if out[i] is not None:
+            continue
+        # transient undershoots are counted, not clamped: the implicit
+        # diffusion usually lifts an isolated dip, and a persistent one
+        # must surface as a cavitation fault below rather than be masked
+        c.undershoots += np.count_nonzero(below[f + 1:l])
+        c.cells_advanced += b - a
+        lo, hi = c.lo + a, c.lo + b
+        c.hull = (min(c.hull[0], lo), max(c.hull[1], hi))
+        c.live = ((lo, hi) if c.live[0] >= c.live[1] else
+                  (min(c.live[0], lo), max(c.live[1], hi)))
+        t1 = t + dt
+        left = c.bc.left_values(t1) if lo == 0 else state0[:, f]
+        right = c.bc.right_values(t1) if hi == c.grid.n_nodes else state0[:, l]
+        pin = slice(0 if left[0] is not None else 1, 2)
+        ab[1, pin, f], ab[0, pin, f + 1], new[pin, f] = 1.0, 0.0, left[pin]
+        ab[1, :, l], ab[2, :, l - 1], new[:, l] = 1.0, 0.0, right
+        ab[0, :, f] = ab[2, :, l] = 0.0
+    try:
+        x = _tridiag_solve(ab[2].reshape(-1)[:-1], ab[1].reshape(-1),
+                           ab[0].reshape(-1)[1:], new.reshape(-1)).reshape(2, -1)
+    except SolverError:  # a zero pivot: solving each block's rows alone,
+        x = new.copy()      # as a lone rung does, finds whose
+        for i, _, _, _, a, b, o in blocks:
+            try:
+                for k in (0, 1) if out[i] is None else ():
+                    x[k, o:o + b - a] = _tridiag_solve(
+                        ab[2, k, o:o + b - a - 1], ab[1, k, o:o + b - a],
+                        ab[0, k, o + 1:o + b - a], new[k, o:o + b - a])
+            except SolverError as err:
+                out[i] = err
+
+    finite = math.isfinite(x.sum())
+    for i, c, _, _, a, b, o in blocks:
+        if out[i] is not None:
+            continue
+        u = x[:, o:o + b - a]
+        if not (finite or np.isfinite(u).all()):
+            out[i] = NonFiniteError("non-finite values after the implicit "
+                                    "stage")
+            continue
+        low = u[0].min()
+        if low < floor:
+            out[i] = CavitationError(
+                f"density fell to {low:.3e} (< floor {c.g.rho_floor:.0e})")
+            continue
+        c.state[:, a:b] = u
+        out[i] = (c.lo + a, c.lo + b)
 
 
 # ---------------------------------------------------------------------------
@@ -908,8 +1102,8 @@ def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
     (mass, momentum) source arrays (manufactured-solution studies).  A given
     ``ctx`` must have been built for this grid, g, profile, eps and bc.
     The step starts ``ctx`` on a copy of the field, scans it whole and
-    advances it; the result, on the context's ``live`` nodes (every node
-    for a whole-grid field), shares no memory with the input or ``ctx``.
+    ``advance``s it; the result, on the context's ``live`` nodes (every
+    node for a whole-grid field), shares no memory with the input or ``ctx``.
     """
     check_cfl(cfl)
     if ctx is None:
@@ -917,7 +1111,9 @@ def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
     else:
         ctx.require(field.grid, g, profile, eps, bc)
     ctx.start(field)
-    ctx.advance(field.t, dt, cfl=cfl, forcing=forcing)
+    moved, = advance([ctx], [field.t], [dt], cfl=cfl, forcing=forcing)
+    if isinstance(moved, Exception):
+        raise moved
     out = ctx._state(field.t + dt)
     ctx.state = None
     return out
@@ -925,6 +1121,150 @@ def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
 
 # a run that needs more steps than this to reach t_end is stuck
 MAX_STEPS = 10_000_000
+
+
+@dataclass
+class Rung:
+    """One run of a ``march``: its starting field, the solver's inputs and
+    ``hooks`` (see ``run``) or None."""
+
+    field: FluidField
+    g: GasLaw
+    profile: NozzleProfile
+    eps: float
+    bc: BoundarySpec
+    hooks: object = None
+
+
+class _March:
+    """A rung on its way to t_end: its context, time, steps and the sample
+    times ahead.  ``result`` becomes its (field, report), or the package
+    error it raised, when it ends."""
+
+    def __init__(self, rung: Rung, t_end: float, forced: bool):
+        from .diagnostics import DiagnosticsReport  # a cycle at import time
+
+        field, hooks = rung.field, rung.hooks
+        self.hooks, self.t_end, self.t, self.steps = hooks, t_end, field.t, 0
+        self.forced, self.targets, self.stop, self.result = forced, [], t_end, None
+        if t_end < field.t - 1e-12:
+            raise ConfigError("t_end lies before the field's current time")
+        if t_end <= field.t + 1e-15 * max(1.0, abs(t_end)):
+            self.result = field, (hooks.finalize() if hooks is not None else
+                                  DiagnosticsReport())
+            return
+        ctx = self.ctx = SolverContext(field.grid, rung.g, rung.profile,
+                                       rung.eps, rung.bc)
+        # a state the gas law overflows on fails here, before any monitor
+        # sees it
+        ends = [e for e in field.ends if e is not None]
+        with np.errstate(over="ignore"):
+            ctx.max_wave_speed(np.append(field.rho, [e[0] for e in ends]),
+                               np.append(field.m, [e[1] for e in ends]))
+        ctx.start(field)
+        if forced:  # forcing moves every node from the first step on
+            ctx.store(0, field.grid.n_nodes)
+            ctx.live = (0, field.grid.n_nodes)
+        if hooks is not None:
+            self.targets = [
+                ts for ts in np.sort(np.asarray(hooks.sample_times, dtype=float))
+                if field.t - 1e-12 <= ts <= t_end + 1e-12]
+            if self.targets and abs(self.targets[0] - field.t) <= 1e-12:
+                hooks.sample(ctx.field(field.t), ctx)
+                self.targets = self.targets[1:]
+        self._check_end()
+
+    def dt(self, cfl: float, dt_fixed: Optional[float]) -> float:
+        """The next step's size: from the wave speed of ``ctx.scan``, or
+        ``dt_fixed``, clipped to ``stop``."""
+        if self.steps >= MAX_STEPS:
+            raise SolverError(f"exceeded {MAX_STEPS} steps before t_end")
+        dt = dt_fixed
+        if dt is None:
+            dt = cfl * self.ctx.dx / self.ctx.scan(self.forced)[2]
+        stop = self.stop
+        self.snap = self.t + dt >= stop - 1e-13 * max(1.0, stop)
+        return stop - self.t if self.snap else dt
+
+    def stepped(self, dt: float) -> None:
+        """Take the step of size dt: sample at a sample time, end at t_end."""
+        stop = self.stop
+        self.t = stop if self.snap else self.t + dt
+        if self.snap and self.targets and abs(stop - self.targets[0]) <= 1e-12:
+            self.hooks.sample(self.ctx.field(self.t), self.ctx)
+            self.targets = self.targets[1:]
+        self.steps += 1
+        self._check_end()
+
+    def _check_end(self) -> None:
+        """``stop``, the time the next steps are clipped to (a sample time
+        or t_end), or the result at t_end."""
+        t_end, ctx, hooks = self.t_end, self.ctx, self.hooks
+        if self.t < t_end - 1e-13 * max(1.0, t_end):
+            self.stop = min(self.targets[0], t_end) if self.targets else t_end
+            return
+        from .diagnostics import DiagnosticsReport
+        if hooks is None:
+            report = DiagnosticsReport()
+        else:
+            for _ in self.targets:  # sample times at/after t_end collapse
+                hooks.sample(ctx.field(self.t), ctx)  # onto the end
+            report = hooks.finalize()
+        report.undershoots = ctx.undershoots
+        report.cells_advanced = ctx.cells_advanced
+        report.hull = ctx.hull
+        self.result = ctx.field(self.t), report
+
+
+def march(rungs: list, t_end: float, *, cfl: float = CFL,
+          forcing: Optional[Callable] = None,
+          dt_fixed: Optional[float] = None) -> list:
+    """March every rung to t_end in lockstep; returns per rung what ``run``
+    returns for it alone, or the package error it raised.
+
+    Each rung keeps its own context, scan, CFL check, dt and hooks, and
+    every step of every rung is bit for bit the step it takes alone.  A
+    lockstep step is one ``advance`` of the rungs that step: those behind
+    the earliest time any rung is clipped to next, and the rungs clipped
+    to it, so a rung that reaches a sample time waits there until every
+    rung has.  A rung that raises ends alone; the error of a step names
+    its t.  The shared arguments are checked as ``run`` checks them.
+    """
+    check_cfl(cfl)
+    if not math.isfinite(t_end):
+        raise ConfigError(f"t_end must be finite, got {t_end}")
+    if dt_fixed is not None and not 0.0 < dt_fixed < math.inf:
+        raise ConfigError(f"dt_fixed must be positive and finite, got {dt_fixed}")
+    runs: list = []
+    for rung in rungs:
+        try:
+            runs.append(_March(rung, t_end, forcing is not None))
+        except NozzleflowError as err:
+            runs.append(err)
+    going = [r for r in runs if isinstance(r, _March) and r.result is None]
+    while going:
+        clip = min(r.stop for r in going)
+        now, dts = [], []
+        for r in going:
+            if r.t < clip or r.stop == clip:
+                try:
+                    dts.append(r.dt(cfl, dt_fixed))
+                    now.append(r)
+                except NozzleflowError as err:
+                    r.result = err
+        moved = advance([r.ctx for r in now], [r.t for r in now], dts,
+                        cfl=cfl, forcing=forcing)
+        for r, dt, res in zip(now, dts, moved):
+            if isinstance(res, Exception):
+                r.result = type(res)(f"{res} [at t={r.t:.8g}]")
+                r.result.__cause__ = res
+                continue
+            try:
+                r.stepped(dt)
+            except NozzleflowError as err:
+                r.result = err
+        going = [r for r in going if r.result is None]
+    return [r.result if isinstance(r, _March) else r for r in runs]
 
 
 def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
@@ -938,75 +1278,18 @@ def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
     ``hooks`` (any object with sample_times, sample(field, ctx), finalize())
     is sampled at its requested times with the run's SolverContext and its
     ``field``; the step size is clipped so those times are hit exactly.
-    With hooks=None an empty report is returned.  The context holds the
-    run's state (``start``); each step is one ``ctx.advance``, with dt from
-    the wave speed of ``ctx.scan``, or ``dt_fixed``.  A cfl outside
-    (0, CFL_MAX], a t_end that is not finite and a dt_fixed that is not
-    positive and finite are refused (ConfigError).
+    With hooks=None an empty report is returned.  The run is a ``march``
+    of one rung: its context holds the run's state (``start``), and each
+    step is one ``advance``, with dt from the wave speed of ``ctx.scan``,
+    or ``dt_fixed``.  A cfl outside (0, CFL_MAX], a t_end that is not
+    finite and a dt_fixed that is not positive and finite are refused
+    (ConfigError).
     """
-    from .diagnostics import DiagnosticsReport  # local import to avoid a cycle
-
-    check_cfl(cfl)
-    if not math.isfinite(t_end):
-        raise ConfigError(f"t_end must be finite, got {t_end}")
-    if dt_fixed is not None and not 0.0 < dt_fixed < math.inf:
-        raise ConfigError(f"dt_fixed must be positive and finite, got {dt_fixed}")
-    if t_end < field.t - 1e-12:
-        raise ConfigError("t_end lies before the field's current time")
-    if t_end <= field.t + 1e-15 * max(1.0, abs(t_end)):
-        return field, (hooks.finalize() if hooks is not None else
-                       DiagnosticsReport())
-    ctx = SolverContext(field.grid, g, profile, eps, bc)
-    # a state the gas law overflows on fails here, before any monitor sees it
-    ends = [e for e in field.ends if e is not None]
-    with np.errstate(over="ignore"):
-        ctx.max_wave_speed(np.append(field.rho, [e[0] for e in ends]),
-                           np.append(field.m, [e[1] for e in ends]))
-    ctx.start(field)
-    forced = forcing is not None
-    if forced:  # forcing moves every node from the first step on
-        ctx.store(0, field.grid.n_nodes)
-        ctx.live = (0, field.grid.n_nodes)
-    targets = []
-    if hooks is not None:
-        targets = [ts for ts in np.sort(np.asarray(hooks.sample_times, dtype=float))
-                   if field.t - 1e-12 <= ts <= t_end + 1e-12]
-        if targets and abs(targets[0] - field.t) <= 1e-12:
-            hooks.sample(ctx.field(field.t), ctx)
-            targets = targets[1:]
-    t = field.t
-    k = 0
-    while t < t_end - 1e-13 * max(1.0, t_end):
-        if k >= MAX_STEPS:
-            raise SolverError(f"exceeded {MAX_STEPS} steps before t_end")
-        dt = dt_fixed
-        if dt is None:
-            dt = cfl * ctx.dx / ctx.scan(forced)[2]
-        t_next = targets[0] if targets else t_end
-        t_next = min(t_next, t_end)
-        snap = False
-        if t + dt >= t_next - 1e-13 * max(1.0, t_next):
-            dt = t_next - t
-            snap = True
-        try:
-            ctx.advance(t, dt, cfl=cfl, forcing=forcing)
-        except SolverError as err:
-            raise type(err)(f"{err} [at t={t:.8g}]") from err
-        t = t_next if snap else t + dt
-        if snap and targets and abs(t_next - targets[0]) <= 1e-12:
-            hooks.sample(ctx.field(t), ctx)
-            targets = targets[1:]
-        k += 1
-    if hooks is None:
-        report = DiagnosticsReport()
-    else:
-        for _ in targets:  # sample times at/after t_end collapse onto the end
-            hooks.sample(ctx.field(t), ctx)
-        report = hooks.finalize()
-    report.undershoots = ctx.undershoots
-    report.cells_advanced = ctx.cells_advanced
-    report.hull = ctx.hull
-    return ctx.field(t), report
+    result, = march([Rung(field, g, profile, eps, bc, hooks)], t_end, cfl=cfl,
+                    forcing=forcing, dt_fixed=dt_fixed)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------

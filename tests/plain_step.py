@@ -10,8 +10,10 @@ The package's step differs from this copy in how it computes, not in what:
   stencil holds one node a row, and one ufunc call covers both rows in the
   stencil copy, the slopes, the face states, the fluxes, the Heun updates
   and the finite checks; the two implicit systems are assembled in one
-  (2, 3, N) array;
-* it advances the run's state in place after a scan of the last window.
+  (3, 2, N) array and solved in one call;
+* it advances the run's state in place after a scan of the last window;
+* it steps every rung of a march in lockstep, their windows laid end to
+  end on one ragged row (``solver.advance``).
 
 This copy does none of that: it calls the validating ``GasLaw`` methods,
 tests all three slope signs with ``np.where``, computes each variable's
@@ -19,9 +21,16 @@ fluxes, updates and implicit system on their own with Python float
 operands, and finds every window by a whole-grid scan and steps a copy of
 the field on a context that stores every node.  It imports from the
 package only the data types, the limiter parameter, the window margin, the
-steady tolerance and the tridiagonal solve.  Monkeypatch ``solver.step``,
-``SolverContext.advance``, ``SolverContext.max_wave_speed`` and the
+steady tolerance and the tridiagonal solve (the rung-by-rung oracle below
+also takes the package's window and explicit stage).  Monkeypatch ``solver.step``,
+``solver.advance``, ``SolverContext.max_wave_speed`` and the
 ``hyperbolic_interface_data`` bindings with these to run the plain path.
+
+``run`` and ``march`` are the oracle of the lockstep march: the package's
+run loop as it was before the rungs stepped together, one rung after
+another, each step the package's window and explicit stage on that rung
+alone (``advance_window``) and one tridiagonal solve per row.  Monkeypatch
+``harness.march`` with ``march`` to sweep rung by rung.
 
 ``steady_residual`` and ``far_states`` are the plain steady test: the
 stage and both diffusion operators of a constant state on a probe context
@@ -33,7 +42,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from nozzleflow.errors import CavitationError, NonFiniteError, StabilityError
+from nozzleflow import solver
+from nozzleflow.diagnostics import DiagnosticsReport
+from nozzleflow.errors import (CavitationError, NonFiniteError,
+                               NozzleflowError, SolverError, StabilityError)
 from nozzleflow.geometry import ConstantProfile, NozzleProfile
 from nozzleflow.solver import (LIMITER_THETA, STEADY_RTOL, BCMode,
                                BoundarySpec, FluidField, SolverContext,
@@ -300,15 +312,151 @@ def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
     return FluidField(field.grid, rho_out, m_out, t1)
 
 
-def advance(self, t: float, dt: float, *, cfl: float = 0.4,
-            forcing: Optional[Callable] = None) -> None:
+def _advance(ctx: SolverContext, t: float, dt: float, *, cfl: float = 0.4,
+             forcing: Optional[Callable] = None) -> tuple[int, int]:
     """The plain ``step`` on the context's state, which it first widens to
     every node, written back in place; the next scan covers every node, and
     every node is live, so a sampled field and the monitors' sums cover
     every node."""
-    self.store(0, self.grid.n_nodes)
-    out = step(FluidField(self.grid, self.rho, self.m, t), self.g, self.profile,
-               self.eps, self.bc, dt, ctx=self, cfl=cfl, forcing=forcing)
-    self.rho[:], self.m[:] = out.rho, out.m
-    self.live = (0, self.grid.n_nodes)
-    self.rescan()
+    ctx.store(0, ctx.grid.n_nodes)
+    out = step(FluidField(ctx.grid, ctx.rho, ctx.m, t), ctx.g, ctx.profile,
+               ctx.eps, ctx.bc, dt, ctx=ctx, cfl=cfl, forcing=forcing)
+    ctx.rho[:], ctx.m[:] = out.rho, out.m
+    ctx.live = (0, ctx.grid.n_nodes)
+    ctx.rescan()
+    return ctx.live
+
+
+def advance(ctxs: list, ts: list, dts: list, *, cfl: float = 0.4,
+            forcing: Optional[Callable] = None) -> list:
+    """``solver.advance`` by the plain step, one context after another."""
+    return [_caught(SolverError, _advance, ctx, t, dt, cfl=cfl,
+                    forcing=forcing) for ctx, t, dt in zip(ctxs, ts, dts)]
+
+
+def _caught(kind, fn, *args, **kwargs):
+    """fn's result, or the ``kind`` error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except kind as err:
+        return err
+
+
+# ---------------------------------------------------------------------------
+# The rung-by-rung march: the oracle of the lockstep one
+# ---------------------------------------------------------------------------
+
+
+def advance_window(ctx: SolverContext, t: float, dt: float, *,
+                   cfl: float = 0.4,
+                   forcing: Optional[Callable] = None) -> tuple[int, int]:
+    """One context's windowed step as the package took it before its rungs
+    stepped in lockstep: the package's window and explicit stage, on this
+    context alone, and one tridiagonal solve per row."""
+    lo, hi = ctx._window(dt, cfl, forcing is not None)
+    n, state, a, b = ctx.grid.n_nodes, ctx.state, lo - ctx.lo, hi - ctx.lo
+    floor, h, half_h = ctx.g._floor, np.array(dt), np.array(0.5 * dt)
+    state0 = state[:, a:b].copy()
+    c1 = solver._hyperbolic_rhs(ctx, state, t, (a, b))
+    mid = state0 + h * c1
+    np.maximum(mid[0], floor, out=mid[0])
+    if forcing is not None:
+        f1 = np.array(forcing(ctx.x, t), dtype=float)
+        mid = mid + h * f1
+        np.maximum(mid[0], floor, out=mid[0])
+    state[:, a:b] = mid
+    c2 = solver._hyperbolic_rhs(ctx, state, t + dt, (a, b))
+    new = state0 + half_h * (c1 + c2)
+    if forcing is not None:
+        new = new + half_h * (f1 + np.array(forcing(ctx.x, t + dt),
+                                            dtype=float))
+    if not np.isfinite(new).all():
+        raise NonFiniteError("non-finite values after the explicit stage")
+    ctx.undershoots += np.count_nonzero(new[0, 1:-1] < floor)
+    ctx.cells_advanced += hi - lo
+    ctx.hull = (min(ctx.hull[0], lo), max(ctx.hull[1], hi))
+    ctx.live = ((lo, hi) if ctx.live[0] >= ctx.live[1] else
+                (min(ctx.live[0], lo), max(ctx.live[1], hi)))
+    t1 = t + dt
+    left = ctx.bc.left_values(t1) if lo == 0 else state0[:, 0]
+    right = ctx.bc.right_values(t1) if hi == n else state0[:, -1]
+    ab = np.array(-(ctx.eps * dt)) * ctx.bands[:, :, a:b].transpose(1, 0, 2)
+    ab[:, 1] += 1.0
+    pin = slice(0 if left[0] is not None else 1, 2)
+    ab[pin, 1, 0], ab[pin, 0, 1], new[pin, 0] = 1.0, 0.0, left[pin]
+    ab[:, 1, -1], ab[:, 2, -2], new[:, -1] = 1.0, 0.0, right
+    for k in (0, 1):
+        new[k] = _tridiag_solve(ab[k, 2, :-1], ab[k, 1], ab[k, 0, 1:], new[k])
+    if not np.isfinite(new).all():
+        raise NonFiniteError("non-finite values after the implicit stage")
+    low = new[0].min()
+    if low < floor:
+        raise CavitationError(
+            f"density fell to {low:.3e} (< floor {ctx.g.rho_floor:.0e})")
+    state[:, a:b] = new
+    return lo, hi
+
+
+def run(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
+        bc: BoundarySpec, t_end: float, hooks=None, *, cfl: float = 0.4,
+        forcing: Optional[Callable] = None,
+        dt_fixed: Optional[float] = None):
+    """``solver.run`` as the rung-by-rung loop it was: ``advance_window``
+    once a step."""
+    if t_end <= field.t + 1e-15 * max(1.0, abs(t_end)):
+        return field, (hooks.finalize() if hooks is not None else
+                       DiagnosticsReport())
+    ctx = SolverContext(field.grid, g, profile, eps, bc)
+    ends = [e for e in field.ends if e is not None]
+    with np.errstate(over="ignore"):
+        ctx.max_wave_speed(np.append(field.rho, [e[0] for e in ends]),
+                           np.append(field.m, [e[1] for e in ends]))
+    ctx.start(field)
+    forced = forcing is not None
+    if forced:
+        ctx.store(0, field.grid.n_nodes)
+        ctx.live = (0, field.grid.n_nodes)
+    targets = []
+    if hooks is not None:
+        targets = [ts for ts in np.sort(np.asarray(hooks.sample_times, dtype=float))
+                   if field.t - 1e-12 <= ts <= t_end + 1e-12]
+        if targets and abs(targets[0] - field.t) <= 1e-12:
+            hooks.sample(ctx.field(field.t), ctx)
+            targets = targets[1:]
+    t = field.t
+    while t < t_end - 1e-13 * max(1.0, t_end):
+        dt = dt_fixed
+        if dt is None:
+            dt = cfl * ctx.dx / ctx.scan(forced)[2]
+        t_next = min(targets[0] if targets else t_end, t_end)
+        snap = False
+        if t + dt >= t_next - 1e-13 * max(1.0, t_next):
+            dt = t_next - t
+            snap = True
+        try:
+            advance_window(ctx, t, dt, cfl=cfl, forcing=forcing)
+        except SolverError as err:
+            raise type(err)(f"{err} [at t={t:.8g}]") from err
+        t = t_next if snap else t + dt
+        if snap and targets and abs(t_next - targets[0]) <= 1e-12:
+            hooks.sample(ctx.field(t), ctx)
+            targets = targets[1:]
+    if hooks is None:
+        report = DiagnosticsReport()
+    else:
+        for _ in targets:
+            hooks.sample(ctx.field(t), ctx)
+        report = hooks.finalize()
+    report.undershoots = ctx.undershoots
+    report.cells_advanced = ctx.cells_advanced
+    report.hull = ctx.hull
+    return ctx.field(t), report
+
+
+def march(rungs: list, t_end: float, *, cfl: float = 0.4,
+          forcing: Optional[Callable] = None,
+          dt_fixed: Optional[float] = None) -> list:
+    """``solver.march`` one rung after another, each by ``run``."""
+    return [_caught(NozzleflowError, run, r.field, r.g, r.profile, r.eps, r.bc,
+                    t_end, r.hooks, cfl=cfl, forcing=forcing, dt_fixed=dt_fixed)
+            for r in rungs]

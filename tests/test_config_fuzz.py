@@ -1,16 +1,19 @@
 """Generated config texts through ``RunConfig`` and ``nozzleflow check``.
 
 Every bad input must end as a ConfigError (or another package error) and
-exit code 2, never as a traceback (ROADMAP aim 3).  The texts mix known and
-unknown keys with non-finite, extreme and huge values; ``check`` parses and
-validates the config and certifies its ladder, and runs nothing.  The
-explicit examples are configs that once ended in a traceback.
+exit code 2, never as a traceback (ROADMAP aim 3), and no input may make
+numpy warn: the test runs with RuntimeWarning as an error.  The texts mix
+known and unknown keys with non-finite, extreme and huge values; ``check``
+parses and validates the config and certifies its ladder, and runs
+nothing.  The explicit examples are configs that once ended in a traceback
+or a numpy warning.
 """
 
 import contextlib
 import dataclasses
 import io
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nozzleflow import cli
@@ -43,6 +46,10 @@ LINES = st.lists(st.tuples(
 @example(lines=[("dx", "5e-324")])
 @example(lines=[("gamma", "1e308")])
 @example(lines=[("profile", "exponential"), ("profile_rate", "1e308")])
+@example(lines=[("profile", "gaussian_bump"), ("profile_amp", "1e308")])
+@example(lines=[("profile", "power_law_closing"), ("profile_alpha", "1e308")])
+@example(lines=[("profile", "exponential"), ("profile_rate", "700")])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_config_texts_end_in_an_exit_code_not_a_traceback(tmp_path, lines):
     path = tmp_path / "fuzz.cfg"
     path.write_text("".join(f"{key} = {value}\n" for key, value in lines)

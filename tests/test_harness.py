@@ -415,6 +415,7 @@ def test_cli_bad_input_is_error_exit_2(tmp_path, capsys, monkeypatch, key,
         raise AssertionError("a sweep rung ran before the config was rejected")
 
     monkeypatch.setattr(harness, "single_run", no_rung)
+    monkeypatch.setattr(harness, "prepare_rung", no_rung)
     monkeypatch.setattr(cli, "single_run", no_rung)
     values = dict(_RUN_CFG, output_dir=str(tmp_path / "out"),
                   **_BAD_INPUT_CONTEXT.get(key, {}), **{key: value})
@@ -690,16 +691,18 @@ def test_sweep_records_domain_error_of_one_rung(workers):
 
 
 def test_sweep_records_quadrature_error_of_one_rung(monkeypatch):
+    # the lockstep sweep prepares each rung by prepare_rung, where a rung's
+    # package error is recorded as a rung-by-rung sweep records it
     import nozzleflow.harness as harness
     from nozzleflow.errors import QuadratureError
-    real = harness.single_run
+    real = harness.prepare_rung
 
-    def flaky(cfg, eps=None, **kwargs):
+    def flaky(cfg, eps, *args, **kwargs):
         if eps < 0.03:
             raise QuadratureError("node doubling did not settle")
-        return real(cfg, eps=eps, **kwargs)
+        return real(cfg, eps, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "single_run", flaky)
+    monkeypatch.setattr(harness, "prepare_rung", flaky)
     res = sweep(_tiny_sweep_config())
     assert len(res.runs) == 2
     assert res.failures == [(0.025, "QuadratureError: node doubling did not "
@@ -780,6 +783,7 @@ def test_a_spherical_bc_on_a_duct_profile_is_refused(tmp_path, capsys,
     def no_rung(*args, **kwargs):
         raise AssertionError("a rung ran before the config was rejected")
     monkeypatch.setattr(harness, "single_run", no_rung)
+    monkeypatch.setattr(harness, "prepare_rung", no_rung)
     monkeypatch.setattr(cli, "single_run", no_rung)
     cfg_path = _write_cfg(tmp_path / "mismatch.cfg", dict(
         profile="constant", bc="dirichlet_spherical", init="bump",

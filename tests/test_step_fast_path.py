@@ -40,7 +40,7 @@ def _both(go):
     fast = go()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "step", plain_step.step)
-        mp.setattr(SolverContext, "advance", plain_step.advance)
+        mp.setattr(solver, "advance", plain_step.advance)
         mp.setattr(SolverContext, "max_wave_speed", plain_step.max_wave_speed)
         for module in (solver, diagnostics):
             mp.setattr(module, "hyperbolic_interface_data",
