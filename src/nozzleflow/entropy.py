@@ -31,8 +31,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.linalg import eigvalsh_tridiagonal
 
+from ._native import flapack
 from .checks import Check, Report
 from .errors import ConfigError, DomainError, QuadratureError
 from .thermo import GasLaw, _match
@@ -115,6 +115,20 @@ def _christoffel(x, a, b, alpha, off, beta0):
     return (x - step).astype(float), np.ldexp(w, -2 * scale).astype(float)
 
 
+def _tridiagonal_eigvals(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e: LAPACK stevd, the call and size-1 exit
+    of scipy's ``eigvalsh_tridiagonal`` for all eigenvalues."""
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise DomainError("Jacobi matrix is not finite")
+    if d.size == 1:
+        return d.copy()
+    w, _, info = flapack.dstevd(d, e, compute_v=0)
+    if info != 0:
+        raise DomainError(f"Jacobi matrix eigenvalues failed (stevd info={info})")
+    return w
+
+
 def gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [-1, 1] for the weight (1-x)^a (1+x)^b.
 
@@ -134,10 +148,10 @@ def gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
         # T has a zero diagonal, so the even rows and columns of T^2 form a
         # tridiagonal matrix whose eigenvalues are the squared nodes >= 0
         e2 = np.r_[0.0, e, 0.0] ** 2
-        x = np.sqrt(np.maximum(eigvalsh_tridiagonal(
+        x = np.sqrt(np.maximum(_tridiagonal_eigvals(
             e2[0:n:2] + e2[1:n + 1:2], e[0:n - 2:2] * e[1:n - 1:2]), 0.0))
     else:
-        x = eigvalsh_tridiagonal(alpha[:n].astype(float), e)
+        x = _tridiagonal_eigvals(alpha[:n].astype(float), e)
     x, w = _christoffel(x, a, b, alpha, off, beta[0])
     ends = np.abs(x) > END_X
     x[ends], w[ends] = _christoffel(x[ends].astype(np.longdouble), a, b, alpha,

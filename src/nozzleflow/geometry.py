@@ -14,8 +14,8 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
+from ._native import flapack
 from .checks import Check, Report
 from .errors import ConfigError, DomainError
 
@@ -300,7 +300,7 @@ def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     d = x[-1] - x[-3]  # and so do the last two
     diag[-1], lower[-1] = dx[-2], d
     rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    *_, s, info = dgtsv(lower, diag, upper, rhs)
+    *_, s, info = flapack.dgtsv(lower, diag, upper, rhs)
     if info != 0:
         raise ConfigError(f"tabulated spline system is singular (gtsv info={info})")
     t = (s[:-1] + s[1:] - 2 * slope) / dx

@@ -284,14 +284,21 @@ class RunConfig:
 
     def certify_ladder(self, profile: NozzleProfile) -> Report:
         """Certify the ladder; ConfigError unless every rung's domain lies
-        inside the profile's and holds the comparison window."""
+        inside the profile's, keeps its area in the float range and holds
+        the comparison window."""
         for eps in self._schedule.eps_list:
             a, b = self.domain_of(eps)
+            ends = np.array([a, b])
             try:
-                profile.area(np.array([a, b]))
+                profile._check_domain(ends)
             except DomainError as err:
                 raise ConfigError(f"the eps={eps:g} domain [{a:g}, {b:g}] "
                                   f"leaves the profile's: {err}") from None
+            try:
+                profile.area(ends)
+            except DomainError as err:
+                raise ConfigError(f"the profile's area overflows on the "
+                                  f"eps={eps:g} domain [{a:g}, {b:g}]: {err}") from None
             if not a <= self.window_lo < self.window_hi <= b:
                 raise ConfigError(
                     f"comparison window [{self.window_lo:g}, {self.window_hi:g}] "

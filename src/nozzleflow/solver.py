@@ -74,8 +74,8 @@ from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
+from ._native import flapack
 from .errors import (CavitationError, ConfigError, DomainError, NonFiniteError,
                      NozzleflowError, SolverError, StabilityError)
 from .entropy import smooth_bump, smoothstep
@@ -885,7 +885,7 @@ def _hyperbolic_rhs(ctx: SolverContext, state: np.ndarray, t: float,
 
 def _tridiag_solve(dl, d, du, b) -> np.ndarray:
     """LAPACK gtsv: Gaussian elimination with partial pivoting."""
-    *_, x, info = dgtsv(dl, d, du, b)
+    *_, x, info = flapack.dgtsv(dl, d, du, b)
     if info != 0:
         raise SolverError(f"singular implicit system (gtsv info={info})")
     return x

@@ -757,7 +757,11 @@ def test_sweep_passed_is_the_cli_exit_status(tmp_path, monkeypatch, over,
     # a spherical ladder whose set a = -1 reaches past the profile's x > 0:
     # "the eps=0.1 domain [-1, 10] leaves the profile's"
     (dict(profile="spherical", bc="dirichlet_spherical", a="-1",
-          window_lo="0.5", window_hi="4"), "leaves the profile's")])
+          window_lo="0.5", window_hi="4"), "leaves the profile's"),
+    # [-10, 10] lies inside the exponential profile's domain, but its area
+    # exp(700 x) overflows there
+    (dict(profile="exponential", profile_rate="700"),
+     "the profile's area overflows on the eps=0.1 domain [-10, 10]")])
 def test_check_and_sweep_refuse_the_same_ladders(tmp_path, capsys, monkeypatch,
                                                  command, over, reason):
     import nozzleflow.harness as harness

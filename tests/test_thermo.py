@@ -178,13 +178,33 @@ def test_wave_table_check_fails_on_a_coarse_rule(monkeypatch):
         GasLaw(5.0, delta=1e-4).riemann_R(1.0)
 
 
-def test_import_leaves_out_scipy_integrate_and_interpolate():
-    code = ("import sys, nozzleflow; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.integrate', 'scipy.interpolate'))))")
+def test_import_leaves_out_scipy_integrate_and_interpolate(tmp_path):
+    # nor scipy.linalg: LAPACK comes from its compiled module alone, after
+    # import and through a CLI check, a run and a 3-rung sweep with weak
+    # residuals
+    run_cfg, sweep_cfg = tmp_path / "run.cfg", tmp_path / "sweep.cfg"
+    run_cfg.write_text(f"dx = 0.0625\nt_end = 0.1\nsnapshots = 5\n"
+                       f"output_dir = {tmp_path / 'run'}\n")
+    sweep_cfg.write_text(f"n_eps = 3\ndx = 0.0625\nt_end = 0.1\nsnapshots = 5\n"
+                         f"u_minus = 0.75\ncheck_riemann = false\n"
+                         f"weak_residuals = true\noutput_dir = {tmp_path / 'sweep'}\n")
+    code = ("import sys, nozzleflow\n"
+            "from nozzleflow.cli import main\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m == 'scipy.linalg' or\n"
+            "                  m.startswith(('scipy.integrate', 'scipy.interpolate')))\n"
+            "print('loaded:', loaded())\n"
+            f"assert main(['check', {str(sweep_cfg)!r}]) == 0\n"
+            "print('loaded:', loaded())\n"
+            f"assert main(['run', {str(run_cfg)!r}]) == 0\n"
+            "print('loaded:', loaded())\n"
+            f"assert main(['sweep', {str(sweep_cfg)!r}]) == 0\n"
+            "print('loaded:', loaded())\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(thermo.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert [ln for ln in out.splitlines() if ln.startswith("loaded:")] == \
+        ["loaded: []"] * 4
 
 
 def test_riemann_R_derivative_identity():
