@@ -362,42 +362,9 @@ class SolverContext:
                           nodes(f1, min(hi, n - 1)) + half))
         self.lo, self.hi = lo, hi
         self.memo = {}
-        self._derive()
+        self.Ah_full, self.bands, self.inv_Adx, self.band_max = _coefficients(
+            self, lo, hi, self.A, self.G, self.Ah)
         return True
-
-    def _derive(self) -> None:
-        """The arrays built from A, G and the face areas on the range.  The
-        bands hold the diffusion operators per unit eps*dt in LAPACK band
-        rows (super, diagonal, sub): row 0 holds L[j-1, j] at column j,
-        row 2 holds L[j+1, j].  At an edge of the range that is no domain
-        end, the columns' entries that reach outside it are not built; no
-        window comes that close."""
-        n, dx, N, Ah = self.grid.n_nodes, self.dx, self.hi - self.lo, self.Ah
-        # faces I_(lo-1) .. I_(hi-1), a domain end's ghost face mirrored
-        self.Ah_full = np.concatenate([Ah[:1]] * (self.lo == 0) + [Ah]
-                                      + [Ah[-1:]] * (self.hi == n))
-        inner = self.Ah_full[1:N]
-        # both operators in one array (band, operator, node): a step
-        # assembles both systems at once, each band one contiguous row
-        self.bands = np.zeros((3, 2, N))
-        mass, mom = self.bands[:, 0], self.bands[:, 1]
-        mass[0, 1:] = inner / (self.A[:-1] * dx * dx)
-        mass[2, :-1] = inner / (self.A[1:] * dx * dx)
-        if self.bc.mode is BCMode.NEUMANN_SPHERICAL and self.lo == 0:
-            mass[0, 1] = 2.0 * inner[0] / (self.A[0] * dx * dx)
-        mass[1] = -(np.concatenate([[0.0], mass[2, :-1]])
-                    + np.concatenate([mass[0, 1:], [0.0]]))
-        mom[0] = 1.0 / (dx * dx) + self.G / (2.0 * dx)
-        mom[1] = -2.0 / (dx * dx)
-        mom[2] = 1.0 / (dx * dx) - self.G / (2.0 * dx)
-        if self.lo == 0:
-            mom[0, 0] = 0.0
-        if self.hi == n:
-            mom[2, -1] = 0.0
-        self.mass_bands, self.mom_bands = mass, mom
-        self.inv_Adx = 1.0 / (self.A * dx)
-        # the largest off-diagonal entry of either diffusion operator
-        self.band_max = float(max(np.max(np.abs(b[[0, 2]])) for b in (mass, mom)))
 
     def area(self, lo: int, hi: int) -> np.ndarray:
         """A on the nodes [lo, hi): the stored values on stored nodes, the
@@ -499,26 +466,33 @@ class SolverContext:
 
     def _residual(self, rho_f: float, m_f: float) -> tuple[float, float]:
         """(largest interior rate, rate scale times |rho_f| + |m_f|) of the
-        constant state, from one probe context per BLOCK-node piece: it
-        stores the piece and its stencil (with ``_cover``'s pad) and steps
-        the piece's nodes alone, the explicit rates on the grid's nodes
-        [2, n - 2) and the diffusion rows on [1, n - 1).  Each rate and band
-        entry is computed node by node, so the maxima are the whole grid's
-        exactly."""
-        n, eps, resid, band_max = self.grid.n_nodes, self.eps, 0.0, 0.0
+        constant state: the explicit rates on the grid's nodes [2, n - 2)
+        and the diffusion rows on [1, n - 1), BLOCK nodes at a time.
+
+        The stage's slopes and jumps on a constant state are exact zeros,
+        so its fluxes are exactly the face areas times q = (m_f, m_f u_f)
+        and node j's rates -(q Ah_j - q Ah_(j-1)) / (A_j dx).  A piece
+        evaluates the profile on its nodes, one neighbour a side, and
+        their faces, and ``_coefficients`` builds the bands there; each
+        rate and band entry is computed node by node, so the maxima are
+        the whole grid's exactly."""
+        n, eps, prof, nodes = (self.grid.n_nodes, self.eps, self.profile,
+                               self.grid.nodes)
+        q = np.array(((m_f,), (m_f * (m_f / max(rho_f, self.g.rho_floor)),)))
+        resid = band_max = 0.0
         for k in range(0, n, BLOCK):
-            probe = SolverContext(self.grid, self.g, self.profile, eps, self.bc)
-            probe.store(k - 2, k + BLOCK + 2)
-            N = probe.hi - probe.lo
-            rho, m = state = np.array((np.full(N, rho_f), np.full(N, m_f)))
-            a, b = k - probe.lo, min(k + BLOCK, n) - probe.lo  # the piece
-            c_rho, c_m = _hyperbolic_rhs(probe, state, 0.0, (
-                max(a, 2 - probe.lo), min(b, n - 2 - probe.lo)))
-            rows = slice(max(a, 1) - 1, min(b, N - 1) + 1)  # and its neighbours
+            lo, hi = max(k - 1, 0), min(k + BLOCK + 1, n)  # piece, neighbours
+            x, faces = nodes(lo, hi), nodes(max(lo - 1, 0), min(hi, n - 1))
+            Ah_full, bands, inv_Adx, piece_max = _coefficients(
+                self, lo, hi, prof.area(x), prof.dlog(x),
+                prof.area(faces + 0.5 * self.dx))
+            F = q * Ah_full
+            a, b = max(k, 2) - lo, min(k + BLOCK, n - 2) - lo  # explicit rows
             resid = max(resid, *(np.max(np.abs(r), initial=0.0) for r in (
-                c_rho, c_m, eps * _apply(probe.mass_bands[:, rows], rho[rows]),
-                eps * _apply(probe.mom_bands[:, rows], m[rows]))))
-            band_max = max(band_max, probe.band_max)
+                -(F[:, a + 1:b + 1] - F[:, a:b]) * inv_Adx[a:b],
+                eps * _apply(bands[:, 0], np.full(hi - lo, rho_f)),
+                eps * _apply(bands[:, 1], np.full(hi - lo, m_f)))))
+            band_max = max(band_max, piece_max)
         speed = self.max_wave_speed(np.array([rho_f]), np.array([m_f]))
         rate = (speed / self.dx + eps * band_max) * (abs(rho_f) + abs(m_f))
         return resid, rate
@@ -695,6 +669,43 @@ def _green_margin(r: float) -> int:
     return math.ceil(math.log(GREEN_DECAY) / math.log(q))
 
 
+def _coefficients(ctx: SolverContext, lo: int, hi: int, A: np.ndarray,
+                  G: np.ndarray, Ah: np.ndarray) -> tuple:
+    """(``Ah_full``, ``bands``, ``inv_Adx``, ``band_max``) of the nodes
+    [lo, hi) from A and G on them and the face areas Ah between the nodes
+    the range reaches: Ah_full holds the faces I_(lo-1) .. I_(hi-1), a
+    domain end's ghost face mirrored; band_max is the largest off-diagonal
+    band entry.  The bands hold the diffusion operators per unit eps*dt in
+    LAPACK band rows (super, diagonal, sub), indexed (band, operator, node)
+    with the mass operator first: row 0 holds L[j-1, j] at column j, row 2
+    holds L[j+1, j].  At an edge of the range that is no domain end, the
+    columns' entries that reach outside it are not built; no window or
+    steady test reads them.  Every other entry is computed node by node."""
+    n, dx, N = ctx.grid.n_nodes, ctx.dx, hi - lo
+    Ah_full = np.concatenate([Ah[:1]] * (lo == 0) + [Ah]
+                             + [Ah[-1:]] * (hi == n))
+    inner = Ah_full[1:N]
+    # both operators in one array: a step assembles both systems at once,
+    # each band one contiguous row
+    bands = np.zeros((3, 2, N))
+    mass, mom = bands[:, 0], bands[:, 1]
+    mass[0, 1:] = inner / (A[:-1] * dx * dx)
+    mass[2, :-1] = inner / (A[1:] * dx * dx)
+    if ctx.bc.mode is BCMode.NEUMANN_SPHERICAL and lo == 0:
+        mass[0, 1] = 2.0 * inner[0] / (A[0] * dx * dx)
+    mass[1] = -(np.concatenate([[0.0], mass[2, :-1]])
+                + np.concatenate([mass[0, 1:], [0.0]]))
+    mom[0] = 1.0 / (dx * dx) + G / (2.0 * dx)
+    mom[1] = -2.0 / (dx * dx)
+    mom[2] = 1.0 / (dx * dx) - G / (2.0 * dx)
+    if lo == 0:
+        mom[0, 0] = 0.0
+    if hi == n:
+        mom[2, -1] = 0.0
+    band_max = float(max(np.max(np.abs(b[[0, 2]])) for b in (mass, mom)))
+    return Ah_full, bands, 1.0 / (A * dx), band_max
+
+
 def _apply(bands: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Interior rows 1..n-2 of the banded operator applied to u."""
     return bands[2, :-2] * u[:-2] + bands[1, 1:-1] * u[1:-1] + bands[0, 2:] * u[2:]
@@ -716,12 +727,13 @@ _MIRROR = np.array((-1.0, 1.0))  # (rho, m) reflected at the axis
 
 
 def _extend(state: np.ndarray, ctx: SolverContext, t, lo: int, hi: int,
-            first: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """(rho, m) on columns lo-2 .. hi+1 of ``state`` (rows rho, m of the
-    grid nodes from ``first`` on), the reconstruction stencil of the nodes
-    [lo, hi), one node a row: a shift along the nodes is then a contiguous
-    block of both variables.  A stack of k samples, ``state`` of shape
-    (2, k, n) at the times t (k,), gives each node a (k, 2) block.
+            first: int, ve: np.ndarray) -> None:
+    """Fill ``ve``, a block of hi - lo + 4 rows, with (rho, m) on columns
+    lo-2 .. hi+1 of ``state`` (rows rho, m of the grid nodes from
+    ``first`` on), the reconstruction stencil of the nodes [lo, hi), one
+    node a row: a shift along the nodes is then a contiguous block of both
+    variables.  A stack of k samples, ``state`` of shape (2, k, n) at the
+    times t (k,), gives each node a (k, 2) block.
 
     Inside the state the values come from it (frozen neighbours are
     stencil data); past an end of it inside the grid, a node holds its
@@ -729,22 +741,18 @@ def _extend(state: np.ndarray, ctx: SolverContext, t, lo: int, hi: int,
     so its limited slope comes out zero.  Dirichlet ghosts
     extrapolate linearly through the pinned boundary value (constant
     extrapolation would cut the boundary cells to first order); the axis
-    end mirrors with even density and odd momentum.  A single state's
-    rows may go to ``out``, a (hi - lo + 4, 2) block of a ragged row.
+    end mirrors with even density and odd momentum.
     """
     n = state.shape[-1]
     s0, s1 = max(lo - 2, 0), min(hi + 2, n)
     head, tail = s0 - (lo - 2), hi + 2 - s1  # entries past each array end
-    ve = out if out is not None else np.empty(
-        (hi - lo + 4, 2) if state.ndim == 2 else
-        (hi - lo + 4, state.shape[1], 2))
     ve[head:head + s1 - s0] = state[..., s0:s1].T
     if head:
         if first > 0:
             ve[:head] = ctx.far_states[0]
         elif state.ndim > 2:  # a stack: each sample's ghosts at its own time
-            ve[:head] = np.stack([_extend(v, ctx, ti, lo, lo, first)[:head]
-                                  for v, ti in zip(state.swapaxes(0, 1), t)], 1)
+            for i, ti in enumerate(t):
+                _extend(state[:, i], ctx, ti, lo, lo, first, ve[:4, i])
         elif ctx.bc.mode is BCMode.NEUMANN_SPHERICAL:
             ve[:head] = state[0, 1], -state[1, 1]
         else:
@@ -755,25 +763,12 @@ def _extend(state: np.ndarray, ctx: SolverContext, t, lo: int, hi: int,
         if first + n < ctx.grid.n_nodes:
             ve[-tail:] = ctx.far_states[1]
         elif state.ndim > 2:
-            ve[-tail:] = np.stack([_extend(v, ctx, ti, hi, hi, first)[-tail:]
-                                   for v, ti in zip(state.swapaxes(0, 1), t)], 1)
+            for i, ti in enumerate(t):
+                _extend(state[:, i], ctx, ti, hi, hi, first, ve[-4:, i])
         else:
             rr, mr = ctx.bc.right_values(t)
             ve[-tail:] = (max(2.0 * rr - state[0, -2], ctx.g.rho_floor),
                           2.0 * mr - state[1, -2])
-    return ve
-
-
-def _stage(ctx: SolverContext, state: np.ndarray, t, lo: int, hi: int,
-           first: int) -> tuple:
-    """The explicit stage on the columns [lo, hi) of ``state`` (rows rho, m
-    of the stored grid nodes from ``first`` on): the stencil ``ve``
-    (``_extend``) and ``_fluxes``' face states, speeds and fluxes."""
-    ve = _extend(state, ctx, t, lo, hi, first)
-    axis = lo + first == 0 and ctx.bc.mode is BCMode.NEUMANN_SPHERICAL
-    face = first - ctx.lo + lo  # Ah_full[0] is the face I_(ctx.lo - 1)
-    return (ve, *_fluxes(ve, ctx.g, ctx.Ah_full[face:face + hi - lo + 1],
-                         (0,) if axis else ()))
 
 
 def _fluxes(ve: np.ndarray, gas, areas: np.ndarray, axes) -> tuple:
@@ -854,28 +849,25 @@ def hyperbolic_interface_data(ctx: SolverContext, rho: np.ndarray,
     the hi-lo+1 interfaces around them; on the whole grid these are the
     n_cells+2 interfaces I_{-1}..I_{n_cells} of the ghost-padded grid.
     ``rho_ext``/``m_ext`` hold the states on nodes lo-1 .. hi.  The arrays
-    are views of ``_stage``'s.  Rows of shape (k, N) with t of shape (k,)
-    are a stack of samples, each with its own ghosts, and give each array
-    a last axis of length k.
+    are views of the stencil (``_extend``) and of ``_fluxes``' arrays.
+    Rows of shape (k, N) with t of shape (k,) are a stack of samples, each
+    with its own ghosts, and give each array a last axis of length k.
     """
     if ctx.lo == ctx.hi:
         raise ConfigError("the solver context stores no nodes: call its "
                           "store or start first")
-    lo, hi = window or (0, np.shape(rho)[-1])
-    ve, S, alpha, F = _stage(ctx, np.array((rho, m)), t, lo, hi,
-                             ctx.lo if first is None else first)
+    state = np.array((rho, m))
+    lo, hi = window or (0, state.shape[-1])
+    first = ctx.lo if first is None else first
+    ve = np.empty((hi - lo + 4, *state.shape[1:-1], 2))
+    _extend(state, ctx, t, lo, hi, first, ve)
+    axis = lo + first == 0 and ctx.bc.mode is BCMode.NEUMANN_SPHERICAL
+    face = first - ctx.lo + lo  # Ah_full[0] is the face I_(ctx.lo - 1)
+    S, alpha, F = _fluxes(ve, ctx.g, ctx.Ah_full[face:face + hi - lo + 1],
+                          (0,) if axis else ())
     return {"rho_L": S[0, 0], "rho_R": S[0, 1], "m_L": S[1, 0], "m_R": S[1, 1],
             "alpha": alpha, "phi": F[0], "psi": F[1],
             "rho_ext": ve[1:-1, ..., 0], "m_ext": ve[1:-1, ..., 1]}
-
-
-def _hyperbolic_rhs(ctx: SolverContext, state: np.ndarray, t: float,
-                    window: tuple[int, int]) -> np.ndarray:
-    """Explicit rates (rho, m) on the window's nodes, from the stored
-    ``state`` (rows rho, m)."""
-    lo, hi = window
-    ve, _, _, F = _stage(ctx, state, t, lo, hi, ctx.lo)
-    return _rates(ve, F, ctx.g, ctx.inv_Adx[lo:hi], ctx._two_dx)
 
 
 # ---------------------------------------------------------------------------
@@ -973,23 +965,18 @@ def _step_row(blocks: list, width: int, out: list,
              for _, c, _, dt, *_ in blocks]).T,
             [b - a + 4 for *_, a, b, _ in blocks], axis=1)
         (h, half_h, e, two_dx), gas = coef[:4, 2:-2], _RowGas(g, coef[4])
-        stencil = np.empty((width, 2))
     axes = [o for _, c, _, _, a, _, o in blocks
             if c.lo + a == 0 and c.bc.mode is BCMode.NEUMANN_SPHERICAL]
+    stencil = np.empty((width, 2))
 
     def rates(later: bool):
         """The explicit rates on the node row, from each state at its t,
-        or t + dt; the stencil row with them."""
-        if len(blocks) == 1:
-            _, c, t, dt, a, b, _ = blocks[0]
-            ve = _extend(c.state, c, t + dt if later else t, a, b, c.lo)
-        else:
-            ve = stencil
-            for _, c, t, dt, a, b, o in blocks:
-                _extend(c.state, c, t + dt if later else t, a, b, c.lo,
-                        out=ve[o:o + b - a + 4])
-        _, _, F = _fluxes(ve, gas, areas, axes)
-        return ve, _rates(ve, F, gas, inv_Adx, two_dx)
+        or t + dt, with the stencil row filled from them."""
+        for _, c, t, dt, a, b, o in blocks:
+            _extend(c.state, c, t + dt if later else t, a, b, c.lo,
+                    stencil[o:o + b - a + 4])
+        _, _, F = _fluxes(stencil, gas, areas, axes)
+        return _rates(stencil, F, gas, inv_Adx, two_dx)
 
     def forced(later: bool):
         return _join([np.array(forcing(c.x, t + dt if later else t),
@@ -1002,8 +989,8 @@ def _step_row(blocks: list, width: int, out: list,
     # that while keeping one tridiagonal solve per equation below.  Each
     # state carries the stage state, so stage 2 reads frozen neighbours.
     floor = GasLaw._floor
-    ve, c1 = rates(False)
-    state0 = ve[2:-2].T.copy()
+    c1 = rates(False)
+    state0 = stencil[2:-2].T.copy()
     mid = state0 + h * c1
     np.maximum(mid[0], floor, out=mid[0])
     if forcing is not None:
@@ -1012,7 +999,7 @@ def _step_row(blocks: list, width: int, out: list,
         np.maximum(mid[0], floor, out=mid[0])
     for _, c, _, _, a, b, o in blocks:
         c.state[:, a:b] = mid[:, o:o + b - a]
-    new = state0 + half_h * (c1 + rates(True)[1])
+    new = state0 + half_h * (c1 + rates(True))
     if forcing is not None:
         new = new + half_h * (f1 + forced(True))
 

@@ -22,7 +22,10 @@ operands, and finds every window by a whole-grid scan and steps a copy of
 the field on a context that stores every node.  It imports from the
 package only the data types, the limiter parameter, the window margin, the
 steady tolerance and the tridiagonal solve (the rung-by-rung oracle below
-also takes the package's window and explicit stage).  Monkeypatch ``solver.step``,
+also takes the package's window and explicit stage: its stencil, fluxes and
+rates, ``solver._extend``, ``_fluxes`` and ``_rates``, on one rung's
+row; the plain stage would not do there, for its minmod turns a NaN slope
+into 0 where the package's keeps it).  Monkeypatch ``solver.step``,
 ``solver.advance``, ``SolverContext.max_wave_speed`` and the
 ``hyperbolic_interface_data`` bindings with these to run the plain path.
 
@@ -34,7 +37,8 @@ alone (``advance_window``) and one tridiagonal solve per row.  Monkeypatch
 
 ``steady_residual`` and ``far_states`` are the plain steady test: the
 stage and both diffusion operators of a constant state on a probe context
-that stores every node, where the package probes BLOCK-node pieces.
+that stores every node, where the package takes the stage's fluxes of a
+constant state in closed form, BLOCK nodes at a time, on no context.
 """
 
 import math
@@ -181,8 +185,8 @@ def steady_residual(ctx: SolverContext, rho_f: float,
             + bands[0, 2:] * u[2:]
 
     resid = max(np.max(np.abs(c_rho)), np.max(np.abs(c_m)),
-                ctx.eps * np.max(np.abs(interior(probe.mass_bands, rho))),
-                ctx.eps * np.max(np.abs(interior(probe.mom_bands, m))))
+                ctx.eps * np.max(np.abs(interior(probe.bands[:, 0], rho))),
+                ctx.eps * np.max(np.abs(interior(probe.bands[:, 1], m))))
     rate = (max_wave_speed(ctx, rho[:1], m[:1]) / ctx.dx
             + ctx.eps * probe.band_max) * (abs(rho_f) + abs(m_f))
     return resid, rate
@@ -297,9 +301,9 @@ def step(field: FluidField, g: GasLaw, profile: NozzleProfile, eps: float,
     rho_r, m_r = ctx.bc.right_values(t1) if hi == n else (rho[hi - 1],
                                                            m[hi - 1])
     coef = ctx.eps * dt
-    rho_n = _tridiag_solve(*_implicit_system(ctx.mass_bands[:, win], coef,
+    rho_n = _tridiag_solve(*_implicit_system(ctx.bands[:, 0, win], coef,
                                              rho_s, rho_l, rho_r))
-    m_n = _tridiag_solve(*_implicit_system(ctx.mom_bands[:, win], coef, m_s,
+    m_n = _tridiag_solve(*_implicit_system(ctx.bands[:, 1, win], coef, m_s,
                                            m_l, m_r))
 
     if not (np.all(np.isfinite(rho_n)) and np.all(np.isfinite(m_n))):
@@ -347,6 +351,19 @@ def _caught(kind, fn, *args, **kwargs):
 # ---------------------------------------------------------------------------
 
 
+def _package_rates(ctx: SolverContext, t: float, a: int,
+                   b: int) -> np.ndarray:
+    """The package's explicit rates (rho, m) on the stored columns [a, b)
+    of the context's state at time t: its stencil, fluxes and rates on the
+    one-rung row of the window."""
+    ve = np.empty((b - a + 4, 2))
+    solver._extend(ctx.state, ctx, t, a, b, ctx.lo, ve)
+    axis = ctx.lo + a == 0 and ctx.bc.mode is BCMode.NEUMANN_SPHERICAL
+    _, _, F = solver._fluxes(ve, ctx.g, ctx.Ah_full[a:b + 1],
+                             (0,) if axis else ())
+    return solver._rates(ve, F, ctx.g, ctx.inv_Adx[a:b], ctx._two_dx)
+
+
 def advance_window(ctx: SolverContext, t: float, dt: float, *,
                    cfl: float = 0.4,
                    forcing: Optional[Callable] = None) -> tuple[int, int]:
@@ -357,7 +374,7 @@ def advance_window(ctx: SolverContext, t: float, dt: float, *,
     n, state, a, b = ctx.grid.n_nodes, ctx.state, lo - ctx.lo, hi - ctx.lo
     floor, h, half_h = ctx.g._floor, np.array(dt), np.array(0.5 * dt)
     state0 = state[:, a:b].copy()
-    c1 = solver._hyperbolic_rhs(ctx, state, t, (a, b))
+    c1 = _package_rates(ctx, t, a, b)
     mid = state0 + h * c1
     np.maximum(mid[0], floor, out=mid[0])
     if forcing is not None:
@@ -365,7 +382,7 @@ def advance_window(ctx: SolverContext, t: float, dt: float, *,
         mid = mid + h * f1
         np.maximum(mid[0], floor, out=mid[0])
     state[:, a:b] = mid
-    c2 = solver._hyperbolic_rhs(ctx, state, t + dt, (a, b))
+    c2 = _package_rates(ctx, t + dt, a, b)
     new = state0 + half_h * (c1 + c2)
     if forcing is not None:
         new = new + half_h * (f1 + np.array(forcing(ctx.x, t + dt),

@@ -162,11 +162,10 @@ def test_a_rung_that_fails_mid_march_fails_alone(how, monkeypatch):
                     raise CavitationError("injected at the 5th sample")
                 poisoned.add(ctx)
 
-        def poisoned_extend(state, ctx, *args, **kwargs):
-            ve = extend(state, ctx, *args, **kwargs)
+        def poisoned_extend(state, ctx, t, lo, hi, first, ve):
+            extend(state, ctx, t, lo, hi, first, ve)
             if ctx in poisoned:
                 ve[0] = np.nan
-            return ve
 
         with monkeypatch.context() as mp:
             mp.setattr(diagnostics.Recorder, "sample", faulty_sample)

@@ -518,8 +518,8 @@ def test_tridiag_solve_matches_solve_banded(n_nodes):
     for ctx in _contexts_for_every_mode(n_nodes):
         rho_l, m_l = ctx.bc.left_values(0.0)
         rho_r, m_r = ctx.bc.right_values(0.0)
-        for bands, left, right in ((ctx.mass_bands, rho_l, rho_r),
-                                   (ctx.mom_bands, m_l, m_r)):
+        for bands, left, right in ((ctx.bands[:, 0], rho_l, rho_r),
+                                   (ctx.bands[:, 1], m_l, m_r)):
             for coef in (0.05 * 0.4 * ctx.dx, 0.05):
                 rhs = 0.5 + rng.random(n_nodes)
                 dl, d, du, b = _implicit_system(bands, coef, rhs, left, right)

@@ -9,8 +9,9 @@ gamma 2 and at gamma 5.
 
 ``hyperbolic_interface_data``, which the llf monitor reads, must equal the
 plain stage's dict bit for bit on all nine arrays: on every step case, on
-windows that reach past a stored edge onto far-state ghosts, and at the
-axis end, whose ghost slope is mirrored; and so must a stack of samples,
+windows that reach past a stored edge onto far-state ghosts, at the axis
+end, whose ghost slope is mirrored, and at domain ends whose boundary
+values vary in time; and so must a stack of samples at different times,
 which the llf monitor passes, sample by sample.
 
 ``SolverContext.scan`` finds each window by scanning only the window the
@@ -198,16 +199,34 @@ def test_interface_data_matches_at_the_axis():
         assert data["m_L"][0] != data["m_ext"][0]
 
 
+def _manufactured_bc(grid: Grid) -> BoundarySpec:
+    """The manufactured solution's values at the domain ends, as
+    functions of t."""
+    return BoundarySpec.dirichlet_nozzle(
+        lambda t: manufactured_state(grid.a, t)[0],
+        lambda t: manufactured_state(grid.a, t)[1],
+        lambda t: manufactured_state(grid.b, t)[0],
+        lambda t: manufactured_state(grid.b, t)[1])
+
+
+def test_interface_data_matches_with_time_dependent_boundary_values():
+    # windows at either domain end: each sample of a stack takes its
+    # ghosts from the boundary values at its own t
+    grid = Grid(-2.0, 2.0, 48)
+    ctx = SolverContext(grid, G, GaussianBumpProfile(), EPS,
+                        _manufactured_bc(grid))
+    ctx.start(FluidField(grid, *manufactured_state(grid.x, 0.3), 0.3))
+    n = ctx.rho.size
+    for window in ((0, 10), (n - 10, n), None):
+        _assert_same_interface_data(ctx, ctx.rho, ctx.m, 0.3, window)
+
+
 def _manufactured_run(cells: int, t_end: float):
     """The forced manufactured-solution run, with its time-dependent
     boundary values; returns (field, report)."""
     g, eps, profile = GasLaw(2.0, delta=0.01), 0.05, GaussianBumpProfile()
     grid = Grid(-2.0, 2.0, cells)
-    bc = BoundarySpec.dirichlet_nozzle(
-        lambda t: manufactured_state(grid.a, t)[0],
-        lambda t: manufactured_state(grid.a, t)[1],
-        lambda t: manufactured_state(grid.b, t)[0],
-        lambda t: manufactured_state(grid.b, t)[1])
+    bc = _manufactured_bc(grid)
     field0 = FluidField(grid, *manufactured_state(grid.x, 0.0))
     return run(field0, g, profile, eps, bc, t_end, dt_fixed=2.0 * grid.dx ** 2,
                forcing=manufactured_forcing(profile, g, eps))
