@@ -1,17 +1,15 @@
 """Run orchestration: configs, single runs, viscosity sweeps, distances.
 
-A sweep runs the solver once per ladder rung on its own expanding domain
-(common grid spacing, so the rung-to-rung comparison isolates the
-viscosity), interpolates the stored snapshots onto a shared comparison
-window, and measures pairwise space-time L^p distances.  The qualitative
+A sweep marches every ladder rung in lockstep in one process, each on its
+own expanding domain (common grid spacing, so the rung-to-rung comparison
+isolates the viscosity), interpolates the stored snapshots onto a shared
+comparison window, and measures pairwise space-time L^p distances.  The qualitative
 verdict is Cauchy-style: successive distances should shrink.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
@@ -100,7 +98,7 @@ class RunConfig:
     p_rho: float = 1.0
     q_mom: float = 1.0
     snapshots: int = 32
-    workers: int = 1                       # 0: one per processor
+    workers: int = 1                       # only 1: the rungs step in lockstep
     force: bool = False
     # diagnostics
     check_energy: bool = True
@@ -171,10 +169,13 @@ class RunConfig:
             val = getattr(self, name)
             if val is not None and not val > 0.0:
                 raise ConfigError(f"{name} must be positive, got {val}")
-        for name in ("mollify_width", "blend_width", "workers"):
+        for name in ("mollify_width", "blend_width"):
             val = getattr(self, name)
             if val < 0:
                 raise ConfigError(f"{name} must be nonnegative, got {val}")
+        if self.workers != 1:
+            raise ConfigError(f"workers must be 1, got {self.workers}: a sweep "
+                              "steps its rungs in lockstep in one process")
         check_cfl(self.cfl)
         # a time-series check on too few samples would pass without evidence
         need = 4 if (self.check_energy or self.check_riemann or self.quartic_check
@@ -536,23 +537,13 @@ def _failure(err: NozzleflowError) -> str:
     return f"{type(err).__name__}: {err}"
 
 
-def _sweep_worker(args):
-    """One rung in a process of its own: its RunOutput, or the text of the
-    package error it raised."""
-    cfg, eps, label = args
-    try:
-        return single_run(cfg, eps=eps, label=label)
-    except NozzleflowError as err:
-        return _failure(err)
-
-
 def _lockstep(cfg: RunConfig, jobs: list) -> list:
-    """Every rung through one ``march``: per rung its RunOutput, or the
-    text of the package error it raised, as ``_sweep_worker`` gives it."""
+    """Every rung of ``jobs``, (eps, label) pairs, through one ``march``:
+    per rung its RunOutput, or the text of the package error it raised."""
     outcomes = []
     for job in jobs:
         try:
-            outcomes.append(prepare_rung(*job))
+            outcomes.append(prepare_rung(cfg, *job))
         except NozzleflowError as err:
             outcomes.append(_failure(err))
     rungs = [out for out in outcomes if isinstance(out, Rung)]
@@ -578,15 +569,10 @@ def sweep(cfg: RunConfig) -> SweepResult:
         failing = "; ".join(f"{k}: {c}" for k, c in cert.failing().items())
         raise ConfigError(f"schedule failed its certificate ({failing}); "
                           "pass force=true to override")
-    jobs = [(cfg, eps, f"eps={eps:g}") for eps in sched.eps_list]
-    workers = cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_worker, jobs))
-    else:
-        outcomes = _lockstep(cfg, jobs)
+    jobs = [(eps, f"eps={eps:g}") for eps in sched.eps_list]
+    outcomes = _lockstep(cfg, jobs)
     runs = [out for out in outcomes if isinstance(out, RunOutput)]
-    failures = [(job[1], out) for job, out in zip(jobs, outcomes)
+    failures = [(job[0], out) for job, out in zip(jobs, outcomes)
                 if isinstance(out, str)]
     if len(runs) < 2:
         raise SweepError(f"only {len(runs)} of {len(jobs)} runs succeeded: "

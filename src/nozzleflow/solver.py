@@ -293,7 +293,7 @@ class SolverContext:
     far state, and so does every stored node outside ``live``, the nodes
     that ``field`` copies.  ``store`` grows the range by ``_cover``'s rule,
     to at most about twice the nodes asked for, and evaluates the profile
-    on its new nodes.  The context also keeps the window the last
+    on the whole new range.  The context also keeps the window the last
     ``advance`` moved and the scan.
     """
 
@@ -333,33 +333,23 @@ class SolverContext:
 
     def store(self, lo: int, hi: int) -> bool:
         """Store at least the nodes [lo, hi); returns whether the range
-        grew.  A range that grows takes the nodes of ``_cover`` too and
-        empties ``memo``; the profile is evaluated on the nodes new to it
-        alone, whose values join the columns already held.  Nodes new to a
-        state get their end's far state."""
+        grew.  A range that grows takes the nodes of ``_cover`` too,
+        empties ``memo`` and evaluates the profile on all its nodes.  Nodes
+        new to a state get their end's far state."""
         n, s0, s1 = self.grid.n_nodes, self.lo, self.hi
         if s0 <= max(lo, 0) and min(hi, n) <= s1 and s0 < s1:
             return False
         lo, hi = self._cover(lo, hi)
         if s0 < s1:
             lo, hi = min(lo, s0), max(hi, s1)
-            f0, f1 = max(s0 - 1, 0), min(s1, n - 1)  # the faces held
-        else:
-            s0 = s1 = lo
-            f0 = f1 = max(lo - 1, 0)
         if self.state is not None:
             self.state = self._state(0.0).values(lo, hi)
-        nodes, prof = self.grid.nodes, self.profile
-        new = (nodes(lo, s0), nodes(s1, hi))
-        self.x = np.concatenate((new[0], self.x, new[1]))
-        self.A = _widen(self.A, prof.area, new)
-        self.G = _widen(self.G, prof.dlog, new)
-        self.dG = _widen(self.dG, prof.dlog_prime, new)
+        prof, x = self.profile, self.grid.nodes(lo, hi)
+        self.x, self.A, self.G, self.dG = (x, prof.area(x), prof.dlog(x),
+                                           prof.dlog_prime(x))
         # the faces I_j between nodes j, j+1 that the range reaches
-        half = 0.5 * self.dx
-        self.Ah = _widen(self.Ah, prof.area,
-                         (nodes(max(lo - 1, 0), f0) + half,
-                          nodes(f1, min(hi, n - 1)) + half))
+        self.Ah = prof.area(self.grid.nodes(max(lo - 1, 0), min(hi, n - 1))
+                            + 0.5 * self.dx)
         self.lo, self.hi = lo, hi
         self.memo = {}
         self.Ah_full, self.bands, self.inv_Adx, self.band_max = _coefficients(
@@ -648,14 +638,6 @@ STEADY_RTOL = 1e-14
 GREEN_DECAY = 1e-16
 
 
-def _widen(held: np.ndarray, f: Callable, new: tuple) -> np.ndarray:
-    """``held`` with f's values at the positions ``new`` = (left, right)
-    on each side; f is not called on none."""
-    left, right = (np.asarray(f(v), dtype=float) if v.size else v
-                   for v in new)
-    return np.concatenate((left, held, right))
-
-
 def _green_margin(r: float) -> int:
     """Nodes across which the Green's function of the implicit operator
     -r u[j-1] + (1 + 2r) u[j] - r u[j+1] decays below GREEN_DECAY.
@@ -907,6 +889,14 @@ def _join(pieces: list, gap: np.ndarray) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
+def _check_one_gas(items: list) -> None:
+    """Raise ConfigError unless every item's gas law ``g`` has the first's
+    gamma and kappa: a row steps with one law, each block's delta its own."""
+    if any((c.g.gamma, c.g.kappa) != (items[0].g.gamma, items[0].g.kappa)
+           for c in items):
+        raise ConfigError("rungs stepped together must share gamma and kappa")
+
+
 def advance(ctxs: list, ts: list, dts: list, *, cfl: float = CFL,
             forcing: Optional[Callable] = None) -> list:
     """One IMEX step of every context's state, in place: each at its time
@@ -916,9 +906,10 @@ def advance(ctxs: list, ts: list, dts: list, *, cfl: float = CFL,
 
     The windows lie end to end on ragged rows of at most ROW_NODES
     columns each (see the module docstring).  The contexts must share
-    gamma and kappa; eps, delta, dt, the grid, the profile and the
-    boundary spec are each context's own.
+    gamma and kappa (else ConfigError, before any moves); eps, delta, dt,
+    the grid, the profile and the boundary spec are each context's own.
     """
+    _check_one_gas(ctxs)
     out: list = [None] * len(ctxs)
     # per context of a row (index, context, t, dt, a, b, o): it moves its
     # stored columns [a, b), and its block takes the stencil row's columns
@@ -952,10 +943,6 @@ def _step_row(blocks: list, width: int, out: list,
         gas, h, half_h, e, two_dx = (g, np.array(dt), np.array(0.5 * dt),
                                      np.array(-(c.eps * dt)), c._two_dx)
     else:
-        if any(c.g.gamma != g.gamma or c.g.kappa != g.kappa
-               for _, c, *_ in blocks):
-            raise ConfigError("rungs stepped together must share gamma and "
-                              "kappa")
         areas = _join([c.Ah_full[a:b + 1] for _, c, _, _, a, b, _ in blocks],
                       _FACE_GAP)
         inv_Adx = _join([c.inv_Adx[a:b] for _, c, _, _, a, b, _ in blocks],
@@ -1215,13 +1202,15 @@ def march(rungs: list, t_end: float, *, cfl: float = CFL,
     the earliest time any rung is clipped to next, and the rungs clipped
     to it, so a rung that reaches a sample time waits there until every
     rung has.  A rung that raises ends alone; the error of a step names
-    its t.  The shared arguments are checked as ``run`` checks them.
+    its t.  The shared arguments are checked as ``run`` checks them, and
+    rungs that do not share gamma and kappa are refused before any starts.
     """
     check_cfl(cfl)
     if not math.isfinite(t_end):
         raise ConfigError(f"t_end must be finite, got {t_end}")
     if dt_fixed is not None and not 0.0 < dt_fixed < math.inf:
         raise ConfigError(f"dt_fixed must be positive and finite, got {dt_fixed}")
+    _check_one_gas(rungs)
     runs: list = []
     for rung in rungs:
         try:

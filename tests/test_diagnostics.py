@@ -75,6 +75,22 @@ def test_vacuum_functional_values():
     assert np.all(np.diff(phi, 2)[rho[1:-1] < 0.45] >= -1e-12)  # convex branch
 
 
+@pytest.mark.parametrize("rho_tilde", [0.5, 0.9])
+def test_vacuum_functional_adds_the_end_states_below_rho_tilde(rho_tilde):
+    # a field on the nodes [12, 20) of 33 with end states 0.2 and 0.8: each
+    # end below rho_tilde adds its phi times the length past the nodes,
+    # which whole-field evaluation sums node by node
+    grid = Grid(0.0, 1.0, 32)
+    field = FluidField(grid, np.linspace(0.2, 0.8, 8), np.zeros(8), 0.0, 12,
+                       ((0.2, 0.0), (0.8, 0.0)))
+    value = vacuum_functional(field, rho_tilde)
+    assert value == pytest.approx(vacuum_functional(field.whole(), rho_tilde),
+                                  rel=1e-13)
+    # the left end's term alone: phi(0.2) past node 11
+    assert value > 11.0 / 32.0 * (1.0 / 0.2 - 1.0 / rho_tilde
+                                  + (0.2 - rho_tilde) / rho_tilde ** 2)
+
+
 def test_riemann_monitor_constant_state():
     g = GasLaw(2.0, delta=1e-3)
     grid = Grid(-2.0, 2.0, 32)

@@ -225,15 +225,6 @@ def test_sweep_determinism():
         assert np.array_equal(a.snapshots.m, b.snapshots.m)
 
 
-def test_sweep_parallel_matches_serial():
-    cfg = _tiny_sweep_config()
-    serial = sweep(cfg)
-    cfg2 = _tiny_sweep_config(workers=2)
-    parallel = sweep(cfg2)
-    assert np.array_equal(serial.d_rho, parallel.d_rho)
-    assert np.array_equal(serial.d_m, parallel.d_m)
-
-
 def test_sweep_outputs_written(tmp_path):
     cfg = _tiny_sweep_config(output_dir=str(tmp_path / "out"))
     res = sweep(cfg)
@@ -401,22 +392,27 @@ _BAD_TABLES = {"nan.dat": "0 1\n1 nan\n2 1\n3 1\n",
     ("profile_n", "3.0"), ("eps", "abc"), ("eps", "nan"), ("dx", "-1"),
     ("dx", "10"), ("cfl", "5"), ("snapshots", "1"), ("t_end", "0"),
     ("kappa", "-2"), ("mollify_width", "-0.01"), ("blend_width", "-1"),
-    ("workers", "-1"), ("n_eps", "1"), ("bc", "dirichlet_spherica"),
+    ("workers", "-1"), ("workers", "0"), ("workers", "2"),
+    ("workers", "100000"), ("n_eps", "1"), ("bc", "dirichlet_spherica"),
     ("init", "riemman"), ("L0", "3"), ("rho_bar", "-1"), ("a", "-1"),
     ("p_rho", "0.5"), ("q_mom", "0.5"), ("profile", "spherical"),
     ("profile_file", "nan.dat"), ("profile_file", "inf.dat"),
     ("profile_file", "empty.dat")])
 def test_cli_bad_input_is_error_exit_2(tmp_path, capsys, monkeypatch, key,
                                        value):
+    import multiprocessing.process
+
     import nozzleflow.cli as cli
     import nozzleflow.harness as harness
 
     def no_rung(*args, **kwargs):
-        raise AssertionError("a sweep rung ran before the config was rejected")
+        raise AssertionError("a rung or a process started before the config "
+                             "was rejected")
 
-    monkeypatch.setattr(harness, "single_run", no_rung)
-    monkeypatch.setattr(harness, "prepare_rung", no_rung)
-    monkeypatch.setattr(cli, "single_run", no_rung)
+    for owner, name in ((harness, "single_run"), (harness, "prepare_rung"),
+                        (cli, "single_run"),
+                        (multiprocessing.process.BaseProcess, "start")):
+        monkeypatch.setattr(owner, name, no_rung)
     values = dict(_RUN_CFG, output_dir=str(tmp_path / "out"),
                   **_BAD_INPUT_CONTEXT.get(key, {}), **{key: value})
     cfg_path = tmp_path / "bad.cfg"
@@ -431,12 +427,16 @@ def test_cli_bad_input_is_error_exit_2(tmp_path, capsys, monkeypatch, key,
                "rho_bar": "check", "a": "check", "p_rho": "sweep",
                "nan.dat": "check", "inf.dat": "sweep", "empty.dat": "check",
                }.get(value if key == "profile_file" else key, "run")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert cli_main([command, str(cfg_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1, err
-    assert not caught, [str(w.message) for w in caught]
+    # a sweep steps its rungs in lockstep in one process, so 1 is the one
+    # value of workers, which every command refuses alike
+    for command in (("check", "run", "sweep") if key == "workers"
+                    else (command,)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main([command, str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert not caught, [str(w.message) for w in caught]
     assert not (tmp_path / "out").exists()
 
 
@@ -677,11 +677,9 @@ def test_sweep_error_lists_every_failed_rung():
         assert f"eps={eps}: ConfigError: blend width" in msg
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_records_domain_error_of_one_rung(workers):
+def test_sweep_records_domain_error_of_one_rung():
     # a negative bump at x = 30 lies only inside the eps = 0.025 domain
-    cfg = _tiny_sweep_config(init="bump", init_center=30.0, init_amp=-1.0,
-                             workers=workers)
+    cfg = _tiny_sweep_config(init="bump", init_center=30.0, init_amp=-1.0)
     res = sweep(cfg)
     assert [r.eps for r in res.runs] == [0.1, 0.05]
     assert len(res.failures) == 1

@@ -1,6 +1,6 @@
 """The lockstep sweep against the rung-by-rung march of ``plain_step.py``.
 
-A sweep with ``workers = 1`` steps all its rungs through one ``march``:
+A sweep steps all its rungs through one ``march``:
 each lockstep step lays every rung's window end to end on one ragged row
 and solves every rung's implicit systems in one tridiagonal call.  The
 oracle marches the rungs one after another, each step on that rung alone
@@ -16,11 +16,12 @@ import pytest
 
 import plain_step
 from nozzleflow import diagnostics, harness, solver
-from nozzleflow.errors import CavitationError, SolverError
+from nozzleflow.errors import (CavitationError, ConfigError, NonFiniteError,
+                               SolverError)
 from nozzleflow.geometry import ConstantProfile
 from nozzleflow.harness import RunConfig, sweep, write_sweep_outputs
-from nozzleflow.solver import (BoundarySpec, FluidField, Grid, SolverContext,
-                               advance)
+from nozzleflow.solver import (BoundarySpec, FluidField, Grid, Rung,
+                               SolverContext, advance, march, run)
 from nozzleflow.thermo import GasLaw
 
 
@@ -101,11 +102,11 @@ def _assert_same_sweep(a, b):
     assert a.summary() == b.summary()
 
 
-@pytest.mark.parametrize("case", sorted(LADDERS))
-def test_lockstep_sweep_matches_the_rung_by_rung_march(case, monkeypatch,
-                                                       tmp_path):
-    calls = {"advance": 0, "solve": 0}
-    step, solve = solver.advance, solver._tridiag_solve
+def _counted(mp) -> dict:
+    """Count from here on the ``advance`` calls, the merged solves and the
+    rows that hold more than one block."""
+    calls = {"advance": 0, "solve": 0, "shared": 0}
+    step, solve, row = solver.advance, solver._tridiag_solve, solver._step_row
 
     def counted_step(*args, **kwargs):
         calls["advance"] += 1
@@ -115,11 +116,23 @@ def test_lockstep_sweep_matches_the_rung_by_rung_march(case, monkeypatch,
         calls["solve"] += 1
         return solve(*args)
 
+    def counted_row(blocks, *args):
+        calls["shared"] += len(blocks) > 1
+        return row(blocks, *args)
+
+    mp.setattr(solver, "advance", counted_step)
+    mp.setattr(solver, "_tridiag_solve", counted_solve)
+    mp.setattr(solver, "_step_row", counted_row)
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(LADDERS))
+def test_lockstep_sweep_matches_the_rung_by_rung_march(case, monkeypatch,
+                                                       tmp_path):
     cfg = RunConfig.from_mapping(dict(LADDERS[case],
                                       output_dir=str(tmp_path / "lockstep")))
     with monkeypatch.context() as mp:
-        mp.setattr(solver, "advance", counted_step)
-        mp.setattr(solver, "_tridiag_solve", counted_solve)
+        calls = _counted(mp)
         lockstep = sweep(cfg)
     # one merged solve per lockstep step; on the gamma = 2 ladder every
     # rung takes 96 sample intervals of 3 steps, so the six rungs step
@@ -141,6 +154,35 @@ def test_lockstep_sweep_matches_the_rung_by_rung_march(case, monkeypatch,
         assert names == sorted(p.name for p in out[1].iterdir())
         for name in names:
             assert (out[0] / name).read_bytes() == (out[1] / name).read_bytes()
+
+
+def test_a_ladder_split_over_several_rows_matches_the_rung_by_rung_march(
+        monkeypatch):
+    # rows of at most 1500 columns: the bump ladder's windows, on grids of
+    # 641, 1281 and 2561 nodes, take two rows a step, one of them shared
+    cfg = RunConfig.from_mapping(LADDERS["gaussian_bump_inflow"])
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "ROW_NODES", 1500)
+        calls = _counted(mp)
+        split = sweep(cfg)
+    assert calls["solve"] > calls["advance"] and calls["shared"] > 0
+    assert len(split.runs) == cfg.n_eps and not split.failures
+    with monkeypatch.context() as mp:
+        _oracle(mp)
+        plain = sweep(cfg)
+    _assert_same_sweep(split, plain)
+
+
+@pytest.mark.parametrize("key,value", [("gamma", 3.0), ("kappa", 2.0)])
+def test_a_mixed_march_is_refused_before_any_rung_starts(key, value):
+    # the rungs of one row share the gas law's gamma and kappa: a march of
+    # rungs that do not is refused before any Recorder takes its t = 0 sample
+    rungs = [harness.prepare_rung(RunConfig.from_mapping(over), 0.1, label)
+             for over, label in ((TINY, "a"), (dict(TINY, **{key: value}), "b"))]
+    assert getattr(rungs[0].g, key) != getattr(rungs[1].g, key)
+    with pytest.raises(ConfigError, match="must share gamma and kappa"):
+        march(rungs, TINY["t_end"])
+    assert [r.hooks._taken for r in rungs] == [0, 0]
 
 
 @pytest.mark.parametrize("how", ["raise", "poison"])
@@ -192,15 +234,14 @@ def test_a_rung_that_fails_mid_march_fails_alone(how, monkeypatch):
         _assert_same_run(run, next(r for r in clean.runs if r.eps == run.eps))
 
 
-def _context(eps: float) -> SolverContext:
+def _context(eps: float, g: GasLaw = GasLaw(2.0, delta=1e-3)) -> SolverContext:
     grid = Grid(-1.0, 1.0, 16)
     x = grid.x
     rho = 1.0 - 0.25 * np.tanh(4.0 * x)
     field = FluidField(grid, rho, 0.1 * rho)
     bc = BoundarySpec.dirichlet_nozzle(rho[0], 0.1 * rho[0], rho[-1],
                                        0.1 * rho[-1])
-    ctx = SolverContext(grid, GasLaw(2.0, delta=1e-3), ConstantProfile(),
-                        eps, bc)
+    ctx = SolverContext(grid, g, ConstantProfile(), eps, bc)
     ctx.start(field)
     return ctx
 
@@ -224,3 +265,58 @@ def test_a_singular_implicit_system_fails_its_rung_alone():
     lone = _context(0.25)
     assert advance([lone], [0.0], [dt]) == [out[0]]
     assert sound.state.tobytes() == lone.state.tobytes()
+
+
+@pytest.mark.parametrize("g", [GasLaw(3.0, delta=1e-3),
+                               GasLaw(2.0, kappa=2.0, delta=1e-3)])
+def test_advance_refuses_contexts_of_another_gas_law(g):
+    # one row steps with the first context's gamma and kappa: contexts that
+    # do not share them are refused before any state moves
+    ctxs = [_context(0.25), _context(0.25, g)]
+    held = [c.state.tobytes() for c in ctxs]
+    with pytest.raises(ConfigError, match="must share gamma and kappa"):
+        advance(ctxs, [0.0, 0.0], [2.0 ** -10] * 2)
+    assert [c.state.tobytes() for c in ctxs] == held
+
+
+def _rung(eps: float) -> Rung:
+    ctx = _context(eps)
+    return Rung(ctx.field(0.0), ctx.g, ctx.profile, eps, ctx.bc)
+
+
+def test_a_rung_whose_implicit_stage_is_not_finite_fails_alone(monkeypatch):
+    # the 3rd merged solve returns NaN on the first column of the row, the
+    # first rung's: that rung ends with the step's error, the other is its
+    # lone run
+    solve, calls = solver._tridiag_solve, []
+
+    def nan_first(*args):
+        x = solve(*args)
+        calls.append(len(x))
+        if len(calls) == 3:
+            x[0] = np.nan
+        return x
+
+    monkeypatch.setattr(solver, "_tridiag_solve", nan_first)
+    bad, sound = march([_rung(0.5), _rung(0.25)], 0.25)
+    assert len(calls) > 3 and calls[2] > calls[-1]  # both rungs in that row
+    assert isinstance(bad, NonFiniteError)
+    assert str(bad).startswith("non-finite values after the implicit stage "
+                               "[at t=")
+    monkeypatch.undo()
+    r = _rung(0.25)
+    field, report = run(r.field, r.g, r.profile, r.eps, r.bc, 0.25)
+    assert (sound[0].t, sound[0].lo, sound[0].ends) == \
+        (field.t, field.lo, field.ends)
+    assert sound[0].rho.tobytes() == field.rho.tobytes()
+    assert sound[0].m.tobytes() == field.m.tobytes()
+    for name in ("cells_advanced", "undershoots", "hull"):
+        assert getattr(sound[1], name) == getattr(report, name), name
+
+
+def test_every_rung_past_the_step_limit_ends_and_the_march_returns(
+        monkeypatch):
+    monkeypatch.setattr(solver, "MAX_STEPS", 3)
+    out = march([_rung(0.5), _rung(0.25)], 0.25)
+    assert [type(r) for r in out] == [SolverError, SolverError]
+    assert [str(r) for r in out] == ["exceeded 3 steps before t_end"] * 2

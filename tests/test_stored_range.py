@@ -20,8 +20,9 @@ import pytest
 import plain_step
 from helpers import assert_same_series, whole_field_monitors
 from nozzleflow import diagnostics, harness, solver
-from nozzleflow.diagnostics import (energy_budget, llf_dissipation_rate,
-                                    riemann_monitor)
+from nozzleflow.diagnostics import (Recorder, RecorderOptions, energy_budget,
+                                    llf_dissipation_rate, riemann_monitor)
+from nozzleflow.entropy import ReferenceState
 from nozzleflow.errors import ConfigError
 from nozzleflow.geometry import (ConstantProfile, ExponentialProfile,
                                  GaussianBumpProfile, NozzleProfile,
@@ -446,6 +447,36 @@ def test_small_runs_match_whole_grid_storage(case):
     plain = _plain(lambda: run(field, g, profile, 0.05, bc, t_end))
     _assert_same_field(fast[0], plain[0])
     assert fast[1].cells_advanced == plain[1].cells_advanced
+
+
+def test_energy_sums_to_an_end_whose_far_state_is_not_the_reference_s(
+        monkeypatch):
+    # the reference's right state (0.25, 0) is not the right far state
+    # (0.125, 0): the energy monitor sums every node up to the right end,
+    # against whole-grid storage and summation
+    g, prof = GasLaw(2.0, delta=1e-4), ConstantProfile()
+    bc = BoundarySpec.dirichlet_nozzle(1.0, 0.0, 0.125, 0.0)
+    grid = Grid(-8.0, 8.0, 256)
+    raw = InitialData(lambda x: np.where(x < 0.0, 1.0, 0.125), np.zeros_like,
+                      mollify_width=0.0, blend_width=1.0)
+    nodes, energy_nodes = [], diagnostics._energy_nodes
+
+    def recorded(*args):
+        nodes.append(energy_nodes(*args))
+        return nodes[-1]
+
+    def go():
+        field = prepare_initial_data(raw, bc, g, prof, grid)
+        rec = Recorder(0.2, ref=ReferenceState(1.0, 0.0, 0.25, 0.0),
+                       options=RecorderOptions(sample_count=9))
+        return run(field, g, prof, 0.05, bc, 0.2, hooks=rec)
+
+    monkeypatch.setattr(diagnostics, "_energy_nodes", recorded)
+    (field, fast), (whole, plain) = go(), _plain(go)
+    assert nodes and nodes[0][1] == grid.n_nodes
+    _assert_same_field(field, whole)
+    assert field.hi < grid.n_nodes and "energy" in fast.series
+    assert_same_series(fast, plain)
 
 
 # ---------------------------------------------------------------------------
