@@ -537,12 +537,21 @@ class WeakResidualRecord:
     momentum: np.ndarray            # (n_phi,)
     entropy: np.ndarray             # (n_gen, n_phi)
     norms: np.ndarray               # (n_phi,) W^{1,1} norms of the tests
+    # (n_gen,) largest kernel error estimate each generator's states met,
+    # relative to a state's largest moment (``EntropyKernel.moments``)
+    quadrature_error: np.ndarray
 
     @property
     def max_entropy_violation(self) -> float:
         """Largest positive normalized entropy-inequality residual."""
         return float(np.max(np.maximum(self.entropy / self.norms[None, :],
                                        0.0)))
+
+    @property
+    def max_quadrature_error(self) -> float:
+        """Largest ``quadrature_error`` over the generators (NaN if one has
+        no estimate)."""
+        return float(np.max(self.quadrature_error, initial=0.0))
 
 
 def _unique_states(rho, m, support):
@@ -571,9 +580,9 @@ def weak_residual(history: SnapshotSet, g: GasLaw, profile: NozzleProfile,
     tests is ((B_t' @ F) * B_x).sum(1).  The kernel runs once for the whole
     family, one order-1 moment pass (``pair_grads``) on the unique (rho, m)
     states inside the union of the test supports: exact moments for piece
-    tables, the default ``KERNEL_NODES``-node rule for callables.  Each
-    generator's eta, q and source are then assembled, scattered and
-    contracted in turn.
+    tables, the kernel's default rules for callables, whose error estimates
+    the record keeps.  Each generator's eta, q and source are then
+    assembled, scattered and contracted in turn.
     """
     for gen in gen_set:
         if not gen.convex:
@@ -612,7 +621,8 @@ def weak_residual(history: SnapshotSet, g: GasLaw, profile: NozzleProfile,
     r_s, m_s, inverse = _unique_states(rho, m, support)
     u_s = g.velocity(r_s, m_s)
     entropy = np.zeros((len(gen_set), len(test_set)))
-    pairs = get_kernel(g).pair_grads(gen_set, r_s, m_s)
+    errors: list[float] = []
+    pairs = get_kernel(g).pair_grads(gen_set, r_s, m_s, errors)
     field = np.zeros(rho.shape)
     for i, (eta, q, eta_r, eta_m) in enumerate(pairs):
         src = m_s * eta_r + m_s * u_s * eta_m - q
@@ -624,7 +634,7 @@ def weak_residual(history: SnapshotSet, g: GasLaw, profile: NozzleProfile,
             terms.append(((left @ (field * weight)) * right).sum(1))
         entropy[i] = terms[0] + terms[1] + terms[2]
     return WeakResidualRecord(list(test_set), list(gen_set), mass, momentum,
-                              entropy, norms)
+                              entropy, norms, np.array(errors))
 
 
 # ---------------------------------------------------------------------------

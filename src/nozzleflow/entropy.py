@@ -18,19 +18,21 @@ intervals between its kinks, and its moments are exact: each piece between
 closed-form weight moments, ``weight_moment`` at s = +-1 and a tail recurrence
 at a kink.  A piece too narrow for those sums takes fixed 20-node local rules.
 A generator given by callables is evaluated on one full-interval rule, in
-chunks of states, as one matrix product per derivative order; node-doubling
-certifies it.  One moment pass serves a whole family of generators.
+chunks of states, as one matrix product per derivative order.  When it
+declares where psi stops being analytic, each chunk takes the node count its
+states need: Gauss quadrature of a function analytic inside the Bernstein
+ellipse E_r converges like r^(-2n) (Trefethen, ATAP ch. 19).  Node-doubling
+certifies a pair.  One moment pass serves a whole family of generators.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from ._native import flapack
 from .checks import Check, Report
@@ -181,7 +183,9 @@ class EntropyGenerator:
     ``len(kinks) + 1`` intervals between them: the kernel integrates such a
     table exactly.  A generator given by its callables alone has no kinks;
     its ``jet(v, order)``, when given, returns psi and its derivatives up to
-    ``order`` from one evaluation.
+    ``order`` from one evaluation.  ``singularities`` lists the points v off
+    the real line (their conjugates implied) where such a psi stops being
+    analytic; the kernel sizes its rules from them.
     """
 
     name: str
@@ -192,6 +196,7 @@ class EntropyGenerator:
     kinks: tuple[float, ...] = ()
     pieces: tuple[tuple[float, ...], ...] = ()
     jet: Optional[Callable[[np.ndarray, int], list]] = None
+    singularities: tuple[complex, ...] = ()
 
     def __post_init__(self):
         if list(self.kinks) != sorted(self.kinks) or (
@@ -235,10 +240,11 @@ def _piece_values(kinks, coeffs, v):
                      [np.polyval(c, v) for c in coeffs])[()]
 
 
-def _from_jet(name: str, jet, convex: bool = False) -> EntropyGenerator:
+def _from_jet(name: str, jet, convex: bool = False,
+              singularities: tuple[complex, ...] = ()) -> EntropyGenerator:
     """Generator whose psi, psi' and psi'' each read one order of ``jet``."""
     return EntropyGenerator(name, *(lambda v, j=j: jet(v, j)[j] for j in range(3)),
-                            convex=convex, jet=jet)
+                            convex=convex, jet=jet, singularities=singularities)
 
 
 def _piecewise(name: str, kinks, *pieces, convex: bool = True) -> EntropyGenerator:
@@ -282,7 +288,8 @@ def gen_half_signed_square(u_minus: float) -> EntropyGenerator:
 
 
 def gen_smoothed_abs(center: float = 0.0, width: float = 0.5) -> EntropyGenerator:
-    """Smooth convex regularization of |v - center| with linear growth."""
+    """Smooth convex regularization of |v - center| with linear growth; its
+    branch points are center +- i width."""
     c, w = float(center), float(width)
 
     def jet(v, order):
@@ -295,7 +302,8 @@ def gen_smoothed_abs(center: float = 0.0, width: float = 0.5) -> EntropyGenerato
             out.append(w * w / q ** 1.5)
         return out
 
-    return _from_jet(f"smoothed_abs[{c:g},{w:g}]", jet, convex=True)
+    return _from_jet(f"smoothed_abs[{c:g},{w:g}]", jet, convex=True,
+                     singularities=(complex(c, w),))
 
 
 def gen_convex_spline(center: float = 0.0, width: float = 1.0) -> EntropyGenerator:
@@ -306,11 +314,14 @@ def gen_convex_spline(center: float = 0.0, width: float = 1.0) -> EntropyGenerat
     -+8/15 w, so sub-quadratic growth holds with room to spare.
     """
     c, w = float(center), float(width)
-    core = w * w * Polynomial([0.0, 0.0, 0.5, 0.0, -1.0 / 6.0, 0.0, 1.0 / 30.0])(
-        Polynomial([-c / w, 1.0 / w]))
+    # the core's coefficients in v: t^k = sum_j C(k, j) (-c/w)^(k-j) (v/w)^j
+    a, s = (0.0, 0.0, 0.5, 0.0, -1.0 / 6.0, 0.0, 1.0 / 30.0), -c / w
+    core = [w * w * (1.0 / w) ** j * sum(math.comb(k, j) * a[k] * s ** (k - j)
+                                        for k in range(j, len(a)))
+            for j in range(len(a))]
     edge, slope = 11.0 / 30.0 * w * w, 8.0 / 15.0 * w
     return _piecewise(f"convex_spline[{c:g},{w:g}]", (c - w, c + w),
-                      (edge + slope * (c - w), -slope), core.coef,
+                      (edge + slope * (c - w), -slope), core,
                       (edge - slope * (c + w), slope))
 
 
@@ -369,8 +380,23 @@ GENERATOR_FACTORIES = {
 CERTIFY_RTOL = 1e-10
 # pair_certified gives up when the next doubling would pass this many nodes
 CERTIFY_MAX_NODES = 4096
-# Gauss-Jacobi nodes of a kernel's default rules
+# Gauss-Jacobi nodes of the default rule of a callable generator that
+# declares no singularities
 KERNEL_NODES = 64
+# a generator that declares its singularities takes, per chunk of states,
+# the fewest nodes (a multiple of 8, at least MIN_NODES) whose truncation
+# estimate C rho^(-2n) is at most KERNEL_RTOL, relative to a state's largest
+# moment; rho is the Bernstein ellipse through the nearest singularity
+KERNEL_RTOL = 1e-14
+MIN_NODES = 16
+# C per moment order, at least twice the largest ratio of error to
+# rho^(-2n) seen on smoothed |v - c| generators (gammas 1.2 to 7, widths
+# 0.002 to 2, 16 to 1024 nodes, against 4096): 0.75 at orders 0 and 1, 32
+# at order 2
+KERNEL_ERROR_C = (2.0, 2.0, 64.0)
+# the rounding of a rule's node sums, relative to a state's largest moment,
+# added to every reported estimate: up to 12 ulps seen at gamma 5
+KERNEL_ROUNDING = 32 * 2.0 ** -52
 # states per chunk of a piece table's moment pass: caps its per-piece tail
 # tables below a MiB, and each chunk costs about 0.7 ms of Python
 CHUNK = 2048
@@ -413,11 +439,11 @@ class EntropyKernel:
         self.g = g
         self.lam = g.lambda_exp
         self.theta = g.theta
-        self._rule = cache(gauss_jacobi)  # (n, a, b) -> (nodes, weights)
+        self._rule = _rule  # (n, a, b) -> (nodes, weights)
 
     def moments(self, gens: Sequence[EntropyGenerator], rho_f: np.ndarray,
-                m_f: np.ndarray, max_order: int = 0,
-                n: Optional[int] = None) -> list[dict[tuple[int, int], np.ndarray]]:
+                m_f: np.ndarray, max_order: int = 0, n: Optional[int] = None,
+                errors: Optional[list] = None) -> list[dict[tuple[int, int], np.ndarray]]:
         """Per generator of ``gens``, in order, the moments
         M[(j, k)] = int s^k psi^(j)(u + rho^theta s) (1-s^2)^lam ds per state.
 
@@ -425,11 +451,15 @@ class EntropyKernel:
         quantities read: j <= max_order, k <= max(1, j).  Vacuum states
         (rho <= floor) contribute zero to every moment.  One pass serves the
         whole family: the state checks, u, rho^theta and the vacuum split are
-        done once, callables share each chunk's nodes u + rho^theta t, and
-        piece tables each chunk's powers of rho^theta; every generator's
-        moments are bit for bit those of a call with it alone.  A piece table
-        takes the exact moments of ``_piece_moments``, CHUNK states at a time,
-        and ignores ``n``; callables take the n-node rule of ``_node_moments``.
+        done once, and piece tables share each chunk's powers of rho^theta;
+        every generator's moments are bit for bit those of a call with it
+        alone.  A piece table takes the exact moments of ``_piece_moments``,
+        CHUNK states at a time, and ignores ``n``; a callable takes the rules
+        of ``_node_moments``: the n-node rule when n is given, else each
+        chunk's own.  A list given as ``errors`` gets, per generator, the
+        largest error estimate its states met, relative to each state's
+        largest moment: 0 for a piece table, NaN for a callable on a fixed
+        rule (n given, or no singularities).
         """
         if not (np.isfinite(rho_f).all() and np.isfinite(m_f).all()):
             raise DomainError("states must be finite")
@@ -454,11 +484,14 @@ class EntropyKernel:
                 for row, key in zip(vals[i], keys):
                     row[sl] = chunk[key]
         nodal = [i for i, gen in enumerate(gens) if not gen.pieces]
+        err = [0.0] * len(gens)
         if nodal:
-            for i, val in zip(nodal, self._node_moments(
-                    [gens[i] for i in nodal], u, rt, len(keys), max_order,
-                    n or KERNEL_NODES)):
-                vals[i] = val
+            node_vals, node_err = self._node_moments(
+                [gens[i] for i in nodal], u, rt, len(keys), max_order, n)
+            for i, val, e in zip(nodal, node_vals, node_err):
+                vals[i], err[i] = val, e
+        if errors is not None:
+            errors.extend(err)
         if pos_idx.size < rho_f.size:
             for i, val in enumerate(vals):
                 vals[i] = np.zeros((len(keys), rho_f.size))
@@ -571,29 +604,73 @@ class EntropyKernel:
                 for m, (Um, Wm) in enumerate(zip(U, W))]
 
     def _node_moments(self, gens, u, rt, n_keys, order, n):
-        """Moments of callable generators on one n-node full-interval rule,
-        as one (keys x states) array per generator.
+        """Moments of callable generators on full-interval rules, as one
+        (keys x states) array per generator, and each one's error estimate.
 
-        States go in chunks whose (states x n) arrays take NODE_CHUNK_BYTES.
-        Every generator reads the chunk's one node array V = u + rt t, and
-        each order j is one product psi^(j)(V) @ Q with Q[:, k] = w t^k.
+        Each generator goes through the chunks of ``_chunks``: a chunk reads
+        one node array V = u + rt t, and each order j is one product
+        psi^(j)(V) @ Q with Q[:, k] = w t^k.
         """
-        t, w = self._rule(n, self.lam, self.lam)
-        Q = w[:, None] * t[:, None] ** np.arange(max(1, order) + 1)
-        Qj = [Q[:, :max(1, j) + 1] for j in range(order + 1)]
-        rows = np.cumsum([0] + [q.shape[1] for q in Qj])
-        vals = [np.empty((n_keys, u.size)) for _ in gens]
-        step = max(1, NODE_CHUNK_BYTES // (8 * n))
-        for c in range(0, u.size, step):
-            sl = slice(c, c + step)
-            V = u[sl, None] + rt[sl, None] * t
-            for gen, out in zip(gens, vals):
+        rows = np.cumsum([0] + [max(1, j) + 1 for j in range(order + 1)])
+        rules, vals, errs = {}, [], []
+        for gen in gens:
+            out = np.empty((n_keys, u.size))
+            chunks, err = self._chunks(gen, u, rt, order, n)
+            for lo, hi, nn in chunks:
+                if nn not in rules:
+                    t, w = self._rule(nn, self.lam, self.lam)
+                    Q = w[:, None] * t[:, None] ** np.arange(max(1, order) + 1)
+                    rules[nn] = t, [Q[:, :max(1, j) + 1] for j in range(order + 1)]
+                t, Qj = rules[nn]
+                V = u[lo:hi, None] + rt[lo:hi, None] * t
                 for j, F in enumerate(gen.derivatives(V, order)):
-                    out[rows[j]:rows[j + 1], sl] = (F @ Qj[j]).T
-        return vals
+                    out[rows[j]:rows[j + 1], lo:hi] = (F @ Qj[j]).T
+            vals.append(out)
+            errs.append(err)
+        return vals, errs
+
+    def _chunks(self, gen, u, rt, order, n):
+        """(lo, hi, nodes) chunks of the states for one callable generator,
+        each (states x nodes) array at most NODE_CHUNK_BYTES, and the largest
+        error estimate they meet.
+
+        With n given, or no singularities declared, every chunk takes n
+        (KERNEL_NODES) nodes, with no estimate.  Otherwise psi(u + rt s) is
+        analytic in s inside the Bernstein ellipse with log r =
+        arccosh((|z - 1| + |z + 1|) / 2), z = (v_0 - u) / rt, of its nearest
+        singularity v_0, and each block of the states that fit one
+        MIN_NODES chunk takes, from its smallest r, the fewest nodes in
+        [MIN_NODES, CERTIFY_MAX_NODES], a multiple of 8, with
+        C r^(-2n) <= KERNEL_RTOL.
+        """
+        if n or not gen.singularities:
+            n = n or KERNEL_NODES
+            step = max(1, NODE_CHUNK_BYTES // (8 * n))
+            return [(c, c + step, n) for c in range(0, u.size, step)], math.nan
+        if not u.size:
+            return [], 0.0
+        a = np.inf
+        # a square that overflows puts its singularity at infinity, rightly
+        with np.errstate(over="ignore"):
+            for v0 in gen.singularities:
+                x, y2 = (v0.real - u) / rt, (v0.imag / rt) ** 2
+                a = np.minimum(a, np.sqrt((x - 1.0) ** 2 + y2)
+                               + np.sqrt((x + 1.0) ** 2 + y2))
+        block = NODE_CHUNK_BYTES // (8 * MIN_NODES)
+        starts = np.arange(0, u.size, block)
+        log_r = np.arccosh(np.maximum(0.5 * np.minimum.reduceat(a, starts), 1.0))
+        C = KERNEL_ERROR_C[order]
+        L = math.log(C / KERNEL_RTOL)
+        need = L / np.maximum(2.0 * log_r, L / CERTIFY_MAX_NODES)
+        counts = np.clip(8 * np.ceil(need / 8.0), MIN_NODES, CERTIFY_MAX_NODES).astype(int)
+        chunks = []
+        for lo, nn in zip(starts.tolist(), counts.tolist()):
+            end, step = min(lo + block, u.size), NODE_CHUNK_BYTES // (8 * nn)
+            chunks += [(c, min(c + step, end), nn) for c in range(lo, end, step)]
+        return chunks, float(np.max(C * np.exp(-2.0 * counts * log_r))) + KERNEL_ROUNDING
 
     # -- assembled quantities -------------------------------------------------
-    def _assembled(self, gens, rho, m, max_order, n):
+    def _assembled(self, gens, rho, m, max_order, n, errors=None):
         """Per generator, (eta, q), then (eta_rho, eta_m) and
         (eta_rr, eta_rm, eta_mm) up to max_order, by differentiating under
         the integral of one moment pass for the whole family.  The pass runs
@@ -602,7 +679,7 @@ class EntropyKernel:
         rf, mf, shape = _flat_states(rho, m)
         if max_order == 2 and np.any(rf <= self.g.rho_floor):
             raise DomainError("entropy Hessian needs rho above the vacuum floor")
-        moments = self.moments(gens, rf, mf, max_order, n)
+        moments = self.moments(gens, rf, mf, max_order, n, errors)
         th = self.theta
         flux = th * rf ** (1.0 + th)
         if max_order:
@@ -630,10 +707,11 @@ class EntropyKernel:
         """(eta, q, eta_rho, eta_m) from one order-1 moment pass."""
         return next(self._assembled([gen], rho, m, 1, None))
 
-    def pair_grads(self, gens, rho, m):
+    def pair_grads(self, gens, rho, m, errors: Optional[list] = None):
         """``pair_grad`` of each generator in turn, from one moment pass
-        for the whole family; each tuple is assembled as it is taken."""
-        return self._assembled(gens, rho, m, 1, None)
+        for the whole family; each tuple is assembled as it is taken.
+        ``errors`` is as in ``moments``."""
+        return self._assembled(gens, rho, m, 1, None, errors)
 
     def hessian(self, gen, rho, m):
         """(eta_rr, eta_rm, eta_mm); states must be away from vacuum."""
@@ -668,6 +746,10 @@ class EntropyKernel:
                     f"entropy pair for generator {gen.name!r} failed the "
                     f"node-doubling check at {CERTIFY_MAX_NODES} nodes")
             eta_c, q_c = eta_f, q_f
+
+
+# rules depend on the gas law through lam alone, so kernels share them
+_rule = lru_cache(maxsize=256)(gauss_jacobi)
 
 
 @lru_cache(maxsize=64)

@@ -35,8 +35,9 @@ def sample_interval(a: float, b: float) -> np.ndarray:
     base = np.linspace(a, b, N_SAMPLES)
     span = b - a
     tails = span * np.geomspace(1e-12, 1e-1, 23)
-    pts = np.concatenate([base, a + tails, b - tails])
-    return np.unique(np.clip(pts, a, b))
+    pts = np.sort(np.clip(np.concatenate([base, a + tails, b - tails]), a, b))
+    # np.unique's bytes, without the numpy.ma import it makes
+    return pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
 
 
 class NozzleProfile:

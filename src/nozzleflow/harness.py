@@ -433,7 +433,8 @@ def lp_distance(snap_a: SnapshotSet, snap_b: SnapshotSet, K, p: float = 1.0,
 
     Both snapshot sets must share their sample times; the comparison grid is
     the finer of the two restricted to K, the coarser run interpolating
-    linearly onto it.
+    linearly onto it.  Windows on the same nodes skip the interpolation,
+    which would return their rows byte for byte.
     """
     if p < 1.0:
         raise ConfigError("p must be at least 1")
@@ -444,8 +445,11 @@ def lp_distance(snap_a: SnapshotSet, snap_b: SnapshotSet, K, p: float = 1.0,
     wa = snap_a.window(lo, hi)
     wb = snap_b.window(lo, hi)
     xq = wa.x if wa.x.size >= wb.x.size else wb.x
-    fa, fb = (np.vstack([np.interp(xq, w.x, row) for row in getattr(w, which)])
-              for w in (wa, wb))
+    if wa.x.tobytes() == wb.x.tobytes():
+        fa, fb = getattr(wa, which), getattr(wb, which)
+    else:
+        fa, fb = (np.vstack([np.interp(xq, w.x, row) for row in getattr(w, which)])
+                  for w in (wa, wb))
     diff = np.abs(fa - fb) ** p
     per_t = np.trapezoid(diff, xq, axis=1)
     return float(np.trapezoid(per_t, snap_a.t) ** (1.0 / p))
@@ -503,6 +507,9 @@ class SweepResult(Report):
         if self.weak:
             lines.append("  max_entropy_violation per rung: "
                          + ", ".join(f"{w.max_entropy_violation:.5g}"
+                                     for w in self.weak))
+            lines.append("  quadrature_error per rung:      "
+                         + ", ".join(f"{w.max_quadrature_error:.2g}"
                                      for w in self.weak))
         for name in ("rho", "m"):
             lines.append(f"  verdict: {name} Cauchy, second-largest of "

@@ -33,7 +33,12 @@ def _match(x, out):
     return out if np.ndim(x) else float(out)
 
 
-_gauss_legendre = cache(np.polynomial.legendre.leggauss)   # q -> nodes, weights
+@cache
+def _gauss_legendre(q: int):
+    """Nodes and weights of the q-point Gauss-Legendre rule; numpy.polynomial
+    loads on the first call, which only ``_riemann_R``'s quadrature makes."""
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(q)
 
 
 @dataclass(frozen=True)

@@ -53,4 +53,4 @@ def plain_weak_residual(history, g, profile, test_set, gen_set):
             entropy[i, j] = _integrate(-eta * A * phi_t - q * A * phi_x
                                        + src * phi)
     return WeakResidualRecord(list(test_set), list(gen_set), mass, momentum,
-                              entropy, norms)
+                              entropy, norms, np.full(len(gen_set), np.nan))

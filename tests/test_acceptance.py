@@ -12,7 +12,8 @@ from helpers import (assert_same_series, manufactured_error,
                      whole_field_monitors)
 from nozzleflow.diagnostics import (default_generator_family,
                                     default_test_functions, weak_residual)
-from nozzleflow.entropy import (ReferenceState, gen_bump, gen_half_square,
+from nozzleflow.entropy import (EntropyKernel, ReferenceState, gen_bump,
+                                gen_half_square,
                                 gen_linear, gen_one, gen_quartic,
                                 gen_smoothed_abs, get_kernel,
                                 mechanical_energy, special_pair_check,
@@ -20,7 +21,7 @@ from nozzleflow.entropy import (ReferenceState, gen_bump, gen_half_square,
 from nozzleflow.geometry import (ConstantProfile, ExponentialProfile,
                                  GaussianBumpProfile, PowerLawClosingProfile,
                                  SphericalProfile)
-from nozzleflow import harness
+from nozzleflow import entropy, harness
 from nozzleflow.harness import (RunConfig, lp_distance, single_run, sweep,
                                 write_snapshot_csv)
 from nozzleflow.schedule import certify, make_default
@@ -276,6 +277,54 @@ def test_weak_residual_matches_plain_evaluation(sweep_gamma2, sweep_gamma5):
                 a, b = getattr(fast, name), getattr(plain, name)
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), \
                     (gamma, rung.eps, name)
+
+
+def test_weak_residual_default_rule_matches_512_nodes(sweep_gamma2,
+                                                     sweep_gamma5):
+    # on every rung of both sweeps, the residual on each chunk's own node
+    # count against every callable on 512 nodes: each row within 1e-12 of
+    # its largest entry, and each generator's reported quadrature error at
+    # least the error its states' moments show
+    real = EntropyKernel.moments
+    seen = []
+
+    def spy(self, gens, rho_f, m_f, max_order=0, n=None, errors=None):
+        seen.append((self, gens, rho_f, m_f, max_order))
+        return real(self, gens, rho_f, m_f, max_order, n, errors)
+
+    def fine(self, gens, rho_f, m_f, max_order=0, n=None, errors=None):
+        return real(self, gens, rho_f, m_f, max_order, 512, errors)
+    for res, gamma in ((sweep_gamma2, 2.0), (sweep_gamma5, 5.0)):
+        cfg = _sweep_config(gamma)
+        K = (cfg.window_lo, cfg.window_hi)
+        tests = default_test_functions(0.02 * cfg.t_end, 0.98 * cfg.t_end, K)
+        gens = default_generator_family((-1.0, 0.0, 1.0))
+        for rung, rec in zip(res.runs, res.weak):
+            args = (rung.snapshots, cfg.build_gas(rung.eps),
+                    cfg.build_profile(), tests, gens)
+            seen.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(EntropyKernel, "moments", spy)
+                default = weak_residual(*args)
+                mp.setattr(EntropyKernel, "moments", fine)
+                ref = weak_residual(*args)
+            assert default.entropy.tobytes() == rec.entropy.tobytes()
+            for name in ("mass", "momentum", "entropy"):
+                a, b = getattr(default, name), getattr(ref, name)
+                scale = np.max(np.abs(b), axis=-1, keepdims=True)
+                assert np.all(np.abs(a - b) <= 1e-12 * scale), \
+                    (gamma, rung.eps, name)
+            (kern, fam, rho_f, m_f, order), = seen
+            fast = real(kern, fam, rho_f, m_f, order)
+            slow = real(kern, fam, rho_f, m_f, order, 512)
+            for gen, M, R, est in zip(fam, fast, slow, rec.quadrature_error):
+                if gen.pieces:
+                    assert est == 0.0
+                    continue
+                scale = np.max(np.abs(np.array(list(R.values()))), axis=0)
+                err = np.max(np.abs(np.array([M[k] - R[k] for k in R])) / scale)
+                assert err <= est <= 2.0 * entropy.KERNEL_RTOL, \
+                    (gamma, rung.eps, gen.name, err, est)
 
 
 def test_hull_monitors_match_whole_field_on_every_rung(sweep_gamma2,

@@ -330,7 +330,7 @@ def test_chunked_node_products_match_elementwise_sums(gen):
     rho = np.concatenate([[0.0, g.rho_floor], rng.uniform(1e-3, 4.0, size)])
     m = rho * np.concatenate([[0.0, 1.0], rng.uniform(-3.0, 3.0, size)])
     for order in range(3):
-        fast = kern.moments([gen], rho, m, order)[0]
+        fast = kern.moments([gen], rho, m, order, entropy.KERNEL_NODES)[0]
         plain = plain_moments(kern, gen, rho, m, order, entropy.KERNEL_NODES)
         assert sorted(fast) == sorted(plain) == _moment_keys(order)
         scale = np.max(np.abs(np.array(list(plain.values()))), axis=0) + 1e-300
@@ -383,13 +383,18 @@ def test_one_moment_pass_gives_each_generator_its_own_moments(gamma):
             for key in alone:
                 assert family[i][key].tobytes() == alone[key].tobytes(), (gen.name, key)
                 assert moved[key].tobytes() == alone[key].tobytes(), (gen.name, key)
-    family = kern.moments(FAMILY, rho, m, 2)
-    for gen, fast in zip(FAMILY, family):
+    # a callable that declares its singularities within its reported
+    # estimate of 512 nodes, the others within rounding of their fixed rule
+    errors = []
+    family = kern.moments(FAMILY, rho, m, 2, errors=errors)
+    for gen, fast, err in zip(FAMILY, family, errors):
         if gen.pieces:
             with np.errstate(divide="ignore", invalid="ignore"):
                 s_k = _kinks_in_range(gen, g.theta, rho, m)
             keep = np.all(np.abs(np.abs(s_k) - 1.0) >= 1e-2, axis=1)
             n, tol = 2048, 1e-13
+        elif gen.singularities:
+            keep, n, tol = np.ones(rho.size, dtype=bool), 512, err
         else:
             keep, n, tol = np.ones(rho.size, dtype=bool), entropy.KERNEL_NODES, 1e-14
         plain = plain_moments(kern, gen, rho[keep], m[keep], 2, n)
@@ -397,6 +402,54 @@ def test_one_moment_pass_gives_each_generator_its_own_moments(gamma):
         for key in plain:
             assert np.all(np.abs(fast[key][keep] - plain[key]) <= tol * scale), \
                 (gen.name, key)
+
+
+def test_convex_spline_core_matches_the_polynomial_composition():
+    # the binomial sums give numpy.polynomial's composition of the core with
+    # (v - c) / w: bit for bit at c = 0, so for the default family's (0, 1)
+    # spline, else within an ulp
+    from numpy.polynomial import Polynomial
+    core = [0.0, 0.0, 0.5, 0.0, -1.0 / 6.0, 0.0, 1.0 / 30.0]
+    for c, w in ((0.0, 1.0), (0.0, 0.5), (0.35, 0.5), (-1.0, 2.0), (3.0, 0.2)):
+        want = (w * w * Polynomial(core)(Polynomial([-c / w, 1.0 / w]))).coef
+        got = np.array(gen_convex_spline(c, w).pieces[1])
+        if c == 0.0:
+            assert got.tobytes() == want.tobytes(), (c, w)
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=4e-16 * np.max(np.abs(want)))
+
+
+# states with rho^theta = 4, 4 and 9, eight to eighteen times the width:
+# the fixed 64-node rule is off there by 5.0e-9, 3.0e-9 and 9.2e-6 of a
+# state's largest moment
+DENSE = ((2.0, 16.0), (5.0, 2.0), (3.0, 9.0))
+
+
+@pytest.mark.parametrize("gamma, rho", DENSE)
+def test_default_rule_meets_its_tolerance_on_dense_states(gamma, rho):
+    # each chunk's node count holds the error of the moments, relative to a
+    # state's largest, to KERNEL_RTOL against 512 nodes, and each reported
+    # estimate covers the error seen, at every order
+    g = GasLaw(gamma)
+    kern = get_kernel(g)
+    rho_f = np.full(301, rho)
+    m_f = rho_f * np.linspace(-3.0, 3.0, 301)
+    gens = [gen for gen in default_generator_family() if not gen.pieces]
+    assert len(gens) == 3 and all(gen.singularities for gen in gens)
+    for order in range(3):
+        errors = []
+        fast = kern.moments(gens, rho_f, m_f, order, errors=errors)
+        ref = kern.moments(gens, rho_f, m_f, order, 512)
+        for gen, M, R, est in zip(gens, fast, ref, errors):
+            scale = np.max(np.abs(np.array(list(R.values()))), axis=0)
+            seen = np.max(np.abs(np.array([M[k] - R[k] for k in R])) / scale)
+            assert seen <= entropy.KERNEL_RTOL, (gen.name, order, seen)
+            assert seen <= est, (gen.name, order, seen, est)
+    # and the fixed rule does not: it is what the counts replace
+    fixed = kern.moments(gens, rho_f, m_f, 1, entropy.KERNEL_NODES)
+    ref = kern.moments(gens, rho_f, m_f, 1, 512)
+    assert max(np.max(np.abs(M[k] - R[k]) / np.abs(R[(0, 0)]))
+               for M, R in zip(fixed, ref) for k in R) > 1e-10
 
 
 @pytest.mark.parametrize("fields", [dict(kinks=(1.0, 0.0), pieces=()),
@@ -760,9 +813,9 @@ def _count_moments(monkeypatch):
     calls = []
     real = EntropyKernel.moments
 
-    def counted(self, gens, rho_f, m_f, max_order=0, n=None):
+    def counted(self, gens, rho_f, m_f, max_order=0, *args):
         calls.append((rho_f.size, max_order))
-        return real(self, gens, rho_f, m_f, max_order, n)
+        return real(self, gens, rho_f, m_f, max_order, *args)
     monkeypatch.setattr(EntropyKernel, "moments", counted)
     return calls
 

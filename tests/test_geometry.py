@@ -152,6 +152,17 @@ def test_exponential_one_sided_integrability():
     assert ok[:2] == (True, True)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-2.0, 2.0), (1e-6, 3.5),
+                                  (-40.0, -39.999), (0.25, 1e6)])
+def test_sample_interval_is_np_unique_bit_for_bit(a, b):
+    # the sort and neighbour mask that replace np.unique (which imports
+    # numpy.ma) give its bytes, duplicate samples at the clipped ends too
+    base = np.linspace(a, b, geometry.N_SAMPLES)
+    tails = (b - a) * np.geomspace(1e-12, 1e-1, 23)
+    pts = np.unique(np.clip(np.concatenate([base, a + tails, b - tails]), a, b))
+    assert geometry.sample_interval(a, b).tobytes() == pts.tobytes()
+
+
 def test_unit_sphere_area_values():
     assert unit_sphere_area(2) == pytest.approx(2.0 * np.pi)
     assert unit_sphere_area(3) == pytest.approx(4.0 * np.pi)

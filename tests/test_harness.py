@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from nozzleflow import entropy
 from nozzleflow.checks import Report
 from nozzleflow.cli import main as cli_main
 from nozzleflow.diagnostics import SnapshotSet
@@ -150,6 +151,32 @@ def test_lp_distance_brute_force_oracle():
     assert got == pytest.approx(oracle, rel=1e-12)
 
 
+def test_lp_distance_on_equal_nodes_matches_the_interpolating_path(monkeypatch):
+    # windows on byte-equal nodes skip np.interp; the same nodes with 0.0
+    # written as -0.0 are equal but not byte-equal, so they interpolate, and
+    # the distances agree bit for bit
+    rng = np.random.default_rng(5)
+    a, b = _snap(rng), _snap(rng)
+    x = b.x.copy()
+    x[x == 0.0] = -0.0
+    assert x.tobytes() != a.x.tobytes()
+    b_interp = SnapshotSet(b.t, x, b.rho, b.m)
+    calls = []
+    real = np.interp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(np, "interp", counted)
+    for p, which in ((1.0, "rho"), (2.0, "m"), (1.5, "rho")):
+        calls.clear()
+        fast = lp_distance(a, b, (-1.5, 0.5), p, which)
+        assert not calls
+        plain = lp_distance(a, b_interp, (-1.5, 0.5), p, which)
+        assert calls
+        assert fast == plain, (p, which)
+
+
 def test_lp_distance_triangle_inequality():
     rng = np.random.default_rng(3)
     for p in (1.0, 2.0):
@@ -256,7 +283,15 @@ def test_sweep_summary_prints_each_rung_s_entropy_violation():
     line = "  max_entropy_violation per rung: " + ", ".join(
         f"{w.max_entropy_violation:.5g}" for w in res.weak)
     assert line in res.summary().splitlines()
+    # and the next the largest kernel error estimate of each rung
+    line = "  quadrature_error per rung:      " + ", ".join(
+        f"{w.max_quadrature_error:.2g}" for w in res.weak)
+    assert line in res.summary().splitlines()
+    for w in res.weak:
+        assert 0.0 < w.max_quadrature_error <= 2.0 * entropy.KERNEL_RTOL
     assert "max_entropy_violation" not in dataclasses.replace(
+        res, weak=[]).summary()
+    assert "quadrature_error" not in dataclasses.replace(
         res, weak=[]).summary()
 
 

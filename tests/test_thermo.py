@@ -182,7 +182,8 @@ def test_import_leaves_out_scipy_integrate_and_interpolate(tmp_path):
     # nor scipy.linalg: LAPACK comes from its compiled module alone, after
     # import and through a CLI check, a run and a 3-rung sweep with weak
     # residuals; nor concurrent or multiprocessing: a sweep steps its rungs
-    # in one process
+    # in one process; nor numpy.ma (np.unique's masked check) or
+    # numpy.polynomial (the Legendre rule and the spline's composition)
     run_cfg, sweep_cfg = tmp_path / "run.cfg", tmp_path / "sweep.cfg"
     run_cfg.write_text(f"dx = 0.0625\nt_end = 0.1\nsnapshots = 5\n"
                        f"output_dir = {tmp_path / 'run'}\n")
@@ -192,9 +193,11 @@ def test_import_leaves_out_scipy_integrate_and_interpolate(tmp_path):
     code = ("import sys, nozzleflow\n"
             "from nozzleflow.cli import main\n"
             "def loaded():\n"
-            "    return sorted(m for m in sys.modules if m == 'scipy.linalg' or\n"
-            "                  m.startswith(('scipy.integrate', 'scipy.interpolate',\n"
-            "                                'concurrent', 'multiprocessing')))\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m in ('scipy.linalg', 'numpy.ma', 'numpy.polynomial')\n"
+            "                  or m.startswith(('scipy.integrate', 'scipy.interpolate',\n"
+            "                                   'concurrent', 'multiprocessing',\n"
+            "                                   'numpy.ma.', 'numpy.polynomial.')))\n"
             "print('loaded:', loaded())\n"
             f"assert main(['check', {str(sweep_cfg)!r}]) == 0\n"
             "print('loaded:', loaded())\n"
