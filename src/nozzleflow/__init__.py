@@ -46,7 +46,6 @@ from .entropy import (
     get_kernel,
     mechanical_energy,
     quartic_entropy,
-    special_pair_check,
     weight_moment,
 )
 from .solver import (

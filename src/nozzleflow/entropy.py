@@ -21,22 +21,21 @@ A generator given by callables is evaluated on one full-interval rule, in
 chunks of states, as one matrix product per derivative order.  When it
 declares where psi stops being analytic, each chunk takes the node count its
 states need: Gauss quadrature of a function analytic inside the Bernstein
-ellipse E_r converges like r^(-2n) (Trefethen, ATAP ch. 19).  Node-doubling
-certifies a pair.  One moment pass serves a whole family of generators.
+ellipse E_r converges like r^(-2n) (Trefethen, ATAP ch. 19).  One moment
+pass serves a whole family of generators.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, wraps
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ._native import flapack
-from .checks import Check, Report
-from .errors import ConfigError, DomainError, QuadratureError
+from .errors import ConfigError, DomainError
 from .thermo import GasLaw, _match
 
 # ---------------------------------------------------------------------------
@@ -376,19 +375,16 @@ GENERATOR_FACTORIES = {
 # Kernel evaluation
 # ---------------------------------------------------------------------------
 
-# node-doubling tolerance of pair_certified (relative, with a scale floor)
-CERTIFY_RTOL = 1e-10
-# pair_certified gives up when the next doubling would pass this many nodes
-CERTIFY_MAX_NODES = 4096
 # Gauss-Jacobi nodes of the default rule of a callable generator that
 # declares no singularities
 KERNEL_NODES = 64
 # a generator that declares its singularities takes, per chunk of states,
-# the fewest nodes (a multiple of 8, at least MIN_NODES) whose truncation
+# the fewest nodes (a multiple of 8, MIN_NODES to MAX_NODES) whose truncation
 # estimate C rho^(-2n) is at most KERNEL_RTOL, relative to a state's largest
 # moment; rho is the Bernstein ellipse through the nearest singularity
 KERNEL_RTOL = 1e-14
 MIN_NODES = 16
+MAX_NODES = 4096
 # C per moment order, at least twice the largest ratio of error to
 # rho^(-2n) seen on smoothed |v - c| generators (gammas 1.2 to 7, widths
 # 0.002 to 2, 16 to 1024 nodes, against 4096): 0.75 at orders 0 and 1, 32
@@ -422,6 +418,18 @@ def _flat_states(rho, m):
     return rf, mf, shape
 
 
+def _in_float_range(fn):
+    """fn with a float overflow, from a finite state, raised as a DomainError."""
+    @wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            with np.errstate(over="raise"):
+                return fn(*args, **kwargs)
+        except FloatingPointError as err:
+            raise DomainError(f"a state leaves the float range: {err}") from None
+    return guarded
+
+
 def _shaped(shape, *arrs):
     if shape == ():
         out = tuple(float(a[0]) for a in arrs)
@@ -441,6 +449,7 @@ class EntropyKernel:
         self.theta = g.theta
         self._rule = _rule  # (n, a, b) -> (nodes, weights)
 
+    @_in_float_range
     def moments(self, gens: Sequence[EntropyGenerator], rho_f: np.ndarray,
                 m_f: np.ndarray, max_order: int = 0, n: Optional[int] = None,
                 errors: Optional[list] = None) -> list[dict[tuple[int, int], np.ndarray]]:
@@ -459,7 +468,8 @@ class EntropyKernel:
         chunk's own.  A list given as ``errors`` gets, per generator, the
         largest error estimate its states met, relative to each state's
         largest moment: 0 for a piece table, NaN for a callable on a fixed
-        rule (n given, or no singularities).
+        rule (n given, or no singularities).  A finite state that overflows
+        the pass is a DomainError.
         """
         if not (np.isfinite(rho_f).all() and np.isfinite(m_f).all()):
             raise DomainError("states must be finite")
@@ -640,7 +650,7 @@ class EntropyKernel:
         arccosh((|z - 1| + |z + 1|) / 2), z = (v_0 - u) / rt, of its nearest
         singularity v_0, and each block of the states that fit one
         MIN_NODES chunk takes, from its smallest r, the fewest nodes in
-        [MIN_NODES, CERTIFY_MAX_NODES], a multiple of 8, with
+        [MIN_NODES, MAX_NODES], a multiple of 8, with
         C r^(-2n) <= KERNEL_RTOL.
         """
         if n or not gen.singularities:
@@ -661,8 +671,8 @@ class EntropyKernel:
         log_r = np.arccosh(np.maximum(0.5 * np.minimum.reduceat(a, starts), 1.0))
         C = KERNEL_ERROR_C[order]
         L = math.log(C / KERNEL_RTOL)
-        need = L / np.maximum(2.0 * log_r, L / CERTIFY_MAX_NODES)
-        counts = np.clip(8 * np.ceil(need / 8.0), MIN_NODES, CERTIFY_MAX_NODES).astype(int)
+        need = L / np.maximum(2.0 * log_r, L / MAX_NODES)
+        counts = np.clip(8 * np.ceil(need / 8.0), MIN_NODES, MAX_NODES).astype(int)
         chunks = []
         for lo, nn in zip(starts.tolist(), counts.tolist()):
             end, step = min(lo + block, u.size), NODE_CHUNK_BYTES // (8 * nn)
@@ -670,7 +680,8 @@ class EntropyKernel:
         return chunks, float(np.max(C * np.exp(-2.0 * counts * log_r))) + KERNEL_ROUNDING
 
     # -- assembled quantities -------------------------------------------------
-    def _assembled(self, gens, rho, m, max_order, n, errors=None):
+    @_in_float_range
+    def _assembled(self, gens, rho, m, max_order, errors=None):
         """Per generator, (eta, q), then (eta_rho, eta_m) and
         (eta_rr, eta_rm, eta_mm) up to max_order, by differentiating under
         the integral of one moment pass for the whole family.  The pass runs
@@ -679,13 +690,14 @@ class EntropyKernel:
         rf, mf, shape = _flat_states(rho, m)
         if max_order == 2 and np.any(rf <= self.g.rho_floor):
             raise DomainError("entropy Hessian needs rho above the vacuum floor")
-        moments = self.moments(gens, rf, mf, max_order, n, errors)
+        moments = self.moments(gens, rf, mf, max_order, errors=errors)
         th = self.theta
         flux = th * rf ** (1.0 + th)
         if max_order:
             u = self.g.velocity(rf, mf)
             rt = rf ** th
 
+        @_in_float_range
         def assemble(M):
             out = [rf * M[(0, 0)], mf * M[(0, 0)] + flux * M[(0, 1)]]
             if max_order:
@@ -699,53 +711,23 @@ class EntropyKernel:
 
         return (assemble(moments.pop(0)) for _ in gens)
 
-    def pair(self, gen, rho, m, n: Optional[int] = None):
+    def pair(self, gen, rho, m):
         """(eta, q) for one generator, vectorized over states of any shape."""
-        return next(self._assembled([gen], rho, m, 0, n))
+        return next(self._assembled([gen], rho, m, 0))
 
     def pair_grad(self, gen, rho, m):
         """(eta, q, eta_rho, eta_m) from one order-1 moment pass."""
-        return next(self._assembled([gen], rho, m, 1, None))
+        return next(self._assembled([gen], rho, m, 1))
 
     def pair_grads(self, gens, rho, m, errors: Optional[list] = None):
         """``pair_grad`` of each generator in turn, from one moment pass
         for the whole family; each tuple is assembled as it is taken.
         ``errors`` is as in ``moments``."""
-        return self._assembled(gens, rho, m, 1, None, errors)
+        return self._assembled(gens, rho, m, 1, errors)
 
     def hessian(self, gen, rho, m):
         """(eta_rr, eta_rm, eta_mm); states must be away from vacuum."""
-        return next(self._assembled([gen], rho, m, 2, None))[4:]
-
-    def pair_certified(self, gen, rho, m):
-        """(eta, q) with a node-doubling certificate.
-
-        Starts from the default node count, doubles until consecutive rules
-        agree to CERTIFY_RTOL (relative, with a scale floor so symmetric
-        zeros do not trip it), and returns the finer evaluation; past
-        CERTIFY_MAX_NODES nodes it raises QuadratureError.  A piece table's
-        moments are exact and use no nodes, so it is evaluated once.
-        """
-        if gen.pieces:
-            return self.pair(gen, rho, m)
-        rf, mf, shape = _flat_states(rho, m)
-        u = self.g.velocity(rf, mf)
-        scale = rf * (1.0 + u * u + rf ** (2.0 * self.theta)) + 1e-300
-        n = KERNEL_NODES
-        eta_c, q_c = self.pair(gen, rf, mf, n)
-        while True:
-            eta_f, q_f = self.pair(gen, rf, mf, 2 * n)
-            tol_eta = CERTIFY_RTOL * (np.abs(eta_f) + 1e-3 * scale)
-            tol_q = CERTIFY_RTOL * (np.abs(q_f) + 1e-3 * scale)
-            if (np.all(np.abs(eta_f - eta_c) <= tol_eta)
-                    and np.all(np.abs(q_f - q_c) <= tol_q)):
-                return _shaped(shape, eta_f, q_f)
-            n *= 2
-            if 2 * n > CERTIFY_MAX_NODES:
-                raise QuadratureError(
-                    f"entropy pair for generator {gen.name!r} failed the "
-                    f"node-doubling check at {CERTIFY_MAX_NODES} nodes")
-            eta_c, q_c = eta_f, q_f
+        return next(self._assembled([gen], rho, m, 2))[4:]
 
 
 # rules depend on the gas law through lam alone, so kernels share them
@@ -828,104 +810,3 @@ def quartic_entropy(g: GasLaw, rho, m):
     u2, p = g._velocity(r, mm) ** 2, g._rho(r) ** (g.gamma - 1.0)
     eta = np.where(r > g.rho_floor, r * (W0 * u2 * u2 + 6.0 * W2 * u2 * p + W4 * p * p), 0.0)
     return eta if eta.ndim else float(eta)
-
-
-# ---------------------------------------------------------------------------
-# The flux-dominating shifted pair and its inequality battery
-# ---------------------------------------------------------------------------
-
-
-# allowance on max(lhs - M rhs) of a shifted-pair inequality over a sample
-PAIR_INEQUALITY_TOL = 1e-9
-
-
-def _special_pair(g: GasLaw, ref: ReferenceState, rho_a, m_a):
-    """Shifted-pair fields on flat states from two order-1 kernel passes.
-
-    Returns (eta_check, q_check, eta_tilde, q_tilde, eta_check_rho,
-    eta_check_m) on the states, then eta_check_m and q_tilde at the left far
-    state (rho_minus, rho_minus * u_minus), where the linearization is
-    taken.  The pair is built for the pure gamma-law pressure (the quadratic
-    stiffener plays no role here).
-    """
-    g0 = GasLaw(g.gamma, g.kappa, 0.0)
-    kern = get_kernel(g0)
-    gen = gen_half_signed_square(ref.u_minus)
-    rm = ref.rho_minus
-    mm = rm * ref.u_minus
-    eta_c, q_c, etc_r, etc_m = kern.pair_grad(gen, rho_a, m_a)
-    _, q_ref, gr, gm = kern.pair_grad(gen, rm, mm)
-
-    def tilde(rho, m, eta, q):
-        rs = np.maximum(rho, g0.rho_floor)
-        flux_m = np.where(rho > g0.rho_floor, m * m / rs, 0.0) + g0.pressure(rho)
-        return eta - gr * (rho - rm) - gm * (m - mm), q - gr * m - gm * flux_m
-
-    eta_t, q_t = tilde(rho_a, m_a, eta_c, q_c)
-    q_t_ref = float(tilde(rm, mm, 0.0, q_ref)[1])
-    return eta_c, q_c, eta_t, q_t, etc_r, etc_m, gm, q_t_ref
-
-
-def special_pair_fields(g: GasLaw, ref: ReferenceState, rho, m):
-    """(eta_check, q_check, eta_tilde, q_tilde) for the shifted generator."""
-    return _special_pair(g, ref, *_flat_states(rho, m)[:2])[:4]
-
-
-def special_pair_check(g: GasLaw, ref: ReferenceState, rho, m,
-                       M: Optional[float] = None) -> Report:
-    """Fit/verify the growth and domination inequalities of the shifted pair.
-
-    The Report's series hold ``q_tilde_at_ref`` and, per inequality, the
-    minimal constant that makes it hold on the given sample.  Its checks
-    hold ``Check(q_tilde_at_ref, 0)`` and, if ``M`` is supplied, one check
-    per inequality of max(lhs - M rhs) over the sample against
-    ``PAIR_INEQUALITY_TOL``.
-    """
-    rho_a, m_a, _ = _flat_states(rho, m)
-    if np.any(rho_a < 0.0):
-        raise DomainError("density must be nonnegative")
-    eta_c, q_c, eta_t, q_t, etc_r, etc_m, gm_ref, q_t_ref = _special_pair(
-        g, ref, rho_a, m_a)
-    rm, um = ref.rho_minus, ref.u_minus
-
-    th = g.theta
-    pos = rho_a > g.rho_floor
-    rs = np.maximum(rho_a, 1e-300)
-    u = g.velocity(rho_a, m_a)
-    du = np.abs(u - um)
-    drt = np.abs(rho_a ** th - rm ** th)
-    G1 = rho_a * du ** 2 + rho_a * drt ** 2
-    G2p = rho_a * du ** 3 + rho_a ** (g.gamma + th)
-    G2n = rho_a + rho_a * du ** 2 + rho_a ** g.gamma
-    source = np.where(pos, -q_c + m_a * etc_r + (m_a * m_a / rs) * etc_m, 0.0)
-    eta_tm = etc_m - gm_ref
-
-    def _ratio(num, den):
-        mask = den > 1e-14 * (1.0 + np.abs(num))
-        return float(np.max(num[mask] / den[mask])) if mask.any() else 0.0
-
-    fitted: dict[str, float] = {}
-    fitted["eta_tilde_bound"] = _ratio(np.abs(eta_t), G1)
-    mask = G2n > 1e-300
-    mfit = (-q_t[mask] + np.sqrt(q_t[mask] ** 2 + 4.0 * G2n[mask] * G2p[mask])) \
-        / (2.0 * G2n[mask])
-    fitted["q_tilde_growth"] = float(np.max(mfit)) if mask.any() else 0.0
-    mask = (q_t + 1.0) > 1e-12
-    fitted["source_domination"] = _ratio(np.abs(source[mask]), q_t[mask] + 1.0)
-    fitted["eta_tilde_m_bound"] = _ratio(np.abs(eta_tm), du + drt)
-    fitted["m_eta_tilde_m_bound"] = _ratio(
-        np.abs(m_a * eta_tm), rho_a * du ** 2 + rho_a * drt ** 2 + rho_a)
-
-    checks = {"q_tilde_at_ref": Check(q_t_ref, 0.0)}
-    if M is not None:
-        excess = {
-            "eta_tilde_bound": np.abs(eta_t) - M * G1,
-            "q_tilde_growth": G2p / M - M * G2n - q_t,
-            "source_domination": np.abs(source) - M * (q_t + 1.0),
-            "eta_tilde_m_bound": np.abs(eta_tm) - M * (du + drt),
-            "m_eta_tilde_m_bound": np.abs(m_a * eta_tm)
-            - M * (rho_a * du ** 2 + rho_a * drt ** 2 + rho_a),
-        }
-        checks.update((name, Check(np.max(v), PAIR_INEQUALITY_TOL))
-                      for name, v in excess.items())
-    return Report(series={"q_tilde_at_ref": q_t_ref, **fitted}, checks=checks)

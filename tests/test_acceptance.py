@@ -16,8 +16,7 @@ from nozzleflow.entropy import (EntropyKernel, ReferenceState, gen_bump,
                                 gen_half_square,
                                 gen_linear, gen_one, gen_quartic,
                                 gen_smoothed_abs, get_kernel,
-                                mechanical_energy, special_pair_check,
-                                weight_moment)
+                                mechanical_energy, weight_moment)
 from nozzleflow.geometry import (ConstantProfile, ExponentialProfile,
                                  GaussianBumpProfile, PowerLawClosingProfile,
                                  SphericalProfile)
@@ -30,6 +29,7 @@ from nozzleflow.solver import (BoundarySpec, FluidField, Grid, SolverContext,
 from nozzleflow.thermo import GasLaw
 from plain_recorder import PlainRecorder
 from plain_weak_residual import plain_weak_residual
+from special_pair import special_pair_check
 
 
 def _verdict(number: int, name: str, ok: bool) -> None:
@@ -73,9 +73,9 @@ def test_01_entropy_kernel_closed_forms():
         rho = rng.uniform(0.01, 5.0, 1000)
         u = rng.uniform(0.05, 3.0, 1000) * rng.choice([-1.0, 1.0], 1000)
         m = rho * u
-        eta1, q1 = kern.pair_certified(gen_one(), rho, m)
-        etas, qs = kern.pair_certified(gen_linear(), rho, m)
-        etah, _ = kern.pair_certified(gen_half_square(), rho, m)
+        eta1, q1 = kern.pair(gen_one(), rho, m)
+        etas, qs = kern.pair(gen_linear(), rho, m)
+        etah, _ = kern.pair(gen_half_square(), rho, m)
         e_star, _ = mechanical_energy(g, rho, m)
         flux = c * (m * m / rho + g.kappa * rho ** gamma)
         worst = max(

@@ -16,13 +16,13 @@ from nozzleflow.entropy import (GENERATOR_FACTORIES, EntropyGenerator,
                                 gen_half_square, gen_linear, gen_one,
                                 gen_quartic, gen_smoothed_abs, get_kernel,
                                 mechanical_energy, quartic_entropy,
-                                special_pair_check, special_pair_fields,
                                 weight_moment)
 from nozzleflow import entropy
 from plain_moments import plain_moments
 from nozzleflow.diagnostics import default_generator_family
-from nozzleflow.errors import ConfigError, DomainError, QuadratureError
+from nozzleflow.errors import ConfigError, DomainError
 from nozzleflow.thermo import GasLaw
+from special_pair import _special_pair, special_pair_check
 
 GAMMAS = (1.2, 1.4, 2.0, 3.0, 5.0, 7.0)
 
@@ -175,23 +175,23 @@ def test_pair_closed_forms_across_gamma():
         g = GasLaw(gamma)
         c = weight_moment(g.lambda_exp, 0)
         rho, m = _states(rng)
-        eta, q = get_kernel(g).pair_certified(gen_one(), rho, m)
+        eta, q = get_kernel(g).pair(gen_one(), rho, m)
         assert np.max(np.abs(eta - c * rho) / (c * rho)) < 1e-9
         assert np.max(np.abs(q - c * m) / np.abs(c * m)) < 1e-9
-        eta, q = get_kernel(g).pair_certified(gen_linear(), rho, m)
+        eta, q = get_kernel(g).pair(gen_linear(), rho, m)
         flux = c * (m * m / rho + g.kappa * rho ** gamma)
         assert np.max(np.abs(eta - c * m) / np.abs(c * m)) < 1e-9
         assert np.max(np.abs(q - flux) / np.abs(flux)) < 1e-9
-        eta, _ = get_kernel(g).pair_certified(gen_half_square(), rho, m)
+        eta, _ = get_kernel(g).pair(gen_half_square(), rho, m)
         e_star, _ = mechanical_energy(g, rho, m)
         assert np.max(np.abs(eta - c * e_star) / (c * e_star)) < 1e-9
 
 
 def test_vacuum_and_domain():
     g = GasLaw(2.0)
-    assert get_kernel(g).pair_certified(gen_quartic(), 0.0, 0.0) == (0.0, 0.0)
+    assert get_kernel(g).pair(gen_quartic(), 0.0, 0.0) == (0.0, 0.0)
     with pytest.raises(DomainError):
-        get_kernel(g).pair_certified(gen_one(), -0.1, 0.0)
+        get_kernel(g).pair(gen_one(), -0.1, 0.0)
 
 
 @pytest.mark.parametrize("rho,m", [(np.nan, 0.0), (1.0, np.inf),
@@ -202,7 +202,26 @@ def test_non_finite_state_is_domain_error(rho, m):
         get_kernel(g).pair(gen_convex_spline(), np.array([1.0, rho]),
                            np.array([0.0, m]))
     with pytest.raises(DomainError):
-        get_kernel(g).pair_certified(gen_smoothed_abs(), rho, m)
+        get_kernel(g).pair(gen_smoothed_abs(), rho, m)
+
+
+def test_finite_state_past_the_float_range_is_domain_error():
+    # u = m / rho overflows at (1e-11, 1e300), and at (1e-11, 1e150) and
+    # (1, 1e160) the smoothed |v|'s square and the quartic's fourth power do;
+    # at rho = 1e300 the flux factor rho^(1 + theta) does
+    kern = get_kernel(GasLaw(2.0))
+    for rho, m in [(1e-11, 1e300), (1e-11, 1e150), (1.0, 1e160)]:
+        for gen in (gen_smoothed_abs(), gen_quartic()):
+            with pytest.raises(DomainError, match="float range"):
+                kern.pair(gen, rho, m)
+            with pytest.raises(DomainError, match="float range"):
+                kern.moments([gen], np.array([rho]), np.array([m]))
+    with pytest.raises(DomainError, match="float range"):
+        kern.pair(gen_one(), 1e300, 0.0)
+    # near the edge the smoothed |v| stays finite: eta -> c_lam |m|
+    eta, q = kern.pair(gen_smoothed_abs(), 1.0, 1e100)
+    assert eta == pytest.approx(weight_moment(kern.lam, 0) * 1e100, rel=1e-12)
+    assert np.isfinite(q)
 
 
 PIECEWISE_GENERATORS = (gen_one(), gen_linear(), gen_half_square(),
@@ -668,7 +687,7 @@ def test_hessian_domination_by_mechanical_energy():
 
 
 # ---------------------------------------------------------------------------
-# kink splitting and certification
+# kink splitting
 # ---------------------------------------------------------------------------
 
 
@@ -713,7 +732,7 @@ def test_kinked_generator_against_adaptive_quadrature():
             oracle = rho * _kernel_quad(lambda s: gen.psi(u + rt * s), lam, kinks)
             oracle_q = rho * _kernel_quad(
                 lambda s: (u + th * rt * s) * gen.psi(u + rt * s), lam, kinks)
-            eta, q = kern.pair_certified(gen, rho, m)
+            eta, q = kern.pair(gen, rho, m)
             assert eta == pytest.approx(oracle, abs=1e-11 * (1.0 + abs(oracle)))
             assert q == pytest.approx(oracle_q, abs=1e-11 * (1.0 + abs(oracle_q)))
         assert inside_counts == [0, 1, 2]
@@ -725,44 +744,37 @@ def test_convex_spline_kink_split_certifies():
     gen = gen_convex_spline(0.0, 1.0)
     rho = np.linspace(0.05, 3.0, 40)
     m = 0.4 * rho
-    eta, q = kern.pair_certified(gen, rho, m)
+    eta, q = kern.pair(gen, rho, m)
     assert np.all(np.isfinite(eta)) and np.all(np.isfinite(q))
 
 
-def test_certified_pair_evaluates_exact_states_once(monkeypatch):
-    # a piece table's moments are exact and ignore n, so pair_certified
-    # evaluates it once, with kinks inside the states' ranges or not; a
-    # generator on quadrature nodes still doubles them
+def _count_moments(monkeypatch):
     calls = []
     real = EntropyKernel.moments
 
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return real(self, *args, **kwargs)
+    def counted(self, gens, rho_f, m_f, max_order=0, *args, **kwargs):
+        calls.append((rho_f.size, max_order))
+        return real(self, gens, rho_f, m_f, max_order, *args, **kwargs)
     monkeypatch.setattr(EntropyKernel, "moments", counted)
+    return calls
+
+
+def test_pair_evaluates_exact_states_once(monkeypatch):
+    # a piece table's moments are exact and ignore n, so one pair call is
+    # one moment pass, with kinks inside the states' ranges, outside them or
+    # none at all
+    calls = _count_moments(monkeypatch)
     g = GasLaw(2.0)
     rho = np.array([0.01, 0.5, 1.0, 2.0])
     u = np.array([2.5, 0.9, 0.5, -1.1])   # the last three straddle a kink
-    for gen in (gen_convex_spline(), gen_half_signed_square(0.35)):
+    for gen in (gen_convex_spline(), gen_half_signed_square(0.35), gen_quartic()):
         calls.clear()
-        eta, q = get_kernel(g).pair_certified(gen, rho, rho * u)
-        assert len(calls) == 1, gen.name
-        eta_n, q_n = get_kernel(g).pair(gen, rho, rho * u, 128)
-        np.testing.assert_array_equal(eta, eta_n)
-        np.testing.assert_array_equal(q, q_n)
-    calls.clear()
-    get_kernel(g).pair_certified(gen_smoothed_abs(), rho, rho * u)
-    assert len(calls) >= 2
-
-
-def test_certification_rejects_undeclared_discontinuity(monkeypatch):
-    monkeypatch.setattr(entropy, "CERTIFY_MAX_NODES", 256)
-    g = GasLaw(2.0)
-    nasty = EntropyGenerator("step", lambda v: np.sign(v),
-                             lambda v: np.zeros_like(v),
-                             lambda v: np.zeros_like(v))
-    with pytest.raises(QuadratureError):
-        get_kernel(g).pair_certified(nasty, 1.3, 0.4)
+        get_kernel(g).pair(gen, rho, rho * u)
+        assert calls == [(4, 0)], gen.name
+        exact = get_kernel(g).moments([gen], rho, rho * u)[0]
+        with_n = get_kernel(g).moments([gen], rho, rho * u, 0, 128)[0]
+        for key in exact:
+            np.testing.assert_array_equal(exact[key], with_n[key])
 
 
 def test_generators_report_convexity():
@@ -809,17 +821,6 @@ def test_relative_energy_density():
 # ---------------------------------------------------------------------------
 
 
-def _count_moments(monkeypatch):
-    calls = []
-    real = EntropyKernel.moments
-
-    def counted(self, gens, rho_f, m_f, max_order=0, *args):
-        calls.append((rho_f.size, max_order))
-        return real(self, gens, rho_f, m_f, max_order, *args)
-    monkeypatch.setattr(EntropyKernel, "moments", counted)
-    return calls
-
-
 def test_special_pair_check_takes_two_order_one_passes(monkeypatch):
     # one on the states, one at the far state, whatever fields it reports
     calls = _count_moments(monkeypatch)
@@ -832,21 +833,11 @@ def test_special_pair_check_takes_two_order_one_passes(monkeypatch):
     assert sorted(calls) == [(1, 1), (200, 1)]
 
 
-def test_pair_certified_evaluates_polynomial_generator_once(monkeypatch):
-    calls = _count_moments(monkeypatch)
-    rho, m = _states(np.random.default_rng(9), 30)
-    get_kernel(GasLaw(2.0)).pair_certified(gen_quartic(), rho, m)
-    assert calls == [(30, 0)]
-    # a generator on quadrature nodes still doubles them
-    get_kernel(GasLaw(2.0)).pair_certified(gen_smoothed_abs(), rho, m)
-    assert len(calls) >= 3
-
-
 def test_special_pair_vanishes_at_reference_velocity():
     g = GasLaw(2.0)
     ref = ReferenceState(0.8, 0.3, 0.2, 0.0)
     rho = np.linspace(0.05, 4.0, 17)
-    eta_c, _, _, _ = special_pair_fields(g, ref, rho, rho * ref.u_minus)
+    eta_c, _, _, _ = _special_pair(g, ref, rho, rho * ref.u_minus)[:4]
     assert np.max(np.abs(eta_c)) < 1e-14
 
 

@@ -10,7 +10,6 @@ from nozzleflow import entropy
 from nozzleflow.checks import Report
 from nozzleflow.cli import main as cli_main
 from nozzleflow.diagnostics import SnapshotSet
-from nozzleflow.entropy import ReferenceState, special_pair_check
 from nozzleflow.errors import ConfigError
 from nozzleflow.geometry import SphericalProfile, TabulatedProfile
 from nozzleflow.harness import (RunConfig, _cauchy,
@@ -628,9 +627,6 @@ def test_sweep_notes_a_cauchy_check_that_cannot_fail(n_eps):
 
 
 _VERDICTS = {
-    "special_pair_check": lambda: special_pair_check(
-        GasLaw(2.0), ReferenceState(1.0, 0.5, 0.5, 0.0),
-        np.array([0.5, 1.0, 2.0]), np.array([0.0, 0.5, -1.0]), M=50.0),
     "validate_conditions": lambda: SphericalProfile(n_dim=3)
     .validate_conditions((0.1, 10.0)),
     "certify": lambda: certify(_tiny_sweep_config().build_schedule(),

@@ -1,14 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from nozzleflow.checks import Check, Report
-from nozzleflow.errors import ConfigError
+from nozzleflow.errors import ConfigError, DomainError, NozzleflowError
 from nozzleflow.harness import RunConfig
-from nozzleflow.geometry import (ConstantProfile, ExponentialProfile,
+from nozzleflow.geometry import (PROFILES, ConstantProfile, ExponentialProfile,
                                  GaussianBumpProfile, NozzleProfile,
-                                 PowerLawClosingProfile, SphericalProfile)
+                                 PowerLawClosingProfile, SphericalProfile,
+                                 TabulatedProfile)
 from nozzleflow.schedule import (BETA, ViscositySchedule,
                                  certificate_summary, certify, make_default)
 from nozzleflow.thermo import GasLaw
@@ -63,6 +65,31 @@ def test_certify_passes_builtin_profiles():
         s = make_default(prof, gamma=gamma)
         rep = certify(s, prof, GasLaw(gamma))
         assert rep.passed, certificate_summary(rep)
+    # every profile kind at its defaults, with every warning an error: each
+    # case certifies or ends in a package error, the uncertifiable ducts as
+    # a ConfigError and a table narrower than the ladder's domains as a
+    # DomainError
+    x = np.linspace(-10.0, 10.0, 41)
+    refused = {}
+    for name, cls in PROFILES.items():
+        prof = (cls(x, 1.0 + 0.5 * np.exp(-x * x)) if cls is TabulatedProfile
+                else cls())
+        for gamma in (1.1, 1.4, 2.0, 5.0, 10.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    s = make_default(prof, gamma=gamma)
+                except NozzleflowError as err:
+                    refused[name, gamma] = type(err)
+                    continue
+                rep = certify(s, prof, GasLaw(gamma))
+            assert rep.passed, (name, gamma, certificate_summary(rep))
+    assert refused == {
+        **{("power_law_closing", gamma): ConfigError for gamma in (1.1, 1.4)},
+        **{("exponential", gamma): ConfigError
+           for gamma in (1.1, 1.4, 2.0, 5.0, 10.0)},
+        **{("tabulated", gamma): DomainError
+           for gamma in (1.1, 1.4, 2.0, 5.0, 10.0)}}
 
 
 def test_certify_gamma_two_skips_singular_exponent():
