@@ -759,15 +759,15 @@ def _count_moments(monkeypatch):
     return calls
 
 
-def test_pair_evaluates_exact_states_once(monkeypatch):
-    # a piece table's moments are exact and ignore n, so one pair call is
-    # one moment pass, with kinks inside the states' ranges, outside them or
-    # none at all
+def test_certified_pair_evaluates_exact_states_once(monkeypatch):
+    # a piece table's moments are exact and ignore n, so its pair needs no
+    # certifying pass: one pair call is one moment pass, with kinks inside
+    # the states' ranges or outside them
     calls = _count_moments(monkeypatch)
     g = GasLaw(2.0)
     rho = np.array([0.01, 0.5, 1.0, 2.0])
     u = np.array([2.5, 0.9, 0.5, -1.1])   # the last three straddle a kink
-    for gen in (gen_convex_spline(), gen_half_signed_square(0.35), gen_quartic()):
+    for gen in (gen_convex_spline(), gen_half_signed_square(0.35)):
         calls.clear()
         get_kernel(g).pair(gen, rho, rho * u)
         assert calls == [(4, 0)], gen.name
@@ -775,6 +775,18 @@ def test_pair_evaluates_exact_states_once(monkeypatch):
         with_n = get_kernel(g).moments([gen], rho, rho * u, 0, 128)[0]
         for key in exact:
             np.testing.assert_array_equal(exact[key], with_n[key])
+
+
+def test_pair_certified_evaluates_polynomial_generator_once(monkeypatch):
+    # a polynomial generator's moments are exact too; a generator on
+    # quadrature nodes is no longer re-evaluated on doubled nodes either
+    calls = _count_moments(monkeypatch)
+    rho, m = _states(np.random.default_rng(9), 30)
+    get_kernel(GasLaw(2.0)).pair(gen_quartic(), rho, m)
+    assert calls == [(30, 0)]
+    calls.clear()
+    get_kernel(GasLaw(2.0)).pair(gen_smoothed_abs(), rho, m)
+    assert calls == [(30, 0)]
 
 
 def test_generators_report_convexity():
